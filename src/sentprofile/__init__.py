@@ -26,7 +26,6 @@ from .corpus import (
 from .domainsel import (
     LabeledDomainSet,
     LabeledItem,
-    SimilarityConfig,
     augment_with_manual,
     avg_similarity,
     cosine,
@@ -77,14 +76,13 @@ from .gender import (
     train_gender,
 )
 from .nn import TrainConfig, gradient_check, load_model, save_model
-from .resample import ResampleConfig, smote, smote_matrices
+from .resample import ResampleConfig, smote
 from .sentiment import (
     PolarityFeatures,
     SentimentConfig,
     SentimentModel,
-    SentimentRepresentation,
     build_finetune_model,
-    extract_representation,
+    extract_representations,
     polarity_features,
     predict_polarity,
     train_sentiment,

@@ -2,16 +2,18 @@
 
 Subcommands mirror the pipeline stages (prepare, embed, select-source,
 sentiment-train, extract, smote, gender-train) plus the orchestrated
-`evaluate` and `grid` runs and the bundled `synth-data` generator. Flags
-can come from a flat key=value config file via --config; explicit flags
-win. Exit codes: 0 success, 2 configuration error, 3 data error.
+`evaluate` and `grid` runs and the bundled `synth-data` generator. Every
+subcommand that reads experiment settings merges a flat key=value config
+file (--config) with explicit flags, which win, and runs the same stage
+functions as `evaluate`. Exit codes: 0 success, 2 configuration error, 3
+data error.
 """
 
 import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +25,23 @@ from .corpus import (
     load_user_records,
     save_virtual_documents,
 )
-from .embed import doc_matrix, doc_vector, load_embeddings, save_embeddings
+from .embed import doc_vector, load_embeddings, save_embeddings
 from .errors import ConfigError, DataError, PipelineError
 from .experiment import (
+    REPRESENTATIONS,
+    SENTIMENT_MODES,
+    SOURCE_MODES,
     DataPaths,
     ExperimentConfig,
+    embedding_table,
     emit_report,
+    fit_embeddings,
     load_config_file,
+    load_corpora,
     run_experiment,
     run_grid,
+    sentiment_source,
+    target_matrices,
 )
 from .gender import (
     FeatureVector,
@@ -41,19 +51,25 @@ from .gender import (
     train_gender,
     write_features,
 )
-from .nn import TrainConfig, load_model, save_model
-from .resample import ResampleConfig, smote
-from .sentiment import SentimentConfig, extract_representations, train_sentiment
+from .nn import load_model, save_model
+from .nn.optim import OPTIMIZERS
+from .resample import VARIANTS, smote
+from .sentiment import REPRESENTATION_LAYERS, extract_representations, train_sentiment
 from .synth import SynthConfig, generate_dataset, marker_frequency_correlation, write_dataset
 
 logger = logging.getLogger(__name__)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="global RNG seed")
-    parser.add_argument("--config", default=None,
-                        help="key=value config file; explicit flags override it")
+def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
+    """--verbose, plus --seed and --config for subcommands that read
+    experiment settings."""
     parser.add_argument("--verbose", action="store_true")
+    if config:
+        parser.add_argument("--seed", type=int, default=None,
+                            help="global RNG seed")
+        parser.add_argument("--config", default=None,
+                            help="key=value config file; explicit flags "
+                                 "override it")
 
 
 def _experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,20 +79,12 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manual-labels", dest="manual", default=None)
     parser.add_argument("--embeddings", default=None,
                         help="reuse a saved embedding table instead of training")
-    parser.add_argument("--representation", choices=("avg_vector", "tfidf",
-                                                     "keyword_tfidf"), default=None)
-    parser.add_argument("--sentiment-mode", choices=("none", "polarity_features",
-                                                     "frozen_lstm", "frozen_dense",
-                                                     "finetuned_lstm"), default=None)
-    parser.add_argument("--source-mode", choices=("entire", "high_similarity",
-                                                  "entire_plus_manual",
-                                                  "high_similarity_plus_manual"),
-                        default=None)
+    parser.add_argument("--representation", choices=REPRESENTATIONS, default=None)
+    parser.add_argument("--sentiment-mode", choices=SENTIMENT_MODES, default=None)
+    parser.add_argument("--source-mode", choices=SOURCE_MODES, default=None)
     parser.add_argument("--similarity-threshold", dest="z", type=float, default=None)
     parser.add_argument("--smote", action="store_true", default=None)
-    parser.add_argument("--smote-k", type=int, default=None)
-    parser.add_argument("--smote-ratio", type=float, default=None)
-    parser.add_argument("--smote-variant", choices=("paper", "classic"), default=None)
+    _smote_flags(parser)
     parser.add_argument("--epochs", default=None,
                         help="comma-separated epoch grid, e.g. 60,80,100")
     parser.add_argument("--folds", type=int, default=None)
@@ -91,9 +99,19 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hidden-size", type=int, default=None)
     parser.add_argument("--sentiment-dropout", type=float, default=None)
     parser.add_argument("--sentiment-epochs", type=int, default=None)
+    _training_flags(parser)
+
+
+def _smote_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--smote-k", type=int, default=None)
+    parser.add_argument("--smote-ratio", type=float, default=None)
+    parser.add_argument("--smote-variant", choices=VARIANTS, default=None)
+
+
+def _training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument("--learning-rate", type=float, default=None)
-    parser.add_argument("--optimizer", choices=("sgd", "adam"), default=None)
+    parser.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
     parser.add_argument("--mlp-dropout", type=float, default=None)
 
 
@@ -122,14 +140,6 @@ def _data_paths(args) -> DataPaths:
                      embeddings=args.embeddings)
 
 
-def _train_config(args, epochs: int) -> TrainConfig:
-    return TrainConfig(epochs=epochs,
-                       batch_size=args.batch_size or 32,
-                       learning_rate=args.learning_rate or 1e-3,
-                       optimizer=args.optimizer or "adam",
-                       seed=args.seed or 0)
-
-
 def _cmd_prepare(args) -> int:
     stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
     users = load_user_records(args.users)
@@ -141,8 +151,6 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    from .experiment import fit_embeddings, load_corpora
-
     config = _experiment_config(args)
     _, docs, reviews, _ = load_corpora(_data_paths(args))
     table = fit_embeddings(config, docs, reviews)
@@ -153,96 +161,50 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_select_source(args) -> int:
-    from .domainsel import select_source
-    from .experiment import build_source_items, load_corpora
-
-    config = _experiment_config(args)
-    _, docs, reviews, _ = load_corpora(_data_paths(args))
+    config = replace(_experiment_config(args), source_mode="high_similarity")
+    paths = _data_paths(args)
+    _, docs, reviews, stopwords = load_corpora(paths)
     table = load_embeddings(args.embeddings)
-    source = build_source_items(reviews, table, config.r)
-    target_vecs = []
-    kept_docs = []
-    for doc in docs:
-        try:
-            target_vecs.append(doc_vector(doc, table))
-            kept_docs.append(doc)
-        except DataError:
-            continue
-    z = config.z
-    selected = select_source(source, target_vecs, z)
-    kept_ids = {item.item_id for item in selected.items}
+    source = sentiment_source(config, reviews, docs, table, stopwords)
+    kept_ids = {item.item_id for item in source.selected.items}
     with open(args.out, "w", encoding="utf-8") as fh:
         for review in reviews:
             if review.review_id in kept_ids:
                 fh.write(json.dumps({"review_id": review.review_id,
                                      "polarity": review.polarity,
                                      "tokens": list(review.tokens)}) + "\n")
-    print(f"kept {len(selected)} of {len(source)} reviews at z={z}; "
-          f"wrote {args.out}")
+    print(f"kept {len(source.selected)} of {len(source.items)} reviews at "
+          f"z={config.z}; wrote {args.out}")
     return 0
 
 
 def _cmd_sentiment_train(args) -> int:
-    from .domainsel import select_source
-    from .experiment import (
-        build_manual_items,
-        build_source_items,
-        load_corpora,
-    )
-    from .corpus import load_manual_records
-
     config = _experiment_config(args)
     paths = _data_paths(args)
     _, docs, reviews, stopwords = load_corpora(paths)
-    table = (load_embeddings(args.embeddings) if args.embeddings
-             else None)
-    if table is None:
-        from .experiment import fit_embeddings
-        table = fit_embeddings(config, docs, reviews)
-    source = build_source_items(reviews, table, config.r)
-    if args.select_z is not None:
-        target_vecs = [doc_vector(d, table) for d in docs]
-        source = select_source(source, target_vecs, args.select_z)
-    if args.manual:
-        from .domainsel import augment_with_manual
-        manual = build_manual_items(load_manual_records(args.manual), table,
-                                    config.r, stopwords)
-        source = augment_with_manual(source, manual)
-    model, curve = train_sentiment(
-        source,
-        SentimentConfig(hidden_size=config.hidden_size,
-                        dropout_rate=config.sentiment_dropout),
-        _train_config(args, config.sentiment_epochs))
+    table = embedding_table(config, paths, docs, reviews)
+    training_set = sentiment_source(config, reviews, docs, table, stopwords,
+                                    paths.manual).training_set()
+    model, curve = train_sentiment(training_set, config.sentiment_config(),
+                                   config.train_config(config.sentiment_epochs))
     save_model(model, args.out)
     last = curve[-1]
-    print(f"trained on {len(source)} items; held-out accuracy "
+    print(f"trained on {len(training_set)} items; held-out accuracy "
           f"{last.heldout_accuracy:.4f} after {last.epoch} epochs; "
           f"saved to {args.out}")
     return 0
 
 
 def _cmd_extract(args) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    users = load_user_records(args.infile)
-    docs = build_virtual_documents(users, stopwords, on_empty="drop")
+    config = _experiment_config(args)
+    _, docs, _, _ = load_corpora(DataPaths(users=args.infile,
+                                           stopwords=args.stopwords))
     table = load_embeddings(args.embeddings)
     model = load_model(args.model)
+    docs, mats, lengths = target_matrices(docs, table, config.r)
+    reps = extract_representations(model, mats, lengths, layer=args.layer)
     rows = []
-    mats, lengths, kept = [], [], []
-    for doc in docs:
-        try:
-            matrix = doc_matrix(doc, table, args.r)
-        except DataError:
-            logger.warning("skipping %s: out of vocabulary", doc.user_id)
-            continue
-        mats.append(matrix.values.T)
-        lengths.append(matrix.effective_length)
-        kept.append(doc)
-    if not kept:
-        raise DataError("no user has in-vocabulary tokens")
-    reps = extract_representations(model, np.stack(mats), np.array(lengths),
-                                   layer=args.layer)
-    for i, doc in enumerate(kept):
+    for i, doc in enumerate(docs):
         if args.concat_doc_vector:
             feature = concat_features(doc_vector(doc, table), reps[i])
         else:
@@ -255,12 +217,11 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_smote(args) -> int:
+    config = _experiment_config(args)
     rows = read_features(args.infile)
     features = stack_features([f for _, _, f in rows])
     labels = np.array([label for _, label, _ in rows])
-    config = ResampleConfig(k=args.smote_k, target_ratio=args.smote_ratio,
-                            seed=args.seed or 0, variant=args.smote_variant)
-    out_x, out_y = smote(features, labels, config)
+    out_x, out_y = smote(features, labels, config.resample_config())
     layout = rows[0][2].layout
     out_rows = []
     for i in range(out_x.shape[0]):
@@ -276,11 +237,12 @@ def _cmd_smote(args) -> int:
 
 
 def _cmd_gender_train(args) -> int:
+    config = _experiment_config(args)
     rows = read_features(args.infile)
     features = [f for _, _, f in rows]
     labels = [label for _, label, _ in rows]
-    model = train_gender(features, labels, _train_config(args, args.epochs),
-                         dropout_rate=args.mlp_dropout or 0.4)
+    model = train_gender(features, labels, config.train_config(args.train_epochs),
+                         dropout_rate=config.mlp_dropout)
     save_model(model, args.out)
     last = model.history[-1]
     print(f"trained on {len(rows)} rows; final train accuracy "
@@ -319,7 +281,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_synth_data(args) -> int:
     config = SynthConfig(n_users=args.users, n_reviews=args.reviews,
-                         seed=args.seed or 0,
+                         seed=args.seed,
                          marker_correlation=args.marker_correlation)
     dataset = generate_dataset(config)
     paths = write_dataset(dataset, args.out_dir)
@@ -341,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="clean posts into virtual documents")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--users", required=True)
     p.add_argument("--stopwords", default=None)
     p.add_argument("--out", required=True)
@@ -363,23 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sentiment-train", help="train the polarity classifier")
     _add_common(p)
     _experiment_flags(p)
-    p.add_argument("--source", dest="reviews", required=True)
-    p.add_argument("--select-z", type=float, default=None,
-                   help="similarity threshold; omit to train on everything")
-    p.add_argument("--manual", default=None,
-                   help="manually labeled target samples to add")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sentiment_train)
 
     p = sub.add_parser("extract", help="extract sentiment representations")
     _add_common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--layer", choices=("frozen_lstm", "frozen_dense"),
+    p.add_argument("--layer", choices=REPRESENTATION_LAYERS,
                    default="frozen_lstm")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--stopwords", default=None)
-    p.add_argument("--r", type=int, default=500)
+    p.add_argument("--r", type=int, default=None,
+                   help="document matrix column count")
     p.add_argument("--concat-doc-vector", action=argparse.BooleanOptionalAction,
                    default=True)
     p.add_argument("--out", required=True)
@@ -388,21 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smote", help="oversample a feature file")
     _add_common(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--smote-k", type=int, default=5)
-    p.add_argument("--smote-ratio", type=float, default=1.0)
-    p.add_argument("--smote-variant", choices=("paper", "classic"),
-                   default="paper")
+    _smote_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_smote)
 
     p = sub.add_parser("gender-train", help="train the gender classifier")
     _add_common(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default=None)
-    p.add_argument("--mlp-dropout", type=float, default=None)
+    # one training length, not the epoch grid of the config file
+    p.add_argument("--epochs", dest="train_epochs", metavar="EPOCHS", type=int,
+                   default=100)
+    _training_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gender_train)
 
@@ -421,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("synth-data", help="generate a synthetic dataset")
-    _add_common(p)
+    _add_common(p, config=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--users", type=int, default=1000)
     p.add_argument("--reviews", type=int, default=2000)
     p.add_argument("--marker-correlation", type=float, default=0.6)

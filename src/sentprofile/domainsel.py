@@ -23,22 +23,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 PROVENANCES = ("source", "manual_target")
-METRICS = ("cosine",)
 DEFAULT_SIMILARITY_THRESHOLD = 0.25
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-    metric: str = "cosine"
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"similarity threshold must be in (0, 1), "
-                              f"got {self.threshold}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"metric must be one of {METRICS}, "
-                              f"got {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -110,10 +95,10 @@ def avg_similarity(source_vec: DocVector, target_vecs: Sequence[DocVector]) -> f
 
 
 def select_source(source: LabeledDomainSet, target_vecs: Sequence[DocVector],
-                  z: "float | SimilarityConfig") -> LabeledDomainSet:
+                  z: float) -> LabeledDomainSet:
     """Keep the items whose average similarity strictly exceeds z."""
-    config = z if isinstance(z, SimilarityConfig) else SimilarityConfig(threshold=z)
-    z = config.threshold
+    if not 0.0 < z < 1.0:
+        raise ConfigError(f"similarity threshold must be in (0, 1), got {z}")
     kept = tuple(item for item in source.items
                  if avg_similarity(item.vector, target_vecs) > z)
     logger.info("similarity selection kept %d of %d source items (z=%g)",

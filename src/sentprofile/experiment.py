@@ -30,10 +30,17 @@ from .corpus import (
     load_stopwords,
     load_user_records,
 )
-from .domainsel import LabeledDomainSet, LabeledItem, augment_with_manual, select_source
+from .domainsel import (
+    DEFAULT_SIMILARITY_THRESHOLD,
+    LabeledDomainSet,
+    LabeledItem,
+    augment_with_manual,
+    select_source,
+)
 from .embed import (
     AllOovError,
     EmbedConfig,
+    EmbeddingTable,
     doc_matrix,
     doc_vector,
     gender_keywords,
@@ -42,12 +49,13 @@ from .embed import (
     train_skipgram,
 )
 from .errors import ConfigError, DataError, FormatError, PipelineError, TrainingError
-from .folds import stratified_kfold
+from .folds import FoldPlan, stratified_kfold
 from .gender import CLASSES, train_gender
 from .nn import TrainConfig
 from .resample import ResampleConfig, _smote_core, smote
 from .sentiment import (
     SentimentConfig,
+    SentimentModel,
     build_finetune_model,
     extract_representations,
     polarity_features,
@@ -73,7 +81,7 @@ class ExperimentConfig:
     smote_k: int = 5
     smote_ratio: float = 1.0
     smote_variant: str = "paper"
-    z: float = 0.25
+    z: float = DEFAULT_SIMILARITY_THRESHOLD
     epochs: tuple[int, ...] = (100,)
     seed: int = 0
     folds: int = 5
@@ -113,13 +121,32 @@ class ExperimentConfig:
             raise ConfigError("folds must be >= 2")
         if "high_similarity" in self.source_mode and not 0.0 < self.z < 1.0:
             raise ConfigError(f"z must be in (0, 1), got {self.z}")
-        ResampleConfig(k=self.smote_k, target_ratio=self.smote_ratio,
-                       seed=self.seed, variant=self.smote_variant)
-        EmbedConfig(dimension=self.dimension, window=self.window,
-                    negatives=self.negatives, epochs=self.embed_epochs,
-                    min_count=self.min_count, seed=self.seed)
-        TrainConfig(epochs=min(self.epochs), batch_size=self.batch_size,
-                    learning_rate=self.learning_rate, optimizer=self.optimizer)
+        self.resample_config()
+        self.embed_config()
+        self.sentiment_config()
+        self.train_config(min(self.epochs))
+
+    # the component configurations every stage trains with; a fold passes
+    # its own seed
+    def train_config(self, epochs: int, seed: int | None = None) -> TrainConfig:
+        return TrainConfig(epochs=epochs, batch_size=self.batch_size,
+                           learning_rate=self.learning_rate,
+                           optimizer=self.optimizer,
+                           seed=self.seed if seed is None else seed)
+
+    def resample_config(self, seed: int | None = None) -> ResampleConfig:
+        return ResampleConfig(k=self.smote_k, target_ratio=self.smote_ratio,
+                              seed=self.seed if seed is None else seed,
+                              variant=self.smote_variant)
+
+    def embed_config(self) -> EmbedConfig:
+        return EmbedConfig(dimension=self.dimension, window=self.window,
+                           negatives=self.negatives, epochs=self.embed_epochs,
+                           min_count=self.min_count, seed=self.seed)
+
+    def sentiment_config(self) -> SentimentConfig:
+        return SentimentConfig(hidden_size=self.hidden_size,
+                               dropout_rate=self.sentiment_dropout)
 
     def to_dict(self) -> dict:
         out = {}
@@ -311,11 +338,14 @@ def load_corpora(paths: DataPaths):
 
 def fit_embeddings(config: ExperimentConfig, docs, reviews):
     """One shared table trained on the union of both token streams."""
-    embed_config = EmbedConfig(dimension=config.dimension, window=config.window,
-                               negatives=config.negatives,
-                               epochs=config.embed_epochs,
-                               min_count=config.min_count, seed=config.seed)
-    return train_skipgram(list(docs) + list(reviews), embed_config)
+    return train_skipgram(list(docs) + list(reviews), config.embed_config())
+
+
+def embedding_table(config: ExperimentConfig, paths: DataPaths, docs, reviews):
+    """The saved table at `paths.embeddings`, or one fit on both corpora."""
+    if paths.embeddings:
+        return load_embeddings(paths.embeddings)
+    return fit_embeddings(config, docs, reviews)
 
 
 def build_source_items(reviews, table, r: int,
@@ -354,21 +384,45 @@ def build_manual_items(manual_records, table, r: int, stopwords) -> LabeledDomai
     return LabeledDomainSet(items=tuple(items))
 
 
+def _in_vocabulary(docs, represent) -> dict:
+    """`represent(doc)` by user id. Users with no in-vocabulary token are
+    dropped with a warning; every stage that needs an embedding of a target
+    user applies this one rule."""
+    out = {}
+    for doc in docs:
+        try:
+            out[doc.user_id] = represent(doc)
+        except AllOovError:
+            logger.warning("dropping user %s: all tokens out of vocabulary",
+                           doc.user_id)
+    if not out:
+        raise DataError("every user is out of the embedding vocabulary")
+    return out
+
+
+def target_vectors(docs, table) -> dict:
+    """Averaged word vectors of the users with an in-vocabulary token."""
+    return _in_vocabulary(docs, lambda doc: doc_vector(doc, table))
+
+
+def target_matrices(docs, table, r: int):
+    """(kept docs, (n, T, d) sequences, effective lengths) of the users with
+    an in-vocabulary token, rows in document order."""
+    mats = _in_vocabulary(docs, lambda doc: doc_matrix(doc, table, r))
+    kept = [doc for doc in docs if doc.user_id in mats]
+    stacked = np.stack([mats[doc.user_id].values.T for doc in kept])
+    lengths = np.array([mats[doc.user_id].effective_length for doc in kept])
+    # padded steps past the longest document are inert; drop them
+    return kept, stacked[:, :int(lengths.max()), :], lengths
+
+
 def base_representations(config: ExperimentConfig, docs, table):
     """Per-user base feature vectors for the chosen representation.
 
     Users whose every token is out of vocabulary get no entry (logged)."""
     if config.representation == "avg_vector":
-        out = {}
-        for doc in docs:
-            try:
-                out[doc.user_id] = doc_vector(doc, table).values
-            except AllOovError:
-                logger.warning("dropping user %s: all tokens out of vocabulary",
-                               doc.user_id)
-        if not out:
-            raise DataError("every user is out of the embedding vocabulary")
-        return out
+        return {uid: vector.values
+                for uid, vector in target_vectors(docs, table).items()}
     if config.representation == "tfidf":
         vectors = tfidf_representation(docs)
     else:
@@ -381,15 +435,153 @@ def base_representations(config: ExperimentConfig, docs, table):
     return {doc.user_id: dense[i] for i, doc in enumerate(docs)}
 
 
-def _sentiment_training_set(config: ExperimentConfig, source_set, selected_set,
-                            manual_items, train_ids):
-    base = selected_set if "high_similarity" in config.source_mode else source_set
+@dataclass
+class SentimentSource:
+    """What the sentiment model may train on under one source mode: the
+    source items, the ones similarity selection kept (None without
+    selection) and the manual target items (None without manual labels)."""
+    items: LabeledDomainSet
+    selected: LabeledDomainSet | None = None
+    manual: LabeledDomainSet | None = None
+
+    def training_set(self, train_ids=None) -> LabeledDomainSet:
+        """The sentiment training set. Given `train_ids`, only the manual
+        items of those users join it, so no test user's label leaks in."""
+        base = self.items if self.selected is None else self.selected
+        if self.manual is None:
+            return base
+        manual = self.manual
+        if train_ids is not None:
+            allowed = {f"manual:{uid}" for uid in train_ids}
+            manual = LabeledDomainSet(items=tuple(
+                item for item in manual.items if item.item_id in allowed))
+        return augment_with_manual(base, manual)
+
+
+def sentiment_source(config: ExperimentConfig, reviews, target_docs, table,
+                     stopwords, manual_path=None) -> SentimentSource:
+    """Source items, similarity selection against `target_docs` and the
+    manual target items, as `config.source_mode` asks."""
+    if not reviews:
+        raise DataError("sentiment training needs source-domain reviews")
+    source = SentimentSource(items=build_source_items(reviews, table, config.r))
+    if "high_similarity" in config.source_mode:
+        targets = list(target_vectors(target_docs, table).values())
+        source.selected = select_source(source.items, targets, config.z)
     if config.source_mode.endswith("plus_manual"):
-        allowed = {f"manual:{uid}" for uid in train_ids}
-        usable = LabeledDomainSet(items=tuple(
-            item for item in manual_items.items if item.item_id in allowed))
-        return augment_with_manual(base, usable)
-    return base
+        if not manual_path:
+            raise DataError(f"source_mode {config.source_mode!r} needs manual "
+                            "labels (--manual-labels)")
+        source.manual = build_manual_items(load_manual_records(manual_path),
+                                           table, config.r, stopwords)
+    return source
+
+
+def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
+    """Oversample (base vector, document matrix) pairs in their joint
+    flattened space so synthetic pairs stay aligned; originals come first.
+
+    A synthetic matrix's effective length is the maximum over its
+    contributors (x_old plus the neighbors used), since interpolation can
+    leave any of their columns nonzero.
+    """
+    flat = np.concatenate([vecs, mats.reshape(len(labels), -1)], axis=1)
+    synth = _smote_core(flat, labels, config)
+    if not synth:
+        return vecs, mats, lengths, labels
+    classes, counts = np.unique(labels, return_counts=True)
+    minority = classes[np.argmin(counts)]
+    eff = lengths[labels == minority]
+    new_flat = np.stack([s.values for s in synth])
+    vec_dim = vecs.shape[1]
+    new_lens = np.array([int(eff[list((s.old_index,) + s.neighbor_indices)].max())
+                         for s in synth])
+    return (np.concatenate([vecs, new_flat[:, :vec_dim]]),
+            np.concatenate([mats, new_flat[:, vec_dim:].reshape(-1, *mats.shape[1:])]),
+            np.concatenate([lengths, new_lens]),
+            np.concatenate([labels, np.full(len(synth), minority)]))
+
+
+@dataclass
+class RunContext:
+    """What every fold of one run shares. Rows of `mats` and `lengths`
+    follow `index_of`; they and `source` are None without a sentiment
+    mode. Fold accuracies accumulate in `columns`."""
+    config: ExperimentConfig
+    plan: FoldPlan
+    users_by_id: dict
+    table: EmbeddingTable | None
+    stopwords: frozenset
+    base: dict
+    labels: dict
+    index_of: dict
+    mats: np.ndarray | None
+    lengths: np.ndarray | None
+    source: SentimentSource | None
+    columns: list[EpochColumn]
+
+    def fold(self, index: int) -> "Fold":
+        """Split one fold and train its sentiment model."""
+        config = self.config
+        train_ids, test_ids = self.plan.split(index)
+        seed = _fold_seed(config.seed, index, 1)
+        model = None
+        if config.sentiment_mode != "none":
+            model, _ = train_sentiment(self.source.training_set(train_ids),
+                                       config.sentiment_config(),
+                                       config.train_config(config.sentiment_epochs,
+                                                           seed))
+        return Fold(self, seed, train_ids, test_ids, model)
+
+    def label_array(self, ids) -> np.ndarray:
+        return np.array([self.labels[uid] for uid in ids])
+
+    def sequences(self, ids):
+        """Base vectors, matrices, lengths and class indices of `ids`."""
+        rows = [self.index_of[uid] for uid in ids]
+        return (np.stack([self.base[uid] for uid in ids]), self.mats[rows],
+                self.lengths[rows], self.label_array(ids))
+
+
+@dataclass
+class Fold:
+    """One fold's split and seed, and the sentiment model trained on its
+    training users (None without a sentiment mode)."""
+    run: RunContext
+    seed: int
+    train_ids: list[str]
+    test_ids: list[str]
+    sentiment_model: SentimentModel | None
+
+
+def _prepare_run(config: ExperimentConfig, paths: DataPaths) -> RunContext:
+    """Load the corpora and build what the folds share: embeddings, base
+    representations, target matrices, the sentiment source and the plan."""
+    users, docs, reviews, stopwords = load_corpora(paths)
+    if len(docs) < config.folds:
+        raise DataError(f"only {len(docs)} usable users for {config.folds} folds")
+
+    use_sentiment = config.sentiment_mode != "none"
+    table = None
+    if use_sentiment or config.representation == "avg_vector":
+        table = embedding_table(config, paths, docs, reviews)
+
+    base = base_representations(config, docs, table)
+    # users whose every token is out of vocabulary cannot be represented
+    docs = [d for d in docs if d.user_id in base]
+    mats = lengths = source = None
+    if use_sentiment:
+        docs, mats, lengths = target_matrices(docs, table, config.r)
+        source = sentiment_source(config, reviews, docs, table, stopwords,
+                                  paths.manual)
+    return RunContext(
+        config=config, plan=stratified_kfold(docs, config.folds, config.seed),
+        users_by_id={u.user_id: u for u in users}, table=table,
+        stopwords=stopwords, base=base,
+        labels={d.user_id: CLASSES.index(d.gender) for d in docs},
+        index_of={d.user_id: i for i, d in enumerate(docs)},
+        mats=mats, lengths=lengths, source=source,
+        columns=[EpochColumn(epochs=e, fold_accuracies=[]) for e in config.epochs])
 
 
 def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
@@ -398,67 +590,10 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
     if config.sentiment_mode == "none" and config.source_mode != "entire":
         logger.info("sentiment_mode is 'none'; source_mode %r is ignored",
                     config.source_mode)
-    users, docs, reviews, stopwords = load_corpora(paths)
-    if len(docs) < config.folds:
-        raise DataError(f"only {len(docs)} usable users for {config.folds} folds")
-    users_by_id = {u.user_id: u for u in users}
-
-    use_sentiment = config.sentiment_mode != "none"
-    needs_table = use_sentiment or config.representation == "avg_vector"
-    table = None
-    if needs_table:
-        if paths.embeddings:
-            table = load_embeddings(paths.embeddings)
-        else:
-            table = fit_embeddings(config, docs, reviews)
-
-    base = base_representations(config, docs, table)
-    # users whose every token is out of vocabulary cannot be represented
-    docs = [d for d in docs if d.user_id in base]
-
-    user_mats = user_lengths = None
-    source_set = selected_set = manual_items = None
-    selection_info = None
-    if use_sentiment:
-        if not reviews:
-            raise DataError(f"sentiment_mode {config.sentiment_mode!r} needs "
-                            "source-domain reviews")
-        mats = {}
-        for doc in docs:
-            try:
-                mats[doc.user_id] = doc_matrix(doc, table, config.r)
-            except AllOovError:
-                logger.warning("dropping user %s: all tokens out of vocabulary",
-                               doc.user_id)
-        docs = [d for d in docs if d.user_id in mats]
-        user_mats = np.stack([mats[d.user_id].values.T for d in docs])
-        user_lengths = np.array([mats[d.user_id].effective_length for d in docs])
-        # padded steps past the longest document are inert; drop them
-        user_mats = user_mats[:, :int(user_lengths.max()), :]
-        source_set = build_source_items(reviews, table, config.r)
-        if "high_similarity" in config.source_mode:
-            target_vecs = [doc_vector(d, table) for d in docs]
-            selected_set = select_source(source_set, target_vecs, config.z)
-            selection_info = {"kept": len(selected_set), "total": len(source_set),
-                              "z": config.z}
-        if config.source_mode.endswith("plus_manual"):
-            if not paths.manual:
-                raise DataError(f"source_mode {config.source_mode!r} needs "
-                                "--manual labels")
-            manual_items = build_manual_items(load_manual_records(paths.manual),
-                                              table, config.r, stopwords)
-
-    plan = stratified_kfold(docs, config.folds, config.seed)
-    index_of = {d.user_id: i for i, d in enumerate(docs)}
-    labels = {d.user_id: d.gender for d in docs}
-
-    columns = [EpochColumn(epochs=e, fold_accuracies=[]) for e in config.epochs]
-    for fold_index in range(plan.k):
-        train_ids, test_ids = plan.split(fold_index)
+    run = _prepare_run(config, paths)
+    for fold_index in range(run.plan.k):
         try:
-            _run_fold(config, fold_index, train_ids, test_ids, base, labels,
-                      users_by_id, table, stopwords, user_mats, user_lengths,
-                      index_of, source_set, selected_set, manual_items, columns)
+            _run_fold(run.fold(fold_index))
         except PipelineError as exc:
             # keep the error category (and hence the exit code) while
             # pointing at the failing fold
@@ -466,8 +601,12 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
                 if isinstance(exc, category):
                     raise category(f"fold {fold_index + 1}: {exc}") from exc
             raise PipelineError(f"fold {fold_index + 1}: {exc}") from exc
+    selection_info = None
+    if run.source is not None and run.source.selected is not None:
+        selection_info = {"kept": len(run.source.selected),
+                          "total": len(run.source.items), "z": config.z}
     report = EvalReport(config=config.to_dict(), config_hash=config.config_hash(),
-                        seed=config.seed, columns=columns,
+                        seed=config.seed, columns=run.columns,
                         timing_seconds=time.perf_counter() - started,
                         selection=selection_info)
     logger.info("experiment %s finished in %.1fs (best mean accuracy %.4f)",
@@ -475,117 +614,63 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
     return report
 
 
-def _run_fold(config, fold_index, train_ids, test_ids, base, labels, users_by_id,
-              table, stopwords, user_mats, user_lengths, index_of,
-              source_set, selected_set, manual_items, columns):
-    fold_seed = _fold_seed(config.seed, fold_index, 1)
-    label_idx = {uid: CLASSES.index(labels[uid]) for uid in (*train_ids, *test_ids)}
-
-    sentiment_model = None
-    if config.sentiment_mode != "none":
-        training_set = _sentiment_training_set(config, source_set, selected_set,
-                                               manual_items, train_ids)
-        sentiment_model, _ = train_sentiment(
-            training_set,
-            SentimentConfig(hidden_size=config.hidden_size,
-                            dropout_rate=config.sentiment_dropout),
-            TrainConfig(epochs=config.sentiment_epochs,
-                        batch_size=config.batch_size,
-                        learning_rate=config.learning_rate,
-                        optimizer=config.optimizer, seed=fold_seed))
-
+def _run_fold(fold: Fold) -> None:
+    """Train and score the gender classifier of one fold for every entry
+    of the epoch grid."""
+    run = fold.run
+    config = run.config
     if config.sentiment_mode == "finetuned_lstm":
-        _run_finetuned_fold(config, fold_seed, sentiment_model, train_ids,
-                            test_ids, base, label_idx, user_mats, user_lengths,
-                            index_of, columns)
+        _run_finetuned_fold(fold)
         return
 
-    features = dict(base)
+    features = run.base
     if config.sentiment_mode in ("frozen_lstm", "frozen_dense"):
-        layer = config.sentiment_mode
-        reps = extract_representations(sentiment_model, user_mats, user_lengths,
-                                       layer=layer)
-        features = {uid: np.concatenate([base[uid], reps[row]])
-                    for uid, row in index_of.items()}
+        reps = extract_representations(fold.sentiment_model, run.mats,
+                                       run.lengths, layer=config.sentiment_mode)
+        features = {uid: np.concatenate([run.base[uid], reps[row]])
+                    for uid, row in run.index_of.items()}
     elif config.sentiment_mode == "polarity_features":
         features = {}
-        for uid in index_of:
-            pf = polarity_features(sentiment_model, users_by_id[uid], table,
-                                   config.r, stopwords)
-            features[uid] = np.concatenate([base[uid], pf.values])
+        for uid in run.index_of:
+            pf = polarity_features(fold.sentiment_model, run.users_by_id[uid],
+                                   run.table, config.r, run.stopwords)
+            features[uid] = np.concatenate([run.base[uid], pf.values])
 
-    x_train = np.stack([features[uid] for uid in train_ids])
-    y_train = np.array([label_idx[uid] for uid in train_ids])
-    x_test = np.stack([features[uid] for uid in test_ids])
-    y_test = np.array([label_idx[uid] for uid in test_ids])
+    x_train = np.stack([features[uid] for uid in fold.train_ids])
+    y_train = run.label_array(fold.train_ids)
+    x_test = np.stack([features[uid] for uid in fold.test_ids])
+    y_test = run.label_array(fold.test_ids)
     if config.smote:
         x_train, y_train = smote(x_train, y_train,
-                                 ResampleConfig(k=config.smote_k,
-                                                target_ratio=config.smote_ratio,
-                                                seed=fold_seed,
-                                                variant=config.smote_variant))
+                                 config.resample_config(fold.seed))
     train_labels = [CLASSES[i] for i in y_train]
-    for col in columns:
+    for col in run.columns:
         model = train_gender(x_train, train_labels,
-                             TrainConfig(epochs=col.epochs,
-                                         batch_size=config.batch_size,
-                                         learning_rate=config.learning_rate,
-                                         optimizer=config.optimizer,
-                                         seed=fold_seed),
+                             config.train_config(col.epochs, fold.seed),
                              dropout_rate=config.mlp_dropout)
         probs = model.predict_proba(x_test)
-        accuracy = float((probs.argmax(axis=1) == y_test).mean())
-        col.fold_accuracies.append(accuracy)
+        col.fold_accuracies.append(float((probs.argmax(axis=1) == y_test).mean()))
 
 
-def _run_finetuned_fold(config, fold_seed, sentiment_model, train_ids, test_ids,
-                        base, label_idx, user_mats, user_lengths, index_of,
-                        columns):
+def _run_finetuned_fold(fold: Fold) -> None:
     """Composite training: oversampling happens in the joint space of the
     base vector and the flattened matrix so synthetic pairs stay aligned."""
-    def gather(ids):
-        rows = [index_of[uid] for uid in ids]
-        vecs = np.stack([base[uid] for uid in ids])
-        return (vecs, user_mats[rows], user_lengths[rows],
-                np.array([label_idx[uid] for uid in ids]))
-
-    vecs_tr, mats_tr, lens_tr, y_tr = gather(train_ids)
-    vecs_te, mats_te, lens_te, y_te = gather(test_ids)
+    run = fold.run
+    config = run.config
+    vecs_tr, mats_tr, lens_tr, y_tr = run.sequences(fold.train_ids)
+    vecs_te, mats_te, lens_te, y_te = run.sequences(fold.test_ids)
     if config.smote:
-        vec_dim = vecs_tr.shape[1]
-        flat = np.concatenate([vecs_tr, mats_tr.reshape(len(y_tr), -1)], axis=1)
-        synth = _smote_core(flat, y_tr,
-                            ResampleConfig(k=config.smote_k,
-                                           target_ratio=config.smote_ratio,
-                                           seed=fold_seed,
-                                           variant=config.smote_variant))
-        if synth:
-            classes, counts = np.unique(y_tr, return_counts=True)
-            minority = classes[np.argmin(counts)]
-            minority_rows = np.flatnonzero(y_tr == minority)
-            eff = lens_tr[minority_rows]
-            new_flat = np.stack([s.values for s in synth])
-            new_vecs = new_flat[:, :vec_dim]
-            new_mats = new_flat[:, vec_dim:].reshape(-1, *mats_tr.shape[1:])
-            new_lens = np.array([int(eff[list((s.old_index,) + s.neighbor_indices)].max())
-                                 for s in synth])
-            vecs_tr = np.concatenate([vecs_tr, new_vecs])
-            mats_tr = np.concatenate([mats_tr, new_mats])
-            lens_tr = np.concatenate([lens_tr, new_lens])
-            y_tr = np.concatenate([y_tr, np.full(len(synth), minority)])
-
-    for col in columns:
-        model = build_finetune_model(sentiment_model, vec_dim=vecs_tr.shape[1],
+        vecs_tr, mats_tr, lens_tr, y_tr = smote_sequences(
+            vecs_tr, mats_tr, lens_tr, y_tr, config.resample_config(fold.seed))
+    for col in run.columns:
+        model = build_finetune_model(fold.sentiment_model,
+                                     vec_dim=vecs_tr.shape[1],
                                      dropout_rate=config.mlp_dropout,
-                                     seed=fold_seed)
+                                     seed=fold.seed)
         train_finetune(model, vecs_tr, mats_tr, lens_tr, y_tr,
-                       TrainConfig(epochs=col.epochs,
-                                   batch_size=config.batch_size,
-                                   learning_rate=config.learning_rate,
-                                   optimizer=config.optimizer, seed=fold_seed))
+                       config.train_config(col.epochs, fold.seed))
         probs = model.predict_proba(vecs_te, mats_te, lens_te)
-        accuracy = float((probs.argmax(axis=1) == y_te).mean())
-        col.fold_accuracies.append(accuracy)
+        col.fold_accuracies.append(float((probs.argmax(axis=1) == y_te).mean()))
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")

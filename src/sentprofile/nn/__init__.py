@@ -8,8 +8,6 @@ from .layers import (
     DenseLayer,
     DropoutLayer,
     LSTMLayer,
-    LstmStates,
-    lstm_forward,
     sigmoid,
     softmax,
 )
@@ -24,7 +22,6 @@ __all__ = [
     "DropoutLayer",
     "LOSSES",
     "LSTMLayer",
-    "LstmStates",
     "Network",
     "SGD",
     "TrainConfig",
@@ -32,7 +29,6 @@ __all__ = [
     "categorical_cross_entropy",
     "gradient_check",
     "load_model",
-    "lstm_forward",
     "make_optimizer",
     "max_relative_error",
     "read_checkpoint",

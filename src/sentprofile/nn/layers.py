@@ -216,8 +216,8 @@ class LSTMLayer:
 
         x: (B, T, input_dim) with zero padding past each sample's length.
         lengths: (B,) ints, 1 <= length <= T.
-        Returns the final hidden state (B, hidden_dim); per-step states are
-        cached and exposed via `hidden_states()`.
+        Returns the final hidden state (B, hidden_dim); per-step gates and
+        states are cached for `backward`.
         """
         x = np.asarray(x, dtype=np.float64)
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -258,24 +258,8 @@ class LSTMLayer:
             c = m * c_raw + (1.0 - m) * c
             h = m * h_raw + (1.0 - m) * h
         cache["x"] = x
-        cache["h_final"] = h
-        # final h per step is reconstructable; keep running h history for
-        # callers that want every state
         self._cache = cache
         return h
-
-    def hidden_states(self) -> np.ndarray:
-        """Per-step hidden states (T, B, H) of the last forward call."""
-        if self._cache is None:
-            raise ShapeError(f"{self!r}: no forward pass cached")
-        cache = self._cache
-        t_max = cache["x"].shape[1]
-        states = np.empty((t_max, *cache["h_final"].shape))
-        for t in range(t_max):
-            m = cache["mask"][t]
-            h_raw = cache["o"][t] * cache["tanh_c"][t]
-            states[t] = m * h_raw + (1.0 - m) * cache["h_prev"][t]
-        return states
 
     def backward(self, d_final: np.ndarray) -> np.ndarray:
         """Backpropagation through time from the final hidden state.
@@ -346,33 +330,3 @@ def layer_from_spec(spec: dict):
     except KeyError:
         raise ConfigError(f"unknown layer type {spec.get('type')!r}") from None
     return cls.from_spec(spec)
-
-
-class LstmStates:
-    """Per-step states of a single-sequence LSTM run."""
-
-    def __init__(self, hidden: np.ndarray, final_hidden: np.ndarray):
-        self.hidden = hidden            # (T, H)
-        self.final_hidden = final_hidden  # (H,)
-
-
-def lstm_forward(layer: LSTMLayer, sequence: np.ndarray,
-                 effective_length: int) -> LstmStates:
-    """Run one sequence given as a (d, T) matrix through the layer.
-
-    Columns at index >= effective_length must be zero padding; they leave
-    the state untouched, so final_hidden is the state after step
-    effective_length.
-    """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 2 or sequence.shape[0] != layer.input_dim:
-        raise ShapeError(f"expected sequence of shape ({layer.input_dim}, T), "
-                         f"got {sequence.shape}")
-    if effective_length < 1:
-        raise ShapeError("effective_length must be >= 1")
-    if effective_length > sequence.shape[1]:
-        raise ShapeError("effective_length exceeds sequence length")
-    batch = sequence.T[None, :, :]
-    final = layer.forward(batch, np.array([effective_length]))
-    hidden = layer.hidden_states()[:, 0, :]
-    return LstmStates(hidden=hidden, final_hidden=final[0])

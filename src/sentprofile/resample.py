@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import DocMatrix
 from .errors import ConfigError, DataError, ShapeError
 
 VARIANTS = ("paper", "classic")
@@ -131,42 +130,3 @@ def smote(samples, labels, config: ResampleConfig | None = None):
     out_labels = np.concatenate([labels, np.full(len(synthetic), minority_class,
                                                  dtype=labels.dtype)])
     return out_samples, out_labels
-
-
-def smote_matrices(matrices, labels, config: ResampleConfig | None = None):
-    """Oversample document matrices by flattening, interpolating and
-    reshaping back.
-
-    A synthetic matrix's effective length is the maximum over its
-    contributors (x_old plus the neighbors used), since interpolation can
-    leave any of their columns nonzero.
-    """
-    config = config or ResampleConfig()
-    if not matrices:
-        raise DataError("no matrices to oversample")
-    shape = matrices[0].values.shape
-    for m in matrices:
-        if m.values.shape != shape:
-            raise ShapeError(f"matrix {m.doc_id!r} has shape {m.values.shape}, "
-                             f"expected {shape}")
-    flat = np.stack([m.values.reshape(-1) for m in matrices])
-    labels_arr = np.asarray(labels)
-    if labels_arr.shape != (len(matrices),):
-        raise ShapeError("labels must align with matrices")
-    synthetic = _smote_core(flat, labels_arr, config)
-    out = list(matrices)
-    out_labels = list(labels)
-    if not synthetic:
-        return out, out_labels
-    classes, counts = np.unique(labels_arr, return_counts=True)
-    minority_class = classes[np.argmin(counts)]
-    minority_idx = np.flatnonzero(labels_arr == minority_class)
-    minority_label = labels[int(minority_idx[0])]
-    eff = np.array([matrices[i].effective_length for i in minority_idx])
-    for n, sample in enumerate(synthetic):
-        contributors = (sample.old_index,) + sample.neighbor_indices
-        out.append(DocMatrix(doc_id=f"smote-{n}",
-                             values=sample.values.reshape(shape),
-                             effective_length=int(eff[list(contributors)].max())))
-        out_labels.append(minority_label)
-    return out, out_labels

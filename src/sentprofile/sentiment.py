@@ -235,33 +235,6 @@ def predict_polarity(model: SentimentModel, doc: DocMatrix) -> float:
     return float(probs[0, 0])
 
 
-@dataclass
-class SentimentRepresentation:
-    values: np.ndarray
-    layer_source: str
-
-
-def extract_representation(model: SentimentModel, doc: DocMatrix,
-                           layer: str = "frozen_lstm") -> SentimentRepresentation:
-    """Middle-layer activations for one document, parameters untouched.
-
-    frozen_lstm: the final hidden state (length H). frozen_dense: the
-    pre-sigmoid activation of the head (length 1).
-    """
-    if layer not in REPRESENTATION_LAYERS:
-        raise ConfigError(f"layer must be one of {REPRESENTATION_LAYERS}, "
-                          f"got {layer!r}")
-    if not model.trained:
-        raise DataError("cannot extract representations from an untrained model")
-    model.forward(doc.values.T[None, :, :], np.array([doc.effective_length]),
-                  training=False)
-    if layer == "frozen_lstm":
-        values = model._final_hidden[0].copy()
-    else:
-        values = model._dense_preact[0].copy()
-    return SentimentRepresentation(values=values, layer_source=layer)
-
-
 def extract_representations(model: SentimentModel, mats: np.ndarray,
                             lengths: np.ndarray, layer: str = "frozen_lstm",
                             batch_size: int = 256) -> np.ndarray:

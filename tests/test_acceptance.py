@@ -22,6 +22,7 @@ from sentprofile.experiment import (
     fit_embeddings,
     load_corpora,
     run_experiment,
+    smote_sequences,
 )
 from sentprofile.folds import stratified_kfold, validate_plan
 from sentprofile.nn import (
@@ -31,7 +32,7 @@ from sentprofile.nn import (
     TrainConfig,
     gradient_check,
 )
-from sentprofile.resample import ResampleConfig, smote, smote_matrices
+from sentprofile.resample import ResampleConfig, smote
 from sentprofile.sentiment import (
     SentimentConfig,
     polarity_features,
@@ -322,33 +323,39 @@ def test_fold_integrity_1000_randomized_datasets():
 
 
 def test_synthetic_samples_never_in_test_folds():
+    # the joint vector + matrix oversampling the finetuned pipeline runs
     rng = np.random.default_rng(20240505)
     ids = [f"u{i}" for i in range(60)]
-    labels = ["male"] * 45 + ["female"] * 15
-    matrices = []
-    from sentprofile.embed import DocMatrix
-
-    for uid in ids:
-        values = np.zeros((3, 4))
-        eff = int(rng.integers(1, 5))
-        values[:, :eff] = rng.normal(size=(3, eff))
-        matrices.append(DocMatrix(doc_id=uid, values=values,
-                                  effective_length=eff))
-    plan = stratified_kfold(list(zip(ids, labels)), k=5, seed=1)
+    labels = np.array([0] * 45 + [1] * 15)
+    vecs = rng.normal(size=(60, 2))
+    mats = np.zeros((60, 4, 3))
+    lengths = rng.integers(1, 5, size=60)
+    for i, eff in enumerate(lengths):
+        mats[i, :eff] = rng.normal(size=(eff, 3))
+    plan = stratified_kfold(list(zip(ids, labels.tolist())), k=5, seed=1)
     index = {uid: i for i, uid in enumerate(ids)}
     for fold in range(plan.k):
         train_ids, test_ids = plan.split(fold)
-        train_mats = [matrices[index[uid]] for uid in train_ids]
-        train_labels = [labels[index[uid]] for uid in train_ids]
-        out_mats, out_labels = smote_matrices(
-            train_mats, train_labels, ResampleConfig(k=3, seed=fold))
-        synthetic_ids = {m.doc_id for m in out_mats
-                         if m.doc_id.startswith("smote-")}
-        assert synthetic_ids, "oversampling produced nothing"
-        assert not synthetic_ids & set(test_ids)
-        # balanced after oversampling, test fold untouched
-        assert out_labels.count("male") == out_labels.count("female")
-        assert set(test_ids) <= set(ids)
+        rows = [index[uid] for uid in train_ids]
+        test_rows = [index[uid] for uid in test_ids]
+        out_vecs, out_mats, out_lengths, out_labels = smote_sequences(
+            vecs[rows], mats[rows], lengths[rows], labels[rows],
+            ResampleConfig(k=3, seed=fold))
+        n_synth = len(out_labels) - len(rows)
+        assert n_synth > 0, "oversampling produced nothing"
+        # originals first, unchanged; every synthetic row is minority, no
+        # test-fold row appears among them, and only training rows set
+        # their lengths
+        assert np.array_equal(out_vecs[:len(rows)], vecs[rows])
+        assert (out_labels[len(rows):] == 1).all()
+        synth_vecs = out_vecs[len(rows):]
+        for test_row in test_rows:
+            assert not (synth_vecs == vecs[test_row]).all(axis=1).any()
+        minority_rows = [r for r in rows if labels[r] == 1]
+        assert out_lengths[len(rows):].max() <= lengths[minority_rows].max()
+        assert not set(test_ids) & set(train_ids)
+        # balanced after oversampling
+        assert (out_labels == 0).sum() == (out_labels == 1).sum()
 
 
 # ----------------------------------------------------------------------

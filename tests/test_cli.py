@@ -1,6 +1,14 @@
 import json
+import logging
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from sentprofile.cli import main
+from sentprofile.embed import save_embeddings
+from sentprofile.experiment import ExperimentConfig, fit_embeddings, load_corpora
+from sentprofile.nn import load_model
 
 from conftest import SMALL_CONFIG
 
@@ -128,8 +136,7 @@ def test_staged_pipeline(small_dataset, tmp_path, capsys):
     assert (work / "selected.jsonl").read_text().strip()
 
     code = main(["sentiment-train"] + flags(small_dataset) +
-                ["--source", small_dataset.reviews,
-                 "--embeddings", str(work / "emb.txt"),
+                ["--embeddings", str(work / "emb.txt"),
                  "--out", str(work / "sent.bin"), "--seed", "0"])
     assert code == 0
 
@@ -160,12 +167,105 @@ def test_staged_pipeline(small_dataset, tmp_path, capsys):
 def test_sentiment_train_with_selection_and_manual(small_dataset, tmp_path, capsys):
     work = tmp_path
     code = main(["sentiment-train"] + flags(small_dataset) +
-                ["--source", small_dataset.reviews,
-                 "--select-z", "0.05", "--manual", small_dataset.manual,
+                ["--source-mode", "high_similarity_plus_manual",
+                 "--similarity-threshold", "0.05",
+                 "--manual-labels", small_dataset.manual,
                  "--out", str(work / "sent.bin"), "--seed", "0"])
     captured = capsys.readouterr()
     assert code == 0
     assert "trained on" in captured.out
+
+
+def _embeddings(paths, tmp_path):
+    """A table trained on the small dataset, saved once per test."""
+    path = tmp_path / "emb.txt"
+    if not path.exists():
+        config = ExperimentConfig(**SMALL_CONFIG)
+        _, docs, reviews, _ = load_corpora(paths)
+        save_embeddings(fit_embeddings(config, docs, reviews), path)
+    return path
+
+
+def test_staged_commands_take_settings_from_config(small_dataset, tmp_path,
+                                                   capsys):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("seed=9\nsmote_k=500\nmlp_dropout=0.2\n",
+                           encoding="utf-8")
+    sent = tmp_path / "sent.bin"
+    code = main(["sentiment-train"] + flags(small_dataset) +
+                ["--config", str(config_file), "--out", str(sent)])
+    assert code == 0
+    assert load_model(sent).seed == 9
+
+    # an explicit flag still wins over the file
+    code = main(["sentiment-train"] + flags(small_dataset) +
+                ["--config", str(config_file), "--seed", "4",
+                 "--out", str(sent)])
+    assert code == 0
+    assert load_model(sent).seed == 4
+
+    features = tmp_path / "features.jsonl"
+    code = main(["extract", "--model", str(sent), "--in", small_dataset.users,
+                 "--embeddings", str(_embeddings(small_dataset, tmp_path)),
+                 "--stopwords", small_dataset.stopwords,
+                 "--config", str(config_file), "--r", "16",
+                 "--out", str(features)])
+    assert code == 0
+    # k=500 from the file exceeds the minority class; the flag overrides it
+    smote_args = ["smote", "--in", str(features), "--config", str(config_file),
+                  "--out", str(tmp_path / "balanced.jsonl")]
+    assert main(smote_args) == 3
+    assert main(smote_args + ["--smote-k", "2"]) == 0
+    gender = tmp_path / "gender.bin"
+    code = main(["gender-train", "--in", str(features), "--epochs", "2",
+                 "--config", str(config_file), "--out", str(gender)])
+    assert code == 0
+    model = load_model(gender)
+    assert (model.seed, model.dropout_rate) == (9, 0.2)
+    capsys.readouterr()
+
+
+def test_prepare_takes_no_config(small_dataset, tmp_path, capsys):
+    # prepare reads no experiment setting, so a config file would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--users", small_dataset.users,
+              "--config", str(tmp_path / "run.conf"),
+              "--out", str(tmp_path / "docs.jsonl")])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+def test_out_of_vocabulary_user_dropped_by_staged_commands(small_dataset,
+                                                           tmp_path, caplog,
+                                                           capsys):
+    # the table knows none of this user's tokens
+    users = tmp_path / "users.jsonl"
+    users.write_text(Path(small_dataset.users).read_text(encoding="utf-8") +
+                     json.dumps({"user_id": "oov-user", "gender": "male",
+                                 "posts": [["qqunseenword"]]}) + "\n",
+                     encoding="utf-8")
+    emb = _embeddings(small_dataset, tmp_path)
+    common = (flags(replace(small_dataset, users=str(users))) +
+              ["--embeddings", str(emb), "--similarity-threshold", "0.05"])
+
+    def dropped_users():
+        found = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("dropping user")]
+        caplog.clear()
+        return found
+
+    with caplog.at_level(logging.WARNING):
+        code = main(["sentiment-train"] + common +
+                    ["--source-mode", "high_similarity",
+                     "--out", str(tmp_path / "sent.bin")])
+        assert code == 0
+        assert dropped_users() == ["dropping user oov-user: all tokens out "
+                                   "of vocabulary"]
+        code = main(["select-source"] + common +
+                    ["--out", str(tmp_path / "selected.jsonl")])
+        assert code == 0
+        assert len(dropped_users()) == 1
+    capsys.readouterr()
 
 
 def test_grid_writes_reports(small_dataset, tmp_path, capsys):

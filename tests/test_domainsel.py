@@ -5,7 +5,6 @@ from sentprofile.domainsel import (
     DEFAULT_SIMILARITY_THRESHOLD,
     LabeledDomainSet,
     LabeledItem,
-    SimilarityConfig,
     augment_with_manual,
     avg_similarity,
     cosine,
@@ -126,21 +125,10 @@ class TestSelectSource:
                 select_source(source, [vec("t", [1.0, 0.0])], z=z)
 
     def test_default_threshold_constant(self):
+        from sentprofile.experiment import ExperimentConfig
+
         assert DEFAULT_SIMILARITY_THRESHOLD == 0.25
-        assert SimilarityConfig().threshold == 0.25
-        assert SimilarityConfig().metric == "cosine"
-
-    def test_similarity_config_validation(self):
-        with pytest.raises(ConfigError):
-            SimilarityConfig(threshold=1.0)
-        with pytest.raises(ConfigError):
-            SimilarityConfig(metric="euclidean")
-
-    def test_select_accepts_config_object(self):
-        source = self.make_set([[1.0, 0.0]])
-        targets = [vec("t", [1.0, 0.0])]
-        kept = select_source(source, targets, SimilarityConfig(threshold=0.5))
-        assert len(kept) == 1
+        assert ExperimentConfig().z == DEFAULT_SIMILARITY_THRESHOLD
 
     def test_monotonicity_in_z(self):
         rng = np.random.default_rng(3)

@@ -36,6 +36,7 @@ class TestExperimentConfig:
         {"folds": 1},
         {"source_mode": "high_similarity", "z": 1.5},
         {"smote_variant": "adasyn"},
+        {"hidden_size": 0},
     ])
     def test_invalid_rejected(self, overrides):
         with pytest.raises(ConfigError):

@@ -13,13 +13,13 @@ from sentprofile.gender import (
     write_features,
 )
 from sentprofile.nn import TrainConfig, load_model, save_model
-from sentprofile.sentiment import PolarityFeatures, SentimentRepresentation
+from sentprofile.sentiment import PolarityFeatures
 
 
 class TestConcatFeatures:
     def test_doc_vector_plus_hidden(self):
         v = np.zeros(100)
-        h = SentimentRepresentation(values=np.ones(64), layer_source="frozen_lstm")
+        h = np.ones(64)
         f = concat_features(v, h)
         assert f.values.shape == (164,)
         assert f.layout == ("doc_vector", "sentiment")

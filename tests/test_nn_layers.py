@@ -9,7 +9,6 @@ from sentprofile.nn import (
     DropoutLayer,
     LSTMLayer,
     Network,
-    lstm_forward,
     sigmoid,
     softmax,
 )
@@ -160,18 +159,23 @@ class TestLSTM:
 
 class TestLstmForward:
     def test_final_hidden_at_effective_length(self):
+        # the state after step `length` equals a run over the truncated
+        # sequence: padded steps carry it through unchanged
         layer = LSTMLayer(2, 3, rng=rng())
-        seq = rng().normal(size=(2, 6))
-        seq[:, 4:] = 0.0
-        states = lstm_forward(layer, seq, effective_length=4)
-        assert states.hidden.shape == (6, 3)
-        assert np.array_equal(states.final_hidden, states.hidden[3])
-        assert np.array_equal(states.hidden[3], states.hidden[5])
+        x = rng().normal(size=(3, 6, 2))
+        lengths = np.array([4, 6, 1])
+        for b, length in enumerate(lengths):
+            x[b, length:] = 0.0
+        final = layer.forward(x, lengths)
+        assert final.shape == (3, 3)
+        for b, length in enumerate(lengths):
+            alone = layer.forward(x[b:b + 1, :length], np.array([length]))
+            assert np.allclose(final[b], alone[0], rtol=0, atol=1e-14)
 
     def test_zero_effective_length_rejected(self):
         layer = LSTMLayer(2, 3)
         with pytest.raises(ShapeError):
-            lstm_forward(layer, np.zeros((2, 4)), 0)
+            layer.forward(np.zeros((1, 4, 2)), np.array([0]))
 
 
 class TestNetwork:

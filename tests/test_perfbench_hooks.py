@@ -1,0 +1,77 @@
+"""The benchmark in perfbench/ wraps program names from the outside
+(`--trace 1`) and imports a few directly for its kernel runs. A refactor
+that renames or moves one of them breaks the benchmark silently, so these
+checks resolve every such name without installing the tracer."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import sentprofile
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# the methods and module attributes Tracer.install wraps besides
+# FUNCTION_SPANS: (module under sentprofile, dotted attribute)
+WRAPPED = (
+    ("resample", "_neighbor_table"),
+    ("nn.layers", "LSTMLayer.forward"),
+    ("nn.layers", "LSTMLayer.backward"),
+    ("nn.optim", "Adam.step"),
+    ("nn.optim", "SGD.step"),
+    ("gender", "fit_softmax_classifier"),
+    ("sentiment", "fit_softmax_classifier"),
+    ("gender", "GenderModel.forward_batch"),
+    ("sentiment", "FinetuneModel.forward_batch"),
+)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolves(module_name: str, dotted: str) -> bool:
+    owner = importlib.import_module(f"sentprofile.{module_name}")
+    *parents, name = dotted.split(".")
+    for parent in parents:
+        if not hasattr(owner, parent):
+            return False
+        owner = getattr(owner, parent)
+    return hasattr(owner, name)
+
+
+def test_function_spans_resolve():
+    tracer = load_tracer()
+    missing = [(module, attr) for module, attr in tracer.FUNCTION_SPANS
+               if not hasattr(getattr(sentprofile, module), attr)]
+    assert not missing
+
+
+def test_wrapped_methods_resolve():
+    assert [entry for entry in WRAPPED if not resolves(*entry)] == []
+
+
+def test_benchmark_imports_resolve():
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("sentprofile")):
+                imported += [(path.name, node.module, alias.name)
+                             for alias in node.names]
+    assert imported
+    missing = [entry for entry in imported
+               if not hasattr(importlib.import_module(entry[1]), entry[2])]
+    assert not missing
+
+
+def test_drop_warnings_keep_their_prefixes():
+    # the tracer counts dropped inputs by these message prefixes
+    source = Path(sentprofile.experiment.__file__).read_text(encoding="utf-8")
+    for prefix in ("dropping user", "dropping review", "dropping manual"):
+        assert f'"{prefix}' in source

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from sentprofile.embed import DocMatrix
-from sentprofile.errors import ConfigError, DataError, ShapeError
-from sentprofile.resample import (
-    ResampleConfig,
-    interpolate,
-    smote,
-    smote_matrices,
-)
+from sentprofile.errors import ConfigError, DataError
+from sentprofile.experiment import smote_sequences
+from sentprofile.resample import ResampleConfig, interpolate, smote
 
 
 def two_class_set(rng, n_minority=8, n_majority=20, dim=3):
@@ -148,52 +143,58 @@ class TestSmote:
             ResampleConfig(variant="other")
 
 
+def make_sequences(rng, n, vec_dim=2, steps=4, dim=2, lengths=None):
+    """Base vectors plus zero-padded (n, steps, dim) sequences."""
+    vecs = rng.normal(size=(n, vec_dim))
+    mats = np.zeros((n, steps, dim))
+    if lengths is None:
+        lengths = rng.integers(1, steps + 1, size=n)
+    lengths = np.asarray(lengths)
+    for i, eff in enumerate(lengths):
+        mats[i, :eff] = rng.normal(size=(eff, dim))
+    return vecs, mats, lengths
+
+
 class TestSmoteMatrices:
-    def make_matrices(self, rng, n, shape=(2, 4), lengths=None):
-        mats = []
-        for i in range(n):
-            values = np.zeros(shape)
-            eff = lengths[i] if lengths else int(rng.integers(1, shape[1] + 1))
-            values[:, :eff] = rng.normal(size=(shape[0], eff))
-            mats.append(DocMatrix(doc_id=f"d{i}", values=values,
-                                  effective_length=eff))
-        return mats
+    """Oversampling of (base vector, document matrix) pairs in their joint
+    space, as the finetuned pipeline runs it."""
 
     def test_reshape_matches_vector_space(self):
         rng = np.random.default_rng(9)
-        mats = self.make_matrices(rng, 12)
-        labels = [0] * 4 + [1] * 8
+        vecs, mats, lengths = make_sequences(rng, 12)
+        labels = np.array([0] * 4 + [1] * 8)
         config = ResampleConfig(k=2, seed=4)
-        out_mats, out_labels = smote_matrices(mats, labels, config)
-        flat = np.stack([m.values.reshape(-1) for m in mats])
-        vec_x, vec_y = smote(flat, np.array(labels), config)
-        assert len(out_mats) == vec_x.shape[0]
-        for matrix, row in zip(out_mats, vec_x):
-            assert np.array_equal(matrix.values.reshape(-1), row)
+        out_vecs, out_mats, _, out_labels = smote_sequences(
+            vecs, mats, lengths, labels, config)
+        flat = np.concatenate([vecs, mats.reshape(12, -1)], axis=1)
+        vec_x, vec_y = smote(flat, labels, config)
+        assert out_mats.shape == (vec_x.shape[0], *mats.shape[1:])
+        joint = np.concatenate([out_vecs, out_mats.reshape(len(out_mats), -1)],
+                               axis=1)
+        assert np.array_equal(joint, vec_x)
+        assert np.array_equal(out_labels, vec_y)
 
     def test_synthetic_effective_length_is_max_of_contributors(self):
         rng = np.random.default_rng(10)
         lengths = [1, 2, 3, 4, 4, 4, 4, 4, 4]
-        mats = self.make_matrices(rng, 9, lengths=lengths)
-        labels = [0, 0, 0, 1, 1, 1, 1, 1, 1]
-        out_mats, _ = smote_matrices(mats, labels, ResampleConfig(k=2, seed=0))
+        vecs, mats, lengths = make_sequences(rng, 9, lengths=lengths)
+        labels = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1])
+        _, out_mats, out_lengths, _ = smote_sequences(
+            vecs, mats, lengths, labels, ResampleConfig(k=2, seed=0))
         # minority lengths are 1,2,3; any synthetic combines x_old with its
         # 2 nearest minority neighbors, so its length is a max over those
-        for synth in out_mats[9:]:
-            assert synth.effective_length in (2, 3)
-            assert synth.doc_id.startswith("smote-")
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(11)
-        mats = self.make_matrices(rng, 3) + self.make_matrices(rng, 1, shape=(2, 5))
-        with pytest.raises(ShapeError):
-            smote_matrices(mats, [0, 0, 1, 1], ResampleConfig(k=1))
+        assert len(out_lengths) == len(out_mats) == 12
+        for eff in out_lengths[9:]:
+            assert eff in (2, 3)
 
     def test_counts_match_vector_smote(self):
         rng = np.random.default_rng(12)
-        mats = self.make_matrices(rng, 10)
-        labels = [0] * 3 + [1] * 7
-        out_mats, out_labels = smote_matrices(mats, labels,
-                                              ResampleConfig(k=2, seed=1))
-        assert len(out_mats) == len(out_labels) == 14
-        assert out_labels[10:] == [0] * 4
+        vecs, mats, lengths = make_sequences(rng, 10)
+        labels = np.array([0] * 3 + [1] * 7)
+        out = smote_sequences(vecs, mats, lengths, labels,
+                              ResampleConfig(k=2, seed=1))
+        assert [len(part) for part in out] == [14] * 4
+        assert list(out[3][10:]) == [0] * 4
+        # originals come first, unchanged
+        for part, original in zip(out, (vecs, mats, lengths, labels)):
+            assert np.array_equal(part[:10], original)

@@ -6,12 +6,11 @@ from sentprofile.domainsel import LabeledDomainSet, LabeledItem
 from sentprofile.embed import doc_matrix, doc_vector
 from sentprofile.errors import AllOovError, ConfigError, DataError
 from sentprofile.gender import train_gender
-from sentprofile.nn import TrainConfig, lstm_forward, load_model, save_model
+from sentprofile.nn import TrainConfig, load_model, save_model
 from sentprofile.sentiment import (
     SentimentConfig,
     SentimentModel,
     build_finetune_model,
-    extract_representation,
     extract_representations,
     polarity_features,
     predict_polarity,
@@ -146,44 +145,52 @@ class TestPredictPolarity:
         assert predict_polarity(model, pos) > 0.5 > predict_polarity(model, neg)
 
 
+def extract_one(model, doc, layer):
+    """Batched extraction over a batch of one document."""
+    return extract_representations(model, doc.values.T[None, :, :],
+                                   np.array([doc.effective_length]), layer)[0]
+
+
 class TestExtractRepresentation:
     def test_deterministic_and_length(self, polarity_table):
         model = integrator_model(hidden=1)
         doc = doc_matrix(TokenDocument("d", ("pos0", "neg0", "pos1")),
                          polarity_table, 5)
-        rep1 = extract_representation(model, doc, "frozen_lstm")
-        rep2 = extract_representation(model, doc, "frozen_lstm")
-        assert rep1.values.shape == (1,)
-        assert np.array_equal(rep1.values, rep2.values)
-        assert rep1.layer_source == "frozen_lstm"
+        rep1 = extract_one(model, doc, "frozen_lstm")
+        rep2 = extract_one(model, doc, "frozen_lstm")
+        assert rep1.shape == (1,)
+        assert np.array_equal(rep1, rep2)
 
     def test_matches_direct_lstm_forward(self, polarity_table):
+        # the extracted state is the LSTM's final hidden state at the
+        # effective length, i.e. its output on the unpadded sequence
         model = integrator_model()
         doc = doc_matrix(TokenDocument("d", ("pos0", "neu1", "neg2")),
                          polarity_table, 6)
-        rep = extract_representation(model, doc, "frozen_lstm")
-        states = lstm_forward(model.lstm, doc.values, doc.effective_length)
-        assert np.allclose(rep.values, states.final_hidden, atol=1e-12)
+        rep = extract_one(model, doc, "frozen_lstm")
+        eff = doc.effective_length
+        direct = model.lstm.forward(doc.values.T[None, :eff, :], np.array([eff]))
+        assert np.allclose(rep, direct[0], atol=1e-12)
 
     def test_frozen_dense_is_presigmoid(self, polarity_table):
         model = integrator_model()
         doc = doc_matrix(TokenDocument("d", ("pos0",)), polarity_table, 3)
-        rep = extract_representation(model, doc, "frozen_dense")
+        rep = extract_one(model, doc, "frozen_dense")
         p = predict_polarity(model, doc)
-        assert rep.values.shape == (1,)
-        assert 1.0 / (1.0 + np.exp(-rep.values[0])) == pytest.approx(p)
+        assert rep.shape == (1,)
+        assert 1.0 / (1.0 + np.exp(-rep[0])) == pytest.approx(p)
 
     def test_untrained_model_rejected(self, polarity_table):
         model = SentimentModel(input_dim=2, hidden_size=2)
         doc = doc_matrix(TokenDocument("d", ("pos0",)), polarity_table, 3)
         with pytest.raises(DataError, match="untrained"):
-            extract_representation(model, doc, "frozen_lstm")
+            extract_one(model, doc, "frozen_lstm")
 
     def test_unknown_layer_rejected(self, polarity_table):
         model = integrator_model()
         doc = doc_matrix(TokenDocument("d", ("pos0",)), polarity_table, 3)
         with pytest.raises(ConfigError):
-            extract_representation(model, doc, "finetuned_lstm")
+            extract_one(model, doc, "finetuned_lstm")
 
     def test_extraction_never_mutates_model(self, polarity_table):
         model = integrator_model()
@@ -191,8 +198,7 @@ class TestExtractRepresentation:
         for i in range(10):
             doc = doc_matrix(TokenDocument("d", ("pos0", "neg1")),
                              polarity_table, 4)
-            extract_representation(model, doc,
-                                   "frozen_lstm" if i % 2 else "frozen_dense")
+            extract_one(model, doc, "frozen_lstm" if i % 2 else "frozen_dense")
         assert model.checksum() == before
 
     def test_batched_matches_single(self, polarity_table):
@@ -204,8 +210,8 @@ class TestExtractRepresentation:
         batch = extract_representations(model, mats, lengths, "frozen_lstm",
                                         batch_size=2)
         for i, doc in enumerate(docs):
-            single = extract_representation(model, doc, "frozen_lstm")
-            assert np.allclose(batch[i], single.values, atol=1e-12)
+            single = extract_one(model, doc, "frozen_lstm")
+            assert np.allclose(batch[i], single, atol=1e-12)
 
 
 class TestPolarityFeatures:
