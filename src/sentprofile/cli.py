@@ -44,6 +44,7 @@ from .experiment import (
     target_matrices,
 )
 from .gender import (
+    CLASSES,
     FeatureVector,
     concat_features,
     read_features,
@@ -244,9 +245,11 @@ def _cmd_gender_train(args) -> int:
     model = train_gender(features, labels, config.train_config(args.train_epochs),
                          dropout_rate=config.mlp_dropout)
     save_model(model, args.out)
-    last = model.history[-1]
+    probs = model.predict_proba(stack_features(features))
+    truth = np.array([CLASSES.index(label) for label in labels])
+    accuracy = float((probs.argmax(axis=1) == truth).mean())
     print(f"trained on {len(rows)} rows; final train accuracy "
-          f"{last['train_accuracy']:.4f}; saved to {args.out}")
+          f"{accuracy:.4f}; saved to {args.out}")
     return 0
 
 

@@ -5,8 +5,8 @@ source-selection mode, then runs stratified k-fold cross validation: word
 embeddings and document representations are fit once on the whole corpus
 (they use no gender labels), the sentiment model is trained per fold on
 the configured source data, minority oversampling touches only the
-training partition, and the gender classifier is trained and scored per
-fold for every entry of the epoch grid.
+training partition, and the gender classifier is trained once per fold and
+scored at every entry of the epoch grid.
 """
 
 import csv
@@ -410,10 +410,11 @@ def target_matrices(docs, table, r: int):
     an in-vocabulary token, rows in document order."""
     mats = _in_vocabulary(docs, lambda doc: doc_matrix(doc, table, r))
     kept = [doc for doc in docs if doc.user_id in mats]
-    stacked = np.stack([mats[doc.user_id].values.T for doc in kept])
     lengths = np.array([mats[doc.user_id].effective_length for doc in kept])
-    # padded steps past the longest document are inert; drop them
-    return kept, stacked[:, :int(lengths.max()), :], lengths
+    # padded steps past the longest document are inert; leave them out
+    max_len = int(lengths.max())
+    stacked = np.stack([mats[doc.user_id].values.T[:max_len] for doc in kept])
+    return kept, stacked, lengths
 
 
 def base_representations(config: ExperimentConfig, docs, table):
@@ -615,7 +616,7 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
 
 
 def _run_fold(fold: Fold) -> None:
-    """Train and score the gender classifier of one fold for every entry
+    """Train the gender classifier of one fold and score it at every entry
     of the epoch grid."""
     run = fold.run
     config = run.config
@@ -644,12 +645,11 @@ def _run_fold(fold: Fold) -> None:
         x_train, y_train = smote(x_train, y_train,
                                  config.resample_config(fold.seed))
     train_labels = [CLASSES[i] for i in y_train]
-    for col in run.columns:
-        model = train_gender(x_train, train_labels,
-                             config.train_config(col.epochs, fold.seed),
-                             dropout_rate=config.mlp_dropout)
-        probs = model.predict_proba(x_test)
-        col.fold_accuracies.append(float((probs.argmax(axis=1) == y_test).mean()))
+    _score_epoch_grid(
+        fold, y_test, lambda model: model.predict_proba(x_test),
+        lambda train_config, after_epoch: train_gender(
+            x_train, train_labels, train_config,
+            dropout_rate=config.mlp_dropout, after_epoch=after_epoch))
 
 
 def _run_finetuned_fold(fold: Fold) -> None:
@@ -662,15 +662,36 @@ def _run_finetuned_fold(fold: Fold) -> None:
     if config.smote:
         vecs_tr, mats_tr, lens_tr, y_tr = smote_sequences(
             vecs_tr, mats_tr, lens_tr, y_tr, config.resample_config(fold.seed))
-    for col in run.columns:
-        model = build_finetune_model(fold.sentiment_model,
+    composite = build_finetune_model(fold.sentiment_model,
                                      vec_dim=vecs_tr.shape[1],
                                      dropout_rate=config.mlp_dropout,
                                      seed=fold.seed)
-        train_finetune(model, vecs_tr, mats_tr, lens_tr, y_tr,
-                       config.train_config(col.epochs, fold.seed))
-        probs = model.predict_proba(vecs_te, mats_te, lens_te)
-        col.fold_accuracies.append(float((probs.argmax(axis=1) == y_te).mean()))
+    _score_epoch_grid(
+        fold, y_te, lambda model: model.predict_proba(vecs_te, mats_te, lens_te),
+        lambda train_config, after_epoch: train_finetune(
+            composite, vecs_tr, mats_tr, lens_tr, y_tr, train_config,
+            after_epoch=after_epoch))
+
+
+def _score_epoch_grid(fold: Fold, y_test, predict, train) -> None:
+    """Train one model to the longest entry of the epoch grid and score it
+    on the test fold whenever training reaches an entry.
+
+    `train(train_config, after_epoch)` trains; `predict(model)` gives the
+    test-fold probabilities. A snapshot at epoch e scores what a run of
+    exactly e epochs would, so one run serves the whole grid."""
+    run = fold.run
+    grid = set(run.config.epochs)
+    accuracy = {}
+
+    def after_epoch(model, epoch):
+        if epoch in grid:
+            probs = predict(model)
+            accuracy[epoch] = float((probs.argmax(axis=1) == y_test).mean())
+
+    train(run.config.train_config(max(grid), fold.seed), after_epoch)
+    for col in run.columns:
+        col.fold_accuracies.append(accuracy[col.epochs])
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError, ShapeError
+from .errors import ConfigError, DataError, ParseError, SchemaError, ShapeError
 from .nn import (
     DenseLayer,
     DropoutLayer,
@@ -151,13 +151,21 @@ register_model(GenderModel.checkpoint_kind, GenderModel)
 
 
 def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
-                           config: TrainConfig, lr_scales=None) -> list[dict]:
+                           config: TrainConfig, lr_scales=None,
+                           after_epoch=None) -> list[dict]:
     """Mini-batch training of any model following the classifier protocol.
 
     inputs: tuple of arrays sharing axis 0 with labels (class indices).
     Batch order and dropout masks derive from config.seed, so identical
-    calls reproduce identical parameters.
+    calls reproduce identical parameters. `after_epoch(model, epoch)` runs
+    after each epoch; an inference-mode forward there draws nothing from
+    the training streams and leaves nothing that the next training batch
+    reads, so the model it sees at epoch e is the one a run of exactly e
+    epochs returns. Returns one {epoch, train_loss} record per epoch.
     """
+    if config.patience is not None:
+        raise ConfigError("the gender classifier trains a fixed number of "
+                          "epochs; patience is not supported")
     n = labels.shape[0]
     for arr in inputs:
         if arr.shape[0] != n:
@@ -185,18 +193,19 @@ def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
             model.backward(d_probs)
             optimizer.step(model.parameters(), model.gradients(), lr_scales)
             losses.append(loss)
-        probs = model.forward_batch(inputs, training=False)
-        accuracy = float((probs.argmax(axis=1) == labels).mean())
         history.append({"epoch": epoch + 1,
-                        "train_loss": float(np.mean(losses)),
-                        "train_accuracy": accuracy})
+                        "train_loss": float(np.mean(losses))})
+        if after_epoch is not None:
+            after_epoch(model, epoch + 1)
     return history
 
 
 def train_gender(features, labels: Sequence[str], config: TrainConfig,
                  hidden: tuple[int, int] = DEFAULT_HIDDEN,
-                 dropout_rate: float = DEFAULT_DROPOUT) -> GenderModel:
-    """Train the MLP on feature vectors with string labels."""
+                 dropout_rate: float = DEFAULT_DROPOUT,
+                 after_epoch=None) -> GenderModel:
+    """Train the MLP on feature vectors with string labels; `after_epoch`
+    as in `fit_softmax_classifier`."""
     if isinstance(features, np.ndarray):
         matrix = np.asarray(features, dtype=np.float64)
         layout = ("doc_vector",)
@@ -213,7 +222,8 @@ def train_gender(features, labels: Sequence[str], config: TrainConfig,
         raise ShapeError("features and labels must align")
     model = GenderModel(matrix.shape[1], hidden, dropout_rate,
                         seed=config.seed, layout=layout)
-    model.history = fit_softmax_classifier(model, (matrix,), label_idx, config)
+    model.history = fit_softmax_classifier(model, (matrix,), label_idx, config,
+                                           after_epoch=after_epoch)
     return model
 
 

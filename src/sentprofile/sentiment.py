@@ -136,11 +136,11 @@ class EpochStats:
 
 
 def _stack_items(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mats = np.stack([item.matrix.values.T for item in items])
     lengths = np.array([item.matrix.effective_length for item in items])
     # padding past the longest effective length never changes anything;
-    # dropping it just saves recurrence steps
-    mats = mats[:, :int(lengths.max()), :]
+    # leaving it out saves recurrence steps and memory
+    max_len = int(lengths.max())
+    mats = np.stack([item.matrix.values.T[:max_len] for item in items])
     targets = np.array([[1.0 if item.polarity == "positive" else 0.0]
                         for item in items])
     return mats, lengths, targets
@@ -363,8 +363,10 @@ def build_finetune_model(model: SentimentModel, vec_dim: int,
 
 def train_finetune(model: FinetuneModel, vecs: np.ndarray, mats: np.ndarray,
                    lengths: np.ndarray, labels: np.ndarray,
-                   config: TrainConfig) -> FinetuneModel:
-    """Train the composite with the same loop as the plain gender MLP."""
+                   config: TrainConfig, after_epoch=None) -> FinetuneModel:
+    """Train the composite with the same loop as the plain gender MLP;
+    `after_epoch` as in `fit_softmax_classifier`."""
     model.history = fit_softmax_classifier(model, (vecs, mats, lengths),
-                                           labels, config)
+                                           labels, config,
+                                           after_epoch=after_epoch)
     return model

@@ -14,7 +14,7 @@ from sentprofile.experiment import (
     run_experiment,
 )
 
-from conftest import SMALL_CONFIG
+from conftest import SMALL_CONFIG, make_table
 
 
 def small_experiment(**overrides):
@@ -154,6 +154,19 @@ class TestRunExperiment:
                                 small_dataset)
         assert len(report.columns[0].fold_accuracies) == 3
 
+    @pytest.mark.parametrize("mode", ["frozen_lstm", "finetuned_lstm"])
+    def test_epoch_grid_scores_as_separate_runs(self, small_dataset, mode):
+        # each fold trains once; unsorted and repeated grid entries score
+        # as runs of exactly that many epochs, in config order
+        grid = run_experiment(small_experiment(sentiment_mode=mode,
+                                               epochs=(3, 2, 3)), small_dataset)
+        single = {e: run_experiment(small_experiment(sentiment_mode=mode,
+                                                     epochs=(e,)),
+                                    small_dataset).columns[0].fold_accuracies
+                  for e in (2, 3)}
+        assert ([(c.epochs, c.fold_accuracies) for c in grid.columns]
+                == [(e, single[e]) for e in (3, 2, 3)])
+
     def test_finetuned_mode(self, small_dataset):
         report = run_experiment(small_experiment(sentiment_mode="finetuned_lstm"),
                                 small_dataset)
@@ -254,3 +267,19 @@ def test_precomputed_embeddings_reused(small_dataset, tmp_path):
     r1 = run_experiment(config, with_table)
     r2 = run_experiment(config, small_dataset)
     assert r1.columns[0].fold_accuracies == r2.columns[0].fold_accuracies
+
+
+def test_target_matrices_own_only_their_columns():
+    # documents of at most 3 tokens padded to r=300: the stacked matrices
+    # must not keep the full padded stack alive as a view base
+    from sentprofile.corpus import VirtualDocument
+    from sentprofile.experiment import target_matrices
+
+    table = make_table(("a", "b", "c"), dimension=4)
+    docs = [VirtualDocument(user_id=f"u{i}", gender="male",
+                            tokens=("a", "b", "c")[:i % 3 + 1],
+                            token_count=i % 3 + 1) for i in range(6)]
+    kept, mats, lengths = target_matrices(docs, table, r=300)
+    assert len(kept) == 6 and mats.shape == (6, 3, 4)
+    assert list(lengths) == [1, 2, 3, 1, 2, 3]
+    assert mats.base is None or mats.base.nbytes == mats.nbytes

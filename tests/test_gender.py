@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sentprofile.errors import DataError, SchemaError, ShapeError
+from sentprofile.errors import ConfigError, DataError, SchemaError, ShapeError
 from sentprofile.gender import (
     CLASSES,
     GenderModel,
@@ -59,7 +59,33 @@ class TestTrainGender:
         model = train_gender(features, labels,
                              TrainConfig(epochs=200, batch_size=16,
                                          learning_rate=3e-3, seed=0))
-        assert model.history[-1]["train_accuracy"] >= 0.99
+        probs = model.predict_proba(features)
+        truth = np.array([CLASSES.index(label) for label in labels])
+        assert (probs.argmax(axis=1) == truth).mean() >= 0.99
+
+    def test_patience_rejected(self):
+        # a fixed epoch count lets one run be scored at every grid entry
+        features, labels = separable_features(n=12)
+        with pytest.raises(ConfigError, match="patience"):
+            train_gender(features, labels, TrainConfig(epochs=5, patience=2))
+
+    def test_snapshot_matches_fresh_run(self):
+        # the model seen after epoch e equals one trained for exactly e
+        features, labels = separable_features(n=40)
+        snapshots = {}
+
+        def after_epoch(model, epoch):
+            snapshots[epoch] = (model.predict_proba(features).tobytes(),
+                                model.checksum())
+
+        config = TrainConfig(epochs=6, batch_size=8, seed=2)
+        train_gender(features, labels, config, after_epoch=after_epoch)
+        assert sorted(snapshots) == list(range(1, 7))
+        for epoch in (1, 3, 6):
+            fresh = train_gender(features, labels,
+                                 TrainConfig(epochs=epoch, batch_size=8, seed=2))
+            assert snapshots[epoch] == (fresh.predict_proba(features).tobytes(),
+                                        fresh.checksum())
 
     def test_single_class_rejected(self):
         features = np.zeros((4, 2))

@@ -6,6 +6,7 @@ checks resolve every such name without installing the tracer."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import sentprofile
@@ -54,6 +55,19 @@ def test_function_spans_resolve():
 
 def test_wrapped_methods_resolve():
     assert [entry for entry in WRAPPED if not resolves(*entry)] == []
+
+
+def test_counted_signatures_bind():
+    # the tracer's epoch and eval-forward counters take these arguments
+    # positionally or by name; a changed signature would only surface as a
+    # TypeError under --trace 1
+    from sentprofile import gender, sentiment
+
+    for fit in (gender.fit_softmax_classifier, sentiment.fit_softmax_classifier):
+        inspect.signature(fit).bind("model", "inputs", "labels", "config")
+    for cls in (gender.GenderModel, sentiment.FinetuneModel):
+        inspect.signature(cls.forward_batch).bind("model", "inputs",
+                                                  training=False)
 
 
 def test_benchmark_imports_resolve():

@@ -10,6 +10,7 @@ from sentprofile.nn import TrainConfig, load_model, save_model
 from sentprofile.sentiment import (
     SentimentConfig,
     SentimentModel,
+    _stack_items,
     build_finetune_model,
     extract_representations,
     polarity_features,
@@ -105,6 +106,14 @@ class TestTrainSentiment:
             shuffled, SentimentConfig(hidden_size=4, dropout_rate=0.0),
             TrainConfig(epochs=80, batch_size=8, seed=0, patience=2))
         assert len(curve) < 80
+
+
+def test_training_matrices_own_only_their_columns(polarity_table):
+    # items padded to r=400 but at most 6 tokens long: the stacked training
+    # matrices must not keep the full padded stack alive as a view base
+    mats, lengths, _ = _stack_items(marker_items(polarity_table, n=10, r=400).items)
+    assert mats.shape[1] == lengths.max() <= 6
+    assert mats.base is None or mats.base.nbytes == mats.nbytes
 
 
 class TestPredictPolarity:
@@ -372,6 +381,32 @@ class TestFinetune:
         train_finetune(composite, vecs, mats, lengths, labels,
                        TrainConfig(epochs=1, batch_size=8, seed=0))
         assert base.checksum() == checksum
+
+    def test_snapshot_matches_fresh_run(self, polarity_table):
+        # the composite seen after epoch e equals one trained for exactly e
+        from sentprofile.sentiment import train_finetune
+
+        base = integrator_model(hidden=2)
+        vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
+        snapshots = {}
+
+        def after_epoch(model, epoch):
+            snapshots[epoch] = (model.predict_proba(vecs, mats, lengths).tobytes(),
+                                {k: v.copy() for k, v in model.parameters().items()})
+
+        composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=3)
+        train_finetune(composite, vecs, mats, lengths, labels,
+                       TrainConfig(epochs=4, batch_size=8, seed=1),
+                       after_epoch=after_epoch)
+        assert sorted(snapshots) == [1, 2, 3, 4]
+        for epoch in (1, 2, 4):
+            fresh = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=3)
+            train_finetune(fresh, vecs, mats, lengths, labels,
+                           TrainConfig(epochs=epoch, batch_size=8, seed=1))
+            probs, params = snapshots[epoch]
+            assert probs == fresh.predict_proba(vecs, mats, lengths).tobytes()
+            assert all(np.array_equal(params[k], v)
+                       for k, v in fresh.parameters().items())
 
     def test_frozen_limit_matches_precomputed_features(self, polarity_table):
         from sentprofile.sentiment import train_finetune
