@@ -73,25 +73,30 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _normalized_rows(vectors: Sequence[DocVector]) -> np.ndarray:
+    if not vectors:
+        raise DataError("average similarity needs at least one target vector")
     mat = np.stack([np.asarray(v.values, dtype=np.float64) for v in vectors])
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return mat / safe
 
 
-def avg_similarity(source_vec: DocVector, target_vecs: Sequence[DocVector]) -> float:
-    """Mean cosine similarity of one source vector to every target vector."""
-    if not target_vecs:
-        raise DataError("average similarity needs at least one target vector")
+def _mean_cosine(source_vec: DocVector, targets: np.ndarray) -> float:
+    """Mean cosine of one source vector to the rows of `targets`, which
+    `_normalized_rows` made unit length (or left zero)."""
     values = np.asarray(source_vec.values, dtype=np.float64)
     norm = np.linalg.norm(values)
     if norm == 0.0:
         return 0.0
-    targets = _normalized_rows(target_vecs)
     if targets.shape[1] != values.shape[0]:
         raise ShapeError(f"source vector length {values.shape[0]} does not match "
                          f"target vector length {targets.shape[1]}")
-    return float((targets @ (values / norm)).sum() / len(target_vecs))
+    return float((targets @ (values / norm)).sum() / len(targets))
+
+
+def avg_similarity(source_vec: DocVector, target_vecs: Sequence[DocVector]) -> float:
+    """Mean cosine similarity of one source vector to every target vector."""
+    return _mean_cosine(source_vec, _normalized_rows(target_vecs))
 
 
 def select_source(source: LabeledDomainSet, target_vecs: Sequence[DocVector],
@@ -99,8 +104,9 @@ def select_source(source: LabeledDomainSet, target_vecs: Sequence[DocVector],
     """Keep the items whose average similarity strictly exceeds z."""
     if not 0.0 < z < 1.0:
         raise ConfigError(f"similarity threshold must be in (0, 1), got {z}")
+    targets = _normalized_rows(target_vecs)
     kept = tuple(item for item in source.items
-                 if avg_similarity(item.vector, target_vecs) > z)
+                 if _mean_cosine(item.vector, targets) > z)
     logger.info("similarity selection kept %d of %d source items (z=%g)",
                 len(kept), len(source), z)
     if not kept:

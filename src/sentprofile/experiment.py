@@ -631,11 +631,11 @@ def _run_fold(fold: Fold) -> None:
         features = {uid: np.concatenate([run.base[uid], reps[row]])
                     for uid, row in run.index_of.items()}
     elif config.sentiment_mode == "polarity_features":
-        features = {}
-        for uid in run.index_of:
-            pf = polarity_features(fold.sentiment_model, run.users_by_id[uid],
+        scored = polarity_features(fold.sentiment_model,
+                                   [run.users_by_id[uid] for uid in run.index_of],
                                    run.table, config.r, run.stopwords)
-            features[uid] = np.concatenate([run.base[uid], pf.values])
+        features = {uid: np.concatenate([run.base[uid], pf.values])
+                    for uid, pf in zip(run.index_of, scored)}
 
     x_train = np.stack([features[uid] for uid in fold.train_ids])
     y_train = run.label_array(fold.train_ids)

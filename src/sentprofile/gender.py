@@ -155,7 +155,8 @@ def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
                            after_epoch=None) -> list[dict]:
     """Mini-batch training of any model following the classifier protocol.
 
-    inputs: tuple of arrays sharing axis 0 with labels (class indices).
+    inputs: tuple of arrays sharing axis 0 with labels, which index
+    CLASSES; the model outputs one probability per class.
     Batch order and dropout masks derive from config.seed, so identical
     calls reproduce identical parameters. `after_epoch(model, epoch)` runs
     after each epoch; an inference-mode forward there draws nothing from
@@ -170,8 +171,7 @@ def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
     for arr in inputs:
         if arr.shape[0] != n:
             raise ShapeError("all input arrays must align with the labels")
-    n_classes = model.forward_batch(tuple(a[:1] for a in inputs)).shape[1]
-    onehot = np.eye(n_classes)[labels]
+    onehot = np.eye(len(CLASSES))[labels]
     seq = np.random.SeedSequence(config.seed)
     batch_rng_seed, dropout_seed = seq.spawn(2)
     rng = np.random.default_rng(batch_rng_seed)

@@ -18,12 +18,12 @@ ACTIVATIONS = ("sigmoid", "tanh", "relu", "softmax", "identity")
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; min(x, -x) forms -|x| and passes a nan
+    # through as it came, so the result matches the branch-per-sign form
+    # bit for bit
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

@@ -226,13 +226,32 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
 
 
 def predict_polarity(model: SentimentModel, doc: DocMatrix) -> float:
-    """Probability that the document is positive; dropout off."""
+    """Probability that the document is positive; dropout off. The
+    one-document reference for the batched `polarity_features`."""
     if doc.values.shape[0] != model.input_dim:
         raise ShapeError(f"matrix rows {doc.values.shape[0]} do not match model "
                          f"input dim {model.input_dim}")
     probs = model.forward(doc.values.T[None, :, :],
                           np.array([doc.effective_length]), training=False)
     return float(probs[0, 0])
+
+
+def _chunked_inference(model: SentimentModel, lengths: np.ndarray, inputs,
+                       read, batch_size: int) -> np.ndarray:
+    """Inference forwards over consecutive chunks of `batch_size` rows.
+
+    Each chunk runs only up to its longest sequence: steps past a
+    sequence's length carry the LSTM state through unchanged, so the
+    trimmed steps move no output bit. `inputs(rows, t)` gives the chunk's
+    (len(rows), t, d) input and `read(probs)` what to keep of its forward;
+    result rows follow `lengths`."""
+    out = []
+    for start in range(0, len(lengths), batch_size):
+        rows = slice(start, start + batch_size)
+        t = int(lengths[rows].max())
+        probs = model.forward(inputs(rows, t), lengths[rows], training=False)
+        out.append(read(probs).copy())
+    return np.concatenate(out)
 
 
 def extract_representations(model: SentimentModel, mats: np.ndarray,
@@ -244,13 +263,11 @@ def extract_representations(model: SentimentModel, mats: np.ndarray,
                           f"got {layer!r}")
     if not model.trained:
         raise DataError("cannot extract representations from an untrained model")
-    chunks = []
-    for start in range(0, mats.shape[0], batch_size):
-        model.forward(mats[start:start + batch_size],
-                      lengths[start:start + batch_size], training=False)
-        chunks.append((model._final_hidden if layer == "frozen_lstm"
-                       else model._dense_preact).copy())
-    return np.concatenate(chunks)
+    lengths = np.asarray(lengths)
+    return _chunked_inference(
+        model, lengths, lambda rows, t: mats[rows, :t],
+        lambda probs: (model._final_hidden if layer == "frozen_lstm"
+                       else model._dense_preact), batch_size)
 
 
 @dataclass
@@ -264,36 +281,73 @@ class PolarityFeatures:
         return np.array([self.doc_polarity, self.positive_rate])
 
 
-def polarity_features(model: SentimentModel, user: UserRecord,
-                      table: EmbeddingTable, r: int,
-                      stopwords=frozenset(), patterns=()) -> PolarityFeatures:
+# sequences per polarity forward. The LSTM forward keeps its per-step
+# backward cache even at inference, so a larger chunk holds more memory at
+# once for little further gain.
+POLARITY_BATCH = 64
+
+
+def _padded(seqs, t: int) -> np.ndarray:
+    """(len(seqs), t, d) zero-padded stack of (length, d) sequences."""
+    x = np.zeros((len(seqs), t, seqs[0].shape[1]))
+    for row, seq in enumerate(seqs):
+        x[row, :len(seq)] = seq
+    return x
+
+
+def polarity_features(model: SentimentModel, users: list[UserRecord],
+                      table: EmbeddingTable, r: int, stopwords=frozenset(),
+                      patterns=()) -> list[PolarityFeatures]:
     """Document polarity plus the fraction of the user's posts predicted
-    positive (probability > 0.5).
+    positive (probability > 0.5), for each of `users`, in input order.
 
     Posts whose cleaned tokens are all out of vocabulary cannot be scored
-    and are excluded from the rate's denominator; if every post is
-    unscoreable this is an error.
+    and are excluded from the rate's denominator; a user with no scoreable
+    post is an error. Every post and user document is scored in a few
+    batched forwards over length-sorted chunks, with the probabilities
+    `predict_polarity` gives each one alone.
     """
-    post_matrices = []
-    all_tokens: list[str] = []
-    for j, post in enumerate(user.posts):
-        tokens = clean_tokens(post, stopwords, patterns)
-        all_tokens.extend(tokens)
-        try:
-            post_matrices.append(doc_matrix(
-                TokenDocument(doc_id=f"{user.user_id}/post{j}",
-                              tokens=tuple(tokens)), table, r))
-        except AllOovError:
-            continue
-    if not post_matrices:
-        raise AllOovError(f"every post of user {user.user_id!r} is out of "
-                          "vocabulary")
-    positives = sum(1 for m in post_matrices if predict_polarity(model, m) > 0.5)
-    doc = doc_matrix(TokenDocument(doc_id=user.user_id, tokens=tuple(all_tokens)),
-                     table, r)
-    return PolarityFeatures(doc_polarity=predict_polarity(model, doc),
-                            positive_rate=positives / len(post_matrices),
-                            post_count=len(post_matrices))
+    # per user, the scoreable posts (rows in post_rows) and then the user
+    # document (the row right after them), each cut to its effective length
+    seqs: list[np.ndarray] = []
+    post_rows: list[range] = []
+    for user in users:
+        first = len(seqs)
+        all_tokens: list[str] = []
+        for j, post in enumerate(user.posts):
+            tokens = clean_tokens(post, stopwords, patterns)
+            all_tokens.extend(tokens)
+            try:
+                m = doc_matrix(TokenDocument(doc_id=f"{user.user_id}/post{j}",
+                                             tokens=tuple(tokens)), table, r)
+            except AllOovError:
+                continue
+            seqs.append(m.values.T[:m.effective_length].copy())
+        if len(seqs) == first:
+            raise AllOovError(f"every post of user {user.user_id!r} is out of "
+                              "vocabulary")
+        post_rows.append(range(first, len(seqs)))
+        doc = doc_matrix(TokenDocument(doc_id=user.user_id,
+                                       tokens=tuple(all_tokens)), table, r)
+        seqs.append(doc.values.T[:doc.effective_length].copy())
+    if not seqs:
+        return []
+
+    lengths = np.array([len(seq) for seq in seqs])
+    order = np.argsort(lengths, kind="stable")
+    ordered = [seqs[i] for i in order]
+    probs = np.empty(len(seqs))
+    probs[order] = _chunked_inference(
+        model, lengths[order], lambda rows, t: _padded(ordered[rows], t),
+        lambda out: out[:, 0], POLARITY_BATCH)
+
+    features = []
+    for rows in post_rows:
+        positives = int((probs[rows.start:rows.stop] > 0.5).sum())
+        features.append(PolarityFeatures(doc_polarity=float(probs[rows.stop]),
+                                         positive_rate=positives / len(rows),
+                                         post_count=len(rows)))
+    return features
 
 
 class FinetuneModel:

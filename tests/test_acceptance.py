@@ -362,9 +362,10 @@ def test_synthetic_samples_never_in_test_folds():
 # positive-rate feature equals brute-force per-post counting
 # ----------------------------------------------------------------------
 def test_positive_rate_matches_brute_force_100_users(polarity_table):
+    # all 100 users are scored in one batched call
     model = integrator_model()
     rng = np.random.default_rng(20240506)
-    checked = 0
+    users = []
     for trial in range(100):
         n_posts = int(rng.integers(1, 9))
         posts = []
@@ -373,10 +374,12 @@ def test_positive_rate_matches_brute_force_100_users(polarity_table):
                 f"{('pos', 'neg', 'neu')[rng.integers(0, 3)]}{rng.integers(0, 4)}"
                 for _ in range(rng.integers(1, 7)))
             posts.append(tokens)
-        user = UserRecord(f"u{trial}", "male", tuple(posts))
-        pf = polarity_features(model, user, polarity_table, r=8)
+        users.append(UserRecord(f"u{trial}", "male", tuple(posts)))
+    scored = polarity_features(model, users, polarity_table, r=8)
+    assert len(scored) == 100
+    for user, pf in zip(users, scored):
         positives = scoreable = 0
-        for post in posts:
+        for post in user.posts:
             tokens = clean_tokens(post)
             if not any(t in polarity_table for t in tokens):
                 continue
@@ -387,5 +390,3 @@ def test_positive_rate_matches_brute_force_100_users(polarity_table):
                 positives += 1
         assert pf.post_count == scoreable
         assert pf.positive_rate == positives / scoreable
-        checked += 1
-    assert checked == 100

@@ -12,8 +12,14 @@ from sentprofile.gender import (
     train_gender,
     write_features,
 )
-from sentprofile.nn import TrainConfig, load_model, save_model
-from sentprofile.sentiment import PolarityFeatures
+from sentprofile.nn import LSTMLayer, TrainConfig, load_model, save_model
+from sentprofile.sentiment import (
+    FinetuneModel,
+    PolarityFeatures,
+    SentimentModel,
+    build_finetune_model,
+    train_finetune,
+)
 
 
 class TestConcatFeatures:
@@ -68,6 +74,33 @@ class TestTrainGender:
         features, labels = separable_features(n=12)
         with pytest.raises(ConfigError, match="patience"):
             train_gender(features, labels, TrainConfig(epochs=5, patience=2))
+
+    def test_fit_runs_no_inference_forward(self, monkeypatch):
+        # the class count comes from CLASSES, so without `after_epoch` a fit
+        # runs every forward, the composite's LSTM ones included, in
+        # training mode
+        seen = []
+        for owner, name in ((GenderModel, "forward_batch"),
+                            (FinetuneModel, "forward_batch"),
+                            (LSTMLayer, "forward")):
+            def recorded(self, *args, training=False,
+                         _original=getattr(owner, name), _name=name, **kwargs):
+                seen.append((_name, training))
+                return _original(self, *args, training=training, **kwargs)
+            monkeypatch.setattr(owner, name, recorded)
+        config = TrainConfig(epochs=2, batch_size=4, seed=0)
+        features, labels = separable_features(n=12)
+        train_gender(features, labels, config)
+
+        rng = np.random.default_rng(1)
+        sentiment = SentimentModel(input_dim=3, hidden_size=2)
+        sentiment.trained = True
+        composite = build_finetune_model(sentiment, vec_dim=4, hidden=(5, 3))
+        train_finetune(composite, rng.normal(size=(12, 4)),
+                       rng.normal(size=(12, 5, 3)), rng.integers(1, 6, size=12),
+                       np.arange(12) % 2, config)
+        assert ("forward", True) in seen
+        assert [entry for entry in seen if not entry[1]] == []
 
     def test_snapshot_matches_fresh_run(self):
         # the model seen after epoch e equals one trained for exactly e

@@ -212,6 +212,27 @@ def test_sigmoid_extremes_and_softmax_stability():
     assert big[0, 0] == pytest.approx(0.5)
 
 
+def branch_per_sign_sigmoid(x):
+    """The masked form `sigmoid` replaced; its bytes are the reference."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bytes_match_branch_per_sign_form():
+    gen = rng()
+    inputs = [gen.normal(scale=scale, size=(32, 128))[:, :96]
+              for scale in (1.0, 30.0, 400.0)]
+    inputs.append(np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0,
+                            np.nan, -np.nan]))
+    for x in inputs:
+        assert sigmoid(x).tobytes() == branch_per_sign_sigmoid(x).tobytes()
+
+
 def test_forward_finite_with_parameters_bounded_by_ten():
     gen = rng()
     for trial in range(10):

@@ -89,3 +89,38 @@ def test_drop_warnings_keep_their_prefixes():
     source = Path(sentprofile.experiment.__file__).read_text(encoding="utf-8")
     for prefix in ("dropping user", "dropping review", "dropping manual"):
         assert f'"{prefix}' in source
+
+
+def test_polarity_scoring_runs_under_traced_name(monkeypatch, small_dataset):
+    # the tracer times `experiment.polarity_features` as sentiment.polarity
+    # and counts the LSTM forwards under it; scoring moved out from under
+    # that name would read as zero there
+    from sentprofile import experiment
+    from sentprofile.nn import LSTMLayer
+
+    from conftest import SMALL_CONFIG
+
+    score, forward = experiment.polarity_features, LSTMLayer.forward
+    forwards_per_call = []
+    depth = [0]
+
+    def counted_score(*args, **kwargs):
+        forwards_per_call.append(0)
+        depth[0] += 1
+        try:
+            return score(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_forward(self, *args, **kwargs):
+        if depth[0]:
+            forwards_per_call[-1] += 1
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "polarity_features", counted_score)
+    monkeypatch.setattr(LSTMLayer, "forward", counted_forward)
+    config = experiment.ExperimentConfig(
+        **dict(SMALL_CONFIG, sentiment_mode="polarity_features"))
+    experiment.run_experiment(config, small_dataset)
+    assert len(forwards_per_call) == config.folds
+    assert min(forwards_per_call) >= 1

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sentprofile.corpus import TokenDocument, UserRecord
+from sentprofile.corpus import TokenDocument, UserRecord, clean_tokens
 from sentprofile.domainsel import LabeledDomainSet, LabeledItem
 from sentprofile.embed import doc_matrix, doc_vector
 from sentprofile.errors import AllOovError, ConfigError, DataError
 from sentprofile.gender import train_gender
 from sentprofile.nn import TrainConfig, load_model, save_model
 from sentprofile.sentiment import (
+    POLARITY_BATCH,
     SentimentConfig,
     SentimentModel,
     _stack_items,
@@ -227,14 +228,14 @@ class TestPolarityFeatures:
     def test_all_positive_posts(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "female", (("pos0", "pos1"), ("pos2",)))
-        pf = polarity_features(model, user, polarity_table, r=4)
+        pf = polarity_features(model, [user], polarity_table, r=4)[0]
         assert pf.positive_rate == 1.0
 
     def test_three_of_four(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0",), ("pos1",), ("pos2",),
                                         ("neg0", "neg1")))
-        pf = polarity_features(model, user, polarity_table, r=4)
+        pf = polarity_features(model, [user], polarity_table, r=4)[0]
         assert pf.positive_rate == 0.75
         assert pf.post_count == 4
 
@@ -242,7 +243,7 @@ class TestPolarityFeatures:
         model = integrator_model()
         for tokens, expected in ((("pos0",), 1.0), (("neg0",), 0.0)):
             user = UserRecord("u", "male", (tokens,))
-            pf = polarity_features(model, user, polarity_table, r=2)
+            pf = polarity_features(model, [user], polarity_table, r=2)[0]
             assert pf.positive_rate == expected
 
     def test_rate_complement(self, polarity_table):
@@ -255,7 +256,7 @@ class TestPolarityFeatures:
                       for _ in range(rng.integers(1, 5)))
                 for _ in range(rng.integers(1, 6)))
             user = UserRecord(f"u{trial}", "male", posts)
-            pf = polarity_features(model, user, polarity_table, r=6)
+            pf = polarity_features(model, [user], polarity_table, r=6)[0]
             negatives = sum(
                 1 for post in posts
                 if predict_polarity(model, doc_matrix(
@@ -268,22 +269,64 @@ class TestPolarityFeatures:
         model = integrator_model()
         user = UserRecord("u", "male", (("zzz",), ("qqq",)))
         with pytest.raises(AllOovError):
-            polarity_features(model, user, polarity_table, r=3)
+            polarity_features(model, [user], polarity_table, r=3)
 
     def test_unscoreable_posts_excluded_from_rate(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0",), ("zzz",)))
-        pf = polarity_features(model, user, polarity_table, r=3)
+        pf = polarity_features(model, [user], polarity_table, r=3)[0]
         assert pf.post_count == 1
         assert pf.positive_rate == 1.0
 
     def test_doc_polarity_uses_whole_document(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0", "pos1"), ("neg0",)))
-        pf = polarity_features(model, user, polarity_table, r=6)
+        pf = polarity_features(model, [user], polarity_table, r=6)[0]
         doc = doc_matrix(TokenDocument("d", ("pos0", "pos1", "neg0")),
                          polarity_table, 6)
         assert pf.doc_polarity == pytest.approx(predict_polarity(model, doc))
+
+
+    def test_batched_matches_per_user_reference(self, polarity_table):
+        # mixed post counts, unscoreable posts, user documents cut at r and
+        # lengths spread over several chunks
+        rng = np.random.default_rng(7)
+        model = SentimentModel(input_dim=2, hidden_size=4, seed=3)
+        model.head.weights *= 5.0
+        words = [f"{kind}{i}" for kind in ("pos", "neg", "neu") for i in range(4)]
+        users = []
+        for n in range(60):
+            posts = [tuple(rng.choice(words, size=rng.integers(1, 15)))]
+            for _ in range(rng.integers(0, 6)):
+                posts.append(("zzz", "qqq") if rng.random() < 0.2 else
+                             tuple(rng.choice(words, size=rng.integers(1, 15))))
+            users.append(UserRecord(f"u{n}", "male", tuple(posts)))
+        r = 30
+        scored = polarity_features(model, users, polarity_table, r=r)
+        assert len(users) + sum(pf.post_count for pf in scored) > 3 * POLARITY_BATCH
+        assert len(scored) == len(users)
+        for user, pf in zip(users, scored):
+            probs, tokens = [], []
+            for post in user.posts:
+                cleaned = clean_tokens(post)
+                tokens.extend(cleaned)
+                try:
+                    probs.append(predict_polarity(model, doc_matrix(
+                        TokenDocument("p", tuple(cleaned)), polarity_table, r)))
+                except AllOovError:
+                    continue
+            doc = predict_polarity(model, doc_matrix(
+                TokenDocument("d", tuple(tokens)), polarity_table, r))
+            assert pf.post_count == len(probs)
+            assert pf.positive_rate == sum(p > 0.5 for p in probs) / len(probs)
+            assert abs(pf.doc_polarity - doc) <= 1e-12
+
+    def test_all_oov_user_named_in_batch(self, polarity_table):
+        users = [UserRecord("ok1", "male", (("pos0",),)),
+                 UserRecord("lost", "female", (("zzz",), ("qqq",))),
+                 UserRecord("ok2", "male", (("neg0",),))]
+        with pytest.raises(AllOovError, match="'lost'"):
+            polarity_features(integrator_model(), users, polarity_table, r=3)
 
 
 def test_extracted_representations_linearly_separable_by_polarity(polarity_table):
