@@ -144,7 +144,7 @@ def _data_paths(args) -> DataPaths:
 def _cmd_prepare(args) -> int:
     stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
     users = load_user_records(args.users)
-    docs = build_virtual_documents(users, stopwords, on_empty="drop")
+    docs = build_virtual_documents(users, stopwords)
     save_virtual_documents(docs, args.out)
     print(f"wrote {len(docs)} virtual documents to {args.out} "
           f"({len(users) - len(docs)} dropped)")

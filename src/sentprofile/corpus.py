@@ -9,12 +9,10 @@ virtual document.
 
 import json
 import logging
-import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    DataError,
     DuplicateKeyError,
     EmptyDocumentError,
     ParseError,
@@ -88,6 +86,32 @@ def _check_token_list(value, field: str, number: int) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _user_record(record: dict, number: int, seen: set[str],
+                 default_gender: str | None = None) -> UserRecord:
+    """The checks of both user loaders; adds the user_id to `seen`. Without
+    `default_gender` the gender field is required."""
+    user_id = _require(record, "user_id", number)
+    if not isinstance(user_id, str) or not user_id:
+        raise SchemaError("user_id must be a non-empty string", number)
+    gender = (_require(record, "gender", number) if default_gender is None
+              else record.get("gender", default_gender))
+    if gender not in GENDERS:
+        raise SchemaError(f"unknown gender {gender!r} for user "
+                          f"{user_id!r} (expected one of {GENDERS})", number)
+    raw_posts = _require(record, "posts", number)
+    if not isinstance(raw_posts, list):
+        raise SchemaError("posts must be a list of token lists", number)
+    posts = tuple(p for p in (_check_token_list(p, "posts", number)
+                              for p in raw_posts) if p)
+    if not posts:
+        raise SchemaError(f"user {user_id!r} has no non-empty post", number)
+    if user_id in seen:
+        raise DuplicateKeyError(f"duplicate user_id {user_id!r} "
+                                f"(line {number})")
+    seen.add(user_id)
+    return UserRecord(user_id=user_id, gender=gender, posts=posts)
+
+
 def load_user_records(path) -> list[UserRecord]:
     """Load target-domain users from JSONL.
 
@@ -100,27 +124,8 @@ def load_user_records(path) -> list[UserRecord]:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = _parse_line(line, number)
-            user_id = _require(record, "user_id", number)
-            if not isinstance(user_id, str) or not user_id:
-                raise SchemaError("user_id must be a non-empty string", number)
-            gender = _require(record, "gender", number)
-            if gender not in GENDERS:
-                raise SchemaError(f"unknown gender {gender!r} for user "
-                                  f"{user_id!r} (expected one of {GENDERS})", number)
-            raw_posts = _require(record, "posts", number)
-            if not isinstance(raw_posts, list):
-                raise SchemaError("posts must be a list of token lists", number)
-            posts = tuple(_check_token_list(p, "posts", number)
-                          for p in raw_posts)
-            posts = tuple(p for p in posts if p)
-            if not posts:
-                raise SchemaError(f"user {user_id!r} has no non-empty post", number)
-            if user_id in seen:
-                raise DuplicateKeyError(f"duplicate user_id {user_id!r} "
-                                        f"(line {number})")
-            seen.add(user_id)
-            records.append(UserRecord(user_id=user_id, gender=gender, posts=posts))
+            records.append(_user_record(_parse_line(line, number), number,
+                                        seen))
     return records
 
 
@@ -158,8 +163,8 @@ def load_source_reviews(path) -> list[SourceReview]:
 
 
 def load_manual_records(path) -> list[tuple[UserRecord, str]]:
-    """Load manually polarity-labeled target users (user schema plus a
-    'polarity' field)."""
+    """Load manually polarity-labeled target users: the user schema, with
+    an optional gender (default male), plus a 'polarity' field."""
     out: list[tuple[UserRecord, str]] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -170,21 +175,8 @@ def load_manual_records(path) -> list[tuple[UserRecord, str]]:
             polarity = _require(record, "polarity", number)
             if polarity not in POLARITIES:
                 raise SchemaError(f"unknown polarity {polarity!r}", number)
-            user_id = _require(record, "user_id", number)
-            gender = record.get("gender", "male")
-            if gender not in GENDERS:
-                raise SchemaError(f"unknown gender {gender!r}", number)
-            raw_posts = _require(record, "posts", number)
-            posts = tuple(_check_token_list(p, "posts", number) for p in raw_posts)
-            posts = tuple(p for p in posts if p)
-            if not posts:
-                raise SchemaError(f"user {user_id!r} has no non-empty post", number)
-            if user_id in seen:
-                raise DuplicateKeyError(f"duplicate user_id {user_id!r} "
-                                        f"(line {number})")
-            seen.add(user_id)
-            out.append((UserRecord(user_id=user_id, gender=gender, posts=posts),
-                        polarity))
+            out.append((_user_record(record, number, seen,
+                                     default_gender="male"), polarity))
     return out
 
 
@@ -203,15 +195,13 @@ def _has_word_char(token: str) -> bool:
     return any(ch.isalpha() for ch in token)
 
 
-def clean_tokens(tokens: Sequence[str], stopwords: frozenset[str] | set[str] = frozenset(),
-                 patterns: Sequence[str | re.Pattern] = ()) -> list[str]:
+def clean_tokens(tokens: Sequence[str],
+                 stopwords: frozenset[str] | set[str] = frozenset()) -> list[str]:
     """Drop stopwords, hyperlinks and tokens without letters/ideographs.
 
-    `patterns` adds extra removal rules (regexes matched with re.search).
     The output is always a subsequence of the input, which makes cleaning
     idempotent.
     """
-    compiled = [re.compile(p) if isinstance(p, str) else p for p in patterns]
     kept = []
     for token in tokens:
         if token in stopwords:
@@ -220,19 +210,17 @@ def clean_tokens(tokens: Sequence[str], stopwords: frozenset[str] | set[str] = f
             continue
         if not _has_word_char(token):
             continue
-        if any(p.search(token) for p in compiled):
-            continue
         kept.append(token)
     return kept
 
 
 def build_virtual_document(record: UserRecord,
-                           stopwords: frozenset[str] | set[str] = frozenset(),
-                           patterns: Sequence[str | re.Pattern] = ()) -> VirtualDocument:
+                           stopwords: frozenset[str] | set[str] = frozenset()
+                           ) -> VirtualDocument:
     """Concatenate the user's cleaned posts, in post order."""
     tokens: list[str] = []
     for post in record.posts:
-        tokens.extend(clean_tokens(post, stopwords, patterns))
+        tokens.extend(clean_tokens(post, stopwords))
     if not tokens:
         raise EmptyDocumentError(record.user_id)
     return VirtualDocument(user_id=record.user_id, gender=record.gender,
@@ -240,23 +228,15 @@ def build_virtual_document(record: UserRecord,
 
 
 def build_virtual_documents(records: Iterable[UserRecord],
-                            stopwords: frozenset[str] | set[str] = frozenset(),
-                            patterns: Sequence[str | re.Pattern] = (),
-                            on_empty: str = "drop") -> list[VirtualDocument]:
-    """Build virtual documents for many users.
-
-    on_empty: "drop" logs and skips users emptied by cleaning (the CLI
-    default); "raise" propagates the error.
-    """
-    if on_empty not in ("drop", "raise"):
-        raise DataError(f"on_empty must be 'drop' or 'raise', got {on_empty!r}")
+                            stopwords: frozenset[str] | set[str] = frozenset()
+                            ) -> list[VirtualDocument]:
+    """Build virtual documents for many users; users emptied by cleaning
+    are logged and skipped."""
     docs = []
     for record in records:
         try:
-            docs.append(build_virtual_document(record, stopwords, patterns))
+            docs.append(build_virtual_document(record, stopwords))
         except EmptyDocumentError as exc:
-            if on_empty == "raise":
-                raise
             logger.warning("dropping user %s: %s", record.user_id, exc)
     return docs
 

@@ -20,6 +20,11 @@ from .errors import AllOovError, ConfigError, DataError, FormatError
 
 logger = logging.getLogger(__name__)
 
+# skip-gram learning rate: decays linearly from INITIAL_LR over all centre
+# tokens of the run, never below MIN_LR
+INITIAL_LR = 0.025
+MIN_LR = 1e-4
+
 
 @dataclass
 class EmbedConfig:
@@ -29,8 +34,6 @@ class EmbedConfig:
     epochs: int = 5
     min_count: int = 2
     seed: int = 0
-    initial_lr: float = 0.025
-    min_lr: float = 1e-4
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -130,8 +133,7 @@ def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> Em
                                            rng.random((int(sizes.sum()), k)))
             offset = 0
             for i in range(n):
-                lr = max(config.min_lr,
-                         config.initial_lr * (1.0 - processed / total_centers))
+                lr = max(MIN_LR, INITIAL_LR * (1.0 - processed / total_centers))
                 processed += 1
                 m = int(sizes[i])
                 if m == 0:

@@ -121,6 +121,13 @@ class ExperimentConfig:
             raise ConfigError("folds must be >= 2")
         if "high_similarity" in self.source_mode and not 0.0 < self.z < 1.0:
             raise ConfigError(f"z must be in (0, 1), got {self.z}")
+        # the rules TrainConfig, doc_matrix, gender_keywords and DropoutLayer
+        # apply, checked here so a bad value fails before any work
+        for name in ("sentiment_epochs", "r", "keyword_top_n"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.mlp_dropout < 1.0:
+            raise ConfigError(f"mlp_dropout must be in [0, 1), got {self.mlp_dropout}")
         self.resample_config()
         self.embed_config()
         self.sentiment_config()
@@ -321,7 +328,7 @@ def load_corpora(paths: DataPaths):
     """Load, clean and assemble both corpora."""
     users = load_user_records(paths.users)
     stopwords = load_stopwords(paths.stopwords) if paths.stopwords else frozenset()
-    docs = build_virtual_documents(users, stopwords, on_empty="drop")
+    docs = build_virtual_documents(users, stopwords)
     reviews = []
     if paths.reviews:
         for review in load_source_reviews(paths.reviews):

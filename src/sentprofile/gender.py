@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, SchemaError, ShapeError
+from .errors import DataError, ParseError, SchemaError, ShapeError
 from .nn import (
     DenseLayer,
     DropoutLayer,
@@ -79,7 +79,7 @@ def build_mlp(input_dim: int, hidden: tuple[int, int] = DEFAULT_HIDDEN,
               DropoutLayer(dropout_rate),
               DenseLayer(hidden[0], hidden[1], activation="relu", rng=rng),
               DenseLayer(hidden[1], n_classes, activation="softmax", rng=rng)]
-    return Network(layers, seed=seed)
+    return Network(layers)
 
 
 class GenderModel:
@@ -112,9 +112,6 @@ class GenderModel:
 
     def dropout_layers(self):
         return self.network.dropout_layers()
-
-    def lr_scales(self):
-        return None
 
     # -------------------------------------------------------------------
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
@@ -151,7 +148,7 @@ register_model(GenderModel.checkpoint_kind, GenderModel)
 
 
 def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
-                           config: TrainConfig, lr_scales=None,
+                           config: TrainConfig,
                            after_epoch=None) -> list[dict]:
     """Mini-batch training of any model following the classifier protocol.
 
@@ -164,9 +161,6 @@ def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
     reads, so the model it sees at epoch e is the one a run of exactly e
     epochs returns. Returns one {epoch, train_loss} record per epoch.
     """
-    if config.patience is not None:
-        raise ConfigError("the gender classifier trains a fixed number of "
-                          "epochs; patience is not supported")
     n = labels.shape[0]
     for arr in inputs:
         if arr.shape[0] != n:
@@ -179,8 +173,6 @@ def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
                             dropout_seed.spawn(max(1, len(model.dropout_layers())))):
         layer.rng = np.random.default_rng(child)
     optimizer = make_optimizer(config)
-    if lr_scales is None:
-        lr_scales = model.lr_scales()
     history = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -191,7 +183,7 @@ def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
             probs = model.forward_batch(batch, training=True)
             loss, d_probs = categorical_cross_entropy(probs, onehot[idx])
             model.backward(d_probs)
-            optimizer.step(model.parameters(), model.gradients(), lr_scales)
+            optimizer.step(model.parameters(), model.gradients())
             losses.append(loss)
         history.append({"epoch": epoch + 1,
                         "train_loss": float(np.mean(losses))})
@@ -266,8 +258,16 @@ def read_features(path) -> list[tuple[str, str, FeatureVector]]:
                     raise SchemaError(f"missing field {field!r}", number)
             if record["label"] not in CLASSES:
                 raise SchemaError(f"unknown label {record['label']!r}", number)
-            values = np.asarray(record["values"], dtype=np.float64)
-            layout = tuple(record["layout"])
+            layout, values = record["layout"], record["values"]
+            if not (isinstance(layout, list)
+                    and all(isinstance(name, str) for name in layout)):
+                raise SchemaError("field 'layout' must be a list of strings", number)
+            # type() rather than isinstance() so booleans are not numbers
+            if not (isinstance(values, list)
+                    and all(type(x) in (int, float) for x in values)):
+                raise SchemaError("field 'values' must be a list of numbers", number)
+            values = np.asarray(values, dtype=np.float64)
+            layout = tuple(layout)
             lengths = (values.size,) if len(layout) == 1 else None
             rows.append((record["user_id"], record["label"],
                          FeatureVector(values=values, layout=layout,

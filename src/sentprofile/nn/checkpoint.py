@@ -1,9 +1,9 @@
 """Binary model checkpoints.
 
 Layout: magic, format version, header length, a JSON header holding the
-model kind plus layer specs and parameter shapes, the parameters as
-little-endian float64 in declared order, and a trailing SHA-256 checksum
-over everything before it.
+model kind, its constructor settings and the parameter names and shapes,
+the parameters as little-endian float64 in declared order, and a trailing
+SHA-256 checksum over everything before it.
 """
 
 import hashlib
@@ -85,7 +85,7 @@ def read_checkpoint(path):
 
 
 def save_model(model, path) -> None:
-    """Serialize any registered model (Network, sentiment or gender)."""
+    """Serialize any registered model (sentiment or gender)."""
     kind = getattr(model, "checkpoint_kind", None)
     if kind is None or kind not in MODEL_REGISTRY:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")

@@ -117,14 +117,6 @@ class DenseLayer:
         self.grads["bias"][...] = dz.sum(axis=0)
         return dz @ self.weights.T
 
-    def spec(self) -> dict:
-        return {"type": "dense", "in_dim": self.in_dim, "out_dim": self.out_dim,
-                "activation": self.activation}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "DenseLayer":
-        return cls(spec["in_dim"], spec["out_dim"], spec["activation"])
-
 
 class DropoutLayer:
     """Inverted dropout: zeroes units with probability `rate` at training
@@ -158,13 +150,6 @@ class DropoutLayer:
         if self._mask is None:
             return d_out
         return d_out * self._mask
-
-    def spec(self) -> dict:
-        return {"type": "dropout", "rate": self.rate}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "DropoutLayer":
-        return cls(spec["rate"])
 
 
 class LSTMLayer:
@@ -311,22 +296,3 @@ class LSTMLayer:
         self.grads["w_h"][...] = dwh
         self.grads["bias"][...] = db
         return dx
-
-    def spec(self) -> dict:
-        return {"type": "lstm", "input_dim": self.input_dim,
-                "hidden_dim": self.hidden_dim}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "LSTMLayer":
-        return cls(spec["input_dim"], spec["hidden_dim"])
-
-
-LAYER_TYPES = {"dense": DenseLayer, "dropout": DropoutLayer, "lstm": LSTMLayer}
-
-
-def layer_from_spec(spec: dict):
-    try:
-        cls = LAYER_TYPES[spec["type"]]
-    except KeyError:
-        raise ConfigError(f"unknown layer type {spec.get('type')!r}") from None
-    return cls.from_spec(spec)

@@ -5,8 +5,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import CheckpointError, ShapeError
-from .checkpoint import register_model
-from .layers import DropoutLayer, layer_from_spec
+from .layers import DropoutLayer
 
 
 class Network:
@@ -16,11 +15,8 @@ class Network:
     optimizers, checkpoints and gradient checks all see one flat view.
     """
 
-    checkpoint_kind = "network"
-
-    def __init__(self, layers, seed: int = 0):
+    def __init__(self, layers):
         self.layers = list(layers)
-        self.seed = seed
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = x
@@ -51,13 +47,6 @@ class Network:
     def dropout_layers(self) -> list[DropoutLayer]:
         return [l for l in self.layers if isinstance(l, DropoutLayer)]
 
-    def spec(self) -> list[dict]:
-        return [layer.spec() for layer in self.layers]
-
-    @classmethod
-    def from_spec(cls, specs: list[dict], seed: int = 0) -> "Network":
-        return cls([layer_from_spec(s) for s in specs], seed=seed)
-
     def load_parameters(self, params) -> None:
         """Copy a flat parameter mapping into the live layer arrays."""
         own = self.parameters()
@@ -69,15 +58,3 @@ class Network:
                 raise ShapeError(f"parameter {name}: shape {loaded.shape} does "
                                  f"not match {value.shape}")
             value[...] = loaded
-
-    def checkpoint_meta(self) -> dict:
-        return {"layers": self.spec(), "seed": self.seed}
-
-    @classmethod
-    def from_checkpoint(cls, meta: dict, params) -> "Network":
-        net = cls.from_spec(meta["layers"], seed=meta.get("seed", 0))
-        net.load_parameters(params)
-        return net
-
-
-register_model(Network.checkpoint_kind, Network)

@@ -16,7 +16,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     optimizer: str = "adam"
     seed: int = 0
-    patience: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -28,8 +27,6 @@ class TrainConfig:
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, "
                               f"got {self.optimizer!r}")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError("patience must be >= 1 when set")
 
 
 def _check_finite(name: str, grad: np.ndarray) -> None:
@@ -42,12 +39,11 @@ class SGD:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(self, params, grads, scales=None) -> None:
+    def step(self, params, grads) -> None:
         for name, value in params.items():
             grad = grads[name]
             _check_finite(name, grad)
-            scale = 1.0 if scales is None else scales.get(name, 1.0)
-            value -= self.learning_rate * scale * grad
+            value -= self.learning_rate * grad
 
 
 class Adam:
@@ -63,7 +59,7 @@ class Adam:
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
 
-    def step(self, params, grads, scales=None) -> None:
+    def step(self, params, grads) -> None:
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         for name, value in params.items():
@@ -80,8 +76,7 @@ class Adam:
             v += (1.0 - b2) * grad * grad
             m_hat = m / (1.0 - b1 ** self._t)
             v_hat = v / (1.0 - b2 ** self._t)
-            scale = 1.0 if scales is None else scales.get(name, 1.0)
-            value -= self.learning_rate * scale * m_hat / (np.sqrt(v_hat) + self.eps)
+            value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def make_optimizer(config: TrainConfig):

@@ -9,7 +9,6 @@ scoring per-post polarity rates for the two-dimensional polarity features.
 
 import copy
 import hashlib
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ from .nn import (
     make_optimizer,
     register_model,
 )
-
-logger = logging.getLogger(__name__)
 
 REPRESENTATION_LAYERS = ("frozen_lstm", "frozen_dense")
 
@@ -164,8 +161,7 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
     """Train the polarity classifier on a labeled domain set.
 
     Returns (model, per-epoch curve) where the curve tracks the loss and
-    accuracy on a held-out tenth of the data. With `patience` set, training
-    stops once the held-out loss has not improved for that many epochs.
+    accuracy on a held-out tenth of the data.
     """
     model_config = model_config or SentimentConfig()
     items = data.items
@@ -191,8 +187,6 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
     rng = np.random.default_rng(batch_seed)
 
     curve: list[EpochStats] = []
-    best_loss = np.inf
-    stale = 0
     for epoch in range(train_config.epochs):
         perm = rng.permutation(len(train_idx))
         order = train_idx[perm]
@@ -212,15 +206,6 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
                                 train_loss=float(np.mean(batch_losses)),
                                 heldout_loss=float(held_loss),
                                 heldout_accuracy=held_acc))
-        if train_config.patience is not None:
-            if held_loss < best_loss - 1e-9:
-                best_loss = held_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= train_config.patience:
-                    logger.info("early stop after epoch %d", epoch + 1)
-                    break
     model.trained = True
     return model, curve
 
@@ -296,8 +281,8 @@ def _padded(seqs, t: int) -> np.ndarray:
 
 
 def polarity_features(model: SentimentModel, users: list[UserRecord],
-                      table: EmbeddingTable, r: int, stopwords=frozenset(),
-                      patterns=()) -> list[PolarityFeatures]:
+                      table: EmbeddingTable, r: int,
+                      stopwords=frozenset()) -> list[PolarityFeatures]:
     """Document polarity plus the fraction of the user's posts predicted
     positive (probability > 0.5), for each of `users`, in input order.
 
@@ -315,7 +300,7 @@ def polarity_features(model: SentimentModel, users: list[UserRecord],
         first = len(seqs)
         all_tokens: list[str] = []
         for j, post in enumerate(user.posts):
-            tokens = clean_tokens(post, stopwords, patterns)
+            tokens = clean_tokens(post, stopwords)
             all_tokens.extend(tokens)
             try:
                 m = doc_matrix(TokenDocument(doc_id=f"{user.user_id}/post{j}",
@@ -356,18 +341,15 @@ class FinetuneModel:
     Input A is the document vector, input B the document matrix run through
     a trainable copy of the sentiment LSTM (the sentiment head is
     discarded); the concatenation feeds the gender MLP. The gender loss
-    backpropagates into the LSTM, scaled by lstm_lr_scale (0 recovers the
-    frozen pipeline exactly).
+    backpropagates into the LSTM.
     """
 
     def __init__(self, lstm: LSTMLayer, vec_dim: int,
-                 hidden=(50, 10), dropout_rate: float = 0.4, seed: int = 0,
-                 lstm_lr_scale: float = 1.0):
+                 hidden=(50, 10), dropout_rate: float = 0.4, seed: int = 0):
         self.lstm = lstm
         self.vec_dim = vec_dim
         self.mlp = build_mlp(vec_dim + lstm.hidden_dim, tuple(hidden),
                              dropout_rate, n_classes=2, seed=seed)
-        self.lstm_lr_scale = lstm_lr_scale
         self.history: list[dict] = []
 
     def forward_batch(self, inputs: tuple, training: bool = False) -> np.ndarray:
@@ -395,24 +377,18 @@ class FinetuneModel:
     def dropout_layers(self):
         return self.mlp.dropout_layers()
 
-    def lr_scales(self):
-        if self.lstm_lr_scale == 1.0:
-            return None
-        return {f"lstm.{name}": self.lstm_lr_scale for name in self.lstm.params()}
-
     def predict_proba(self, vecs, mats, lengths) -> np.ndarray:
         return self.forward_batch((vecs, mats, lengths), training=False)
 
 
 def build_finetune_model(model: SentimentModel, vec_dim: int,
                          hidden=(50, 10), dropout_rate: float = 0.4,
-                         seed: int = 0, lstm_lr_scale: float = 1.0) -> FinetuneModel:
+                         seed: int = 0) -> FinetuneModel:
     """Composite of a trainable copy of the trained LSTM and a fresh MLP."""
     if not model.trained:
         raise DataError("finetuning needs a trained sentiment model")
     return FinetuneModel(lstm=copy.deepcopy(model.lstm), vec_dim=vec_dim,
-                         hidden=hidden, dropout_rate=dropout_rate, seed=seed,
-                         lstm_lr_scale=lstm_lr_scale)
+                         hidden=hidden, dropout_rate=dropout_rate, seed=seed)
 
 
 def train_finetune(model: FinetuneModel, vecs: np.ndarray, mats: np.ndarray,

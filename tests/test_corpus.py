@@ -7,6 +7,7 @@ from sentprofile.corpus import (
     build_virtual_document,
     build_virtual_documents,
     clean_tokens,
+    load_manual_records,
     load_source_reviews,
     load_stopwords,
     load_user_records,
@@ -76,6 +77,35 @@ class TestLoadUserRecords:
             load_user_records(path)
 
 
+class TestLoadManualRecords:
+    def test_gender_optional(self, tmp_path):
+        path = write_jsonl(tmp_path / "m.jsonl", [
+            {"user_id": "m1", "polarity": "positive", "posts": [[], ["x"]]},
+            {"user_id": "m2", "gender": "female", "polarity": "negative",
+             "posts": [["y"]]},
+        ])
+        loaded = load_manual_records(path)
+        assert [(r.user_id, r.gender, r.posts, polarity)
+                for r, polarity in loaded] == [
+            ("m1", "male", (("x",),), "positive"),
+            ("m2", "female", (("y",),), "negative")]
+
+    # the checks load_user_records makes on user_id and posts
+    @pytest.mark.parametrize("record, message", [
+        ({"user_id": "m1", "polarity": "positive", "posts": 5},
+         "posts must be a list"),
+        ({"user_id": "", "polarity": "positive", "posts": [["x"]]},
+         "user_id must be a non-empty string"),
+        ({"user_id": 7, "polarity": "positive", "posts": [["x"]]},
+         "user_id must be a non-empty string"),
+    ], ids=["posts-not-a-list", "empty-user-id", "number-user-id"])
+    def test_user_fields_checked(self, tmp_path, record, message):
+        path = write_jsonl(tmp_path / "m.jsonl", [
+            {"user_id": "m0", "polarity": "negative", "posts": [["x"]]}, record])
+        with pytest.raises(SchemaError, match=f"line 2: {message}"):
+            load_manual_records(path)
+
+
 class TestLoadSourceReviews:
     def test_round_trip(self, tmp_path):
         path = write_jsonl(tmp_path / "r.jsonl", [
@@ -127,9 +157,6 @@ class TestCleanTokens:
         it = iter(tokens)
         assert all(any(t == o for t in it) for o in out)
 
-    def test_extra_patterns(self):
-        assert clean_tokens(["spamword", "fine"], patterns=[r"^spam"]) == ["fine"]
-
     def test_ideographs_kept(self):
         assert clean_tokens(["你好", "123"]) == ["你好"]
 
@@ -164,11 +191,6 @@ class TestVirtualDocument:
             docs = build_virtual_documents(records, stopwords={"of"})
         assert [d.user_id for d in docs] == ["u1"]
         assert any("u2" in m for m in caplog.messages)
-
-    def test_batch_raise_mode(self):
-        records = [UserRecord("u2", "male", (("of",),))]
-        with pytest.raises(EmptyDocumentError):
-            build_virtual_documents(records, stopwords={"of"}, on_empty="raise")
 
     def test_token_count_matches_cleaned_posts(self):
         import numpy as np

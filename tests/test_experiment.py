@@ -1,7 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from sentprofile import experiment
 from sentprofile.errors import ConfigError, DataError
 from sentprofile.experiment import (
     DataPaths,
@@ -37,6 +39,10 @@ class TestExperimentConfig:
         {"source_mode": "high_similarity", "z": 1.5},
         {"smote_variant": "adasyn"},
         {"hidden_size": 0},
+        {"sentiment_epochs": 0},
+        {"mlp_dropout": 1.5},
+        {"r": 0},
+        {"keyword_top_n": 0},
     ])
     def test_invalid_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -72,6 +78,23 @@ class TestExperimentConfig:
         c = ExperimentConfig(seed=99)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    @pytest.mark.parametrize("component, build", [
+        ("TrainConfig", lambda config: config.train_config(3)),
+        ("ResampleConfig", lambda config: config.resample_config()),
+        ("EmbedConfig", lambda config: config.embed_config()),
+        ("SentimentConfig", lambda config: config.sentiment_config()),
+    ], ids=["train", "resample", "embed", "sentiment"])
+    def test_builders_set_every_component_field(self, monkeypatch, component,
+                                                build):
+        # a component option that no builder passes is one that no run can
+        # set; it belongs in ExperimentConfig or nowhere
+        cls = getattr(experiment, component)
+        recorded = []
+        monkeypatch.setattr(experiment, component,
+                            lambda **kwargs: recorded.append(set(kwargs)))
+        build(ExperimentConfig())
+        assert recorded == [{f.name for f in fields(cls)}]
 
 
 class TestReports:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sentprofile.errors import ConfigError, DataError, SchemaError, ShapeError
+from sentprofile.errors import DataError, SchemaError, ShapeError
 from sentprofile.gender import (
     CLASSES,
     GenderModel,
@@ -68,12 +68,6 @@ class TestTrainGender:
         probs = model.predict_proba(features)
         truth = np.array([CLASSES.index(label) for label in labels])
         assert (probs.argmax(axis=1) == truth).mean() >= 0.99
-
-    def test_patience_rejected(self):
-        # a fixed epoch count lets one run be scored at every grid entry
-        features, labels = separable_features(n=12)
-        with pytest.raises(ConfigError, match="patience"):
-            train_gender(features, labels, TrainConfig(epochs=5, patience=2))
 
     def test_fit_runs_no_inference_forward(self, monkeypatch):
         # the class count comes from CLASSES, so without `after_epoch` a fit
@@ -207,6 +201,25 @@ class TestFeatureFiles:
         path = tmp_path / "features.jsonl"
         path.write_text('{"user_id": "u", "label": "male"}\n', encoding="utf-8")
         with pytest.raises(SchemaError, match="layout|values"):
+            read_features(path)
+
+    @pytest.mark.parametrize("layout, values, field", [
+        ('["doc_vector"]', '["x"]', "values"),
+        ('["doc_vector"]', '[true]', "values"),
+        ('["doc_vector"]', '1.0', "values"),
+        ('"doc_vector"', '[1.0]', "layout"),
+        ('["doc_vector", 2]', '[1.0]', "layout"),
+    ], ids=["string-value", "bool-value", "scalar-values", "string-layout",
+            "number-in-layout"])
+    def test_mistyped_field_rejected_with_line(self, tmp_path, layout, values,
+                                               field):
+        path = tmp_path / "features.jsonl"
+        good = ('{"user_id": "u1", "label": "male", "layout": ["doc_vector"], '
+                '"values": [1.0]}\n')
+        bad = (f'{{"user_id": "u2", "label": "male", "layout": {layout}, '
+               f'"values": {values}}}\n')
+        path.write_text(good + bad, encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"line 2: field '{field}'"):
             read_features(path)
 
 

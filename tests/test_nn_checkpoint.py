@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from sentprofile.errors import CheckpointError
+from sentprofile.gender import GenderModel
 from sentprofile.nn import (
-    DenseLayer,
-    DropoutLayer,
-    Network,
     load_model,
     read_checkpoint,
     save_model,
@@ -13,28 +11,25 @@ from sentprofile.nn import (
 )
 
 
-def small_net(seed=0):
-    gen = np.random.default_rng(seed)
-    return Network([DenseLayer(3, 4, "relu", rng=gen),
-                    DropoutLayer(0.3),
-                    DenseLayer(4, 2, "softmax", rng=gen)], seed=seed)
+def small_model(seed=0):
+    return GenderModel(input_dim=3, hidden=(4, 3), dropout_rate=0.3, seed=seed)
 
 
 def test_round_trip_forward_bitwise(tmp_path):
-    net = small_net(5)
+    model = small_model(5)
     path = tmp_path / "model.bin"
-    save_model(net, path)
+    save_model(model, path)
     loaded = load_model(path)
     x = np.random.default_rng(1).normal(size=(6, 3))
-    assert np.array_equal(net.forward(x), loaded.forward(x))
-    for name, value in net.parameters().items():
+    assert np.array_equal(model.predict_proba(x), loaded.predict_proba(x))
+    for name, value in model.parameters().items():
         assert np.array_equal(value, loaded.parameters()[name])
 
 
 def test_truncated_file_fails_checksum(tmp_path):
-    net = small_net()
+    model = small_model()
     path = tmp_path / "model.bin"
-    save_model(net, path)
+    save_model(model, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-7])
     with pytest.raises(CheckpointError, match="checksum|truncated"):
@@ -42,22 +37,23 @@ def test_truncated_file_fails_checksum(tmp_path):
 
 
 def test_corrupted_payload_fails_checksum(tmp_path):
-    net = small_net()
+    model = small_model()
     path = tmp_path / "model.bin"
-    save_model(net, path)
+    save_model(model, path)
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
         load_model(path)
 
+
 def test_unsupported_version(tmp_path):
     import hashlib
     import struct
 
-    net = small_net()
+    model = small_model()
     path = tmp_path / "model.bin"
-    save_model(net, path)
+    save_model(model, path)
     blob = bytearray(path.read_bytes())
     # bump the version byte and re-sign so only the version check trips
     blob[4:5] = struct.pack("<B", 9)
@@ -72,6 +68,16 @@ def test_not_a_checkpoint(tmp_path):
     path = tmp_path / "noise.bin"
     path.write_bytes(b"oops" * 30)
     with pytest.raises(CheckpointError):
+        load_model(path)
+
+
+def test_removed_network_kind_rejected(tmp_path):
+    # bare layer stacks are no longer a checkpoint kind of their own
+    path = tmp_path / "network.bin"
+    model = small_model()
+    write_checkpoint(path, {"model_kind": "network", "layers": [], "seed": 0},
+                     model.parameters())
+    with pytest.raises(CheckpointError, match="unknown model kind 'network'"):
         load_model(path)
 
 

@@ -16,7 +16,6 @@ class TestTrainConfig:
         {"epochs": 5, "learning_rate": 0.0},
         {"epochs": 5, "learning_rate": -1.0},
         {"epochs": 5, "optimizer": "momentum"},
-        {"epochs": 5, "patience": 0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -39,13 +38,6 @@ class TestSGD:
         with pytest.raises(TrainingError, match="theta"):
             SGD(0.1).step({"theta": np.ones(2)},
                           {"theta": np.array([1.0, np.nan])})
-
-    def test_lr_scale(self):
-        params = {"a": np.array([1.0]), "b": np.array([1.0])}
-        grads = {"a": np.array([1.0]), "b": np.array([1.0])}
-        SGD(0.1).step(params, grads, scales={"b": 0.0})
-        assert params["a"][0] == pytest.approx(0.9)
-        assert params["b"][0] == 1.0
 
 
 class TestAdam:
