@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages (prepare, embed, select-source,
+Subcommands mirror the pipeline stages (embed, select-source,
 sentiment-train, extract, smote, gender-train) plus the orchestrated
 `evaluate` and `grid` runs and the bundled `synth-data` generator. Every
 subcommand that reads experiment settings merges a flat key=value config
@@ -19,12 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (
-    build_virtual_documents,
-    load_stopwords,
-    load_user_records,
-    save_virtual_documents,
-)
 from .embed import doc_vector, load_embeddings, save_embeddings
 from .errors import ConfigError, DataError, PipelineError
 from .experiment import (
@@ -40,7 +34,7 @@ from .experiment import (
     load_corpora,
     run_experiment,
     run_grid,
-    sentiment_source,
+    sentiment_sources,
     target_matrices,
 )
 from .gender import (
@@ -141,16 +135,6 @@ def _data_paths(args) -> DataPaths:
                      embeddings=args.embeddings)
 
 
-def _cmd_prepare(args) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    users = load_user_records(args.users)
-    docs = build_virtual_documents(users, stopwords)
-    save_virtual_documents(docs, args.out)
-    print(f"wrote {len(docs)} virtual documents to {args.out} "
-          f"({len(users) - len(docs)} dropped)")
-    return 0
-
-
 def _cmd_embed(args) -> int:
     config = _experiment_config(args)
     _, docs, reviews, _ = load_corpora(_data_paths(args))
@@ -166,7 +150,8 @@ def _cmd_select_source(args) -> int:
     paths = _data_paths(args)
     _, docs, reviews, stopwords = load_corpora(paths)
     table = load_embeddings(args.embeddings)
-    source = sentiment_source(config, reviews, docs, table, stopwords)
+    source = sentiment_sources(config, [config.source_mode], reviews, docs,
+                               table, stopwords)[config.source_mode]
     kept_ids = {item.item_id for item in source.selected.items}
     with open(args.out, "w", encoding="utf-8") as fh:
         for review in reviews:
@@ -184,8 +169,9 @@ def _cmd_sentiment_train(args) -> int:
     paths = _data_paths(args)
     _, docs, reviews, stopwords = load_corpora(paths)
     table = embedding_table(config, paths, docs, reviews)
-    training_set = sentiment_source(config, reviews, docs, table, stopwords,
-                                    paths.manual).training_set()
+    training_set = sentiment_sources(config, [config.source_mode], reviews, docs,
+                                     table, stopwords,
+                                     paths.manual)[config.source_mode].training_set()
     model, curve = train_sentiment(training_set, config.sentiment_config(),
                                    config.train_config(config.sentiment_epochs))
     save_model(model, args.out)
@@ -304,13 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "gender classification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare", help="clean posts into virtual documents")
-    _add_common(p, config=False)
-    p.add_argument("--users", required=True)
-    p.add_argument("--stopwords", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("embed", help="train word embeddings on both corpora")
     _add_common(p)

@@ -239,36 +239,3 @@ def build_virtual_documents(records: Iterable[UserRecord],
         except EmptyDocumentError as exc:
             logger.warning("dropping user %s: %s", record.user_id, exc)
     return docs
-
-
-def save_virtual_documents(docs: Iterable[VirtualDocument], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps({"user_id": doc.user_id, "gender": doc.gender,
-                                 "tokens": list(doc.tokens)},
-                                ensure_ascii=False) + "\n")
-
-
-def load_virtual_documents(path) -> list[VirtualDocument]:
-    docs = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _parse_line(line, number)
-            user_id = _require(record, "user_id", number)
-            gender = _require(record, "gender", number)
-            if gender not in GENDERS:
-                raise SchemaError(f"unknown gender {gender!r}", number)
-            tokens = _check_token_list(_require(record, "tokens", number),
-                                       "tokens", number)
-            if not tokens:
-                raise SchemaError(f"user {user_id!r} has no tokens", number)
-            if user_id in seen:
-                raise DuplicateKeyError(f"duplicate user_id {user_id!r} "
-                                        f"(line {number})")
-            seen.add(user_id)
-            docs.append(VirtualDocument(user_id=user_id, gender=gender,
-                                        tokens=tokens, token_count=len(tokens)))
-    return docs

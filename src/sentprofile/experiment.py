@@ -6,7 +6,9 @@ embeddings and document representations are fit once on the whole corpus
 (they use no gender labels), the sentiment model is trained per fold on
 the configured source data, minority oversampling touches only the
 training partition, and the gender classifier is trained once per fold and
-scored at every entry of the epoch grid.
+scored at every entry of the epoch grid. A grid of cells shares all of this
+but the gender training: one load, one embedding fit and, per source mode,
+one sentiment model per fold.
 """
 
 import csv
@@ -16,6 +18,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -466,23 +469,32 @@ class SentimentSource:
         return augment_with_manual(base, manual)
 
 
-def sentiment_source(config: ExperimentConfig, reviews, target_docs, table,
-                     stopwords, manual_path=None) -> SentimentSource:
-    """Source items, similarity selection against `target_docs` and the
-    manual target items, as `config.source_mode` asks."""
+def sentiment_sources(config: ExperimentConfig, source_modes, reviews,
+                      target_docs, table, stopwords,
+                      manual_path=None) -> dict[str, SentimentSource]:
+    """One SentimentSource per entry of `source_modes`. They share one set
+    of source items, one similarity selection against `target_docs` (at
+    `config.z`) and one set of manual target items, each built only if a
+    mode asks for it."""
     if not reviews:
         raise DataError("sentiment training needs source-domain reviews")
-    source = SentimentSource(items=build_source_items(reviews, table, config.r))
-    if "high_similarity" in config.source_mode:
+    items = build_source_items(reviews, table, config.r)
+    selected = manual = None
+    if any("high_similarity" in mode for mode in source_modes):
         targets = list(target_vectors(target_docs, table).values())
-        source.selected = select_source(source.items, targets, config.z)
-    if config.source_mode.endswith("plus_manual"):
+        selected = select_source(items, targets, config.z)
+    manual_modes = [mode for mode in source_modes if mode.endswith("plus_manual")]
+    if manual_modes:
         if not manual_path:
-            raise DataError(f"source_mode {config.source_mode!r} needs manual "
+            raise DataError(f"source_mode {manual_modes[0]!r} needs manual "
                             "labels (--manual-labels)")
-        source.manual = build_manual_items(load_manual_records(manual_path),
-                                           table, config.r, stopwords)
-    return source
+        manual = build_manual_items(load_manual_records(manual_path),
+                                    table, config.r, stopwords)
+    return {mode: SentimentSource(
+                items=items,
+                selected=selected if "high_similarity" in mode else None,
+                manual=manual if mode in manual_modes else None)
+            for mode in source_modes}
 
 
 def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
@@ -512,9 +524,11 @@ def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
 
 @dataclass
 class RunContext:
-    """What every fold of one run shares. Rows of `mats` and `lengths`
+    """What every fold of one cell uses. The cells of one call share every
+    field but `config`, `source` (one per source mode) and `columns`, where
+    the cell's fold accuracies accumulate. Rows of `mats` and `lengths`
     follow `index_of`; they and `source` are None without a sentiment
-    mode. Fold accuracies accumulate in `columns`."""
+    mode."""
     config: ExperimentConfig
     plan: FoldPlan
     users_by_id: dict
@@ -527,19 +541,6 @@ class RunContext:
     lengths: np.ndarray | None
     source: SentimentSource | None
     columns: list[EpochColumn]
-
-    def fold(self, index: int) -> "Fold":
-        """Split one fold and train its sentiment model."""
-        config = self.config
-        train_ids, test_ids = self.plan.split(index)
-        seed = _fold_seed(config.seed, index, 1)
-        model = None
-        if config.sentiment_mode != "none":
-            model, _ = train_sentiment(self.source.training_set(train_ids),
-                                       config.sentiment_config(),
-                                       config.train_config(config.sentiment_epochs,
-                                                           seed))
-        return Fold(self, seed, train_ids, test_ids, model)
 
     def label_array(self, ids) -> np.ndarray:
         return np.array([self.labels[uid] for uid in ids])
@@ -562,64 +563,110 @@ class Fold:
     sentiment_model: SentimentModel | None
 
 
-def _prepare_run(config: ExperimentConfig, paths: DataPaths) -> RunContext:
-    """Load the corpora and build what the folds share: embeddings, base
-    representations, target matrices, the sentiment source and the plan."""
+def _prepare_runs(cells: list[ExperimentConfig],
+                  paths: DataPaths) -> list[RunContext]:
+    """Load the corpora once and build what the folds of every cell share:
+    embeddings, base representations, target matrices, the plan and one
+    sentiment source per source mode. The cells may differ only in
+    sentiment and source mode."""
+    config = cells[0]
     users, docs, reviews, stopwords = load_corpora(paths)
     if len(docs) < config.folds:
         raise DataError(f"only {len(docs)} usable users for {config.folds} folds")
 
-    use_sentiment = config.sentiment_mode != "none"
+    source_modes = list(dict.fromkeys(cell.source_mode for cell in cells
+                                      if cell.sentiment_mode != "none"))
     table = None
-    if use_sentiment or config.representation == "avg_vector":
+    if source_modes or config.representation == "avg_vector":
         table = embedding_table(config, paths, docs, reviews)
 
     base = base_representations(config, docs, table)
     # users whose every token is out of vocabulary cannot be represented
     docs = [d for d in docs if d.user_id in base]
-    mats = lengths = source = None
-    if use_sentiment:
+    mats = lengths = None
+    sources = {}
+    if source_modes:
         docs, mats, lengths = target_matrices(docs, table, config.r)
-        source = sentiment_source(config, reviews, docs, table, stopwords,
-                                  paths.manual)
-    return RunContext(
+        sources = sentiment_sources(config, source_modes, reviews, docs, table,
+                                    stopwords, paths.manual)
+    shared = RunContext(
         config=config, plan=stratified_kfold(docs, config.folds, config.seed),
         users_by_id={u.user_id: u for u in users}, table=table,
         stopwords=stopwords, base=base,
         labels={d.user_id: CLASSES.index(d.gender) for d in docs},
         index_of={d.user_id: i for i, d in enumerate(docs)},
-        mats=mats, lengths=lengths, source=source,
-        columns=[EpochColumn(epochs=e, fold_accuracies=[]) for e in config.epochs])
+        mats=mats, lengths=lengths, source=None, columns=[])
+    return [replace(shared, config=cell,
+                    source=(sources[cell.source_mode]
+                            if cell.sentiment_mode != "none" else None),
+                    columns=[EpochColumn(epochs=e, fold_accuracies=[])
+                             for e in cell.epochs])
+            for cell in cells]
+
+
+def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalReport]:
+    """Cross-validate every cell over one shared prefix (see
+    `_prepare_runs`); one report per cell, in order.
+
+    Folds run outside the cells: the cells of a source mode share each
+    fold's sentiment model, which is trained once and dropped before the
+    next fold's, so at most one fold model is alive at a time."""
+    started = time.perf_counter()
+    for cell in cells:
+        cell.validate()
+        if cell.sentiment_mode == "none" and cell.source_mode != "entire":
+            logger.info("sentiment_mode is 'none'; source_mode %r is ignored",
+                        cell.source_mode)
+    runs = _prepare_runs(cells, paths)
+    for _, group in groupby(runs, key=lambda run: run.config.source_mode):
+        group = list(group)
+        for fold_index in range(group[0].plan.k):
+            try:
+                _run_fold_cells(group, fold_index)
+            except PipelineError as exc:
+                # keep the error category (and hence the exit code) while
+                # pointing at the failing fold
+                for category in (ConfigError, TrainingError, DataError):
+                    if isinstance(exc, category):
+                        raise category(f"fold {fold_index + 1}: {exc}") from exc
+                raise PipelineError(f"fold {fold_index + 1}: {exc}") from exc
+    reports = []
+    for run in runs:
+        config = run.config
+        selection_info = None
+        if run.source is not None and run.source.selected is not None:
+            selection_info = {"kept": len(run.source.selected),
+                              "total": len(run.source.items), "z": config.z}
+        report = EvalReport(config=config.to_dict(),
+                            config_hash=config.config_hash(), seed=config.seed,
+                            columns=run.columns,
+                            timing_seconds=time.perf_counter() - started,
+                            selection=selection_info)
+        logger.info("experiment %s finished in %.1fs (best mean accuracy %.4f)",
+                    report.config_hash, report.timing_seconds, report.best_mean())
+        reports.append(report)
+    return reports
+
+
+def _run_fold_cells(runs: list[RunContext], index: int) -> None:
+    """Split fold `index`, train its sentiment model once and run the fold
+    of every cell in `runs`, which share a source mode, on that model."""
+    first = runs[0]
+    config = first.config
+    train_ids, test_ids = first.plan.split(index)
+    seed = _fold_seed(config.seed, index, 1)
+    model = None
+    if first.source is not None:
+        model, _ = train_sentiment(first.source.training_set(train_ids),
+                                   config.sentiment_config(),
+                                   config.train_config(config.sentiment_epochs,
+                                                       seed))
+    for run in runs:
+        _run_fold(Fold(run, seed, train_ids, test_ids, model))
 
 
 def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
-    started = time.perf_counter()
-    config.validate()
-    if config.sentiment_mode == "none" and config.source_mode != "entire":
-        logger.info("sentiment_mode is 'none'; source_mode %r is ignored",
-                    config.source_mode)
-    run = _prepare_run(config, paths)
-    for fold_index in range(run.plan.k):
-        try:
-            _run_fold(run.fold(fold_index))
-        except PipelineError as exc:
-            # keep the error category (and hence the exit code) while
-            # pointing at the failing fold
-            for category in (ConfigError, TrainingError, DataError):
-                if isinstance(exc, category):
-                    raise category(f"fold {fold_index + 1}: {exc}") from exc
-            raise PipelineError(f"fold {fold_index + 1}: {exc}") from exc
-    selection_info = None
-    if run.source is not None and run.source.selected is not None:
-        selection_info = {"kept": len(run.source.selected),
-                          "total": len(run.source.items), "z": config.z}
-    report = EvalReport(config=config.to_dict(), config_hash=config.config_hash(),
-                        seed=config.seed, columns=run.columns,
-                        timing_seconds=time.perf_counter() - started,
-                        selection=selection_info)
-    logger.info("experiment %s finished in %.1fs (best mean accuracy %.4f)",
-                report.config_hash, report.timing_seconds, report.best_mean())
-    return report
+    return _run_cells([config], paths)[0]
 
 
 def _run_fold(fold: Fold) -> None:
@@ -705,14 +752,18 @@ GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")
 
 
 def run_grid(config: ExperimentConfig, paths: DataPaths):
-    """Sweep source modes against extraction layers (the 4 x 3 grid)."""
-    results = []
+    """Sweep source modes against extraction layers (the 4 x 3 grid). The
+    cells share the corpora, the embeddings and, within a source mode, each
+    fold's sentiment model; every report has the bytes `run_experiment`
+    gives for its cell."""
+    cells = []
     for source_mode in SOURCE_MODES:
         if source_mode.endswith("plus_manual") and not paths.manual:
             logger.info("skipping %s: no manual labels supplied", source_mode)
             continue
         for layer in GRID_LAYERS:
-            cell = replace(config, sentiment_mode=layer, source_mode=source_mode)
-            logger.info("grid cell: source=%s layer=%s", source_mode, layer)
-            results.append(((source_mode, layer), run_experiment(cell, paths)))
-    return results
+            cells.append(replace(config, sentiment_mode=layer,
+                                 source_mode=source_mode))
+    reports = _run_cells(cells, paths)
+    return [((cell.source_mode, cell.sentiment_mode), report)
+            for cell, report in zip(cells, reports)]

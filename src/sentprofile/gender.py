@@ -14,13 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError, ShapeError
+from .errors import CheckpointError, DataError, ParseError, SchemaError, ShapeError
 from .nn import (
     DenseLayer,
     DropoutLayer,
     Network,
     TrainConfig,
     categorical_cross_entropy,
+    header_field,
+    load_parameters,
     make_optimizer,
     register_model,
 )
@@ -137,10 +139,15 @@ class GenderModel:
 
     @classmethod
     def from_checkpoint(cls, meta: dict, params) -> "GenderModel":
-        model = cls(meta["input_dim"], tuple(meta["hidden"]),
-                    meta["dropout_rate"], meta.get("seed", 0),
-                    tuple(meta.get("layout", ("doc_vector",))))
-        model.network.load_parameters(params)
+        hidden = header_field(meta, "hidden", "counts")
+        if len(hidden) != 2:
+            raise CheckpointError(f"checkpoint header field 'hidden' must hold "
+                                  f"two layer widths, got {hidden!r}")
+        model = cls(header_field(meta, "input_dim", "count"), tuple(hidden),
+                    header_field(meta, "dropout_rate", "rate"),
+                    header_field(meta, "seed", "seed", 0),
+                    tuple(header_field(meta, "layout", "names", ["doc_vector"])))
+        load_parameters(model.parameters(), params)
         return model
 
 

@@ -1,7 +1,15 @@
 """Minimal float64 neural toolkit: layers, losses, optimizers, gradient
 checking and checkpoint serialization."""
 
-from .checkpoint import load_model, read_checkpoint, register_model, save_model, write_checkpoint
+from .checkpoint import (
+    header_field,
+    load_model,
+    load_parameters,
+    read_checkpoint,
+    register_model,
+    save_model,
+    write_checkpoint,
+)
 from .gradcheck import gradient_check, max_relative_error
 from .layers import (
     ACTIVATIONS,
@@ -28,7 +36,9 @@ __all__ = [
     "binary_cross_entropy",
     "categorical_cross_entropy",
     "gradient_check",
+    "header_field",
     "load_model",
+    "load_parameters",
     "make_optimizer",
     "max_relative_error",
     "read_checkpoint",

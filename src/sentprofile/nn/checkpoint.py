@@ -46,6 +46,10 @@ def write_checkpoint(path, meta: dict, params) -> None:
         fh.write(digest.digest())
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_checkpoint(path):
     """Returns (meta, OrderedDict name -> array). Verifies the checksum."""
     with open(path, "rb") as fh:
@@ -66,9 +70,17 @@ def read_checkpoint(path):
         header = json.loads(body[9:9 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header in {path}: {exc}")
+    entries = header.get("params") if isinstance(header, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_int(dim) and dim >= 0 for dim in entry["shape"])
+            for entry in entries):
+        raise CheckpointError(f"checkpoint {path} has a malformed parameter "
+                              "list in its header")
     offset = 9 + header_len
     params = OrderedDict()
-    for entry in header["params"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
@@ -82,6 +94,56 @@ def read_checkpoint(path):
     meta = {k: v for k, v in header.items()
             if k not in ("params", "format_version")}
     return meta, params
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+# header field kinds a model's `from_checkpoint` reads: (test, description)
+_HEADER_KINDS = {
+    "count": (_is_count, "an integer >= 1"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "rate": (lambda v: (_is_int(v) or isinstance(v, float)) and 0.0 <= v < 1.0,
+             "a number in [0, 1)"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "counts": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
+               "a list of integers >= 1"),
+    "names": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+              "a list of strings"),
+}
+
+_REQUIRED = object()
+
+
+def header_field(meta: dict, name: str, kind: str, default=_REQUIRED):
+    """Checkpoint header field `name`, checked against _HEADER_KINDS[kind].
+    A missing field takes `default`; without one, or when the value is of
+    the wrong kind, CheckpointError."""
+    if name not in meta:
+        if default is _REQUIRED:
+            raise CheckpointError(f"checkpoint header lacks field {name!r}")
+        return default
+    test, description = _HEADER_KINDS[kind]
+    value = meta[name]
+    if not test(value):
+        raise CheckpointError(f"checkpoint header field {name!r} must be "
+                              f"{description}, got {value!r}")
+    return value
+
+
+def load_parameters(own, params) -> None:
+    """Copy checkpoint `params` into a model's live arrays `own` (both
+    name -> array); the names and shapes must match exactly."""
+    if set(own) != set(params):
+        raise CheckpointError(f"checkpoint parameters {sorted(params)} do not "
+                              f"match the model's {sorted(own)}")
+    for name, value in own.items():
+        loaded = params[name]
+        if loaded.shape != value.shape:
+            raise CheckpointError(f"checkpoint parameter {name!r} has shape "
+                                  f"{loaded.shape}, the model {value.shape}")
+        value[...] = loaded
 
 
 def save_model(model, path) -> None:

@@ -1,9 +1,9 @@
 """Dense, dropout and LSTM layers with exact analytic gradients.
 
 All math runs in float64. A layer caches whatever its backward pass needs
-during forward; `backward` writes parameter gradients into `self.grads`
-(overwriting, one forward/backward pair per step) and returns the gradient
-with respect to the layer input.
+during forward (the LSTM can skip that at inference); `backward` writes
+parameter gradients into `self.grads` (overwriting, one forward/backward
+pair per step) and returns the gradient with respect to the layer input.
 """
 
 import math
@@ -196,13 +196,14 @@ class LSTMLayer:
         return {"w_x": self.w_x, "w_h": self.w_h, "bias": self.bias}
 
     def forward(self, x: np.ndarray, lengths: np.ndarray,
-                training: bool = False) -> np.ndarray:
+                training: bool = False, cache: bool = True) -> np.ndarray:
         """Run the recurrence over a batch.
 
         x: (B, T, input_dim) with zero padding past each sample's length.
         lengths: (B,) ints, 1 <= length <= T.
-        Returns the final hidden state (B, hidden_dim); per-step gates and
-        states are cached for `backward`.
+        Returns the final hidden state (B, hidden_dim). With `cache` the
+        per-step gates and states are kept for `backward`; without it the
+        call writes nothing to the layer, which is all inference needs.
         """
         x = np.asarray(x, dtype=np.float64)
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -218,9 +219,11 @@ class LSTMLayer:
         hd = self.hidden_dim
         h = np.zeros((n, hd))
         c = np.zeros((n, hd))
-        cache = {name: np.empty((t_max, n, hd)) for name in
-                 ("i", "f", "o", "g", "tanh_c", "c_prev", "h_prev")}
-        cache["mask"] = np.empty((t_max, n, 1))
+        planes = None
+        if cache:
+            planes = {name: np.empty((t_max, n, hd)) for name in
+                      ("i", "f", "o", "g", "tanh_c", "c_prev", "h_prev")}
+            planes["mask"] = np.empty((t_max, n, 1))
         for t in range(t_max):
             z = x[:, t, :] @ self.w_x + h @ self.w_h + self.bias
             gates = sigmoid(z[:, :3 * hd])
@@ -232,18 +235,20 @@ class LSTMLayer:
             tanh_c = np.tanh(c_raw)
             h_raw = o * tanh_c
             m = (t < lengths).astype(np.float64)[:, None]
-            cache["i"][t] = i
-            cache["f"][t] = f
-            cache["o"][t] = o
-            cache["g"][t] = g
-            cache["tanh_c"][t] = tanh_c
-            cache["c_prev"][t] = c
-            cache["h_prev"][t] = h
-            cache["mask"][t] = m
+            if planes is not None:
+                planes["i"][t] = i
+                planes["f"][t] = f
+                planes["o"][t] = o
+                planes["g"][t] = g
+                planes["tanh_c"][t] = tanh_c
+                planes["c_prev"][t] = c
+                planes["h_prev"][t] = h
+                planes["mask"][t] = m
             c = m * c_raw + (1.0 - m) * c
             h = m * h_raw + (1.0 - m) * h
-        cache["x"] = x
-        self._cache = cache
+        if planes is not None:
+            planes["x"] = x
+            self._cache = planes
         return h
 
     def backward(self, d_final: np.ndarray) -> np.ndarray:

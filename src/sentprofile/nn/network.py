@@ -4,7 +4,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..errors import CheckpointError, ShapeError
 from .layers import DropoutLayer
 
 
@@ -46,15 +45,3 @@ class Network:
 
     def dropout_layers(self) -> list[DropoutLayer]:
         return [l for l in self.layers if isinstance(l, DropoutLayer)]
-
-    def load_parameters(self, params) -> None:
-        """Copy a flat parameter mapping into the live layer arrays."""
-        own = self.parameters()
-        if set(own) != set(params):
-            raise CheckpointError("parameter names do not match network layout")
-        for name, value in own.items():
-            loaded = params[name]
-            if loaded.shape != value.shape:
-                raise ShapeError(f"parameter {name}: shape {loaded.shape} does "
-                                 f"not match {value.shape}")
-            value[...] = loaded

@@ -45,11 +45,20 @@ class SyntheticSample:
     sigma: float
 
 
+# rows of the distance table computed at once: the differences of a block
+# take NEIGHBOR_BLOCK * n * d floats instead of the full table's n * n * d
+NEIGHBOR_BLOCK = 8
+
+
 def _neighbor_table(minority: np.ndarray, k: int) -> np.ndarray:
     """k nearest minority neighbors of each minority sample by Euclidean
     distance, self excluded, distance ties broken by lowest index."""
-    diffs = minority[:, None, :] - minority[None, :, :]
-    dists = np.einsum("ijk,ijk->ij", diffs, diffs)
+    n = len(minority)
+    dists = np.empty((n, n))
+    for start in range(0, n, NEIGHBOR_BLOCK):
+        rows = slice(start, start + NEIGHBOR_BLOCK)
+        diffs = minority[rows, None, :] - minority[None, :, :]
+        dists[rows] = np.einsum("ijk,ijk->ij", diffs, diffs)
     np.fill_diagonal(dists, np.inf)
     order = np.argsort(dists, axis=1, kind="stable")
     return order[:, :k]

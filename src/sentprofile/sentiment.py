@@ -24,6 +24,8 @@ from .nn import (
     LSTMLayer,
     TrainConfig,
     binary_cross_entropy,
+    header_field,
+    load_parameters,
     make_optimizer,
     register_model,
 )
@@ -65,9 +67,10 @@ class SentimentModel:
         """mats: (B, T, d) sequences; returns polarity probabilities (B, 1).
 
         Caches the final hidden state and the pre-sigmoid head activation
-        of the call for representation extraction.
+        of the call for representation extraction. Only a training forward
+        keeps the LSTM's backward cache, so `backward` follows one of those.
         """
-        h = self.lstm.forward(mats, lengths, training=training)
+        h = self.lstm.forward(mats, lengths, training=training, cache=training)
         hd = self.dropout.forward(h, training=training)
         probs = self.head.forward(hd, training=training)
         self._final_hidden = h
@@ -109,15 +112,12 @@ class SentimentModel:
 
     @classmethod
     def from_checkpoint(cls, meta: dict, params) -> "SentimentModel":
-        model = cls(meta["input_dim"], meta["hidden_size"],
-                    meta["dropout_rate"], meta.get("seed", 0))
-        own = model.parameters()
-        for name, value in own.items():
-            if name not in params or params[name].shape != value.shape:
-                raise ShapeError(f"checkpoint parameter {name!r} missing or "
-                                 "mis-shaped")
-            value[...] = params[name]
-        model.trained = bool(meta.get("trained", False))
+        model = cls(header_field(meta, "input_dim", "count"),
+                    header_field(meta, "hidden_size", "count"),
+                    header_field(meta, "dropout_rate", "rate"),
+                    header_field(meta, "seed", "seed", 0))
+        load_parameters(model.parameters(), params)
+        model.trained = header_field(meta, "trained", "flag", False)
         return model
 
 
@@ -266,9 +266,9 @@ class PolarityFeatures:
         return np.array([self.doc_polarity, self.positive_rate])
 
 
-# sequences per polarity forward. The LSTM forward keeps its per-step
-# backward cache even at inference, so a larger chunk holds more memory at
-# once for little further gain.
+# sequences per polarity forward. Inference forwards keep no backward
+# cache, so a chunk holds only its padded input and gate temporaries; a
+# larger chunk gains little more.
 POLARITY_BATCH = 64
 
 
@@ -354,7 +354,7 @@ class FinetuneModel:
 
     def forward_batch(self, inputs: tuple, training: bool = False) -> np.ndarray:
         vecs, mats, lengths = inputs
-        h = self.lstm.forward(mats, lengths, training=training)
+        h = self.lstm.forward(mats, lengths, training=training, cache=training)
         features = np.concatenate([vecs, h], axis=1)
         return self.mlp.forward(features, training=training)
 

@@ -3,6 +3,7 @@ import logging
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sentprofile.cli import main
@@ -119,11 +120,6 @@ def test_exit_code_3_on_malformed_data(tmp_path, capsys):
 def test_staged_pipeline(small_dataset, tmp_path, capsys):
     work = tmp_path
 
-    code = main(["prepare", "--users", small_dataset.users,
-                 "--stopwords", small_dataset.stopwords,
-                 "--out", str(work / "docs.jsonl")])
-    assert code == 0
-
     code = main(["embed"] + flags(small_dataset) +
                 ["--out", str(work / "emb.txt")])
     assert code == 0
@@ -225,16 +221,6 @@ def test_staged_commands_take_settings_from_config(small_dataset, tmp_path,
     capsys.readouterr()
 
 
-def test_prepare_takes_no_config(small_dataset, tmp_path, capsys):
-    # prepare reads no experiment setting, so a config file would be ignored
-    with pytest.raises(SystemExit) as exc:
-        main(["prepare", "--users", small_dataset.users,
-              "--config", str(tmp_path / "run.conf"),
-              "--out", str(tmp_path / "docs.jsonl")])
-    capsys.readouterr()
-    assert exc.value.code == 2
-
-
 def test_out_of_vocabulary_user_dropped_by_staged_commands(small_dataset,
                                                            tmp_path, caplog,
                                                            capsys):
@@ -289,3 +275,28 @@ def test_gender_train_exit_3_on_bad_features(tmp_path, capsys):
                  "--out", str(tmp_path / "g.bin")])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", ["misshaped_sentiment", "gender_without_input_dim"])
+def test_bad_checkpoint_exits_3(small_dataset, tmp_path, capsys, bad):
+    from sentprofile.gender import GenderModel
+    from sentprofile.nn import write_checkpoint
+    from sentprofile.sentiment import SentimentModel
+
+    if bad == "misshaped_sentiment":
+        model = SentimentModel(input_dim=8, hidden_size=6)
+        meta = dict(model.checkpoint_meta(), model_kind="sentiment")
+        params = dict(model.parameters(), **{"lstm.bias": np.zeros(5)})
+    else:
+        model = GenderModel(input_dim=8)
+        meta = dict(model.checkpoint_meta(), model_kind="gender")
+        del meta["input_dim"]
+        params = model.parameters()
+    path = tmp_path / "bad.bin"
+    write_checkpoint(path, meta, params)
+    code = main(["extract", "--model", str(path), "--in", small_dataset.users,
+                 "--embeddings", str(_embeddings(small_dataset, tmp_path)),
+                 "--stopwords", small_dataset.stopwords, "--r", "16",
+                 "--out", str(tmp_path / "features.jsonl")])
+    assert code == 3
+    assert "data error: checkpoint" in capsys.readouterr().err

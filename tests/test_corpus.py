@@ -11,8 +11,6 @@ from sentprofile.corpus import (
     load_source_reviews,
     load_stopwords,
     load_user_records,
-    load_virtual_documents,
-    save_virtual_documents,
 )
 from sentprofile.errors import (
     DuplicateKeyError,
@@ -212,12 +210,3 @@ def test_stopword_file(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("# comment\nof\nthe\n\n", encoding="utf-8")
     assert load_stopwords(path) == {"of", "the"}
-
-
-def test_virtual_documents_file_round_trip(tmp_path):
-    records = [UserRecord("u1", "male", (("a", "b"),)),
-               UserRecord("u2", "female", (("c",),))]
-    docs = build_virtual_documents(records)
-    path = tmp_path / "docs.jsonl"
-    save_virtual_documents(docs, path)
-    assert load_virtual_documents(path) == docs

@@ -1,11 +1,14 @@
 import json
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
 from sentprofile import experiment
 from sentprofile.errors import ConfigError, DataError
 from sentprofile.experiment import (
+    GRID_LAYERS,
+    SOURCE_MODES,
     DataPaths,
     EpochColumn,
     EvalReport,
@@ -14,6 +17,7 @@ from sentprofile.experiment import (
     load_config_file,
     parse_config_text,
     run_experiment,
+    run_grid,
 )
 
 from conftest import SMALL_CONFIG, make_table
@@ -246,6 +250,42 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="fold 1"):
             run_experiment(small_experiment(smote=True, smote_k=500),
                            small_dataset)
+
+
+def count_calls(monkeypatch, names):
+    """Wrap `experiment.<name>` for each of `names`, the module names the
+    benchmark tracer wraps too; returns the call counts."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(experiment, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counted)
+    return calls
+
+
+class TestRunGrid:
+    def test_cells_share_the_prefix_and_match_single_runs(self, monkeypatch,
+                                                          small_dataset):
+        config = small_experiment(z=0.05, smote=True, smote_k=2)
+        calls = count_calls(monkeypatch, ("load_corpora", "train_skipgram",
+                                          "train_sentiment"))
+        results = run_grid(config, small_dataset)
+        assert calls == {"load_corpora": 1, "train_skipgram": 1,
+                         "train_sentiment": config.folds * len(SOURCE_MODES)}
+        assert [cell for cell, _ in results] == [
+            (mode, layer) for mode in SOURCE_MODES for layer in GRID_LAYERS]
+        for (mode, layer), report in results:
+            cell = replace(config, source_mode=mode, sentiment_mode=layer)
+            assert report.to_json() == run_experiment(cell, small_dataset).to_json()
+
+    def test_bad_cell_fails_before_any_work(self, monkeypatch, small_dataset):
+        # only the selection cells see z; the first cell would run fine
+        calls = count_calls(monkeypatch, ("load_corpora", "train_skipgram",
+                                          "train_sentiment"))
+        with pytest.raises(ConfigError, match="z must be"):
+            run_grid(small_experiment(z=1.5), small_dataset)
+        assert calls == {}
 
 
 def test_tfidf_with_sentiment_drops_oov_users(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from sentprofile.errors import CheckpointError
 from sentprofile.gender import GenderModel
+from sentprofile.sentiment import SentimentModel
 from sentprofile.nn import (
     load_model,
     read_checkpoint,
@@ -90,3 +91,96 @@ def test_raw_checkpoint_round_trip(tmp_path):
     assert meta == {"kind": "test", "seed": 3}
     assert list(loaded) == ["w", "b"]
     assert np.array_equal(loaded["w"], params["w"])
+
+
+def small_sentiment_model():
+    return SentimentModel(input_dim=3, hidden_size=2, dropout_rate=0.1, seed=4)
+
+
+def rewritten(tmp_path, model, meta_changes=(), params=None):
+    """`model`'s checkpoint with header fields replaced (a value of None
+    drops the field) and optionally other parameters, written anew."""
+    meta = model.checkpoint_meta()
+    meta["model_kind"] = model.checkpoint_kind
+    for name, value in dict(meta_changes).items():
+        if value is None:
+            meta.pop(name)
+        else:
+            meta[name] = value
+    path = tmp_path / "edited.bin"
+    write_checkpoint(path, meta, model.parameters() if params is None else params)
+    return path
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (small_model, "input_dim", None),
+    (small_model, "hidden", None),
+    (small_model, "dropout_rate", None),
+    (small_model, "input_dim", "3"),
+    (small_model, "input_dim", True),
+    (small_model, "input_dim", 0),
+    (small_model, "hidden", [4]),
+    (small_model, "hidden", [4, 3.5]),
+    (small_model, "dropout_rate", 1.5),
+    (small_model, "seed", -1),
+    (small_model, "layout", "doc_vector"),
+    (small_sentiment_model, "input_dim", None),
+    (small_sentiment_model, "hidden_size", None),
+    (small_sentiment_model, "hidden_size", 2.0),
+    (small_sentiment_model, "dropout_rate", "0.1"),
+    (small_sentiment_model, "seed", "4"),
+    (small_sentiment_model, "trained", 1),
+])
+def test_bad_header_field_rejected(tmp_path, make, field, value):
+    path = rewritten(tmp_path, make(), {field: value})
+    with pytest.raises(CheckpointError, match=repr(field)):
+        load_model(path)
+
+
+@pytest.mark.parametrize("make", [small_model, small_sentiment_model])
+def test_misshaped_parameter_rejected(tmp_path, make):
+    model = make()
+    params = dict(model.parameters())
+    name = next(iter(params))
+    params[name] = np.zeros(params[name].shape + (1,))
+    with pytest.raises(CheckpointError, match=repr(name)):
+        load_model(rewritten(tmp_path, model, params=params))
+
+
+@pytest.mark.parametrize("make", [small_model, small_sentiment_model])
+def test_extra_parameter_rejected(tmp_path, make):
+    model = make()
+    params = dict(model.parameters(), extra=np.zeros(2))
+    with pytest.raises(CheckpointError, match="extra"):
+        load_model(rewritten(tmp_path, model, params=params))
+
+
+def test_sentiment_round_trip_keeps_header(tmp_path):
+    model = small_sentiment_model()
+    model.trained = True
+    path = tmp_path / "sent.bin"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.checkpoint_meta() == model.checkpoint_meta()
+    assert loaded.checksum() == model.checksum()
+
+
+@pytest.mark.parametrize("header", [
+    {"model_kind": "gender"},
+    {"params": {"w": [2]}},
+    {"params": [{"name": "w"}]},
+    {"params": [{"name": "w", "shape": ["2"]}]},
+    {"params": [{"name": 3, "shape": [2]}]},
+    ["params"],
+])
+def test_malformed_parameter_list_rejected(tmp_path, header):
+    import hashlib
+    import json
+    import struct
+
+    raw = json.dumps(header).encode("utf-8")
+    body = b"SPNN" + struct.pack("<BI", 1, len(raw)) + raw
+    path = tmp_path / "header.bin"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(CheckpointError, match="malformed parameter list"):
+        load_model(path)

@@ -177,6 +177,32 @@ class TestLstmForward:
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((1, 4, 2)), np.array([0]))
 
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_cache_free_forward_matches_caching_bytes(self, batch):
+        layer = LSTMLayer(5, 6, rng=rng())
+        gen = rng()
+        x = gen.normal(size=(batch, 9, 5))
+        lengths = gen.integers(1, 10, size=batch)
+        for b, length in enumerate(lengths):
+            x[b, length:] = 0.0
+        d_final = gen.normal(size=(batch, 6))
+        cached = layer.forward(x, lengths)
+        cache = layer._cache
+        planes = {name: value.copy() for name, value in cache.items()}
+        free = layer.forward(x, lengths, cache=False)
+        assert free.tobytes() == cached.tobytes()
+        layer.forward(gen.normal(size=(3, 4, 5)), np.array([4, 1, 2]),
+                      cache=False)
+        assert layer._cache is cache
+        assert all(np.array_equal(cache[name], planes[name]) for name in planes)
+        # backward still pairs with the last caching forward
+        dx = layer.backward(d_final)
+        grads = {name: value.copy() for name, value in layer.grads.items()}
+        layer.forward(x, lengths)
+        assert dx.tobytes() == layer.backward(d_final).tobytes()
+        assert all(grads[name].tobytes() == layer.grads[name].tobytes()
+                   for name in grads)
+
 
 class TestNetwork:
     def test_forward_chains_shapes(self):

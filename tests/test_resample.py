@@ -3,7 +3,13 @@ import pytest
 
 from sentprofile.errors import ConfigError, DataError
 from sentprofile.experiment import smote_sequences
-from sentprofile.resample import ResampleConfig, interpolate, smote
+from sentprofile.resample import (
+    NEIGHBOR_BLOCK,
+    ResampleConfig,
+    _neighbor_table,
+    interpolate,
+    smote,
+)
 
 
 def two_class_set(rng, n_minority=8, n_majority=20, dim=3):
@@ -141,6 +147,37 @@ class TestSmote:
     def test_invalid_variant(self):
         with pytest.raises(ConfigError):
             ResampleConfig(variant="other")
+
+
+def full_neighbor_order(minority):
+    """Neighbor order from the whole (n, n, d) difference tensor at once:
+    the reference the blocked table must match."""
+    diffs = minority[:, None, :] - minority[None, :, :]
+    dists = np.einsum("ijk,ijk->ij", diffs, diffs)
+    np.fill_diagonal(dists, np.inf)
+    return np.argsort(dists, axis=1, kind="stable")
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("n, d", [(100, 1944), (60, 30), (37, 500)])
+    def test_matches_full_tensor(self, n, d):
+        minority = np.random.default_rng(n + d).normal(size=(n, d))
+        table = _neighbor_table(minority, n - 1)
+        assert table.tobytes() == full_neighbor_order(minority)[:, :n - 1].tobytes()
+
+    def test_ties_break_by_lowest_index(self):
+        # integer lattice points, each twice: many equal distances within
+        # and across row blocks
+        lattice = np.array([[x, y] for x in range(3) for y in range(3)],
+                           dtype=float)
+        minority = np.concatenate([lattice, lattice])
+        n = len(minority)
+        assert n % NEIGHBOR_BLOCK != 0
+        table = _neighbor_table(minority, n - 1)
+        assert table.tobytes() == full_neighbor_order(minority)[:, :n - 1].tobytes()
+        # the centre's duplicate is its unique nearest neighbor; its eight
+        # axis neighbors (four points, two copies each) follow in index order
+        assert list(table[4, :9]) == [13, 1, 3, 5, 7, 10, 12, 14, 16]
 
 
 def make_sequences(rng, n, vec_dim=2, steps=4, dim=2, lengths=None):

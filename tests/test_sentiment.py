@@ -199,6 +199,21 @@ class TestExtractRepresentation:
             extract_one(model, doc, "frozen_lstm" if i % 2 else "frozen_dense")
         assert model.checksum() == before
 
+    def test_inference_keeps_no_backward_cache(self, polarity_table):
+        # extraction, polarity scoring and composite scoring leave the
+        # LSTM's backward cache as they found it
+        model = integrator_model()
+        doc = doc_matrix(TokenDocument("d", ("pos0", "neg1")), polarity_table, 4)
+        extract_one(model, doc, "frozen_lstm")
+        predict_polarity(model, doc)
+        polarity_features(model, [UserRecord("u", "male", (("pos0",),))],
+                          polarity_table, 4)
+        assert model.lstm._cache is None
+        composite = build_finetune_model(model, vec_dim=2)
+        composite.predict_proba(np.zeros((1, 2)), doc.values.T[None],
+                                np.array([doc.effective_length]))
+        assert composite.lstm._cache is None
+
     def test_batched_matches_single(self, polarity_table):
         model = integrator_model()
         docs = [doc_matrix(TokenDocument(f"d{i}", ("pos0",) * (i + 1)),
