@@ -72,7 +72,6 @@ from .gender import (
     FeatureVector,
     GenderModel,
     concat_features,
-    predict_gender,
     train_gender,
 )
 from .nn import TrainConfig, gradient_check, load_model, save_model

@@ -149,7 +149,7 @@ def _cmd_select_source(args) -> int:
     config = replace(_experiment_config(args), source_mode="high_similarity")
     paths = _data_paths(args)
     _, docs, reviews, stopwords = load_corpora(paths)
-    table = load_embeddings(args.embeddings)
+    table = embedding_table(config, paths, docs, reviews)
     source = sentiment_sources(config, [config.source_mode], reviews, docs,
                                table, stopwords)[config.source_mode]
     kept_ids = {item.item_id for item in source.selected.items}
@@ -195,8 +195,7 @@ def _cmd_extract(args) -> int:
         if args.concat_doc_vector:
             feature = concat_features(doc_vector(doc, table), reps[i])
         else:
-            feature = FeatureVector(values=reps[i], layout=("sentiment",),
-                                    segment_lengths=(reps[i].size,))
+            feature = FeatureVector(values=reps[i], layout=("sentiment",))
         rows.append((doc.user_id, doc.gender, feature))
     write_features(args.out, rows)
     print(f"wrote {len(rows)} feature rows ({args.layer}) to {args.out}")

@@ -6,7 +6,6 @@ a fixed MLP: dense(in -> 50, relu), dropout(0.4), dense(50 -> 10, relu),
 dense(10 -> 2, softmax).
 """
 
-import hashlib
 import json
 import logging
 from dataclasses import dataclass
@@ -18,12 +17,13 @@ from .errors import CheckpointError, DataError, ParseError, SchemaError, ShapeEr
 from .nn import (
     DenseLayer,
     DropoutLayer,
+    Model,
     Network,
     TrainConfig,
     categorical_cross_entropy,
+    fit,
     header_field,
     load_parameters,
-    make_optimizer,
     register_model,
 )
 
@@ -38,7 +38,6 @@ DEFAULT_DROPOUT = 0.4
 class FeatureVector:
     values: np.ndarray
     layout: tuple[str, ...]
-    segment_lengths: tuple[int, ...] | None = None
 
 
 def concat_features(v, h=None) -> FeatureVector:
@@ -50,12 +49,10 @@ def concat_features(v, h=None) -> FeatureVector:
     """
     v_values = np.asarray(getattr(v, "values", v), dtype=np.float64).reshape(-1)
     if h is None:
-        return FeatureVector(values=v_values, layout=("doc_vector",),
-                             segment_lengths=(v_values.size,))
+        return FeatureVector(values=v_values, layout=("doc_vector",))
     h_values = np.asarray(getattr(h, "values", h), dtype=np.float64).reshape(-1)
     return FeatureVector(values=np.concatenate([v_values, h_values]),
-                         layout=("doc_vector", "sentiment"),
-                         segment_lengths=(v_values.size, h_values.size))
+                         layout=("doc_vector", "sentiment"))
 
 
 def stack_features(features: Sequence[FeatureVector]) -> np.ndarray:
@@ -84,7 +81,7 @@ def build_mlp(input_dim: int, hidden: tuple[int, int] = DEFAULT_HIDDEN,
     return Network(layers)
 
 
-class GenderModel:
+class GenderModel(Model):
     checkpoint_kind = "gender"
 
     def __init__(self, input_dim: int, hidden: tuple[int, int] = DEFAULT_HIDDEN,
@@ -99,23 +96,15 @@ class GenderModel:
                                  len(CLASSES), seed)
         self.history: list[dict] = []
 
-    # shared classifier-fitting protocol -------------------------------
+    def parts(self):
+        return self.network.parts()
+
     def forward_batch(self, inputs: tuple, training: bool = False) -> np.ndarray:
         return self.network.forward(inputs[0], training=training)
 
     def backward(self, d_probs: np.ndarray) -> None:
         self.network.backward(d_probs)
 
-    def parameters(self):
-        return self.network.parameters()
-
-    def gradients(self):
-        return self.network.gradients()
-
-    def dropout_layers(self):
-        return self.network.dropout_layers()
-
-    # -------------------------------------------------------------------
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
@@ -124,13 +113,6 @@ class GenderModel:
             raise ShapeError(f"model expects features of length {self.input_dim}, "
                              f"got {features.shape[1]}")
         return self.network.forward(features, training=False)
-
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        for name, value in self.parameters().items():
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
-        return digest.hexdigest()
 
     def checkpoint_meta(self) -> dict:
         return {"input_dim": self.input_dim, "hidden": list(self.hidden),
@@ -157,7 +139,7 @@ register_model(GenderModel.checkpoint_kind, GenderModel)
 def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
                            config: TrainConfig,
                            after_epoch=None) -> list[dict]:
-    """Mini-batch training of any model following the classifier protocol.
+    """`nn.fit` of a gender MLP or composite on class indices.
 
     inputs: tuple of arrays sharing axis 0 with labels, which index
     CLASSES; the model outputs one probability per class.
@@ -168,35 +150,13 @@ def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
     reads, so the model it sees at epoch e is the one a run of exactly e
     epochs returns. Returns one {epoch, train_loss} record per epoch.
     """
-    n = labels.shape[0]
-    for arr in inputs:
-        if arr.shape[0] != n:
-            raise ShapeError("all input arrays must align with the labels")
-    onehot = np.eye(len(CLASSES))[labels]
-    seq = np.random.SeedSequence(config.seed)
-    batch_rng_seed, dropout_seed = seq.spawn(2)
-    rng = np.random.default_rng(batch_rng_seed)
-    for layer, child in zip(model.dropout_layers(),
-                            dropout_seed.spawn(max(1, len(model.dropout_layers())))):
+    batch_seed, dropout_seed = np.random.SeedSequence(config.seed).spawn(2)
+    dropouts = model.dropout_layers()
+    for layer, child in zip(dropouts, dropout_seed.spawn(max(1, len(dropouts)))):
         layer.rng = np.random.default_rng(child)
-    optimizer = make_optimizer(config)
-    history = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            batch = tuple(a[idx] for a in inputs)
-            probs = model.forward_batch(batch, training=True)
-            loss, d_probs = categorical_cross_entropy(probs, onehot[idx])
-            model.backward(d_probs)
-            optimizer.step(model.parameters(), model.gradients())
-            losses.append(loss)
-        history.append({"epoch": epoch + 1,
-                        "train_loss": float(np.mean(losses))})
-        if after_epoch is not None:
-            after_epoch(model, epoch + 1)
-    return history
+    return fit(model, inputs, np.eye(len(CLASSES))[labels],
+               categorical_cross_entropy, config,
+               np.random.default_rng(batch_seed), after_epoch)
 
 
 def train_gender(features, labels: Sequence[str], config: TrainConfig,
@@ -224,20 +184,6 @@ def train_gender(features, labels: Sequence[str], config: TrainConfig,
     model.history = fit_softmax_classifier(model, (matrix,), label_idx, config,
                                            after_epoch=after_epoch)
     return model
-
-
-@dataclass
-class GenderPrediction:
-    label: str
-    probabilities: np.ndarray  # (2,) aligned with CLASSES
-
-
-def predict_gender(model: GenderModel, features) -> GenderPrediction:
-    """Argmax prediction; exact ties go to the first class (male)."""
-    values = np.asarray(getattr(features, "values", features), dtype=np.float64)
-    probs = model.predict_proba(values.reshape(1, -1))[0]
-    return GenderPrediction(label=CLASSES[int(np.argmax(probs))],
-                            probabilities=probs)
 
 
 def write_features(path, rows: Sequence[tuple[str, str, FeatureVector]]) -> None:
@@ -273,10 +219,7 @@ def read_features(path) -> list[tuple[str, str, FeatureVector]]:
             if not (isinstance(values, list)
                     and all(type(x) in (int, float) for x in values)):
                 raise SchemaError("field 'values' must be a list of numbers", number)
-            values = np.asarray(values, dtype=np.float64)
-            layout = tuple(layout)
-            lengths = (values.size,) if len(layout) == 1 else None
             rows.append((record["user_id"], record["label"],
-                         FeatureVector(values=values, layout=layout,
-                                       segment_lengths=lengths)))
+                         FeatureVector(values=np.asarray(values, dtype=np.float64),
+                                       layout=tuple(layout))))
     return rows

@@ -20,7 +20,7 @@ from .layers import (
     softmax,
 )
 from .losses import LOSSES, binary_cross_entropy, categorical_cross_entropy
-from .network import Network
+from .network import Model, Network, fit
 from .optim import Adam, SGD, TrainConfig, make_optimizer
 
 __all__ = [
@@ -30,11 +30,13 @@ __all__ = [
     "DropoutLayer",
     "LOSSES",
     "LSTMLayer",
+    "Model",
     "Network",
     "SGD",
     "TrainConfig",
     "binary_cross_entropy",
     "categorical_cross_entropy",
+    "fit",
     "gradient_check",
     "header_field",
     "load_model",

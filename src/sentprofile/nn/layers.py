@@ -196,7 +196,7 @@ class LSTMLayer:
         return {"w_x": self.w_x, "w_h": self.w_h, "bias": self.bias}
 
     def forward(self, x: np.ndarray, lengths: np.ndarray,
-                training: bool = False, cache: bool = True) -> np.ndarray:
+                cache: bool = True) -> np.ndarray:
         """Run the recurrence over a batch.
 
         x: (B, T, input_dim) with zero padding past each sample's length.

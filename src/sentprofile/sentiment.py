@@ -8,7 +8,6 @@ scoring per-post polarity rates for the two-dimensional polarity features.
 """
 
 import copy
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,12 @@ from .nn import (
     DenseLayer,
     DropoutLayer,
     LSTMLayer,
+    Model,
     TrainConfig,
     binary_cross_entropy,
+    fit,
     header_field,
     load_parameters,
-    make_optimizer,
     register_model,
 )
 
@@ -45,7 +45,7 @@ class SentimentConfig:
             raise ConfigError("dropout_rate must be in [0, 1)")
 
 
-class SentimentModel:
+class SentimentModel(Model):
     checkpoint_kind = "sentiment"
 
     def __init__(self, input_dim: int, hidden_size: int = 64,
@@ -62,15 +62,20 @@ class SentimentModel:
         self._final_hidden = None
         self._dense_preact = None
 
-    def forward(self, mats: np.ndarray, lengths: np.ndarray,
-                training: bool = False) -> np.ndarray:
-        """mats: (B, T, d) sequences; returns polarity probabilities (B, 1).
+    def parts(self):
+        return [("lstm", self.lstm), ("dropout", self.dropout),
+                ("head", self.head)]
+
+    def forward_batch(self, inputs: tuple, training: bool = False) -> np.ndarray:
+        """inputs: (mats, lengths), mats being (B, T, d) sequences; returns
+        polarity probabilities (B, 1).
 
         Caches the final hidden state and the pre-sigmoid head activation
         of the call for representation extraction. Only a training forward
         keeps the LSTM's backward cache, so `backward` follows one of those.
         """
-        h = self.lstm.forward(mats, lengths, training=training, cache=training)
+        mats, lengths = inputs
+        h = self.lstm.forward(mats, lengths, cache=training)
         hd = self.dropout.forward(h, training=training)
         probs = self.head.forward(hd, training=training)
         self._final_hidden = h
@@ -81,29 +86,6 @@ class SentimentModel:
         grad = self.head.backward(d_probs)
         grad = self.dropout.backward(grad)
         self.lstm.backward(grad)
-
-    def parameters(self):
-        out = {}
-        for name, value in self.lstm.params().items():
-            out[f"lstm.{name}"] = value
-        for name, value in self.head.params().items():
-            out[f"head.{name}"] = value
-        return out
-
-    def gradients(self):
-        out = {}
-        for name in self.lstm.params():
-            out[f"lstm.{name}"] = self.lstm.grads[name]
-        for name in self.head.params():
-            out[f"head.{name}"] = self.head.grads[name]
-        return out
-
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        for name, value in sorted(self.parameters().items()):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
-        return digest.hexdigest()
 
     def checkpoint_meta(self) -> dict:
         return {"input_dim": self.input_dim, "hidden_size": self.hidden_size,
@@ -132,15 +114,13 @@ class EpochStats:
     heldout_accuracy: float
 
 
-def _stack_items(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stack_items(items) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.array([item.matrix.effective_length for item in items])
     # padding past the longest effective length never changes anything;
     # leaving it out saves recurrence steps and memory
     max_len = int(lengths.max())
     mats = np.stack([item.matrix.values.T[:max_len] for item in items])
-    targets = np.array([[1.0 if item.polarity == "positive" else 0.0]
-                        for item in items])
-    return mats, lengths, targets
+    return mats, lengths
 
 
 def _heldout_split(labels: np.ndarray, rng: np.random.Generator,
@@ -173,41 +153,38 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
                         f"{per_class}")
     data.validate()
 
-    mats, lengths, targets = _stack_items(items)
     seq = np.random.SeedSequence(train_config.seed)
     split_seed, batch_seed, dropout_seed = seq.spawn(3)
+    targets = np.array([[1.0 if item.polarity == "positive" else 0.0]
+                        for item in items])
     train_idx, held_idx = _heldout_split(targets,
                                          np.random.default_rng(split_seed))
+    # training rows first, so both partitions are views of one stack
+    order = np.concatenate([train_idx, held_idx])
+    mats, lengths = _stack_items([items[i] for i in order])
+    targets = targets[order]
+    n = len(train_idx)
+    held_inputs, held_targets = (mats[n:], lengths[n:]), targets[n:]
     model = SentimentModel(input_dim=mats.shape[2],
                            hidden_size=model_config.hidden_size,
                            dropout_rate=model_config.dropout_rate,
                            seed=train_config.seed)
     model.dropout.rng = np.random.default_rng(dropout_seed)
-    optimizer = make_optimizer(train_config)
-    rng = np.random.default_rng(batch_seed)
 
-    curve: list[EpochStats] = []
-    for epoch in range(train_config.epochs):
-        perm = rng.permutation(len(train_idx))
-        order = train_idx[perm]
-        batch_losses = []
-        for start in range(0, len(order), train_config.batch_size):
-            idx = order[start:start + train_config.batch_size]
-            probs = model.forward(mats[idx], lengths[idx], training=True)
-            loss, d_probs = binary_cross_entropy(probs, targets[idx])
-            model.backward(d_probs)
-            optimizer.step(model.parameters(), model.gradients())
-            batch_losses.append(loss)
-        held_probs = model.forward(mats[held_idx], lengths[held_idx],
-                                   training=False)
-        held_loss, _ = binary_cross_entropy(held_probs, targets[held_idx])
-        held_acc = float(((held_probs > 0.5) == (targets[held_idx] > 0.5)).mean())
-        curve.append(EpochStats(epoch=epoch + 1,
-                                train_loss=float(np.mean(batch_losses)),
-                                heldout_loss=float(held_loss),
-                                heldout_accuracy=held_acc))
+    heldout = []  # (loss, accuracy) after each epoch
+
+    def after_epoch(model, epoch):
+        probs = model.forward_batch(held_inputs, training=False)
+        loss, _ = binary_cross_entropy(probs, held_targets)
+        heldout.append((float(loss),
+                        float(((probs > 0.5) == (held_targets > 0.5)).mean())))
+
+    history = fit(model, (mats[:n], lengths[:n]), targets[:n],
+                  binary_cross_entropy, train_config,
+                  np.random.default_rng(batch_seed), after_epoch)
     model.trained = True
-    return model, curve
+    return model, [EpochStats(record["epoch"], record["train_loss"], *scores)
+                   for record, scores in zip(history, heldout)]
 
 
 def predict_polarity(model: SentimentModel, doc: DocMatrix) -> float:
@@ -216,8 +193,8 @@ def predict_polarity(model: SentimentModel, doc: DocMatrix) -> float:
     if doc.values.shape[0] != model.input_dim:
         raise ShapeError(f"matrix rows {doc.values.shape[0]} do not match model "
                          f"input dim {model.input_dim}")
-    probs = model.forward(doc.values.T[None, :, :],
-                          np.array([doc.effective_length]), training=False)
+    probs = model.forward_batch((doc.values.T[None, :, :],
+                                 np.array([doc.effective_length])))
     return float(probs[0, 0])
 
 
@@ -234,7 +211,7 @@ def _chunked_inference(model: SentimentModel, lengths: np.ndarray, inputs,
     for start in range(0, len(lengths), batch_size):
         rows = slice(start, start + batch_size)
         t = int(lengths[rows].max())
-        probs = model.forward(inputs(rows, t), lengths[rows], training=False)
+        probs = model.forward_batch((inputs(rows, t), lengths[rows]))
         out.append(read(probs).copy())
     return np.concatenate(out)
 
@@ -335,7 +312,7 @@ def polarity_features(model: SentimentModel, users: list[UserRecord],
     return features
 
 
-class FinetuneModel:
+class FinetuneModel(Model):
     """Two-input composite for finetuned transfer.
 
     Input A is the document vector, input B the document matrix run through
@@ -352,30 +329,19 @@ class FinetuneModel:
                              dropout_rate, n_classes=2, seed=seed)
         self.history: list[dict] = []
 
+    def parts(self):
+        return ([(f"mlp.{prefix}", layer) for prefix, layer in self.mlp.parts()]
+                + [("lstm", self.lstm)])
+
     def forward_batch(self, inputs: tuple, training: bool = False) -> np.ndarray:
         vecs, mats, lengths = inputs
-        h = self.lstm.forward(mats, lengths, training=training, cache=training)
+        h = self.lstm.forward(mats, lengths, cache=training)
         features = np.concatenate([vecs, h], axis=1)
         return self.mlp.forward(features, training=training)
 
     def backward(self, d_probs: np.ndarray) -> None:
         d_features = self.mlp.backward(d_probs)
         self.lstm.backward(d_features[:, self.vec_dim:])
-
-    def parameters(self):
-        out = {f"mlp.{k}": v for k, v in self.mlp.parameters().items()}
-        for name, value in self.lstm.params().items():
-            out[f"lstm.{name}"] = value
-        return out
-
-    def gradients(self):
-        out = {f"mlp.{k}": v for k, v in self.mlp.gradients().items()}
-        for name in self.lstm.params():
-            out[f"lstm.{name}"] = self.lstm.grads[name]
-        return out
-
-    def dropout_layers(self):
-        return self.mlp.dropout_layers()
 
     def predict_proba(self, vecs, mats, lengths) -> np.ndarray:
         return self.forward_batch((vecs, mats, lengths), training=False)

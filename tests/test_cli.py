@@ -117,6 +117,23 @@ def test_exit_code_3_on_malformed_data(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_select_source_fits_embeddings_when_none_given(small_dataset, tmp_path,
+                                                       capsys):
+    # without --embeddings the table is fitted on both corpora, as in
+    # sentiment-train, instead of failing to load a missing file
+    out = tmp_path / "selected.jsonl"
+    code = main(["select-source"] + flags(small_dataset) +
+                ["--similarity-threshold", "0.01", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    kept = [line for line in captured.out.splitlines()
+            if line.startswith("kept ")]
+    assert len(kept) == 1
+    n_kept = int(kept[0].split()[1])
+    assert kept[0].startswith(f"kept {n_kept} of ")
+    assert len(out.read_text().splitlines()) == n_kept >= 1
+
+
 def test_staged_pipeline(small_dataset, tmp_path, capsys):
     work = tmp_path
 

@@ -6,7 +6,6 @@ from sentprofile.gender import (
     CLASSES,
     GenderModel,
     concat_features,
-    predict_gender,
     read_features,
     stack_features,
     train_gender,
@@ -29,7 +28,6 @@ class TestConcatFeatures:
         f = concat_features(v, h)
         assert f.values.shape == (164,)
         assert f.layout == ("doc_vector", "sentiment")
-        assert f.segment_lengths == (100, 64)
 
     def test_baseline_without_sentiment(self):
         f = concat_features(np.zeros(100))
@@ -72,15 +70,16 @@ class TestTrainGender:
     def test_fit_runs_no_inference_forward(self, monkeypatch):
         # the class count comes from CLASSES, so without `after_epoch` a fit
         # runs every forward, the composite's LSTM ones included, in
-        # training mode
+        # training mode (for the LSTM: keeping its backward cache)
         seen = []
-        for owner, name in ((GenderModel, "forward_batch"),
-                            (FinetuneModel, "forward_batch"),
-                            (LSTMLayer, "forward")):
-            def recorded(self, *args, training=False,
-                         _original=getattr(owner, name), _name=name, **kwargs):
-                seen.append((_name, training))
-                return _original(self, *args, training=training, **kwargs)
+        for owner, name, flag, default in (
+                (GenderModel, "forward_batch", "training", False),
+                (FinetuneModel, "forward_batch", "training", False),
+                (LSTMLayer, "forward", "cache", True)):
+            def recorded(self, *args, _original=getattr(owner, name),
+                         _name=name, _flag=flag, _default=default, **kwargs):
+                seen.append((_name, kwargs.get(_flag, _default)))
+                return _original(self, *args, **kwargs)
             monkeypatch.setattr(owner, name, recorded)
         config = TrainConfig(epochs=2, batch_size=4, seed=0)
         features, labels = separable_features(n=12)
@@ -144,35 +143,38 @@ class TestTrainGender:
 
 
 class TestPredictGender:
+    """Predictions are `predict_proba` plus argmax over CLASSES, the rule
+    the experiment scores each fold with."""
+
     def test_probabilities_sum_to_one(self):
         features, labels = separable_features(n=20)
         model = train_gender(features, labels, TrainConfig(epochs=3, seed=0))
-        pred = predict_gender(model, features[0])
-        assert pred.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-        assert pred.label in CLASSES
+        probs = model.predict_proba(features)
+        assert probs.shape == (20, len(CLASSES))
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_argmax_shift_invariance(self):
         # adding a constant to both logits leaves the label unchanged
         model = GenderModel(input_dim=2, seed=0)
         final = model.network.layers[-1]
         x = np.random.default_rng(0).normal(size=(5, 2))
-        before = [predict_gender(model, row).label for row in x]
+        before = model.predict_proba(x).argmax(axis=1)
         final.bias[...] += 7.3
-        after = [predict_gender(model, row).label for row in x]
-        assert before == after
+        after = model.predict_proba(x).argmax(axis=1)
+        assert before.tolist() == after.tolist()
 
     def test_zero_parameter_model_ties_to_first_class(self):
         model = GenderModel(input_dim=3, seed=0)
         for value in model.parameters().values():
             value[...] = 0.0
-        pred = predict_gender(model, np.ones(3))
-        assert np.allclose(pred.probabilities, [0.5, 0.5])
-        assert pred.label == "male"
+        probs = model.predict_proba(np.ones(3))
+        assert np.allclose(probs, [[0.5, 0.5]])
+        assert CLASSES[int(probs.argmax(axis=1)[0])] == "male"
 
     def test_wrong_length_rejected(self):
         model = GenderModel(input_dim=4, seed=0)
         with pytest.raises(ShapeError):
-            predict_gender(model, np.ones(5))
+            model.predict_proba(np.ones(5))
 
 
 class TestFeatureFiles:

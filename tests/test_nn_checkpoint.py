@@ -3,7 +3,7 @@ import pytest
 
 from sentprofile.errors import CheckpointError
 from sentprofile.gender import GenderModel
-from sentprofile.sentiment import SentimentModel
+from sentprofile.sentiment import FinetuneModel, SentimentModel
 from sentprofile.nn import (
     load_model,
     read_checkpoint,
@@ -184,3 +184,20 @@ def test_malformed_parameter_list_rejected(tmp_path, header):
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CheckpointError, match="malformed parameter list"):
         load_model(path)
+
+
+def test_parameter_names_and_order_are_pinned():
+    # checkpoints store the parameters under these names in this order, and
+    # the optimizer keys its moments by them
+    gender_names = ["layer0.weights", "layer0.bias", "layer2.weights",
+                    "layer2.bias", "layer3.weights", "layer3.bias"]
+    sentiment_names = ["lstm.w_x", "lstm.w_h", "lstm.bias",
+                       "head.weights", "head.bias"]
+    composite = FinetuneModel(small_sentiment_model().lstm, vec_dim=2,
+                              hidden=(4, 3))
+    for model, names in ((small_model(), gender_names),
+                         (small_sentiment_model(), sentiment_names),
+                         (composite, [f"mlp.{name}" for name in gender_names]
+                          + sentiment_names[:3])):
+        assert list(model.parameters()) == names
+        assert list(model.gradients()) == names

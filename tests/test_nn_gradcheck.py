@@ -22,8 +22,7 @@ class LstmStack:
                                activation=out_activation, rng=gen)
 
     def forward(self, x, lengths, training=False):
-        return self.head.forward(self.lstm.forward(x, lengths, training),
-                                 training)
+        return self.head.forward(self.lstm.forward(x, lengths), training)
 
     def backward(self, d_out):
         self.lstm.backward(self.head.backward(d_out))

@@ -9,6 +9,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sentprofile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -124,3 +127,63 @@ def test_polarity_scoring_runs_under_traced_name(monkeypatch, small_dataset):
     experiment.run_experiment(config, small_dataset)
     assert len(forwards_per_call) == config.folds
     assert min(forwards_per_call) >= 1
+
+
+@pytest.mark.parametrize("mode", ["frozen_lstm", "finetuned_lstm"])
+def test_only_gender_training_counts_epochs(monkeypatch, small_dataset, mode):
+    # the tracer reads gender.epochs_trained off these two names; sentiment
+    # training shares their loop (`nn.fit`) but must not pass through them
+    from sentprofile import experiment, gender, sentiment
+
+    from conftest import SMALL_CONFIG
+
+    tracer = load_tracer().Tracer()
+    seen = []
+
+    def epochs(model, inputs, labels, config, *args, **kwargs):
+        seen.append(config.epochs)
+    for module in (gender, sentiment):
+        monkeypatch.setattr(module, "fit_softmax_classifier", tracer._count(
+            module.fit_softmax_classifier, epochs))
+    config = experiment.ExperimentConfig(
+        **dict(SMALL_CONFIG, sentiment_mode=mode, epochs=(2, 3)))
+    experiment.run_experiment(config, small_dataset)
+    assert sum(seen) == config.folds * max(config.epochs)
+
+
+def test_sentiment_partitions_share_one_stack(monkeypatch, polarity_table):
+    # train_sentiment stacks its items once; the rows `nn.fit` trains on and
+    # the held-out rows each epoch scores are views of that one stack
+    from sentprofile import sentiment
+    from sentprofile.nn import TrainConfig
+
+    from test_sentiment import marker_items
+
+    fit, forward_batch = sentiment.fit, sentiment.SentimentModel.forward_batch
+    trained, held = [], []
+
+    def captured_fit(model, inputs, *args, **kwargs):
+        trained.append(inputs)
+        return fit(model, inputs, *args, **kwargs)
+
+    def captured_forward(self, inputs, training=False):
+        if not training:
+            held.append(inputs)
+        return forward_batch(self, inputs, training=training)
+
+    monkeypatch.setattr(sentiment, "fit", captured_fit)
+    monkeypatch.setattr(sentiment.SentimentModel, "forward_batch",
+                        captured_forward)
+    data = marker_items(polarity_table, n=40)
+    _, curve = sentiment.train_sentiment(
+        data, sentiment.SentimentConfig(hidden_size=3),
+        TrainConfig(epochs=2, batch_size=8, seed=0))
+    assert len(trained) == 1 and len(held) == len(curve) == 2
+    (mats, lengths), = trained
+    stack = mats.base
+    assert stack is not None and len(stack) == len(data.items)
+    assert len(mats) + len(held[0][0]) == len(stack)
+    for held_mats, held_lengths in held:
+        assert held_mats.base is stack and held_lengths.base is lengths.base
+        assert np.shares_memory(stack, mats)
+        assert np.shares_memory(stack, held_mats)

@@ -100,7 +100,7 @@ class TestTrainSentiment:
 def test_training_matrices_own_only_their_columns(polarity_table):
     # items padded to r=400 but at most 6 tokens long: the stacked training
     # matrices must not keep the full padded stack alive as a view base
-    mats, lengths, _ = _stack_items(marker_items(polarity_table, n=10, r=400).items)
+    mats, lengths = _stack_items(marker_items(polarity_table, n=10, r=400).items)
     assert mats.shape[1] == lengths.max() <= 6
     assert mats.base is None or mats.base.nbytes == mats.nbytes
 
