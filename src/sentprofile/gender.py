@@ -112,7 +112,7 @@ class GenderModel(Model):
         if features.shape[1] != self.input_dim:
             raise ShapeError(f"model expects features of length {self.input_dim}, "
                              f"got {features.shape[1]}")
-        return self.network.forward(features, training=False)
+        return self.forward_batch((features,), training=False)
 
     def checkpoint_meta(self) -> dict:
         return {"input_dim": self.input_dim, "hidden": list(self.hidden),

@@ -3,7 +3,31 @@
 All math runs in float64. A layer caches whatever its backward pass needs
 during forward (the LSTM can skip that at inference); `backward` writes
 parameter gradients into `self.grads` (overwriting, one forward/backward
-pair per step) and returns the gradient with respect to the layer input.
+pair per step). The dense and dropout layers return the gradient with
+respect to their input; the LSTM, always a model's first layer, returns
+None.
+
+The LSTM gives the same bytes as the plain per-step recurrence its
+docstring writes down (kept as a reference in the tests), by these rules:
+- Elementwise ufuncs give the same bits in any memory layout, so the gate
+  math runs on a transposed (4H, B) copy of the pre-activations, whose
+  gate blocks are contiguous (H, B) rows.
+- A GEMM's bits can depend on its operands' layout, so every product keeps
+  the reference's: `h @ w_h` in the forward, and `x_t.T @ dz`,
+  `h_prev.T @ dz` and `dz @ w_h.T` with a C-contiguous (B, 4H) `dz` in the
+  backward. The bias gradient is `dz.sum(axis=0)`, a sequential sum over
+  the strided axis; a sum along the contiguous axis would be pairwise.
+- The input projection `x @ w_x` runs as one GEMM per block of steps and
+  is added as (x_t @ w_x + h @ w_h) + bias. A row of a GEMM keeps its bits
+  whatever the row count, except that OpenBLAS computes products with
+  M*N*K <= 100**3 in a small-matrix kernel (bits differ at N = 156), so a
+  block of several steps stays under that line. A one-row batch keeps the
+  per-step product: numpy computes it as a GEMV, whose bits differ from a
+  GEMM's.
+- The padding carries `m * new + (1 - m) * old` run only from the shortest
+  length on. Before it every m is 1 and the carry returns `new` up to the
+  sign of a zero: it turns -0.0 into +0.0 when `old` is >= +0.0. In the
+  forward that takes an output gate underflowed to exactly 0 (|z| > 745).
 """
 
 import math
@@ -14,16 +38,25 @@ from ..errors import ConfigError, ShapeError
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "softmax", "identity")
 
+# Rows (batch x steps) of one hoisted input-projection GEMM in the LSTM,
+# which also stays under OpenBLAS's small-matrix line (see above)
+_HOIST_ROWS = 256
+_SMALL_GEMM = 100 ** 3
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, optionally written to `out`."""
     x = np.asarray(x, dtype=np.float64)
     # exp(-|x|) never overflows; min(x, -x) forms -|x| and passes a nan
-    # through as it came, so the result matches the branch-per-sign form
-    # bit for bit
-    e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # through as it came. The numerator max(e, sign(x)) is 1 for x >= 0 and
+    # e below, so the result matches the branch-per-sign form bit for bit
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    numerator = np.sign(x)
+    np.maximum(e, numerator, out=numerator)
+    np.add(e, 1.0, out=e)
+    return np.divide(numerator, e, out=out)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -210,56 +243,72 @@ class LSTMLayer:
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ShapeError(f"{self!r} expected input (B, T, {self.input_dim}), "
                              f"got shape {x.shape}")
-        n, t_max, _ = x.shape
+        n, t_max, d = x.shape
         if lengths.shape != (n,):
             raise ShapeError(f"lengths must have shape ({n},), got {lengths.shape}")
         if (lengths < 1).any() or (lengths > t_max).any():
             raise ShapeError("effective lengths must be in [1, T]")
 
         hd = self.hidden_dim
-        h = np.zeros((n, hd))
-        c = np.zeros((n, hd))
-        planes = None
-        if cache:
-            planes = {name: np.empty((t_max, n, hd)) for name in
-                      ("i", "f", "o", "g", "tanh_c", "c_prev", "h_prev")}
-            planes["mask"] = np.empty((t_max, n, 1))
+        mask = (np.arange(t_max)[:, None] < lengths).astype(np.float64)
+        keep = 1.0 - mask
+        full = int(lengths.min())
+        # cached: every step's states; cache-free: a ring of two
+        slots = t_max + 1 if cache else 2
+        h = np.zeros((slots, n, hd))
+        c = np.zeros((slots, hd, n))
+        acts = np.empty((t_max if cache else 1, 5 * hd, n))
+        i, f, o, g, tanh_c = _gate_planes(acts, hd)
+        z = np.empty((n, 4 * hd))
+        z_t = np.empty((4 * hd, n))
+        bias_t = np.tile(self.bias[:, None], (1, n))
+        scratch = np.empty((hd, n))
+        scratch_h = np.empty((n, hd))
+        block = max(1, min(_HOIST_ROWS, _SMALL_GEMM // (d * 4 * hd)) // n)
         for t in range(t_max):
-            z = x[:, t, :] @ self.w_x + h @ self.w_h + self.bias
-            gates = sigmoid(z[:, :3 * hd])
-            i = gates[:, :hd]
-            f = gates[:, hd:2 * hd]
-            o = gates[:, 2 * hd:3 * hd]
-            g = np.tanh(z[:, 3 * hd:])
-            c_raw = f * c + i * g
-            tanh_c = np.tanh(c_raw)
-            h_raw = o * tanh_c
-            m = (t < lengths).astype(np.float64)[:, None]
-            if planes is not None:
-                planes["i"][t] = i
-                planes["f"][t] = f
-                planes["o"][t] = o
-                planes["g"][t] = g
-                planes["tanh_c"][t] = tanh_c
-                planes["c_prev"][t] = c
-                planes["h_prev"][t] = h
-                planes["mask"][t] = m
-            c = m * c_raw + (1.0 - m) * c
-            h = m * h_raw + (1.0 - m) * h
-        if planes is not None:
-            planes["x"] = x
-            self._cache = planes
-        return h
+            if n == 1:
+                xw = x[:, t, :] @ self.w_x
+            else:
+                if t % block == 0:
+                    rows = x[:, t:t + block].transpose(1, 0, 2).reshape(-1, d)
+                    xw_block = (rows @ self.w_x).reshape(-1, n, 4 * hd)
+                xw = xw_block[t % block]
+            s = t if cache else 0
+            prev, cur = (t, t + 1) if cache else (t % 2, 1 - t % 2)
+            h_prev, h_cur, c_prev, c_cur = h[prev], h[cur], c[prev], c[cur]
+            np.matmul(h_prev, self.w_h, out=z)
+            np.add(xw, z, out=z)
+            np.add(z.T, bias_t, out=z_t)
+            sigmoid(z_t[:3 * hd], out=acts[s, :3 * hd])
+            np.tanh(z_t[3 * hd:], out=g[s])
+            np.multiply(f[s], c_prev, out=c_cur)
+            np.multiply(i[s], g[s], out=scratch)
+            np.add(c_cur, scratch, out=c_cur)
+            np.tanh(c_cur, out=tanh_c[s])
+            np.multiply(o[s], tanh_c[s], out=scratch)
+            np.copyto(h_cur, scratch.T)
+            if t >= full:
+                _carry(c_cur, c_prev, mask[t], keep[t], scratch)
+                _carry(h_cur, h_prev, mask[t][:, None], keep[t][:, None],
+                       scratch_h)
+        if cache:
+            self._cache = {"x": x, "acts": acts, "c": c, "h": h,
+                           "mask": mask, "lengths": lengths}
+        return h[-1 if cache else t_max % 2].copy()
 
-    def backward(self, d_final: np.ndarray) -> np.ndarray:
+    def backward(self, d_final: np.ndarray) -> None:
         """Backpropagation through time from the final hidden state.
 
-        Returns the gradient with respect to the input sequence (B, T, d).
+        Writes the parameter gradients only: the LSTM is always a model's
+        first layer, so no caller reads a gradient for its input.
         """
         if self._cache is None:
             raise ShapeError(f"{self!r}: backward before forward")
         cache = self._cache
-        x = cache["x"]
+        x, acts, c, h = cache["x"], cache["acts"], cache["c"], cache["h"]
+        mask = cache["mask"]
+        keep = 1.0 - mask
+        full = int(cache["lengths"].min())
         n, t_max, _ = x.shape
         hd = self.hidden_dim
         d_final = np.asarray(d_final, dtype=np.float64)
@@ -270,34 +319,60 @@ class LSTMLayer:
         dwx = np.zeros_like(self.w_x)
         dwh = np.zeros_like(self.w_h)
         db = np.zeros_like(self.bias)
-        dx = np.zeros_like(x)
-        dh = d_final.copy()
-        dc = np.zeros((n, hd))
+        dh = d_final.T.copy()
+        dc = np.zeros((hd, n))
+        dh_carry = np.empty((hd, n))
+        dc_carry = np.empty((hd, n))
+        dc_raw = np.empty((hd, n))
+        one_minus = np.empty((3 * hd, n))
+        dz_t = np.empty((4 * hd, n))
+        dz = np.empty((n, 4 * hd))
+        i, f, o, g, tanh_c = _gate_planes(acts, hd)
         for t in range(t_max - 1, -1, -1):
-            m = cache["mask"][t]
-            i, f, o, g = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
-            tanh_c = cache["tanh_c"][t]
-            dh_step = dh * m
-            dh_carry = dh * (1.0 - m)
-            dc_step = dc * m
-            dc_carry = dc * (1.0 - m)
-            do = dh_step * tanh_c
-            dc_raw = dc_step + dh_step * o * (1.0 - tanh_c * tanh_c)
-            df = dc_raw * cache["c_prev"][t]
-            di = dc_raw * g
-            dg = dc_raw * i
-            dz = np.empty((n, 4 * hd))
-            dz[:, :hd] = di * i * (1.0 - i)
-            dz[:, hd:2 * hd] = df * f * (1.0 - f)
-            dz[:, 2 * hd:3 * hd] = do * o * (1.0 - o)
-            dz[:, 3 * hd:] = dg * (1.0 - g * g)
+            masked = t >= full
+            if masked:
+                np.multiply(dh, keep[t], out=dh_carry)
+                np.multiply(dh, mask[t], out=dh)
+                np.multiply(dc, keep[t], out=dc_carry)
+                np.multiply(dc, mask[t], out=dc)
+            # rows: 1 - g*g, then 1 - tanh_c*tanh_c
+            slope = np.multiply(acts[t, 3 * hd:], acts[t, 3 * hd:])
+            np.subtract(1.0, slope, out=slope)
+            np.multiply(dh, tanh_c[t], out=dz_t[2 * hd:3 * hd])
+            np.multiply(dh, o[t], out=dc_raw)
+            np.multiply(dc_raw, slope[hd:], out=dc_raw)
+            np.add(dc, dc_raw, out=dc_raw)
+            np.multiply(dc_raw, g[t], out=dz_t[:hd])
+            np.multiply(dc_raw, c[t], out=dz_t[hd:2 * hd])
+            np.multiply(dc_raw, i[t], out=dz_t[3 * hd:])
+            np.multiply(dz_t[:3 * hd], acts[t, :3 * hd], out=dz_t[:3 * hd])
+            np.subtract(1.0, acts[t, :3 * hd], out=one_minus)
+            np.multiply(dz_t[:3 * hd], one_minus, out=dz_t[:3 * hd])
+            np.multiply(dz_t[3 * hd:], slope[:hd], out=dz_t[3 * hd:])
+            np.copyto(dz, dz_t.T)
             dwx += x[:, t, :].T @ dz
-            dwh += cache["h_prev"][t].T @ dz
+            dwh += h[t].T @ dz
             db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ self.w_x.T
-            dh = dz @ self.w_h.T + dh_carry
-            dc = dc_raw * f + dc_carry
+            dh_gemm = dz @ self.w_h.T
+            np.multiply(dc_raw, f[t], out=dc)
+            if masked:
+                np.add(dh_gemm.T, dh_carry, out=dh)
+                np.add(dc, dc_carry, out=dc)
+            else:
+                np.copyto(dh, dh_gemm.T)
         self.grads["w_x"][...] = dwx
         self.grads["w_h"][...] = dwh
         self.grads["bias"][...] = db
-        return dx
+
+
+def _gate_planes(acts: np.ndarray, hd: int) -> tuple[np.ndarray, ...]:
+    """(steps, H, B) views of the i, f, o, g and tanh(c) rows of `acts`."""
+    return tuple(acts[:, k * hd:(k + 1) * hd] for k in range(5))
+
+
+def _carry(new: np.ndarray, old: np.ndarray, mask: np.ndarray,
+           keep: np.ndarray, scratch: np.ndarray) -> None:
+    """new = mask * new + keep * old in place, where keep = 1 - mask."""
+    np.multiply(mask, new, out=new)
+    np.multiply(keep, old, out=scratch)
+    np.add(new, scratch, out=new)

@@ -176,6 +176,22 @@ class TestPredictGender:
         with pytest.raises(ShapeError):
             model.predict_proba(np.ones(5))
 
+    def test_scores_through_forward_batch(self, monkeypatch):
+        # one inference `forward_batch` per call, like the composite's
+        # `predict_proba`, so both heads' scoring forwards can be counted
+        seen = []
+        original = GenderModel.forward_batch
+
+        def recorded(self, inputs, training=False):
+            seen.append((len(inputs), inputs[0].shape, training))
+            return original(self, inputs, training=training)
+        monkeypatch.setattr(GenderModel, "forward_batch", recorded)
+        model = GenderModel(input_dim=3, seed=0)
+        probs = model.predict_proba(np.ones(3))
+        assert seen == [(1, (1, 3), False)]
+        assert probs.tobytes() == model.network.forward(
+            np.ones((1, 3)), training=False).tobytes()
+
 
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path):

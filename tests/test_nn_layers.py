@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,12 +197,102 @@ class TestLstmForward:
         assert layer._cache is cache
         assert all(np.array_equal(cache[name], planes[name]) for name in planes)
         # backward still pairs with the last caching forward
-        dx = layer.backward(d_final)
+        assert layer.backward(d_final) is None
         grads = {name: value.copy() for name, value in layer.grads.items()}
         layer.forward(x, lengths)
-        assert dx.tobytes() == layer.backward(d_final).tobytes()
+        layer.backward(d_final)
         assert all(grads[name].tobytes() == layer.grads[name].tobytes()
                    for name in grads)
+
+    @pytest.mark.parametrize("batch, steps, d, hd", [
+        (batch, steps, d, hd) for batch in (1, 2, 7, 32, 64)
+        for steps in (1, 9, 30) for d, hd in ((24, 32), (26, 39))
+    ] + [(95, 9, 91, 57)])
+    def test_bytes_match_per_step_reference(self, batch, steps, d, hd):
+        # (26, 39) puts a hoisted input projection of 32 x 8 rows above the
+        # BLAS small-matrix line (M*N*K = 100**3) that a per-step one stays
+        # under, so a too-large hoisting block shows up here. At (95, 91,
+        # 57) each backward GEMM gives other bits with a transposed layout.
+        layer = LSTMLayer(d, hd, rng=rng())
+        gen = np.random.default_rng(batch * 100 + steps)
+        for lengths in (gen.integers(1, steps + 1, size=batch),
+                        np.full(batch, steps),
+                        np.where(np.arange(batch) % 3 == 0, 1, steps)):
+            x = gen.normal(size=(batch, steps, d))
+            for b, length in enumerate(lengths):
+                x[b, length:] = 0.0
+            d_final = gen.normal(size=(batch, hd))
+            want_h, want_grads = per_step_lstm(layer, x, lengths, d_final)
+            assert layer.forward(x, lengths).tobytes() == want_h.tobytes()
+            sent = d_final.copy()
+            layer.backward(sent)
+            assert sent.tobytes() == d_final.tobytes()
+            for name, value in want_grads.items():
+                assert layer.grads[name].tobytes() == value.tobytes(), name
+            free = layer.forward(x, lengths, cache=False)
+            assert free.tobytes() == want_h.tobytes()
+
+    def test_cache_free_forward_memory_stays_under_twice_the_input(self):
+        # extraction's chunk: 256 rows of 30 steps at the benchmark's D, H
+        layer = LSTMLayer(24, 32, rng=rng())
+        x = rng().normal(size=(256, 30, 24))
+        lengths = np.full(256, 30)
+        tracemalloc.start()
+        try:
+            layer.forward(x, lengths, cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes
+
+
+def per_step_lstm(layer, x, lengths, d_final):
+    """The per-step recurrence `LSTMLayer` replaced; its bytes are the
+    reference. Returns the final hidden state and the three gradients."""
+    n, t_max, _ = x.shape
+    hd = layer.hidden_dim
+    h = np.zeros((n, hd))
+    c = np.zeros((n, hd))
+    steps = []
+    for t in range(t_max):
+        z = x[:, t, :] @ layer.w_x + h @ layer.w_h + layer.bias
+        gates = branch_per_sign_sigmoid(z[:, :3 * hd])
+        i, f, o = gates[:, :hd], gates[:, hd:2 * hd], gates[:, 2 * hd:]
+        g = np.tanh(z[:, 3 * hd:])
+        c_raw = f * c + i * g
+        tanh_c = np.tanh(c_raw)
+        h_raw = o * tanh_c
+        m = (t < lengths).astype(np.float64)[:, None]
+        steps.append((i, f, o, g, tanh_c, c, h, m))
+        c = m * c_raw + (1.0 - m) * c
+        h = m * h_raw + (1.0 - m) * h
+    dwx = np.zeros_like(layer.w_x)
+    dwh = np.zeros_like(layer.w_h)
+    db = np.zeros_like(layer.bias)
+    dh = d_final.copy()
+    dc = np.zeros((n, hd))
+    for t in range(t_max - 1, -1, -1):
+        i, f, o, g, tanh_c, c_prev, h_prev, m = steps[t]
+        dh_step = dh * m
+        dh_carry = dh * (1.0 - m)
+        dc_step = dc * m
+        dc_carry = dc * (1.0 - m)
+        do = dh_step * tanh_c
+        dc_raw = dc_step + dh_step * o * (1.0 - tanh_c * tanh_c)
+        df = dc_raw * c_prev
+        di = dc_raw * g
+        dg = dc_raw * i
+        dz = np.empty((n, 4 * hd))
+        dz[:, :hd] = di * i * (1.0 - i)
+        dz[:, hd:2 * hd] = df * f * (1.0 - f)
+        dz[:, 2 * hd:3 * hd] = do * o * (1.0 - o)
+        dz[:, 3 * hd:] = dg * (1.0 - g * g)
+        dwx += x[:, t, :].T @ dz
+        dwh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dh = dz @ layer.w_h.T + dh_carry
+        dc = dc_raw * f + dc_carry
+    return h, {"w_x": dwx, "w_h": dwh, "bias": db}
 
 
 class TestNetwork:
@@ -254,9 +345,16 @@ def test_sigmoid_bytes_match_branch_per_sign_form():
     inputs = [gen.normal(scale=scale, size=(32, 128))[:, :96]
               for scale in (1.0, 30.0, 400.0)]
     inputs.append(np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0,
-                            np.nan, -np.nan]))
+                            np.nan, -np.nan, 1e-320, -1e-320]))
     for x in inputs:
-        assert sigmoid(x).tobytes() == branch_per_sign_sigmoid(x).tobytes()
+        want = branch_per_sign_sigmoid(x).tobytes()
+        assert sigmoid(x).tobytes() == want
+        # written through a strided view, leaving the rest of its buffer
+        buffer = np.full(x.shape + (2,), 7.0)
+        out = buffer[..., 0]
+        assert sigmoid(x, out=out) is out
+        assert out.tobytes() == want
+        assert np.all(buffer[..., 1] == 7.0)
 
 
 def test_forward_finite_with_parameters_bounded_by_ten():
