@@ -24,10 +24,15 @@ docstring writes down (kept as a reference in the tests), by these rules:
   block of several steps stays under that line. A one-row batch keeps the
   per-step product: numpy computes it as a GEMV, whose bits differ from a
   GEMM's.
-- The padding carries `m * new + (1 - m) * old` run only from the shortest
-  length on. Before it every m is 1 and the carry returns `new` up to the
-  sign of a zero: it turns -0.0 into +0.0 when `old` is >= +0.0. In the
-  forward that takes an output gate underflowed to exactly 0 (|z| > 745).
+- The padding carry `m * new + (1 - m) * old` runs at every step, on c
+  and h stacked as one (2H, B) plane. Even where every m is 1 it can turn
+  a -0.0 state into +0.0, as the reference does, so it is never skipped.
+These rules were verified with numpy 2.4.6 on its bundled OpenBLAS
+0.3.31.188.0 (scipy-openblas, DYNAMIC_ARCH, SkylakeX kernels) on an
+AVX-512 Xeon, with BLAS on one thread. The small-matrix line is that
+build's x86 rule; another BLAS, architecture or thread count may move
+bits. `test_bytes_match_per_step_reference` in tests/test_nn_layers.py is
+the guard: it must pass wherever report hashes are compared.
 """
 
 import math
@@ -38,9 +43,8 @@ from ..errors import ConfigError, ShapeError
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "softmax", "identity")
 
-# Rows (batch x steps) of one hoisted input-projection GEMM in the LSTM,
-# which also stays under OpenBLAS's small-matrix line (see above)
-_HOIST_ROWS = 256
+# OpenBLAS's small-matrix line (see above): a hoisted input-projection
+# GEMM in the LSTM stays under it
 _SMALL_GEMM = 100 ** 3
 
 
@@ -50,10 +54,11 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp(-|x|) never overflows; min(x, -x) forms -|x| and passes a nan
     # through as it came. The numerator max(e, sign(x)) is 1 for x >= 0 and
     # e below, so the result matches the branch-per-sign form bit for bit
-    e = np.negative(x)
+    # (temporaries are allocated as arrays, so a 0-d x works too)
+    e = np.negative(x, out=np.empty_like(x))
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    numerator = np.sign(x)
+    numerator = np.sign(x, out=np.empty_like(x))
     np.maximum(e, numerator, out=numerator)
     np.add(e, 1.0, out=e)
     return np.divide(numerator, e, out=out)
@@ -252,19 +257,20 @@ class LSTMLayer:
         hd = self.hidden_dim
         mask = (np.arange(t_max)[:, None] < lengths).astype(np.float64)
         keep = 1.0 - mask
-        full = int(lengths.min())
-        # cached: every step's states; cache-free: a ring of two
+        # `state` stacks c over h as (2H, B), so one carry covers both:
+        # every step's when cached, else a ring of two. h is copied into a
+        # (B, H) ring for the recurrent GEMM
         slots = t_max + 1 if cache else 2
-        h = np.zeros((slots, n, hd))
-        c = np.zeros((slots, hd, n))
+        state = np.zeros((slots, 2 * hd, n))
+        h = np.zeros((2, n, hd))
         acts = np.empty((t_max if cache else 1, 5 * hd, n))
         i, f, o, g, tanh_c = _gate_planes(acts, hd)
         z = np.empty((n, 4 * hd))
         z_t = np.empty((4 * hd, n))
         bias_t = np.tile(self.bias[:, None], (1, n))
         scratch = np.empty((hd, n))
-        scratch_h = np.empty((n, hd))
-        block = max(1, min(_HOIST_ROWS, _SMALL_GEMM // (d * 4 * hd)) // n)
+        old = np.empty((2 * hd, n))
+        block = max(1, _SMALL_GEMM // (d * 4 * hd) // n)
         for t in range(t_max):
             if n == 1:
                 xw = x[:, t, :] @ self.w_x
@@ -275,8 +281,8 @@ class LSTMLayer:
                 xw = xw_block[t % block]
             s = t if cache else 0
             prev, cur = (t, t + 1) if cache else (t % 2, 1 - t % 2)
-            h_prev, h_cur, c_prev, c_cur = h[prev], h[cur], c[prev], c[cur]
-            np.matmul(h_prev, self.w_h, out=z)
+            c_prev, c_cur = state[prev, :hd], state[cur, :hd]
+            np.matmul(h[t % 2], self.w_h, out=z)
             np.add(xw, z, out=z)
             np.add(z.T, bias_t, out=z_t)
             sigmoid(z_t[:3 * hd], out=acts[s, :3 * hd])
@@ -285,16 +291,16 @@ class LSTMLayer:
             np.multiply(i[s], g[s], out=scratch)
             np.add(c_cur, scratch, out=c_cur)
             np.tanh(c_cur, out=tanh_c[s])
-            np.multiply(o[s], tanh_c[s], out=scratch)
-            np.copyto(h_cur, scratch.T)
-            if t >= full:
-                _carry(c_cur, c_prev, mask[t], keep[t], scratch)
-                _carry(h_cur, h_prev, mask[t][:, None], keep[t][:, None],
-                       scratch_h)
+            np.multiply(o[s], tanh_c[s], out=state[cur, hd:])
+            # padding carry: new = m * new + (1 - m) * old
+            np.multiply(state[cur], mask[t], out=state[cur])
+            np.multiply(state[prev], keep[t], out=old)
+            np.add(state[cur], old, out=state[cur])
+            np.copyto(h[1 - t % 2], state[cur, hd:].T)
         if cache:
-            self._cache = {"x": x, "acts": acts, "c": c, "h": h,
-                           "mask": mask, "lengths": lengths}
-        return h[-1 if cache else t_max % 2].copy()
+            self._cache = {"x": x, "acts": acts, "state": state,
+                           "mask": mask, "keep": keep}
+        return h[t_max % 2].copy()
 
     def backward(self, d_final: np.ndarray) -> None:
         """Backpropagation through time from the final hidden state.
@@ -305,10 +311,8 @@ class LSTMLayer:
         if self._cache is None:
             raise ShapeError(f"{self!r}: backward before forward")
         cache = self._cache
-        x, acts, c, h = cache["x"], cache["acts"], cache["c"], cache["h"]
-        mask = cache["mask"]
-        keep = 1.0 - mask
-        full = int(cache["lengths"].min())
+        x, acts, state = cache["x"], cache["acts"], cache["state"]
+        mask, keep = cache["mask"], cache["keep"]
         n, t_max, _ = x.shape
         hd = self.hidden_dim
         d_final = np.asarray(d_final, dtype=np.float64)
@@ -319,22 +323,20 @@ class LSTMLayer:
         dwx = np.zeros_like(self.w_x)
         dwh = np.zeros_like(self.w_h)
         db = np.zeros_like(self.bias)
-        dh = d_final.T.copy()
-        dc = np.zeros((hd, n))
-        dh_carry = np.empty((hd, n))
-        dc_carry = np.empty((hd, n))
+        # d(loss)/d(c) over d(loss)/d(h), stacked as the forward's state
+        d_state = np.zeros((2 * hd, n))
+        dc, dh = d_state[:hd], d_state[hd:]
+        np.copyto(dh, d_final.T)
+        d_carry = np.empty((2 * hd, n))
+        h_prev = np.empty((n, hd))
         dc_raw = np.empty((hd, n))
         one_minus = np.empty((3 * hd, n))
         dz_t = np.empty((4 * hd, n))
         dz = np.empty((n, 4 * hd))
         i, f, o, g, tanh_c = _gate_planes(acts, hd)
         for t in range(t_max - 1, -1, -1):
-            masked = t >= full
-            if masked:
-                np.multiply(dh, keep[t], out=dh_carry)
-                np.multiply(dh, mask[t], out=dh)
-                np.multiply(dc, keep[t], out=dc_carry)
-                np.multiply(dc, mask[t], out=dc)
+            np.multiply(d_state, keep[t], out=d_carry)
+            np.multiply(d_state, mask[t], out=d_state)
             # rows: 1 - g*g, then 1 - tanh_c*tanh_c
             slope = np.multiply(acts[t, 3 * hd:], acts[t, 3 * hd:])
             np.subtract(1.0, slope, out=slope)
@@ -343,7 +345,7 @@ class LSTMLayer:
             np.multiply(dc_raw, slope[hd:], out=dc_raw)
             np.add(dc, dc_raw, out=dc_raw)
             np.multiply(dc_raw, g[t], out=dz_t[:hd])
-            np.multiply(dc_raw, c[t], out=dz_t[hd:2 * hd])
+            np.multiply(dc_raw, state[t, :hd], out=dz_t[hd:2 * hd])
             np.multiply(dc_raw, i[t], out=dz_t[3 * hd:])
             np.multiply(dz_t[:3 * hd], acts[t, :3 * hd], out=dz_t[:3 * hd])
             np.subtract(1.0, acts[t, :3 * hd], out=one_minus)
@@ -351,15 +353,15 @@ class LSTMLayer:
             np.multiply(dz_t[3 * hd:], slope[:hd], out=dz_t[3 * hd:])
             np.copyto(dz, dz_t.T)
             dwx += x[:, t, :].T @ dz
-            dwh += h[t].T @ dz
+            # h_{t-1} as a C-contiguous (B, H), the layout the GEMM's bits
+            # were checked in
+            np.copyto(h_prev, state[t, hd:].T)
+            dwh += h_prev.T @ dz
             db += dz.sum(axis=0)
             dh_gemm = dz @ self.w_h.T
             np.multiply(dc_raw, f[t], out=dc)
-            if masked:
-                np.add(dh_gemm.T, dh_carry, out=dh)
-                np.add(dc, dc_carry, out=dc)
-            else:
-                np.copyto(dh, dh_gemm.T)
+            np.copyto(dh, dh_gemm.T)
+            np.add(d_state, d_carry, out=d_state)
         self.grads["w_x"][...] = dwx
         self.grads["w_h"][...] = dwh
         self.grads["bias"][...] = db
@@ -368,11 +370,3 @@ class LSTMLayer:
 def _gate_planes(acts: np.ndarray, hd: int) -> tuple[np.ndarray, ...]:
     """(steps, H, B) views of the i, f, o, g and tanh(c) rows of `acts`."""
     return tuple(acts[:, k * hd:(k + 1) * hd] for k in range(5))
-
-
-def _carry(new: np.ndarray, old: np.ndarray, mask: np.ndarray,
-           keep: np.ndarray, scratch: np.ndarray) -> None:
-    """new = mask * new + keep * old in place, where keep = 1 - mask."""
-    np.multiply(mask, new, out=new)
-    np.multiply(keep, old, out=scratch)
-    np.add(new, scratch, out=new)

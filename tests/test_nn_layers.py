@@ -232,6 +232,22 @@ class TestLstmForward:
             free = layer.forward(x, lengths, cache=False)
             assert free.tobytes() == want_h.tobytes()
 
+    def test_underflowed_output_gate_gives_reference_zero_signs(self):
+        # o = sigmoid(-1000) is exactly 0, so o * tanh(c) is -0.0 where c < 0;
+        # the reference's carry m * h + (1 - m) * h_prev turns it into +0.0
+        layer = LSTMLayer(4, 5, rng=rng())
+        layer.bias[10:15] = -1000.0
+        gen = rng()
+        x = gen.normal(size=(6, 7, 4))
+        lengths = np.array([7, 7, 5, 7, 6, 7])
+        for b, length in enumerate(lengths):
+            x[b, length:] = 0.0
+        want_h, _ = per_step_lstm(layer, x, lengths, np.ones((6, 5)))
+        assert np.signbit(want_h).sum() == 0
+        assert layer.forward(x, lengths).tobytes() == want_h.tobytes()
+        free = layer.forward(x, lengths, cache=False)
+        assert free.tobytes() == want_h.tobytes()
+
     def test_cache_free_forward_memory_stays_under_twice_the_input(self):
         # extraction's chunk: 256 rows of 30 steps at the benchmark's D, H
         layer = LSTMLayer(24, 32, rng=rng())
@@ -346,6 +362,7 @@ def test_sigmoid_bytes_match_branch_per_sign_form():
               for scale in (1.0, 30.0, 400.0)]
     inputs.append(np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0,
                             np.nan, -np.nan, 1e-320, -1e-320]))
+    inputs += [np.float64(v) for v in (0.0, -0.0, -800.0, 800.0, -1e-320)]
     for x in inputs:
         want = branch_per_sign_sigmoid(x).tobytes()
         assert sigmoid(x).tobytes() == want
