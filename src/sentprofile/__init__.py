@@ -83,6 +83,7 @@ from .sentiment import (
     build_finetune_model,
     extract_representations,
     polarity_features,
+    polarity_sequences,
     predict_polarity,
     train_sentiment,
 )

@@ -43,7 +43,6 @@ from .domainsel import (
 from .embed import (
     AllOovError,
     EmbedConfig,
-    EmbeddingTable,
     doc_matrix,
     doc_vector,
     gender_keywords,
@@ -57,11 +56,13 @@ from .gender import CLASSES, train_gender
 from .nn import TrainConfig
 from .resample import ResampleConfig, _smote_core, smote
 from .sentiment import (
+    PolaritySequences,
     SentimentConfig,
     SentimentModel,
     build_finetune_model,
     extract_representations,
     polarity_features,
+    polarity_sequences,
     train_finetune,
     train_sentiment,
 )
@@ -528,18 +529,18 @@ class RunContext:
     field but `config`, `source` (one per source mode) and `columns`, where
     the cell's fold accuracies accumulate. Rows of `mats` and `lengths`
     follow `index_of`; they and `source` are None without a sentiment
-    mode."""
+    mode. `polarity` holds the posts and user documents of the users in
+    `index_of`, which every fold's polarity scoring runs its own model
+    over; it is None unless a cell scores polarity features."""
     config: ExperimentConfig
     plan: FoldPlan
-    users_by_id: dict
-    table: EmbeddingTable | None
-    stopwords: frozenset
     base: dict
     labels: dict
     index_of: dict
     mats: np.ndarray | None
     lengths: np.ndarray | None
     source: SentimentSource | None
+    polarity: PolaritySequences | None
     columns: list[EpochColumn]
 
     def label_array(self, ids) -> np.ndarray:
@@ -566,9 +567,9 @@ class Fold:
 def _prepare_runs(cells: list[ExperimentConfig],
                   paths: DataPaths) -> list[RunContext]:
     """Load the corpora once and build what the folds of every cell share:
-    embeddings, base representations, target matrices, the plan and one
-    sentiment source per source mode. The cells may differ only in
-    sentiment and source mode."""
+    embeddings, base representations, target matrices, the polarity
+    scoring inputs, the plan and one sentiment source per source mode. The
+    cells may differ only in sentiment and source mode."""
     config = cells[0]
     users, docs, reviews, stopwords = load_corpora(paths)
     if len(docs) < config.folds:
@@ -589,13 +590,18 @@ def _prepare_runs(cells: list[ExperimentConfig],
         docs, mats, lengths = target_matrices(docs, table, config.r)
         sources = sentiment_sources(config, source_modes, reviews, docs, table,
                                     stopwords, paths.manual)
+    polarity = None
+    if any(cell.sentiment_mode == "polarity_features" for cell in cells):
+        users_by_id = {u.user_id: u for u in users}
+        polarity = polarity_sequences([users_by_id[d.user_id] for d in docs],
+                                      table, config.r, stopwords)
     shared = RunContext(
         config=config, plan=stratified_kfold(docs, config.folds, config.seed),
-        users_by_id={u.user_id: u for u in users}, table=table,
-        stopwords=stopwords, base=base,
+        base=base,
         labels={d.user_id: CLASSES.index(d.gender) for d in docs},
         index_of={d.user_id: i for i, d in enumerate(docs)},
-        mats=mats, lengths=lengths, source=None, columns=[])
+        mats=mats, lengths=lengths, source=None, polarity=polarity,
+        columns=[])
     return [replace(shared, config=cell,
                     source=(sources[cell.source_mode]
                             if cell.sentiment_mode != "none" else None),
@@ -685,9 +691,7 @@ def _run_fold(fold: Fold) -> None:
         features = {uid: np.concatenate([run.base[uid], reps[row]])
                     for uid, row in run.index_of.items()}
     elif config.sentiment_mode == "polarity_features":
-        scored = polarity_features(fold.sentiment_model,
-                                   [run.users_by_id[uid] for uid in run.index_of],
-                                   run.table, config.r, run.stopwords)
+        scored = polarity_features(fold.sentiment_model, run.polarity)
         features = {uid: np.concatenate([run.base[uid], pf.values])
                     for uid, pf in zip(run.index_of, scored)}
 

@@ -1,13 +1,18 @@
 """Models assembled from named layers, and the mini-batch loop that trains
-every one of them."""
+every one of them.
+
+A model that `fit` trains keeps all its parameters in one contiguous
+float64 buffer and all its gradients in a second one; its layers' parameter
+attributes and `grads` entries are views into them. The optimizer then
+updates the whole model in one elementwise pass per step."""
 
 import hashlib
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, TrainingError
 from .layers import DropoutLayer
-from .optim import TrainConfig, make_optimizer
+from .optim import TrainConfig, make_optimizer, non_finite
 
 
 class Model:
@@ -17,9 +22,12 @@ class Model:
     `forward`) and `backward`.
 
     Parameters are exposed as an ordered mapping "<prefix>.<name>", in
-    the order of `parts()`, so optimizers, checkpoints and gradient
-    checks all see one flat view.
+    the order of `parts()`, so checkpoints and gradient checks see one
+    named view. `buffers()` lays the same parameters, in the same order,
+    into one flat array (and the gradients into another) for the optimizer.
     """
+
+    _buffers: tuple[np.ndarray, np.ndarray] | None = None
 
     def parts(self) -> list[tuple[str, object]]:
         raise NotImplementedError
@@ -37,6 +45,34 @@ class Model:
             for name in layer.params():
                 out[f"{prefix}.{name}"] = layer.grads[name]
         return out
+
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parameters, gradients): the model's two flat float64 buffers,
+        in the order of `parameters()`.
+
+        Built on the first call: each layer's parameter arrays and `grads`
+        entries are copied in and rebound to views of the buffers, so the
+        layers compute on them, and the old arrays are released. A layer
+        belongs to one model's buffers; a model that reuses another's
+        trained layer trains a copy of it (see `build_finetune_model`).
+        """
+        if self._buffers is None:
+            entries = [(layer, name, value) for _, layer in self.parts()
+                       for name, value in layer.params().items()]
+            size = sum(value.size for _, _, value in entries)
+            params, grads = np.empty(size), np.empty(size)
+            offset = 0
+            for layer, name, value in entries:
+                end = offset + value.size
+                view = params[offset:end].reshape(value.shape)
+                view[...] = value
+                setattr(layer, name, view)
+                grad = grads[offset:end].reshape(value.shape)
+                grad[...] = layer.grads[name]
+                layer.grads[name] = grad
+                offset = end
+            self._buffers = (params, grads)
+        return self._buffers
 
     def dropout_layers(self) -> list[DropoutLayer]:
         return [layer for _, layer in self.parts()
@@ -82,14 +118,20 @@ def fit(model: Model, inputs: tuple, targets: np.ndarray, loss,
     inputs: tuple of arrays sharing axis 0 with targets. Each epoch visits
     the rows in the order `rng.permutation` draws, in batches of
     `config.batch_size`, with one training forward, backward and optimizer
-    step per batch. `after_epoch(model, epoch)` runs after each epoch.
-    Returns one {epoch, train_loss} record per epoch.
+    step per batch. The step updates the model's flat buffers (see
+    `Model.buffers`) as a one-entry mapping, so the optimizer makes one
+    pass and one finiteness check; a non-finite gradient raises
+    TrainingError naming the parameter it reached. `after_epoch(model,
+    epoch)` runs after each epoch. Returns one {epoch, train_loss} record
+    per epoch.
     """
     n = targets.shape[0]
     for arr in inputs:
         if arr.shape[0] != n:
             raise ShapeError("all input arrays must align with the targets")
     optimizer = make_optimizer(config)
+    flat_params, flat_grads = model.buffers()
+    params, grads = {"model": flat_params}, {"model": flat_grads}
     history = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -100,7 +142,13 @@ def fit(model: Model, inputs: tuple, targets: np.ndarray, loss,
                                         training=True)
             value, d_probs = loss(probs, targets[idx])
             model.backward(d_probs)
-            optimizer.step(model.parameters(), model.gradients())
+            try:
+                optimizer.step(params, grads)
+            except TrainingError:
+                # the flat buffer failed the check; name the parameter
+                raise non_finite(next(
+                    name for name, grad in model.gradients().items()
+                    if not np.isfinite(grad).all())) from None
             losses.append(value)
         history.append({"epoch": epoch + 1,
                         "train_loss": float(np.mean(losses))})

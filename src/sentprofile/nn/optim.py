@@ -1,4 +1,10 @@
-"""Optimizers and the shared training configuration."""
+"""Optimizers and the shared training configuration.
+
+`step(params, grads)` takes two mappings of the same names to arrays and
+updates each parameter array in place. Every update is elementwise, so a
+model's parameters may come as many named arrays or, as `nn.fit` passes
+them, as one flat buffer under a single name: both give the same bits.
+"""
 
 from dataclasses import dataclass
 
@@ -29,10 +35,14 @@ class TrainConfig:
                               f"got {self.optimizer!r}")
 
 
+def non_finite(name: str) -> TrainingError:
+    return TrainingError(f"non-finite gradient for parameter {name!r}; "
+                         "training aborted")
+
+
 def _check_finite(name: str, grad: np.ndarray) -> None:
     if not np.isfinite(grad).all():
-        raise TrainingError(f"non-finite gradient for parameter {name!r}; "
-                            "training aborted")
+        raise non_finite(name)
 
 
 class SGD:
@@ -47,7 +57,13 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+
+    Per parameter name it keeps the moments m and v and two scratch arrays,
+    so a step allocates nothing. The update is, in this operation order,
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
+    """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -55,28 +71,35 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._state: dict[str, tuple[np.ndarray, ...]] = {}
         self._t = 0
 
     def step(self, params, grads) -> None:
         self._t += 1
         b1, b2 = self.beta1, self.beta2
+        correct1, correct2 = 1.0 - b1 ** self._t, 1.0 - b2 ** self._t
         for name, value in params.items():
             grad = grads[name]
             _check_finite(name, grad)
-            if name not in self._m:
-                self._m[name] = np.zeros_like(value)
-                self._v[name] = np.zeros_like(value)
-            m = self._m[name]
-            v = self._v[name]
+            state = self._state.get(name)
+            if state is None:
+                state = self._state[name] = tuple(np.zeros_like(value)
+                                                  for _ in range(4))
+            m, v, step, denom = state
             m *= b1
-            m += (1.0 - b1) * grad
+            np.multiply(grad, 1.0 - b1, out=step)
+            m += step
             v *= b2
-            v += (1.0 - b2) * grad * grad
-            m_hat = m / (1.0 - b1 ** self._t)
-            v_hat = v / (1.0 - b2 ** self._t)
-            value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(grad, 1.0 - b2, out=step)
+            step *= grad
+            v += step
+            np.divide(m, correct1, out=step)
+            step *= self.learning_rate
+            np.divide(v, correct2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            value -= step
 
 
 def make_optimizer(config: TrainConfig):

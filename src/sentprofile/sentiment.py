@@ -257,20 +257,29 @@ def _padded(seqs, t: int) -> np.ndarray:
     return x
 
 
-def polarity_features(model: SentimentModel, users: list[UserRecord],
-                      table: EmbeddingTable, r: int,
-                      stopwords=frozenset()) -> list[PolarityFeatures]:
-    """Document polarity plus the fraction of the user's posts predicted
-    positive (probability > 0.5), for each of `users`, in input order.
+@dataclass
+class PolaritySequences:
+    """What polarity scoring runs the model over, built once per user list.
+
+    `ordered` holds every scoreable post and user document, cut to its
+    effective length, sorted by length (`lengths`, ascending); `order[k]`
+    is the input row of ordered[k]. Per user, in input order, `post_rows`
+    gives the input rows of the posts, and the user document is the row
+    right after them."""
+    ordered: list[np.ndarray]
+    lengths: np.ndarray
+    order: np.ndarray
+    post_rows: list[range]
+
+
+def polarity_sequences(users: list[UserRecord], table: EmbeddingTable, r: int,
+                       stopwords=frozenset()) -> PolaritySequences:
+    """Clean and embed each user's posts and user document for
+    `polarity_features`; they do not depend on the model, so one build
+    serves every model scored on the same users.
 
     Posts whose cleaned tokens are all out of vocabulary cannot be scored
-    and are excluded from the rate's denominator; a user with no scoreable
-    post is an error. Every post and user document is scored in a few
-    batched forwards over length-sorted chunks, with the probabilities
-    `predict_polarity` gives each one alone.
-    """
-    # per user, the scoreable posts (rows in post_rows) and then the user
-    # document (the row right after them), each cut to its effective length
+    and are left out; a user with no scoreable post is an error."""
     seqs: list[np.ndarray] = []
     post_rows: list[range] = []
     for user in users:
@@ -292,19 +301,34 @@ def polarity_features(model: SentimentModel, users: list[UserRecord],
         doc = doc_matrix(TokenDocument(doc_id=user.user_id,
                                        tokens=tuple(all_tokens)), table, r)
         seqs.append(doc.values.T[:doc.effective_length].copy())
-    if not seqs:
-        return []
-
-    lengths = np.array([len(seq) for seq in seqs])
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
     order = np.argsort(lengths, kind="stable")
-    ordered = [seqs[i] for i in order]
-    probs = np.empty(len(seqs))
-    probs[order] = _chunked_inference(
-        model, lengths[order], lambda rows, t: _padded(ordered[rows], t),
+    return PolaritySequences(ordered=[seqs[i] for i in order],
+                             lengths=lengths[order], order=order,
+                             post_rows=post_rows)
+
+
+def polarity_features(model: SentimentModel,
+                      sequences: PolaritySequences) -> list[PolarityFeatures]:
+    """Document polarity plus the fraction of the user's posts predicted
+    positive (probability > 0.5), for each user `sequences` was built from
+    (see `polarity_sequences`), in input order.
+
+    Unscoreable posts are excluded from the rate's denominator. Every post
+    and user document is scored in a few batched forwards over the
+    length-sorted chunks, with the probabilities `predict_polarity` gives
+    each one alone.
+    """
+    if not sequences.ordered:
+        return []
+    ordered = sequences.ordered
+    probs = np.empty(len(ordered))
+    probs[sequences.order] = _chunked_inference(
+        model, sequences.lengths, lambda rows, t: _padded(ordered[rows], t),
         lambda out: out[:, 0], POLARITY_BATCH)
 
     features = []
-    for rows in post_rows:
+    for rows in sequences.post_rows:
         positives = int((probs[rows.start:rows.stop] > 0.5).sum())
         features.append(PolarityFeatures(doc_polarity=float(probs[rows.stop]),
                                          positive_rate=positives / len(rows),
@@ -350,7 +374,12 @@ class FinetuneModel(Model):
 def build_finetune_model(model: SentimentModel, vec_dim: int,
                          hidden=(50, 10), dropout_rate: float = 0.4,
                          seed: int = 0) -> FinetuneModel:
-    """Composite of a trainable copy of the trained LSTM and a fresh MLP."""
+    """Composite of a trainable copy of the trained LSTM and a fresh MLP.
+
+    The copy owns its arrays: the trained model's LSTM parameters are views
+    of that model's flat buffer, and the composite lays the copy into a
+    buffer of its own when it trains, so the trained model stays as it is
+    for the other cells that share it."""
     if not model.trained:
         raise DataError("finetuning needs a trained sentiment model")
     return FinetuneModel(lstm=copy.deepcopy(model.lstm), vec_dim=vec_dim,

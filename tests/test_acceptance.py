@@ -36,6 +36,7 @@ from sentprofile.resample import ResampleConfig, smote
 from sentprofile.sentiment import (
     SentimentConfig,
     polarity_features,
+    polarity_sequences,
     predict_polarity,
     train_sentiment,
 )
@@ -375,7 +376,8 @@ def test_positive_rate_matches_brute_force_100_users(polarity_table):
                 for _ in range(rng.integers(1, 7)))
             posts.append(tokens)
         users.append(UserRecord(f"u{trial}", "male", tuple(posts)))
-    scored = polarity_features(model, users, polarity_table, r=8)
+    scored = polarity_features(model,
+                               polarity_sequences(users, polarity_table, r=8))
     assert len(scored) == 100
     for user, pf in zip(users, scored):
         positives = scoreable = 0

@@ -279,6 +279,17 @@ class TestRunGrid:
             cell = replace(config, source_mode=mode, sentiment_mode=layer)
             assert report.to_json() == run_experiment(cell, small_dataset).to_json()
 
+    def test_frozen_cells_after_a_finetuned_cell_match_single_runs(
+            self, small_dataset):
+        # the cells of one source mode share each fold's sentiment model; a
+        # finetuned cell trains a copy of its LSTM, so frozen cells that run
+        # after it in the same fold read the model as trained
+        cells = [small_experiment(sentiment_mode=mode)
+                 for mode in ("finetuned_lstm", "frozen_lstm", "frozen_dense")]
+        reports = experiment._run_cells(cells, small_dataset)
+        for cell, report in zip(cells, reports):
+            assert report.to_json() == run_experiment(cell, small_dataset).to_json()
+
     def test_bad_cell_fails_before_any_work(self, monkeypatch, small_dataset):
         # only the selection cells see z; the first cell would run fine
         calls = count_calls(monkeypatch, ("load_corpora", "train_skipgram",

@@ -87,6 +87,26 @@ def test_benchmark_imports_resolve():
     assert not missing
 
 
+def test_adam_takes_the_kernel_call_form():
+    # perfbench/kernels.py times Adam in exactly this form, a composite's
+    # named parameters and a dict of fresh gradient arrays, while `nn.fit`
+    # steps one flat buffer; an optimizer that dropped the named form
+    # would only fail under --trace 1
+    from sentprofile.nn import Adam, LSTMLayer
+    from sentprofile.sentiment import FinetuneModel
+
+    rng = np.random.default_rng(0)
+    params = FinetuneModel(LSTMLayer(4, 3, rng=rng), vec_dim=4).parameters()
+    grads = {name: rng.normal(scale=1e-3, size=value.shape)
+             for name, value in params.items()}
+    before = {name: value.copy() for name, value in params.items()}
+    optimizer = Adam(3e-3)
+    for _ in range(3):
+        optimizer.step(params, grads)
+    assert all(not np.array_equal(value, before[name])
+               for name, value in params.items())
+
+
 def test_drop_warnings_keep_their_prefixes():
     # the tracer counts dropped inputs by these message prefixes
     source = Path(sentprofile.experiment.__file__).read_text(encoding="utf-8")

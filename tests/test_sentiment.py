@@ -15,6 +15,7 @@ from sentprofile.sentiment import (
     build_finetune_model,
     extract_representations,
     polarity_features,
+    polarity_sequences,
     predict_polarity,
     train_sentiment,
 )
@@ -206,8 +207,7 @@ class TestExtractRepresentation:
         doc = doc_matrix(TokenDocument("d", ("pos0", "neg1")), polarity_table, 4)
         extract_one(model, doc, "frozen_lstm")
         predict_polarity(model, doc)
-        polarity_features(model, [UserRecord("u", "male", (("pos0",),))],
-                          polarity_table, 4)
+        score(model, [UserRecord("u", "male", (("pos0",),))], polarity_table, 4)
         assert model.lstm._cache is None
         composite = build_finetune_model(model, vec_dim=2)
         composite.predict_proba(np.zeros((1, 2)), doc.values.T[None],
@@ -227,18 +227,22 @@ class TestExtractRepresentation:
             assert np.allclose(batch[i], single, atol=1e-12)
 
 
+def score(model, users, table, r):
+    return polarity_features(model, polarity_sequences(users, table, r))
+
+
 class TestPolarityFeatures:
     def test_all_positive_posts(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "female", (("pos0", "pos1"), ("pos2",)))
-        pf = polarity_features(model, [user], polarity_table, r=4)[0]
+        pf = score(model, [user], polarity_table, 4)[0]
         assert pf.positive_rate == 1.0
 
     def test_three_of_four(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0",), ("pos1",), ("pos2",),
                                         ("neg0", "neg1")))
-        pf = polarity_features(model, [user], polarity_table, r=4)[0]
+        pf = score(model, [user], polarity_table, 4)[0]
         assert pf.positive_rate == 0.75
         assert pf.post_count == 4
 
@@ -246,7 +250,7 @@ class TestPolarityFeatures:
         model = integrator_model()
         for tokens, expected in ((("pos0",), 1.0), (("neg0",), 0.0)):
             user = UserRecord("u", "male", (tokens,))
-            pf = polarity_features(model, [user], polarity_table, r=2)[0]
+            pf = score(model, [user], polarity_table, 2)[0]
             assert pf.positive_rate == expected
 
     def test_rate_complement(self, polarity_table):
@@ -259,7 +263,7 @@ class TestPolarityFeatures:
                       for _ in range(rng.integers(1, 5)))
                 for _ in range(rng.integers(1, 6)))
             user = UserRecord(f"u{trial}", "male", posts)
-            pf = polarity_features(model, [user], polarity_table, r=6)[0]
+            pf = score(model, [user], polarity_table, 6)[0]
             negatives = sum(
                 1 for post in posts
                 if predict_polarity(model, doc_matrix(
@@ -269,22 +273,21 @@ class TestPolarityFeatures:
                 1.0 - negatives / pf.post_count)
 
     def test_all_oov_posts_error(self, polarity_table):
-        model = integrator_model()
         user = UserRecord("u", "male", (("zzz",), ("qqq",)))
         with pytest.raises(AllOovError):
-            polarity_features(model, [user], polarity_table, r=3)
+            polarity_sequences([user], polarity_table, r=3)
 
     def test_unscoreable_posts_excluded_from_rate(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0",), ("zzz",)))
-        pf = polarity_features(model, [user], polarity_table, r=3)[0]
+        pf = score(model, [user], polarity_table, 3)[0]
         assert pf.post_count == 1
         assert pf.positive_rate == 1.0
 
     def test_doc_polarity_uses_whole_document(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0", "pos1"), ("neg0",)))
-        pf = polarity_features(model, [user], polarity_table, r=6)[0]
+        pf = score(model, [user], polarity_table, 6)[0]
         doc = doc_matrix(TokenDocument("d", ("pos0", "pos1", "neg0")),
                          polarity_table, 6)
         assert pf.doc_polarity == pytest.approx(predict_polarity(model, doc))
@@ -305,7 +308,7 @@ class TestPolarityFeatures:
                              tuple(rng.choice(words, size=rng.integers(1, 15))))
             users.append(UserRecord(f"u{n}", "male", tuple(posts)))
         r = 30
-        scored = polarity_features(model, users, polarity_table, r=r)
+        scored = score(model, users, polarity_table, r)
         assert len(users) + sum(pf.post_count for pf in scored) > 3 * POLARITY_BATCH
         assert len(scored) == len(users)
         for user, pf in zip(users, scored):
@@ -329,7 +332,7 @@ class TestPolarityFeatures:
                  UserRecord("lost", "female", (("zzz",), ("qqq",))),
                  UserRecord("ok2", "male", (("neg0",),))]
         with pytest.raises(AllOovError, match="'lost'"):
-            polarity_features(integrator_model(), users, polarity_table, r=3)
+            polarity_sequences(users, polarity_table, r=3)
 
 
 def test_extracted_representations_linearly_separable_by_polarity(polarity_table):
@@ -427,6 +430,26 @@ class TestFinetune:
         train_finetune(composite, vecs, mats, lengths, labels,
                        TrainConfig(epochs=1, batch_size=8, seed=0))
         assert base.checksum() == checksum
+
+    def test_finetuning_leaves_trained_source_model_unchanged(self,
+                                                              polarity_table):
+        # a trained model's LSTM lives in its flat parameter buffer; the
+        # composite trains a copy in a buffer of its own
+        from sentprofile.sentiment import train_finetune
+
+        base, _ = train_sentiment(marker_items(polarity_table, n=30, r=5),
+                                  SentimentConfig(hidden_size=2),
+                                  TrainConfig(epochs=2, batch_size=8, seed=0))
+        checksum = base.checksum()
+        composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=2)
+        vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
+        train_finetune(composite, vecs, mats, lengths, labels,
+                       TrainConfig(epochs=2, batch_size=8, seed=0))
+        assert base.checksum() == checksum
+        assert composite.checksum() != checksum
+        assert not np.shares_memory(composite.buffers()[0], base.buffers()[0])
+        assert not any(np.shares_memory(value, base.buffers()[0])
+                       for value in composite.parameters().values())
 
     def test_snapshot_matches_fresh_run(self, polarity_table):
         # the composite seen after epoch e equals one trained for exactly e
