@@ -76,4 +76,10 @@ class ShapeError(PipelineError):
 
 
 class TrainingError(PipelineError):
-    """Training aborted (non-finite gradients or similar)."""
+    """Training aborted (non-finite gradients or similar). `member` is the
+    position of the failing model among those trained in lockstep (see
+    `nn.fit`), or None when the error does not concern one model."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member

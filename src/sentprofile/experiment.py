@@ -6,9 +6,11 @@ embeddings and document representations are fit once on the whole corpus
 (they use no gender labels), the sentiment model is trained per fold on
 the configured source data, minority oversampling touches only the
 training partition, and the gender classifier is trained once per fold and
-scored at every entry of the epoch grid. A grid of cells shares all of this
-but the gender training: one load, one embedding fit and, per source mode,
-one sentiment model per fold.
+scored at every entry of the epoch grid. The gender MLPs of a cell's folds
+train after its last fold, those with equal-shaped training data in
+lockstep as one stacked model. A grid of cells shares all of this but the
+gender training: one load, one embedding fit and, per source mode, one
+sentiment model per fold.
 """
 
 import csv
@@ -523,15 +525,51 @@ def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
             np.concatenate([labels, np.full(len(synth), minority)]))
 
 
+class GridScore:
+    """`after_epoch` callback that scores a model on a test fold whenever
+    training reaches an entry of the epoch grid; `predict(model)` gives the
+    test-fold probabilities. A snapshot at epoch e scores what a run of
+    exactly e epochs would, so one run serves the whole grid."""
+
+    def __init__(self, grid, y_test: np.ndarray, predict):
+        self.grid = set(grid)
+        self.y_test = y_test
+        self.predict = predict
+        self.accuracy: dict[int, float] = {}
+
+    def __call__(self, model, epoch: int) -> None:
+        if epoch in self.grid:
+            probs = self.predict(model)
+            self.accuracy[epoch] = float((probs.argmax(axis=1)
+                                          == self.y_test).mean())
+
+    def append_to(self, columns: list[EpochColumn]) -> None:
+        for col in columns:
+            col.fold_accuracies.append(self.accuracy[col.epochs])
+
+
+@dataclass
+class GenderFold:
+    """One fold's gender-MLP training data, kept until the cell's last fold
+    so that folds of one shape train in lockstep, and the score of its
+    model on the fold's test users."""
+    index: int
+    seed: int
+    x_train: np.ndarray
+    labels: list[str]
+    score: GridScore
+
+
 @dataclass
 class RunContext:
     """What every fold of one cell uses. The cells of one call share every
-    field but `config`, `source` (one per source mode) and `columns`, where
-    the cell's fold accuracies accumulate. Rows of `mats` and `lengths`
-    follow `index_of`; they and `source` are None without a sentiment
-    mode. `polarity` holds the posts and user documents of the users in
-    `index_of`, which every fold's polarity scoring runs its own model
-    over; it is None unless a cell scores polarity features."""
+    field but `config`, `source` (one per source mode), `columns`, where
+    the cell's fold accuracies accumulate, and `gender_folds`, where its
+    folds leave their gender-MLP training data. Rows of `mats` and
+    `lengths` follow `index_of`; they and `source` are None without a
+    sentiment mode. `polarity` holds the posts and user documents of the
+    users in `index_of`, which every fold's polarity scoring runs its own
+    model over; it is None unless a cell scores polarity features."""
     config: ExperimentConfig
     plan: FoldPlan
     base: dict
@@ -542,6 +580,7 @@ class RunContext:
     source: SentimentSource | None
     polarity: PolaritySequences | None
     columns: list[EpochColumn]
+    gender_folds: list[GenderFold]
 
     def label_array(self, ids) -> np.ndarray:
         return np.array([self.labels[uid] for uid in ids])
@@ -555,9 +594,10 @@ class RunContext:
 
 @dataclass
 class Fold:
-    """One fold's split and seed, and the sentiment model trained on its
-    training users (None without a sentiment mode)."""
+    """One fold's position, split and seed, and the sentiment model trained
+    on its training users (None without a sentiment mode)."""
     run: RunContext
+    index: int
     seed: int
     train_ids: list[str]
     test_ids: list[str]
@@ -601,12 +641,13 @@ def _prepare_runs(cells: list[ExperimentConfig],
         labels={d.user_id: CLASSES.index(d.gender) for d in docs},
         index_of={d.user_id: i for i, d in enumerate(docs)},
         mats=mats, lengths=lengths, source=None, polarity=polarity,
-        columns=[])
+        columns=[], gender_folds=[])
     return [replace(shared, config=cell,
                     source=(sources[cell.source_mode]
                             if cell.sentiment_mode != "none" else None),
                     columns=[EpochColumn(epochs=e, fold_accuracies=[])
-                             for e in cell.epochs])
+                             for e in cell.epochs],
+                    gender_folds=[])
             for cell in cells]
 
 
@@ -616,7 +657,9 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
 
     Folds run outside the cells: the cells of a source mode share each
     fold's sentiment model, which is trained once and dropped before the
-    next fold's, so at most one fold model is alive at a time."""
+    next fold's, so at most one fold model is alive at a time. After the
+    last fold of a source mode, its cells train their gender MLPs (see
+    `_train_gender_folds`)."""
     started = time.perf_counter()
     for cell in cells:
         cell.validate()
@@ -630,12 +673,9 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
             try:
                 _run_fold_cells(group, fold_index)
             except PipelineError as exc:
-                # keep the error category (and hence the exit code) while
-                # pointing at the failing fold
-                for category in (ConfigError, TrainingError, DataError):
-                    if isinstance(exc, category):
-                        raise category(f"fold {fold_index + 1}: {exc}") from exc
-                raise PipelineError(f"fold {fold_index + 1}: {exc}") from exc
+                raise _in_fold(exc, fold_index) from exc
+        for run in group:
+            _train_gender_folds(run)
     reports = []
     for run in runs:
         config = run.config
@@ -654,6 +694,15 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     return reports
 
 
+def _in_fold(exc: PipelineError, index: int) -> PipelineError:
+    """`exc` pointing at fold `index`, under its error category (and hence
+    its exit code)."""
+    for category in (ConfigError, TrainingError, DataError):
+        if isinstance(exc, category):
+            return category(f"fold {index + 1}: {exc}")
+    return PipelineError(f"fold {index + 1}: {exc}")
+
+
 def _run_fold_cells(runs: list[RunContext], index: int) -> None:
     """Split fold `index`, train its sentiment model once and run the fold
     of every cell in `runs`, which share a source mode, on that model."""
@@ -668,7 +717,7 @@ def _run_fold_cells(runs: list[RunContext], index: int) -> None:
                                    config.train_config(config.sentiment_epochs,
                                                        seed))
     for run in runs:
-        _run_fold(Fold(run, seed, train_ids, test_ids, model))
+        _run_fold(Fold(run, index, seed, train_ids, test_ids, model))
 
 
 def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
@@ -676,8 +725,9 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
 
 
 def _run_fold(fold: Fold) -> None:
-    """Train the gender classifier of one fold and score it at every entry
-    of the epoch grid."""
+    """Build the gender classifier's inputs of one fold and leave them in
+    `run.gender_folds` (see `_train_gender_folds`); a finetuned cell trains
+    and scores its composite here."""
     run = fold.run
     config = run.config
     if config.sentiment_mode == "finetuned_lstm":
@@ -702,12 +752,38 @@ def _run_fold(fold: Fold) -> None:
     if config.smote:
         x_train, y_train = smote(x_train, y_train,
                                  config.resample_config(fold.seed))
-    train_labels = [CLASSES[i] for i in y_train]
-    _score_epoch_grid(
-        fold, y_test, lambda model: model.predict_proba(x_test),
-        lambda train_config, after_epoch: train_gender(
-            x_train, train_labels, train_config,
-            dropout_rate=config.mlp_dropout, after_epoch=after_epoch))
+    run.gender_folds.append(GenderFold(
+        fold.index, fold.seed, x_train, [CLASSES[i] for i in y_train],
+        GridScore(config.epochs, y_test,
+                  lambda model: model.predict_proba(x_test))))
+
+
+def _train_gender_folds(run: RunContext) -> None:
+    """Train the gender MLPs of the folds in `run.gender_folds` and add
+    their accuracies to the cell's columns, in fold order.
+
+    Folds whose training matrices have one shape train in lockstep as one
+    stack (one `train_gender` call); each fold's model is scored at the
+    grid epochs from its own snapshot and ends with the bytes it would
+    have trained to alone. A failure names the fold it happened in."""
+    config = run.config
+    stacks: dict[tuple, list[GenderFold]] = {}
+    for fold in run.gender_folds:
+        stacks.setdefault(fold.x_train.shape, []).append(fold)
+    for stack in stacks.values():
+        try:
+            train_gender([fold.x_train for fold in stack],
+                         [fold.labels for fold in stack],
+                         config.train_config(max(config.epochs)),
+                         dropout_rate=config.mlp_dropout,
+                         after_epoch=[fold.score for fold in stack],
+                         seeds=[fold.seed for fold in stack])
+        except PipelineError as exc:
+            failed = stack[getattr(exc, "member", None) or 0]
+            raise _in_fold(exc, failed.index) from exc
+    for fold in run.gender_folds:
+        fold.score.append_to(run.columns)
+    run.gender_folds.clear()
 
 
 def _run_finetuned_fold(fold: Fold) -> None:
@@ -724,32 +800,12 @@ def _run_finetuned_fold(fold: Fold) -> None:
                                      vec_dim=vecs_tr.shape[1],
                                      dropout_rate=config.mlp_dropout,
                                      seed=fold.seed)
-    _score_epoch_grid(
-        fold, y_te, lambda model: model.predict_proba(vecs_te, mats_te, lens_te),
-        lambda train_config, after_epoch: train_finetune(
-            composite, vecs_tr, mats_tr, lens_tr, y_tr, train_config,
-            after_epoch=after_epoch))
-
-
-def _score_epoch_grid(fold: Fold, y_test, predict, train) -> None:
-    """Train one model to the longest entry of the epoch grid and score it
-    on the test fold whenever training reaches an entry.
-
-    `train(train_config, after_epoch)` trains; `predict(model)` gives the
-    test-fold probabilities. A snapshot at epoch e scores what a run of
-    exactly e epochs would, so one run serves the whole grid."""
-    run = fold.run
-    grid = set(run.config.epochs)
-    accuracy = {}
-
-    def after_epoch(model, epoch):
-        if epoch in grid:
-            probs = predict(model)
-            accuracy[epoch] = float((probs.argmax(axis=1) == y_test).mean())
-
-    train(run.config.train_config(max(grid), fold.seed), after_epoch)
-    for col in run.columns:
-        col.fold_accuracies.append(accuracy[col.epochs])
+    score = GridScore(config.epochs, y_te, lambda model: model.predict_proba(
+        vecs_te, mats_te, lens_te))
+    train_finetune(composite, vecs_tr, mats_tr, lens_tr, y_tr,
+                   config.train_config(max(config.epochs), fold.seed),
+                   after_epoch=score)
+    score.append_to(run.columns)
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")

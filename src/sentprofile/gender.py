@@ -136,35 +136,40 @@ class GenderModel(Model):
 register_model(GenderModel.checkpoint_kind, GenderModel)
 
 
-def fit_softmax_classifier(model, inputs: tuple, labels: np.ndarray,
-                           config: TrainConfig,
-                           after_epoch=None) -> list[dict]:
-    """`nn.fit` of a gender MLP or composite on class indices.
+def fit_softmax_classifier(models: list, inputs: list[tuple],
+                           labels: list[np.ndarray], config: TrainConfig,
+                           seeds: Sequence[int] | None = None,
+                           after_epoch=None) -> list[list[dict]]:
+    """`nn.fit` of gender MLPs or composites on class indices, in lockstep.
 
-    inputs: tuple of arrays sharing axis 0 with labels, which index
-    CLASSES; the model outputs one probability per class.
-    Batch order and dropout masks derive from config.seed, so identical
-    calls reproduce identical parameters. `after_epoch(model, epoch)` runs
-    after each epoch; an inference-mode forward there draws nothing from
-    the training streams and leaves nothing that the next training batch
+    Member j trains on `inputs[j]`, a tuple of arrays sharing axis 0 with
+    `labels[j]`, which index CLASSES; a model outputs one probability per
+    class. Member j's batch order and dropout masks derive from `seeds[j]`
+    (default: `config.seed` for every member), so identical calls
+    reproduce identical parameters, and a member trains to the bytes it
+    would alone. `after_epoch[j](model, epoch)` runs after each epoch of
+    member j; an inference-mode forward there draws nothing from the
+    training streams and leaves nothing that the next training batch
     reads, so the model it sees at epoch e is the one a run of exactly e
-    epochs returns. Returns one {epoch, train_loss} record per epoch.
+    epochs returns. Returns, per member, one {epoch, train_loss} record per
+    epoch.
     """
-    batch_seed, dropout_seed = np.random.SeedSequence(config.seed).spawn(2)
-    dropouts = model.dropout_layers()
-    for layer, child in zip(dropouts, dropout_seed.spawn(max(1, len(dropouts)))):
-        layer.rng = np.random.default_rng(child)
-    return fit(model, inputs, np.eye(len(CLASSES))[labels],
-               categorical_cross_entropy, config,
-               np.random.default_rng(batch_seed), after_epoch)
+    if seeds is None:
+        seeds = [config.seed] * len(models)
+    rngs = []
+    for model, seed in zip(models, seeds):
+        batch_seed, dropout_seed = np.random.SeedSequence(seed).spawn(2)
+        dropouts = model.dropout_layers()
+        for layer, child in zip(dropouts,
+                                dropout_seed.spawn(max(1, len(dropouts)))):
+            layer.rng = np.random.default_rng(child)
+        rngs.append(np.random.default_rng(batch_seed))
+    return fit(models, inputs, [np.eye(len(CLASSES))[y] for y in labels],
+               categorical_cross_entropy, config, rngs, after_epoch)
 
 
-def train_gender(features, labels: Sequence[str], config: TrainConfig,
-                 hidden: tuple[int, int] = DEFAULT_HIDDEN,
-                 dropout_rate: float = DEFAULT_DROPOUT,
-                 after_epoch=None) -> GenderModel:
-    """Train the MLP on feature vectors with string labels; `after_epoch`
-    as in `fit_softmax_classifier`."""
+def _training_matrix(features, labels: Sequence[str]):
+    """(matrix, layout, class indices) of one model's training data."""
     if isinstance(features, np.ndarray):
         matrix = np.asarray(features, dtype=np.float64)
         layout = ("doc_vector",)
@@ -179,11 +184,38 @@ def train_gender(features, labels: Sequence[str], config: TrainConfig,
         raise DataError("training data holds a single class")
     if matrix.shape[0] != label_idx.shape[0]:
         raise ShapeError("features and labels must align")
-    model = GenderModel(matrix.shape[1], hidden, dropout_rate,
-                        seed=config.seed, layout=layout)
-    model.history = fit_softmax_classifier(model, (matrix,), label_idx, config,
-                                           after_epoch=after_epoch)
-    return model
+    return matrix, layout, label_idx
+
+
+def train_gender(features, labels: Sequence[str], config: TrainConfig,
+                 hidden: tuple[int, int] = DEFAULT_HIDDEN,
+                 dropout_rate: float = DEFAULT_DROPOUT,
+                 after_epoch=None, seeds: Sequence[int] | None = None):
+    """Train the MLP on feature vectors with string labels; `after_epoch`
+    as in `fit_softmax_classifier`, for the one model.
+
+    With `seeds`, trains one model per seed in lockstep and returns the
+    list of them: `features`, `labels` and `after_epoch` then hold one
+    entry per model, and model j trains to the bytes that
+    `train_gender(features[j], labels[j], replace(config, seed=seeds[j]),
+    ...)` gives. Every model's feature matrix must have the same shape."""
+    single = seeds is None
+    if single:
+        features, labels, seeds = [features], [labels], [config.seed]
+        after_epoch = None if after_epoch is None else [after_epoch]
+    models, inputs, targets = [], [], []
+    for member_features, member_labels, seed in zip(features, labels, seeds):
+        matrix, layout, label_idx = _training_matrix(member_features,
+                                                     member_labels)
+        models.append(GenderModel(matrix.shape[1], hidden, dropout_rate,
+                                  seed=seed, layout=layout))
+        inputs.append((matrix,))
+        targets.append(label_idx)
+    histories = fit_softmax_classifier(models, inputs, targets, config, seeds,
+                                       after_epoch)
+    for model, history in zip(models, histories):
+        model.history = history
+    return models[0] if single else models
 
 
 def write_features(path, rows: Sequence[tuple[str, str, FeatureVector]]) -> None:

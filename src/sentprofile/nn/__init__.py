@@ -20,7 +20,7 @@ from .layers import (
     softmax,
 )
 from .losses import LOSSES, binary_cross_entropy, categorical_cross_entropy
-from .network import Model, Network, fit
+from .network import Model, Network, fit, stack
 from .optim import Adam, SGD, TrainConfig, make_optimizer
 
 __all__ = [
@@ -48,5 +48,6 @@ __all__ = [
     "save_model",
     "sigmoid",
     "softmax",
+    "stack",
     "write_checkpoint",
 ]

@@ -7,6 +7,17 @@ pair per step). The dense and dropout layers return the gradient with
 respect to their input; the LSTM, always a model's first layer, returns
 None.
 
+The dense and dropout layers also take a leading member axis, which is how
+`nn.fit` trains k same-shaped models in lockstep (see `nn.stack`): a
+stacked dense layer holds (k, in, out) weights and a (k, out) bias and maps
+(k, B, in) inputs to (k, B, out); a stacked dropout layer holds one
+generator per member and draws member j's mask from the j-th. Every
+operation keeps member j's bits as its own 2-D layer computes them:
+`np.matmul` runs one BLAS call per member on the same operand layouts, the
+backward products transpose with `swapaxes(-1, -2)` as the 2-D ones do
+with `.T`, and the bias gradient `sum(axis=-2)` is the same sequential sum
+over the batch rows.
+
 The LSTM gives the same bytes as the plain per-step recurrence its
 docstring writes down (kept as a reference in the tests), by these rules:
 - Elementwise ufuncs give the same bits in any memory layout, so the gate
@@ -110,8 +121,9 @@ def _activation_input_grad(name: str, d_out: np.ndarray, z: np.ndarray, a: np.nd
 class DenseLayer:
     """Fully connected layer: a = activation(x @ weights + bias).
 
-    weights has shape (in_dim, out_dim), bias shape (out_dim,). Parameters
-    are Glorot-uniform initialized, biases zero.
+    weights has shape (in_dim, out_dim), bias shape (out_dim,), or (k, ...)
+    of each when stacked over k members. Parameters are Glorot-uniform
+    initialized, biases zero.
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "identity",
@@ -138,10 +150,13 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"{self!r} expected input of width {self.in_dim}, "
-                             f"got array of shape {x.shape}")
-        z = x @ self.weights + self.bias
+        members = self.weights.shape[:-2]
+        if (x.ndim != self.weights.ndim or x.shape[:-2] != members
+                or x.shape[-1] != self.in_dim):
+            raise ShapeError(f"{self!r} expected input of shape "
+                             f"({', '.join(map(str, members + ('B',)))}, "
+                             f"{self.in_dim}), got array of shape {x.shape}")
+        z = x @ self.weights + self.bias[..., None, :]
         a = _apply_activation(self.activation, z)
         self._cache = (x, z, a)
         return a
@@ -151,14 +166,17 @@ class DenseLayer:
             raise ShapeError(f"{self!r}: backward before forward")
         x, z, a = self._cache
         dz = _activation_input_grad(self.activation, d_out, z, a)
-        self.grads["weights"][...] = x.T @ dz
-        self.grads["bias"][...] = dz.sum(axis=0)
-        return dz @ self.weights.T
+        self.grads["weights"][...] = x.swapaxes(-1, -2) @ dz
+        self.grads["bias"][...] = dz.sum(axis=-2)
+        return dz @ self.weights.swapaxes(-1, -2)
 
 
 class DropoutLayer:
     """Inverted dropout: zeroes units with probability `rate` at training
     time and scales survivors by 1/(1-rate), so inference is the identity.
+
+    `rng` draws the masks; a layer stacked over k members holds a sequence
+    of k generators instead, and member j's mask comes from the j-th.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator | None = None):
@@ -180,7 +198,11 @@ class DropoutLayer:
         if not training or self.rate == 0.0:
             self._mask = None
             return x
-        keep = self.rng.random(x.shape) >= self.rate
+        if x.ndim == 2:
+            draws = self.rng.random(x.shape)
+        else:
+            draws = np.stack([rng.random(x.shape[1:]) for rng in self.rng])
+        keep = draws >= self.rate
         self._mask = keep / (1.0 - self.rate)
         return x * self._mask
 

@@ -4,14 +4,17 @@ every one of them.
 A model that `fit` trains keeps all its parameters in one contiguous
 float64 buffer and all its gradients in a second one; its layers' parameter
 attributes and `grads` entries are views into them. The optimizer then
-updates the whole model in one elementwise pass per step."""
+updates the whole model in one elementwise pass per step. Models of one
+architecture can train in lockstep as one stacked model (`stack`), whose
+buffers hold one member per row."""
 
+import copy
 import hashlib
 
 import numpy as np
 
 from ..errors import ShapeError, TrainingError
-from .layers import DropoutLayer
+from .layers import DropoutLayer, LSTMLayer
 from .optim import TrainConfig, make_optimizer, non_finite
 
 
@@ -55,23 +58,10 @@ class Model:
         layers compute on them, and the old arrays are released. A layer
         belongs to one model's buffers; a model that reuses another's
         trained layer trains a copy of it (see `build_finetune_model`).
+        A model trained in a stack owns one row of the stack's buffers.
         """
         if self._buffers is None:
-            entries = [(layer, name, value) for _, layer in self.parts()
-                       for name, value in layer.params().items()]
-            size = sum(value.size for _, _, value in entries)
-            params, grads = np.empty(size), np.empty(size)
-            offset = 0
-            for layer, name, value in entries:
-                end = offset + value.size
-                view = params[offset:end].reshape(value.shape)
-                view[...] = value
-                setattr(layer, name, view)
-                grad = grads[offset:end].reshape(value.shape)
-                grad[...] = layer.grads[name]
-                layer.grads[name] = grad
-                offset = end
-            self._buffers = (params, grads)
+            _lay_out([self])
         return self._buffers
 
     def dropout_layers(self) -> list[DropoutLayer]:
@@ -110,48 +100,125 @@ class Network(Model):
         return grad
 
 
-def fit(model: Model, inputs: tuple, targets: np.ndarray, loss,
-        config: TrainConfig, rng: np.random.Generator,
-        after_epoch=None) -> list[dict]:
-    """Mini-batch training of `model` on `loss(probs, targets)`.
+def _lay_out(models: list[Model]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the parameters and gradients of `models`, which share one
+    architecture, into the rows of a (k, P) parameter buffer and a (k, P)
+    gradient buffer, and rebind each model's arrays to views of its row
+    (see `Model.buffers`); returns the two buffers."""
+    entries = [[(layer, name, value) for _, layer in model.parts()
+                for name, value in layer.params().items()] for model in models]
+    size = sum(value.size for _, _, value in entries[0])
+    params, grads = np.empty((len(models), size)), np.empty((len(models), size))
+    for row, (model, model_entries) in enumerate(zip(models, entries)):
+        offset = 0
+        for layer, name, value in model_entries:
+            end = offset + value.size
+            view = params[row, offset:end].reshape(value.shape)
+            view[...] = value
+            setattr(layer, name, view)
+            grad = grads[row, offset:end].reshape(value.shape)
+            grad[...] = layer.grads[name]
+            layer.grads[name] = grad
+            offset = end
+        model._buffers = (params[row], grads[row])
+    return params, grads
 
-    inputs: tuple of arrays sharing axis 0 with targets. Each epoch visits
-    the rows in the order `rng.permutation` draws, in batches of
-    `config.batch_size`, with one training forward, backward and optimizer
-    step per batch. The step updates the model's flat buffers (see
-    `Model.buffers`) as a one-entry mapping, so the optimizer makes one
-    pass and one finiteness check; a non-finite gradient raises
-    TrainingError naming the parameter it reached. `after_epoch(model,
-    epoch)` runs after each epoch. Returns one {epoch, train_loss} record
-    per epoch.
+
+def stack(models: list[Model]) -> Model:
+    """One model that trains `models` (k of one architecture, built from
+    dense and dropout layers) in lockstep.
+
+    It is a copy of the first member whose every parameter and gradient
+    carries a leading member axis: (k, ...) views of one (k, P) buffer pair
+    whose row j each member's own arrays view, so a step of the stack
+    updates every member. Each stacked dropout layer draws member j's mask
+    from member j's generator. Its inputs carry the member axis too."""
+    params, grads = _lay_out(models)
+    stacked = copy.deepcopy(models[0])
+    offset = 0
+    for (_, layer), *members in zip(stacked.parts(),
+                                    *(model.parts() for model in models)):
+        for name, value in layer.params().items():
+            end = offset + value.size
+            shape = (len(models), *value.shape)
+            setattr(layer, name, params[:, offset:end].reshape(shape))
+            layer.grads[name] = grads[:, offset:end].reshape(shape)
+            offset = end
+        if isinstance(layer, DropoutLayer):
+            layer.rng = [member.rng for _, member in members]
+    stacked._buffers = (params, grads)
+    return stacked
+
+
+def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
+        loss, config: TrainConfig, rngs: list[np.random.Generator],
+        after_epoch=None) -> list[list[dict]]:
+    """Mini-batch training of `loss(probs, targets)` for k models in
+    lockstep; a single model is a stack of one.
+
+    Member j trains on the arrays of `inputs[j]`, which share axis 0 with
+    `targets[j]`; every member's arrays have the same shapes, so their
+    batches line up. Each epoch visits member j's rows in the order
+    `rngs[j].permutation` draws, in batches of `config.batch_size`, with
+    one training forward, backward and optimizer step per batch for the
+    whole stack. One model trains as itself; k > 1 train as `stack(models)`
+    on inputs with a leading member axis, and member j ends with the bytes
+    it would have trained to alone.
+
+    The step updates the flat buffers (see `Model.buffers`) as a one-entry
+    mapping, so the optimizer makes one pass and one finiteness check; a
+    non-finite gradient raises TrainingError naming the parameter it
+    reached and, as `member`, the first member it reached. The LSTM's
+    backward cache is dropped when training ends. `after_epoch[j](model,
+    epoch)` runs for member j after each epoch. Returns, per member, one
+    {epoch, train_loss} record per epoch.
     """
-    n = targets.shape[0]
-    for arr in inputs:
-        if arr.shape[0] != n:
-            raise ShapeError("all input arrays must align with the targets")
+    n = targets[0].shape[0]
+    shapes = [a.shape for a in inputs[0]]
+    if any(shape[0] != n for shape in shapes):
+        raise ShapeError("all input arrays must align with the targets")
+    for member_inputs, member_targets in zip(inputs[1:], targets[1:]):
+        if (member_targets.shape != targets[0].shape
+                or [a.shape for a in member_inputs] != shapes):
+            raise ShapeError("models trained in lockstep need inputs of one shape")
     optimizer = make_optimizer(config)
+    if len(models) == 1:
+        model, data, labels = models[0], inputs[0], targets[0]
+    else:
+        model = stack(models)
+        data = tuple(np.stack(arrays) for arrays in zip(*inputs))
+        labels = np.stack(targets)
     flat_params, flat_grads = model.buffers()
     params, grads = {"model": flat_params}, {"model": flat_grads}
-    history = []
+    members = np.arange(len(models))[:, None]
+    histories = [[] for _ in models]
     for epoch in range(config.epochs):
-        perm = rng.permutation(n)
+        perm = np.stack([rng.permutation(n) for rng in rngs])
         losses = []
         for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            probs = model.forward_batch(tuple(a[idx] for a in inputs),
+            idx = perm[:, start:start + config.batch_size]
+            rows = (idx[0],) if len(models) == 1 else (members, idx)
+            probs = model.forward_batch(tuple(a[rows] for a in data),
                                         training=True)
-            value, d_probs = loss(probs, targets[idx])
+            value, d_probs = loss(probs, labels[rows])
             model.backward(d_probs)
             try:
                 optimizer.step(params, grads)
             except TrainingError:
-                # the flat buffer failed the check; name the parameter
-                raise non_finite(next(
-                    name for name, grad in model.gradients().items()
-                    if not np.isfinite(grad).all())) from None
+                # the flat buffer failed the check; name the member and the
+                # parameter (the members' gradients view its rows)
+                raise next(non_finite(name, member)
+                           for member, trained in enumerate(models)
+                           for name, grad in trained.gradients().items()
+                           if not np.isfinite(grad).all()) from None
             losses.append(value)
-        history.append({"epoch": epoch + 1,
-                        "train_loss": float(np.mean(losses))})
-        if after_epoch is not None:
-            after_epoch(model, epoch + 1)
-    return history
+        batch_losses = np.array(losses).reshape(len(losses), -1)
+        for j, history in enumerate(histories):
+            history.append({"epoch": epoch + 1,
+                            "train_loss": float(np.mean(batch_losses[:, j]))})
+            if after_epoch is not None:
+                after_epoch[j](models[j], epoch + 1)
+    for _, layer in model.parts():
+        if isinstance(layer, LSTMLayer):
+            layer._cache = None
+    return histories

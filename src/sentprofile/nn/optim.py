@@ -3,7 +3,8 @@
 `step(params, grads)` takes two mappings of the same names to arrays and
 updates each parameter array in place. Every update is elementwise, so a
 model's parameters may come as many named arrays or, as `nn.fit` passes
-them, as one flat buffer under a single name: both give the same bits.
+them, as one flat buffer under a single name (a (k, P) buffer for k
+models trained in lockstep): all give the same bits.
 """
 
 from dataclasses import dataclass
@@ -35,9 +36,9 @@ class TrainConfig:
                               f"got {self.optimizer!r}")
 
 
-def non_finite(name: str) -> TrainingError:
+def non_finite(name: str, member: int | None = None) -> TrainingError:
     return TrainingError(f"non-finite gradient for parameter {name!r}; "
-                         "training aborted")
+                         "training aborted", member)
 
 
 def _check_finite(name: str, grad: np.ndarray) -> None:

@@ -179,9 +179,9 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
         heldout.append((float(loss),
                         float(((probs > 0.5) == (held_targets > 0.5)).mean())))
 
-    history = fit(model, (mats[:n], lengths[:n]), targets[:n],
-                  binary_cross_entropy, train_config,
-                  np.random.default_rng(batch_seed), after_epoch)
+    history, = fit([model], [(mats[:n], lengths[:n])], [targets[:n]],
+                   binary_cross_entropy, train_config,
+                   [np.random.default_rng(batch_seed)], [after_epoch])
     model.trained = True
     return model, [EpochStats(record["epoch"], record["train_loss"], *scores)
                    for record, scores in zip(history, heldout)]
@@ -390,8 +390,8 @@ def train_finetune(model: FinetuneModel, vecs: np.ndarray, mats: np.ndarray,
                    lengths: np.ndarray, labels: np.ndarray,
                    config: TrainConfig, after_epoch=None) -> FinetuneModel:
     """Train the composite with the same loop as the plain gender MLP;
-    `after_epoch` as in `fit_softmax_classifier`."""
-    model.history = fit_softmax_classifier(model, (vecs, mats, lengths),
-                                           labels, config,
-                                           after_epoch=after_epoch)
+    `after_epoch` as in `fit_softmax_classifier`, for the one model."""
+    model.history, = fit_softmax_classifier(
+        [model], [(vecs, mats, lengths)], [labels], config,
+        after_epoch=None if after_epoch is None else [after_epoch])
     return model

@@ -2,10 +2,12 @@ import json
 from collections import Counter
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from sentprofile import experiment
-from sentprofile.errors import ConfigError, DataError
+from sentprofile.errors import ConfigError, DataError, TrainingError
+from sentprofile.gender import CLASSES, train_gender
 from sentprofile.experiment import (
     GRID_LAYERS,
     SOURCE_MODES,
@@ -250,6 +252,97 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="fold 1"):
             run_experiment(small_experiment(smote=True, smote_k=500),
                            small_dataset)
+
+    def test_non_finite_gradient_names_its_fold(self, monkeypatch,
+                                                small_dataset):
+        # the gender MLPs of the three folds train after the last fold, as
+        # one stack; a non-finite gradient in the second still fails with
+        # the category and message a fold-by-fold run gives
+        extract, stacks = experiment.extract_representations, []
+
+        def poisoned(*args, **kwargs):
+            reps = extract(*args, **kwargs)
+            stacks.append(None)
+            return np.full_like(reps, np.nan) if len(stacks) == 2 else reps
+
+        train = experiment.train_gender
+
+        def counted(*args, seeds, **kwargs):
+            stacks.append(len(seeds))
+            return train(*args, seeds=seeds, **kwargs)
+
+        monkeypatch.setattr(experiment, "extract_representations", poisoned)
+        monkeypatch.setattr(experiment, "train_gender", counted)
+        with pytest.raises(TrainingError) as caught:
+            run_experiment(small_experiment(sentiment_mode="frozen_lstm"),
+                           small_dataset)
+        assert str(caught.value) == ("fold 2: non-finite gradient for "
+                                     "parameter 'layer0.weights'; training "
+                                     "aborted")
+        assert stacks == [None, None, None, 3]
+
+
+def gender_fold(index, rows, width=6):
+    """A GenderFold of `rows` training rows, its test matrix, and the test
+    probabilities its score computes, in epoch order."""
+    rng = np.random.default_rng(index)
+    x = rng.normal(size=(rows, width))
+    labels = [CLASSES[int(v > 0)] for v in x[:, 0] + rng.normal(size=rows)]
+    test = rng.normal(size=(9, width))
+    probs = []
+
+    def predict(model):
+        probs.append(model.predict_proba(test))
+        return probs[-1]
+
+    score = experiment.GridScore((7, 3), rng.integers(0, 2, size=9), predict)
+    return experiment.GenderFold(index, 100 + index, x, labels, score), test, probs
+
+
+def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
+    # 65 and 66 rows in batches of 32 leave last batches of 1 and 2; each
+    # shape is its own stack, and every fold ends as a lone run would
+    config = small_experiment(epochs=(7, 3), batch_size=32)
+    folds = [gender_fold(index, rows)
+             for index, rows in enumerate((65, 66, 65, 66, 65))]
+    trained = []
+    train = experiment.train_gender
+
+    def recorded(*args, seeds, **kwargs):
+        models = train(*args, seeds=seeds, **kwargs)
+        trained.extend(zip(seeds, models))
+        return models
+
+    monkeypatch.setattr(experiment, "train_gender", recorded)
+    run = experiment.RunContext(
+        config=config, plan=None, base={}, labels={}, index_of={}, mats=None,
+        lengths=None, source=None, polarity=None,
+        columns=[EpochColumn(epochs=e, fold_accuracies=[]) for e in (7, 3)],
+        gender_folds=[fold for fold, _, _ in folds])
+    experiment._train_gender_folds(run)
+    assert [seed for seed, _ in trained] == [100, 102, 104, 101, 103]
+    assert run.gender_folds == []
+    members = dict(trained)
+    for j, (fold, test, probs) in enumerate(folds):
+        alone_probs = []
+
+        def after_epoch(model, epoch):
+            if epoch in (3, 7):
+                alone_probs.append(model.predict_proba(test).tobytes())
+
+        alone = train_gender(fold.x_train, fold.labels,
+                             config.train_config(7, fold.seed),
+                             dropout_rate=config.mlp_dropout,
+                             after_epoch=after_epoch)
+        member = members[fold.seed]
+        assert member.checksum() == alone.checksum()
+        assert member.history == alone.history
+        assert [p.tobytes() for p in probs] == alone_probs
+        # the columns take the accuracies in fold order
+        assert [col.fold_accuracies[j] for col in run.columns] == \
+            [fold.score.accuracy[7], fold.score.accuracy[3]]
+        assert [col.fold_accuracies[j] for col in run.columns] == \
+            [fold.score.accuracy[7], fold.score.accuracy[3]]
 
 
 def count_calls(monkeypatch, names):

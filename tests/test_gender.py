@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,88 @@ class TestTrainGender:
         assert len(dropouts) == 1 and dropouts[0].rate == 0.4
         # dropout sits right after the first hidden layer
         assert model.network.layers[1] is dropouts[0]
+
+
+def noisy_features(n, width=56, seed=0):
+    """Features whose labels follow a noisy linear rule, so training keeps
+    moving the parameters for many epochs."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, width))
+    score = x[:, 0] + x[:, 1] + rng.normal(size=n)
+    labels = [CLASSES[int(v > 0)] for v in score]
+    return x, labels
+
+
+def flat_parameters(model):
+    return np.concatenate([v.ravel() for v in model.parameters().values()])
+
+
+def scored_training(features, labels, config, test, grid, seeds=None):
+    """`train_gender` alone (`seeds` None) or as a stack; returns the models
+    and, per model, its test probabilities at each grid epoch."""
+    members = 1 if seeds is None else len(seeds)
+    scores = [{} for _ in range(members)]
+
+    def scorer(j):
+        def after_epoch(model, epoch):
+            if epoch in grid:
+                scores[j][epoch] = model.predict_proba(test).tobytes()
+        return after_epoch
+
+    if seeds is None:
+        return [train_gender(features, labels, config,
+                             after_epoch=scorer(0))], scores
+    return train_gender(features, labels, config,
+                        after_epoch=[scorer(j) for j in range(members)],
+                        seeds=seeds), scores
+
+
+class TestTrainGenderStack:
+    """Folds of one shape train in lockstep as one stacked model; each
+    member must end as it would alone, to the byte."""
+
+    @pytest.mark.parametrize("rows, batch", [(104, 32), (100, 11)])
+    def test_matches_separate_runs(self, rows, batch):
+        # 104 rows in batches of 32 leave a last batch of 8; ten batches of
+        # 11 give each epoch's mean loss a pairwise sum
+        data = [noisy_features(rows, seed=seed) for seed in range(5)]
+        test = noisy_features(21, seed=9)[0]
+        config = TrainConfig(epochs=30, batch_size=batch, learning_rate=3e-3)
+        seeds, grid = [17, 3, 99, 3, 41], {5, 17, 30}
+        stacked, stacked_scores = scored_training(
+            [x for x, _ in data], [y for _, y in data], config, test, grid,
+            seeds)
+        assert len(stacked) == len(seeds)
+        for j, ((x, y), seed) in enumerate(zip(data, seeds)):
+            [alone], [scores] = scored_training(
+                x, y, replace(config, seed=seed), test, grid)
+            member = stacked[j]
+            assert flat_parameters(member).tobytes() == \
+                flat_parameters(alone).tobytes()
+            assert member.checksum() == alone.checksum()
+            assert member.history == alone.history
+            assert sorted(scores) == sorted(grid)
+            assert stacked_scores[j] == scores
+
+    def test_members_own_rows_of_one_buffer(self):
+        data = [noisy_features(12, width=3, seed=seed) for seed in range(3)]
+        models = train_gender([x for x, _ in data], [y for _, y in data],
+                              TrainConfig(epochs=2, batch_size=4),
+                              seeds=[0, 1, 2])
+        rows = [model.buffers()[0] for model in models]
+        assert all(np.shares_memory(rows[0].base, row) for row in rows)
+        for model, row in zip(models, rows):
+            assert np.array_equal(flat_parameters(model), row)
+            for value in model.parameters().values():
+                assert np.shares_memory(value, row)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(rows) for b in rows[i + 1:])
+
+    def test_members_of_different_shapes_rejected(self):
+        data = [noisy_features(n, width=3) for n in (12, 13)]
+        with pytest.raises(ShapeError, match="one shape"):
+            train_gender([x for x, _ in data], [y for _, y in data],
+                         TrainConfig(epochs=1), seeds=[0, 1])
 
 
 class TestPredictGender:

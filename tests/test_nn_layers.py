@@ -6,12 +6,14 @@ import pytest
 
 from sentprofile.errors import ConfigError, ShapeError
 from sentprofile.nn import (
+    LOSSES,
     DenseLayer,
     DropoutLayer,
     LSTMLayer,
     Network,
     sigmoid,
     softmax,
+    stack,
 )
 
 
@@ -333,6 +335,116 @@ class TestNetwork:
         net = Network([DenseLayer(2, 2), DropoutLayer(0.1), DenseLayer(2, 1)])
         assert list(net.parameters()) == ["layer0.weights", "layer0.bias",
                                           "layer2.weights", "layer2.bias"]
+
+
+def gender_shaped_networks(members, seed=0):
+    """`members` networks of the gender MLP's shape, each its own init."""
+    return [Network([DenseLayer(56, 50, "relu", rng=np.random.default_rng(seed + j)),
+                     DropoutLayer(0.4),
+                     DenseLayer(50, 10, "relu", rng=np.random.default_rng(seed + j)),
+                     DenseLayer(10, 2, "softmax", rng=np.random.default_rng(seed + j))])
+            for j in range(members)]
+
+
+class TestStackedNetwork:
+    """A network stacked over k members (`nn.stack`) keeps every member's
+    bits: the forward product, the two backward GEMMs and the bias sum run
+    per member on the layouts the member's own 2-D layer uses."""
+
+    @pytest.mark.parametrize("members", [2, 3, 5, 10])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7, 8, 32])
+    def test_bytes_match_each_member(self, members, batch):
+        gen = np.random.default_rng(members * 100 + batch)
+        nets = gender_shaped_networks(members)
+        stacked = stack(nets)
+        x = gen.normal(size=(members, batch, 56))
+        d_out = gen.normal(size=(members, batch, 2))
+        out = stacked.forward(x)
+        d_in = stacked.backward(d_out)
+        stacked_grads = {name: grad.copy()
+                         for name, grad in stacked.gradients().items()}
+        for j, net in enumerate(nets):
+            assert net.forward(x[j]).tobytes() == out[j].tobytes()
+            assert net.backward(d_out[j]).tobytes() == d_in[j].tobytes()
+            for name, grad in net.gradients().items():
+                assert grad.tobytes() == stacked_grads[name][j].tobytes(), name
+
+    @pytest.mark.parametrize("members", [2, 5])
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_dense_products_match_reference(self, members, batch):
+        # the 2-D products of a lone dense layer, as written before the
+        # member axis: x @ w + b, x.T @ g, g.sum(axis=0) and g @ w.T
+        gen = np.random.default_rng(batch)
+        nets = [Network([DenseLayer(56, 50, rng=np.random.default_rng(j))])
+                for j in range(members)]
+        stacked = stack(nets)
+        x = gen.normal(size=(members, batch, 56))
+        g = gen.normal(size=(members, batch, 50))
+        out = stacked.forward(x)
+        d_in = stacked.backward(g)
+        grads = stacked.gradients()
+        for j, net in enumerate(nets):
+            w, b = net.layers[0].weights, net.layers[0].bias
+            assert out[j].tobytes() == (x[j] @ w + b).tobytes()
+            assert grads["layer0.weights"][j].tobytes() == \
+                (x[j].T @ g[j]).tobytes()
+            assert grads["layer0.bias"][j].tobytes() == \
+                g[j].sum(axis=0).tobytes()
+            assert d_in[j].tobytes() == (g[j] @ w.T).tobytes()
+
+    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_losses_give_each_member_its_own_mean(self, loss, batch):
+        # each member's mean is the sum over its whole (B, C) batch, as
+        # written before the member axis; the probabilities need no clip
+        reference = {
+            "binary_cross_entropy": lambda p, t: -(
+                t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).sum() / len(p),
+            "categorical_cross_entropy": lambda p, t: -(
+                t * np.log(p)).sum() / len(p)}[loss]
+        gen = np.random.default_rng(batch)
+        width = 1 if loss == "binary_cross_entropy" else 2
+        probs = gen.uniform(0.01, 0.99, size=(3, batch, width))
+        if width == 2:
+            probs[..., 1] = 1.0 - probs[..., 0]
+        targets = np.eye(2)[gen.integers(0, 2, size=(3, batch))][..., :width]
+        value, d_probs = LOSSES[loss](probs, targets)
+        assert value.shape == (3,)
+        for j in range(3):
+            alone, d_alone = LOSSES[loss](probs[j], targets[j])
+            assert np.float64(alone).tobytes() == value[j].tobytes() == \
+                np.float64(reference(probs[j], targets[j])).tobytes()
+            assert d_alone.tobytes() == d_probs[j].tobytes()
+
+    def test_parameters_are_rows_of_one_buffer(self):
+        nets = gender_shaped_networks(3)
+        before = [net.checksum() for net in nets]
+        stacked = stack(nets)
+        params, grads = stacked.buffers()
+        assert params.shape == grads.shape == (3, 56 * 50 + 50 + 50 * 10 + 10
+                                               + 10 * 2 + 2)
+        assert [net.checksum() for net in nets] == before
+        for j, net in enumerate(nets):
+            assert net.buffers()[0] is not None
+            assert np.array_equal(net.buffers()[0], params[j])
+            for name, value in net.parameters().items():
+                assert np.shares_memory(value, params[j])
+                assert np.array_equal(stacked.parameters()[name][j], value)
+
+    def test_each_member_draws_its_own_dropout_mask(self):
+        nets = [Network([DropoutLayer(0.5, rng=np.random.default_rng(j))])
+                for j in range(3)]
+        stacked = stack(nets)
+        out = stacked.forward(np.ones((3, 4, 6)), training=True)
+        for j in range(3):
+            alone = DropoutLayer(0.5, rng=np.random.default_rng(j))
+            assert alone.forward(np.ones((4, 6)), training=True).tobytes() == \
+                out[j].tobytes()
+
+    def test_member_count_checked(self):
+        stacked = stack(gender_shaped_networks(2))
+        with pytest.raises(ShapeError, match=r"\(2, B, 56\)"):
+            stacked.forward(np.zeros((3, 4, 56)))
 
 
 def test_sigmoid_extremes_and_softmax_stability():

@@ -134,9 +134,9 @@ def test_fit_names_the_non_finite_parameter(optimizer, case, layer_of, grad,
     model, inputs, targets, loss = case()
     poison_after_backward(layer_of(model), grad, value)
     with pytest.raises(TrainingError, match=f"'{name}'"):
-        fit(model, inputs, targets, LOSSES[loss],
+        fit([model], [inputs], [targets], LOSSES[loss],
             TrainConfig(epochs=1, batch_size=4, optimizer=optimizer),
-            np.random.default_rng(0))
+            [np.random.default_rng(0)])
 
 
 def test_fit_trains_views_of_one_buffer_per_model():
@@ -148,8 +148,8 @@ def test_fit_trains_views_of_one_buffer_per_model():
     for model, inputs, targets, loss in (gender_case(), sentiment_case(),
                                          composite):
         before = np.concatenate([v.ravel() for v in model.parameters().values()])
-        fit(model, inputs, targets, LOSSES[loss],
-            TrainConfig(epochs=2, batch_size=4), np.random.default_rng(0))
+        fit([model], [inputs], [targets], LOSSES[loss],
+            TrainConfig(epochs=2, batch_size=4), [np.random.default_rng(0)])
         params, grads = model.buffers()
         assert model.buffers()[0] is params
         assert params.size == grads.size == before.size

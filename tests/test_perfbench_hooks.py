@@ -152,23 +152,65 @@ def test_polarity_scoring_runs_under_traced_name(monkeypatch, small_dataset):
 @pytest.mark.parametrize("mode", ["frozen_lstm", "finetuned_lstm"])
 def test_only_gender_training_counts_epochs(monkeypatch, small_dataset, mode):
     # the tracer reads gender.epochs_trained off these two names; sentiment
-    # training shares their loop (`nn.fit`) but must not pass through them
+    # training shares their loop (`nn.fit`) but must not pass through them.
+    # The gender MLPs of a cell's folds train as stacks (one
+    # `experiment.train_gender` call each), which count once; the
+    # composites train one per fold
     from sentprofile import experiment, gender, sentiment
 
     from conftest import SMALL_CONFIG
 
     tracer = load_tracer().Tracer()
-    seen = []
+    seen, stacks = [], []
 
     def epochs(model, inputs, labels, config, *args, **kwargs):
         seen.append(config.epochs)
     for module in (gender, sentiment):
         monkeypatch.setattr(module, "fit_softmax_classifier", tracer._count(
             module.fit_softmax_classifier, epochs))
+    monkeypatch.setattr(experiment, "train_gender", tracer._count(
+        experiment.train_gender,
+        lambda *args, seeds, **kwargs: stacks.append(len(seeds))))
     config = experiment.ExperimentConfig(
         **dict(SMALL_CONFIG, sentiment_mode=mode, epochs=(2, 3)))
     experiment.run_experiment(config, small_dataset)
-    assert sum(seen) == config.folds * max(config.epochs)
+    if mode == "finetuned_lstm":
+        assert stacks == [] and seen == [max(config.epochs)] * config.folds
+    else:
+        assert sum(stacks) == config.folds
+        assert seen == [max(config.epochs)] * len(stacks)
+
+
+def test_gender_training_runs_under_traced_name(monkeypatch, small_dataset):
+    # the tracer times `experiment.train_gender` as gender.train; a training
+    # forward of a gender MLP, stacked or not, moved out from under that
+    # name would not count there
+    from sentprofile import experiment, gender
+
+    from conftest import SMALL_CONFIG
+
+    train, forward = experiment.train_gender, gender.GenderModel.forward_batch
+    depth = [0]
+    forwards = []  # (training, inside train_gender)
+
+    def traced_train(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return train(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def recorded_forward(self, inputs, training=False):
+        forwards.append((training, depth[0] > 0))
+        return forward(self, inputs, training=training)
+
+    monkeypatch.setattr(experiment, "train_gender", traced_train)
+    monkeypatch.setattr(gender.GenderModel, "forward_batch", recorded_forward)
+    config = experiment.ExperimentConfig(
+        **dict(SMALL_CONFIG, sentiment_mode="frozen_lstm", epochs=(2, 3)))
+    experiment.run_experiment(config, small_dataset)
+    inside = [within for training, within in forwards if training]
+    assert inside and all(inside)
 
 
 def test_sentiment_partitions_share_one_stack(monkeypatch, polarity_table):
@@ -199,7 +241,7 @@ def test_sentiment_partitions_share_one_stack(monkeypatch, polarity_table):
         data, sentiment.SentimentConfig(hidden_size=3),
         TrainConfig(epochs=2, batch_size=8, seed=0))
     assert len(trained) == 1 and len(held) == len(curve) == 2
-    (mats, lengths), = trained
+    [(mats, lengths)], = trained
     stack = mats.base
     assert stack is not None and len(stack) == len(data.items)
     assert len(mats) + len(held[0][0]) == len(stack)

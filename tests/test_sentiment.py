@@ -491,3 +491,19 @@ class TestFinetune:
         assert np.allclose(frozen.predict_proba(features),
                            composite.predict_proba(vecs, mats, lengths),
                            atol=1e-10)
+
+    def test_trained_models_keep_no_backward_cache(self, polarity_table):
+        # nothing reads the LSTM's backward cache after training: a trained
+        # model, a composite built from it and a trained composite drop it
+        from sentprofile.sentiment import train_finetune
+
+        base, _ = train_sentiment(marker_items(polarity_table, n=30, r=5),
+                                  SentimentConfig(hidden_size=2),
+                                  TrainConfig(epochs=2, batch_size=8, seed=0))
+        assert base.lstm._cache is None
+        composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=2)
+        assert composite.lstm._cache is None
+        vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
+        train_finetune(composite, vecs, mats, lengths, labels,
+                       TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert composite.lstm._cache is None
