@@ -18,32 +18,27 @@ backward products transpose with `swapaxes(-1, -2)` as the 2-D ones do
 with `.T`, and the bias gradient `sum(axis=-2)` is the same sequential sum
 over the batch rows.
 
-The LSTM gives the same bytes as the plain per-step recurrence its
-docstring writes down (kept as a reference in the tests), by these rules:
-- Elementwise ufuncs give the same bits in any memory layout, so the gate
-  math runs on a transposed (4H, B) copy of the pre-activations, whose
-  gate blocks are contiguous (H, B) rows.
-- A GEMM's bits can depend on its operands' layout, so every product keeps
-  the reference's: `h @ w_h` in the forward, and `x_t.T @ dz`,
-  `h_prev.T @ dz` and `dz @ w_h.T` with a C-contiguous (B, 4H) `dz` in the
-  backward. The bias gradient is `dz.sum(axis=0)`, a sequential sum over
-  the strided axis; a sum along the contiguous axis would be pairwise.
-- The input projection `x @ w_x` runs as one GEMM per block of steps and
-  is added as (x_t @ w_x + h @ w_h) + bias. A row of a GEMM keeps its bits
-  whatever the row count, except that OpenBLAS computes products with
-  M*N*K <= 100**3 in a small-matrix kernel (bits differ at N = 156), so a
-  block of several steps stays under that line. A one-row batch keeps the
-  per-step product: numpy computes it as a GEMV, whose bits differ from a
-  GEMM's.
-- The padding carry `m * new + (1 - m) * old` runs at every step, on c
-  and h stacked as one (2H, B) plane. Even where every m is 1 it can turn
-  a -0.0 state into +0.0, as the reference does, so it is never skipped.
-These rules were verified with numpy 2.4.6 on its bundled OpenBLAS
-0.3.31.188.0 (scipy-openblas, DYNAMIC_ARCH, SkylakeX kernels) on an
-AVX-512 Xeon, with BLAS on one thread. The small-matrix line is that
-build's x86 rule; another BLAS, architecture or thread count may move
-bits. `test_bytes_match_per_step_reference` in tests/test_nn_layers.py is
-the guard: it must pass wherever report hashes are compared.
+The LSTM is deterministic on one BLAS build: the same inputs, parameters
+and thread count give the same bytes. It does not promise the bits of any
+other formulation of the recurrence; the tests hold it within a tolerance
+of the plain per-step recurrence its docstring writes down (kept as a
+reference in the tests). Its layout, per step t:
+- One GEMM gives all four gates' pre-activations: a (4H, H+D+1) weight
+  stacking w_h, w_x and the bias, transposed, times a (H+D+1, B) operand
+  [h_{t-1}; x_t; 1], written straight into the step's (4H, B) gate plane.
+- The sigmoid gates use sigmoid(z) = 1/2 + tanh(z/2)/2. The 1/2 on z is
+  folded into the i, f and o rows of the stacked weight (exact: a power of
+  two), so one tanh covers all 4H rows.
+- c_{t-1} and h_{t-1} sit on top of the operand in one (2H+D+1, B) plane,
+  which the step writes c_t and h_t into (the next plane, or the other
+  slot of a two-plane ring when nothing is cached).
+- Nothing is carried across padding: a sample's final h is copied out at
+  its last step, and the backward feeds d_final in there. Its column stays
+  exactly zero before that, so the steps past its length add nothing.
+- The backward accumulates one stacked weight gradient, dz_t times the
+  operand transposed, computes d h_{t-1} = w_h @ dz_t in the (H, B) state
+  layout, and splits the stacked gradient into w_h, w_x and bias at the
+  end.
 """
 
 import math
@@ -53,11 +48,6 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "softmax", "identity")
-
-# OpenBLAS's small-matrix line (see above): a hoisted input-projection
-# GEMM in the LSTM stays under it
-_SMALL_GEMM = 100 ** 3
-
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function, optionally written to `out`."""
@@ -226,10 +216,12 @@ class LSTMLayer:
         c_t = f_t * c_{t-1} + i_t * g_t
         h_t = o_t * tanh(c_t)
 
-    Steps at or beyond a sample's effective length carry h and c through
-    unchanged, so zero padding never moves the state and padded steps
-    contribute exactly zero parameter gradient. The forget-gate bias is
-    initialized to 1, the other biases to 0.
+    A sample's final hidden state is the one after its last step (its
+    effective length). The steps past it are computed, but they never
+    reach the result, so padding never moves it, and the backward starts
+    the sample's gradient at its last step, so padded steps contribute
+    exactly zero parameter gradient. The forget-gate bias is initialized to 1, the other
+    biases to 0.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int,
@@ -277,52 +269,44 @@ class LSTMLayer:
             raise ShapeError("effective lengths must be in [1, T]")
 
         hd = self.hidden_dim
-        mask = (np.arange(t_max)[:, None] < lengths).astype(np.float64)
-        keep = 1.0 - mask
-        # `state` stacks c over h as (2H, B), so one carry covers both:
-        # every step's when cached, else a ring of two. h is copied into a
-        # (B, H) ring for the recurrent GEMM
-        slots = t_max + 1 if cache else 2
-        state = np.zeros((slots, 2 * hd, n))
-        h = np.zeros((2, n, hd))
+        weight = self._stacked_weight()
+        # plane t holds [c_{t-1}; h_{t-1}; x_t; 1]: its top 2H rows are the
+        # state, its bottom H+D+1 rows the step's GEMM operand. Cached:
+        # every step's plane; else a ring of two
+        planes = np.zeros((t_max + 1 if cache else 2, 2 * hd + d + 1, n))
+        planes[:, 2 * hd + d] = 1.0
+        if cache:
+            planes[:t_max, 2 * hd:2 * hd + d] = x.transpose(1, 2, 0)
         acts = np.empty((t_max if cache else 1, 5 * hd, n))
         i, f, o, g, tanh_c = _gate_planes(acts, hd)
-        z = np.empty((n, 4 * hd))
-        z_t = np.empty((4 * hd, n))
-        bias_t = np.tile(self.bias[:, None], (1, n))
         scratch = np.empty((hd, n))
-        old = np.empty((2 * hd, n))
-        block = max(1, _SMALL_GEMM // (d * 4 * hd) // n)
+        if not cache:
+            final = np.empty((n, hd))
+            ends = _last_steps(lengths)
         for t in range(t_max):
-            if n == 1:
-                xw = x[:, t, :] @ self.w_x
-            else:
-                if t % block == 0:
-                    rows = x[:, t:t + block].transpose(1, 0, 2).reshape(-1, d)
-                    xw_block = (rows @ self.w_x).reshape(-1, n, 4 * hd)
-                xw = xw_block[t % block]
             s = t if cache else 0
-            prev, cur = (t, t + 1) if cache else (t % 2, 1 - t % 2)
-            c_prev, c_cur = state[prev, :hd], state[cur, :hd]
-            np.matmul(h[t % 2], self.w_h, out=z)
-            np.add(xw, z, out=z)
-            np.add(z.T, bias_t, out=z_t)
-            sigmoid(z_t[:3 * hd], out=acts[s, :3 * hd])
-            np.tanh(z_t[3 * hd:], out=g[s])
-            np.multiply(f[s], c_prev, out=c_cur)
+            cur, nxt = (t, t + 1) if cache else (t % 2, 1 - t % 2)
+            if not cache:
+                np.copyto(planes[cur, 2 * hd:2 * hd + d], x[:, t].T)
+            # rows: tanh(z/2) for i, f and o, then tanh(z) = g
+            z = acts[s, :4 * hd]
+            np.matmul(weight, planes[cur, hd:], out=z)
+            np.tanh(z, out=z)
+            np.multiply(z[:3 * hd], 0.5, out=z[:3 * hd])
+            np.add(z[:3 * hd], 0.5, out=z[:3 * hd])
+            c_new = planes[nxt, :hd]
+            np.multiply(f[s], planes[cur, :hd], out=c_new)
             np.multiply(i[s], g[s], out=scratch)
-            np.add(c_cur, scratch, out=c_cur)
-            np.tanh(c_cur, out=tanh_c[s])
-            np.multiply(o[s], tanh_c[s], out=state[cur, hd:])
-            # padding carry: new = m * new + (1 - m) * old
-            np.multiply(state[cur], mask[t], out=state[cur])
-            np.multiply(state[prev], keep[t], out=old)
-            np.add(state[cur], old, out=state[cur])
-            np.copyto(h[1 - t % 2], state[cur, hd:].T)
-        if cache:
-            self._cache = {"x": x, "acts": acts, "state": state,
-                           "mask": mask, "keep": keep}
-        return h[t_max % 2].copy()
+            np.add(c_new, scratch, out=c_new)
+            np.tanh(c_new, out=tanh_c[s])
+            np.multiply(o[s], tanh_c[s], out=planes[nxt, hd:2 * hd])
+            if not cache and t in ends:
+                final[ends[t]] = planes[nxt, hd:2 * hd][:, ends[t]].T
+        if not cache:
+            return final
+        self._cache = {"planes": planes, "acts": acts, "lengths": lengths}
+        # each sample's h after its last step, from plane `length`
+        return planes[lengths, hd:2 * hd, np.arange(n)]
 
     def backward(self, d_final: np.ndarray) -> None:
         """Backpropagation through time from the final hidden state.
@@ -332,61 +316,75 @@ class LSTMLayer:
         """
         if self._cache is None:
             raise ShapeError(f"{self!r}: backward before forward")
-        cache = self._cache
-        x, acts, state = cache["x"], cache["acts"], cache["state"]
-        mask, keep = cache["mask"], cache["keep"]
-        n, t_max, _ = x.shape
-        hd = self.hidden_dim
+        planes, acts = self._cache["planes"], self._cache["acts"]
+        lengths = self._cache["lengths"]
+        t_max, _, n = acts.shape
+        hd, d = self.hidden_dim, self.input_dim
         d_final = np.asarray(d_final, dtype=np.float64)
         if d_final.shape != (n, hd):
             raise ShapeError(f"{self!r} expected output gradient ({n}, {hd}), "
                              f"got {d_final.shape}")
 
-        dwx = np.zeros_like(self.w_x)
-        dwh = np.zeros_like(self.w_h)
-        db = np.zeros_like(self.bias)
+        ends = _last_steps(lengths)
+        # gradient of [w_h; w_x; bias]^T, laid out as the stacked weight
+        d_weight = np.zeros((4 * hd, hd + d + 1))
+        step_grad = np.empty_like(d_weight)
         # d(loss)/d(c) over d(loss)/d(h), stacked as the forward's state
-        d_state = np.zeros((2 * hd, n))
-        dc, dh = d_state[:hd], d_state[hd:]
-        np.copyto(dh, d_final.T)
-        d_carry = np.empty((2 * hd, n))
-        h_prev = np.empty((n, hd))
+        # (a ring of two, indexed by the step's parity). A sample's column
+        # stays zero until its last step, where d_final enters
+        d_state = np.zeros((2, 2 * hd, n))
         dc_raw = np.empty((hd, n))
+        slope = np.empty((2 * hd, n))
         one_minus = np.empty((3 * hd, n))
-        dz_t = np.empty((4 * hd, n))
-        dz = np.empty((n, 4 * hd))
+        dz = np.empty((4 * hd, n))
+        dz_i, dz_f, dz_o, dz_g = (dz[k * hd:(k + 1) * hd] for k in range(4))
         i, f, o, g, tanh_c = _gate_planes(acts, hd)
         for t in range(t_max - 1, -1, -1):
-            np.multiply(d_state, keep[t], out=d_carry)
-            np.multiply(d_state, mask[t], out=d_state)
+            d_in, d_out = d_state[t % 2], d_state[1 - t % 2]
+            dc, dh = d_in[:hd], d_in[hd:]
+            if t in ends:
+                dh[:, ends[t]] = d_final[ends[t]].T
             # rows: 1 - g*g, then 1 - tanh_c*tanh_c
-            slope = np.multiply(acts[t, 3 * hd:], acts[t, 3 * hd:])
+            np.multiply(acts[t, 3 * hd:], acts[t, 3 * hd:], out=slope)
             np.subtract(1.0, slope, out=slope)
-            np.multiply(dh, tanh_c[t], out=dz_t[2 * hd:3 * hd])
+            np.multiply(dh, tanh_c[t], out=dz_o)
             np.multiply(dh, o[t], out=dc_raw)
             np.multiply(dc_raw, slope[hd:], out=dc_raw)
             np.add(dc, dc_raw, out=dc_raw)
-            np.multiply(dc_raw, g[t], out=dz_t[:hd])
-            np.multiply(dc_raw, state[t, :hd], out=dz_t[hd:2 * hd])
-            np.multiply(dc_raw, i[t], out=dz_t[3 * hd:])
-            np.multiply(dz_t[:3 * hd], acts[t, :3 * hd], out=dz_t[:3 * hd])
+            np.multiply(dc_raw, g[t], out=dz_i)
+            np.multiply(dc_raw, planes[t, :hd], out=dz_f)
+            np.multiply(dc_raw, i[t], out=dz_g)
+            # s * (1 - s) on the sigmoid rows, 1 - g*g on g
+            np.multiply(dz[:3 * hd], acts[t, :3 * hd], out=dz[:3 * hd])
             np.subtract(1.0, acts[t, :3 * hd], out=one_minus)
-            np.multiply(dz_t[:3 * hd], one_minus, out=dz_t[:3 * hd])
-            np.multiply(dz_t[3 * hd:], slope[:hd], out=dz_t[3 * hd:])
-            np.copyto(dz, dz_t.T)
-            dwx += x[:, t, :].T @ dz
-            # h_{t-1} as a C-contiguous (B, H), the layout the GEMM's bits
-            # were checked in
-            np.copyto(h_prev, state[t, hd:].T)
-            dwh += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            dh_gemm = dz @ self.w_h.T
-            np.multiply(dc_raw, f[t], out=dc)
-            np.copyto(dh, dh_gemm.T)
-            np.add(d_state, d_carry, out=d_state)
-        self.grads["w_x"][...] = dwx
-        self.grads["w_h"][...] = dwh
-        self.grads["bias"][...] = db
+            np.multiply(dz[:3 * hd], one_minus, out=dz[:3 * hd])
+            np.multiply(dz_g, slope[:hd], out=dz_g)
+            np.matmul(dz, planes[t, hd:].T, out=step_grad)
+            np.add(d_weight, step_grad, out=d_weight)
+            np.multiply(dc_raw, f[t], out=d_out[:hd])
+            np.matmul(self.w_h, dz, out=d_out[hd:])
+        self.grads["w_h"][...] = d_weight[:, :hd].T
+        self.grads["w_x"][...] = d_weight[:, hd:hd + d].T
+        self.grads["bias"][...] = d_weight[:, hd + d]
+
+    def _stacked_weight(self) -> np.ndarray:
+        """[w_h; w_x; bias]^T as one (4H, H+D+1) weight, with the i, f and o
+        rows halved for the tanh form of their sigmoid."""
+        hd, d = self.hidden_dim, self.input_dim
+        weight = np.empty((4 * hd, hd + d + 1))
+        weight[:, :hd] = self.w_h.T
+        weight[:, hd:hd + d] = self.w_x.T
+        weight[:, hd + d] = self.bias
+        weight[:3 * hd] *= 0.5
+        return weight
+
+
+def _last_steps(lengths: np.ndarray) -> dict[int, list[int]]:
+    """{t: the samples whose last step is t}."""
+    ends: dict[int, list[int]] = {}
+    for b, length in enumerate(lengths.tolist()):
+        ends.setdefault(length - 1, []).append(b)
+    return ends
 
 
 def _gate_planes(acts: np.ndarray, hd: int) -> tuple[np.ndarray, ...]:

@@ -202,9 +202,9 @@ def _chunked_inference(model: SentimentModel, lengths: np.ndarray, inputs,
                        read, batch_size: int) -> np.ndarray:
     """Inference forwards over consecutive chunks of `batch_size` rows.
 
-    Each chunk runs only up to its longest sequence: steps past a
-    sequence's length carry the LSTM state through unchanged, so the
-    trimmed steps move no output bit. `inputs(rows, t)` gives the chunk's
+    Each chunk runs only up to its longest sequence: the LSTM reads each
+    sequence's state at its own last step, so the trimmed steps move no
+    output bit. `inputs(rows, t)` gives the chunk's
     (len(rows), t, d) input and `read(probs)` what to keep of its forward;
     result rows follow `lengths`."""
     out = []

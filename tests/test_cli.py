@@ -69,6 +69,22 @@ def test_evaluate_deterministic_bytes(small_dataset, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_finetuned_smote_evaluate_deterministic_bytes(small_dataset, tmp_path,
+                                                      capsys):
+    # the mode that backpropagates the gender loss through the LSTM
+    args = (["evaluate"] + flags(small_dataset)
+            + ["--seed", "6", "--sentiment-mode", "finetuned_lstm", "--smote"])
+    out1 = tmp_path / "r1.json"
+    out2 = tmp_path / "r2.json"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    capsys.readouterr()
+    report = json.loads(out1.read_text())
+    assert report["config"]["sentiment_mode"] == "finetuned_lstm"
+    assert report["config"]["smote"] is True
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_evaluate_table_format(small_dataset, capsys):
     code = main(["evaluate"] + flags(small_dataset) + ["--format", "table"])
     out = capsys.readouterr().out

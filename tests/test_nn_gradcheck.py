@@ -139,3 +139,21 @@ def test_random_lstm_property():
         err = gradient_check(stack, x, y, loss="binary_cross_entropy",
                              lengths=lengths)
         assert err < 1e-4
+
+
+@pytest.mark.parametrize("steps, lengths", [
+    (5, [4, 3, 5]),  # shortest length above 1
+    (4, [4, 4, 4]),  # all lengths equal to T: no padded step
+    (5, [3, 3, 3]),  # all lengths equal, below T: two padded steps each
+    (4, [1, 4, 3]),  # a length of 1: a sample ends at the first step
+])
+def test_lstm_gradients_around_each_last_step(steps, lengths):
+    gen = np.random.default_rng(steps * 10 + lengths[0])
+    stack = LstmStack(3, 4, out_activation="softmax", seed=7)
+    lengths = np.array(lengths)
+    x = gen.normal(size=(3, steps, 3))
+    for b, ln in enumerate(lengths):
+        x[b, ln:, :] = 0.0
+    y = np.eye(2)[gen.integers(0, 2, size=3)]
+    err = gradient_check(stack, x, y, lengths=lengths)
+    assert err < 1e-4
