@@ -27,12 +27,9 @@ from .domainsel import (
     LabeledDomainSet,
     LabeledItem,
     augment_with_manual,
-    avg_similarity,
-    cosine,
     select_source,
 )
 from .embed import (
-    DocMatrix,
     DocVector,
     EmbedConfig,
     EmbeddingTable,

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embed import DocMatrix, DocVector
+from .embed import DocVector
 from .errors import (
     ConfigError,
     DataError,
@@ -29,7 +29,7 @@ DEFAULT_SIMILARITY_THRESHOLD = 0.25
 @dataclass(frozen=True)
 class LabeledItem:
     item_id: str
-    matrix: DocMatrix
+    matrix: np.ndarray  # (length, d) word vectors, see `embed.doc_matrix`
     vector: DocVector
     polarity: str
     provenance: str = "source"
@@ -42,34 +42,24 @@ class LabeledDomainSet:
     def __len__(self) -> int:
         return len(self.items)
 
-    def matrix_shape(self):
-        return self.items[0].matrix.values.shape if self.items else None
-
     def validate(self) -> None:
-        shape = self.matrix_shape()
         for item in self.items:
             if item.polarity not in ("positive", "negative"):
                 raise DataError(f"item {item.item_id!r} has no valid polarity")
             if item.provenance not in PROVENANCES:
                 raise DataError(f"item {item.item_id!r} has unknown provenance "
                                 f"{item.provenance!r}")
-            if item.matrix.values.shape != shape:
-                raise ShapeError(f"item {item.item_id!r} matrix shape "
-                                 f"{item.matrix.values.shape} differs from {shape}")
+        _check_dimension(self.items)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, defined as 0.0 when either vector has norm 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ShapeError(f"cosine needs equal-length vectors, got {u.shape} "
-                         f"and {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+def _check_dimension(items) -> None:
+    """Items may differ in length but not in word-vector dimension."""
+    if items:
+        d = items[0].matrix.shape[1]
+        for item in items:
+            if item.matrix.shape[1] != d:
+                raise ShapeError(f"item {item.item_id!r} has word vectors of "
+                                 f"dimension {item.matrix.shape[1]}, expected {d}")
 
 
 def _normalized_rows(vectors: Sequence[DocVector]) -> np.ndarray:
@@ -92,11 +82,6 @@ def _mean_cosine(source_vec: DocVector, targets: np.ndarray) -> float:
         raise ShapeError(f"source vector length {values.shape[0]} does not match "
                          f"target vector length {targets.shape[1]}")
     return float((targets @ (values / norm)).sum() / len(targets))
-
-
-def avg_similarity(source_vec: DocVector, target_vecs: Sequence[DocVector]) -> float:
-    """Mean cosine similarity of one source vector to every target vector."""
-    return _mean_cosine(source_vec, _normalized_rows(target_vecs))
 
 
 def select_source(source: LabeledDomainSet, target_vecs: Sequence[DocVector],
@@ -123,10 +108,7 @@ def augment_with_manual(source: LabeledDomainSet,
         if item.provenance != "manual_target":
             raise DataError(f"manual item {item.item_id!r} has provenance "
                             f"{item.provenance!r}, expected 'manual_target'")
-    if source.items and manual.items:
-        if source.matrix_shape() != manual.matrix_shape():
-            raise ShapeError(f"matrix shapes differ between sets: "
-                             f"{source.matrix_shape()} vs {manual.matrix_shape()}")
+    _check_dimension(source.items[:1] + manual.items)
     source_ids = {item.item_id for item in source.items}
     for item in manual.items:
         if item.item_id in source_ids:

@@ -2,9 +2,9 @@
 
 Trains skip-gram vectors with negative sampling on the token streams of
 both corpora, then turns each document into an averaged vector (mean of
-its in-vocabulary word vectors) and a fixed-shape d x r matrix (first r
-in-vocabulary word vectors as columns, zero-padded). TF-IDF baselines and
-the gender-keyword vocabulary live here too.
+its in-vocabulary word vectors) and a (length, d) sequence (its first r
+in-vocabulary word vectors as rows, so length is at most r). TF-IDF
+baselines and the gender-keyword vocabulary live here too.
 """
 
 import logging
@@ -72,14 +72,8 @@ class EmbeddingTable:
     def __getitem__(self, token: str) -> np.ndarray:
         return self._vectors[token]
 
-    def get(self, token: str):
-        return self._vectors.get(token)
-
     def items(self):
         return self._vectors.items()
-
-    def tokens(self):
-        return self._vectors.keys()
 
 
 def _token_stream(doc) -> Sequence[str]:
@@ -206,13 +200,6 @@ class DocVector:
     values: np.ndarray  # (d,)
 
 
-@dataclass
-class DocMatrix:
-    doc_id: str
-    values: np.ndarray  # (d, r), zero columns past effective_length
-    effective_length: int
-
-
 def _in_vocab_vectors(doc, table: EmbeddingTable) -> list[np.ndarray]:
     return [table[t] for t in _token_stream(doc) if t in table]
 
@@ -230,19 +217,16 @@ def doc_vector(doc, table: EmbeddingTable) -> DocVector:
                      values=np.mean(vectors, axis=0))
 
 
-def doc_matrix(doc, table: EmbeddingTable, r: int) -> DocMatrix:
-    """First min(#in-vocab tokens, r) word vectors as columns, zero-padded
-    to exactly r columns."""
+def doc_matrix(doc, table: EmbeddingTable, r: int) -> np.ndarray:
+    """The document's first min(#in-vocab tokens, r) word vectors as the
+    rows of a (length, d) array; its length is the effective length the
+    LSTM reads."""
     if r < 1:
         raise ConfigError(f"r must be >= 1, got {r}")
     vectors = _in_vocab_vectors(doc, table)
     if not vectors:
         raise AllOovError(f"document {document_id(doc)!r} has no in-vocabulary token")
-    effective = min(len(vectors), r)
-    values = np.zeros((table.dimension, r))
-    values[:, :effective] = np.column_stack(vectors[:effective])
-    return DocMatrix(doc_id=document_id(doc), values=values,
-                     effective_length=effective)
+    return np.stack(vectors[:r])
 
 
 @dataclass

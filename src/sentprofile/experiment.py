@@ -63,6 +63,7 @@ from .sentiment import (
     SentimentModel,
     build_finetune_model,
     extract_representations,
+    pad_sequences,
     polarity_features,
     polarity_sequences,
     train_finetune,
@@ -419,15 +420,13 @@ def target_vectors(docs, table) -> dict:
 
 
 def target_matrices(docs, table, r: int):
-    """(kept docs, (n, T, d) sequences, effective lengths) of the users with
-    an in-vocabulary token, rows in document order."""
-    mats = _in_vocabulary(docs, lambda doc: doc_matrix(doc, table, r))
-    kept = [doc for doc in docs if doc.user_id in mats]
-    lengths = np.array([mats[doc.user_id].effective_length for doc in kept])
-    # padded steps past the longest document are inert; leave them out
-    max_len = int(lengths.max())
-    stacked = np.stack([mats[doc.user_id].values.T[:max_len] for doc in kept])
-    return kept, stacked, lengths
+    """(kept docs, (n, T, d) zero-padded word-vector sequences, effective
+    lengths) of the users with an in-vocabulary token, rows in document
+    order; T is the longest effective length."""
+    seqs = _in_vocabulary(docs, lambda doc: doc_matrix(doc, table, r))
+    kept = [doc for doc in docs if doc.user_id in seqs]
+    mats, lengths = pad_sequences([seqs[doc.user_id] for doc in kept])
+    return kept, mats, lengths
 
 
 def base_representations(config: ExperimentConfig, docs, table):
@@ -506,7 +505,7 @@ def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
 
     A synthetic matrix's effective length is the maximum over its
     contributors (x_old plus the neighbors used), since interpolation can
-    leave any of their columns nonzero.
+    leave any of their steps nonzero.
     """
     flat = np.concatenate([vecs, mats.reshape(len(labels), -1)], axis=1)
     synth = _smote_core(flat, labels, config)

@@ -82,25 +82,3 @@ def stratified_kfold(records, k: int, seed: int = 0) -> FoldPlan:
         start = (start + extra) % k
     return FoldPlan(folds=tuple(tuple(f) for f in folds), seed=seed)
 
-
-def validate_plan(plan: FoldPlan, records) -> dict:
-    """Measure the plan's invariants; returns the observed extremes."""
-    pairs = [(r if isinstance(r, tuple) else (r.user_id, r.gender))
-             for r in records]
-    all_ids = [uid for uid, _ in pairs]
-    flat = list(plan.all_ids())
-    disjoint = len(flat) == len(set(flat))
-    exhaustive = set(flat) == set(all_ids)
-    sizes = [len(fold) for fold in plan.folds]
-    labels = dict(pairs)
-    classes = sorted({label for _, label in pairs})
-    global_props = {c: sum(1 for _, l in pairs if l == c) / len(pairs)
-                    for c in classes}
-    max_dev = 0.0
-    for fold in plan.folds:
-        for c in classes:
-            prop = sum(1 for uid in fold if labels[uid] == c) / len(fold)
-            max_dev = max(max_dev, abs(prop - global_props[c]))
-    return {"disjoint": disjoint, "exhaustive": exhaustive,
-            "size_spread": max(sizes) - min(sizes),
-            "max_proportion_deviation": max_dev}

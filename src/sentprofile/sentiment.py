@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import TokenDocument, UserRecord, clean_tokens
 from .domainsel import LabeledDomainSet
-from .embed import DocMatrix, EmbeddingTable, doc_matrix
+from .embed import EmbeddingTable, doc_matrix
 from .errors import AllOovError, ConfigError, DataError, ShapeError
 from .gender import build_mlp, fit_softmax_classifier
 from .nn import (
@@ -114,12 +114,15 @@ class EpochStats:
     heldout_accuracy: float
 
 
-def _stack_items(items) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.array([item.matrix.effective_length for item in items])
-    # padding past the longest effective length never changes anything;
-    # leaving it out saves recurrence steps and memory
-    max_len = int(lengths.max())
-    mats = np.stack([item.matrix.values.T[:max_len] for item in items])
+def pad_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """(len(seqs), T, d) zero-padded stack of (length, d) sequences and
+    their lengths. T is the longest length: the LSTM reads each sequence's
+    state at its own last step, so padding past the longest one would
+    change nothing but cost recurrence steps and memory."""
+    lengths = np.array([len(seq) for seq in seqs])
+    mats = np.zeros((len(seqs), int(lengths.max()), seqs[0].shape[1]))
+    for row, seq in enumerate(seqs):
+        mats[row, :len(seq)] = seq
     return mats, lengths
 
 
@@ -161,7 +164,7 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
                                          np.random.default_rng(split_seed))
     # training rows first, so both partitions are views of one stack
     order = np.concatenate([train_idx, held_idx])
-    mats, lengths = _stack_items([items[i] for i in order])
+    mats, lengths = pad_sequences([items[i].matrix for i in order])
     targets = targets[order]
     n = len(train_idx)
     held_inputs, held_targets = (mats[n:], lengths[n:]), targets[n:]
@@ -187,14 +190,14 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
                    for record, scores in zip(history, heldout)]
 
 
-def predict_polarity(model: SentimentModel, doc: DocMatrix) -> float:
-    """Probability that the document is positive; dropout off. The
-    one-document reference for the batched `polarity_features`."""
-    if doc.values.shape[0] != model.input_dim:
-        raise ShapeError(f"matrix rows {doc.values.shape[0]} do not match model "
-                         f"input dim {model.input_dim}")
-    probs = model.forward_batch((doc.values.T[None, :, :],
-                                 np.array([doc.effective_length])))
+def predict_polarity(model: SentimentModel, seq: np.ndarray) -> float:
+    """Probability that the (length, d) document sequence (see
+    `embed.doc_matrix`) is positive; dropout off. The one-document
+    reference for the batched `polarity_features`."""
+    if seq.shape[1] != model.input_dim:
+        raise ShapeError(f"word vector dimension {seq.shape[1]} does not match "
+                         f"model input dim {model.input_dim}")
+    probs = model.forward_batch((seq[None], np.array([len(seq)])))
     return float(probs[0, 0])
 
 
@@ -249,20 +252,12 @@ class PolarityFeatures:
 POLARITY_BATCH = 64
 
 
-def _padded(seqs, t: int) -> np.ndarray:
-    """(len(seqs), t, d) zero-padded stack of (length, d) sequences."""
-    x = np.zeros((len(seqs), t, seqs[0].shape[1]))
-    for row, seq in enumerate(seqs):
-        x[row, :len(seq)] = seq
-    return x
-
-
 @dataclass
 class PolaritySequences:
     """What polarity scoring runs the model over, built once per user list.
 
-    `ordered` holds every scoreable post and user document, cut to its
-    effective length, sorted by length (`lengths`, ascending); `order[k]`
+    `ordered` holds the (length, d) sequence of every scoreable post and
+    user document, sorted by length (`lengths`, ascending); `order[k]`
     is the input row of ordered[k]. Per user, in input order, `post_rows`
     gives the input rows of the posts, and the user document is the row
     right after them."""
@@ -289,18 +284,17 @@ def polarity_sequences(users: list[UserRecord], table: EmbeddingTable, r: int,
             tokens = clean_tokens(post, stopwords)
             all_tokens.extend(tokens)
             try:
-                m = doc_matrix(TokenDocument(doc_id=f"{user.user_id}/post{j}",
-                                             tokens=tuple(tokens)), table, r)
+                seqs.append(doc_matrix(TokenDocument(
+                    doc_id=f"{user.user_id}/post{j}", tokens=tuple(tokens)),
+                    table, r))
             except AllOovError:
                 continue
-            seqs.append(m.values.T[:m.effective_length].copy())
         if len(seqs) == first:
             raise AllOovError(f"every post of user {user.user_id!r} is out of "
                               "vocabulary")
         post_rows.append(range(first, len(seqs)))
-        doc = doc_matrix(TokenDocument(doc_id=user.user_id,
-                                       tokens=tuple(all_tokens)), table, r)
-        seqs.append(doc.values.T[:doc.effective_length].copy())
+        seqs.append(doc_matrix(TokenDocument(doc_id=user.user_id,
+                                             tokens=tuple(all_tokens)), table, r))
     lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
     order = np.argsort(lengths, kind="stable")
     return PolaritySequences(ordered=[seqs[i] for i in order],
@@ -324,7 +318,8 @@ def polarity_features(model: SentimentModel,
     ordered = sequences.ordered
     probs = np.empty(len(ordered))
     probs[sequences.order] = _chunked_inference(
-        model, sequences.lengths, lambda rows, t: _padded(ordered[rows], t),
+        model, sequences.lengths,
+        lambda rows, t: pad_sequences(ordered[rows])[0],
         lambda out: out[:, 0], POLARITY_BATCH)
 
     features = []

@@ -52,3 +52,27 @@ def polarity_table():
         vectors[f"neg{i}"] = np.array([-1.0, 0.1 * i])
         vectors[f"neu{i}"] = np.array([0.0, 0.2 + 0.1 * i])
     return EmbeddingTable(2, vectors)
+
+
+def validate_plan(plan, records) -> dict:
+    """Measure a fold plan's invariants over `records` ((id, class) pairs or
+    objects with user_id and gender); returns the observed extremes."""
+    pairs = [(r if isinstance(r, tuple) else (r.user_id, r.gender))
+             for r in records]
+    all_ids = [uid for uid, _ in pairs]
+    flat = list(plan.all_ids())
+    disjoint = len(flat) == len(set(flat))
+    exhaustive = set(flat) == set(all_ids)
+    sizes = [len(fold) for fold in plan.folds]
+    labels = dict(pairs)
+    classes = sorted({label for _, label in pairs})
+    global_props = {c: sum(1 for _, l in pairs if l == c) / len(pairs)
+                    for c in classes}
+    max_dev = 0.0
+    for fold in plan.folds:
+        for c in classes:
+            prop = sum(1 for uid in fold if labels[uid] == c) / len(fold)
+            max_dev = max(max_dev, abs(prop - global_props[c]))
+    return {"disjoint": disjoint, "exhaustive": exhaustive,
+            "size_spread": max(sizes) - min(sizes),
+            "max_proportion_deviation": max_dev}

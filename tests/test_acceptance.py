@@ -24,7 +24,7 @@ from sentprofile.experiment import (
     run_experiment,
     smote_sequences,
 )
-from sentprofile.folds import stratified_kfold, validate_plan
+from sentprofile.folds import stratified_kfold
 from sentprofile.nn import (
     DenseLayer,
     DropoutLayer,
@@ -47,6 +47,7 @@ from sentprofile.synth import (
     write_dataset,
 )
 
+from conftest import validate_plan
 from test_nn_gradcheck import LstmStack
 from test_sentiment import integrator_model
 

@@ -6,11 +6,9 @@ from sentprofile.domainsel import (
     LabeledDomainSet,
     LabeledItem,
     augment_with_manual,
-    avg_similarity,
-    cosine,
     select_source,
 )
-from sentprofile.embed import DocMatrix, DocVector
+from sentprofile.embed import DocVector
 from sentprofile.errors import (
     ConfigError,
     DataError,
@@ -19,76 +17,113 @@ from sentprofile.errors import (
     ShapeError,
 )
 
+# the gap left between a mean cosine and the thresholds probing it
+EPS = 1e-9
+
 
 def vec(doc_id, values):
     return DocVector(doc_id=doc_id, values=np.asarray(values, dtype=float))
 
 
-def item(item_id, values, polarity="positive", provenance="source", shape=None):
+def item(item_id, values, polarity="positive", provenance="source",
+         matrix=None):
+    """A labeled item whose document vector is `values`; its word-vector
+    sequence defaults to that vector as a single step."""
     values = np.asarray(values, dtype=float)
-    if shape is None:
-        shape = (values.size, 3)
-    matrix = np.zeros(shape)
-    matrix[:, 0] = values
     return LabeledItem(item_id=item_id,
-                       matrix=DocMatrix(doc_id=item_id, values=matrix,
-                                        effective_length=1),
+                       matrix=values[None, :] if matrix is None else matrix,
                        vector=vec(item_id, values),
                        polarity=polarity, provenance=provenance)
 
 
+def kept(source_values, target_values, z):
+    """Whether `select_source` keeps a lone item with document vector
+    `source_values` against these target vectors, i.e. whether its mean
+    cosine to them strictly exceeds z."""
+    source = LabeledDomainSet(items=(item("s", source_values),))
+    targets = [vec(f"t{i}", t) for i, t in enumerate(target_values)]
+    try:
+        select_source(source, targets, z)
+    except EmptySelectionError:
+        return False
+    return True
+
+
+def cosine(u, v):
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
 class TestCosine:
+    """The cosine selection scores an item by, seen through one target."""
+
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             v = rng.normal(size=5)
-            assert cosine(v, v) == pytest.approx(1.0)
+            assert kept(v, [v], 1.0 - EPS)
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert not kept([1.0, 0.0], [[0.0, 1.0]], EPS)
 
     def test_45_degrees(self):
-        value = cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert value == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert value == pytest.approx(0.70711, abs=1e-5)
+        assert kept([1.0, 0.0], [[1.0, 1.0]], 1 / np.sqrt(2) - EPS)
+        assert not kept([1.0, 0.0], [[1.0, 1.0]], 1 / np.sqrt(2) + EPS)
+        assert kept([1.0, 0.0], [[1.0, 1.0]], 0.70710)
+        assert not kept([1.0, 0.0], [[1.0, 1.0]], 0.70712)
 
     def test_zero_norm_convention(self):
-        assert cosine(np.zeros(3), np.ones(3)) == 0.0
+        # a zero vector on either side scores cosine 0; a zero target still
+        # counts in the mean's divisor
+        assert not kept(np.zeros(3), [np.ones(3)], EPS)
+        assert kept([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], 0.5 - EPS)
+        assert not kept([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], 0.5 + EPS)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            cosine(np.ones(2), np.ones(3))
+            kept(np.ones(2), [np.ones(3)], 0.5)
 
     def test_range(self):
+        # one-target selection keeps an item exactly when the cosine, which
+        # lies in [-1, 1], exceeds z
         rng = np.random.default_rng(1)
         for _ in range(100):
-            value = cosine(rng.normal(size=4), rng.normal(size=4))
+            u, v = rng.normal(size=4), rng.normal(size=4)
+            value = cosine(u, v)
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
+            for z in (0.05, 0.3, 0.6, 0.9):
+                if abs(value - z) > EPS:
+                    assert kept(u, [v], z) == (value > z)
 
 
 class TestAvgSimilarity:
+    """The mean cosine to every target, which selection compares with z."""
+
     def test_identical_single_target(self):
-        v = vec("s", [0.3, 0.4])
-        assert avg_similarity(v, [vec("t", [0.3, 0.4])]) == pytest.approx(1.0)
+        assert kept([0.3, 0.4], [[0.3, 0.4]], 1.0 - EPS)
 
     def test_mixed_targets(self):
-        source = vec("s", [1.0, 0.0])
-        targets = [vec("t1", [1.0, 0.0]), vec("t2", [0.0, 1.0])]
-        assert avg_similarity(source, targets) == pytest.approx(0.5)
+        targets = [[1.0, 0.0], [0.0, 1.0]]
+        assert kept([1.0, 0.0], targets, 0.5 - EPS)
+        assert not kept([1.0, 0.0], targets, 0.5 + EPS)
 
     def test_zero_source(self):
-        assert avg_similarity(vec("s", [0.0, 0.0]), [vec("t", [1.0, 0.0])]) == 0.0
+        assert not kept([0.0, 0.0], [[1.0, 0.0]], EPS)
 
     def test_empty_targets(self):
+        source = LabeledDomainSet(items=(item("s", [1.0]),))
         with pytest.raises(DataError):
-            avg_similarity(vec("s", [1.0]), [])
+            select_source(source, [], 0.5)
 
     def test_matches_elementwise_cosine_mean(self):
         rng = np.random.default_rng(2)
-        source = vec("s", rng.normal(size=4))
-        targets = [vec(f"t{i}", rng.normal(size=4)) for i in range(7)]
-        expected = np.mean([cosine(source.values, t.values) for t in targets])
-        assert avg_similarity(source, targets) == pytest.approx(expected, abs=1e-12)
+        for _ in range(10):
+            source = rng.normal(size=4)
+            targets = rng.normal(size=(7, 4))
+            expected = np.mean([cosine(source, t) for t in targets])
+            if expected < 0:
+                source, expected = -source, -expected
+            assert kept(source, targets, expected - EPS)
+            assert not kept(source, targets, expected + EPS)
 
 
 class TestSelectSource:
@@ -181,11 +216,18 @@ class TestAugmentWithManual:
             augment_with_manual(source, manual)
 
     def test_shape_mismatch_rejected(self):
-        source = LabeledDomainSet(items=(item("a", [1.0, 0.0], shape=(2, 3)),))
+        # sequences may differ in length, not in word-vector dimension
+        source = LabeledDomainSet(items=(
+            item("a", [1.0, 0.0], matrix=np.ones((3, 2))),))
         manual = LabeledDomainSet(items=(
-            item("m", [1.0, 0.0], provenance="manual_target", shape=(2, 4)),))
-        with pytest.raises(ShapeError):
+            item("m", [1.0, 0.0], provenance="manual_target",
+                 matrix=np.ones((5, 2))),
+            item("n", [1.0, 0.0], provenance="manual_target",
+                 matrix=np.ones((3, 4)))))
+        with pytest.raises(ShapeError, match="'n'"):
             augment_with_manual(source, manual)
+        assert len(augment_with_manual(
+            source, LabeledDomainSet(items=manual.items[:1]))) == 2
 
     def test_wrong_provenance_rejected(self):
         source = LabeledDomainSet(items=(item("a", [1.0, 0.0]),))
@@ -203,3 +245,18 @@ class TestAugmentWithManual:
                 item(f"m{i}", rng.normal(size=2), provenance="manual_target")
                 for i in range(n_m)))
             assert len(augment_with_manual(source, manual)) == n_s + n_m
+
+
+class TestValidate:
+    def test_different_lengths_validate(self):
+        data = LabeledDomainSet(items=tuple(
+            item(f"i{n}", [1.0, 0.0], matrix=np.ones((n, 2)))
+            for n in (1, 4, 2)))
+        data.validate()
+
+    def test_different_dimension_rejected(self):
+        data = LabeledDomainSet(items=(
+            item("a", [1.0, 0.0], matrix=np.ones((2, 2))),
+            item("b", [1.0, 0.0], matrix=np.ones((2, 3)))))
+        with pytest.raises(ShapeError, match="'b'"):
+            data.validate()

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from sentprofile.corpus import TokenDocument, VirtualDocument
-from sentprofile.domainsel import cosine
 from sentprofile.embed import (
-    DocMatrix,
     EmbedConfig,
     EmbeddingTable,
     doc_matrix,
@@ -18,6 +16,10 @@ from sentprofile.embed import (
     train_skipgram,
 )
 from sentprofile.errors import AllOovError, ConfigError, DataError, FormatError
+
+
+def cosine(u, v):
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def vdoc(user_id, tokens, gender="male"):
@@ -55,9 +57,9 @@ class TestTrainSkipgram:
                              min_count=1, seed=11)
         t1 = train_skipgram(docs, config)
         t2 = train_skipgram(docs, config)
-        assert set(t1.tokens()) == set(t2.tokens())
-        for token in t1.tokens():
-            assert np.array_equal(t1[token], t2[token])
+        assert len(t1) == len(t2)
+        for token, vector in t1.items():
+            assert np.array_equal(vector, t2[token])
 
 
 class TestEmbeddingIO:
@@ -68,9 +70,9 @@ class TestEmbeddingIO:
         save_embeddings(table, path)
         loaded = load_embeddings(path)
         assert loaded.dimension == 3
-        assert set(loaded.tokens()) == set(table.tokens())
-        for token in table.tokens():
-            assert np.array_equal(loaded[token], table[token])
+        assert len(loaded) == len(table)
+        for token, vector in table.items():
+            assert np.array_equal(loaded[token], vector)
 
     def test_dimension_mismatch_line_number(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -108,30 +110,38 @@ class TestDocVector:
 
 
 class TestDocMatrix:
-    def test_zero_padding(self, tiny_table):
+    def test_trimmed_to_effective_length(self, tiny_table):
         m = doc_matrix(TokenDocument("d", ("a", "b")), tiny_table, r=4)
-        assert m.values.shape == (2, 4)
-        assert m.effective_length == 2
-        assert np.all(m.values[:, 2:] == 0.0)
+        assert m.shape == (2, 2)
+        assert np.array_equal(m, [tiny_table["a"], tiny_table["b"]])
 
     def test_truncation(self, tiny_table):
         m = doc_matrix(TokenDocument("d", ("a", "b", "a", "b", "a", "b")),
                        tiny_table, r=4)
-        assert m.effective_length == 4
-        assert np.array_equal(m.values[:, 3], tiny_table["b"])
+        assert len(m) == 4
+        assert np.array_equal(m[3], tiny_table["b"])
 
     def test_single_token_layout(self, tiny_table):
         m = doc_matrix(TokenDocument("d", ("a",)), tiny_table, r=2)
-        assert np.array_equal(m.values, np.array([[1.0, 0.0], [2.0, 0.0]]))
+        assert np.array_equal(m, np.array([[1.0, 2.0]]))
 
     def test_oov_columns_skipped(self, tiny_table):
         m = doc_matrix(TokenDocument("d", ("x", "a", "y", "b")), tiny_table, r=3)
-        assert m.effective_length == 2
-        assert np.array_equal(m.values[:, 0], tiny_table["a"])
+        assert len(m) == 2
+        assert np.array_equal(m[0], tiny_table["a"])
 
     def test_r_must_be_positive(self, tiny_table):
         with pytest.raises(ConfigError):
             doc_matrix(TokenDocument("d", ("a",)), tiny_table, r=0)
+
+    def test_memory_bounded_by_length_not_r(self):
+        # a short document at paper-scale r holds only its own word vectors
+        d = 100
+        table = EmbeddingTable(d, {t: np.full(d, i, dtype=float)
+                                   for i, t in enumerate("abc")})
+        m = doc_matrix(TokenDocument("d", ("a", "b", "c")), table, r=500)
+        assert m.shape == (3, d) and m.dtype == np.float64
+        assert m.flags.c_contiguous and m.nbytes == 3 * d * 8
 
     def test_vector_is_column_mean_of_unpadded_matrix(self, tiny_table):
         rng = np.random.default_rng(2)
@@ -143,9 +153,8 @@ class TestDocMatrix:
                 vec = doc_vector(doc, tiny_table)
             except AllOovError:
                 continue
-            m = doc_matrix(doc, tiny_table, r=10)
-            mean = m.values[:, :m.effective_length].mean(axis=1)
-            assert np.allclose(vec.values, mean)
+            assert np.allclose(vec.values, doc_matrix(doc, tiny_table, r=10)
+                               .mean(axis=0))
 
 
 class TestTfidf:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sentprofile.errors import ConfigError, DataError
-from sentprofile.folds import stratified_kfold, validate_plan
+from sentprofile.folds import stratified_kfold
+
+from conftest import validate_plan
 
 
 def records(n_a, n_b, label_a="male", label_b="female"):

@@ -149,6 +149,28 @@ def test_polarity_scoring_runs_under_traced_name(monkeypatch, small_dataset):
     assert min(forwards_per_call) >= 1
 
 
+def test_document_embedding_runs_under_traced_names(monkeypatch,
+                                                   small_dataset):
+    # the tracer times `experiment.doc_matrix` and `sentiment.doc_matrix`
+    # as embed.doc_repr; embedding moved out from under those names would
+    # read as zero there
+    from sentprofile import experiment, sentiment
+
+    from conftest import SMALL_CONFIG
+
+    calls = {"experiment": 0, "sentiment": 0}
+    for name, module in (("experiment", experiment), ("sentiment", sentiment)):
+        def counted(*args, _embed=module.doc_matrix, _name=name, **kwargs):
+            calls[_name] += 1
+            return _embed(*args, **kwargs)
+        monkeypatch.setattr(module, "doc_matrix", counted)
+    config = experiment.ExperimentConfig(
+        **dict(SMALL_CONFIG, sentiment_mode="polarity_features",
+               source_mode="high_similarity_plus_manual", z=0.05))
+    experiment.run_experiment(config, small_dataset)
+    assert min(calls.values()) >= 1
+
+
 @pytest.mark.parametrize("mode", ["frozen_lstm", "finetuned_lstm"])
 def test_only_gender_training_counts_epochs(monkeypatch, small_dataset, mode):
     # the tracer reads gender.epochs_trained off these two names; sentiment

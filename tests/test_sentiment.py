@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
-from sentprofile.corpus import TokenDocument, UserRecord, clean_tokens
+from sentprofile.corpus import (
+    TokenDocument,
+    UserRecord,
+    VirtualDocument,
+    clean_tokens,
+)
 from sentprofile.domainsel import LabeledDomainSet, LabeledItem
 from sentprofile.embed import doc_matrix, doc_vector
-from sentprofile.errors import AllOovError, ConfigError, DataError
+from sentprofile.errors import AllOovError, ConfigError, DataError, ShapeError
+from sentprofile.experiment import target_matrices
 from sentprofile.gender import GenderModel
 from sentprofile.nn import TrainConfig, load_model, save_model
 from sentprofile.sentiment import (
     POLARITY_BATCH,
     SentimentConfig,
     SentimentModel,
-    _stack_items,
     build_finetune_model,
     extract_representations,
+    pad_sequences,
     polarity_features,
     polarity_sequences,
     predict_polarity,
@@ -99,9 +105,10 @@ class TestTrainSentiment:
 
 
 def test_training_matrices_own_only_their_columns(polarity_table):
-    # items padded to r=400 but at most 6 tokens long: the stacked training
-    # matrices must not keep the full padded stack alive as a view base
-    mats, lengths = _stack_items(marker_items(polarity_table, n=10, r=400).items)
+    # items cut at r=400 but at most 6 tokens long: the training stack runs
+    # to the longest item and owns its memory, with no larger view base
+    mats, lengths = pad_sequences(
+        [item.matrix for item in marker_items(polarity_table, n=10, r=400).items])
     assert mats.shape[1] == lengths.max() <= 6
     assert mats.base is None or mats.base.nbytes == mats.nbytes
 
@@ -127,13 +134,19 @@ class TestPredictPolarity:
         assert predict_polarity(model, doc) == 0.5
 
     def test_padding_invariance(self, polarity_table):
+        # zero steps past the effective length do not move the probability
         model = integrator_model()
-        doc_short = doc_matrix(TokenDocument("d", ("pos0", "pos1")),
-                               polarity_table, 2)
-        doc_long = doc_matrix(TokenDocument("d", ("pos0", "pos1")),
-                              polarity_table, 9)
-        assert predict_polarity(model, doc_short) == \
-            predict_polarity(model, doc_long)
+        seq = doc_matrix(TokenDocument("d", ("pos0", "pos1")), polarity_table, 9)
+        padded = np.zeros((1, 9, 2))
+        padded[0, :2] = seq
+        probs = model.forward_batch((padded, np.array([2])))
+        assert predict_polarity(model, seq) == probs[0, 0]
+
+    def test_wrong_dimension_rejected(self, polarity_table):
+        model = SentimentModel(input_dim=3, hidden_size=2)
+        seq = doc_matrix(TokenDocument("d", ("pos0",)), polarity_table, 4)
+        with pytest.raises(ShapeError):
+            predict_polarity(model, seq)
 
     def test_sign_behavior(self, polarity_table):
         model = integrator_model()
@@ -146,8 +159,8 @@ class TestPredictPolarity:
 
 def extract_one(model, doc, layer):
     """Batched extraction over a batch of one document."""
-    return extract_representations(model, doc.values.T[None, :, :],
-                                   np.array([doc.effective_length]), layer)[0]
+    return extract_representations(model, doc[None], np.array([len(doc)]),
+                                   layer)[0]
 
 
 class TestExtractRepresentation:
@@ -167,8 +180,7 @@ class TestExtractRepresentation:
         doc = doc_matrix(TokenDocument("d", ("pos0", "neu1", "neg2")),
                          polarity_table, 6)
         rep = extract_one(model, doc, "frozen_lstm")
-        eff = doc.effective_length
-        direct = model.lstm.forward(doc.values.T[None, :eff, :], np.array([eff]))
+        direct = model.lstm.forward(doc[None], np.array([len(doc)]))
         assert np.allclose(rep, direct[0], atol=1e-12)
 
     def test_frozen_dense_is_presigmoid(self, polarity_table):
@@ -210,16 +222,15 @@ class TestExtractRepresentation:
         score(model, [UserRecord("u", "male", (("pos0",),))], polarity_table, 4)
         assert model.lstm._cache is None
         composite = build_finetune_model(model, vec_dim=2)
-        composite.predict_proba(np.zeros((1, 2)), doc.values.T[None],
-                                np.array([doc.effective_length]))
+        composite.predict_proba(np.zeros((1, 2)), doc[None],
+                                np.array([len(doc)]))
         assert composite.lstm._cache is None
 
     def test_batched_matches_single(self, polarity_table):
         model = integrator_model()
         docs = [doc_matrix(TokenDocument(f"d{i}", ("pos0",) * (i + 1)),
                            polarity_table, 5) for i in range(4)]
-        mats = np.stack([d.values.T for d in docs])
-        lengths = np.array([d.effective_length for d in docs])
+        mats, lengths = pad_sequences(docs)
         batch = extract_representations(model, mats, lengths, "frozen_lstm",
                                         batch_size=2)
         for i, doc in enumerate(docs):
@@ -344,8 +355,7 @@ def test_extracted_representations_linearly_separable_by_polarity(polarity_table
     model, _ = train_sentiment(
         data, SentimentConfig(hidden_size=8, dropout_rate=0.2),
         TrainConfig(epochs=30, batch_size=8, learning_rate=5e-3, seed=2))
-    mats = np.stack([item.matrix.values.T for item in data.items])
-    lengths = np.array([item.matrix.effective_length for item in data.items])
+    mats, lengths = pad_sequences([item.matrix for item in data.items])
     h = extract_representations(model, mats, lengths, "frozen_lstm")
     y = np.array([[1.0 if item.polarity == "positive" else 0.0]
                   for item in data.items])
@@ -377,19 +387,16 @@ class TestCheckpointing:
 class TestFinetune:
     def make_training_rows(self, table, n=24, r=5, seed=3):
         rng = np.random.default_rng(seed)
-        vecs, mats, lengths, labels = [], [], [], []
+        vecs, seqs, labels = [], [], []
         for i in range(n):
             kind = "pos" if i % 2 == 0 else "neg"
             tokens = tuple(f"{kind}{rng.integers(0, 4)}"
                            for _ in range(rng.integers(1, r + 1)))
             doc = TokenDocument(f"d{i}", tokens)
-            m = doc_matrix(doc, table, r)
             vecs.append(doc_vector(doc, table).values)
-            mats.append(m.values.T)
-            lengths.append(m.effective_length)
+            seqs.append(doc_matrix(doc, table, r))
             labels.append(i % 2)
-        return (np.stack(vecs), np.stack(mats), np.array(lengths),
-                np.array(labels))
+        return (np.stack(vecs), *pad_sequences(seqs), np.array(labels))
 
     def test_requires_trained_model(self):
         model = SentimentModel(input_dim=2, hidden_size=2)
@@ -507,3 +514,97 @@ class TestFinetune:
         train_finetune(composite, vecs, mats, lengths, labels,
                        TrainConfig(epochs=1, batch_size=8, seed=0))
         assert composite.lstm._cache is None
+
+
+def old_layout_stack(token_docs, table, r):
+    """The stack the padded document layout gave: each document's first r
+    in-vocabulary word vectors as the columns of a zero-padded (d, r)
+    matrix, transposed, and the stack cut to the longest document."""
+    columns = [[table[t] for t in tokens if t in table][:r]
+               for tokens in token_docs]
+    padded = []
+    for cols in columns:
+        values = np.zeros((table.dimension, r))
+        values[:, :len(cols)] = np.column_stack(cols)
+        padded.append(values)
+    t = max(len(cols) for cols in columns)
+    return (np.stack([values.T[:t] for values in padded]),
+            np.array([len(cols) for cols in columns]))
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestStacksMatchPaddedLayout:
+    """Every batch built from (length, d) sequences holds the bytes the
+    padded (d, r) layout gave."""
+
+    WORDS = [f"{kind}{i}" for kind in ("pos", "neg", "neu") for i in range(4)]
+
+    def token_docs(self, n, seed, oov=()):
+        rng = np.random.default_rng(seed)
+        return [tuple(rng.choice(self.WORDS + list(oov),
+                                 size=rng.integers(1, 10)))
+                for _ in range(n)]
+
+    def test_training_stack(self, polarity_table):
+        docs = self.token_docs(30, seed=1, oov=("zzz",))
+        docs = [tokens for tokens in docs
+                if any(t in polarity_table for t in tokens)]
+        items = [LabeledItem(item_id=f"i{k}", matrix=doc_matrix(
+                     TokenDocument(f"i{k}", tokens), polarity_table, 6),
+                     vector=doc_vector(TokenDocument(f"i{k}", tokens),
+                                       polarity_table),
+                     polarity="positive")
+                 for k, tokens in enumerate(docs)]
+        mats, lengths = pad_sequences([item.matrix for item in items])
+        old_mats, old_lengths = old_layout_stack(docs, polarity_table, 6)
+        assert_same_bytes(mats, old_mats)
+        assert_same_bytes(lengths, old_lengths)
+
+    def test_target_stack(self, polarity_table):
+        docs = [VirtualDocument(user_id=f"u{k}", gender="male", tokens=tokens,
+                                token_count=len(tokens))
+                for k, tokens in enumerate(self.token_docs(30, seed=2,
+                                                           oov=("zzz",)))]
+        docs.append(VirtualDocument(user_id="lost", gender="male",
+                                    tokens=("zzz",), token_count=1))
+        kept, mats, lengths = target_matrices(docs, polarity_table, r=6)
+        assert "lost" not in {doc.user_id for doc in kept}
+        old_mats, old_lengths = old_layout_stack(
+            [doc.tokens for doc in kept], polarity_table, 6)
+        assert_same_bytes(mats, old_mats)
+        assert_same_bytes(lengths, old_lengths)
+
+    def test_polarity_chunks(self, polarity_table, monkeypatch):
+        rng = np.random.default_rng(3)
+        users = [UserRecord(f"u{n}", "male", tuple(
+                     self.token_docs(int(rng.integers(1, 5)), seed=100 + n)))
+                 for n in range(40)]
+        r = 7
+        sequences = polarity_sequences(users, polarity_table, r)
+        # the input rows in order: each user's posts, then the user document
+        rows = []
+        for user in users:
+            rows.extend(clean_tokens(post) for post in user.posts)
+            rows.append([t for post in user.posts for t in clean_tokens(post)])
+        ordered = [rows[i] for i in sequences.order]
+        assert len(ordered) > 2 * POLARITY_BATCH
+
+        chunks = []
+        forward_batch = SentimentModel.forward_batch
+
+        def recorded(self, inputs, training=False):
+            chunks.append(inputs)
+            return forward_batch(self, inputs, training=training)
+
+        monkeypatch.setattr(SentimentModel, "forward_batch", recorded)
+        polarity_features(integrator_model(), sequences)
+        assert len(chunks) == -(-len(ordered) // POLARITY_BATCH)
+        for k, (mats, lengths) in enumerate(chunks):
+            chunk = ordered[k * POLARITY_BATCH:(k + 1) * POLARITY_BATCH]
+            old_mats, old_lengths = old_layout_stack(chunk, polarity_table, r)
+            assert_same_bytes(mats, old_mats)
+            assert np.array_equal(lengths, old_lengths)
