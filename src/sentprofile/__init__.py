@@ -30,7 +30,6 @@ from .domainsel import (
     select_source,
 )
 from .embed import (
-    DocVector,
     EmbedConfig,
     EmbeddingTable,
     doc_matrix,
@@ -74,7 +73,6 @@ from .gender import (
 from .nn import TrainConfig, gradient_check, load_model, save_model
 from .resample import ResampleConfig, smote
 from .sentiment import (
-    PolarityFeatures,
     SentimentConfig,
     SentimentModel,
     build_finetune_model,

@@ -122,8 +122,6 @@ def _experiment_config(args) -> ExperimentConfig:
         if name == "epochs" and isinstance(value, str):
             value = tuple(int(v) for v in value.split(",") if v.strip())
         raw[name] = value
-    if getattr(args, "smote", None):
-        raw["smote"] = True
     config = ExperimentConfig.from_dict(raw)
     config.validate()
     return config

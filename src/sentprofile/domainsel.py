@@ -7,11 +7,9 @@ samples may then be merged into the selected set.
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .embed import DocVector
 from .errors import (
     ConfigError,
     DataError,
@@ -30,7 +28,7 @@ DEFAULT_SIMILARITY_THRESHOLD = 0.25
 class LabeledItem:
     item_id: str
     matrix: np.ndarray  # (length, d) word vectors, see `embed.doc_matrix`
-    vector: DocVector
+    vector: np.ndarray  # (d,) mean word vector, see `embed.doc_vector`
     polarity: str
     provenance: str = "source"
 
@@ -62,19 +60,19 @@ def _check_dimension(items) -> None:
                                  f"dimension {item.matrix.shape[1]}, expected {d}")
 
 
-def _normalized_rows(vectors: Sequence[DocVector]) -> np.ndarray:
-    if not vectors:
+def _normalized_rows(vectors) -> np.ndarray:
+    if not len(vectors):
         raise DataError("average similarity needs at least one target vector")
-    mat = np.stack([np.asarray(v.values, dtype=np.float64) for v in vectors])
+    mat = np.asarray(vectors, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return mat / safe
 
 
-def _mean_cosine(source_vec: DocVector, targets: np.ndarray) -> float:
+def _mean_cosine(source_vec: np.ndarray, targets: np.ndarray) -> float:
     """Mean cosine of one source vector to the rows of `targets`, which
     `_normalized_rows` made unit length (or left zero)."""
-    values = np.asarray(source_vec.values, dtype=np.float64)
+    values = np.asarray(source_vec, dtype=np.float64)
     norm = np.linalg.norm(values)
     if norm == 0.0:
         return 0.0
@@ -84,9 +82,10 @@ def _mean_cosine(source_vec: DocVector, targets: np.ndarray) -> float:
     return float((targets @ (values / norm)).sum() / len(targets))
 
 
-def select_source(source: LabeledDomainSet, target_vecs: Sequence[DocVector],
+def select_source(source: LabeledDomainSet, target_vecs,
                   z: float) -> LabeledDomainSet:
-    """Keep the items whose average similarity strictly exceeds z."""
+    """Keep the items whose average similarity strictly exceeds z;
+    `target_vecs` holds one (d,) target document vector per row."""
     if not 0.0 < z < 1.0:
         raise ConfigError(f"similarity threshold must be in (0, 1), got {z}")
     targets = _normalized_rows(target_vecs)

@@ -1,10 +1,11 @@
 """Word embeddings and document representations.
 
 Trains skip-gram vectors with negative sampling on the token streams of
-both corpora, then turns each document into an averaged vector (mean of
-its in-vocabulary word vectors) and a (length, d) sequence (its first r
-in-vocabulary word vectors as rows, so length is at most r). TF-IDF
-baselines and the gender-keyword vocabulary live here too.
+both corpora, then turns each document into a (d,) averaged vector (mean
+of its in-vocabulary word vectors) and a (length, d) sequence (its first r
+in-vocabulary word vectors as rows, so length is at most r). The TF-IDF
+baselines, dense (n, V) matrices whose row i belongs to document i, and
+the gender-keyword vocabulary live here too.
 """
 
 import logging
@@ -194,18 +195,12 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(dim, vectors)
 
 
-@dataclass
-class DocVector:
-    doc_id: str
-    values: np.ndarray  # (d,)
-
-
 def _in_vocab_vectors(doc, table: EmbeddingTable) -> list[np.ndarray]:
     return [table[t] for t in _token_stream(doc) if t in table]
 
 
-def doc_vector(doc, table: EmbeddingTable) -> DocVector:
-    """Mean of the document's in-vocabulary word vectors.
+def doc_vector(doc, table: EmbeddingTable) -> np.ndarray:
+    """Mean of the document's in-vocabulary word vectors, a (d,) array.
 
     Out-of-vocabulary tokens are skipped and do not count toward the
     divisor.
@@ -213,8 +208,7 @@ def doc_vector(doc, table: EmbeddingTable) -> DocVector:
     vectors = _in_vocab_vectors(doc, table)
     if not vectors:
         raise AllOovError(f"document {document_id(doc)!r} has no in-vocabulary token")
-    return DocVector(doc_id=document_id(doc),
-                     values=np.mean(vectors, axis=0))
+    return np.mean(vectors, axis=0)
 
 
 def doc_matrix(doc, table: EmbeddingTable, r: int) -> np.ndarray:
@@ -229,29 +223,13 @@ def doc_matrix(doc, table: EmbeddingTable, r: int) -> np.ndarray:
     return np.stack(vectors[:r])
 
 
-@dataclass
-class TfidfVectors:
-    """Sparse tf-idf rows aligned with the input document order."""
-
-    vocabulary: tuple[str, ...]
-    rows: tuple[dict[int, float], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vocabulary)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((len(self.rows), len(self.vocabulary)))
-        for i, row in enumerate(self.rows):
-            for j, w in row.items():
-                out[i, j] = w
-        return out
-
-
 def tfidf_representation(documents: Sequence,
-                         vocabulary: Iterable[str] | None = None) -> TfidfVectors:
+                         vocabulary: Iterable[str] | None = None
+                         ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Raw term frequency times idf = ln(N / df), L2-normalized per row.
 
+    Returns the dense (len(documents), V) matrix, row i belonging to
+    documents[i], and the V vocabulary terms its columns follow (sorted).
     A row whose every term has idf 0 (for instance a single-document
     corpus) stays the zero vector and is flagged with a warning. Passing
     `vocabulary` restricts the columns to those terms.
@@ -269,22 +247,21 @@ def tfidf_representation(documents: Sequence,
         df.update({t for t in doc if t in index})
     n = len(token_docs)
     idf = {t: math.log(n / df[t]) for t in df}
-    rows = []
+    out = np.zeros((n, len(vocab)))
     zero_rows = 0
-    for doc in token_docs:
+    for row, doc in enumerate(token_docs):
         tf = Counter(t for t in doc if t in index)
-        row = {index[t]: count * idf[t] for t, count in tf.items()}
-        norm = math.sqrt(sum(w * w for w in row.values()))
+        weights = [count * idf[t] for t, count in tf.items()]
+        norm = math.sqrt(sum(w * w for w in weights))
         if norm > 0.0:
-            row = {j: w / norm for j, w in row.items()}
+            for t, w in zip(tf, weights):
+                out[row, index[t]] = w / norm
         else:
-            row = {}
             zero_rows += 1
-        rows.append(row)
     if zero_rows:
         logger.warning("%d of %d tfidf rows are all-zero (every term has "
                        "idf 0 or is out of vocabulary)", zero_rows, n)
-    return TfidfVectors(vocabulary=tuple(vocab), rows=tuple(rows))
+    return out, tuple(vocab)
 
 
 def gender_keywords(docs: Sequence[VirtualDocument], top_n: int) -> set[str]:

@@ -52,7 +52,7 @@ from .embed import (
     tfidf_representation,
     train_skipgram,
 )
-from .errors import ConfigError, DataError, FormatError, PipelineError, TrainingError
+from .errors import ConfigError, DataError, PipelineError, TrainingError
 from .folds import FoldPlan, stratified_kfold
 from .gender import CLASSES, train_gender
 from .nn import TrainConfig
@@ -274,19 +274,6 @@ class EvalReport:
             payload["selection"] = self.selection
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid report JSON: {exc.msg}")
-        columns = [EpochColumn(epochs=entry["epochs"],
-                               fold_accuracies=list(entry["folds"]))
-                   for entry in payload["results"]]
-        return cls(config=payload["config"], config_hash=payload["config_hash"],
-                   seed=payload["seed"], columns=columns,
-                   selection=payload.get("selection"))
-
     def best_mean(self) -> float:
         return max(col.mean_accuracy for col in self.columns)
 
@@ -398,54 +385,56 @@ def build_manual_items(manual_records, table, r: int, stopwords) -> LabeledDomai
     return LabeledDomainSet(items=tuple(items))
 
 
-def _in_vocabulary(docs, represent) -> dict:
-    """`represent(doc)` by user id. Users with no in-vocabulary token are
-    dropped with a warning; every stage that needs an embedding of a target
-    user applies this one rule."""
-    out = {}
+def _in_vocabulary(docs, represent) -> tuple[list, list]:
+    """(kept docs, their `represent(doc)`), in document order. Users with
+    no in-vocabulary token are dropped with a warning; every stage that
+    needs an embedding of a target user applies this one rule."""
+    kept, reps = [], []
     for doc in docs:
         try:
-            out[doc.user_id] = represent(doc)
+            reps.append(represent(doc))
         except AllOovError:
             logger.warning("dropping user %s: all tokens out of vocabulary",
                            doc.user_id)
-    if not out:
+            continue
+        kept.append(doc)
+    if not kept:
         raise DataError("every user is out of the embedding vocabulary")
-    return out
+    return kept, reps
 
 
-def target_vectors(docs, table) -> dict:
-    """Averaged word vectors of the users with an in-vocabulary token."""
-    return _in_vocabulary(docs, lambda doc: doc_vector(doc, table))
+def target_vectors(docs, table):
+    """(kept docs, (n, d) averaged word vectors) of the users with an
+    in-vocabulary token, row i belonging to kept[i]."""
+    kept, vectors = _in_vocabulary(docs, lambda doc: doc_vector(doc, table))
+    return kept, np.stack(vectors)
 
 
 def target_matrices(docs, table, r: int):
     """(kept docs, (n, T, d) zero-padded word-vector sequences, effective
-    lengths) of the users with an in-vocabulary token, rows in document
-    order; T is the longest effective length."""
-    seqs = _in_vocabulary(docs, lambda doc: doc_matrix(doc, table, r))
-    kept = [doc for doc in docs if doc.user_id in seqs]
-    mats, lengths = pad_sequences([seqs[doc.user_id] for doc in kept])
+    lengths) of the users with an in-vocabulary token, row i belonging to
+    kept[i]; T is the longest effective length."""
+    kept, seqs = _in_vocabulary(docs, lambda doc: doc_matrix(doc, table, r))
+    mats, lengths = pad_sequences(seqs)
     return kept, mats, lengths
 
 
 def base_representations(config: ExperimentConfig, docs, table):
-    """Per-user base feature vectors for the chosen representation.
+    """(kept docs, (n, F) base feature matrix) for the chosen
+    representation, row i belonging to kept[i].
 
-    Users whose every token is out of vocabulary get no entry (logged)."""
+    Averaged vectors drop the users whose every token is out of
+    vocabulary (logged); tf-idf keeps every user."""
     if config.representation == "avg_vector":
-        return {uid: vector.values
-                for uid, vector in target_vectors(docs, table).items()}
+        return target_vectors(docs, table)
     if config.representation == "tfidf":
-        vectors = tfidf_representation(docs)
+        vocabulary = None
     else:
-        keywords = gender_keywords(docs, config.keyword_top_n)
-        if not keywords:
+        vocabulary = gender_keywords(docs, config.keyword_top_n)
+        if not vocabulary:
             raise DataError("gender keyword set is empty; corpora are "
                             "indistinguishable by frequency")
-        vectors = tfidf_representation(docs, vocabulary=keywords)
-    dense = vectors.dense()
-    return {doc.user_id: dense[i] for i, doc in enumerate(docs)}
+    return docs, tfidf_representation(docs, vocabulary)[0]
 
 
 @dataclass
@@ -483,8 +472,8 @@ def sentiment_sources(config: ExperimentConfig, source_modes, reviews,
     items = build_source_items(reviews, table, config.r)
     selected = manual = None
     if any("high_similarity" in mode for mode in source_modes):
-        targets = list(target_vectors(target_docs, table).values())
-        selected = select_source(items, targets, config.z)
+        selected = select_source(items, target_vectors(target_docs, table)[1],
+                                 config.z)
     manual_modes = [mode for mode in source_modes if mode.endswith("plus_manual")]
     if manual_modes:
         if not manual_path:
@@ -564,15 +553,19 @@ class RunContext:
     """What every fold of one cell uses. The cells of one call share every
     field but `config`, `source` (one per source mode), `columns`, where
     the cell's fold accuracies accumulate, and `gender_folds`, where its
-    folds leave their gender-MLP training data. Rows of `mats` and
-    `lengths` follow `index_of`; they and `source` are None without a
-    sentiment mode. `polarity` holds the posts and user documents of the
-    users in `index_of`, which every fold's polarity scoring runs its own
-    model over; it is None unless a cell scores polarity features."""
+    folds leave their gender-MLP training data.
+
+    Every per-user array has one row per user, row i belonging to the user
+    `index_of` maps to i: `base`, the (n, F) base feature matrix, `labels`,
+    the class indices, and `mats` and `lengths`, which like `source` are
+    None without a sentiment mode. `polarity` holds the posts and user
+    documents of the same users in the same order, which every fold's
+    polarity scoring runs its own model over; it is None unless a cell
+    scores polarity features."""
     config: ExperimentConfig
     plan: FoldPlan
-    base: dict
-    labels: dict
+    base: np.ndarray
+    labels: np.ndarray
     index_of: dict
     mats: np.ndarray | None
     lengths: np.ndarray | None
@@ -581,14 +574,14 @@ class RunContext:
     columns: list[EpochColumn]
     gender_folds: list[GenderFold]
 
-    def label_array(self, ids) -> np.ndarray:
-        return np.array([self.labels[uid] for uid in ids])
+    def rows(self, ids) -> list[int]:
+        return [self.index_of[uid] for uid in ids]
 
     def sequences(self, ids):
         """Base vectors, matrices, lengths and class indices of `ids`."""
-        rows = [self.index_of[uid] for uid in ids]
-        return (np.stack([self.base[uid] for uid in ids]), self.mats[rows],
-                self.lengths[rows], self.label_array(ids))
+        rows = self.rows(ids)
+        return (self.base[rows], self.mats[rows], self.lengths[rows],
+                self.labels[rows])
 
 
 @dataclass
@@ -620,13 +613,17 @@ def _prepare_runs(cells: list[ExperimentConfig],
     if source_modes or config.representation == "avg_vector":
         table = embedding_table(config, paths, docs, reviews)
 
-    base = base_representations(config, docs, table)
-    # users whose every token is out of vocabulary cannot be represented
-    docs = [d for d in docs if d.user_id in base]
+    # users whose every token is out of vocabulary cannot be represented;
+    # tf-idf keeps them until the target matrices need an embedding
+    docs, base = base_representations(config, docs, table)
     mats = lengths = None
     sources = {}
     if source_modes:
-        docs, mats, lengths = target_matrices(docs, table, config.r)
+        kept, mats, lengths = target_matrices(docs, table, config.r)
+        if len(kept) < len(docs):
+            kept_ids = {d.user_id for d in kept}
+            base = base[[i for i, d in enumerate(docs) if d.user_id in kept_ids]]
+            docs = kept
         sources = sentiment_sources(config, source_modes, reviews, docs, table,
                                     stopwords, paths.manual)
     polarity = None
@@ -636,8 +633,7 @@ def _prepare_runs(cells: list[ExperimentConfig],
                                       table, config.r, stopwords)
     shared = RunContext(
         config=config, plan=stratified_kfold(docs, config.folds, config.seed),
-        base=base,
-        labels={d.user_id: CLASSES.index(d.gender) for d in docs},
+        base=base, labels=np.array([CLASSES.index(d.gender) for d in docs]),
         index_of={d.user_id: i for i, d in enumerate(docs)},
         mats=mats, lengths=lengths, source=None, polarity=polarity,
         columns=[], gender_folds=[])
@@ -735,19 +731,16 @@ def _run_fold(fold: Fold) -> None:
 
     features = run.base
     if config.sentiment_mode in ("frozen_lstm", "frozen_dense"):
-        reps = extract_representations(fold.sentiment_model, run.mats,
-                                       run.lengths, layer=config.sentiment_mode)
-        features = {uid: np.concatenate([run.base[uid], reps[row]])
-                    for uid, row in run.index_of.items()}
+        features = np.concatenate([run.base, extract_representations(
+            fold.sentiment_model, run.mats, run.lengths,
+            layer=config.sentiment_mode)], axis=1)
     elif config.sentiment_mode == "polarity_features":
-        scored = polarity_features(fold.sentiment_model, run.polarity)
-        features = {uid: np.concatenate([run.base[uid], pf.values])
-                    for uid, pf in zip(run.index_of, scored)}
+        features = np.concatenate([run.base, polarity_features(
+            fold.sentiment_model, run.polarity)], axis=1)
 
-    x_train = np.stack([features[uid] for uid in fold.train_ids])
-    y_train = run.label_array(fold.train_ids)
-    x_test = np.stack([features[uid] for uid in fold.test_ids])
-    y_test = run.label_array(fold.test_ids)
+    train, test = run.rows(fold.train_ids), run.rows(fold.test_ids)
+    x_train, y_train = features[train], run.labels[train]
+    x_test, y_test = features[test], run.labels[test]
     if config.smote:
         x_train, y_train = smote(x_train, y_train,
                                  config.resample_config(fold.seed))

@@ -30,9 +30,6 @@ class FoldPlan:
                       if i != fold_index for uid in fold)
         return train, test
 
-    def all_ids(self) -> tuple[str, ...]:
-        return tuple(uid for fold in self.folds for uid in fold)
-
 
 def stratified_kfold(records, k: int, seed: int = 0) -> FoldPlan:
     """Plan k disjoint, exhaustive, class-stratified folds.

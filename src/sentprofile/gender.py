@@ -40,17 +40,16 @@ class FeatureVector:
     layout: tuple[str, ...]
 
 
-def concat_features(v, h=None) -> FeatureVector:
-    """Concatenate the document vector with an optional sentiment part.
-
-    `v` and `h` may be arrays or objects exposing `.values`; `h` may also
-    be a (doc_polarity, positive_rate) pair. Without `h` the layout is the
-    plain document-vector baseline.
+def concat_features(v: np.ndarray, h: np.ndarray | None = None) -> FeatureVector:
+    """Concatenate the document vector array with an optional sentiment
+    array (a hidden state, a head activation or a user's two polarity
+    features). Without `h` the layout is the plain document-vector
+    baseline.
     """
-    v_values = np.asarray(getattr(v, "values", v), dtype=np.float64).reshape(-1)
+    v_values = np.asarray(v, dtype=np.float64).reshape(-1)
     if h is None:
         return FeatureVector(values=v_values, layout=("doc_vector",))
-    h_values = np.asarray(getattr(h, "values", h), dtype=np.float64).reshape(-1)
+    h_values = np.asarray(h, dtype=np.float64).reshape(-1)
     return FeatureVector(values=np.concatenate([v_values, h_values]),
                          layout=("doc_vector", "sentiment"))
 

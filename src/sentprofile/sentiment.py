@@ -59,8 +59,6 @@ class SentimentModel(Model):
         self.dropout = DropoutLayer(dropout_rate)
         self.head = DenseLayer(hidden_size, 1, activation="sigmoid", rng=rng)
         self.trained = False
-        self._final_hidden = None
-        self._dense_preact = None
 
     def parts(self):
         return [("lstm", self.lstm), ("dropout", self.dropout),
@@ -70,17 +68,13 @@ class SentimentModel(Model):
         """inputs: (mats, lengths), mats being (B, T, d) sequences; returns
         polarity probabilities (B, 1).
 
-        Caches the final hidden state and the pre-sigmoid head activation
-        of the call for representation extraction. Only a training forward
-        keeps the LSTM's backward cache, so `backward` follows one of those.
+        Only a training forward keeps the LSTM's backward cache, so
+        `backward` follows one of those.
         """
         mats, lengths = inputs
         h = self.lstm.forward(mats, lengths, cache=training)
         hd = self.dropout.forward(h, training=training)
-        probs = self.head.forward(hd, training=training)
-        self._final_hidden = h
-        self._dense_preact = self.head._cache[1]
-        return probs
+        return self.head.forward(hd, training=training)
 
     def backward(self, d_probs: np.ndarray) -> None:
         grad = self.head.backward(d_probs)
@@ -201,49 +195,30 @@ def predict_polarity(model: SentimentModel, seq: np.ndarray) -> float:
     return float(probs[0, 0])
 
 
-def _chunked_inference(model: SentimentModel, lengths: np.ndarray, inputs,
-                       read, batch_size: int) -> np.ndarray:
-    """Inference forwards over consecutive chunks of `batch_size` rows.
-
-    Each chunk runs only up to its longest sequence: the LSTM reads each
-    sequence's state at its own last step, so the trimmed steps move no
-    output bit. `inputs(rows, t)` gives the chunk's
-    (len(rows), t, d) input and `read(probs)` what to keep of its forward;
-    result rows follow `lengths`."""
-    out = []
-    for start in range(0, len(lengths), batch_size):
-        rows = slice(start, start + batch_size)
-        t = int(lengths[rows].max())
-        probs = model.forward_batch((inputs(rows, t), lengths[rows]))
-        out.append(read(probs).copy())
-    return np.concatenate(out)
-
-
 def extract_representations(model: SentimentModel, mats: np.ndarray,
                             lengths: np.ndarray, layer: str = "frozen_lstm",
                             batch_size: int = 256) -> np.ndarray:
-    """Batched extraction over many documents; rows align with the input."""
+    """The (n, H) final LSTM hidden states (`frozen_lstm`) or (n, 1)
+    pre-sigmoid head activations (`frozen_dense`) of the (n, T, d)
+    sequences, row i belonging to mats[i]; dropout is off.
+
+    Runs cache-free forwards over consecutive chunks of `batch_size` rows,
+    each only up to its longest sequence: the LSTM reads each sequence's
+    state at its own last step, so the trimmed steps move no output bit."""
     if layer not in REPRESENTATION_LAYERS:
         raise ConfigError(f"layer must be one of {REPRESENTATION_LAYERS}, "
                           f"got {layer!r}")
     if not model.trained:
         raise DataError("cannot extract representations from an untrained model")
     lengths = np.asarray(lengths)
-    return _chunked_inference(
-        model, lengths, lambda rows, t: mats[rows, :t],
-        lambda probs: (model._final_hidden if layer == "frozen_lstm"
-                       else model._dense_preact), batch_size)
-
-
-@dataclass
-class PolarityFeatures:
-    doc_polarity: float
-    positive_rate: float
-    post_count: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([self.doc_polarity, self.positive_rate])
+    out = []
+    for start in range(0, len(lengths), batch_size):
+        rows = slice(start, start + batch_size)
+        h = model.lstm.forward(mats[rows, :int(lengths[rows].max())],
+                               lengths[rows], cache=False)
+        out.append(h if layer == "frozen_lstm"
+                   else h @ model.head.weights + model.head.bias)
+    return np.concatenate(out)
 
 
 # sequences per polarity forward. Inference forwards keep no backward
@@ -257,12 +232,11 @@ class PolaritySequences:
     """What polarity scoring runs the model over, built once per user list.
 
     `ordered` holds the (length, d) sequence of every scoreable post and
-    user document, sorted by length (`lengths`, ascending); `order[k]`
+    user document, sorted by length (ascending, stable); `order[k]`
     is the input row of ordered[k]. Per user, in input order, `post_rows`
     gives the input rows of the posts, and the user document is the row
     right after them."""
     ordered: list[np.ndarray]
-    lengths: np.ndarray
     order: np.ndarray
     post_rows: list[range]
 
@@ -295,39 +269,34 @@ def polarity_sequences(users: list[UserRecord], table: EmbeddingTable, r: int,
         post_rows.append(range(first, len(seqs)))
         seqs.append(doc_matrix(TokenDocument(doc_id=user.user_id,
                                              tokens=tuple(all_tokens)), table, r))
-    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
-    order = np.argsort(lengths, kind="stable")
-    return PolaritySequences(ordered=[seqs[i] for i in order],
-                             lengths=lengths[order], order=order,
+    order = np.argsort([len(seq) for seq in seqs], kind="stable")
+    return PolaritySequences(ordered=[seqs[i] for i in order], order=order,
                              post_rows=post_rows)
 
 
 def polarity_features(model: SentimentModel,
-                      sequences: PolaritySequences) -> list[PolarityFeatures]:
-    """Document polarity plus the fraction of the user's posts predicted
-    positive (probability > 0.5), for each user `sequences` was built from
-    (see `polarity_sequences`), in input order.
+                      sequences: PolaritySequences) -> np.ndarray:
+    """(n, 2) polarity features of the n users `sequences` was built from
+    (see `polarity_sequences`), row i belonging to the i-th: the user
+    document's polarity, then the fraction of the user's posts predicted
+    positive (probability > 0.5).
 
     Unscoreable posts are excluded from the rate's denominator. Every post
     and user document is scored in a few batched forwards over the
-    length-sorted chunks, with the probabilities `predict_polarity` gives
-    each one alone.
+    length-sorted chunks of POLARITY_BATCH sequences, each padded to its
+    longest one, with the probabilities `predict_polarity` gives each one
+    alone.
     """
-    if not sequences.ordered:
-        return []
     ordered = sequences.ordered
     probs = np.empty(len(ordered))
-    probs[sequences.order] = _chunked_inference(
-        model, sequences.lengths,
-        lambda rows, t: pad_sequences(ordered[rows])[0],
-        lambda out: out[:, 0], POLARITY_BATCH)
-
-    features = []
-    for rows in sequences.post_rows:
+    for start in range(0, len(ordered), POLARITY_BATCH):
+        chunk = slice(start, start + POLARITY_BATCH)
+        probs[sequences.order[chunk]] = model.forward_batch(
+            pad_sequences(ordered[chunk]))[:, 0]
+    features = np.empty((len(sequences.post_rows), 2))
+    for user, rows in enumerate(sequences.post_rows):
         positives = int((probs[rows.start:rows.stop] > 0.5).sum())
-        features.append(PolarityFeatures(doc_polarity=float(probs[rows.stop]),
-                                         positive_rate=positives / len(rows),
-                                         post_count=len(rows)))
+        features[user] = probs[rows.stop], positives / len(rows)
     return features
 
 

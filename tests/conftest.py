@@ -60,7 +60,7 @@ def validate_plan(plan, records) -> dict:
     pairs = [(r if isinstance(r, tuple) else (r.user_id, r.gender))
              for r in records]
     all_ids = [uid for uid, _ in pairs]
-    flat = list(plan.all_ids())
+    flat = [uid for fold in plan.folds for uid in fold]
     disjoint = len(flat) == len(set(flat))
     exhaustive = set(flat) == set(all_ids)
     sizes = [len(fold) for fold in plan.folds]

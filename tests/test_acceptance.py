@@ -142,7 +142,7 @@ def test_smote_geometry_200_random_sets():
 # similarity selection: kept sets nest as z grows and ignore scaling
 # ----------------------------------------------------------------------
 def test_selection_monotonic_and_scale_invariant_100_sets():
-    from test_domainsel import item, vec
+    from test_domainsel import item
 
     rng = np.random.default_rng(20240503)
     from sentprofile.domainsel import LabeledDomainSet, select_source
@@ -152,7 +152,7 @@ def test_selection_monotonic_and_scale_invariant_100_sets():
         n_source = int(rng.integers(5, 15))
         n_target = int(rng.integers(2, 8))
         vectors = rng.normal(size=(n_source, dim))
-        targets = [vec(f"t{i}", rng.normal(size=dim)) for i in range(n_target)]
+        targets = [rng.normal(size=dim) for _ in range(n_target)]
 
         def kept_ids(source_vectors, z):
             source = LabeledDomainSet(items=tuple(
@@ -377,10 +377,11 @@ def test_positive_rate_matches_brute_force_100_users(polarity_table):
                 for _ in range(rng.integers(1, 7)))
             posts.append(tokens)
         users.append(UserRecord(f"u{trial}", "male", tuple(posts)))
-    scored = polarity_features(model,
-                               polarity_sequences(users, polarity_table, r=8))
-    assert len(scored) == 100
-    for user, pf in zip(users, scored):
+    sequences = polarity_sequences(users, polarity_table, r=8)
+    scored = polarity_features(model, sequences)
+    assert scored.shape == (100, 2)
+    for user, (_, positive_rate), post_rows in zip(users, scored,
+                                                    sequences.post_rows):
         positives = scoreable = 0
         for post in user.posts:
             tokens = clean_tokens(post)
@@ -391,5 +392,5 @@ def test_positive_rate_matches_brute_force_100_users(polarity_table):
                                 polarity_table, 8)
             if predict_polarity(model, matrix) > 0.5:
                 positives += 1
-        assert pf.post_count == scoreable
-        assert pf.positive_rate == positives / scoreable
+        assert len(post_rows) == scoreable
+        assert positive_rate == positives / scoreable

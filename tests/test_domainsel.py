@@ -8,7 +8,6 @@ from sentprofile.domainsel import (
     augment_with_manual,
     select_source,
 )
-from sentprofile.embed import DocVector
 from sentprofile.errors import (
     ConfigError,
     DataError,
@@ -21,10 +20,6 @@ from sentprofile.errors import (
 EPS = 1e-9
 
 
-def vec(doc_id, values):
-    return DocVector(doc_id=doc_id, values=np.asarray(values, dtype=float))
-
-
 def item(item_id, values, polarity="positive", provenance="source",
          matrix=None):
     """A labeled item whose document vector is `values`; its word-vector
@@ -32,7 +27,7 @@ def item(item_id, values, polarity="positive", provenance="source",
     values = np.asarray(values, dtype=float)
     return LabeledItem(item_id=item_id,
                        matrix=values[None, :] if matrix is None else matrix,
-                       vector=vec(item_id, values),
+                       vector=values,
                        polarity=polarity, provenance=provenance)
 
 
@@ -41,9 +36,8 @@ def kept(source_values, target_values, z):
     `source_values` against these target vectors, i.e. whether its mean
     cosine to them strictly exceeds z."""
     source = LabeledDomainSet(items=(item("s", source_values),))
-    targets = [vec(f"t{i}", t) for i, t in enumerate(target_values)]
     try:
-        select_source(source, targets, z)
+        select_source(source, target_values, z)
     except EmptySelectionError:
         return False
     return True
@@ -133,23 +127,23 @@ class TestSelectSource:
 
     def test_low_threshold_keeps_all(self):
         source = self.make_set([[1.0, 0.0], [0.9, 0.1], [0.8, 0.3]])
-        targets = [vec("t", [1.0, 0.05])]
+        targets = [[1.0, 0.05]]
         kept = select_source(source, targets, z=0.01)
         assert len(kept) == 3
         assert [i.item_id for i in kept.items] == ["i0", "i1", "i2"]
 
     def test_high_threshold_empty_error(self):
         source = self.make_set([[1.0, 0.0]])
-        targets = [vec("t", [0.0, 1.0])]
+        targets = [[0.0, 1.0]]
         with pytest.raises(EmptySelectionError, match="lower"):
             select_source(source, targets, z=0.9)
 
     def test_strict_inequality(self):
         # average similarity exactly z must NOT be kept
         source = self.make_set([[1.0, 0.0]])
-        targets = [vec("t1", [1.0, 0.0]), vec("t2", [-1.0, 0.0])]
+        targets = [[1.0, 0.0], [-1.0, 0.0]]
         # avg = (1 - 1) / 2 = 0 < any z; with orthogonal second target avg = 0.5
-        targets = [vec("t1", [1.0, 0.0]), vec("t2", [0.0, 1.0])]
+        targets = [[1.0, 0.0], [0.0, 1.0]]
         with pytest.raises(EmptySelectionError):
             select_source(source, targets, z=0.5)
 
@@ -157,7 +151,7 @@ class TestSelectSource:
         source = self.make_set([[1.0, 0.0]])
         for z in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ConfigError):
-                select_source(source, [vec("t", [1.0, 0.0])], z=z)
+                select_source(source, [[1.0, 0.0]], z=z)
 
     def test_default_threshold_constant(self):
         from sentprofile.experiment import ExperimentConfig
@@ -168,7 +162,7 @@ class TestSelectSource:
     def test_monotonicity_in_z(self):
         rng = np.random.default_rng(3)
         source = self.make_set(rng.normal(size=(20, 3)))
-        targets = [vec(f"t{i}", rng.normal(size=3)) for i in range(5)]
+        targets = [rng.normal(size=3) for _ in range(5)]
         kept_ids = []
         for z in (0.05, 0.2, 0.5):
             try:
@@ -181,7 +175,7 @@ class TestSelectSource:
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         vectors = rng.normal(size=(10, 3))
-        targets = [vec(f"t{i}", rng.normal(size=3)) for i in range(4)]
+        targets = [rng.normal(size=3) for _ in range(4)]
         base = select_source(self.make_set(vectors), targets, z=0.05)
         base_ids = {i.item_id for i in base.items}
         for c in (0.5, 2.0, 10.0):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -94,15 +95,16 @@ class TestEmbeddingIO:
 class TestDocVector:
     def test_mean_of_two(self, tiny_table):
         vec = doc_vector(TokenDocument("d", ("a", "b")), tiny_table)
-        assert np.allclose(vec.values, [2.0, 3.0])
+        assert vec.shape == (2,)
+        assert np.allclose(vec, [2.0, 3.0])
 
     def test_identical_tokens(self, tiny_table):
         vec = doc_vector(TokenDocument("d", ("a", "a")), tiny_table)
-        assert np.allclose(vec.values, [1.0, 2.0])
+        assert np.allclose(vec, [1.0, 2.0])
 
     def test_oov_skipped_in_divisor(self, tiny_table):
         vec = doc_vector(TokenDocument("d", ("a", "missing", "b")), tiny_table)
-        assert np.allclose(vec.values, [2.0, 3.0])
+        assert np.allclose(vec, [2.0, 3.0])
 
     def test_all_oov(self, tiny_table):
         with pytest.raises(AllOovError):
@@ -153,31 +155,28 @@ class TestDocMatrix:
                 vec = doc_vector(doc, tiny_table)
             except AllOovError:
                 continue
-            assert np.allclose(vec.values, doc_matrix(doc, tiny_table, r=10)
+            assert np.allclose(vec, doc_matrix(doc, tiny_table, r=10)
                                .mean(axis=0))
 
 
 class TestTfidf:
     def test_everywhere_term_weight_zero(self):
         docs = [["shared", "one"], ["shared", "two"]]
-        result = tfidf_representation(docs)
-        col = result.vocabulary.index("shared")
-        dense = result.dense()
+        dense, vocab = tfidf_representation(docs)
+        col = vocab.index("shared")
         assert np.all(dense[:, col] == 0.0)
 
     def test_single_document_zero_and_warns(self, caplog):
         with caplog.at_level("WARNING"):
-            result = tfidf_representation([["a", "b"]])
-        assert result.rows == ({},)
+            dense, _ = tfidf_representation([["a", "b"]])
+        assert dense.shape == (1, 2) and not dense.any()
         assert any("all-zero" in m for m in caplog.messages)
 
     def test_idf_ln2(self):
         docs = [["rare", "both"], ["both"]]
-        result = tfidf_representation(docs)
-        row = result.rows[0]
-        col = result.vocabulary.index("rare")
+        dense, vocab = tfidf_representation(docs)
         # single occurrence, idf ln 2, and the row L2-normalizes to 1
-        assert row[col] == pytest.approx(1.0)
+        assert dense[0, vocab.index("rare")] == pytest.approx(1.0)
         pre_norm = 1 * math.log(2)
         assert pre_norm == pytest.approx(0.6931, abs=1e-4)
 
@@ -186,14 +185,35 @@ class TestTfidf:
         vocab = [f"w{i}" for i in range(12)]
         docs = [[vocab[j] for j in rng.integers(0, 12, size=rng.integers(1, 9))]
                 for _ in range(15)]
-        dense = tfidf_representation(docs).dense()
+        dense, _ = tfidf_representation(docs)
         norms = np.linalg.norm(dense, axis=1)
         assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
 
     def test_restricted_vocabulary(self):
         docs = [["a", "b"], ["a", "c"]]
-        result = tfidf_representation(docs, vocabulary={"b", "c"})
-        assert result.vocabulary == ("b", "c")
+        dense, vocab = tfidf_representation(docs, vocabulary={"b", "c"})
+        assert vocab == ("b", "c") and dense.shape == (2, 2)
+
+    def test_matches_per_term_reference(self):
+        # each weight is count * idf / norm, the norm summed in the order
+        # the terms first occur in the document, so the matrix holds the
+        # bytes of a term-by-term reference
+        rng = np.random.default_rng(4)
+        vocab = [f"w{i}" for i in range(9)]
+        docs = [[vocab[j] for j in rng.integers(0, 9, size=rng.integers(1, 12))]
+                for _ in range(20)]
+        dense, columns = tfidf_representation(docs)
+        n = len(docs)
+        df = Counter(t for doc in docs for t in set(doc))
+        expected = np.zeros((n, len(columns)))
+        for i, doc in enumerate(docs):
+            row = {t: count * math.log(n / df[t])
+                   for t, count in Counter(doc).items()}
+            norm = math.sqrt(sum(w * w for w in row.values()))
+            for t, w in row.items():
+                if norm > 0.0:
+                    expected[i, columns.index(t)] = w / norm
+        assert dense.tobytes() == expected.tobytes()
 
 
 class TestGenderKeywords:

@@ -113,15 +113,6 @@ class TestReports:
                                                fold_accuracies=[0.85, 0.95, 0.75])],
                           timing_seconds=12.5)
 
-    def test_json_round_trip(self):
-        report = self.make_report()
-        loaded = EvalReport.from_json(report.to_json())
-        assert loaded.config == report.config
-        assert loaded.seed == report.seed
-        assert [c.epochs for c in loaded.columns] == [60, 80]
-        assert loaded.columns[0].fold_accuracies == [0.8, 0.9, 0.7]
-        assert loaded.to_json() == report.to_json()
-
     def test_mean_is_arithmetic_mean(self):
         report = self.make_report()
         for col in report.columns:
@@ -315,7 +306,7 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
 
     monkeypatch.setattr(experiment, "train_gender", recorded)
     run = experiment.RunContext(
-        config=config, plan=None, base={}, labels={}, index_of={}, mats=None,
+        config=config, plan=None, base=None, labels=None, index_of={}, mats=None,
         lengths=None, source=None, polarity=None,
         columns=[EpochColumn(epochs=e, fold_accuracies=[]) for e in (7, 3)],
         gender_folds=[fold for fold, _, _ in folds])
@@ -392,11 +383,10 @@ class TestRunGrid:
         assert calls == {}
 
 
-def test_tfidf_with_sentiment_drops_oov_users(tmp_path):
-    # a user whose every token falls under min_count has a tfidf row but no
-    # embedding; the pipeline must drop it instead of crashing
-    import json
-
+def hapax_dataset(tmp_path):
+    """A corpus with one extra user, in the middle of the users file, whose
+    every token falls under min_count, so it has a tfidf row but no
+    embedding."""
     from sentprofile.synth import SynthConfig, generate_dataset, write_dataset
 
     dataset = generate_dataset(SynthConfig(n_users=40, n_reviews=60, seed=8,
@@ -406,16 +396,51 @@ def test_tfidf_with_sentiment_drops_oov_users(tmp_path):
                                            n_topics=3, tokens_per_topic=10))
     out = tmp_path / "data"
     paths_map = write_dataset(dataset, out)
-    with open(paths_map["users"], "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"user_id": "hapax-user", "gender": "male",
-                             "posts": [["onlyonceword"]]}) + "\n")
-    paths = DataPaths(users=str(paths_map["users"]),
-                      reviews=str(paths_map["reviews"]),
-                      stopwords=str(paths_map["stopwords"]))
-    report = run_experiment(
-        small_experiment(representation="tfidf", sentiment_mode="frozen_lstm",
-                         folds=2, min_count=2), paths)
+    users = paths_map["users"]
+    lines = users.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(len(lines) // 2, json.dumps({
+        "user_id": "hapax-user", "gender": "male",
+        "posts": [["onlyonceword"]]}) + "\n")
+    users.write_text("".join(lines), encoding="utf-8")
+    return DataPaths(users=str(paths_map["users"]),
+                     reviews=str(paths_map["reviews"]),
+                     stopwords=str(paths_map["stopwords"]))
+
+
+HAPAX_CONFIG = dict(representation="tfidf", sentiment_mode="frozen_lstm",
+                    folds=2, min_count=2)
+
+
+def test_tfidf_with_sentiment_drops_oov_users(tmp_path):
+    # the pipeline must drop the hapax user instead of crashing
+    report = run_experiment(small_experiment(**HAPAX_CONFIG),
+                            hapax_dataset(tmp_path))
     assert len(report.columns[0].fold_accuracies) == 2
+
+
+def test_tfidf_oov_drop_keeps_rows_aligned(tmp_path):
+    # after the hapax user is dropped, row i of every per-user array still
+    # belongs to the i-th kept user; the idf counts every loaded user
+    from sentprofile.embed import doc_matrix, tfidf_representation
+
+    paths = hapax_dataset(tmp_path)
+    config = small_experiment(**HAPAX_CONFIG)
+    run, = experiment._prepare_runs([config], paths)
+    _, docs, reviews, _ = experiment.load_corpora(paths)
+    table = experiment.embedding_table(config, paths, docs, reviews)
+    tfidf, _ = tfidf_representation(docs)
+    by_id = {doc.user_id: (row, doc) for row, doc in enumerate(docs)}
+    assert 0 < by_id["hapax-user"][0] < len(docs) - 1
+    assert "hapax-user" not in run.index_of
+    assert list(run.index_of.values()) == list(range(len(docs) - 1))
+    assert run.base.shape == (len(docs) - 1, tfidf.shape[1])
+    for uid, i in run.index_of.items():
+        row, doc = by_id[uid]
+        assert run.base[i].tobytes() == tfidf[row].tobytes()
+        assert run.labels[i] == CLASSES.index(doc.gender)
+        seq = doc_matrix(doc, table, config.r)
+        assert run.lengths[i] == len(seq)
+        assert run.mats[i, :len(seq)].tobytes() == seq.tobytes()
 
 
 def test_precomputed_embeddings_reused(small_dataset, tmp_path):

@@ -53,13 +53,15 @@ class TestStratifiedKfold:
         docs = [VirtualDocument(f"u{i}", "male" if i % 2 else "female",
                                 ("t",), 1) for i in range(10)]
         plan = stratified_kfold(docs, k=2, seed=0)
-        assert sorted(plan.all_ids()) == sorted(d.user_id for d in docs)
+        assert sorted(uid for fold in plan.folds for uid in fold) == \
+            sorted(d.user_id for d in docs)
 
     def test_split_partitions(self):
         plan = stratified_kfold(records(12, 8), k=4, seed=3)
         for i in range(4):
             train, test = plan.split(i)
-            assert set(train) | set(test) == set(plan.all_ids())
+            assert set(train) | set(test) == {uid for fold in plan.folds
+                                              for uid in fold}
             assert not set(train) & set(test)
 
     def test_randomized_invariants(self):

@@ -16,7 +16,6 @@ from sentprofile.gender import (
 from sentprofile.nn import LSTMLayer, TrainConfig, load_model, save_model
 from sentprofile.sentiment import (
     FinetuneModel,
-    PolarityFeatures,
     SentimentModel,
     build_finetune_model,
     train_finetune,
@@ -37,8 +36,8 @@ class TestConcatFeatures:
         assert f.layout == ("doc_vector",)
 
     def test_polarity_features_variant(self):
-        pf = PolarityFeatures(doc_polarity=0.7, positive_rate=0.5, post_count=4)
-        f = concat_features(np.zeros(100), pf)
+        # one user's row of `polarity_features`: doc polarity, positive rate
+        f = concat_features(np.zeros(100), np.array([0.7, 0.5]))
         assert f.values.shape == (102,)
         assert f.values[100] == 0.7
         assert f.values[101] == 0.5

@@ -226,6 +226,23 @@ class TestExtractRepresentation:
                                 np.array([len(doc)]))
         assert composite.lstm._cache is None
 
+    def test_frozen_dense_is_head_preactivation_across_chunks(self):
+        # 300 rows span two 256-row chunks; each chunk's rows equal, byte
+        # for byte, the pre-sigmoid head activation a `forward_batch` over
+        # that chunk caches, cut to its longest sequence
+        rng = np.random.default_rng(11)
+        model = SentimentModel(input_dim=3, hidden_size=5, seed=4)
+        model.trained = True
+        mats, lengths = pad_sequences([rng.normal(size=(rng.integers(1, 13), 3))
+                                       for _ in range(300)])
+        reps = extract_representations(model, mats, lengths, "frozen_dense")
+        expected = []
+        for rows in (slice(0, 256), slice(256, 300)):
+            model.forward_batch((mats[rows, :lengths[rows].max()], lengths[rows]))
+            expected.append(model.head._cache[1])
+        assert reps.shape == (300, 1)
+        assert reps.tobytes() == np.concatenate(expected).tobytes()
+
     def test_batched_matches_single(self, polarity_table):
         model = integrator_model()
         docs = [doc_matrix(TokenDocument(f"d{i}", ("pos0",) * (i + 1)),
@@ -239,30 +256,37 @@ class TestExtractRepresentation:
 
 
 def score(model, users, table, r):
-    return polarity_features(model, polarity_sequences(users, table, r))
+    """The (n, 2) polarity features of `users` (doc polarity, positive
+    rate), and the sequences they were scored from."""
+    sequences = polarity_sequences(users, table, r)
+    return polarity_features(model, sequences), sequences
 
 
 class TestPolarityFeatures:
     def test_all_positive_posts(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "female", (("pos0", "pos1"), ("pos2",)))
-        pf = score(model, [user], polarity_table, 4)[0]
-        assert pf.positive_rate == 1.0
+        features, _ = score(model, [user], polarity_table, 4)
+        assert features.shape == (1, 2)
+        _, positive_rate = features[0]
+        assert positive_rate == 1.0
 
     def test_three_of_four(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0",), ("pos1",), ("pos2",),
                                         ("neg0", "neg1")))
-        pf = score(model, [user], polarity_table, 4)[0]
-        assert pf.positive_rate == 0.75
-        assert pf.post_count == 4
+        features, sequences = score(model, [user], polarity_table, 4)
+        _, positive_rate = features[0]
+        assert positive_rate == 0.75
+        assert len(sequences.post_rows[0]) == 4
 
     def test_single_post_rate_binary(self, polarity_table):
         model = integrator_model()
         for tokens, expected in ((("pos0",), 1.0), (("neg0",), 0.0)):
             user = UserRecord("u", "male", (tokens,))
-            pf = score(model, [user], polarity_table, 2)[0]
-            assert pf.positive_rate == expected
+            features, _ = score(model, [user], polarity_table, 2)
+            _, positive_rate = features[0]
+            assert positive_rate == expected
 
     def test_rate_complement(self, polarity_table):
         model = integrator_model()
@@ -274,14 +298,15 @@ class TestPolarityFeatures:
                       for _ in range(rng.integers(1, 5)))
                 for _ in range(rng.integers(1, 6)))
             user = UserRecord(f"u{trial}", "male", posts)
-            pf = score(model, [user], polarity_table, 6)[0]
+            features, sequences = score(model, [user], polarity_table, 6)
+            _, positive_rate = features[0]
+            post_count = len(sequences.post_rows[0])
             negatives = sum(
                 1 for post in posts
                 if predict_polarity(model, doc_matrix(
                     TokenDocument("p", post), polarity_table, 6)) <= 0.5)
-            assert 0.0 <= pf.positive_rate <= 1.0
-            assert pf.positive_rate == pytest.approx(
-                1.0 - negatives / pf.post_count)
+            assert 0.0 <= positive_rate <= 1.0
+            assert positive_rate == pytest.approx(1.0 - negatives / post_count)
 
     def test_all_oov_posts_error(self, polarity_table):
         user = UserRecord("u", "male", (("zzz",), ("qqq",)))
@@ -291,17 +316,19 @@ class TestPolarityFeatures:
     def test_unscoreable_posts_excluded_from_rate(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0",), ("zzz",)))
-        pf = score(model, [user], polarity_table, 3)[0]
-        assert pf.post_count == 1
-        assert pf.positive_rate == 1.0
+        features, sequences = score(model, [user], polarity_table, 3)
+        _, positive_rate = features[0]
+        assert len(sequences.post_rows[0]) == 1
+        assert positive_rate == 1.0
 
     def test_doc_polarity_uses_whole_document(self, polarity_table):
         model = integrator_model()
         user = UserRecord("u", "male", (("pos0", "pos1"), ("neg0",)))
-        pf = score(model, [user], polarity_table, 6)[0]
+        features, _ = score(model, [user], polarity_table, 6)
+        doc_polarity, _ = features[0]
         doc = doc_matrix(TokenDocument("d", ("pos0", "pos1", "neg0")),
                          polarity_table, 6)
-        assert pf.doc_polarity == pytest.approx(predict_polarity(model, doc))
+        assert doc_polarity == pytest.approx(predict_polarity(model, doc))
 
 
     def test_batched_matches_per_user_reference(self, polarity_table):
@@ -319,10 +346,12 @@ class TestPolarityFeatures:
                              tuple(rng.choice(words, size=rng.integers(1, 15))))
             users.append(UserRecord(f"u{n}", "male", tuple(posts)))
         r = 30
-        scored = score(model, users, polarity_table, r)
-        assert len(users) + sum(pf.post_count for pf in scored) > 3 * POLARITY_BATCH
+        scored, sequences = score(model, users, polarity_table, r)
+        post_counts = [len(rows) for rows in sequences.post_rows]
+        assert len(users) + sum(post_counts) > 3 * POLARITY_BATCH
         assert len(scored) == len(users)
-        for user, pf in zip(users, scored):
+        for user, (doc_polarity, positive_rate), post_count in zip(
+                users, scored, post_counts):
             probs, tokens = [], []
             for post in user.posts:
                 cleaned = clean_tokens(post)
@@ -334,9 +363,9 @@ class TestPolarityFeatures:
                     continue
             doc = predict_polarity(model, doc_matrix(
                 TokenDocument("d", tuple(tokens)), polarity_table, r))
-            assert pf.post_count == len(probs)
-            assert pf.positive_rate == sum(p > 0.5 for p in probs) / len(probs)
-            assert abs(pf.doc_polarity - doc) <= 1e-12
+            assert post_count == len(probs)
+            assert positive_rate == sum(p > 0.5 for p in probs) / len(probs)
+            assert abs(doc_polarity - doc) <= 1e-12
 
     def test_all_oov_user_named_in_batch(self, polarity_table):
         users = [UserRecord("ok1", "male", (("pos0",),)),
@@ -393,7 +422,7 @@ class TestFinetune:
             tokens = tuple(f"{kind}{rng.integers(0, 4)}"
                            for _ in range(rng.integers(1, r + 1)))
             doc = TokenDocument(f"d{i}", tokens)
-            vecs.append(doc_vector(doc, table).values)
+            vecs.append(doc_vector(doc, table))
             seqs.append(doc_matrix(doc, table, r))
             labels.append(i % 2)
         return (np.stack(vecs), *pad_sequences(seqs), np.array(labels))
