@@ -36,6 +36,7 @@ from .experiment import (
     run_grid,
     sentiment_sources,
     target_matrices,
+    target_vectors,
 )
 from .gender import (
     CLASSES,
@@ -148,8 +149,9 @@ def _cmd_select_source(args) -> int:
     paths = _data_paths(args)
     _, docs, reviews, stopwords = load_corpora(paths)
     table = embedding_table(config, paths, docs, reviews)
-    source = sentiment_sources(config, [config.source_mode], reviews, docs,
-                               table, stopwords)[config.source_mode]
+    source = sentiment_sources(config, [config.source_mode], reviews,
+                               target_vectors(docs, table)[1], table,
+                               stopwords)[config.source_mode]
     kept_ids = {item.item_id for item in source.selected.items}
     with open(args.out, "w", encoding="utf-8") as fh:
         for review in reviews:
@@ -167,8 +169,10 @@ def _cmd_sentiment_train(args) -> int:
     paths = _data_paths(args)
     _, docs, reviews, stopwords = load_corpora(paths)
     table = embedding_table(config, paths, docs, reviews)
-    training_set = sentiment_sources(config, [config.source_mode], reviews, docs,
-                                     table, stopwords,
+    targets = (target_vectors(docs, table)[1]
+               if "high_similarity" in config.source_mode else None)
+    training_set = sentiment_sources(config, [config.source_mode], reviews,
+                                     targets, table, stopwords,
                                      paths.manual)[config.source_mode].training_set()
     model, curve = train_sentiment(training_set, config.sentiment_config(),
                                    config.train_config(config.sentiment_epochs))

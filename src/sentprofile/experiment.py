@@ -3,14 +3,15 @@
 One experiment fixes a document representation, a sentiment mode and a
 source-selection mode, then runs stratified k-fold cross validation: word
 embeddings and document representations are fit once on the whole corpus
-(they use no gender labels), the sentiment model is trained per fold on
-the configured source data, minority oversampling touches only the
-training partition, and the gender classifier is trained once per fold and
-scored at every entry of the epoch grid. The gender MLPs of a cell's folds
-train after its last fold, those with equal-shaped training data in
-lockstep as one stacked model. A grid of cells shares all of this but the
-gender training: one load, one embedding fit and, per source mode, one
-sentiment model per fold.
+(they use no gender labels), the sentiment model is trained in advance on
+the configured source data (once per run, or once per fold when manual
+labels make its training set depend on the fold's training users),
+minority oversampling touches only the training partition, and the gender
+classifier is trained once per fold and scored at every entry of the
+epoch grid. The gender MLPs of a cell's folds train after its last fold,
+those with equal-shaped training data in lockstep as one stacked model. A
+grid of cells shares all of this but the gender training: one load, one
+embedding fit and, per source mode, the sentiment models.
 """
 
 import csv
@@ -461,19 +462,19 @@ class SentimentSource:
 
 
 def sentiment_sources(config: ExperimentConfig, source_modes, reviews,
-                      target_docs, table, stopwords,
+                      targets, table, stopwords,
                       manual_path=None) -> dict[str, SentimentSource]:
     """One SentimentSource per entry of `source_modes`. They share one set
-    of source items, one similarity selection against `target_docs` (at
-    `config.z`) and one set of manual target items, each built only if a
-    mode asks for it."""
+    of source items, one similarity selection (at `config.z`) against
+    `targets`, the target users' (n, d) averaged word vectors, and one set
+    of manual target items, each built only if a mode asks for it.
+    `targets` may be None when no mode selects."""
     if not reviews:
         raise DataError("sentiment training needs source-domain reviews")
     items = build_source_items(reviews, table, config.r)
     selected = manual = None
     if any("high_similarity" in mode for mode in source_modes):
-        selected = select_source(items, target_vectors(target_docs, table)[1],
-                                 config.z)
+        selected = select_source(items, targets, config.z)
     manual_modes = [mode for mode in source_modes if mode.endswith("plus_manual")]
     if manual_modes:
         if not manual_path:
@@ -586,8 +587,8 @@ class RunContext:
 
 @dataclass
 class Fold:
-    """One fold's position, split and seed, and the sentiment model trained
-    on its training users (None without a sentiment mode)."""
+    """One fold's position, split and seed, and the sentiment model it reads
+    (None without a sentiment mode), which saw no label of its test users."""
     run: RunContext
     index: int
     seed: int
@@ -624,8 +625,13 @@ def _prepare_runs(cells: list[ExperimentConfig],
             kept_ids = {d.user_id for d in kept}
             base = base[[i for i, d in enumerate(docs) if d.user_id in kept_ids]]
             docs = kept
-        sources = sentiment_sources(config, source_modes, reviews, docs, table,
-                                    stopwords, paths.manual)
+        # under avg_vector the base rows are the selection targets
+        targets = None
+        if any("high_similarity" in mode for mode in source_modes):
+            targets = (base if config.representation == "avg_vector"
+                       else target_vectors(docs, table)[1])
+        sources = sentiment_sources(config, source_modes, reviews, targets,
+                                    table, stopwords, paths.manual)
     polarity = None
     if any(cell.sentiment_mode == "polarity_features" for cell in cells):
         users_by_id = {u.user_id: u for u in users}
@@ -650,11 +656,12 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     """Cross-validate every cell over one shared prefix (see
     `_prepare_runs`); one report per cell, in order.
 
-    Folds run outside the cells: the cells of a source mode share each
-    fold's sentiment model, which is trained once and dropped before the
-    next fold's, so at most one fold model is alive at a time. After the
-    last fold of a source mode, its cells train their gender MLPs (see
-    `_train_gender_folds`)."""
+    Folds run outside the cells: the cells of a source mode share its
+    sentiment model. Without manual labels that is one model for every
+    fold, trained in the first; with them each fold trains its own and
+    drops it before the next fold's, so at most one fold model is alive
+    at a time (see `_run_fold_cells`). After the last fold of a source
+    mode, its cells train their gender MLPs (see `_train_gender_folds`)."""
     started = time.perf_counter()
     for cell in cells:
         cell.validate()
@@ -664,9 +671,10 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     runs = _prepare_runs(cells, paths)
     for _, group in groupby(runs, key=lambda run: run.config.source_mode):
         group = list(group)
+        model = None
         for fold_index in range(group[0].plan.k):
             try:
-                _run_fold_cells(group, fold_index)
+                model = _run_fold_cells(group, fold_index, model)
             except PipelineError as exc:
                 raise _in_fold(exc, fold_index) from exc
         for run in group:
@@ -698,21 +706,35 @@ def _in_fold(exc: PipelineError, index: int) -> PipelineError:
     return PipelineError(f"fold {index + 1}: {exc}")
 
 
-def _run_fold_cells(runs: list[RunContext], index: int) -> None:
-    """Split fold `index`, train its sentiment model once and run the fold
-    of every cell in `runs`, which share a source mode, on that model."""
+def _run_fold_cells(runs: list[RunContext], index: int,
+                    model: SentimentModel | None) -> SentimentModel | None:
+    """Split fold `index` and run the fold of every cell in `runs`, which
+    share a source mode, on one sentiment model: `model`, or one trained
+    here when it is None. Returns the model the next fold may reuse.
+
+    Only manual labels make the sentiment training set depend on the fold
+    (a fold trains on its training users' labels alone), so those sources
+    train a model per fold and return None. The others train on the same
+    set in every fold: their model is trained once, in the first fold with
+    that fold's seed, and shared read-only by every later fold."""
     first = runs[0]
     config = first.config
+    source = first.source
     train_ids, test_ids = first.plan.split(index)
     seed = _fold_seed(config.seed, index, 1)
-    model = None
-    if first.source is not None:
-        model, _ = train_sentiment(first.source.training_set(train_ids),
-                                   config.sentiment_config(),
-                                   config.train_config(config.sentiment_epochs,
-                                                       seed))
+    if source is not None and model is None:
+        data = source.training_set(train_ids)
+        model, curve = train_sentiment(data, config.sentiment_config(),
+                                       config.train_config(config.sentiment_epochs,
+                                                           seed))
+        last = curve[-1]
+        logger.info("sentiment model for %s, fold %d: %d items, held-out "
+                    "loss %.4f, accuracy %.4f after %d epochs",
+                    config.source_mode, index + 1, len(data),
+                    last.heldout_loss, last.heldout_accuracy, last.epoch)
     for run in runs:
         _run_fold(Fold(run, index, seed, train_ids, test_ids, model))
+    return model if source is not None and source.manual is None else None
 
 
 def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
@@ -805,9 +827,9 @@ GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")
 
 def run_grid(config: ExperimentConfig, paths: DataPaths):
     """Sweep source modes against extraction layers (the 4 x 3 grid). The
-    cells share the corpora, the embeddings and, within a source mode, each
-    fold's sentiment model; every report has the bytes `run_experiment`
-    gives for its cell."""
+    cells share the corpora, the embeddings and, within a source mode, its
+    sentiment models; every report has the bytes `run_experiment` gives
+    for its cell."""
     cells = []
     for source_mode in SOURCE_MODES:
         if source_mode.endswith("plus_manual") and not paths.manual:

@@ -217,11 +217,12 @@ class LSTMLayer:
         h_t = o_t * tanh(c_t)
 
     A sample's final hidden state is the one after its last step (its
-    effective length). The steps past it are computed, but they never
-    reach the result, so padding never moves it, and the backward starts
-    the sample's gradient at its last step, so padded steps contribute
-    exactly zero parameter gradient. The forget-gate bias is initialized to 1, the other
-    biases to 0.
+    effective length). The steps past it, up to the batch's longest length,
+    are computed, but they never reach the result, so padding never moves
+    it, and the backward starts the sample's gradient at its last step, so
+    padded steps contribute exactly zero parameter gradient. Steps past
+    the longest length are not run at all. The forget-gate bias is
+    initialized to 1, the other biases to 0.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int,
@@ -262,11 +263,15 @@ class LSTMLayer:
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ShapeError(f"{self!r} expected input (B, T, {self.input_dim}), "
                              f"got shape {x.shape}")
-        n, t_max, d = x.shape
+        n, steps, d = x.shape
         if lengths.shape != (n,):
             raise ShapeError(f"lengths must have shape ({n},), got {lengths.shape}")
-        if (lengths < 1).any() or (lengths > t_max).any():
+        if (lengths < 1).any() or (lengths > steps).any():
             raise ShapeError("effective lengths must be in [1, T]")
+        t_max = int(lengths.max()) if n else 0
+        if cache:
+            # release the previous cache before allocating the next
+            self._cache = None
 
         hd = self.hidden_dim
         weight = self._stacked_weight()
@@ -276,7 +281,7 @@ class LSTMLayer:
         planes = np.zeros((t_max + 1 if cache else 2, 2 * hd + d + 1, n))
         planes[:, 2 * hd + d] = 1.0
         if cache:
-            planes[:t_max, 2 * hd:2 * hd + d] = x.transpose(1, 2, 0)
+            planes[:t_max, 2 * hd:2 * hd + d] = x[:, :t_max].transpose(1, 2, 0)
         acts = np.empty((t_max if cache else 1, 5 * hd, n))
         i, f, o, g, tanh_c = _gate_planes(acts, hd)
         scratch = np.empty((hd, n))

@@ -202,9 +202,8 @@ def extract_representations(model: SentimentModel, mats: np.ndarray,
     pre-sigmoid head activations (`frozen_dense`) of the (n, T, d)
     sequences, row i belonging to mats[i]; dropout is off.
 
-    Runs cache-free forwards over consecutive chunks of `batch_size` rows,
-    each only up to its longest sequence: the LSTM reads each sequence's
-    state at its own last step, so the trimmed steps move no output bit."""
+    Runs cache-free forwards over consecutive chunks of `batch_size` rows;
+    the LSTM runs each only up to its longest sequence."""
     if layer not in REPRESENTATION_LAYERS:
         raise ConfigError(f"layer must be one of {REPRESENTATION_LAYERS}, "
                           f"got {layer!r}")
@@ -214,8 +213,7 @@ def extract_representations(model: SentimentModel, mats: np.ndarray,
     out = []
     for start in range(0, len(lengths), batch_size):
         rows = slice(start, start + batch_size)
-        h = model.lstm.forward(mats[rows, :int(lengths[rows].max())],
-                               lengths[rows], cache=False)
+        h = model.lstm.forward(mats[rows], lengths[rows], cache=False)
         out.append(h if layer == "frozen_lstm"
                    else h @ model.head.weights + model.head.bias)
     return np.concatenate(out)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sentprofile import experiment
+from sentprofile.domainsel import select_source
 from sentprofile.errors import ConfigError, DataError, TrainingError
 from sentprofile.gender import CLASSES, train_gender
 from sentprofile.experiment import (
@@ -355,8 +356,10 @@ class TestRunGrid:
         calls = count_calls(monkeypatch, ("load_corpora", "train_skipgram",
                                           "train_sentiment"))
         results = run_grid(config, small_dataset)
+        # one model for each source mode without manual labels, one per fold
+        # for each with them
         assert calls == {"load_corpora": 1, "train_skipgram": 1,
-                         "train_sentiment": config.folds * len(SOURCE_MODES)}
+                         "train_sentiment": 2 + 2 * config.folds}
         assert [cell for cell, _ in results] == [
             (mode, layer) for mode in SOURCE_MODES for layer in GRID_LAYERS]
         for (mode, layer), report in results:
@@ -381,6 +384,100 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match="z must be"):
             run_grid(small_experiment(z=1.5), small_dataset)
         assert calls == {}
+
+
+def record_sentiment_training(monkeypatch):
+    """Wrap `experiment.train_sentiment` and `experiment._run_fold`; returns
+    the (training set, model) of every training call and the Fold of every
+    fold run, in call order."""
+    trained, folds = [], []
+    train, run_fold = experiment.train_sentiment, experiment._run_fold
+
+    def recorded(data, *args, **kwargs):
+        model, curve = train(data, *args, **kwargs)
+        trained.append((data, model))
+        return model, curve
+
+    def fold_recorded(fold):
+        folds.append(fold)
+        run_fold(fold)
+
+    monkeypatch.setattr(experiment, "train_sentiment", recorded)
+    monkeypatch.setattr(experiment, "_run_fold", fold_recorded)
+    return trained, folds
+
+
+def logged_models(caplog, source_mode) -> int:
+    """The count of INFO lines reporting a trained sentiment model's
+    held-out loss and accuracy."""
+    return sum(1 for m in caplog.messages
+               if m.startswith(f"sentiment model for {source_mode}, fold ")
+               and "held-out loss" in m and "accuracy" in m)
+
+
+class TestSentimentTraining:
+    @pytest.mark.parametrize("source_mode", ["entire", "high_similarity"])
+    def test_fold_independent_source_trains_once(self, monkeypatch, caplog,
+                                                 small_dataset, source_mode):
+        trained, folds = record_sentiment_training(monkeypatch)
+        config = small_experiment(sentiment_mode="frozen_lstm",
+                                  source_mode=source_mode, z=0.05)
+        with caplog.at_level("INFO", logger="sentprofile.experiment"):
+            report = run_experiment(config, small_dataset)
+        assert len(trained) == 1
+        assert logged_models(caplog, source_mode) == 1
+        (_, model), = trained
+        assert [fold.index for fold in folds] == list(range(config.folds))
+        assert all(fold.sentiment_model is model for fold in folds)
+        # the model is fold 1's: trained with the seed fold 1 has always used
+        assert model.seed == experiment._fold_seed(config.seed, 0, 1)
+        assert len(report.columns[0].fold_accuracies) == config.folds
+
+    @pytest.mark.parametrize("source_mode", ["entire_plus_manual",
+                                             "high_similarity_plus_manual"])
+    def test_manual_source_trains_per_fold_without_test_labels(
+            self, monkeypatch, caplog, small_dataset, source_mode):
+        trained, folds = record_sentiment_training(monkeypatch)
+        config = small_experiment(sentiment_mode="frozen_lstm",
+                                  source_mode=source_mode, z=0.05)
+        with caplog.at_level("INFO", logger="sentprofile.experiment"):
+            run_experiment(config, small_dataset)
+        assert len(trained) == len(folds) == config.folds
+        assert logged_models(caplog, source_mode) == config.folds
+        for fold, (data, model) in zip(folds, trained):
+            assert fold.sentiment_model is model
+            manual = {item.item_id for item in data.items
+                      if item.item_id.startswith("manual:")}
+            assert manual, "the fold trains on some manual labels"
+            assert not manual & {f"manual:{uid}" for uid in fold.test_ids}
+        assert len({id(model) for _, model in trained}) == config.folds
+
+
+def test_avg_vector_selection_targets_are_the_base_rows(monkeypatch,
+                                                        small_dataset):
+    # every user's averaged vector is computed once: the selection reads
+    # the base rows instead of recomputing them
+    calls = Counter()
+    embed_vector = experiment.doc_vector
+
+    def counted(doc, table):
+        calls[getattr(doc, "user_id", None)] += 1
+        return embed_vector(doc, table)
+
+    monkeypatch.setattr(experiment, "doc_vector", counted)
+    config = small_experiment(sentiment_mode="frozen_lstm",
+                              source_mode="high_similarity", z=0.05)
+    run, = experiment._prepare_runs([config], small_dataset)
+    del calls[None]  # the reviews
+    assert set(calls.values()) == {1}
+    assert set(calls) == set(run.index_of)
+    monkeypatch.undo()
+    _, docs, reviews, _ = experiment.load_corpora(small_dataset)
+    table = experiment.embedding_table(config, small_dataset, docs, reviews)
+    want = select_source(run.source.items,
+                         experiment.target_vectors(docs, table)[1], config.z)
+    assert ([item.item_id for item in run.source.selected.items]
+            == [item.item_id for item in want.items])
 
 
 def hapax_dataset(tmp_path):
