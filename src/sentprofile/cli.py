@@ -37,6 +37,7 @@ from .experiment import (
     sentiment_sources,
     target_matrices,
     target_vectors,
+    train_fold_sentiment,
 )
 from .gender import (
     CLASSES,
@@ -50,7 +51,7 @@ from .gender import (
 from .nn import load_model, save_model
 from .nn.optim import OPTIMIZERS
 from .resample import VARIANTS, smote
-from .sentiment import REPRESENTATION_LAYERS, extract_representations, train_sentiment
+from .sentiment import REPRESENTATION_LAYERS, extract_representations
 from .synth import SynthConfig, generate_dataset, marker_frequency_correlation, write_dataset
 
 logger = logging.getLogger(__name__)
@@ -174,8 +175,7 @@ def _cmd_sentiment_train(args) -> int:
     training_set = sentiment_sources(config, [config.source_mode], reviews,
                                      targets, table, stopwords,
                                      paths.manual)[config.source_mode].training_set()
-    model, curve = train_sentiment(training_set, config.sentiment_config(),
-                                   config.train_config(config.sentiment_epochs))
+    model, curve = train_fold_sentiment(config, training_set)
     save_model(model, args.out)
     last = curve[-1]
     print(f"trained on {len(training_set)} items; held-out accuracy "
@@ -305,7 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select_source)
 
-    p = sub.add_parser("sentiment-train", help="train the polarity classifier")
+    p = sub.add_parser(
+        "sentiment-train", help="train the polarity classifier",
+        description="Train the polarity classifier `evaluate` trains: under "
+                    "entire and high_similarity the one model every fold "
+                    "reads, with the same seed. Under the *_plus_manual "
+                    "modes, where evaluate trains one model per fold "
+                    "without that fold's test users, it trains one model "
+                    "on all manual labels, with the seed of fold 1.")
     _add_common(p)
     _experiment_flags(p)
     p.add_argument("--out", required=True)

@@ -25,6 +25,9 @@ logger = logging.getLogger(__name__)
 # tokens of the run, never below MIN_LR
 INITIAL_LR = 0.025
 MIN_LR = 1e-4
+# centres whose targets `train_skipgram` builds in one go; bounds the
+# memory of the bulk-built arrays (a longer document is a block of its own)
+BLOCK_CENTRES = 512
 
 
 @dataclass
@@ -81,8 +84,105 @@ def _token_stream(doc) -> Sequence[str]:
     return doc.tokens if hasattr(doc, "tokens") else doc
 
 
+def _block_targets(docs: list[np.ndarray], rng: np.random.Generator,
+                   window: int, k: int, noise_cdf: np.ndarray, vocab_size: int):
+    """Everything one epoch's pass over the consecutive documents `docs`
+    needs that does not read the tables, for the block's C centres in
+    order: (centre tokens, target segment bounds (C + 1,), number of
+    positive targets (C,), the targets of all segments, and per centre the
+    (first, later) position pairs of the words that repeat among its
+    targets: every later occurrence paired with the first one, within a
+    word in position order).
+
+    Per document it draws what building each centre's targets in turn
+    draws, in the same order and sizes: the dynamic window widths, then
+    the uniform draws of the negatives of every context row. Centre i's
+    segment holds its context words (positives, in document order), then
+    the negatives of each context row that differ from that row's word,
+    row by row."""
+    widths, draws = [], []
+    for doc in docs:
+        n = len(doc)
+        w = rng.integers(1, window + 1, size=n)
+        widths.append(w)
+        if k > 0:
+            i = np.arange(n)
+            rows = int(np.minimum(i, w).sum() + np.minimum(n - 1 - i, w).sum())
+            draws.append(rng.random((rows, k)))
+    tokens = np.concatenate(docs)
+    lens = np.array([len(doc) for doc in docs])
+    pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lens) - lens, lens)
+    widths = np.concatenate(widths)
+    left = np.minimum(pos, widths)
+    n_pos = left + np.minimum(np.repeat(lens, lens) - 1 - pos, widths)
+    # one row per (centre, context word): centre g reads g - left .. g - 1,
+    # then g + 1 .. g + right
+    first_row = np.cumsum(n_pos) - n_pos
+    owner = np.repeat(np.arange(len(tokens)), n_pos)
+    rank = np.arange(len(owner)) - first_row[owner]
+    context = tokens[owner - left[owner] + rank + (rank >= left[owner])]
+    if k > 0:
+        negs = np.searchsorted(noise_cdf, np.concatenate(draws))
+        keep = negs != context[:, None]
+        neg_owner = owner[np.nonzero(keep)[0]]
+        n_neg = np.bincount(neg_owner, minlength=len(tokens))
+        # a context row moves up by the negatives of the centres before
+        # its own; the q-th kept negative lands after its centre's
+        # context rows and the q negatives before it
+        targets = np.empty(len(owner) + len(neg_owner), dtype=np.int64)
+        targets[np.arange(len(owner)) + (np.cumsum(n_neg) - n_neg)[owner]] = context
+        targets[(first_row + n_pos)[neg_owner] + np.arange(len(neg_owner))] = negs[keep]
+        sizes = n_pos + n_neg
+    else:
+        targets, sizes = context, n_pos
+    bounds = np.zeros(len(tokens) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    # sorted by (segment, word), stably, each word's occurrences stay in
+    # position order; every one after the first pairs with the first
+    segment = np.repeat(np.arange(len(tokens)), sizes)
+    key = segment * vocab_size + targets
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    later = np.zeros(len(key), dtype=bool)
+    later[1:] = key[1:] == key[:-1]
+    first = order[np.maximum.accumulate(np.where(later, 0, np.arange(len(key))))]
+    owner = segment[order[later]]
+    repeats = [[] for _ in range(len(tokens))]
+    for c, p, q in zip(owner.tolist(), (first[later] - bounds[owner]).tolist(),
+                       (order[later] - bounds[owner]).tolist()):
+        repeats[c].append((p, q))
+    return tokens, bounds, n_pos, targets, repeats
+
+
+def _blocks(encoded: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Consecutive documents grouped into blocks of at most BLOCK_CENTRES
+    centres; a longer document forms a block of its own."""
+    blocks, block, size = [], [], 0
+    for doc in encoded:
+        if block and size + len(doc) > BLOCK_CENTRES:
+            blocks.append(block)
+            block, size = [], 0
+        block.append(doc)
+        size += len(doc)
+    if block:
+        blocks.append(block)
+    return blocks
+
+
 def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> EmbeddingTable:
     """Skip-gram with negative sampling over pre-tokenized documents.
+
+    Plain sequential SGD: each centre token, in document order, updates
+    its own vector and its targets' context vectors before the next centre
+    reads them. Its targets are its context words within a dynamic window
+    (positives) and `negatives` noise words drawn per context word from
+    the unigram distribution raised to 3/4 (a draw equal to that context
+    word is dropped). Every target segment is built in bulk per block of
+    consecutive documents (see `_block_targets`); the per-centre loop
+    keeps only the arithmetic that reads the tables. It adds the update
+    rows to the context vectors one occurrence at a time, in position
+    order, as `np.add.at` does, so the vectors have the bits of a loop
+    that builds each centre's targets in turn (tests keep one).
 
     Deterministic for a given seed and document order: the dynamic window
     width and the negative samples are the only random draws and they come
@@ -99,8 +199,9 @@ def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> Em
         raise DataError(f"empty embedding table: no token occurs at least "
                         f"min_count={config.min_count} times")
     index = {t: i for i, t in enumerate(vocab)}
-    encoded = [[index[t] for t in doc if t in index] for doc in token_docs]
-    encoded = [doc for doc in encoded if doc]
+    encoded = [np.array([index[t] for t in doc if t in index], dtype=np.int64)
+               for doc in token_docs]
+    blocks = _blocks([doc for doc in encoded if len(doc)])
 
     rng = np.random.default_rng(config.seed)
     d = config.dimension
@@ -114,44 +215,53 @@ def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> Em
     total_centers = max(1, sum(len(doc) for doc in encoded) * config.epochs)
     processed = 0
     k = config.negatives
+    # per-centre buffers: a centre has at most min(2 * window, n - 1)
+    # context words and k negatives for each; views[n] are the first n rows
+    longest = max(1, min(2 * config.window,
+                         max(len(doc) for doc in encoded) - 1) * (1 + k))
+    rows_buf, outer_buf = np.empty((longest, d)), np.empty((longest, d))
+    score_buf, grad_center = np.empty(longest), np.empty(d)
+    views = [(rows_buf[:n], score_buf[:n], outer_buf[:n])
+             for n in range(longest + 1)]
     for _ in range(config.epochs):
-        for doc in encoded:
-            doc_arr = np.asarray(doc, dtype=np.int64)
-            n = len(doc_arr)
-            # one batch of random draws per document keeps the python loop lean
-            widths = rng.integers(1, config.window + 1, size=n)
-            lefts = np.maximum(0, np.arange(n) - widths)
-            rights = np.minimum(n, np.arange(n) + 1 + widths)
-            sizes = rights - lefts - 1
-            if k > 0:
-                negs_all = np.searchsorted(noise_cdf,
-                                           rng.random((int(sizes.sum()), k)))
-            offset = 0
-            for i in range(n):
-                lr = max(MIN_LR, INITIAL_LR * (1.0 - processed / total_centers))
-                processed += 1
-                m = int(sizes[i])
-                if m == 0:
+        for block in blocks:
+            centres, bounds, n_pos, targets, repeats = _block_targets(
+                block, rng, config.window, k, noise_cdf, len(vocab))
+            # the linear decay over the run's centres, one rate per centre
+            lrs = np.maximum(MIN_LR, INITIAL_LR * (
+                1.0 - np.arange(processed, processed + len(centres)) / total_centers))
+            processed += len(centres)
+            for c, a, b, m, lr, repeat in zip(
+                    centres.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
+                    n_pos.tolist(), lrs.tolist(), repeats):
+                if a == b:
                     continue
-                context = np.concatenate([doc_arr[lefts[i]:i],
-                                          doc_arr[i + 1:rights[i]]])
-                if k > 0:
-                    negs = negs_all[offset:offset + m]
-                    offset += m
-                    keep = (negs != context[:, None]).reshape(-1)
-                    targets = np.concatenate([context, negs.reshape(-1)[keep]])
-                    labels = np.zeros(targets.size)
-                    labels[:m] = 1.0
-                else:
-                    targets = context
-                    labels = np.ones(m)
-                center_vec = vecs[doc_arr[i]]
-                out = ctx[targets]
-                scores = np.clip(out @ center_vec, -60.0, 60.0)
-                gvec = (1.0 / (1.0 + np.exp(-scores)) - labels) * lr
-                grad_center = gvec @ out
-                np.add.at(ctx, targets, gvec[:, None] * center_vec[None, :])
-                vecs[doc_arr[i]] -= grad_center
+                t = targets[a:b]
+                out, g, u = views[b - a]
+                ctx.take(t, axis=0, out=out, mode="clip")
+                center_vec = vecs[c]
+                np.matmul(out, center_vec, out=g)
+                # 1 / (1 + exp(-s)) rounds to 1.0 for every s > 36.7, so the
+                # upper clip at 60 would change no bit
+                np.maximum(g, -60.0, out=g)
+                np.negative(g, out=g)
+                np.exp(g, out=g)
+                np.add(g, 1.0, out=g)
+                np.divide(1.0, g, out=g)
+                # label 1 for the positives, 0 (an exact no-op) for the rest
+                g[:m] -= 1.0
+                g *= lr
+                np.matmul(g, out, out=grad_center)
+                np.multiply(g[:, None], center_vec, out=u)
+                # the additions np.add.at(ctx, t, u) makes, in its order:
+                # each word's row takes its occurrences' rows in turn
+                out += u
+                for p, q in repeat:
+                    out[p] += u[q]
+                for p, q in repeat:
+                    out[q] = out[p]
+                ctx[t] = out
+                center_vec -= grad_center
 
     return EmbeddingTable(d, {t: vecs[i].copy() for t, i in index.items()})
 

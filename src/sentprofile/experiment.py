@@ -5,13 +5,14 @@ source-selection mode, then runs stratified k-fold cross validation: word
 embeddings and document representations are fit once on the whole corpus
 (they use no gender labels), the sentiment model is trained in advance on
 the configured source data (once per run, or once per fold when manual
-labels make its training set depend on the fold's training users),
-minority oversampling touches only the training partition, and the gender
-classifier is trained once per fold and scored at every entry of the
-epoch grid. The gender MLPs of a cell's folds train after its last fold,
-those with equal-shaped training data in lockstep as one stacked model. A
-grid of cells shares all of this but the gender training: one load, one
-embedding fit and, per source mode, the sentiment models.
+labels make its training set depend on the fold's training users) and
+read once per model over every user, minority oversampling touches only
+the training partition, and the gender classifier is trained once per
+fold and scored at every entry of the epoch grid. The gender MLPs of a
+cell's folds train after its last fold, those with equal-shaped training
+data in lockstep as one stacked model. A grid of cells shares all of this
+but the gender training: one load, one embedding fit and, per source
+mode, the sentiment models.
 """
 
 import csv
@@ -64,6 +65,7 @@ from .sentiment import (
     SentimentModel,
     build_finetune_model,
     extract_representations,
+    head_activations,
     pad_sequences,
     polarity_features,
     polarity_sequences,
@@ -588,13 +590,16 @@ class RunContext:
 @dataclass
 class Fold:
     """One fold's position, split and seed, and the sentiment model it reads
-    (None without a sentiment mode), which saw no label of its test users."""
+    (None without a sentiment mode), which saw no label of its test users,
+    with the per-user features read from it by sentiment mode (see
+    `_sentiment_features`)."""
     run: RunContext
     index: int
     seed: int
     train_ids: list[str]
     test_ids: list[str]
     sentiment_model: SentimentModel | None
+    sentiment_features: dict[str, np.ndarray]
 
 
 def _prepare_runs(cells: list[ExperimentConfig],
@@ -657,10 +662,10 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     `_prepare_runs`); one report per cell, in order.
 
     Folds run outside the cells: the cells of a source mode share its
-    sentiment model. Without manual labels that is one model for every
-    fold, trained in the first; with them each fold trains its own and
-    drops it before the next fold's, so at most one fold model is alive
-    at a time (see `_run_fold_cells`). After the last fold of a source
+    sentiment model and the features read from it. Without manual labels
+    that is one model for every fold, trained in the first; with them
+    each fold trains its own and drops it before the next fold's, so at
+    most one fold model is alive at a time (see `_run_fold_cells`). After the last fold of a source
     mode, its cells train their gender MLPs (see `_train_gender_folds`)."""
     started = time.perf_counter()
     for cell in cells:
@@ -671,10 +676,10 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     runs = _prepare_runs(cells, paths)
     for _, group in groupby(runs, key=lambda run: run.config.source_mode):
         group = list(group)
-        model = None
+        shared = None
         for fold_index in range(group[0].plan.k):
             try:
-                model = _run_fold_cells(group, fold_index, model)
+                shared = _run_fold_cells(group, fold_index, shared)
             except PipelineError as exc:
                 raise _in_fold(exc, fold_index) from exc
         for run in group:
@@ -706,11 +711,47 @@ def _in_fold(exc: PipelineError, index: int) -> PipelineError:
     return PipelineError(f"fold {index + 1}: {exc}")
 
 
-def _run_fold_cells(runs: list[RunContext], index: int,
-                    model: SentimentModel | None) -> SentimentModel | None:
+def train_fold_sentiment(config: ExperimentConfig, data: LabeledDomainSet,
+                         index: int = 0) -> tuple[SentimentModel, list]:
+    """Train fold `index`'s sentiment model on `data` with that fold's
+    seed and log its held-out loss and accuracy; returns (model, curve).
+    The one model of `entire` and `high_similarity` is fold 1's (index 0)."""
+    model, curve = train_sentiment(data, config.sentiment_config(),
+                                   config.train_config(
+                                       config.sentiment_epochs,
+                                       _fold_seed(config.seed, index, 1)))
+    last = curve[-1]
+    logger.info("sentiment model for %s, fold %d: %d items, held-out "
+                "loss %.4f, accuracy %.4f after %d epochs",
+                config.source_mode, index + 1, len(data),
+                last.heldout_loss, last.heldout_accuracy, last.epoch)
+    return model, curve
+
+
+def _sentiment_features(model: SentimentModel,
+                        runs: list[RunContext]) -> dict[str, np.ndarray]:
+    """The per-user features the frozen and polarity cells of `runs` read
+    from `model`, by sentiment mode, row i belonging to user i. Computed
+    once per model, for every fold that reads it: `frozen_lstm` and
+    `frozen_dense` share one LSTM read-out."""
+    run = runs[0]
+    modes = {r.config.sentiment_mode for r in runs}
+    features = {}
+    if modes & {"frozen_lstm", "frozen_dense"}:
+        states = extract_representations(model, run.mats, run.lengths)
+        features["frozen_lstm"] = states
+        if "frozen_dense" in modes:
+            features["frozen_dense"] = head_activations(model, states)
+    if "polarity_features" in modes:
+        features["polarity_features"] = polarity_features(model, run.polarity)
+    return features
+
+
+def _run_fold_cells(runs: list[RunContext], index: int, shared):
     """Split fold `index` and run the fold of every cell in `runs`, which
-    share a source mode, on one sentiment model: `model`, or one trained
-    here when it is None. Returns the model the next fold may reuse.
+    share a source mode, on one sentiment model and the features read from
+    it: `shared`, a (model, features) pair, or one trained here when it is
+    None. Returns the pair the next fold may reuse.
 
     Only manual labels make the sentiment training set depend on the fold
     (a fold trains on its training users' labels alone), so those sources
@@ -718,23 +759,17 @@ def _run_fold_cells(runs: list[RunContext], index: int,
     set in every fold: their model is trained once, in the first fold with
     that fold's seed, and shared read-only by every later fold."""
     first = runs[0]
-    config = first.config
     source = first.source
     train_ids, test_ids = first.plan.split(index)
-    seed = _fold_seed(config.seed, index, 1)
-    if source is not None and model is None:
-        data = source.training_set(train_ids)
-        model, curve = train_sentiment(data, config.sentiment_config(),
-                                       config.train_config(config.sentiment_epochs,
-                                                           seed))
-        last = curve[-1]
-        logger.info("sentiment model for %s, fold %d: %d items, held-out "
-                    "loss %.4f, accuracy %.4f after %d epochs",
-                    config.source_mode, index + 1, len(data),
-                    last.heldout_loss, last.heldout_accuracy, last.epoch)
+    seed = _fold_seed(first.config.seed, index, 1)
+    if source is not None and shared is None:
+        model, _ = train_fold_sentiment(first.config,
+                                        source.training_set(train_ids), index)
+        shared = model, _sentiment_features(model, runs)
+    model, features = shared or (None, {})
     for run in runs:
-        _run_fold(Fold(run, index, seed, train_ids, test_ids, model))
-    return model if source is not None and source.manual is None else None
+        _run_fold(Fold(run, index, seed, train_ids, test_ids, model, features))
+    return shared if source is not None and source.manual is None else None
 
 
 def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
@@ -752,13 +787,9 @@ def _run_fold(fold: Fold) -> None:
         return
 
     features = run.base
-    if config.sentiment_mode in ("frozen_lstm", "frozen_dense"):
-        features = np.concatenate([run.base, extract_representations(
-            fold.sentiment_model, run.mats, run.lengths,
-            layer=config.sentiment_mode)], axis=1)
-    elif config.sentiment_mode == "polarity_features":
-        features = np.concatenate([run.base, polarity_features(
-            fold.sentiment_model, run.polarity)], axis=1)
+    if config.sentiment_mode in fold.sentiment_features:
+        features = np.concatenate(
+            [run.base, fold.sentiment_features[config.sentiment_mode]], axis=1)
 
     train, test = run.rows(fold.train_ids), run.rows(fold.test_ids)
     x_train, y_train = features[train], run.labels[train]

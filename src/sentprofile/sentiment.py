@@ -195,12 +195,16 @@ def predict_polarity(model: SentimentModel, seq: np.ndarray) -> float:
     return float(probs[0, 0])
 
 
+# rows per read-out forward, and per head GEMM over the read-out's states
+READOUT_BATCH = 256
+
+
 def extract_representations(model: SentimentModel, mats: np.ndarray,
                             lengths: np.ndarray, layer: str = "frozen_lstm",
-                            batch_size: int = 256) -> np.ndarray:
+                            batch_size: int = READOUT_BATCH) -> np.ndarray:
     """The (n, H) final LSTM hidden states (`frozen_lstm`) or (n, 1)
-    pre-sigmoid head activations (`frozen_dense`) of the (n, T, d)
-    sequences, row i belonging to mats[i]; dropout is off.
+    pre-sigmoid head activations (`frozen_dense`, see `head_activations`)
+    of the (n, T, d) sequences, row i belonging to mats[i]; dropout is off.
 
     Runs cache-free forwards over consecutive chunks of `batch_size` rows;
     the LSTM runs each only up to its longest sequence."""
@@ -210,13 +214,24 @@ def extract_representations(model: SentimentModel, mats: np.ndarray,
     if not model.trained:
         raise DataError("cannot extract representations from an untrained model")
     lengths = np.asarray(lengths)
-    out = []
-    for start in range(0, len(lengths), batch_size):
-        rows = slice(start, start + batch_size)
-        h = model.lstm.forward(mats[rows], lengths[rows], cache=False)
-        out.append(h if layer == "frozen_lstm"
-                   else h @ model.head.weights + model.head.bias)
-    return np.concatenate(out)
+    states = np.concatenate([
+        model.lstm.forward(mats[start:start + batch_size],
+                           lengths[start:start + batch_size], cache=False)
+        for start in range(0, len(lengths), batch_size)])
+    if layer == "frozen_lstm":
+        return states
+    return head_activations(model, states, batch_size)
+
+
+def head_activations(model: SentimentModel, states: np.ndarray,
+                     batch_size: int = READOUT_BATCH) -> np.ndarray:
+    """The (n, 1) pre-sigmoid head activations of (n, H) final hidden
+    states, one GEMM per chunk of `batch_size` rows: the chunks
+    `extract_representations` forwards, so one read-out of the states
+    gives both layers their bytes."""
+    return np.concatenate([states[start:start + batch_size] @ model.head.weights
+                           + model.head.bias
+                           for start in range(0, len(states), batch_size)])
 
 
 # sequences per polarity forward. Inference forwards keep no backward

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sentprofile import experiment
 from sentprofile.cli import main
 from sentprofile.embed import save_embeddings
 from sentprofile.experiment import ExperimentConfig, fit_embeddings, load_corpora
@@ -205,6 +206,35 @@ def test_sentiment_train_with_selection_and_manual(small_dataset, tmp_path, caps
     assert "trained on" in captured.out
 
 
+@pytest.mark.parametrize("source_mode", ["entire", "high_similarity"])
+def test_sentiment_train_saves_the_model_evaluate_reads(small_dataset, tmp_path,
+                                                       capsys, monkeypatch,
+                                                       source_mode):
+    # a staged sentiment-train -> extract run reads the model every fold
+    # of `evaluate` reads, trained with fold 1's seed
+    trained = []
+    train = experiment.train_sentiment
+
+    def recorded(*args, **kwargs):
+        model, curve = train(*args, **kwargs)
+        trained.append(model)
+        return model, curve
+
+    monkeypatch.setattr(experiment, "train_sentiment", recorded)
+    config = ExperimentConfig(**dict(SMALL_CONFIG, sentiment_mode="frozen_lstm",
+                                     source_mode=source_mode, z=0.05))
+    experiment._run_cells([config], small_dataset)
+    path = tmp_path / "sent.bin"
+    code = main(["sentiment-train"] + flags(small_dataset) +
+                ["--source-mode", source_mode, "--similarity-threshold", "0.05",
+                 "--out", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    evaluated, saved = trained
+    assert saved.seed == evaluated.seed == experiment._fold_seed(0, 0, 1)
+    assert load_model(path).checksum() == evaluated.checksum()
+
+
 def _embeddings(paths, tmp_path):
     """A table trained on the small dataset, saved once per test."""
     path = tmp_path / "emb.txt"
@@ -224,14 +254,15 @@ def test_staged_commands_take_settings_from_config(small_dataset, tmp_path,
     code = main(["sentiment-train"] + flags(small_dataset) +
                 ["--config", str(config_file), "--out", str(sent)])
     assert code == 0
-    assert load_model(sent).seed == 9
+    # the seed of fold 1, which evaluate trains the model with
+    assert load_model(sent).seed == experiment._fold_seed(9, 0, 1)
 
     # an explicit flag still wins over the file
     code = main(["sentiment-train"] + flags(small_dataset) +
                 ["--config", str(config_file), "--seed", "4",
                  "--out", str(sent)])
     assert code == 0
-    assert load_model(sent).seed == 4
+    assert load_model(sent).seed == experiment._fold_seed(4, 0, 1)
 
     features = tmp_path / "features.jsonl"
     code = main(["extract", "--model", str(sent), "--in", small_dataset.users,

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sentprofile import embed
 from sentprofile.corpus import TokenDocument, VirtualDocument
 from sentprofile.embed import (
     EmbedConfig,
@@ -61,6 +62,169 @@ class TestTrainSkipgram:
         assert len(t1) == len(t2)
         for token, vector in t1.items():
             assert np.array_equal(vector, t2[token])
+
+
+def reference_skipgram(documents, config):
+    """The per-centre loop `train_skipgram` computes in bulk: for each
+    centre, in document order, build its context and negatives, then take
+    one SGD step on the tables. Returns {token: vector}."""
+    token_docs = [list(doc) for doc in documents]
+    counts = Counter(t for doc in token_docs for t in doc)
+    vocab = [t for t, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+             if c >= config.min_count]
+    index = {t: i for i, t in enumerate(vocab)}
+    encoded = [[index[t] for t in doc if t in index] for doc in token_docs]
+    encoded = [doc for doc in encoded if doc]
+
+    rng = np.random.default_rng(config.seed)
+    d = config.dimension
+    vecs = (rng.random((len(vocab), d)) - 0.5) / d
+    ctx = np.zeros((len(vocab), d))
+    freqs = np.array([counts[t] for t in vocab], dtype=np.float64) ** 0.75
+    noise_cdf = np.cumsum(freqs / freqs.sum())
+    noise_cdf[-1] = 1.0
+
+    total_centers = max(1, sum(len(doc) for doc in encoded) * config.epochs)
+    processed = 0
+    k = config.negatives
+    for _ in range(config.epochs):
+        for doc in encoded:
+            doc_arr = np.asarray(doc, dtype=np.int64)
+            n = len(doc_arr)
+            widths = rng.integers(1, config.window + 1, size=n)
+            lefts = np.maximum(0, np.arange(n) - widths)
+            rights = np.minimum(n, np.arange(n) + 1 + widths)
+            sizes = rights - lefts - 1
+            if k > 0:
+                negs_all = np.searchsorted(noise_cdf,
+                                           rng.random((int(sizes.sum()), k)))
+            offset = 0
+            for i in range(n):
+                lr = max(embed.MIN_LR,
+                         embed.INITIAL_LR * (1.0 - processed / total_centers))
+                processed += 1
+                m = int(sizes[i])
+                if m == 0:
+                    continue
+                context = np.concatenate([doc_arr[lefts[i]:i],
+                                          doc_arr[i + 1:rights[i]]])
+                if k > 0:
+                    negs = negs_all[offset:offset + m]
+                    offset += m
+                    keep = (negs != context[:, None]).reshape(-1)
+                    targets = np.concatenate([context, negs.reshape(-1)[keep]])
+                    labels = np.zeros(targets.size)
+                    labels[:m] = 1.0
+                else:
+                    targets = context
+                    labels = np.ones(m)
+                center_vec = vecs[doc_arr[i]]
+                out = ctx[targets]
+                scores = np.clip(out @ center_vec, -60.0, 60.0)
+                gvec = (1.0 / (1.0 + np.exp(-scores)) - labels) * lr
+                grad_center = gvec @ out
+                np.add.at(ctx, targets, gvec[:, None] * center_vec[None, :])
+                vecs[doc_arr[i]] -= grad_center
+    return {t: vecs[i] for t, i in index.items()}
+
+
+def random_docs(seed, n_docs, vocab_size, lengths):
+    rng = np.random.default_rng(seed)
+    return [[f"w{j}" for j in rng.integers(0, vocab_size,
+                                          size=rng.integers(*lengths))]
+            for _ in range(n_docs)]
+
+
+SKIPGRAM_CASES = {
+    "negatives": (random_docs(1, 40, 30, (2, 15)),
+                  EmbedConfig(dimension=6, window=3, negatives=4, epochs=1,
+                              min_count=1, seed=1)),
+    "no_negatives": (random_docs(2, 40, 30, (2, 15)),
+                     EmbedConfig(dimension=6, window=3, negatives=0, epochs=1,
+                                 min_count=1, seed=2)),
+    "window_longer_than_documents": (
+        random_docs(3, 30, 20, (1, 6)),
+        EmbedConfig(dimension=5, window=12, negatives=2, epochs=1,
+                    min_count=1, seed=3)),
+    "only_one_token_documents": (
+        [["a"], ["b"], ["a"]],
+        EmbedConfig(dimension=3, window=2, negatives=2, epochs=2,
+                    min_count=1, seed=10)),
+    "one_token_documents": (
+        [["a"], ["b", "a", "c"], ["c"], ["a"], ["b", "c"], ["b"]],
+        EmbedConfig(dimension=4, window=2, negatives=3, epochs=2,
+                    min_count=1, seed=4)),
+    "repeated_tokens": (
+        [["a", "a", "b", "a", "a"], ["b", "b", "a"], ["a"] * 7],
+        EmbedConfig(dimension=4, window=3, negatives=5, epochs=2,
+                    min_count=1, seed=5)),
+    "min_count_filtering": (random_docs(6, 50, 80, (1, 12)),
+                            EmbedConfig(dimension=6, window=2, negatives=3,
+                                        epochs=1, min_count=3, seed=6)),
+    "several_epochs": (random_docs(7, 20, 15, (2, 10)),
+                       EmbedConfig(dimension=5, window=2, negatives=2,
+                                   epochs=4, min_count=1, seed=7)),
+    # three words, so most centres meet a word both as a context word
+    # and as a negative, whose rows the update adds in turn
+    "few_words_many_repeats": (random_docs(9, 30, 3, (5, 14)),
+                               EmbedConfig(dimension=3, window=4, negatives=6,
+                                           epochs=3, min_count=1, seed=9)),
+    # about 1700 centres per epoch, so blocks end inside epochs and
+    # documents
+    "many_blocks": (random_docs(8, 120, 200, (2, 27)),
+                    EmbedConfig(dimension=8, window=3, negatives=3, epochs=2,
+                                min_count=2, seed=8)),
+}
+
+
+def assert_same_bytes(table, expected):
+    assert len(table) == len(expected)
+    for token, vector in expected.items():
+        assert table[token].tobytes() == vector.tobytes(), token
+
+
+class TestSkipgramReference:
+    @pytest.mark.parametrize("case", sorted(SKIPGRAM_CASES))
+    def test_bytes_of_the_per_centre_loop(self, case):
+        docs, config = SKIPGRAM_CASES[case]
+        assert_same_bytes(train_skipgram(docs, config),
+                          reference_skipgram(docs, config))
+
+    @pytest.mark.parametrize("block", [1, 5, 37])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        # blocks smaller than a document, and boundaries inside epochs
+        docs, config = SKIPGRAM_CASES["several_epochs"]
+        monkeypatch.setattr(embed, "BLOCK_CENTRES", block)
+        assert_same_bytes(train_skipgram(docs, config),
+                          reference_skipgram(docs, config))
+
+    def test_repeated_targets_pair_with_their_first_occurrence(self):
+        # the update adds every later occurrence of a word to the row of
+        # its first; the cases above run it, and the large corpus spans
+        # several blocks
+        docs, _ = SKIPGRAM_CASES["many_blocks"]
+        assert sum(len(doc) for doc in docs) > 3 * embed.BLOCK_CENTRES
+        for case in SKIPGRAM_CASES:
+            docs, config = SKIPGRAM_CASES[case]
+            index = {t: i for i, t in enumerate(sorted({t for d in docs
+                                                        for t in d}))}
+            encoded = [np.array([index[t] for t in doc]) for doc in docs]
+            _, bounds, _, targets, repeats = embed._block_targets(
+                encoded, np.random.default_rng(0), config.window,
+                config.negatives, np.linspace(0.1, 1.0, len(index)),
+                len(index))
+            for (a, b), pairs in zip(zip(bounds[:-1], bounds[1:]), repeats):
+                # {first position: later positions, in the order applied}
+                first, expected, got = {}, {}, {}
+                for q, word in enumerate(targets[a:b].tolist()):
+                    if word in first:
+                        expected.setdefault(first[word], []).append(q)
+                    first.setdefault(word, q)
+                for p, q in pairs:
+                    got.setdefault(p, []).append(q)
+                assert got == expected
+            if case == "repeated_tokens":
+                assert any(repeats) and not all(repeats)
 
 
 class TestEmbeddingIO:

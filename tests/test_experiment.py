@@ -250,12 +250,14 @@ class TestRunExperiment:
         # the gender MLPs of the three folds train after the last fold, as
         # one stack; a non-finite gradient in the second still fails with
         # the category and message a fold-by-fold run gives
-        extract, stacks = experiment.extract_representations, []
+        run_fold, stacks = experiment._run_fold, []
 
-        def poisoned(*args, **kwargs):
-            reps = extract(*args, **kwargs)
+        def poisoned(fold):
+            run_fold(fold)
             stacks.append(None)
-            return np.full_like(reps, np.nan) if len(stacks) == 2 else reps
+            if len(stacks) == 2:
+                data = fold.run.gender_folds[-1]
+                data.x_train = np.full_like(data.x_train, np.nan)
 
         train = experiment.train_gender
 
@@ -263,7 +265,7 @@ class TestRunExperiment:
             stacks.append(len(seeds))
             return train(*args, seeds=seeds, **kwargs)
 
-        monkeypatch.setattr(experiment, "extract_representations", poisoned)
+        monkeypatch.setattr(experiment, "_run_fold", poisoned)
         monkeypatch.setattr(experiment, "train_gender", counted)
         with pytest.raises(TrainingError) as caught:
             run_experiment(small_experiment(sentiment_mode="frozen_lstm"),
@@ -451,6 +453,59 @@ class TestSentimentTraining:
             assert manual, "the fold trains on some manual labels"
             assert not manual & {f"manual:{uid}" for uid in fold.test_ids}
         assert len({id(model) for _, model in trained}) == config.folds
+
+
+def read_out_forwards(monkeypatch):
+    """Wrap `experiment.extract_representations` and
+    `experiment.polarity_features`; returns, per name, the count of LSTM
+    forwards each call ran."""
+    from sentprofile.nn import LSTMLayer
+
+    forwards = {"extract_representations": [], "polarity_features": []}
+    inside = []
+    for name in forwards:
+        def counted(*args, _name=name, _fn=getattr(experiment, name), **kwargs):
+            forwards[_name].append(0)
+            inside.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(experiment, name, counted)
+    forward = LSTMLayer.forward
+
+    def counted_forward(self, *args, **kwargs):
+        if inside:
+            forwards[inside[-1]][-1] += 1
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(LSTMLayer, "forward", counted_forward)
+    return forwards
+
+
+class TestSentimentReadout:
+    def test_one_read_out_per_shared_model(self, monkeypatch, small_dataset):
+        # every fold of `entire` reads one model: one LSTM read-out over the
+        # users serves both frozen layers, and one polarity scoring pass
+        cells = [small_experiment(sentiment_mode=mode) for mode in
+                 ("frozen_lstm", "frozen_dense", "polarity_features")]
+        alone = [run_experiment(cell, small_dataset).to_json() for cell in cells]
+        forwards = read_out_forwards(monkeypatch)
+        reports = experiment._run_cells(cells, small_dataset)
+        assert [report.to_json() for report in reports] == alone
+        # fewer than 256 users: one forward per read-out
+        assert forwards["extract_representations"] == [1]
+        assert len(forwards["polarity_features"]) == 1
+        assert forwards["polarity_features"][0] >= 1
+
+    def test_grid_reads_each_model_once(self, monkeypatch, small_dataset):
+        # one read-out for each of the two shared models, one per fold for
+        # each of the two manual sources' fold models
+        config = small_experiment(z=0.05)
+        forwards = read_out_forwards(monkeypatch)
+        run_grid(config, small_dataset)
+        assert forwards["extract_representations"] == [1] * (2 + 2 * config.folds)
+        assert forwards["polarity_features"] == []
 
 
 def test_avg_vector_selection_targets_are_the_base_rows(monkeypatch,

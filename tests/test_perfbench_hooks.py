@@ -145,7 +145,8 @@ def test_polarity_scoring_runs_under_traced_name(monkeypatch, small_dataset):
     config = experiment.ExperimentConfig(
         **dict(SMALL_CONFIG, sentiment_mode="polarity_features"))
     experiment.run_experiment(config, small_dataset)
-    assert len(forwards_per_call) == config.folds
+    # one scoring pass for the one model every fold of `entire` reads
+    assert len(forwards_per_call) == 1
     assert min(forwards_per_call) >= 1
 
 

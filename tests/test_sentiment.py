@@ -19,6 +19,7 @@ from sentprofile.sentiment import (
     SentimentModel,
     build_finetune_model,
     extract_representations,
+    head_activations,
     pad_sequences,
     polarity_features,
     polarity_sequences,
@@ -242,6 +243,9 @@ class TestExtractRepresentation:
             expected.append(model.head._cache[1])
         assert reps.shape == (300, 1)
         assert reps.tobytes() == np.concatenate(expected).tobytes()
+        # the head over one read-out of the states gives the same bytes
+        states = extract_representations(model, mats, lengths, "frozen_lstm")
+        assert head_activations(model, states).tobytes() == reps.tobytes()
 
     def test_batched_matches_single(self, polarity_table):
         model = integrator_model()
