@@ -3,7 +3,7 @@
 The pipeline: clean posts into per-user virtual documents, train word
 embeddings over both corpora, select source-domain reviews by average
 similarity to the target users, train an LSTM polarity classifier on them,
-transfer its middle-layer activations into the feature vector of an MLP
+transfer its middle-layer activations into the features of an MLP
 gender classifier, and evaluate under stratified cross validation with
 optional minority oversampling.
 """
@@ -64,13 +64,8 @@ from .experiment import (
     run_grid,
 )
 from .folds import FoldPlan, stratified_kfold
-from .gender import (
-    FeatureVector,
-    GenderModel,
-    concat_features,
-    train_gender,
-)
-from .nn import TrainConfig, gradient_check, load_model, save_model
+from .gender import GenderModel, train_gender
+from .nn import TrainConfig, load_model, save_model
 from .resample import ResampleConfig, smote
 from .sentiment import (
     SentimentConfig,
@@ -79,7 +74,6 @@ from .sentiment import (
     extract_representations,
     polarity_features,
     polarity_sequences,
-    predict_polarity,
     train_sentiment,
 )
 from .synth import SynthConfig, generate_dataset, write_dataset

@@ -5,8 +5,10 @@ sentiment-train, extract, smote, gender-train) plus the orchestrated
 `evaluate` and `grid` runs and the bundled `synth-data` generator. Every
 subcommand that reads experiment settings merges a flat key=value config
 file (--config) with explicit flags, which win, and runs the same stage
-functions as `evaluate`. Exit codes: 0 success, 2 configuration error, 3
-data error.
+functions as `evaluate`: `extract` writes the feature matrix `evaluate`
+trains its gender MLPs on, and `smote` and `gender-train` read one such
+matrix from a feature file. Exit codes: 0 success, 2 configuration error,
+3 data error.
 """
 
 import argparse
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .embed import doc_vector, load_embeddings, save_embeddings
+from .embed import load_embeddings, save_embeddings
 from .errors import ConfigError, DataError, PipelineError
 from .experiment import (
     REPRESENTATIONS,
@@ -34,24 +36,17 @@ from .experiment import (
     load_corpora,
     run_experiment,
     run_grid,
+    sentiment_features,
     sentiment_sources,
-    target_matrices,
     target_vectors,
     train_fold_sentiment,
+    user_features,
 )
-from .gender import (
-    CLASSES,
-    FeatureVector,
-    concat_features,
-    read_features,
-    stack_features,
-    train_gender,
-    write_features,
-)
+from .gender import CLASSES, read_features, train_gender, write_features
 from .nn import load_model, save_model
 from .nn.optim import OPTIMIZERS
 from .resample import VARIANTS, smote
-from .sentiment import REPRESENTATION_LAYERS, extract_representations
+from .sentiment import SentimentModel
 from .synth import SynthConfig, generate_dataset, marker_frequency_correlation, write_dataset
 
 logger = logging.getLogger(__name__)
@@ -184,58 +179,59 @@ def _cmd_sentiment_train(args) -> int:
     return 0
 
 
+# the sentiment modes whose features a feature file can hold
+EXTRACT_MODES = ("frozen_lstm", "frozen_dense", "polarity_features")
+
+
 def _cmd_extract(args) -> int:
     config = _experiment_config(args)
-    _, docs, _, _ = load_corpora(DataPaths(users=args.infile,
-                                           stopwords=args.stopwords))
+    mode = config.sentiment_mode
+    if mode not in EXTRACT_MODES:
+        raise ConfigError(f"extract writes the features of a sentiment mode "
+                          f"in {EXTRACT_MODES}, not {mode!r}")
+    if not args.embeddings:
+        raise ConfigError("extract needs --embeddings: the table the "
+                          "sentiment model was trained on")
+    # extract reads no review
+    users, docs, _, stopwords = load_corpora(replace(_data_paths(args),
+                                                     reviews=None))
     table = load_embeddings(args.embeddings)
     model = load_model(args.model)
-    docs, mats, lengths = target_matrices(docs, table, config.r)
-    reps = extract_representations(model, mats, lengths, layer=args.layer)
-    rows = []
-    for i, doc in enumerate(docs):
-        if args.concat_doc_vector:
-            feature = concat_features(doc_vector(doc, table), reps[i])
-        else:
-            feature = FeatureVector(values=reps[i], layout=("sentiment",))
-        rows.append((doc.user_id, doc.gender, feature))
-    write_features(args.out, rows)
-    print(f"wrote {len(rows)} feature rows ({args.layer}) to {args.out}")
+    if not isinstance(model, SentimentModel):
+        raise DataError(f"checkpoint {args.model} holds a "
+                        f"{model.checkpoint_kind} model, not a sentiment model")
+    docs, base, mats, lengths, polarity = user_features(
+        config, {mode}, users, docs, table, stopwords)
+    features = sentiment_features(model, {mode}, mats, lengths, polarity)
+    write_features(args.out, [d.user_id for d in docs],
+                   [d.gender for d in docs],
+                   np.concatenate([base, features[mode]], axis=1),
+                   ("doc_vector", "sentiment"))
+    print(f"wrote {len(docs)} feature rows ({mode}) to {args.out}")
     return 0
 
 
 def _cmd_smote(args) -> int:
     config = _experiment_config(args)
-    rows = read_features(args.infile)
-    features = stack_features([f for _, _, f in rows])
-    labels = np.array([label for _, label, _ in rows])
-    out_x, out_y = smote(features, labels, config.resample_config())
-    layout = rows[0][2].layout
-    out_rows = []
-    for i in range(out_x.shape[0]):
-        if i < len(rows):
-            out_rows.append((rows[i][0], rows[i][1], rows[i][2]))
-        else:
-            feature = FeatureVector(values=out_x[i], layout=layout)
-            out_rows.append((f"smote-{i - len(rows)}", str(out_y[i]), feature))
-    write_features(args.out, out_rows)
-    print(f"{len(rows)} rows in, {len(out_rows)} rows out "
-          f"({len(out_rows) - len(rows)} synthetic); wrote {args.out}")
+    ids, labels, matrix, layout = read_features(args.infile)
+    out_x, out_y = smote(matrix, np.array(labels), config.resample_config())
+    added = len(out_y) - len(ids)
+    write_features(args.out, ids + [f"smote-{j}" for j in range(added)],
+                   [str(label) for label in out_y], out_x, layout)
+    print(f"{len(ids)} rows in, {len(out_y)} rows out ({added} synthetic); "
+          f"wrote {args.out}")
     return 0
 
 
 def _cmd_gender_train(args) -> int:
     config = _experiment_config(args)
-    rows = read_features(args.infile)
-    features = [f for _, _, f in rows]
-    labels = [label for _, label, _ in rows]
-    model = train_gender(features, labels, config.train_config(args.train_epochs),
+    _, labels, matrix, _ = read_features(args.infile)
+    model = train_gender(matrix, labels, config.train_config(args.train_epochs),
                          dropout_rate=config.mlp_dropout)
     save_model(model, args.out)
-    probs = model.predict_proba(stack_features(features))
     truth = np.array([CLASSES.index(label) for label in labels])
-    accuracy = float((probs.argmax(axis=1) == truth).mean())
-    print(f"trained on {len(rows)} rows; final train accuracy "
+    accuracy = float((model.predict_proba(matrix).argmax(axis=1) == truth).mean())
+    print(f"trained on {len(labels)} rows; final train accuracy "
           f"{accuracy:.4f}; saved to {args.out}")
     return 0
 
@@ -318,18 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sentiment_train)
 
-    p = sub.add_parser("extract", help="extract sentiment representations")
+    p = sub.add_parser(
+        "extract", help="write the features evaluate trains on",
+        description="Write each user's row of the feature matrix `evaluate` "
+                    "trains its gender MLPs on: the base representation "
+                    "joined with the features --sentiment-mode "
+                    f"({', '.join(EXTRACT_MODES)}) reads from the saved "
+                    "sentiment model. --embeddings must name the table the "
+                    "model was trained on.")
     _add_common(p)
+    _experiment_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--layer", choices=REPRESENTATION_LAYERS,
-                   default="frozen_lstm")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--stopwords", default=None)
-    p.add_argument("--r", type=int, default=None,
-                   help="document matrix column count")
-    p.add_argument("--concat-doc-vector", action=argparse.BooleanOptionalAction,
-                   default=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 

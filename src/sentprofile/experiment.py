@@ -440,6 +440,35 @@ def base_representations(config: ExperimentConfig, docs, table):
     return docs, tfidf_representation(docs, vocabulary)[0]
 
 
+def user_features(config: ExperimentConfig, sentiment_modes: set[str], users,
+                  docs, table, stopwords=frozenset()):
+    """(kept docs, base, mats, lengths, polarity): what the sentiment modes
+    in `sentiment_modes` read of each user, row i belonging to kept[i].
+    `base` is the (n, F) matrix of `base_representations`; `mats` and
+    `lengths` (see `target_matrices`) are None unless a mode other than
+    `none` is asked for, and `polarity` (see `polarity_sequences`, built
+    from `users`) unless `polarity_features` is. `evaluate` and the staged
+    `extract` build their features here, so both keep the same users in
+    the same rows.
+
+    Once a sentiment mode reads the users' word vectors, the users whose
+    every token is out of vocabulary are dropped (logged) under tf-idf
+    too."""
+    docs, base = base_representations(config, docs, table)
+    mats = lengths = polarity = None
+    if sentiment_modes - {"none"}:
+        kept, mats, lengths = target_matrices(docs, table, config.r)
+        if len(kept) < len(docs):
+            kept_ids = {d.user_id for d in kept}
+            base = base[[i for i, d in enumerate(docs) if d.user_id in kept_ids]]
+            docs = kept
+    if "polarity_features" in sentiment_modes:
+        users_by_id = {u.user_id: u for u in users}
+        polarity = polarity_sequences([users_by_id[d.user_id] for d in docs],
+                                      table, config.r, stopwords)
+    return docs, base, mats, lengths, polarity
+
+
 @dataclass
 class SentimentSource:
     """What the sentiment model may train on under one source mode: the
@@ -592,7 +621,7 @@ class Fold:
     """One fold's position, split and seed, and the sentiment model it reads
     (None without a sentiment mode), which saw no label of its test users,
     with the per-user features read from it by sentiment mode (see
-    `_sentiment_features`)."""
+    `sentiment_features`)."""
     run: RunContext
     index: int
     seed: int
@@ -605,9 +634,9 @@ class Fold:
 def _prepare_runs(cells: list[ExperimentConfig],
                   paths: DataPaths) -> list[RunContext]:
     """Load the corpora once and build what the folds of every cell share:
-    embeddings, base representations, target matrices, the polarity
-    scoring inputs, the plan and one sentiment source per source mode. The
-    cells may differ only in sentiment and source mode."""
+    embeddings, the per-user rows (see `user_features`), the plan and one
+    sentiment source per source mode. The cells may differ only in
+    sentiment and source mode."""
     config = cells[0]
     users, docs, reviews, stopwords = load_corpora(paths)
     if len(docs) < config.folds:
@@ -618,18 +647,11 @@ def _prepare_runs(cells: list[ExperimentConfig],
     table = None
     if source_modes or config.representation == "avg_vector":
         table = embedding_table(config, paths, docs, reviews)
-
-    # users whose every token is out of vocabulary cannot be represented;
-    # tf-idf keeps them until the target matrices need an embedding
-    docs, base = base_representations(config, docs, table)
-    mats = lengths = None
+    docs, base, mats, lengths, polarity = user_features(
+        config, {cell.sentiment_mode for cell in cells}, users, docs, table,
+        stopwords)
     sources = {}
     if source_modes:
-        kept, mats, lengths = target_matrices(docs, table, config.r)
-        if len(kept) < len(docs):
-            kept_ids = {d.user_id for d in kept}
-            base = base[[i for i, d in enumerate(docs) if d.user_id in kept_ids]]
-            docs = kept
         # under avg_vector the base rows are the selection targets
         targets = None
         if any("high_similarity" in mode for mode in source_modes):
@@ -637,11 +659,6 @@ def _prepare_runs(cells: list[ExperimentConfig],
                        else target_vectors(docs, table)[1])
         sources = sentiment_sources(config, source_modes, reviews, targets,
                                     table, stopwords, paths.manual)
-    polarity = None
-    if any(cell.sentiment_mode == "polarity_features" for cell in cells):
-        users_by_id = {u.user_id: u for u in users}
-        polarity = polarity_sequences([users_by_id[d.user_id] for d in docs],
-                                      table, config.r, stopwords)
     shared = RunContext(
         config=config, plan=stratified_kfold(docs, config.folds, config.seed),
         base=base, labels=np.array([CLASSES.index(d.gender) for d in docs]),
@@ -665,8 +682,9 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     sentiment model and the features read from it. Without manual labels
     that is one model for every fold, trained in the first; with them
     each fold trains its own and drops it before the next fold's, so at
-    most one fold model is alive at a time (see `_run_fold_cells`). After the last fold of a source
-    mode, its cells train their gender MLPs (see `_train_gender_folds`)."""
+    most one fold model is alive at a time (see `_run_fold_cells`). After
+    the last fold of a source mode, its cells train their gender MLPs (see
+    `_train_gender_folds`)."""
     started = time.perf_counter()
     for cell in cells:
         cell.validate()
@@ -728,22 +746,21 @@ def train_fold_sentiment(config: ExperimentConfig, data: LabeledDomainSet,
     return model, curve
 
 
-def _sentiment_features(model: SentimentModel,
-                        runs: list[RunContext]) -> dict[str, np.ndarray]:
-    """The per-user features the frozen and polarity cells of `runs` read
-    from `model`, by sentiment mode, row i belonging to user i. Computed
-    once per model, for every fold that reads it: `frozen_lstm` and
-    `frozen_dense` share one LSTM read-out."""
-    run = runs[0]
-    modes = {r.config.sentiment_mode for r in runs}
+def sentiment_features(model: SentimentModel, sentiment_modes: set[str], mats,
+                       lengths, polarity) -> dict[str, np.ndarray]:
+    """The per-user features of the frozen and polarity modes among
+    `sentiment_modes`, read from `model`, by mode: row i belongs to the
+    user of row i of `mats`, `lengths` and `polarity` (see
+    `user_features`). Computed once per model, for every fold that reads
+    it: `frozen_lstm` and `frozen_dense` share one LSTM read-out."""
     features = {}
-    if modes & {"frozen_lstm", "frozen_dense"}:
-        states = extract_representations(model, run.mats, run.lengths)
+    if sentiment_modes & {"frozen_lstm", "frozen_dense"}:
+        states = extract_representations(model, mats, lengths)
         features["frozen_lstm"] = states
-        if "frozen_dense" in modes:
+        if "frozen_dense" in sentiment_modes:
             features["frozen_dense"] = head_activations(model, states)
-    if "polarity_features" in modes:
-        features["polarity_features"] = polarity_features(model, run.polarity)
+    if "polarity_features" in sentiment_modes:
+        features["polarity_features"] = polarity_features(model, polarity)
     return features
 
 
@@ -765,7 +782,9 @@ def _run_fold_cells(runs: list[RunContext], index: int, shared):
     if source is not None and shared is None:
         model, _ = train_fold_sentiment(first.config,
                                         source.training_set(train_ids), index)
-        shared = model, _sentiment_features(model, runs)
+        shared = model, sentiment_features(
+            model, {run.config.sentiment_mode for run in runs},
+            first.mats, first.lengths, first.polarity)
     model, features = shared or (None, {})
     for run in runs:
         _run_fold(Fold(run, index, seed, train_ids, test_ids, model, features))

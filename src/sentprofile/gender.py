@@ -1,14 +1,15 @@
 """Gender classification head.
 
-Features are the user's document vector optionally concatenated with a
+Features are an (n, F) float64 matrix, row i holding one user's base
+representation (averaged word vectors or tf-idf) optionally joined with a
 sentiment representation (or the two polarity features). The classifier is
 a fixed MLP: dense(in -> 50, relu), dropout(0.4), dense(50 -> 10, relu),
-dense(10 -> 2, softmax).
+dense(10 -> 2, softmax). Feature files hold such a matrix, one JSON line
+per row.
 """
 
 import json
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,41 +35,6 @@ DEFAULT_HIDDEN = (50, 10)
 DEFAULT_DROPOUT = 0.4
 
 
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    layout: tuple[str, ...]
-
-
-def concat_features(v: np.ndarray, h: np.ndarray | None = None) -> FeatureVector:
-    """Concatenate the document vector array with an optional sentiment
-    array (a hidden state, a head activation or a user's two polarity
-    features). Without `h` the layout is the plain document-vector
-    baseline.
-    """
-    v_values = np.asarray(v, dtype=np.float64).reshape(-1)
-    if h is None:
-        return FeatureVector(values=v_values, layout=("doc_vector",))
-    h_values = np.asarray(h, dtype=np.float64).reshape(-1)
-    return FeatureVector(values=np.concatenate([v_values, h_values]),
-                         layout=("doc_vector", "sentiment"))
-
-
-def stack_features(features: Sequence[FeatureVector]) -> np.ndarray:
-    """Stack feature vectors into one matrix, rejecting mixed lengths."""
-    if not features:
-        raise DataError("no feature vectors")
-    width = features[0].values.size
-    layout = features[0].layout
-    for f in features[1:]:
-        if f.values.size != width:
-            raise ShapeError(f"feature length {f.values.size} differs from "
-                             f"{width}; sentiment parts are inconsistent")
-        if f.layout != layout:
-            raise ShapeError(f"feature layout {f.layout} differs from {layout}")
-    return np.stack([f.values for f in features])
-
-
 def build_mlp(input_dim: int, hidden: tuple[int, int] = DEFAULT_HIDDEN,
               dropout_rate: float = DEFAULT_DROPOUT, n_classes: int = 2,
               seed: int = 0) -> Network:
@@ -84,13 +50,11 @@ class GenderModel(Model):
     checkpoint_kind = "gender"
 
     def __init__(self, input_dim: int, hidden: tuple[int, int] = DEFAULT_HIDDEN,
-                 dropout_rate: float = DEFAULT_DROPOUT, seed: int = 0,
-                 layout: tuple[str, ...] = ("doc_vector",)):
+                 dropout_rate: float = DEFAULT_DROPOUT, seed: int = 0):
         self.input_dim = input_dim
         self.hidden = tuple(hidden)
         self.dropout_rate = dropout_rate
         self.seed = seed
-        self.layout = tuple(layout)
         self.network = build_mlp(input_dim, self.hidden, dropout_rate,
                                  len(CLASSES), seed)
         self.history: list[dict] = []
@@ -115,8 +79,7 @@ class GenderModel(Model):
 
     def checkpoint_meta(self) -> dict:
         return {"input_dim": self.input_dim, "hidden": list(self.hidden),
-                "dropout_rate": self.dropout_rate, "seed": self.seed,
-                "layout": list(self.layout)}
+                "dropout_rate": self.dropout_rate, "seed": self.seed}
 
     @classmethod
     def from_checkpoint(cls, meta: dict, params) -> "GenderModel":
@@ -126,8 +89,7 @@ class GenderModel(Model):
                                   f"two layer widths, got {hidden!r}")
         model = cls(header_field(meta, "input_dim", "count"), tuple(hidden),
                     header_field(meta, "dropout_rate", "rate"),
-                    header_field(meta, "seed", "seed", 0),
-                    tuple(header_field(meta, "layout", "names", ["doc_vector"])))
+                    header_field(meta, "seed", "seed", 0))
         load_parameters(model.parameters(), params)
         return model
 
@@ -168,13 +130,8 @@ def fit_softmax_classifier(models: list, inputs: list[tuple],
 
 
 def _training_matrix(features, labels: Sequence[str]):
-    """(matrix, layout, class indices) of one model's training data."""
-    if isinstance(features, np.ndarray):
-        matrix = np.asarray(features, dtype=np.float64)
-        layout = ("doc_vector",)
-    else:
-        matrix = stack_features(features)
-        layout = features[0].layout
+    """(matrix, class indices) of one model's training data."""
+    matrix = np.asarray(features, dtype=np.float64)
     unknown = set(labels) - set(CLASSES)
     if unknown:
         raise DataError(f"unknown class labels: {sorted(unknown)}")
@@ -183,15 +140,16 @@ def _training_matrix(features, labels: Sequence[str]):
         raise DataError("training data holds a single class")
     if matrix.shape[0] != label_idx.shape[0]:
         raise ShapeError("features and labels must align")
-    return matrix, layout, label_idx
+    return matrix, label_idx
 
 
 def train_gender(features, labels: Sequence[str], config: TrainConfig,
                  hidden: tuple[int, int] = DEFAULT_HIDDEN,
                  dropout_rate: float = DEFAULT_DROPOUT,
                  after_epoch=None, seeds: Sequence[int] | None = None):
-    """Train the MLP on feature vectors with string labels; `after_epoch`
-    as in `fit_softmax_classifier`, for the one model.
+    """Train the MLP on an (n, F) feature matrix whose row i has the class
+    name `labels[i]`; `after_epoch` as in `fit_softmax_classifier`, for
+    the one model.
 
     With `seeds`, trains one model per seed in lockstep and returns the
     list of them: `features`, `labels` and `after_epoch` then hold one
@@ -204,10 +162,9 @@ def train_gender(features, labels: Sequence[str], config: TrainConfig,
         after_epoch = None if after_epoch is None else [after_epoch]
     models, inputs, targets = [], [], []
     for member_features, member_labels, seed in zip(features, labels, seeds):
-        matrix, layout, label_idx = _training_matrix(member_features,
-                                                     member_labels)
+        matrix, label_idx = _training_matrix(member_features, member_labels)
         models.append(GenderModel(matrix.shape[1], hidden, dropout_rate,
-                                  seed=seed, layout=layout))
+                                  seed=seed))
         inputs.append((matrix,))
         targets.append(label_idx)
     histories = fit_softmax_classifier(models, inputs, targets, config, seeds,
@@ -217,18 +174,23 @@ def train_gender(features, labels: Sequence[str], config: TrainConfig,
     return models[0] if single else models
 
 
-def write_features(path, rows: Sequence[tuple[str, str, FeatureVector]]) -> None:
-    """rows: (user_id, label, feature). JSONL with layout names echoed."""
+def write_features(path, ids: Sequence[str], labels: Sequence[str],
+                   matrix: np.ndarray, layout: Sequence[str]) -> None:
+    """One JSON line per row of `matrix`: the user's id and label, the
+    names of the row's parts (`layout`) and its values."""
     with open(path, "w", encoding="utf-8") as fh:
-        for user_id, label, feature in rows:
+        for user_id, label, row in zip(ids, labels, matrix):
             fh.write(json.dumps({"user_id": user_id, "label": label,
-                                 "layout": list(feature.layout),
-                                 "values": [float(x) for x in feature.values]})
-                     + "\n")
+                                 "layout": list(layout),
+                                 "values": [float(x) for x in row]}) + "\n")
 
 
-def read_features(path) -> list[tuple[str, str, FeatureVector]]:
-    rows = []
+def read_features(path) -> tuple[list[str], list[str], np.ndarray, tuple[str, ...]]:
+    """(ids, labels, (n, F) matrix, layout) of a `write_features` file.
+    Every row must have the width and layout of the first; a file without
+    rows is an error."""
+    ids, labels, rows = [], [], []
+    layout = None
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -242,15 +204,26 @@ def read_features(path) -> list[tuple[str, str, FeatureVector]]:
                     raise SchemaError(f"missing field {field!r}", number)
             if record["label"] not in CLASSES:
                 raise SchemaError(f"unknown label {record['label']!r}", number)
-            layout, values = record["layout"], record["values"]
-            if not (isinstance(layout, list)
-                    and all(isinstance(name, str) for name in layout)):
+            names, values = record["layout"], record["values"]
+            if not (isinstance(names, list)
+                    and all(isinstance(name, str) for name in names)):
                 raise SchemaError("field 'layout' must be a list of strings", number)
             # type() rather than isinstance() so booleans are not numbers
             if not (isinstance(values, list)
                     and all(type(x) in (int, float) for x in values)):
                 raise SchemaError("field 'values' must be a list of numbers", number)
-            rows.append((record["user_id"], record["label"],
-                         FeatureVector(values=np.asarray(values, dtype=np.float64),
-                                       layout=tuple(layout))))
-    return rows
+            if layout is None:
+                first, layout = number, tuple(names)
+            elif tuple(names) != layout:
+                raise SchemaError(f"field 'layout' is {names} where "
+                                  f"line {first} has {list(layout)}", number)
+            elif len(values) != len(rows[0]):
+                raise SchemaError(f"field 'values' holds {len(values)} numbers "
+                                  f"where line {first} holds {len(rows[0])}",
+                                  number)
+            ids.append(record["user_id"])
+            labels.append(record["label"])
+            rows.append(values)
+    if not rows:
+        raise DataError(f"{path} holds no feature rows")
+    return ids, labels, np.array(rows, dtype=np.float64), layout

@@ -1,5 +1,5 @@
-"""Minimal float64 neural toolkit: layers, losses, optimizers, gradient
-checking and checkpoint serialization."""
+"""Minimal float64 neural toolkit: layers, losses, optimizers, the
+training loop and checkpoint serialization."""
 
 from .checkpoint import (
     header_field,
@@ -10,7 +10,6 @@ from .checkpoint import (
     save_model,
     write_checkpoint,
 )
-from .gradcheck import gradient_check, max_relative_error
 from .layers import (
     ACTIVATIONS,
     DenseLayer,
@@ -37,12 +36,10 @@ __all__ = [
     "binary_cross_entropy",
     "categorical_cross_entropy",
     "fit",
-    "gradient_check",
     "header_field",
     "load_model",
     "load_parameters",
     "make_optimizer",
-    "max_relative_error",
     "read_checkpoint",
     "register_model",
     "save_model",

@@ -109,8 +109,6 @@ _HEADER_KINDS = {
     "flag": (lambda v: isinstance(v, bool), "true or false"),
     "counts": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
                "a list of integers >= 1"),
-    "names": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-              "a list of strings"),
 }
 
 _REQUIRED = object()

@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import TokenDocument, UserRecord, clean_tokens
 from .domainsel import LabeledDomainSet
 from .embed import EmbeddingTable, doc_matrix
-from .errors import AllOovError, ConfigError, DataError, ShapeError
+from .errors import AllOovError, ConfigError, DataError
 from .gender import build_mlp, fit_softmax_classifier
 from .nn import (
     DenseLayer,
@@ -184,17 +184,6 @@ def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None
                    for record, scores in zip(history, heldout)]
 
 
-def predict_polarity(model: SentimentModel, seq: np.ndarray) -> float:
-    """Probability that the (length, d) document sequence (see
-    `embed.doc_matrix`) is positive; dropout off. The one-document
-    reference for the batched `polarity_features`."""
-    if seq.shape[1] != model.input_dim:
-        raise ShapeError(f"word vector dimension {seq.shape[1]} does not match "
-                         f"model input dim {model.input_dim}")
-    probs = model.forward_batch((seq[None], np.array([len(seq)])))
-    return float(probs[0, 0])
-
-
 # rows per read-out forward, and per head GEMM over the read-out's states
 READOUT_BATCH = 256
 
@@ -297,8 +286,8 @@ def polarity_features(model: SentimentModel,
     Unscoreable posts are excluded from the rate's denominator. Every post
     and user document is scored in a few batched forwards over the
     length-sorted chunks of POLARITY_BATCH sequences, each padded to its
-    longest one, with the probabilities `predict_polarity` gives each one
-    alone.
+    longest one, with the probability a forward of that one sequence
+    alone gives.
     """
     ordered = sequences.ordered
     probs = np.empty(len(ordered))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sentprofile.embed import EmbeddingTable
+from sentprofile.errors import ShapeError
 from sentprofile.experiment import DataPaths
 from sentprofile.synth import SynthConfig, generate_dataset, write_dataset
 
@@ -76,3 +77,14 @@ def validate_plan(plan, records) -> dict:
     return {"disjoint": disjoint, "exhaustive": exhaustive,
             "size_spread": max(sizes) - min(sizes),
             "max_proportion_deviation": max_dev}
+
+
+def predict_polarity(model, seq: np.ndarray) -> float:
+    """Probability that the (length, d) document sequence (see
+    `embed.doc_matrix`) is positive; dropout off. The one-document
+    reference for the batched `polarity_features`."""
+    if seq.shape[1] != model.input_dim:
+        raise ShapeError(f"word vector dimension {seq.shape[1]} does not match "
+                         f"model input dim {model.input_dim}")
+    probs = model.forward_batch((seq[None], np.array([len(seq)])))
+    return float(probs[0, 0])

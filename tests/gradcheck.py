@@ -1,9 +1,10 @@
-"""Finite-difference verification of analytic gradients."""
+"""Finite-difference verification of analytic gradients: the reference
+the tests check every layer's and model's backward pass against."""
 
 import numpy as np
 
-from ..errors import ConfigError
-from .losses import LOSSES
+from sentprofile.errors import ConfigError
+from sentprofile.nn import LOSSES
 
 
 def max_relative_error(loss_fn, params, analytic, epsilon: float = 1e-5) -> float:

@@ -30,14 +30,12 @@ from sentprofile.nn import (
     DropoutLayer,
     Network,
     TrainConfig,
-    gradient_check,
 )
 from sentprofile.resample import ResampleConfig, smote
 from sentprofile.sentiment import (
     SentimentConfig,
     polarity_features,
     polarity_sequences,
-    predict_polarity,
     train_sentiment,
 )
 from sentprofile.synth import (
@@ -47,7 +45,8 @@ from sentprofile.synth import (
     write_dataset,
 )
 
-from conftest import validate_plan
+from conftest import predict_polarity, validate_plan
+from gradcheck import gradient_check
 from test_nn_gradcheck import LstmStack
 from test_sentiment import integrator_model
 

@@ -10,6 +10,7 @@ from sentprofile import experiment
 from sentprofile.cli import main
 from sentprofile.embed import save_embeddings
 from sentprofile.experiment import ExperimentConfig, fit_embeddings, load_corpora
+from sentprofile.gender import read_features
 from sentprofile.nn import load_model
 
 from conftest import SMALL_CONFIG
@@ -170,11 +171,11 @@ def test_staged_pipeline(small_dataset, tmp_path, capsys):
                  "--out", str(work / "sent.bin"), "--seed", "0"])
     assert code == 0
 
-    code = main(["extract", "--model", str(work / "sent.bin"),
-                 "--layer", "frozen_lstm", "--in", small_dataset.users,
+    code = main(["extract"] + flags(small_dataset) +
+                ["--model", str(work / "sent.bin"),
+                 "--sentiment-mode", "frozen_lstm",
                  "--embeddings", str(work / "emb.txt"),
-                 "--stopwords", small_dataset.stopwords,
-                 "--r", "16", "--out", str(work / "features.jsonl")])
+                 "--out", str(work / "features.jsonl")])
     assert code == 0
 
     code = main(["smote", "--in", str(work / "features.jsonl"),
@@ -265,11 +266,10 @@ def test_staged_commands_take_settings_from_config(small_dataset, tmp_path,
     assert load_model(sent).seed == experiment._fold_seed(4, 0, 1)
 
     features = tmp_path / "features.jsonl"
-    code = main(["extract", "--model", str(sent), "--in", small_dataset.users,
+    code = main(["extract"] + flags(small_dataset) +
+                ["--model", str(sent), "--sentiment-mode", "frozen_lstm",
                  "--embeddings", str(_embeddings(small_dataset, tmp_path)),
-                 "--stopwords", small_dataset.stopwords,
-                 "--config", str(config_file), "--r", "16",
-                 "--out", str(features)])
+                 "--config", str(config_file), "--out", str(features)])
     assert code == 0
     # k=500 from the file exceeds the minority class; the flag overrides it
     smote_args = ["smote", "--in", str(features), "--config", str(config_file),
@@ -315,7 +315,80 @@ def test_out_of_vocabulary_user_dropped_by_staged_commands(small_dataset,
                     ["--out", str(tmp_path / "selected.jsonl")])
         assert code == 0
         assert len(dropped_users()) == 1
+        code = main(["extract"] + common +
+                    ["--model", str(tmp_path / "sent.bin"),
+                     "--sentiment-mode", "frozen_lstm",
+                     "--out", str(tmp_path / "features.jsonl")])
+        assert code == 0
+        assert len(dropped_users()) == 1
     capsys.readouterr()
+    ids, _, _, _ = read_features(tmp_path / "features.jsonl")
+    assert "oov-user" not in ids
+
+
+@pytest.mark.parametrize("representation, mode", [
+    ("tfidf", "frozen_lstm"),
+    ("avg_vector", "polarity_features"),
+    ("keyword_tfidf", "frozen_dense"),
+])
+def test_extract_writes_the_features_evaluate_trains_on(
+        small_dataset, tmp_path, capsys, monkeypatch, representation, mode):
+    # embed -> sentiment-train -> extract gives, byte for byte, the feature
+    # rows evaluate trains its gender MLPs on for the same config
+    emb, sent, out = (tmp_path / "emb.txt", tmp_path / "sent.bin",
+                      tmp_path / "features.jsonl")
+    common = flags(small_dataset) + ["--representation", representation,
+                                     "--sentiment-mode", mode]
+    assert main(["embed"] + common + ["--out", str(emb)]) == 0
+    assert main(["sentiment-train"] + common +
+                ["--embeddings", str(emb), "--out", str(sent)]) == 0
+    assert main(["extract"] + common +
+                ["--model", str(sent), "--embeddings", str(emb),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    trained = {}
+    run_fold = experiment._run_fold
+
+    def recorded(fold):
+        run_fold(fold)
+        trained.update(zip(fold.train_ids, fold.run.gender_folds[-1].x_train))
+
+    monkeypatch.setattr(experiment, "_run_fold", recorded)
+    config = ExperimentConfig(**dict(SMALL_CONFIG, representation=representation,
+                                     sentiment_mode=mode))
+    experiment._run_cells([config], replace(small_dataset, embeddings=str(emb)))
+    ids, _, matrix, layout = read_features(out)
+    assert layout == ("doc_vector", "sentiment")
+    assert sorted(ids) == sorted(trained)
+    assert matrix.tobytes() == np.stack([trained[uid] for uid in ids]).tobytes()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--sentiment-mode", "frozen_lstm"],
+    ["--sentiment-mode", "none", "--embeddings", "emb.txt"],
+    ["--sentiment-mode", "finetuned_lstm", "--embeddings", "emb.txt"],
+], ids=["no-embeddings", "none", "finetuned_lstm"])
+def test_extract_exit_2_on_what_it_cannot_write(small_dataset, tmp_path, capsys,
+                                                extra):
+    # a model reads word vectors of its own table's width, and a feature
+    # file holds no finetuned composite
+    out = tmp_path / "features.jsonl"
+    code = main(["extract"] + flags(small_dataset) +
+                ["--model", str(tmp_path / "sent.bin"), "--out", str(out)]
+                + extra)
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["smote", "gender-train"])
+def test_feature_file_without_rows_exits_3(tmp_path, capsys, command):
+    empty = tmp_path / "features.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code = main([command, "--in", str(empty), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "no feature rows" in capsys.readouterr().err
 
 
 def test_grid_writes_reports(small_dataset, tmp_path, capsys):
@@ -341,7 +414,8 @@ def test_gender_train_exit_3_on_bad_features(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("bad", ["misshaped_sentiment", "gender_without_input_dim"])
+@pytest.mark.parametrize("bad", ["misshaped_sentiment", "gender_without_input_dim",
+                                 "gender"])
 def test_bad_checkpoint_exits_3(small_dataset, tmp_path, capsys, bad):
     from sentprofile.gender import GenderModel
     from sentprofile.nn import write_checkpoint
@@ -352,15 +426,17 @@ def test_bad_checkpoint_exits_3(small_dataset, tmp_path, capsys, bad):
         meta = dict(model.checkpoint_meta(), model_kind="sentiment")
         params = dict(model.parameters(), **{"lstm.bias": np.zeros(5)})
     else:
+        # a gender checkpoint is no sentiment model, even a readable one
         model = GenderModel(input_dim=8)
         meta = dict(model.checkpoint_meta(), model_kind="gender")
-        del meta["input_dim"]
+        if bad == "gender_without_input_dim":
+            del meta["input_dim"]
         params = model.parameters()
     path = tmp_path / "bad.bin"
     write_checkpoint(path, meta, params)
-    code = main(["extract", "--model", str(path), "--in", small_dataset.users,
+    code = main(["extract"] + flags(small_dataset) +
+                ["--model", str(path), "--sentiment-mode", "frozen_lstm",
                  "--embeddings", str(_embeddings(small_dataset, tmp_path)),
-                 "--stopwords", small_dataset.stopwords, "--r", "16",
                  "--out", str(tmp_path / "features.jsonl")])
     assert code == 3
     assert "data error: checkpoint" in capsys.readouterr().err

@@ -7,9 +7,7 @@ from sentprofile.errors import DataError, SchemaError, ShapeError
 from sentprofile.gender import (
     CLASSES,
     GenderModel,
-    concat_features,
     read_features,
-    stack_features,
     train_gender,
     write_features,
 )
@@ -20,33 +18,6 @@ from sentprofile.sentiment import (
     build_finetune_model,
     train_finetune,
 )
-
-
-class TestConcatFeatures:
-    def test_doc_vector_plus_hidden(self):
-        v = np.zeros(100)
-        h = np.ones(64)
-        f = concat_features(v, h)
-        assert f.values.shape == (164,)
-        assert f.layout == ("doc_vector", "sentiment")
-
-    def test_baseline_without_sentiment(self):
-        f = concat_features(np.zeros(100))
-        assert f.values.shape == (100,)
-        assert f.layout == ("doc_vector",)
-
-    def test_polarity_features_variant(self):
-        # one user's row of `polarity_features`: doc polarity, positive rate
-        f = concat_features(np.zeros(100), np.array([0.7, 0.5]))
-        assert f.values.shape == (102,)
-        assert f.values[100] == 0.7
-        assert f.values[101] == 0.5
-
-    def test_stack_rejects_mixed_lengths(self):
-        f1 = concat_features(np.zeros(4))
-        f2 = concat_features(np.zeros(5))
-        with pytest.raises(ShapeError, match="inconsistent|differs"):
-            stack_features([f1, f2])
 
 
 def separable_features(n=60, seed=0):
@@ -278,18 +249,21 @@ class TestPredictGender:
 
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
-        rows = [("u1", "male", concat_features(np.array([1.0, 2.0]),
-                                               np.array([3.0]))),
-                ("u2", "female", concat_features(np.array([0.5, -1.0]),
-                                                 np.array([0.25])))]
+        matrix = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.1]])
         path = tmp_path / "features.jsonl"
-        write_features(path, rows)
-        loaded = read_features(path)
-        assert [(uid, label) for uid, label, _ in loaded] == \
-            [("u1", "male"), ("u2", "female")]
-        for (_, _, original), (_, _, parsed) in zip(rows, loaded):
-            assert parsed.layout == original.layout
-            assert np.allclose(parsed.values, original.values)
+        write_features(path, ["u1", "u2"], ["male", "female"], matrix,
+                       ("doc_vector", "sentiment"))
+        ids, labels, loaded, layout = read_features(path)
+        assert (ids, labels) == (["u1", "u2"], ["male", "female"])
+        assert layout == ("doc_vector", "sentiment")
+        assert loaded.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_file_without_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "features.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match="no feature rows"):
+            read_features(path)
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "features.jsonl"
@@ -310,8 +284,10 @@ class TestFeatureFiles:
         ('["doc_vector"]', '1.0', "values"),
         ('"doc_vector"', '[1.0]', "layout"),
         ('["doc_vector", 2]', '[1.0]', "layout"),
+        ('["doc_vector"]', '[1.0, 2.0]', "values"),
+        ('["sentiment"]', '[1.0]', "layout"),
     ], ids=["string-value", "bool-value", "scalar-values", "string-layout",
-            "number-in-layout"])
+            "number-in-layout", "mixed-width", "mixed-layout"])
     def test_mistyped_field_rejected_with_line(self, tmp_path, layout, values,
                                                field):
         path = tmp_path / "features.jsonl"
@@ -333,4 +309,3 @@ def test_gender_model_checkpoint_round_trip(tmp_path):
     assert isinstance(loaded, GenderModel)
     assert np.array_equal(model.predict_proba(features),
                           loaded.predict_proba(features))
-    assert loaded.layout == model.layout

@@ -123,7 +123,6 @@ def rewritten(tmp_path, model, meta_changes=(), params=None):
     (small_model, "hidden", [4, 3.5]),
     (small_model, "dropout_rate", 1.5),
     (small_model, "seed", -1),
-    (small_model, "layout", "doc_vector"),
     (small_sentiment_model, "input_dim", None),
     (small_sentiment_model, "hidden_size", None),
     (small_sentiment_model, "hidden_size", 2.0),
@@ -135,6 +134,16 @@ def test_bad_header_field_rejected(tmp_path, make, field, value):
     path = rewritten(tmp_path, make(), {field: value})
     with pytest.raises(CheckpointError, match=repr(field)):
         load_model(path)
+
+
+def test_gender_header_with_layout_still_loads(tmp_path):
+    # gender checkpoints once named their feature layout in the header;
+    # the field is ignored now
+    model = small_model(2)
+    loaded = load_model(rewritten(tmp_path, model,
+                                  {"layout": ["doc_vector", "sentiment"]}))
+    assert loaded.checkpoint_meta() == model.checkpoint_meta()
+    assert loaded.checksum() == model.checksum()
 
 
 @pytest.mark.parametrize("make", [small_model, small_sentiment_model])

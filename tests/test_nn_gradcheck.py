@@ -8,8 +8,9 @@ from sentprofile.nn import (
     Network,
     binary_cross_entropy,
     categorical_cross_entropy,
-    gradient_check,
 )
+
+from gradcheck import gradient_check
 
 
 class LstmStack:

@@ -23,9 +23,10 @@ from sentprofile.sentiment import (
     pad_sequences,
     polarity_features,
     polarity_sequences,
-    predict_polarity,
     train_sentiment,
 )
+
+from conftest import predict_polarity
 
 
 def integrator_model(input_dim=2, hidden=1):
