@@ -8,11 +8,12 @@ the configured source data (once per run, or once per fold when manual
 labels make its training set depend on the fold's training users) and
 read once per model over every user, minority oversampling touches only
 the training partition, and the gender classifier is trained once per
-fold and scored at every entry of the epoch grid. The gender MLPs of a
-cell's folds train after its last fold, those with equal-shaped training
-data in lockstep as one stacked model. A grid of cells shares all of this
-but the gender training: one load, one embedding fit and, per source
-mode, the sentiment models.
+fold and scored at every entry of the epoch grid. Each fold of a cell
+leaves a record in the cell's `folds`, and the gender models of all its
+folds train after its last fold: MLPs with equal-shaped training data in
+lockstep as one stacked model, finetuned composites one at a time. A grid
+of cells shares all of this but the gender training: one load, one
+embedding fit and, per source mode, the sentiment models.
 """
 
 import csv
@@ -445,23 +446,26 @@ def user_features(config: ExperimentConfig, sentiment_modes: set[str], users,
     """(kept docs, base, mats, lengths, polarity): what the sentiment modes
     in `sentiment_modes` read of each user, row i belonging to kept[i].
     `base` is the (n, F) matrix of `base_representations`; `mats` and
-    `lengths` (see `target_matrices`) are None unless a mode other than
-    `none` is asked for, and `polarity` (see `polarity_sequences`, built
-    from `users`) unless `polarity_features` is. `evaluate` and the staged
-    `extract` build their features here, so both keep the same users in
-    the same rows.
+    `lengths` (see `target_matrices`) are None unless a mode that runs the
+    LSTM over the user documents (`frozen_lstm`, `frozen_dense`,
+    `finetuned_lstm`) is asked for, and `polarity` (see
+    `polarity_sequences`, built from `users`) unless `polarity_features`
+    is. `evaluate` and the staged `extract` build their features here, so
+    both keep the same users in the same rows.
 
     Once a sentiment mode reads the users' word vectors, the users whose
     every token is out of vocabulary are dropped (logged) under tf-idf
     too."""
     docs, base = base_representations(config, docs, table)
-    mats = lengths = polarity = None
-    if sentiment_modes - {"none"}:
+    kept, mats, lengths, polarity = docs, None, None, None
+    if sentiment_modes & {"frozen_lstm", "frozen_dense", "finetuned_lstm"}:
         kept, mats, lengths = target_matrices(docs, table, config.r)
-        if len(kept) < len(docs):
-            kept_ids = {d.user_id for d in kept}
-            base = base[[i for i, d in enumerate(docs) if d.user_id in kept_ids]]
-            docs = kept
+    elif sentiment_modes - {"none"}:
+        kept, _ = _in_vocabulary(docs, lambda doc: doc_vector(doc, table))
+    if len(kept) < len(docs):
+        kept_ids = {d.user_id for d in kept}
+        base = base[[i for i, d in enumerate(docs) if d.user_id in kept_ids]]
+        docs = kept
     if "polarity_features" in sentiment_modes:
         users_by_id = {u.user_id: u for u in users}
         polarity = polarity_sequences([users_by_id[d.user_id] for d in docs],
@@ -569,23 +573,26 @@ class GridScore:
 
 
 @dataclass
-class GenderFold:
-    """One fold's gender-MLP training data, kept until the cell's last fold
-    so that folds of one shape train in lockstep, and the score of its
-    model on the fold's test users."""
+class FoldRecord:
+    """One fold of one cell, kept until the cell's last fold: its index and
+    seed, its training and test rows into the cell's `RunContext`, and what
+    its gender model reads besides `base`: the (n, k) features of a frozen
+    or polarity cell (row i for row i of `base`), the sentiment model a
+    finetuned cell's composite starts from, or None."""
     index: int
     seed: int
-    x_train: np.ndarray
-    labels: list[str]
-    score: GridScore
+    train: list[int]
+    test: list[int]
+    reads: np.ndarray | SentimentModel | None
 
 
 @dataclass
 class RunContext:
     """What every fold of one cell uses. The cells of one call share every
     field but `config`, `source` (one per source mode), `columns`, where
-    the cell's fold accuracies accumulate, and `gender_folds`, where its
-    folds leave their gender-MLP training data.
+    the cell's fold accuracies accumulate, and `folds`, where its folds
+    leave their records until their gender models train (see
+    `_train_folds`).
 
     Every per-user array has one row per user, row i belonging to the user
     `index_of` maps to i: `base`, the (n, F) base feature matrix, `labels`,
@@ -604,16 +611,32 @@ class RunContext:
     source: SentimentSource | None
     polarity: PolaritySequences | None
     columns: list[EpochColumn]
-    gender_folds: list[GenderFold]
+    folds: list[FoldRecord]
 
     def rows(self, ids) -> list[int]:
         return [self.index_of[uid] for uid in ids]
 
-    def sequences(self, ids):
-        """Base vectors, matrices, lengths and class indices of `ids`."""
-        rows = self.rows(ids)
-        return (self.base[rows], self.mats[rows], self.lengths[rows],
-                self.labels[rows])
+    def inputs(self, fold: FoldRecord, rows) -> tuple:
+        """What `fold`'s gender model reads of the users at `rows`: a
+        composite's base rows, matrices and lengths, or, as a 1-tuple, an
+        MLP's base rows joined with the fold's features."""
+        if isinstance(fold.reads, SentimentModel):
+            return self.base[rows], self.mats[rows], self.lengths[rows]
+        if fold.reads is None:
+            return (self.base[rows],)
+        return (np.concatenate([self.base[rows], fold.reads[rows]], axis=1),)
+
+    def training_data(self, fold: FoldRecord) -> tuple:
+        """`fold`'s training inputs (see `inputs`) and class indices. Under
+        SMOTE the minority is oversampled with the fold's seed, a
+        composite's in the joint space of its inputs (see
+        `smote_sequences`)."""
+        inputs, labels = self.inputs(fold, fold.train), self.labels[fold.train]
+        if not self.config.smote:
+            return (*inputs, labels)
+        resample = (smote_sequences if isinstance(fold.reads, SentimentModel)
+                    else smote)
+        return resample(*inputs, labels, self.config.resample_config(fold.seed))
 
 
 @dataclass
@@ -664,13 +687,13 @@ def _prepare_runs(cells: list[ExperimentConfig],
         base=base, labels=np.array([CLASSES.index(d.gender) for d in docs]),
         index_of={d.user_id: i for i, d in enumerate(docs)},
         mats=mats, lengths=lengths, source=None, polarity=polarity,
-        columns=[], gender_folds=[])
+        columns=[], folds=[])
     return [replace(shared, config=cell,
                     source=(sources[cell.source_mode]
                             if cell.sentiment_mode != "none" else None),
                     columns=[EpochColumn(epochs=e, fold_accuracies=[])
                              for e in cell.epochs],
-                    gender_folds=[])
+                    folds=[])
             for cell in cells]
 
 
@@ -681,10 +704,11 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     Folds run outside the cells: the cells of a source mode share its
     sentiment model and the features read from it. Without manual labels
     that is one model for every fold, trained in the first; with them
-    each fold trains its own and drops it before the next fold's, so at
-    most one fold model is alive at a time (see `_run_fold_cells`). After
-    the last fold of a source mode, its cells train their gender MLPs (see
-    `_train_gender_folds`)."""
+    each fold trains its own (see `_run_fold_cells`). A finetuned cell's
+    fold records keep their fold's model until its composite trains; in
+    the other modes, a fold model is dropped before the next fold's, so at
+    most one is alive at a time. After the last fold of a source mode, its
+    cells train their gender models (see `_train_folds`)."""
     started = time.perf_counter()
     for cell in cells:
         cell.validate()
@@ -701,7 +725,7 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
             except PipelineError as exc:
                 raise _in_fold(exc, fold_index) from exc
         for run in group:
-            _train_gender_folds(run)
+            _train_folds(run)
     reports = []
     for run in runs:
         config = run.config
@@ -796,80 +820,63 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
 
 
 def _run_fold(fold: Fold) -> None:
-    """Build the gender classifier's inputs of one fold and leave them in
-    `run.gender_folds` (see `_train_gender_folds`); a finetuned cell trains
-    and scores its composite here."""
+    """Leave `fold`'s record in the cell's `folds`; its gender model trains
+    after the cell's last fold (see `_train_folds`)."""
     run = fold.run
+    mode = run.config.sentiment_mode
+    run.folds.append(FoldRecord(
+        fold.index, fold.seed, run.rows(fold.train_ids), run.rows(fold.test_ids),
+        fold.sentiment_model if mode == "finetuned_lstm"
+        else fold.sentiment_features.get(mode)))
+
+
+def _train_folds(run: RunContext) -> None:
+    """Train the gender model of every fold in `run.folds` on the fold's
+    training data (see `RunContext.training_data`), score it at the grid
+    epochs on the fold's test users and add its accuracies to the cell's
+    columns, in fold order.
+
+    A finetuned fold's composite starts from a copy of the LSTM of the
+    fold's own sentiment model. Each is built just before it trains, so
+    one is alive at a time. The other folds' MLPs train in lockstep, those
+    whose training matrices have one shape as one stack (one
+    `train_gender` call); each fold's model is scored from its own
+    snapshot and ends with the bytes it would have trained to alone. A
+    failure names the fold it happened in."""
     config = run.config
-    if config.sentiment_mode == "finetuned_lstm":
-        _run_finetuned_fold(fold)
-        return
-
-    features = run.base
-    if config.sentiment_mode in fold.sentiment_features:
-        features = np.concatenate(
-            [run.base, fold.sentiment_features[config.sentiment_mode]], axis=1)
-
-    train, test = run.rows(fold.train_ids), run.rows(fold.test_ids)
-    x_train, y_train = features[train], run.labels[train]
-    x_test, y_test = features[test], run.labels[test]
-    if config.smote:
-        x_train, y_train = smote(x_train, y_train,
-                                 config.resample_config(fold.seed))
-    run.gender_folds.append(GenderFold(
-        fold.index, fold.seed, x_train, [CLASSES[i] for i in y_train],
-        GridScore(config.epochs, y_test,
-                  lambda model: model.predict_proba(x_test))))
-
-
-def _train_gender_folds(run: RunContext) -> None:
-    """Train the gender MLPs of the folds in `run.gender_folds` and add
-    their accuracies to the cell's columns, in fold order.
-
-    Folds whose training matrices have one shape train in lockstep as one
-    stack (one `train_gender` call); each fold's model is scored at the
-    grid epochs from its own snapshot and ends with the bytes it would
-    have trained to alone. A failure names the fold it happened in."""
-    config = run.config
-    stacks: dict[tuple, list[GenderFold]] = {}
-    for fold in run.gender_folds:
-        stacks.setdefault(fold.x_train.shape, []).append(fold)
-    for stack in stacks.values():
-        try:
-            train_gender([fold.x_train for fold in stack],
-                         [fold.labels for fold in stack],
+    scores, stacks = [], {}
+    try:
+        for fold in run.folds:
+            failing = [fold]
+            score = GridScore(config.epochs, run.labels[fold.test],
+                              lambda model, fold=fold: model.predict_proba(
+                                  *run.inputs(fold, fold.test)))
+            scores.append(score)
+            if isinstance(fold.reads, SentimentModel):
+                train_finetune(build_finetune_model(
+                                   fold.reads, vec_dim=run.base.shape[1],
+                                   dropout_rate=config.mlp_dropout,
+                                   seed=fold.seed),
+                               *run.training_data(fold),
+                               config.train_config(max(config.epochs), fold.seed),
+                               after_epoch=score)
+            else:
+                x_train, labels = run.training_data(fold)
+                stacks.setdefault(x_train.shape, []).append(
+                    (fold, x_train, [CLASSES[i] for i in labels], score))
+        for stack in stacks.values():
+            failing, features, labels, after_epoch = zip(*stack)
+            train_gender(features, labels,
                          config.train_config(max(config.epochs)),
                          dropout_rate=config.mlp_dropout,
-                         after_epoch=[fold.score for fold in stack],
-                         seeds=[fold.seed for fold in stack])
-        except PipelineError as exc:
-            failed = stack[getattr(exc, "member", None) or 0]
-            raise _in_fold(exc, failed.index) from exc
-    for fold in run.gender_folds:
-        fold.score.append_to(run.columns)
-    run.gender_folds.clear()
-
-
-def _run_finetuned_fold(fold: Fold) -> None:
-    """Composite training: oversampling happens in the joint space of the
-    base vector and the flattened matrix so synthetic pairs stay aligned."""
-    run = fold.run
-    config = run.config
-    vecs_tr, mats_tr, lens_tr, y_tr = run.sequences(fold.train_ids)
-    vecs_te, mats_te, lens_te, y_te = run.sequences(fold.test_ids)
-    if config.smote:
-        vecs_tr, mats_tr, lens_tr, y_tr = smote_sequences(
-            vecs_tr, mats_tr, lens_tr, y_tr, config.resample_config(fold.seed))
-    composite = build_finetune_model(fold.sentiment_model,
-                                     vec_dim=vecs_tr.shape[1],
-                                     dropout_rate=config.mlp_dropout,
-                                     seed=fold.seed)
-    score = GridScore(config.epochs, y_te, lambda model: model.predict_proba(
-        vecs_te, mats_te, lens_te))
-    train_finetune(composite, vecs_tr, mats_tr, lens_tr, y_tr,
-                   config.train_config(max(config.epochs), fold.seed),
-                   after_epoch=score)
-    score.append_to(run.columns)
+                         after_epoch=after_epoch,
+                         seeds=[fold.seed for fold in failing])
+    except PipelineError as exc:
+        failed = failing[getattr(exc, "member", None) or 0]
+        raise _in_fold(exc, failed.index) from exc
+    for score in scores:
+        score.append_to(run.columns)
+    run.folds.clear()
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")

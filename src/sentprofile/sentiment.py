@@ -30,9 +30,6 @@ from .nn import (
     register_model,
 )
 
-REPRESENTATION_LAYERS = ("frozen_lstm", "frozen_dense")
-
-
 @dataclass
 class SentimentConfig:
     hidden_size: int = 64
@@ -189,27 +186,21 @@ READOUT_BATCH = 256
 
 
 def extract_representations(model: SentimentModel, mats: np.ndarray,
-                            lengths: np.ndarray, layer: str = "frozen_lstm",
+                            lengths: np.ndarray,
                             batch_size: int = READOUT_BATCH) -> np.ndarray:
-    """The (n, H) final LSTM hidden states (`frozen_lstm`) or (n, 1)
-    pre-sigmoid head activations (`frozen_dense`, see `head_activations`)
-    of the (n, T, d) sequences, row i belonging to mats[i]; dropout is off.
+    """The (n, H) final LSTM hidden states (the `frozen_lstm` features) of
+    the (n, T, d) sequences, row i belonging to mats[i]; dropout is off.
+    `head_activations` of them gives the `frozen_dense` features.
 
     Runs cache-free forwards over consecutive chunks of `batch_size` rows;
     the LSTM runs each only up to its longest sequence."""
-    if layer not in REPRESENTATION_LAYERS:
-        raise ConfigError(f"layer must be one of {REPRESENTATION_LAYERS}, "
-                          f"got {layer!r}")
     if not model.trained:
         raise DataError("cannot extract representations from an untrained model")
     lengths = np.asarray(lengths)
-    states = np.concatenate([
+    return np.concatenate([
         model.lstm.forward(mats[start:start + batch_size],
                            lengths[start:start + batch_size], cache=False)
         for start in range(0, len(lengths), batch_size)])
-    if layer == "frozen_lstm":
-        return states
-    return head_activations(model, states, batch_size)
 
 
 def head_activations(model: SentimentModel, states: np.ndarray,

@@ -347,14 +347,20 @@ def test_extract_writes_the_features_evaluate_trains_on(
                  "--out", str(out)]) == 0
     capsys.readouterr()
 
-    trained = {}
-    run_fold = experiment._run_fold
+    trained, train_ids = {}, {}
+    run_fold, train_gender = experiment._run_fold, experiment.train_gender
 
     def recorded(fold):
         run_fold(fold)
-        trained.update(zip(fold.train_ids, fold.run.gender_folds[-1].x_train))
+        train_ids[fold.seed] = fold.train_ids
+
+    def recorded_gender(features, labels, *args, seeds, **kwargs):
+        for seed, x_train in zip(seeds, features):
+            trained.update(zip(train_ids[seed], x_train))
+        return train_gender(features, labels, *args, seeds=seeds, **kwargs)
 
     monkeypatch.setattr(experiment, "_run_fold", recorded)
+    monkeypatch.setattr(experiment, "train_gender", recorded_gender)
     config = ExperimentConfig(**dict(SMALL_CONFIG, representation=representation,
                                      sentiment_mode=mode))
     experiment._run_cells([config], replace(small_dataset, embeddings=str(emb)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import fields, replace
@@ -239,58 +240,70 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="reviews"):
             run_experiment(small_experiment(sentiment_mode="frozen_lstm"), paths)
 
-    def test_fold_error_carries_fold_index(self, small_dataset):
-        # an oversampling failure inside a fold names the fold
+    @pytest.mark.parametrize("mode", ["none", "finetuned_lstm"])
+    def test_fold_error_carries_fold_index(self, small_dataset, mode):
+        # an oversampling failure inside a fold names the fold, for an MLP
+        # and for a composite in the joint space alike
         with pytest.raises(DataError, match="fold 1"):
-            run_experiment(small_experiment(smote=True, smote_k=500),
+            run_experiment(small_experiment(smote=True, smote_k=500,
+                                            sentiment_mode=mode),
                            small_dataset)
 
+    @pytest.mark.parametrize("mode, parameter, trained", [
+        ("frozen_lstm", "layer0.weights", [3]),
+        ("finetuned_lstm", "mlp.layer0.weights", ["composite", "composite"]),
+    ], ids=["frozen_lstm", "finetuned_lstm"])
     def test_non_finite_gradient_names_its_fold(self, monkeypatch,
-                                                small_dataset):
-        # the gender MLPs of the three folds train after the last fold, as
-        # one stack; a non-finite gradient in the second still fails with
-        # the category and message a fold-by-fold run gives
+                                                small_dataset, mode,
+                                                parameter, trained):
+        # every fold's gender model trains after the last fold: the MLPs
+        # of the three folds as one stack, the composites one at a time; a
+        # non-finite gradient in the second still fails with the category
+        # and message a fold-by-fold run gives
         run_fold, stacks = experiment._run_fold, []
+        inputs = experiment.RunContext.inputs
 
-        def poisoned(fold):
+        def recorded(fold):
             run_fold(fold)
             stacks.append(None)
-            if len(stacks) == 2:
-                data = fold.run.gender_folds[-1]
-                data.x_train = np.full_like(data.x_train, np.nan)
 
-        train = experiment.train_gender
+        def poisoned(run, fold, rows):
+            arrays = inputs(run, fold, rows)
+            if fold.index == 1 and rows is fold.train:
+                # the MLP features, or the composite's base rows
+                return (np.full_like(arrays[0], np.nan), *arrays[1:])
+            return arrays
+
+        train, finetune = experiment.train_gender, experiment.train_finetune
 
         def counted(*args, seeds, **kwargs):
             stacks.append(len(seeds))
             return train(*args, seeds=seeds, **kwargs)
 
-        monkeypatch.setattr(experiment, "_run_fold", poisoned)
+        def counted_finetune(*args, **kwargs):
+            stacks.append("composite")
+            return finetune(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_run_fold", recorded)
+        monkeypatch.setattr(experiment.RunContext, "inputs", poisoned)
         monkeypatch.setattr(experiment, "train_gender", counted)
+        monkeypatch.setattr(experiment, "train_finetune", counted_finetune)
         with pytest.raises(TrainingError) as caught:
-            run_experiment(small_experiment(sentiment_mode="frozen_lstm"),
+            run_experiment(small_experiment(sentiment_mode=mode),
                            small_dataset)
-        assert str(caught.value) == ("fold 2: non-finite gradient for "
-                                     "parameter 'layer0.weights'; training "
-                                     "aborted")
-        assert stacks == [None, None, None, 3]
+        assert str(caught.value) == (f"fold 2: non-finite gradient for "
+                                     f"parameter '{parameter}'; training "
+                                     f"aborted")
+        assert stacks == [None, None, None] + trained
 
 
 def gender_fold(index, rows, width=6):
-    """A GenderFold of `rows` training rows, its test matrix, and the test
-    probabilities its score computes, in epoch order."""
+    """A fold's `rows` training rows, their class indices, and its 9 test
+    rows and their class indices."""
     rng = np.random.default_rng(index)
     x = rng.normal(size=(rows, width))
-    labels = [CLASSES[int(v > 0)] for v in x[:, 0] + rng.normal(size=rows)]
-    test = rng.normal(size=(9, width))
-    probs = []
-
-    def predict(model):
-        probs.append(model.predict_proba(test))
-        return probs[-1]
-
-    score = experiment.GridScore((7, 3), rng.integers(0, 2, size=9), predict)
-    return experiment.GenderFold(index, 100 + index, x, labels, score), test, probs
+    labels = (x[:, 0] + rng.normal(size=rows) > 0).astype(int)
+    return x, labels, rng.normal(size=(9, width)), rng.integers(0, 2, size=9)
 
 
 def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
@@ -299,44 +312,66 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
     config = small_experiment(epochs=(7, 3), batch_size=32)
     folds = [gender_fold(index, rows)
              for index, rows in enumerate((65, 66, 65, 66, 65))]
-    trained = []
-    train = experiment.train_gender
+    trained, scores = [], []
+    train, grid_score = experiment.train_gender, experiment.GridScore
 
     def recorded(*args, seeds, **kwargs):
         models = train(*args, seeds=seeds, **kwargs)
         trained.extend(zip(seeds, models))
         return models
 
+    def recorded_score(grid, y_test, predict):
+        # the test probabilities each fold's score computes, in epoch order
+        probs = []
+
+        def recorded_predict(model):
+            probs.append(predict(model))
+            return probs[-1]
+
+        scores.append((grid_score(grid, y_test, recorded_predict), probs))
+        return scores[-1][0]
+
     monkeypatch.setattr(experiment, "train_gender", recorded)
+    monkeypatch.setattr(experiment, "GridScore", recorded_score)
+    # each fold's training rows, then its test rows, in one base matrix
+    records, start = [], 0
+    for index, (x, _, test, _) in enumerate(folds):
+        middle, end = start + len(x), start + len(x) + len(test)
+        records.append(experiment.FoldRecord(
+            index, 100 + index, list(range(start, middle)),
+            list(range(middle, end)), None))
+        start = end
     run = experiment.RunContext(
-        config=config, plan=None, base=None, labels=None, index_of={}, mats=None,
-        lengths=None, source=None, polarity=None,
+        config=config, plan=None,
+        base=np.concatenate([a for x, _, test, _ in folds for a in (x, test)]),
+        labels=np.concatenate([a for _, y, _, y_test in folds
+                               for a in (y, y_test)]),
+        index_of={}, mats=None, lengths=None, source=None, polarity=None,
         columns=[EpochColumn(epochs=e, fold_accuracies=[]) for e in (7, 3)],
-        gender_folds=[fold for fold, _, _ in folds])
-    experiment._train_gender_folds(run)
+        folds=list(records))
+    experiment._train_folds(run)
     assert [seed for seed, _ in trained] == [100, 102, 104, 101, 103]
-    assert run.gender_folds == []
+    assert run.folds == []
     members = dict(trained)
-    for j, (fold, test, probs) in enumerate(folds):
+    for j, ((x, labels, test, _), record, (score, probs)) in enumerate(
+            zip(folds, records, scores)):
         alone_probs = []
 
         def after_epoch(model, epoch):
             if epoch in (3, 7):
                 alone_probs.append(model.predict_proba(test).tobytes())
 
-        alone = train_gender(fold.x_train, fold.labels,
-                             config.train_config(7, fold.seed),
+        alone = train_gender(x, [CLASSES[i] for i in labels],
+                             config.train_config(7, record.seed),
                              dropout_rate=config.mlp_dropout,
                              after_epoch=after_epoch)
-        member = members[fold.seed]
+        member = members[record.seed]
         assert member.checksum() == alone.checksum()
         assert member.history == alone.history
         assert [p.tobytes() for p in probs] == alone_probs
         # the columns take the accuracies in fold order
         assert [col.fold_accuracies[j] for col in run.columns] == \
-            [fold.score.accuracy[7], fold.score.accuracy[3]]
-        assert [col.fold_accuracies[j] for col in run.columns] == \
-            [fold.score.accuracy[7], fold.score.accuracy[3]]
+            [score.accuracy[7], score.accuracy[3]]
 
 
 def count_calls(monkeypatch, names):
@@ -453,6 +488,40 @@ class TestSentimentTraining:
             assert manual, "the fold trains on some manual labels"
             assert not manual & {f"manual:{uid}" for uid in fold.test_ids}
         assert len({id(model) for _, model in trained}) == config.folds
+
+
+def lstm_checksum(lstm) -> str:
+    digest = hashlib.sha256()
+    for name, value in lstm.params().items():
+        digest.update(name.encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+def test_composites_start_from_their_own_folds_lstm(monkeypatch,
+                                                    small_dataset):
+    # the composites train after the last fold, when every fold's model is
+    # trained; fold j's must still start from fold j's own LSTM
+    trained, built = [], []
+    train, build = experiment.train_sentiment, experiment.build_finetune_model
+
+    def recorded(*args, **kwargs):
+        model, curve = train(*args, **kwargs)
+        trained.append(lstm_checksum(model.lstm))
+        return model, curve
+
+    def recorded_build(model, *args, **kwargs):
+        composite = build(model, *args, **kwargs)
+        built.append(lstm_checksum(composite.lstm))
+        return composite
+
+    monkeypatch.setattr(experiment, "train_sentiment", recorded)
+    monkeypatch.setattr(experiment, "build_finetune_model", recorded_build)
+    config = small_experiment(sentiment_mode="finetuned_lstm",
+                              source_mode="entire_plus_manual")
+    run_experiment(config, small_dataset)
+    assert len(set(trained)) == config.folds
+    assert built == trained
 
 
 def read_out_forwards(monkeypatch):
@@ -593,6 +662,33 @@ def test_tfidf_oov_drop_keeps_rows_aligned(tmp_path):
         seq = doc_matrix(doc, table, config.r)
         assert run.lengths[i] == len(seq)
         assert run.mats[i, :len(seq)].tobytes() == seq.tobytes()
+
+
+def test_polarity_alone_drops_oov_users_without_the_matrix_stack(tmp_path,
+                                                                  caplog):
+    # nothing under polarity_features reads the (n, T, d) stack, so none
+    # is built; the same users are dropped, with the same warnings, as
+    # under a mode that stacks it
+    paths = hapax_dataset(tmp_path)
+    config = small_experiment(**HAPAX_CONFIG)
+    users, docs, reviews, stopwords = experiment.load_corpora(paths)
+    table = experiment.embedding_table(config, paths, docs, reviews)
+    built, warned = [], []
+    for modes in ({"polarity_features"}, {"frozen_lstm"}):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="sentprofile.experiment"):
+            built.append(experiment.user_features(config, modes, users, docs,
+                                                  table, stopwords))
+        warned.append([m for m in caplog.messages
+                       if m.startswith("dropping user")])
+    (kept, base, mats, lengths, polarity), (stacked_kept, stacked_base,
+                                            stacked_mats, _, _) = built
+    assert mats is None and lengths is None and polarity is not None
+    assert stacked_mats is not None
+    assert warned == [["dropping user hapax-user: all tokens out of "
+                       "vocabulary"]] * 2
+    assert [d.user_id for d in kept] == [d.user_id for d in stacked_kept]
+    assert base.tobytes() == stacked_base.tobytes()
 
 
 def test_precomputed_embeddings_reused(small_dataset, tmp_path):

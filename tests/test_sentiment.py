@@ -159,10 +159,14 @@ class TestPredictPolarity:
         assert predict_polarity(model, pos) > 0.5 > predict_polarity(model, neg)
 
 
-def extract_one(model, doc, layer):
+def extract_one(model, doc):
     """Batched extraction over a batch of one document."""
-    return extract_representations(model, doc[None], np.array([len(doc)]),
-                                   layer)[0]
+    return extract_representations(model, doc[None], np.array([len(doc)]))[0]
+
+
+def dense_one(model, doc):
+    """The pre-sigmoid head activation of one document's final state."""
+    return head_activations(model, extract_one(model, doc)[None])[0]
 
 
 class TestExtractRepresentation:
@@ -170,8 +174,8 @@ class TestExtractRepresentation:
         model = integrator_model(hidden=1)
         doc = doc_matrix(TokenDocument("d", ("pos0", "neg0", "pos1")),
                          polarity_table, 5)
-        rep1 = extract_one(model, doc, "frozen_lstm")
-        rep2 = extract_one(model, doc, "frozen_lstm")
+        rep1 = extract_one(model, doc)
+        rep2 = extract_one(model, doc)
         assert rep1.shape == (1,)
         assert np.array_equal(rep1, rep2)
 
@@ -181,14 +185,14 @@ class TestExtractRepresentation:
         model = integrator_model()
         doc = doc_matrix(TokenDocument("d", ("pos0", "neu1", "neg2")),
                          polarity_table, 6)
-        rep = extract_one(model, doc, "frozen_lstm")
+        rep = extract_one(model, doc)
         direct = model.lstm.forward(doc[None], np.array([len(doc)]))
         assert np.allclose(rep, direct[0], atol=1e-12)
 
     def test_frozen_dense_is_presigmoid(self, polarity_table):
         model = integrator_model()
         doc = doc_matrix(TokenDocument("d", ("pos0",)), polarity_table, 3)
-        rep = extract_one(model, doc, "frozen_dense")
+        rep = dense_one(model, doc)
         p = predict_polarity(model, doc)
         assert rep.shape == (1,)
         assert 1.0 / (1.0 + np.exp(-rep[0])) == pytest.approx(p)
@@ -197,13 +201,7 @@ class TestExtractRepresentation:
         model = SentimentModel(input_dim=2, hidden_size=2)
         doc = doc_matrix(TokenDocument("d", ("pos0",)), polarity_table, 3)
         with pytest.raises(DataError, match="untrained"):
-            extract_one(model, doc, "frozen_lstm")
-
-    def test_unknown_layer_rejected(self, polarity_table):
-        model = integrator_model()
-        doc = doc_matrix(TokenDocument("d", ("pos0",)), polarity_table, 3)
-        with pytest.raises(ConfigError):
-            extract_one(model, doc, "finetuned_lstm")
+            extract_one(model, doc)
 
     def test_extraction_never_mutates_model(self, polarity_table):
         model = integrator_model()
@@ -211,7 +209,7 @@ class TestExtractRepresentation:
         for i in range(10):
             doc = doc_matrix(TokenDocument("d", ("pos0", "neg1")),
                              polarity_table, 4)
-            extract_one(model, doc, "frozen_lstm" if i % 2 else "frozen_dense")
+            (extract_one if i % 2 else dense_one)(model, doc)
         assert model.checksum() == before
 
     def test_inference_keeps_no_backward_cache(self, polarity_table):
@@ -219,7 +217,7 @@ class TestExtractRepresentation:
         # LSTM's backward cache as they found it
         model = integrator_model()
         doc = doc_matrix(TokenDocument("d", ("pos0", "neg1")), polarity_table, 4)
-        extract_one(model, doc, "frozen_lstm")
+        extract_one(model, doc)
         predict_polarity(model, doc)
         score(model, [UserRecord("u", "male", (("pos0",),))], polarity_table, 4)
         assert model.lstm._cache is None
@@ -237,26 +235,23 @@ class TestExtractRepresentation:
         model.trained = True
         mats, lengths = pad_sequences([rng.normal(size=(rng.integers(1, 13), 3))
                                        for _ in range(300)])
-        reps = extract_representations(model, mats, lengths, "frozen_dense")
+        reps = head_activations(model,
+                                extract_representations(model, mats, lengths))
         expected = []
         for rows in (slice(0, 256), slice(256, 300)):
             model.forward_batch((mats[rows, :lengths[rows].max()], lengths[rows]))
             expected.append(model.head._cache[1])
         assert reps.shape == (300, 1)
         assert reps.tobytes() == np.concatenate(expected).tobytes()
-        # the head over one read-out of the states gives the same bytes
-        states = extract_representations(model, mats, lengths, "frozen_lstm")
-        assert head_activations(model, states).tobytes() == reps.tobytes()
 
     def test_batched_matches_single(self, polarity_table):
         model = integrator_model()
         docs = [doc_matrix(TokenDocument(f"d{i}", ("pos0",) * (i + 1)),
                            polarity_table, 5) for i in range(4)]
         mats, lengths = pad_sequences(docs)
-        batch = extract_representations(model, mats, lengths, "frozen_lstm",
-                                        batch_size=2)
+        batch = extract_representations(model, mats, lengths, batch_size=2)
         for i, doc in enumerate(docs):
-            single = extract_one(model, doc, "frozen_lstm")
+            single = extract_one(model, doc)
             assert np.allclose(batch[i], single, atol=1e-12)
 
 
@@ -390,7 +385,7 @@ def test_extracted_representations_linearly_separable_by_polarity(polarity_table
         data, SentimentConfig(hidden_size=8, dropout_rate=0.2),
         TrainConfig(epochs=30, batch_size=8, learning_rate=5e-3, seed=2))
     mats, lengths = pad_sequences([item.matrix for item in data.items])
-    h = extract_representations(model, mats, lengths, "frozen_lstm")
+    h = extract_representations(model, mats, lengths)
     y = np.array([[1.0 if item.polarity == "positive" else 0.0]
                   for item in data.items])
 
@@ -523,7 +518,7 @@ class TestFinetune:
         # MLP with the same seed on [document vector, final hidden state]
         base = integrator_model(hidden=2)
         vecs, mats, lengths, _ = self.make_training_rows(polarity_table)
-        h = extract_representations(base, mats, lengths, "frozen_lstm")
+        h = extract_representations(base, mats, lengths)
         features = np.concatenate([vecs, h], axis=1)
         frozen = GenderModel(features.shape[1], hidden=(50, 10),
                              dropout_rate=0.4, seed=5)
