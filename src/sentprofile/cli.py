@@ -111,14 +111,11 @@ def _experiment_config(args) -> ExperimentConfig:
     raw = {}
     if args.config:
         raw.update(load_config_file(args.config))
-    field_names = {f.name for f in fields(ExperimentConfig)}
-    for name in field_names:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name == "epochs" and isinstance(value, str):
-            value = tuple(int(v) for v in value.split(",") if v.strip())
-        raw[name] = value
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            raw[f.name] = value
+    # from_dict parses the --epochs string
     config = ExperimentConfig.from_dict(raw)
     config.validate()
     return config

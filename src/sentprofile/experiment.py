@@ -8,12 +8,13 @@ the configured source data (once per run, or once per fold when manual
 labels make its training set depend on the fold's training users) and
 read once per model over every user, minority oversampling touches only
 the training partition, and the gender classifier is trained once per
-fold and scored at every entry of the epoch grid. Each fold of a cell
-leaves a record in the cell's `folds`, and the gender models of all its
-folds train after its last fold: MLPs with equal-shaped training data in
-lockstep as one stacked model, finetuned composites one at a time. A grid
-of cells shares all of this but the gender training: one load, one
-embedding fit and, per source mode, the sentiment models.
+fold and scored at every entry of the epoch grid. Each source mode runs in
+two passes: the first trains its sentiment models and reads their
+features, the second trains each cell's gender models over its folds, MLPs
+with equal-shaped training data in lockstep as one stacked model,
+finetuned composites one at a time. A grid of cells shares all of this but
+the gender training: one load, one embedding fit and, per source mode, the
+sentiment models.
 """
 
 import csv
@@ -33,6 +34,7 @@ from .corpus import (
     TokenDocument,
     build_virtual_documents,
     clean_tokens,
+    document_id,
     load_manual_records,
     load_source_reviews,
     load_stopwords,
@@ -181,7 +183,7 @@ class ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             if key == "epochs":
-                value = tuple(int(v) for v in value)
+                value = parse_epochs(value)
             kwargs[key] = value
         return cls(**kwargs)
 
@@ -192,6 +194,17 @@ class ExperimentConfig:
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
+
+
+def parse_epochs(value) -> tuple[int, ...]:
+    """The epoch grid of a comma-separated string ("60,80,100") or of a
+    sequence of integers, for the config file, the flag and `from_dict`."""
+    parts = value.split(",") if isinstance(value, str) else value
+    try:
+        return tuple(int(v) for v in parts if str(v).strip())
+    except (TypeError, ValueError):
+        raise ConfigError(f"epochs must be a comma-separated list of "
+                          f"integers, got {value!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -212,7 +225,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"config line {number}: unknown key {key!r}")
         try:
             if key == "epochs":
-                raw[key] = tuple(int(v) for v in value.split(",") if v.strip())
+                raw[key] = parse_epochs(value)
             elif types[key] is bool:
                 if value.lower() not in _BOOL_VALUES:
                     raise ValueError(value)
@@ -223,7 +236,7 @@ def parse_config_text(text: str) -> dict:
                 raw[key] = float(value)
             else:
                 raw[key] = value
-        except ValueError:
+        except (ValueError, ConfigError):
             raise ConfigError(f"config line {number}: cannot parse {value!r} "
                               f"for key {key!r}")
     return raw
@@ -353,40 +366,40 @@ def embedding_table(config: ExperimentConfig, paths: DataPaths, docs, reviews):
     return fit_embeddings(config, docs, reviews)
 
 
-def build_source_items(reviews, table, r: int,
-                       provenance: str = "source") -> LabeledDomainSet:
+def _labeled_items(entries, table, r: int, provenance: str,
+                   dropping: str) -> LabeledDomainSet:
+    """One item per (document, polarity, name) in `entries`, with the
+    document's id. A document with no in-vocabulary token is dropped with
+    the warning `dropping % name`."""
     items = []
-    for review in reviews:
+    for doc, polarity, name in entries:
         try:
-            items.append(LabeledItem(item_id=review.review_id,
-                                     matrix=doc_matrix(review, table, r),
-                                     vector=doc_vector(review, table),
-                                     polarity=review.polarity,
-                                     provenance=provenance))
+            items.append(LabeledItem(item_id=document_id(doc),
+                                     matrix=doc_matrix(doc, table, r),
+                                     vector=doc_vector(doc, table),
+                                     polarity=polarity, provenance=provenance))
         except AllOovError:
-            logger.warning("dropping review %s: all tokens out of vocabulary",
-                           review.review_id)
+            logger.warning(dropping, name)
     return LabeledDomainSet(items=tuple(items))
+
+
+def build_source_items(reviews, table, r: int) -> LabeledDomainSet:
+    return _labeled_items(((review, review.polarity, review.review_id)
+                           for review in reviews), table, r, "source",
+                          "dropping review %s: all tokens out of vocabulary")
 
 
 def build_manual_items(manual_records, table, r: int, stopwords) -> LabeledDomainSet:
-    items = []
+    """One item per manually labelled user, the document of their cleaned
+    posts under the id `manual:<user id>`."""
+    entries = []
     for record, polarity in manual_records:
-        tokens = []
-        for post in record.posts:
-            tokens.extend(clean_tokens(post, stopwords))
-        doc = TokenDocument(doc_id=f"manual:{record.user_id}",
-                            tokens=tuple(tokens))
-        try:
-            items.append(LabeledItem(item_id=doc.doc_id,
-                                     matrix=doc_matrix(doc, table, r),
-                                     vector=doc_vector(doc, table),
-                                     polarity=polarity,
-                                     provenance="manual_target"))
-        except AllOovError:
-            logger.warning("dropping manual sample %s: out of vocabulary",
-                           record.user_id)
-    return LabeledDomainSet(items=tuple(items))
+        tokens = [token for post in record.posts
+                  for token in clean_tokens(post, stopwords)]
+        entries.append((TokenDocument(f"manual:{record.user_id}", tuple(tokens)),
+                        polarity, record.user_id))
+    return _labeled_items(entries, table, r, "manual_target",
+                          "dropping manual sample %s: out of vocabulary")
 
 
 def _in_vocabulary(docs, represent) -> tuple[list, list]:
@@ -567,18 +580,15 @@ class GridScore:
             self.accuracy[epoch] = float((probs.argmax(axis=1)
                                           == self.y_test).mean())
 
-    def append_to(self, columns: list[EpochColumn]) -> None:
-        for col in columns:
-            col.fold_accuracies.append(self.accuracy[col.epochs])
-
 
 @dataclass
 class FoldRecord:
-    """One fold of one cell, kept until the cell's last fold: its index and
-    seed, its training and test rows into the cell's `RunContext`, and what
-    its gender model reads besides `base`: the (n, k) features of a frozen
-    or polarity cell (row i for row i of `base`), the sentiment model a
-    finetuned cell's composite starts from, or None."""
+    """One fold of one cell while its gender model trains (see
+    `_train_folds`): its index and seed, its training and test rows into
+    the cell's `RunContext`, and what its gender model reads besides
+    `base`: the (n, k) features of a frozen or polarity cell (row i for
+    row i of `base`), the sentiment model a finetuned cell's composite
+    starts from, or None."""
     index: int
     seed: int
     train: list[int]
@@ -589,10 +599,7 @@ class FoldRecord:
 @dataclass
 class RunContext:
     """What every fold of one cell uses. The cells of one call share every
-    field but `config`, `source` (one per source mode), `columns`, where
-    the cell's fold accuracies accumulate, and `folds`, where its folds
-    leave their records until their gender models train (see
-    `_train_folds`).
+    field but `config` and `source` (one per source mode).
 
     Every per-user array has one row per user, row i belonging to the user
     `index_of` maps to i: `base`, the (n, F) base feature matrix, `labels`,
@@ -610,8 +617,6 @@ class RunContext:
     lengths: np.ndarray | None
     source: SentimentSource | None
     polarity: PolaritySequences | None
-    columns: list[EpochColumn]
-    folds: list[FoldRecord]
 
     def rows(self, ids) -> list[int]:
         return [self.index_of[uid] for uid in ids]
@@ -637,21 +642,6 @@ class RunContext:
         resample = (smote_sequences if isinstance(fold.reads, SentimentModel)
                     else smote)
         return resample(*inputs, labels, self.config.resample_config(fold.seed))
-
-
-@dataclass
-class Fold:
-    """One fold's position, split and seed, and the sentiment model it reads
-    (None without a sentiment mode), which saw no label of its test users,
-    with the per-user features read from it by sentiment mode (see
-    `sentiment_features`)."""
-    run: RunContext
-    index: int
-    seed: int
-    train_ids: list[str]
-    test_ids: list[str]
-    sentiment_model: SentimentModel | None
-    sentiment_features: dict[str, np.ndarray]
 
 
 def _prepare_runs(cells: list[ExperimentConfig],
@@ -686,14 +676,10 @@ def _prepare_runs(cells: list[ExperimentConfig],
         config=config, plan=stratified_kfold(docs, config.folds, config.seed),
         base=base, labels=np.array([CLASSES.index(d.gender) for d in docs]),
         index_of={d.user_id: i for i, d in enumerate(docs)},
-        mats=mats, lengths=lengths, source=None, polarity=polarity,
-        columns=[], folds=[])
+        mats=mats, lengths=lengths, source=None, polarity=polarity)
     return [replace(shared, config=cell,
                     source=(sources[cell.source_mode]
-                            if cell.sentiment_mode != "none" else None),
-                    columns=[EpochColumn(epochs=e, fold_accuracies=[])
-                             for e in cell.epochs],
-                    folds=[])
+                            if cell.sentiment_mode != "none" else None))
             for cell in cells]
 
 
@@ -701,14 +687,14 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     """Cross-validate every cell over one shared prefix (see
     `_prepare_runs`); one report per cell, in order.
 
-    Folds run outside the cells: the cells of a source mode share its
-    sentiment model and the features read from it. Without manual labels
-    that is one model for every fold, trained in the first; with them
-    each fold trains its own (see `_run_fold_cells`). A finetuned cell's
-    fold records keep their fold's model until its composite trains; in
-    the other modes, a fold model is dropped before the next fold's, so at
-    most one is alive at a time. After the last fold of a source mode, its
-    cells train their gender models (see `_train_folds`)."""
+    The cells of a source mode run in two passes. The first trains the
+    source mode's sentiment models and reads their features for all of
+    its cells (see `_fold_sentiment`). A fold's model is kept only when a
+    finetuned cell's composite starts from it; otherwise it is dropped
+    once its features are read, so at most one is alive at a time. The
+    second pass trains each cell's gender models over its folds (see
+    `_train_folds`), and the cell's report is made as soon as they are
+    scored."""
     started = time.perf_counter()
     for cell in cells:
         cell.validate()
@@ -716,31 +702,28 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
             logger.info("sentiment_mode is 'none'; source_mode %r is ignored",
                         cell.source_mode)
     runs = _prepare_runs(cells, paths)
+    reports = []
     for _, group in groupby(runs, key=lambda run: run.config.source_mode):
         group = list(group)
-        shared = None
-        for fold_index in range(group[0].plan.k):
-            try:
-                shared = _run_fold_cells(group, fold_index, shared)
-            except PipelineError as exc:
-                raise _in_fold(exc, fold_index) from exc
+        readouts = _fold_sentiment(group)
         for run in group:
-            _train_folds(run)
-    reports = []
-    for run in runs:
-        config = run.config
-        selection_info = None
-        if run.source is not None and run.source.selected is not None:
-            selection_info = {"kept": len(run.source.selected),
-                              "total": len(run.source.items), "z": config.z}
-        report = EvalReport(config=config.to_dict(),
-                            config_hash=config.config_hash(), seed=config.seed,
-                            columns=run.columns,
-                            timing_seconds=time.perf_counter() - started,
-                            selection=selection_info)
-        logger.info("experiment %s finished in %.1fs (best mean accuracy %.4f)",
-                    report.config_hash, report.timing_seconds, report.best_mean())
-        reports.append(report)
+            config = run.config
+            columns = _train_folds(run, readouts)
+            selection_info = None
+            if run.source is not None and run.source.selected is not None:
+                selection_info = {"kept": len(run.source.selected),
+                                  "total": len(run.source.items), "z": config.z}
+            report = EvalReport(config=config.to_dict(),
+                                config_hash=config.config_hash(),
+                                seed=config.seed, columns=columns,
+                                timing_seconds=time.perf_counter() - started,
+                                selection=selection_info)
+            logger.info("experiment %s finished in %.1fs (best mean accuracy "
+                        "%.4f)", report.config_hash, report.timing_seconds,
+                        report.best_mean())
+            reports.append(report)
+        # the next source mode's models do not train beside these
+        del readouts
     return reports
 
 
@@ -788,53 +771,49 @@ def sentiment_features(model: SentimentModel, sentiment_modes: set[str], mats,
     return features
 
 
-def _run_fold_cells(runs: list[RunContext], index: int, shared):
-    """Split fold `index` and run the fold of every cell in `runs`, which
-    share a source mode, on one sentiment model and the features read from
-    it: `shared`, a (model, features) pair, or one trained here when it is
-    None. Returns the pair the next fold may reuse.
+def _fold_sentiment(runs: list[RunContext]) -> list[tuple]:
+    """One (model, features) entry per fold for the cells in `runs`, which
+    share a source mode: the fold's sentiment model, which saw no label of
+    the fold's test users, kept only when a finetuned cell's composite
+    starts from it (None otherwise), and the features `sentiment_features`
+    reads from it for the other cells' modes.
 
     Only manual labels make the sentiment training set depend on the fold
     (a fold trains on its training users' labels alone), so those sources
-    train a model per fold and return None. The others train on the same
-    set in every fold: their model is trained once, in the first fold with
-    that fold's seed, and shared read-only by every later fold."""
-    first = runs[0]
-    source = first.source
-    train_ids, test_ids = first.plan.split(index)
-    seed = _fold_seed(first.config.seed, index, 1)
-    if source is not None and shared is None:
-        model, _ = train_fold_sentiment(first.config,
-                                        source.training_set(train_ids), index)
-        shared = model, sentiment_features(
-            model, {run.config.sentiment_mode for run in runs},
-            first.mats, first.lengths, first.polarity)
-    model, features = shared or (None, {})
-    for run in runs:
-        _run_fold(Fold(run, index, seed, train_ids, test_ids, model, features))
-    return shared if source is not None and source.manual is None else None
+    train one model per fold. The others train on the same set in every
+    fold: one model, trained with fold 1's seed, serves every fold."""
+    modes = {run.config.sentiment_mode for run in runs}
+    first = next((run for run in runs if run.source is not None), runs[0])
+    source, k = first.source, first.plan.k
+    if source is None:
+        return [(None, {})] * k
+
+    def read(index):
+        try:
+            model, _ = train_fold_sentiment(
+                first.config, source.training_set(first.plan.split(index)[0]),
+                index)
+            return (model if "finetuned_lstm" in modes else None,
+                    sentiment_features(model, modes, first.mats, first.lengths,
+                                       first.polarity))
+        except PipelineError as exc:
+            raise _in_fold(exc, index) from exc
+
+    if source.manual is None:
+        return [read(0)] * k
+    return [read(index) for index in range(k)]
 
 
 def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
     return _run_cells([config], paths)[0]
 
 
-def _run_fold(fold: Fold) -> None:
-    """Leave `fold`'s record in the cell's `folds`; its gender model trains
-    after the cell's last fold (see `_train_folds`)."""
-    run = fold.run
-    mode = run.config.sentiment_mode
-    run.folds.append(FoldRecord(
-        fold.index, fold.seed, run.rows(fold.train_ids), run.rows(fold.test_ids),
-        fold.sentiment_model if mode == "finetuned_lstm"
-        else fold.sentiment_features.get(mode)))
-
-
-def _train_folds(run: RunContext) -> None:
-    """Train the gender model of every fold in `run.folds` on the fold's
+def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
+    """Train the gender model of every fold of `run.plan` on the fold's
     training data (see `RunContext.training_data`), score it at the grid
-    epochs on the fold's test users and add its accuracies to the cell's
-    columns, in fold order.
+    epochs on the fold's test users and return the cell's columns, with
+    the accuracies in fold order. Fold i reads entry i of `readouts` (see
+    `_fold_sentiment`) and trains with the seed of fold i.
 
     A finetuned fold's composite starts from a copy of the LSTM of the
     fold's own sentiment model. Each is built just before it trains, so
@@ -844,9 +823,15 @@ def _train_folds(run: RunContext) -> None:
     snapshot and ends with the bytes it would have trained to alone. A
     failure names the fold it happened in."""
     config = run.config
+    mode = config.sentiment_mode
     scores, stacks = [], {}
     try:
-        for fold in run.folds:
+        for index, (sentiment, features) in enumerate(readouts):
+            train_ids, test_ids = run.plan.split(index)
+            fold = FoldRecord(index, _fold_seed(config.seed, index, 1),
+                              run.rows(train_ids), run.rows(test_ids),
+                              sentiment if mode == "finetuned_lstm"
+                              else features.get(mode))
             failing = [fold]
             score = GridScore(config.epochs, run.labels[fold.test],
                               lambda model, fold=fold: model.predict_proba(
@@ -874,9 +859,9 @@ def _train_folds(run: RunContext) -> None:
     except PipelineError as exc:
         failed = failing[getattr(exc, "member", None) or 0]
         raise _in_fold(exc, failed.index) from exc
-    for score in scores:
-        score.append_to(run.columns)
-    run.folds.clear()
+    return [EpochColumn(epochs=e,
+                        fold_accuracies=[score.accuracy[e] for score in scores])
+            for e in config.epochs]
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")

@@ -120,6 +120,15 @@ def test_exit_code_2_on_config_error(small_dataset, capsys):
     assert "configuration error" in captured.err
 
 
+def test_bad_epochs_flag_exits_2(small_dataset, capsys):
+    # the flag goes through the parser the config file's epochs line uses
+    code = main(["evaluate"] + flags(small_dataset) + ["--epochs", "1,x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configuration error" in captured.err
+    assert "'1,x'" in captured.err
+
+
 def test_exit_code_3_on_missing_file(tmp_path, capsys):
     code = main(["evaluate", "--users", str(tmp_path / "absent.jsonl")])
     captured = capsys.readouterr()
@@ -348,18 +357,20 @@ def test_extract_writes_the_features_evaluate_trains_on(
     capsys.readouterr()
 
     trained, train_ids = {}, {}
-    run_fold, train_gender = experiment._run_fold, experiment.train_gender
+    training_data = experiment.RunContext.training_data
+    train_gender = experiment.train_gender
 
-    def recorded(fold):
-        run_fold(fold)
-        train_ids[fold.seed] = fold.train_ids
+    def recorded(run, fold):
+        users = {i: uid for uid, i in run.index_of.items()}
+        train_ids[fold.seed] = [users[i] for i in fold.train]
+        return training_data(run, fold)
 
     def recorded_gender(features, labels, *args, seeds, **kwargs):
         for seed, x_train in zip(seeds, features):
             trained.update(zip(train_ids[seed], x_train))
         return train_gender(features, labels, *args, seeds=seeds, **kwargs)
 
-    monkeypatch.setattr(experiment, "_run_fold", recorded)
+    monkeypatch.setattr(experiment.RunContext, "training_data", recorded)
     monkeypatch.setattr(experiment, "train_gender", recorded_gender)
     config = ExperimentConfig(**dict(SMALL_CONFIG, representation=representation,
                                      sentiment_mode=mode))

@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,6 +82,16 @@ class TestExperimentConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config_text("just words\n")
+
+    @pytest.mark.parametrize("line", ["epochs=60,x", "folds=three"])
+    def test_unparsable_value_names_its_line(self, line):
+        with pytest.raises(ConfigError, match="config line 2: cannot parse"):
+            parse_config_text(f"# grid\n{line}\n")
+
+    @pytest.mark.parametrize("epochs", ["60,x", ["60", "x"], None])
+    def test_unparsable_epochs_rejected_by_from_dict(self, epochs):
+        with pytest.raises(ConfigError, match="comma-separated list"):
+            ExperimentConfig.from_dict({"epochs": epochs})
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig()
@@ -256,16 +269,17 @@ class TestRunExperiment:
     def test_non_finite_gradient_names_its_fold(self, monkeypatch,
                                                 small_dataset, mode,
                                                 parameter, trained):
-        # every fold's gender model trains after the last fold: the MLPs
-        # of the three folds as one stack, the composites one at a time; a
-        # non-finite gradient in the second still fails with the category
-        # and message a fold-by-fold run gives
-        run_fold, stacks = experiment._run_fold, []
+        # the gender models train after the sentiment pass has served every
+        # fold: the MLPs of the three folds as one stack, the composites
+        # one at a time; a non-finite gradient in the second still fails
+        # with the category and message a fold-by-fold run gives
+        fold_sentiment, stacks = experiment._fold_sentiment, []
         inputs = experiment.RunContext.inputs
 
-        def recorded(fold):
-            run_fold(fold)
-            stacks.append(None)
+        def recorded(runs):
+            readouts = fold_sentiment(runs)
+            stacks.extend([None] * len(readouts))
+            return readouts
 
         def poisoned(run, fold, rows):
             arrays = inputs(run, fold, rows)
@@ -284,7 +298,7 @@ class TestRunExperiment:
             stacks.append("composite")
             return finetune(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "_run_fold", recorded)
+        monkeypatch.setattr(experiment, "_fold_sentiment", recorded)
         monkeypatch.setattr(experiment.RunContext, "inputs", poisoned)
         monkeypatch.setattr(experiment, "train_gender", counted)
         monkeypatch.setattr(experiment, "train_finetune", counted_finetune)
@@ -334,27 +348,26 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
     monkeypatch.setattr(experiment, "train_gender", recorded)
     monkeypatch.setattr(experiment, "GridScore", recorded_score)
     # each fold's training rows, then its test rows, in one base matrix
-    records, start = [], 0
-    for index, (x, _, test, _) in enumerate(folds):
+    # whose row i is user i; fold i of the plan splits off these two blocks
+    splits, start = [], 0
+    for x, _, test, _ in folds:
         middle, end = start + len(x), start + len(x) + len(test)
-        records.append(experiment.FoldRecord(
-            index, 100 + index, list(range(start, middle)),
-            list(range(middle, end)), None))
+        splits.append((range(start, middle), range(middle, end)))
         start = end
     run = experiment.RunContext(
-        config=config, plan=None,
+        config=config, plan=SimpleNamespace(k=len(folds), split=splits.__getitem__),
         base=np.concatenate([a for x, _, test, _ in folds for a in (x, test)]),
         labels=np.concatenate([a for _, y, _, y_test in folds
                                for a in (y, y_test)]),
-        index_of={}, mats=None, lengths=None, source=None, polarity=None,
-        columns=[EpochColumn(epochs=e, fold_accuracies=[]) for e in (7, 3)],
-        folds=list(records))
-    experiment._train_folds(run)
-    assert [seed for seed, _ in trained] == [100, 102, 104, 101, 103]
-    assert run.folds == []
+        index_of={i: i for i in range(start)}, mats=None, lengths=None,
+        source=None, polarity=None)
+    columns = experiment._train_folds(run, [(None, {})] * len(folds))
+    seeds = [experiment._fold_seed(config.seed, index, 1)
+             for index in range(len(folds))]
+    assert [seed for seed, _ in trained] == [seeds[i] for i in (0, 2, 4, 1, 3)]
     members = dict(trained)
-    for j, ((x, labels, test, _), record, (score, probs)) in enumerate(
-            zip(folds, records, scores)):
+    for j, ((x, labels, test, _), seed, (score, probs)) in enumerate(
+            zip(folds, seeds, scores)):
         alone_probs = []
 
         def after_epoch(model, epoch):
@@ -362,16 +375,17 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
                 alone_probs.append(model.predict_proba(test).tobytes())
 
         alone = train_gender(x, [CLASSES[i] for i in labels],
-                             config.train_config(7, record.seed),
+                             config.train_config(7, seed),
                              dropout_rate=config.mlp_dropout,
                              after_epoch=after_epoch)
-        member = members[record.seed]
+        member = members[seed]
         assert member.checksum() == alone.checksum()
         assert member.history == alone.history
         assert [p.tobytes() for p in probs] == alone_probs
         # the columns take the accuracies in fold order
-        assert [col.fold_accuracies[j] for col in run.columns] == \
+        assert [col.fold_accuracies[j] for col in columns] == \
             [score.accuracy[7], score.accuracy[3]]
+    assert [col.epochs for col in columns] == [7, 3]
 
 
 def count_calls(monkeypatch, names):
@@ -424,23 +438,36 @@ class TestRunGrid:
 
 
 def record_sentiment_training(monkeypatch):
-    """Wrap `experiment.train_sentiment` and `experiment._run_fold`; returns
-    the (training set, model) of every training call and the Fold of every
-    fold run, in call order."""
-    trained, folds = [], []
-    train, run_fold = experiment.train_sentiment, experiment._run_fold
+    """Wrap `experiment.train_sentiment`, `experiment.sentiment_features`
+    and `RunContext.training_data`; returns the (training set, model) of
+    every sentiment training call and, for every fold whose gender model
+    gathers its training data, in call order, the fold's (index, the model
+    its features were read from, test user ids)."""
+    trained, read_outs, folds = [], [], []
+    train, read = experiment.train_sentiment, experiment.sentiment_features
+    training_data = experiment.RunContext.training_data
 
     def recorded(data, *args, **kwargs):
         model, curve = train(data, *args, **kwargs)
         trained.append((data, model))
         return model, curve
 
-    def fold_recorded(fold):
-        folds.append(fold)
-        run_fold(fold)
+    def recorded_read(model, *args, **kwargs):
+        features = read(model, *args, **kwargs)
+        read_outs.extend((array, model) for array in features.values())
+        return features
+
+    def fold_recorded(run, fold):
+        users = {i: uid for uid, i in run.index_of.items()}
+        folds.append((fold.index,
+                      next(model for array, model in read_outs
+                           if array is fold.reads),
+                      [users[i] for i in fold.test]))
+        return training_data(run, fold)
 
     monkeypatch.setattr(experiment, "train_sentiment", recorded)
-    monkeypatch.setattr(experiment, "_run_fold", fold_recorded)
+    monkeypatch.setattr(experiment, "sentiment_features", recorded_read)
+    monkeypatch.setattr(experiment.RunContext, "training_data", fold_recorded)
     return trained, folds
 
 
@@ -464,8 +491,8 @@ class TestSentimentTraining:
         assert len(trained) == 1
         assert logged_models(caplog, source_mode) == 1
         (_, model), = trained
-        assert [fold.index for fold in folds] == list(range(config.folds))
-        assert all(fold.sentiment_model is model for fold in folds)
+        assert [index for index, _, _ in folds] == list(range(config.folds))
+        assert all(read is model for _, read, _ in folds)
         # the model is fold 1's: trained with the seed fold 1 has always used
         assert model.seed == experiment._fold_seed(config.seed, 0, 1)
         assert len(report.columns[0].fold_accuracies) == config.folds
@@ -481,12 +508,12 @@ class TestSentimentTraining:
             run_experiment(config, small_dataset)
         assert len(trained) == len(folds) == config.folds
         assert logged_models(caplog, source_mode) == config.folds
-        for fold, (data, model) in zip(folds, trained):
-            assert fold.sentiment_model is model
+        for (_, read, test_ids), (data, model) in zip(folds, trained):
+            assert read is model
             manual = {item.item_id for item in data.items
                       if item.item_id.startswith("manual:")}
             assert manual, "the fold trains on some manual labels"
-            assert not manual & {f"manual:{uid}" for uid in fold.test_ids}
+            assert not manual & {f"manual:{uid}" for uid in test_ids}
         assert len({id(model) for _, model in trained}) == config.folds
 
 
@@ -522,6 +549,42 @@ def test_composites_start_from_their_own_folds_lstm(monkeypatch,
     run_experiment(config, small_dataset)
     assert len(set(trained)) == config.folds
     assert built == trained
+
+
+def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch,
+                                                     small_dataset):
+    # outside finetuned cells a fold's sentiment model is dropped once its
+    # features are read, so none is alive when the gender models train
+    models, alive = [], []
+    train, train_folds = experiment.train_sentiment, experiment._train_folds
+
+    def recorded(*args, **kwargs):
+        model, curve = train(*args, **kwargs)
+        models.append(weakref.ref(model))
+        return model, curve
+
+    def checked(run, readouts):
+        gc.collect()
+        alive.append([ref() is not None for ref in models])
+        return train_folds(run, readouts)
+
+    monkeypatch.setattr(experiment, "train_sentiment", recorded)
+    monkeypatch.setattr(experiment, "_train_folds", checked)
+    config = small_experiment(sentiment_mode="frozen_lstm",
+                              source_mode="entire_plus_manual")
+    run_experiment(config, small_dataset)
+    assert alive == [[False] * config.folds]
+
+
+def test_cells_of_a_source_mode_read_its_models_after_a_cell_without(
+        small_dataset):
+    # a cell without a sentiment mode has no source; the cells after it in
+    # the same source mode still read that mode's sentiment model
+    cells = [small_experiment(sentiment_mode=mode)
+             for mode in ("none", "frozen_lstm", "finetuned_lstm")]
+    reports = experiment._run_cells(cells, small_dataset)
+    for cell, report in zip(cells, reports):
+        assert report.to_json() == run_experiment(cell, small_dataset).to_json()
 
 
 def read_out_forwards(monkeypatch):
