@@ -323,14 +323,15 @@ def doc_vector(doc, table: EmbeddingTable) -> np.ndarray:
 
 def doc_matrix(doc, table: EmbeddingTable, r: int) -> np.ndarray:
     """The document's first min(#in-vocab tokens, r) word vectors as the
-    rows of a (length, d) array; its length is the effective length the
-    LSTM reads."""
+    rows of a (length, d) float32 array; its length is the effective
+    length the LSTM reads. The LSTM computes in its input's dtype, so
+    every sequence made here runs it in float32."""
     if r < 1:
         raise ConfigError(f"r must be >= 1, got {r}")
     vectors = _in_vocab_vectors(doc, table)
     if not vectors:
         raise AllOovError(f"document {document_id(doc)!r} has no in-vocabulary token")
-    return np.stack(vectors[:r])
+    return np.array(vectors[:r], dtype=np.float32)
 
 
 def tfidf_representation(documents: Sequence,

@@ -428,9 +428,9 @@ def target_vectors(docs, table):
 
 
 def target_matrices(docs, table, r: int):
-    """(kept docs, (n, T, d) zero-padded word-vector sequences, effective
-    lengths) of the users with an in-vocabulary token, row i belonging to
-    kept[i]; T is the longest effective length."""
+    """(kept docs, (n, T, d) zero-padded float32 word-vector sequences,
+    effective lengths) of the users with an in-vocabulary token, row i
+    belonging to kept[i]; T is the longest effective length."""
     kept, seqs = _in_vocabulary(docs, lambda doc: doc_matrix(doc, table, r))
     mats, lengths = pad_sequences(seqs)
     return kept, mats, lengths
@@ -543,7 +543,8 @@ def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
 
     A synthetic matrix's effective length is the maximum over its
     contributors (x_old plus the neighbors used), since interpolation can
-    leave any of their steps nonzero.
+    leave any of their steps nonzero. The synthetic matrices are cast to
+    the dtype of `mats`, so the oversampled stack keeps it.
     """
     flat = np.concatenate([vecs, mats.reshape(len(labels), -1)], axis=1)
     synth = _smote_core(flat, labels, config)
@@ -557,7 +558,8 @@ def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
     new_lens = np.array([int(eff[list((s.old_index,) + s.neighbor_indices)].max())
                          for s in synth])
     return (np.concatenate([vecs, new_flat[:, :vec_dim]]),
-            np.concatenate([mats, new_flat[:, vec_dim:].reshape(-1, *mats.shape[1:])]),
+            np.concatenate([mats, new_flat[:, vec_dim:].reshape(
+                -1, *mats.shape[1:]).astype(mats.dtype)]),
             np.concatenate([lengths, new_lens]),
             np.concatenate([labels, np.full(len(synth), minority)]))
 
@@ -694,7 +696,10 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     once its features are read, so at most one is alive at a time. The
     second pass trains each cell's gender models over its folds (see
     `_train_folds`), and the cell's report is made as soon as they are
-    scored."""
+    scored. Each mode's features, and the models, are dropped after the
+    last cell of the group that reads them, so a finetuned cell's
+    composites do not train beside the frozen features of the cells
+    before it."""
     started = time.perf_counter()
     for cell in cells:
         cell.validate()
@@ -706,9 +711,14 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
     for _, group in groupby(runs, key=lambda run: run.config.source_mode):
         group = list(group)
         readouts = _fold_sentiment(group)
-        for run in group:
+        for position, run in enumerate(group):
             config = run.config
             columns = _train_folds(run, readouts)
+            later = {other.config.sentiment_mode for other in group[position + 1:]}
+            readouts = [(model if "finetuned_lstm" in later else None,
+                         {mode: value for mode, value in features.items()
+                          if mode in later})
+                        for model, features in readouts]
             selection_info = None
             if run.source is not None and run.source.selected is not None:
                 selection_info = {"kept": len(run.source.selected),
@@ -722,8 +732,6 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
                         "%.4f)", report.config_hash, report.timing_seconds,
                         report.best_mean())
             reports.append(report)
-        # the next source mode's models do not train beside these
-        del readouts
     return reports
 
 

@@ -1,5 +1,8 @@
-"""Minimal float64 neural toolkit: layers, losses, optimizers, the
-training loop and checkpoint serialization."""
+"""Minimal neural toolkit: layers, losses, optimizers, the training loop
+and checkpoint serialization. Parameters, gradients, optimizer state,
+checkpoints and the dense layers are float64; the LSTM computes in the
+dtype of its input sequences, float32 for every sequence the pipeline
+makes, over those float64 parameters."""
 
 from .checkpoint import (
     header_field,

@@ -1,11 +1,20 @@
 """Dense, dropout and LSTM layers with exact analytic gradients.
 
-All math runs in float64. A layer caches whatever its backward pass needs
-during forward (the LSTM can skip that at inference); `backward` writes
-parameter gradients into `self.grads` (overwriting, one forward/backward
-pair per step). The dense and dropout layers return the gradient with
-respect to their input; the LSTM, always a model's first layer, returns
-None.
+Parameters, their gradients and every dense and dropout layer are
+float64. The LSTM computes in the dtype of its input sequences: float32
+sequences run the whole kernel (its stacked weight, the gate and state
+planes and the backward's working arrays) in float32, and any other input
+runs it in float64. Either way it reads the float64 parameters, casting
+them once per call, and writes its gradients into the float64 `grads`, so
+the optimizer and checkpoints keep float64 master weights (mixed
+precision as in Micikevicius et al., arXiv:1710.03740). The pipeline's
+word-vector sequences are float32 (see `embed.doc_matrix`).
+
+A layer caches whatever its backward pass needs during forward (the LSTM
+can skip that at inference); `backward` writes parameter gradients into
+`self.grads` (overwriting, one forward/backward pair per step). The dense
+and dropout layers return the gradient with respect to their input; the
+LSTM, always a model's first layer, returns None.
 
 The dense and dropout layers also take a leading member axis, which is how
 `nn.fit` trains k same-shaped models in lockstep (see `nn.stack`): a
@@ -252,13 +261,17 @@ class LSTMLayer:
                 cache: bool = True) -> np.ndarray:
         """Run the recurrence over a batch.
 
-        x: (B, T, input_dim) with zero padding past each sample's length.
+        x: (B, T, input_dim) with zero padding past each sample's length;
+        float32 runs the kernel in float32, anything else in float64.
         lengths: (B,) ints, 1 <= length <= T.
-        Returns the final hidden state (B, hidden_dim). With `cache` the
-        per-step gates and states are kept for `backward`; without it the
-        call writes nothing to the layer, which is all inference needs.
+        Returns the final hidden state (B, hidden_dim) in the kernel's
+        dtype. With `cache` the per-step gates and states are kept for
+        `backward`; without it the call writes nothing to the layer, which
+        is all inference needs.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
+        dtype = np.float32 if x.dtype == np.float32 else np.float64
+        x = x.astype(dtype, copy=False)
         lengths = np.asarray(lengths, dtype=np.int64)
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ShapeError(f"{self!r} expected input (B, T, {self.input_dim}), "
@@ -274,19 +287,19 @@ class LSTMLayer:
             self._cache = None
 
         hd = self.hidden_dim
-        weight = self._stacked_weight()
+        weight = self._stacked_weight(dtype)
         # plane t holds [c_{t-1}; h_{t-1}; x_t; 1]: its top 2H rows are the
         # state, its bottom H+D+1 rows the step's GEMM operand. Cached:
         # every step's plane; else a ring of two
-        planes = np.zeros((t_max + 1 if cache else 2, 2 * hd + d + 1, n))
+        planes = np.zeros((t_max + 1 if cache else 2, 2 * hd + d + 1, n), dtype)
         planes[:, 2 * hd + d] = 1.0
         if cache:
             planes[:t_max, 2 * hd:2 * hd + d] = x[:, :t_max].transpose(1, 2, 0)
-        acts = np.empty((t_max if cache else 1, 5 * hd, n))
+        acts = np.empty((t_max if cache else 1, 5 * hd, n), dtype)
         i, f, o, g, tanh_c = _gate_planes(acts, hd)
-        scratch = np.empty((hd, n))
+        scratch = np.empty((hd, n), dtype)
         if not cache:
-            final = np.empty((n, hd))
+            final = np.empty((n, hd), dtype)
             ends = _last_steps(lengths)
         for t in range(t_max):
             s = t if cache else 0
@@ -325,23 +338,25 @@ class LSTMLayer:
         lengths = self._cache["lengths"]
         t_max, _, n = acts.shape
         hd, d = self.hidden_dim, self.input_dim
-        d_final = np.asarray(d_final, dtype=np.float64)
+        dtype = planes.dtype
+        d_final = np.asarray(d_final, dtype=dtype)
         if d_final.shape != (n, hd):
             raise ShapeError(f"{self!r} expected output gradient ({n}, {hd}), "
                              f"got {d_final.shape}")
 
         ends = _last_steps(lengths)
         # gradient of [w_h; w_x; bias]^T, laid out as the stacked weight
-        d_weight = np.zeros((4 * hd, hd + d + 1))
+        d_weight = np.zeros((4 * hd, hd + d + 1), dtype)
         step_grad = np.empty_like(d_weight)
         # d(loss)/d(c) over d(loss)/d(h), stacked as the forward's state
         # (a ring of two, indexed by the step's parity). A sample's column
         # stays zero until its last step, where d_final enters
-        d_state = np.zeros((2, 2 * hd, n))
-        dc_raw = np.empty((hd, n))
-        slope = np.empty((2 * hd, n))
-        one_minus = np.empty((3 * hd, n))
-        dz = np.empty((4 * hd, n))
+        d_state = np.zeros((2, 2 * hd, n), dtype)
+        dc_raw = np.empty((hd, n), dtype)
+        slope = np.empty((2 * hd, n), dtype)
+        one_minus = np.empty((3 * hd, n), dtype)
+        dz = np.empty((4 * hd, n), dtype)
+        w_h = self.w_h.astype(dtype, copy=False)
         dz_i, dz_f, dz_o, dz_g = (dz[k * hd:(k + 1) * hd] for k in range(4))
         i, f, o, g, tanh_c = _gate_planes(acts, hd)
         for t in range(t_max - 1, -1, -1):
@@ -367,16 +382,16 @@ class LSTMLayer:
             np.matmul(dz, planes[t, hd:].T, out=step_grad)
             np.add(d_weight, step_grad, out=d_weight)
             np.multiply(dc_raw, f[t], out=d_out[:hd])
-            np.matmul(self.w_h, dz, out=d_out[hd:])
+            np.matmul(w_h, dz, out=d_out[hd:])
         self.grads["w_h"][...] = d_weight[:, :hd].T
         self.grads["w_x"][...] = d_weight[:, hd:hd + d].T
         self.grads["bias"][...] = d_weight[:, hd + d]
 
-    def _stacked_weight(self) -> np.ndarray:
-        """[w_h; w_x; bias]^T as one (4H, H+D+1) weight, with the i, f and o
-        rows halved for the tanh form of their sigmoid."""
+    def _stacked_weight(self, dtype) -> np.ndarray:
+        """[w_h; w_x; bias]^T as one (4H, H+D+1) weight of `dtype`, with
+        the i, f and o rows halved for the tanh form of their sigmoid."""
         hd, d = self.hidden_dim, self.input_dim
-        weight = np.empty((4 * hd, hd + d + 1))
+        weight = np.empty((4 * hd, hd + d + 1), dtype)
         weight[:, :hd] = self.w_h.T
         weight[:, hd:hd + d] = self.w_x.T
         weight[:, hd + d] = self.bias

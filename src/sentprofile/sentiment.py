@@ -106,12 +106,14 @@ class EpochStats:
 
 
 def pad_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """(len(seqs), T, d) zero-padded stack of (length, d) sequences and
-    their lengths. T is the longest length: the LSTM reads each sequence's
-    state at its own last step, so padding past the longest one would
-    change nothing but cost recurrence steps and memory."""
+    """(len(seqs), T, d) zero-padded stack of (length, d) sequences, in
+    the dtype of the first one, and their lengths. T is the longest
+    length: the LSTM reads each sequence's state at its own last step, so
+    padding past the longest one would change nothing but cost recurrence
+    steps and memory."""
     lengths = np.array([len(seq) for seq in seqs])
-    mats = np.zeros((len(seqs), int(lengths.max()), seqs[0].shape[1]))
+    mats = np.zeros((len(seqs), int(lengths.max()), seqs[0].shape[1]),
+                    seqs[0].dtype)
     for row, seq in enumerate(seqs):
         mats[row, :len(seq)] = seq
     return mats, lengths

@@ -306,8 +306,8 @@ class TestDocMatrix:
         table = EmbeddingTable(d, {t: np.full(d, i, dtype=float)
                                    for i, t in enumerate("abc")})
         m = doc_matrix(TokenDocument("d", ("a", "b", "c")), table, r=500)
-        assert m.shape == (3, d) and m.dtype == np.float64
-        assert m.flags.c_contiguous and m.nbytes == 3 * d * 8
+        assert m.shape == (3, d) and m.dtype == np.float32
+        assert m.flags.c_contiguous and m.nbytes == 3 * d * 4
 
     def test_vector_is_column_mean_of_unpadded_matrix(self, tiny_table):
         rng = np.random.default_rng(2)

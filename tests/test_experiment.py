@@ -576,6 +576,67 @@ def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch,
     assert alive == [[False] * config.folds]
 
 
+def test_frozen_features_freed_before_the_finetuned_cell_trains(
+        monkeypatch, small_dataset):
+    # a manual source reads per-fold frozen features; once the last frozen
+    # cell of the group has trained, they are dropped, so none is alive
+    # while the group's finetuned composites train
+    features, alive = [], {}
+    train_folds = experiment._train_folds
+
+    def checked(run, readouts):
+        if not features:
+            features.extend(weakref.ref(value) for _, by_mode in readouts
+                            for value in by_mode.values())
+        gc.collect()
+        alive[run.config.sentiment_mode] = sum(ref() is not None
+                                               for ref in features)
+        return train_folds(run, readouts)
+
+    monkeypatch.setattr(experiment, "_train_folds", checked)
+    cells = [small_experiment(sentiment_mode=mode,
+                              source_mode="entire_plus_manual")
+             for mode in GRID_LAYERS]
+    experiment._run_cells(cells, small_dataset)
+    # one (n, H) state array and one (n, 1) head array per fold
+    assert len(features) == 2 * cells[0].folds
+    assert alive == {"frozen_lstm": 2 * cells[0].folds,
+                     "frozen_dense": cells[0].folds, "finetuned_lstm": 0}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sentiment_mode": "frozen_lstm"},
+    {"sentiment_mode": "finetuned_lstm", "smote": True, "smote_k": 2},
+    {"sentiment_mode": "polarity_features"},
+])
+def test_lstm_reads_only_float32_sequences(monkeypatch, small_dataset,
+                                           tmp_path, overrides):
+    # every sequence the pipeline makes is float32 (`doc_matrix`), so the
+    # LSTM computes in float32; an upcast on the way, such as SMOTE's
+    # float64 synthetic rows joining a float32 stack, would run it in
+    # float64 without failing. Every other female user is left out, so
+    # SMOTE has a minority to oversample
+    from sentprofile.nn import LSTMLayer
+
+    with open(small_dataset.users, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    females = [line for line in lines if json.loads(line)["gender"] == "female"]
+    users = tmp_path / "users.jsonl"
+    users.write_text("".join(line for line in lines
+                             if line not in females[::2]), encoding="utf-8")
+    paths = replace(small_dataset, users=str(users), manual=None)
+    dtypes = []
+    forward = LSTMLayer.forward
+
+    def recorded(self, x, *args, **kwargs):
+        dtypes.append(np.asarray(x).dtype)
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(LSTMLayer, "forward", recorded)
+    run_experiment(small_experiment(**overrides), paths)
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
+
 def test_cells_of_a_source_mode_read_its_models_after_a_cell_without(
         small_dataset):
     # a cell without a sentiment mode has no source; the cells after it in

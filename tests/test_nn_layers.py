@@ -311,6 +311,66 @@ class TestLstmForward:
         assert peak - held < 0.25 * cache_bytes
 
 
+class TestFloat32Kernel:
+    # float32 rounds each operation to u = 2**-24 (about 6e-8). A step's
+    # GEMM has depth K = H+D+1, at most 66 here, so its entries can lose up
+    # to K*u (about 3.9e-6, Higham's gamma_K) in the worst case; the gates
+    # have slope at most 1 and the forget gate shrinks the carried state,
+    # so the recurrence does not blow that up. Measured against the float64
+    # kernel on the same float32-rounded inputs, the largest error stays
+    # under 10*u at every shape below (and at the paper shape (32, 93, 100,
+    # 64)). A bound of 1e-5 of the largest entry keeps room for other BLAS
+    # builds and still fails a kernel that computed in float16 (u about
+    # 4.9e-4) or mixed up a gate.
+    BOUND = 1e-5
+
+    @pytest.mark.parametrize("batch, steps, d, hd", [
+        (1, 9, 24, 32), (7, 30, 24, 32), (32, 80, 24, 32), (64, 30, 26, 39)])
+    def test_float32_within_bound_of_float64(self, batch, steps, d, hd):
+        layer = LSTMLayer(d, hd, rng=rng())
+        gen = np.random.default_rng(batch * 100 + steps)
+        lengths = gen.integers(1, steps + 1, size=batch)
+        lengths[0] = steps
+        x32 = gen.normal(size=(batch, steps, d)).astype(np.float32)
+        for b, length in enumerate(lengths):
+            x32[b, length:] = 0.0
+        x64 = x32.astype(np.float64)
+        d_final = gen.normal(size=(batch, hd))
+
+        want_h = layer.forward(x64, lengths)
+        layer.backward(d_final)
+        want_grads = {name: value.copy() for name, value in layer.grads.items()}
+        got_h = layer.forward(x32, lengths)
+        layer.backward(d_final)
+        free = layer.forward(x32, lengths, cache=False)
+        assert got_h.dtype == free.dtype == np.float32
+        assert free.tobytes() == got_h.tobytes()
+        for name, got, want in [("h", got_h, want_h)] + [
+                (name, layer.grads[name], want_grads[name])
+                for name in want_grads]:
+            error = np.abs(got - want).max() / np.abs(want).max()
+            assert error <= self.BOUND, name
+
+        # one training step on float32 sequences leaves the parameters,
+        # the gradients and their flat buffers in float64
+        from sentprofile.nn import TrainConfig, binary_cross_entropy, fit
+        from sentprofile.sentiment import SentimentModel
+
+        model = SentimentModel(d, hd, dropout_rate=0.0)
+        before = model.checksum()
+        targets = (gen.random((batch, 1)) > 0.5).astype(np.float64)
+        fit([model], [(x32, lengths)], [targets], binary_cross_entropy,
+            TrainConfig(epochs=1, batch_size=batch, seed=0), [rng()])
+        assert model.checksum() != before
+        flat_params, flat_grads = model.buffers()
+        assert flat_params.dtype == flat_grads.dtype == np.float64
+        for value in [*model.parameters().values(),
+                      *model.gradients().values()]:
+            assert value.dtype == np.float64
+            assert np.shares_memory(value, flat_params) or \
+                np.shares_memory(value, flat_grads)
+
+
 def per_step_lstm(layer, x, lengths, d_final):
     """The plain per-step recurrence, the reference `LSTMLayer` is held to.
     Returns the final hidden state and the three gradients."""

@@ -139,7 +139,7 @@ class TestPredictPolarity:
         # zero steps past the effective length do not move the probability
         model = integrator_model()
         seq = doc_matrix(TokenDocument("d", ("pos0", "pos1")), polarity_table, 9)
-        padded = np.zeros((1, 9, 2))
+        padded = np.zeros((1, 9, 2), seq.dtype)
         padded[0, :2] = seq
         probs = model.forward_batch((padded, np.array([2])))
         assert predict_polarity(model, seq) == probs[0, 0]
@@ -548,12 +548,13 @@ class TestFinetune:
 def old_layout_stack(token_docs, table, r):
     """The stack the padded document layout gave: each document's first r
     in-vocabulary word vectors as the columns of a zero-padded (d, r)
-    matrix, transposed, and the stack cut to the longest document."""
+    matrix, transposed, and the stack cut to the longest document. The
+    word vectors are rounded to float32, as `doc_matrix` rounds them."""
     columns = [[table[t] for t in tokens if t in table][:r]
                for tokens in token_docs]
     padded = []
     for cols in columns:
-        values = np.zeros((table.dimension, r))
+        values = np.zeros((table.dimension, r), np.float32)
         values[:, :len(cols)] = np.column_stack(cols)
         padded.append(values)
     t = max(len(cols) for cols in columns)
