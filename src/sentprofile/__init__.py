@@ -23,12 +23,7 @@ from .corpus import (
     load_stopwords,
     load_user_records,
 )
-from .domainsel import (
-    LabeledDomainSet,
-    LabeledItem,
-    augment_with_manual,
-    select_source,
-)
+from .domainsel import select_source
 from .embed import (
     EmbedConfig,
     EmbeddingTable,
@@ -68,7 +63,6 @@ from .gender import GenderModel, train_gender
 from .nn import TrainConfig, load_model, save_model
 from .resample import ResampleConfig, smote
 from .sentiment import (
-    SentimentConfig,
     SentimentModel,
     build_finetune_model,
     extract_representations,

@@ -145,14 +145,14 @@ def _cmd_select_source(args) -> int:
     source = sentiment_sources(config, [config.source_mode], reviews,
                                target_vectors(docs, table)[1], table,
                                stopwords)[config.source_mode]
-    kept_ids = {item.item_id for item in source.selected.items}
+    kept_ids = {source.ids[row] for row in source.selected}
     with open(args.out, "w", encoding="utf-8") as fh:
         for review in reviews:
             if review.review_id in kept_ids:
                 fh.write(json.dumps({"review_id": review.review_id,
                                      "polarity": review.polarity,
                                      "tokens": list(review.tokens)}) + "\n")
-    print(f"kept {len(source.selected)} of {len(source.items)} reviews at "
+    print(f"kept {len(source.selected)} of {len(source.seqs)} reviews at "
           f"z={config.z}; wrote {args.out}")
     return 0
 
@@ -164,13 +164,13 @@ def _cmd_sentiment_train(args) -> int:
     table = embedding_table(config, paths, docs, reviews)
     targets = (target_vectors(docs, table)[1]
                if "high_similarity" in config.source_mode else None)
-    training_set = sentiment_sources(config, [config.source_mode], reviews,
-                                     targets, table, stopwords,
-                                     paths.manual)[config.source_mode].training_set()
-    model, curve = train_fold_sentiment(config, training_set)
+    source = sentiment_sources(config, [config.source_mode], reviews, targets,
+                               table, stopwords, paths.manual)[config.source_mode]
+    seqs, polarity = source.training_set()
+    model, curve = train_fold_sentiment(config, seqs, polarity)
     save_model(model, args.out)
     last = curve[-1]
-    print(f"trained on {len(training_set)} items; held-out accuracy "
+    print(f"trained on {len(seqs)} items; held-out accuracy "
           f"{last.heldout_accuracy:.4f} after {last.epoch} epochs; "
           f"saved to {args.out}")
     return 0
@@ -263,6 +263,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_synth_data(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     config = SynthConfig(n_users=args.users, n_reviews=args.reviews,
                          seed=args.seed,
                          marker_correlation=args.marker_correlation)

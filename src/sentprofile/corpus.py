@@ -74,6 +74,16 @@ def _parse_line(line: str, number: int):
     return record
 
 
+def jsonl_records(path):
+    """(line number, record) of each non-blank line of a JSONL file, every
+    line parsed by `_parse_line`, so a line that is not a JSON object is a
+    ParseError naming its number."""
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                yield number, _parse_line(line, number)
+
+
 def _require(record: dict, field: str, number: int):
     if field not in record:
         raise SchemaError(f"missing field {field!r}", number)
@@ -118,15 +128,9 @@ def load_user_records(path) -> list[UserRecord]:
     Empty posts are dropped at ingestion; a record left without any
     non-empty post is rejected. Duplicate user_id is an error.
     """
-    records: list[UserRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            records.append(_user_record(_parse_line(line, number), number,
-                                        seen))
-    return records
+    return [_user_record(record, number, seen)
+            for number, record in jsonl_records(path)]
 
 
 def load_source_reviews(path) -> list[SourceReview]:
@@ -134,29 +138,25 @@ def load_source_reviews(path) -> list[SourceReview]:
     list with a warning."""
     reviews: list[SourceReview] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _parse_line(line, number)
-            review_id = _require(record, "review_id", number)
-            if not isinstance(review_id, str) or not review_id:
-                raise SchemaError("review_id must be a non-empty string", number)
-            polarity = _require(record, "polarity", number)
-            if polarity not in POLARITIES:
-                raise SchemaError(f"unknown polarity {polarity!r} for review "
-                                  f"{review_id!r} (expected one of {POLARITIES})",
-                                  number)
-            tokens = _check_token_list(_require(record, "tokens", number),
-                                       "tokens", number)
-            if not tokens:
-                raise SchemaError(f"review {review_id!r} has no tokens", number)
-            if review_id in seen:
-                raise DuplicateKeyError(f"duplicate review_id {review_id!r} "
-                                        f"(line {number})")
-            seen.add(review_id)
-            reviews.append(SourceReview(review_id=review_id, tokens=tokens,
-                                        polarity=polarity))
+    for number, record in jsonl_records(path):
+        review_id = _require(record, "review_id", number)
+        if not isinstance(review_id, str) or not review_id:
+            raise SchemaError("review_id must be a non-empty string", number)
+        polarity = _require(record, "polarity", number)
+        if polarity not in POLARITIES:
+            raise SchemaError(f"unknown polarity {polarity!r} for review "
+                              f"{review_id!r} (expected one of {POLARITIES})",
+                              number)
+        tokens = _check_token_list(_require(record, "tokens", number),
+                                   "tokens", number)
+        if not tokens:
+            raise SchemaError(f"review {review_id!r} has no tokens", number)
+        if review_id in seen:
+            raise DuplicateKeyError(f"duplicate review_id {review_id!r} "
+                                    f"(line {number})")
+        seen.add(review_id)
+        reviews.append(SourceReview(review_id=review_id, tokens=tokens,
+                                    polarity=polarity))
     if not reviews:
         logger.warning("no reviews loaded from %s", path)
     return reviews
@@ -167,16 +167,12 @@ def load_manual_records(path) -> list[tuple[UserRecord, str]]:
     an optional gender (default male), plus a 'polarity' field."""
     out: list[tuple[UserRecord, str]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _parse_line(line, number)
-            polarity = _require(record, "polarity", number)
-            if polarity not in POLARITIES:
-                raise SchemaError(f"unknown polarity {polarity!r}", number)
-            out.append((_user_record(record, number, seen,
-                                     default_gender="male"), polarity))
+    for number, record in jsonl_records(path):
+        polarity = _require(record, "polarity", number)
+        if polarity not in POLARITIES:
+            raise SchemaError(f"unknown polarity {polarity!r}", number)
+        out.append((_user_record(record, number, seen, default_gender="male"),
+                    polarity))
     return out
 
 

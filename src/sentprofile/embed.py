@@ -288,6 +288,8 @@ def load_embeddings(path) -> EmbeddingTable:
             size, dim = int(header[0]), int(header[1])
         except ValueError:
             raise FormatError("header must hold two integers", 1)
+        if dim < 1:
+            raise FormatError(f"header dimension must be >= 1, got {dim}", 1)
         for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

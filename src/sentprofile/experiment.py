@@ -40,13 +40,7 @@ from .corpus import (
     load_stopwords,
     load_user_records,
 )
-from .domainsel import (
-    DEFAULT_SIMILARITY_THRESHOLD,
-    LabeledDomainSet,
-    LabeledItem,
-    augment_with_manual,
-    select_source,
-)
+from .domainsel import DEFAULT_SIMILARITY_THRESHOLD, select_source
 from .embed import (
     AllOovError,
     EmbedConfig,
@@ -64,7 +58,6 @@ from .nn import TrainConfig
 from .resample import ResampleConfig, _smote_core, smote
 from .sentiment import (
     PolaritySequences,
-    SentimentConfig,
     SentimentModel,
     build_finetune_model,
     extract_representations,
@@ -132,18 +125,21 @@ class ExperimentConfig:
             raise ConfigError("every epochs entry must be >= 1")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if "high_similarity" in self.source_mode and not 0.0 < self.z < 1.0:
             raise ConfigError(f"z must be in (0, 1), got {self.z}")
-        # the rules TrainConfig, doc_matrix, gender_keywords and DropoutLayer
-        # apply, checked here so a bad value fails before any work
-        for name in ("sentiment_epochs", "r", "keyword_top_n"):
+        # the rules TrainConfig, doc_matrix, gender_keywords, LSTMLayer and
+        # DropoutLayer apply, checked here so a bad value fails before any work
+        for name in ("sentiment_epochs", "r", "keyword_top_n", "hidden_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.mlp_dropout < 1.0:
-            raise ConfigError(f"mlp_dropout must be in [0, 1), got {self.mlp_dropout}")
+        for name in ("mlp_dropout", "sentiment_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got "
+                                  f"{getattr(self, name)}")
         self.resample_config()
         self.embed_config()
-        self.sentiment_config()
         self.train_config(min(self.epochs))
 
     # the component configurations every stage trains with; a fold passes
@@ -163,10 +159,6 @@ class ExperimentConfig:
         return EmbedConfig(dimension=self.dimension, window=self.window,
                            negatives=self.negatives, epochs=self.embed_epochs,
                            min_count=self.min_count, seed=self.seed)
-
-    def sentiment_config(self) -> SentimentConfig:
-        return SentimentConfig(hidden_size=self.hidden_size,
-                               dropout_rate=self.sentiment_dropout)
 
     def to_dict(self) -> dict:
         out = {}
@@ -366,40 +358,42 @@ def embedding_table(config: ExperimentConfig, paths: DataPaths, docs, reviews):
     return fit_embeddings(config, docs, reviews)
 
 
-def _labeled_items(entries, table, r: int, provenance: str,
-                   dropping: str) -> LabeledDomainSet:
-    """One item per (document, polarity, name) in `entries`, with the
-    document's id. A document with no in-vocabulary token is dropped with
-    the warning `dropping % name`."""
-    items = []
-    for doc, polarity, name in entries:
+def _labeled_sequences(entries, table, r: int, dropping: str):
+    """(kept documents, their (length, d) float32 sequences, their 0/1
+    polarity targets) of the (document, polarity) `entries`, target 1
+    marking a positive one. A document with no in-vocabulary token is
+    dropped with the warning `dropping % id`."""
+    kept, seqs, targets = [], [], []
+    for doc, polarity in entries:
         try:
-            items.append(LabeledItem(item_id=document_id(doc),
-                                     matrix=doc_matrix(doc, table, r),
-                                     vector=doc_vector(doc, table),
-                                     polarity=polarity, provenance=provenance))
+            seqs.append(doc_matrix(doc, table, r))
         except AllOovError:
-            logger.warning(dropping, name)
-    return LabeledDomainSet(items=tuple(items))
+            logger.warning(dropping, document_id(doc))
+            continue
+        kept.append(doc)
+        targets.append(polarity == "positive")
+    return kept, seqs, np.array(targets, dtype=np.float64)
 
 
-def build_source_items(reviews, table, r: int) -> LabeledDomainSet:
-    return _labeled_items(((review, review.polarity, review.review_id)
-                           for review in reviews), table, r, "source",
-                          "dropping review %s: all tokens out of vocabulary")
+def build_source_items(reviews, table, r: int):
+    """The kept reviews, sequences and targets of `_labeled_sequences`."""
+    return _labeled_sequences(((review, review.polarity) for review in reviews),
+                              table, r,
+                              "dropping review %s: all tokens out of vocabulary")
 
 
-def build_manual_items(manual_records, table, r: int, stopwords) -> LabeledDomainSet:
-    """One item per manually labelled user, the document of their cleaned
-    posts under the id `manual:<user id>`."""
+def build_manual_items(manual_records, table, r: int, stopwords):
+    """(user ids, sequences, targets) of the manually labelled users that
+    `_labeled_sequences` keeps, each user's document being their cleaned
+    posts."""
     entries = []
     for record, polarity in manual_records:
         tokens = [token for post in record.posts
                   for token in clean_tokens(post, stopwords)]
-        entries.append((TokenDocument(f"manual:{record.user_id}", tuple(tokens)),
-                        polarity, record.user_id))
-    return _labeled_items(entries, table, r, "manual_target",
-                          "dropping manual sample %s: out of vocabulary")
+        entries.append((TokenDocument(record.user_id, tuple(tokens)), polarity))
+    docs, seqs, targets = _labeled_sequences(
+        entries, table, r, "dropping manual sample %s: out of vocabulary")
+    return [doc.doc_id for doc in docs], seqs, targets
 
 
 def _in_vocabulary(docs, represent) -> tuple[list, list]:
@@ -489,40 +483,49 @@ def user_features(config: ExperimentConfig, sentiment_modes: set[str], users,
 @dataclass
 class SentimentSource:
     """What the sentiment model may train on under one source mode: the
-    source items, the ones similarity selection kept (None without
-    selection) and the manual target items (None without manual labels)."""
-    items: LabeledDomainSet
-    selected: LabeledDomainSet | None = None
-    manual: LabeledDomainSet | None = None
+    ids, (length, d) float32 sequences and 0/1 polarity targets of the
+    source reviews, the ascending rows of them that similarity selection
+    kept (None without selection), and the (user ids, sequences, targets)
+    of the manual samples (None without manual labels)."""
+    ids: list[str]
+    seqs: list[np.ndarray]
+    targets: np.ndarray
+    selected: np.ndarray | None = None
+    manual: tuple | None = None
 
-    def training_set(self, train_ids=None) -> LabeledDomainSet:
-        """The sentiment training set. Given `train_ids`, only the manual
-        items of those users join it, so no test user's label leaks in."""
-        base = self.items if self.selected is None else self.selected
+    def training_set(self, train_ids=None) -> tuple[list, np.ndarray]:
+        """The (sequences, targets) of the sentiment training set: the
+        source rows, then the manual rows. Given `train_ids`, only the
+        manual rows of those users join it, so no test user's label leaks
+        in."""
+        seqs, targets = self.seqs, self.targets
+        if self.selected is not None:
+            seqs, targets = [seqs[i] for i in self.selected], targets[self.selected]
         if self.manual is None:
-            return base
-        manual = self.manual
-        if train_ids is not None:
-            allowed = {f"manual:{uid}" for uid in train_ids}
-            manual = LabeledDomainSet(items=tuple(
-                item for item in manual.items if item.item_id in allowed))
-        return augment_with_manual(base, manual)
+            return seqs, targets
+        ids, manual_seqs, manual_targets = self.manual
+        allowed = set(ids if train_ids is None else train_ids)
+        rows = [i for i, uid in enumerate(ids) if uid in allowed]
+        return (seqs + [manual_seqs[i] for i in rows],
+                np.concatenate([targets, manual_targets[rows]]))
 
 
 def sentiment_sources(config: ExperimentConfig, source_modes, reviews,
-                      targets, table, stopwords,
+                      target_vecs, table, stopwords,
                       manual_path=None) -> dict[str, SentimentSource]:
     """One SentimentSource per entry of `source_modes`. They share one set
-    of source items, one similarity selection (at `config.z`) against
-    `targets`, the target users' (n, d) averaged word vectors, and one set
-    of manual target items, each built only if a mode asks for it.
-    `targets` may be None when no mode selects."""
+    of source rows, one similarity selection (at `config.z`) of the
+    reviews' averaged word vectors against `target_vecs`, the target
+    users' (n, d) averaged word vectors, and one set of manual samples,
+    each built only if a mode asks for it. `target_vecs` may be None when
+    no mode selects."""
     if not reviews:
         raise DataError("sentiment training needs source-domain reviews")
-    items = build_source_items(reviews, table, config.r)
+    kept, seqs, targets = build_source_items(reviews, table, config.r)
     selected = manual = None
     if any("high_similarity" in mode for mode in source_modes):
-        selected = select_source(items, targets, config.z)
+        selected = select_source([doc_vector(review, table) for review in kept],
+                                 target_vecs, config.z)
     manual_modes = [mode for mode in source_modes if mode.endswith("plus_manual")]
     if manual_modes:
         if not manual_path:
@@ -530,8 +533,9 @@ def sentiment_sources(config: ExperimentConfig, source_modes, reviews,
                             "labels (--manual-labels)")
         manual = build_manual_items(load_manual_records(manual_path),
                                     table, config.r, stopwords)
+    ids = [review.review_id for review in kept]
     return {mode: SentimentSource(
-                items=items,
+                ids=ids, seqs=seqs, targets=targets,
                 selected=selected if "high_similarity" in mode else None,
                 manual=manual if mode in manual_modes else None)
             for mode in source_modes}
@@ -722,7 +726,7 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
             selection_info = None
             if run.source is not None and run.source.selected is not None:
                 selection_info = {"kept": len(run.source.selected),
-                                  "total": len(run.source.items), "z": config.z}
+                                  "total": len(run.source.seqs), "z": config.z}
             report = EvalReport(config=config.to_dict(),
                                 config_hash=config.config_hash(),
                                 seed=config.seed, columns=columns,
@@ -744,19 +748,22 @@ def _in_fold(exc: PipelineError, index: int) -> PipelineError:
     return PipelineError(f"fold {index + 1}: {exc}")
 
 
-def train_fold_sentiment(config: ExperimentConfig, data: LabeledDomainSet,
+def train_fold_sentiment(config: ExperimentConfig, seqs, targets,
                          index: int = 0) -> tuple[SentimentModel, list]:
-    """Train fold `index`'s sentiment model on `data` with that fold's
-    seed and log its held-out loss and accuracy; returns (model, curve).
-    The one model of `entire` and `high_similarity` is fold 1's (index 0)."""
-    model, curve = train_sentiment(data, config.sentiment_config(),
-                                   config.train_config(
-                                       config.sentiment_epochs,
-                                       _fold_seed(config.seed, index, 1)))
+    """Train fold `index`'s sentiment model on the sequences `seqs` and
+    their polarity `targets` (see `SentimentSource.training_set`) with
+    that fold's seed and log its held-out loss and accuracy; returns
+    (model, curve). The one model of `entire` and `high_similarity` is
+    fold 1's (index 0)."""
+    model, curve = train_sentiment(
+        seqs, targets,
+        config.train_config(config.sentiment_epochs,
+                            _fold_seed(config.seed, index, 1)),
+        config.hidden_size, config.sentiment_dropout)
     last = curve[-1]
     logger.info("sentiment model for %s, fold %d: %d items, held-out "
                 "loss %.4f, accuracy %.4f after %d epochs",
-                config.source_mode, index + 1, len(data),
+                config.source_mode, index + 1, len(seqs),
                 last.heldout_loss, last.heldout_accuracy, last.epoch)
     return model, curve
 
@@ -799,7 +806,7 @@ def _fold_sentiment(runs: list[RunContext]) -> list[tuple]:
     def read(index):
         try:
             model, _ = train_fold_sentiment(
-                first.config, source.training_set(first.plan.split(index)[0]),
+                first.config, *source.training_set(first.plan.split(index)[0]),
                 index)
             return (model if "finetuned_lstm" in modes else None,
                     sentiment_features(model, modes, first.mats, first.lengths,

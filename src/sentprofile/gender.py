@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, ParseError, SchemaError, ShapeError
+from .corpus import jsonl_records
+from .errors import CheckpointError, DataError, SchemaError, ShapeError
 from .nn import (
     DenseLayer,
     DropoutLayer,
@@ -191,39 +192,32 @@ def read_features(path) -> tuple[list[str], list[str], np.ndarray, tuple[str, ..
     rows is an error."""
     ids, labels, rows = [], [], []
     layout = None
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", number)
-            for field in ("user_id", "label", "layout", "values"):
-                if field not in record:
-                    raise SchemaError(f"missing field {field!r}", number)
-            if record["label"] not in CLASSES:
-                raise SchemaError(f"unknown label {record['label']!r}", number)
-            names, values = record["layout"], record["values"]
-            if not (isinstance(names, list)
-                    and all(isinstance(name, str) for name in names)):
-                raise SchemaError("field 'layout' must be a list of strings", number)
-            # type() rather than isinstance() so booleans are not numbers
-            if not (isinstance(values, list)
-                    and all(type(x) in (int, float) for x in values)):
-                raise SchemaError("field 'values' must be a list of numbers", number)
-            if layout is None:
-                first, layout = number, tuple(names)
-            elif tuple(names) != layout:
-                raise SchemaError(f"field 'layout' is {names} where "
-                                  f"line {first} has {list(layout)}", number)
-            elif len(values) != len(rows[0]):
-                raise SchemaError(f"field 'values' holds {len(values)} numbers "
-                                  f"where line {first} holds {len(rows[0])}",
-                                  number)
-            ids.append(record["user_id"])
-            labels.append(record["label"])
-            rows.append(values)
+    for number, record in jsonl_records(path):
+        for field in ("user_id", "label", "layout", "values"):
+            if field not in record:
+                raise SchemaError(f"missing field {field!r}", number)
+        if record["label"] not in CLASSES:
+            raise SchemaError(f"unknown label {record['label']!r}", number)
+        names, values = record["layout"], record["values"]
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
+            raise SchemaError("field 'layout' must be a list of strings", number)
+        # type() rather than isinstance() so booleans are not numbers
+        if not (isinstance(values, list)
+                and all(type(x) in (int, float) for x in values)):
+            raise SchemaError("field 'values' must be a list of numbers", number)
+        if layout is None:
+            first, layout = number, tuple(names)
+        elif tuple(names) != layout:
+            raise SchemaError(f"field 'layout' is {names} where "
+                              f"line {first} has {list(layout)}", number)
+        elif len(values) != len(rows[0]):
+            raise SchemaError(f"field 'values' holds {len(values)} numbers "
+                              f"where line {first} holds {len(rows[0])}",
+                              number)
+        ids.append(record["user_id"])
+        labels.append(record["label"])
+        rows.append(values)
     if not rows:
         raise DataError(f"{path} holds no feature rows")
     return ids, labels, np.array(rows, dtype=np.float64), layout

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TokenDocument, UserRecord, clean_tokens
-from .domainsel import LabeledDomainSet
 from .embed import EmbeddingTable, doc_matrix
-from .errors import AllOovError, ConfigError, DataError
+from .errors import AllOovError, DataError
 from .gender import build_mlp, fit_softmax_classifier
 from .nn import (
     DenseLayer,
@@ -29,17 +28,6 @@ from .nn import (
     load_parameters,
     register_model,
 )
-
-@dataclass
-class SentimentConfig:
-    hidden_size: int = 64
-    dropout_rate: float = 0.4
-
-    def __post_init__(self):
-        if self.hidden_size < 1:
-            raise ConfigError("hidden_size must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0, 1)")
 
 
 class SentimentModel(Model):
@@ -132,39 +120,33 @@ def _heldout_split(labels: np.ndarray, rng: np.random.Generator,
     return np.sort(np.array(train_idx)), np.sort(np.array(held_idx))
 
 
-def train_sentiment(data: LabeledDomainSet, model_config: SentimentConfig | None,
-                    train_config: TrainConfig):
-    """Train the polarity classifier on a labeled domain set.
+def train_sentiment(seqs, targets, train_config: TrainConfig,
+                    hidden_size: int = 64, dropout_rate: float = 0.4):
+    """Train the polarity classifier on the (length, d) sequences `seqs`,
+    target 1 marking a positive one and 0 a negative one.
 
     Returns (model, per-epoch curve) where the curve tracks the loss and
     accuracy on a held-out tenth of the data.
     """
-    model_config = model_config or SentimentConfig()
-    items = data.items
-    per_class = {"positive": 0, "negative": 0}
-    for item in items:
-        per_class[item.polarity] += 1
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    positives = int(targets.sum())
+    per_class = {"positive": positives, "negative": len(targets) - positives}
     if min(per_class.values()) < 2:
         raise DataError(f"need at least 2 items per polarity class, got "
                         f"{per_class}")
-    data.validate()
 
     seq = np.random.SeedSequence(train_config.seed)
     split_seed, batch_seed, dropout_seed = seq.spawn(3)
-    targets = np.array([[1.0 if item.polarity == "positive" else 0.0]
-                        for item in items])
     train_idx, held_idx = _heldout_split(targets,
                                          np.random.default_rng(split_seed))
     # training rows first, so both partitions are views of one stack
     order = np.concatenate([train_idx, held_idx])
-    mats, lengths = pad_sequences([items[i].matrix for i in order])
+    mats, lengths = pad_sequences([seqs[i] for i in order])
     targets = targets[order]
     n = len(train_idx)
     held_inputs, held_targets = (mats[n:], lengths[n:]), targets[n:]
-    model = SentimentModel(input_dim=mats.shape[2],
-                           hidden_size=model_config.hidden_size,
-                           dropout_rate=model_config.dropout_rate,
-                           seed=train_config.seed)
+    model = SentimentModel(input_dim=mats.shape[2], hidden_size=hidden_size,
+                           dropout_rate=dropout_rate, seed=train_config.seed)
     model.dropout.rng = np.random.default_rng(dropout_seed)
 
     heldout = []  # (loss, accuracy) after each epoch

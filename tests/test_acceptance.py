@@ -33,7 +33,6 @@ from sentprofile.nn import (
 )
 from sentprofile.resample import ResampleConfig, smote
 from sentprofile.sentiment import (
-    SentimentConfig,
     polarity_features,
     polarity_sequences,
     train_sentiment,
@@ -141,10 +140,9 @@ def test_smote_geometry_200_random_sets():
 # similarity selection: kept sets nest as z grows and ignore scaling
 # ----------------------------------------------------------------------
 def test_selection_monotonic_and_scale_invariant_100_sets():
-    from test_domainsel import item
+    from sentprofile.domainsel import select_source
 
     rng = np.random.default_rng(20240503)
-    from sentprofile.domainsel import LabeledDomainSet, select_source
 
     for trial in range(100):
         dim = int(rng.integers(2, 6))
@@ -154,13 +152,10 @@ def test_selection_monotonic_and_scale_invariant_100_sets():
         targets = [rng.normal(size=dim) for _ in range(n_target)]
 
         def kept_ids(source_vectors, z):
-            source = LabeledDomainSet(items=tuple(
-                item(f"i{j}", v) for j, v in enumerate(source_vectors)))
             try:
-                kept = select_source(source, targets, z)
+                return set(select_source(source_vectors, targets, z).tolist())
             except EmptySelectionError:
                 return set()
-            return {i.item_id for i in kept.items}
 
         thresholds = sorted(rng.uniform(0.02, 0.9, size=3))
         sets = [kept_ids(vectors, z) for z in thresholds]
@@ -208,10 +203,11 @@ def test_sentiment_learnability_within_30_epochs(bundled_dataset):
     config = ExperimentConfig(**DESK_CONFIG)
     _, docs, reviews, _ = load_corpora(paths)
     table = fit_embeddings(config, docs, reviews)
-    source = build_source_items(reviews, table, r=config.r)
+    _, seqs, targets = build_source_items(reviews, table, r=config.r)
     _, curve = train_sentiment(
-        source, SentimentConfig(hidden_size=32, dropout_rate=0.4),
-        TrainConfig(epochs=30, batch_size=32, learning_rate=3e-3, seed=0))
+        seqs, targets,
+        TrainConfig(epochs=30, batch_size=32, learning_rate=3e-3, seed=0),
+        hidden_size=32, dropout_rate=0.4)
     elapsed = time.perf_counter() - started
     best = max(e.heldout_accuracy for e in curve)
     assert best >= 0.95, f"held-out accuracy only reached {best:.3f}"

@@ -144,6 +144,28 @@ def test_exit_code_3_on_malformed_data(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_exits_2(small_dataset, tmp_path, capsys):
+    # numpy rejects a negative seed only once a generator is made, which
+    # used to end the run with a traceback and exit 1
+    code = main(["evaluate"] + flags(small_dataset) + ["--seed", "-1"])
+    assert code == 2
+    assert "configuration error: seed must be >= 0" in capsys.readouterr().err
+    code = main(["synth-data", "--users", "10", "--reviews", "10",
+                 "--seed", "-1", "--out-dir", str(tmp_path / "data")])
+    assert code == 2
+    assert "configuration error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_zero_dimension_embeddings_exit_3(small_dataset, tmp_path, capsys):
+    path = tmp_path / "emb.txt"
+    path.write_text("2 0\nmarka0\nmarkb0\n", encoding="utf-8")
+    code = main(["evaluate"] + flags(small_dataset) +
+                ["--embeddings", str(path)])
+    assert code == 3
+    assert "data error: line 1: header dimension" in capsys.readouterr().err
+
+
 def test_select_source_fits_embeddings_when_none_given(small_dataset, tmp_path,
                                                        capsys):
     # without --embeddings the table is fitted on both corpora, as in

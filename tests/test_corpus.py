@@ -18,6 +18,7 @@ from sentprofile.errors import (
     ParseError,
     SchemaError,
 )
+from sentprofile.gender import read_features
 
 
 def write_jsonl(path, records):
@@ -25,6 +26,26 @@ def write_jsonl(path, records):
         for record in records:
             fh.write(json.dumps(record) + "\n")
     return path
+
+
+JSONL_READERS = [load_user_records, load_source_reviews, load_manual_records,
+                 read_features]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "record is not a JSON object"),
+    ('"text"', "record is not a JSON object"),
+    ("{not json", "invalid JSON"),
+], ids=["list", "string", "broken"])
+@pytest.mark.parametrize("load", JSONL_READERS,
+                         ids=lambda load: load.__name__)
+def test_jsonl_readers_reject_a_bad_line_by_number(tmp_path, load, line,
+                                                   message):
+    # every JSONL reader skips blank lines and parses the others alike
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"\n  \n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line 3: {message}"):
+        load(path)
 
 
 class TestLoadUserRecords:

@@ -1,43 +1,25 @@
 import numpy as np
 import pytest
 
-from sentprofile.domainsel import (
-    DEFAULT_SIMILARITY_THRESHOLD,
-    LabeledDomainSet,
-    LabeledItem,
-    augment_with_manual,
-    select_source,
-)
+from sentprofile.domainsel import DEFAULT_SIMILARITY_THRESHOLD, select_source
 from sentprofile.errors import (
     ConfigError,
     DataError,
-    DuplicateKeyError,
     EmptySelectionError,
     ShapeError,
 )
+from sentprofile.experiment import SentimentSource
 
 # the gap left between a mean cosine and the thresholds probing it
 EPS = 1e-9
 
 
-def item(item_id, values, polarity="positive", provenance="source",
-         matrix=None):
-    """A labeled item whose document vector is `values`; its word-vector
-    sequence defaults to that vector as a single step."""
-    values = np.asarray(values, dtype=float)
-    return LabeledItem(item_id=item_id,
-                       matrix=values[None, :] if matrix is None else matrix,
-                       vector=values,
-                       polarity=polarity, provenance=provenance)
-
-
 def kept(source_values, target_values, z):
-    """Whether `select_source` keeps a lone item with document vector
-    `source_values` against these target vectors, i.e. whether its mean
-    cosine to them strictly exceeds z."""
-    source = LabeledDomainSet(items=(item("s", source_values),))
+    """Whether `select_source` keeps a lone source row with document
+    vector `source_values` against these target vectors, i.e. whether its
+    mean cosine to them strictly exceeds z."""
     try:
-        select_source(source, target_values, z)
+        select_source([np.asarray(source_values, dtype=float)], target_values, z)
     except EmptySelectionError:
         return False
     return True
@@ -104,9 +86,8 @@ class TestAvgSimilarity:
         assert not kept([0.0, 0.0], [[1.0, 0.0]], EPS)
 
     def test_empty_targets(self):
-        source = LabeledDomainSet(items=(item("s", [1.0]),))
         with pytest.raises(DataError):
-            select_source(source, [], 0.5)
+            select_source([np.ones(1)], [], 0.5)
 
     def test_matches_elementwise_cosine_mean(self):
         rng = np.random.default_rng(2)
@@ -122,15 +103,18 @@ class TestAvgSimilarity:
 
 class TestSelectSource:
     def make_set(self, vectors):
-        return LabeledDomainSet(items=tuple(
-            item(f"i{k}", v) for k, v in enumerate(vectors)))
+        return np.asarray(vectors, dtype=float)
 
     def test_low_threshold_keeps_all(self):
         source = self.make_set([[1.0, 0.0], [0.9, 0.1], [0.8, 0.3]])
         targets = [[1.0, 0.05]]
         kept = select_source(source, targets, z=0.01)
-        assert len(kept) == 3
-        assert [i.item_id for i in kept.items] == ["i0", "i1", "i2"]
+        assert kept.tolist() == [0, 1, 2]
+
+    def test_kept_rows_ascend(self):
+        source = self.make_set([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0],
+                                [1.0, 0.1]])
+        assert select_source(source, [[1.0, 0.0]], z=0.5).tolist() == [1, 3]
 
     def test_high_threshold_empty_error(self):
         source = self.make_set([[1.0, 0.0]])
@@ -139,10 +123,9 @@ class TestSelectSource:
             select_source(source, targets, z=0.9)
 
     def test_strict_inequality(self):
-        # average similarity exactly z must NOT be kept
+        # average similarity exactly z must NOT be kept: against one
+        # parallel and one orthogonal target the average is 0.5
         source = self.make_set([[1.0, 0.0]])
-        targets = [[1.0, 0.0], [-1.0, 0.0]]
-        # avg = (1 - 1) / 2 = 0 < any z; with orthogonal second target avg = 0.5
         targets = [[1.0, 0.0], [0.0, 1.0]]
         with pytest.raises(EmptySelectionError):
             select_source(source, targets, z=0.5)
@@ -163,94 +146,68 @@ class TestSelectSource:
         rng = np.random.default_rng(3)
         source = self.make_set(rng.normal(size=(20, 3)))
         targets = [rng.normal(size=3) for _ in range(5)]
-        kept_ids = []
+        kept_rows = []
         for z in (0.05, 0.2, 0.5):
             try:
-                kept = select_source(source, targets, z)
-                kept_ids.append({i.item_id for i in kept.items})
+                kept_rows.append(set(select_source(source, targets, z).tolist()))
             except EmptySelectionError:
-                kept_ids.append(set())
-        assert kept_ids[2] <= kept_ids[1] <= kept_ids[0]
+                kept_rows.append(set())
+        assert kept_rows[2] <= kept_rows[1] <= kept_rows[0]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         vectors = rng.normal(size=(10, 3))
         targets = [rng.normal(size=3) for _ in range(4)]
         base = select_source(self.make_set(vectors), targets, z=0.05)
-        base_ids = {i.item_id for i in base.items}
         for c in (0.5, 2.0, 10.0):
             scaled = vectors.copy()
             scaled[3] *= c
             kept = select_source(self.make_set(scaled), targets, z=0.05)
-            assert {i.item_id for i in kept.items} == base_ids
+            assert kept.tolist() == base.tolist()
+
+
+def labeled(prefix, n, rng, target=1.0):
+    """(ids, (length, 2) sequences, targets) of n labelled rows."""
+    return ([f"{prefix}{i}" for i in range(n)],
+            [rng.normal(size=(int(rng.integers(1, 5)), 2)) for _ in range(n)],
+            np.full(n, target))
 
 
 class TestAugmentWithManual:
+    """`SentimentSource.training_set`: the source rows the model may train
+    on, extended with the manually labelled target users."""
+
+    def source(self, n_source, n_manual, seed=0, selected=None):
+        rng = np.random.default_rng(seed)
+        ids, seqs, targets = labeled("s", n_source, rng)
+        return SentimentSource(ids=ids, seqs=seqs, targets=targets,
+                               selected=selected,
+                               manual=labeled("u", n_manual, rng, 0.0))
+
     def test_empty_manual_is_identity(self):
-        source = LabeledDomainSet(items=(item("a", [1.0, 0.0]),))
-        out = augment_with_manual(source, LabeledDomainSet(items=()))
-        assert out.items == source.items
+        source = self.source(3, 0)
+        seqs, targets = source.training_set()
+        assert all(a is b for a, b in zip(seqs, source.seqs))
+        assert len(seqs) == 3 and np.array_equal(targets, source.targets)
 
-    def test_cardinality_and_provenance(self):
-        source = LabeledDomainSet(items=tuple(
-            item(f"s{i}", [1.0, float(i)]) for i in range(10)))
-        manual = LabeledDomainSet(items=tuple(
-            item(f"m{i}", [0.0, float(i)], provenance="manual_target")
-            for i in range(3)))
-        out = augment_with_manual(source, manual)
-        assert len(out) == 13
-        flagged = [i for i in out.items if i.provenance == "manual_target"]
-        assert len(flagged) == 3
+    def test_manual_rows_follow_the_source_rows(self):
+        source = self.source(10, 3, selected=np.array([1, 4, 7]))
+        seqs, targets = source.training_set()
+        assert len(seqs) == len(targets) == 6
+        assert all(a is source.seqs[i] for a, i in zip(seqs, (1, 4, 7)))
+        assert all(a is b for a, b in zip(seqs[3:], source.manual[1]))
+        assert targets.tolist() == [1.0] * 3 + [0.0] * 3
 
-    def test_duplicate_id_rejected(self):
-        source = LabeledDomainSet(items=(item("x", [1.0, 0.0]),))
-        manual = LabeledDomainSet(items=(
-            item("x", [0.0, 1.0], provenance="manual_target"),))
-        with pytest.raises(DuplicateKeyError):
-            augment_with_manual(source, manual)
-
-    def test_shape_mismatch_rejected(self):
-        # sequences may differ in length, not in word-vector dimension
-        source = LabeledDomainSet(items=(
-            item("a", [1.0, 0.0], matrix=np.ones((3, 2))),))
-        manual = LabeledDomainSet(items=(
-            item("m", [1.0, 0.0], provenance="manual_target",
-                 matrix=np.ones((5, 2))),
-            item("n", [1.0, 0.0], provenance="manual_target",
-                 matrix=np.ones((3, 4)))))
-        with pytest.raises(ShapeError, match="'n'"):
-            augment_with_manual(source, manual)
-        assert len(augment_with_manual(
-            source, LabeledDomainSet(items=manual.items[:1]))) == 2
-
-    def test_wrong_provenance_rejected(self):
-        source = LabeledDomainSet(items=(item("a", [1.0, 0.0]),))
-        manual = LabeledDomainSet(items=(item("m", [1.0, 0.0]),))
-        with pytest.raises(DataError, match="provenance"):
-            augment_with_manual(source, manual)
+    def test_only_training_users_join(self):
+        source = self.source(4, 5)
+        seqs, targets = source.training_set(["u3", "u1", "absent"])
+        manual = source.manual[1]
+        assert len(seqs) == len(targets) == 6
+        assert seqs[4] is manual[1] and seqs[5] is manual[3]
 
     def test_never_removes_items(self):
         rng = np.random.default_rng(5)
         for trial in range(10):
             n_s, n_m = rng.integers(1, 8, size=2)
-            source = LabeledDomainSet(items=tuple(
-                item(f"s{i}", rng.normal(size=2)) for i in range(n_s)))
-            manual = LabeledDomainSet(items=tuple(
-                item(f"m{i}", rng.normal(size=2), provenance="manual_target")
-                for i in range(n_m)))
-            assert len(augment_with_manual(source, manual)) == n_s + n_m
-
-
-class TestValidate:
-    def test_different_lengths_validate(self):
-        data = LabeledDomainSet(items=tuple(
-            item(f"i{n}", [1.0, 0.0], matrix=np.ones((n, 2)))
-            for n in (1, 4, 2)))
-        data.validate()
-
-    def test_different_dimension_rejected(self):
-        data = LabeledDomainSet(items=(
-            item("a", [1.0, 0.0], matrix=np.ones((2, 2))),
-            item("b", [1.0, 0.0], matrix=np.ones((2, 3)))))
-        with pytest.raises(ShapeError, match="'b'"):
-            data.validate()
+            seqs, targets = self.source(n_s, n_m, seed=trial).training_set()
+            assert len(seqs) == len(targets) == n_s + n_m

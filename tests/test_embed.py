@@ -251,6 +251,15 @@ class TestEmbeddingIO:
         table = load_embeddings(path)
         assert np.array_equal(table["a"], np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_rejected(self, tmp_path, dim):
+        # a "N 0" header with one bare token per line used to load as a
+        # table of empty vectors
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 {dim}\na\nb\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 1: header dimension"):
+            load_embeddings(path)
+
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
             EmbeddingTable(2, {"a": np.array([np.nan, 1.0])})

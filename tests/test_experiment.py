@@ -50,6 +50,9 @@ class TestExperimentConfig:
         {"source_mode": "high_similarity", "z": 1.5},
         {"smote_variant": "adasyn"},
         {"hidden_size": 0},
+        {"sentiment_dropout": 1.0},
+        {"sentiment_dropout": -0.1},
+        {"seed": -1},
         {"sentiment_epochs": 0},
         {"mlp_dropout": 1.5},
         {"r": 0},
@@ -104,8 +107,7 @@ class TestExperimentConfig:
         ("TrainConfig", lambda config: config.train_config(3)),
         ("ResampleConfig", lambda config: config.resample_config()),
         ("EmbedConfig", lambda config: config.embed_config()),
-        ("SentimentConfig", lambda config: config.sentiment_config()),
-    ], ids=["train", "resample", "embed", "sentiment"])
+    ], ids=["train", "resample", "embed"])
     def test_builders_set_every_component_field(self, monkeypatch, component,
                                                 build):
         # a component option that no builder passes is one that no run can
@@ -439,17 +441,17 @@ class TestRunGrid:
 
 def record_sentiment_training(monkeypatch):
     """Wrap `experiment.train_sentiment`, `experiment.sentiment_features`
-    and `RunContext.training_data`; returns the (training set, model) of
-    every sentiment training call and, for every fold whose gender model
+    and `RunContext.training_data`; returns the (training sequences, model)
+    of every sentiment training call and, for every fold whose gender model
     gathers its training data, in call order, the fold's (index, the model
     its features were read from, test user ids)."""
     trained, read_outs, folds = [], [], []
     train, read = experiment.train_sentiment, experiment.sentiment_features
     training_data = experiment.RunContext.training_data
 
-    def recorded(data, *args, **kwargs):
-        model, curve = train(data, *args, **kwargs)
-        trained.append((data, model))
+    def recorded(seqs, *args, **kwargs):
+        model, curve = train(seqs, *args, **kwargs)
+        trained.append((seqs, model))
         return model, curve
 
     def recorded_read(model, *args, **kwargs):
@@ -502,18 +504,30 @@ class TestSentimentTraining:
     def test_manual_source_trains_per_fold_without_test_labels(
             self, monkeypatch, caplog, small_dataset, source_mode):
         trained, folds = record_sentiment_training(monkeypatch)
+        sources = []
+        build = experiment.sentiment_sources
+
+        def recorded_sources(*args, **kwargs):
+            sources.append(build(*args, **kwargs))
+            return sources[-1]
+
+        monkeypatch.setattr(experiment, "sentiment_sources", recorded_sources)
         config = small_experiment(sentiment_mode="frozen_lstm",
                                   source_mode=source_mode, z=0.05)
         with caplog.at_level("INFO", logger="sentprofile.experiment"):
             run_experiment(config, small_dataset)
         assert len(trained) == len(folds) == config.folds
         assert logged_models(caplog, source_mode) == config.folds
-        for (_, read, test_ids), (data, model) in zip(folds, trained):
+        (source,) = [by_mode[source_mode] for by_mode in sources]
+        ids, manual_seqs, _ = source.manual
+        n_source = len(source.training_set([])[0])
+        user_of = {id(seq): uid for uid, seq in zip(ids, manual_seqs)}
+        for (_, read, test_ids), (seqs, model) in zip(folds, trained):
             assert read is model
-            manual = {item.item_id for item in data.items
-                      if item.item_id.startswith("manual:")}
+            # the source rows, then the manual rows of the training users
+            manual = [user_of[id(row)] for row in seqs[n_source:]]
             assert manual, "the fold trains on some manual labels"
-            assert not manual & {f"manual:{uid}" for uid in test_ids}
+            assert manual == [uid for uid in ids if uid not in test_ids]
         assert len({id(model) for _, model in trained}) == config.folds
 
 
@@ -722,10 +736,35 @@ def test_avg_vector_selection_targets_are_the_base_rows(monkeypatch,
     monkeypatch.undo()
     _, docs, reviews, _ = experiment.load_corpora(small_dataset)
     table = experiment.embedding_table(config, small_dataset, docs, reviews)
-    want = select_source(run.source.items,
+    kept = experiment.build_source_items(reviews, table, config.r)[0]
+    want = select_source([experiment.doc_vector(review, table)
+                          for review in kept],
                          experiment.target_vectors(docs, table)[1], config.z)
-    assert ([item.item_id for item in run.source.selected.items]
-            == [item.item_id for item in want.items])
+    assert run.source.selected.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("source_mode", ["entire_plus_manual",
+                                         "high_similarity_plus_manual"])
+def test_only_selection_embeds_review_vectors(monkeypatch, small_dataset,
+                                              source_mode):
+    # the reviews' averaged vectors serve similarity selection alone, and
+    # the manual samples, which are never selected, get none
+    calls = Counter()
+    embed_vector = experiment.doc_vector
+
+    def counted(doc, table):
+        calls[type(doc).__name__] += 1
+        return embed_vector(doc, table)
+
+    monkeypatch.setattr(experiment, "doc_vector", counted)
+    config = small_experiment(representation="tfidf",
+                              sentiment_mode="frozen_lstm",
+                              source_mode=source_mode, z=0.05)
+    run, = experiment._prepare_runs([config], small_dataset)
+    reviews = calls["SourceReview"]
+    assert reviews == (len(run.source.seqs) if run.source.selected is not None
+                       else 0)
+    assert set(calls) <= {"SourceReview", "VirtualDocument"}
 
 
 def hapax_dataset(tmp_path):

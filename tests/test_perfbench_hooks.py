@@ -150,6 +150,31 @@ def test_polarity_scoring_runs_under_traced_name(monkeypatch, small_dataset):
     assert min(forwards_per_call) >= 1
 
 
+def test_selection_counters_match_the_report(monkeypatch, small_dataset):
+    # the tracer wraps `experiment.select_source` and counts the length of
+    # its first argument as domainsel.total and the length of its result as
+    # domainsel.kept; both must be the counts the report's selection holds
+    from sentprofile import experiment
+
+    from conftest import SMALL_CONFIG
+
+    tracer = load_tracer().Tracer()
+    counted = []
+
+    def selected(result, source, *args, **kwargs):
+        counted.append({"kept": len(result), "total": len(source)})
+    monkeypatch.setattr(experiment, "select_source", tracer._span(
+        "domainsel.select", experiment.select_source, selected))
+    config = experiment.ExperimentConfig(
+        **dict(SMALL_CONFIG, sentiment_mode="frozen_lstm",
+               source_mode="high_similarity", z=0.05))
+    report = experiment.run_experiment(config, small_dataset)
+    assert tracer.calls("domainsel.select") == 1
+    assert counted == [{"kept": report.selection["kept"],
+                        "total": report.selection["total"]}]
+    assert 1 <= report.selection["kept"] <= report.selection["total"]
+
+
 def test_document_embedding_runs_under_traced_names(monkeypatch,
                                                    small_dataset):
     # the tracer times `experiment.doc_matrix` and `sentiment.doc_matrix`
@@ -259,14 +284,14 @@ def test_sentiment_partitions_share_one_stack(monkeypatch, polarity_table):
     monkeypatch.setattr(sentiment, "fit", captured_fit)
     monkeypatch.setattr(sentiment.SentimentModel, "forward_batch",
                         captured_forward)
-    data = marker_items(polarity_table, n=40)
+    seqs, targets = marker_items(polarity_table, n=40)
     _, curve = sentiment.train_sentiment(
-        data, sentiment.SentimentConfig(hidden_size=3),
-        TrainConfig(epochs=2, batch_size=8, seed=0))
+        seqs, targets, TrainConfig(epochs=2, batch_size=8, seed=0),
+        hidden_size=3)
     assert len(trained) == 1 and len(held) == len(curve) == 2
     [(mats, lengths)], = trained
     stack = mats.base
-    assert stack is not None and len(stack) == len(data.items)
+    assert stack is not None and len(stack) == len(seqs)
     assert len(mats) + len(held[0][0]) == len(stack)
     for held_mats, held_lengths in held:
         assert held_mats.base is stack and held_lengths.base is lengths.base

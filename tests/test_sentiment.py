@@ -7,7 +7,6 @@ from sentprofile.corpus import (
     VirtualDocument,
     clean_tokens,
 )
-from sentprofile.domainsel import LabeledDomainSet, LabeledItem
 from sentprofile.embed import doc_matrix, doc_vector
 from sentprofile.errors import AllOovError, ConfigError, DataError, ShapeError
 from sentprofile.experiment import target_matrices
@@ -15,7 +14,6 @@ from sentprofile.gender import GenderModel
 from sentprofile.nn import TrainConfig, load_model, save_model
 from sentprofile.sentiment import (
     POLARITY_BATCH,
-    SentimentConfig,
     SentimentModel,
     build_finetune_model,
     extract_representations,
@@ -54,9 +52,10 @@ def integrator_model(input_dim=2, hidden=1):
 
 
 def marker_items(table, n=60, r=6, seed=0):
-    """Tiny polarity set: majority-sign marker tokens decide the label."""
+    """Tiny polarity set, as (sequences, targets): majority-sign marker
+    tokens decide the label, 1 for positive."""
     rng = np.random.default_rng(seed)
-    items = []
+    seqs, targets = [], []
     for i in range(n):
         positive = i % 2 == 0
         main = "pos" if positive else "neg"
@@ -67,30 +66,31 @@ def marker_items(table, n=60, r=6, seed=0):
             tokens.append(f"{other}{rng.integers(0, 4)}")
         order = rng.permutation(len(tokens))
         tokens = [tokens[j] for j in order]
-        doc = TokenDocument(f"it{i}", tuple(tokens))
-        items.append(LabeledItem(
-            item_id=doc.doc_id, matrix=doc_matrix(doc, table, r),
-            vector=doc_vector(doc, table),
-            polarity="positive" if positive else "negative"))
-    return LabeledDomainSet(items=tuple(items))
+        seqs.append(doc_matrix(TokenDocument(f"it{i}", tuple(tokens)), table, r))
+        targets.append(float(positive))
+    return seqs, np.array(targets)
 
 
 class TestTrainSentiment:
     def test_learns_marker_corpus(self, polarity_table):
-        data = marker_items(polarity_table, n=80)
         model, curve = train_sentiment(
-            data, SentimentConfig(hidden_size=8, dropout_rate=0.2),
-            TrainConfig(epochs=30, batch_size=8, learning_rate=5e-3, seed=1))
+            *marker_items(polarity_table, n=80),
+            TrainConfig(epochs=30, batch_size=8, learning_rate=5e-3, seed=1),
+            hidden_size=8, dropout_rate=0.2)
         assert max(e.heldout_accuracy for e in curve) >= 0.95
         assert model.trained
 
     def test_single_class_rejected(self, polarity_table):
-        data = marker_items(polarity_table, n=10)
-        positives = LabeledDomainSet(items=tuple(
-            i for i in data.items if i.polarity == "positive"))
-        with pytest.raises(DataError):
-            train_sentiment(positives, SentimentConfig(hidden_size=4),
-                            TrainConfig(epochs=1))
+        seqs, targets = marker_items(polarity_table, n=10)
+        positive = np.flatnonzero(targets == 1.0)
+        with pytest.raises(DataError, match="at least 2 items per polarity"):
+            train_sentiment([seqs[i] for i in positive], targets[positive],
+                            TrainConfig(epochs=1), hidden_size=4)
+        # one negative item is still too few
+        rows = np.concatenate([positive, np.flatnonzero(targets == 0.0)[:1]])
+        with pytest.raises(DataError, match="'negative': 1"):
+            train_sentiment([seqs[i] for i in rows], targets[rows],
+                            TrainConfig(epochs=1), hidden_size=4)
 
     def test_zero_epochs_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -98,19 +98,27 @@ class TestTrainSentiment:
 
     def test_same_seed_identical_parameters(self, polarity_table):
         data = marker_items(polarity_table, n=30)
-        kwargs = dict(model_config=SentimentConfig(hidden_size=4, dropout_rate=0.3),
-                      train_config=TrainConfig(epochs=3, batch_size=8, seed=7))
-        m1, _ = train_sentiment(data, **kwargs)
-        m2, _ = train_sentiment(data, **kwargs)
+        kwargs = dict(train_config=TrainConfig(epochs=3, batch_size=8, seed=7),
+                      hidden_size=4, dropout_rate=0.3)
+        m1, _ = train_sentiment(*data, **kwargs)
+        m2, _ = train_sentiment(*data, **kwargs)
         assert m1.checksum() == m2.checksum()
+
+    def test_sequences_of_different_lengths_train(self, polarity_table):
+        seqs, targets = marker_items(polarity_table, n=20, r=4)
+        seqs = [seq[:1 + k % 4] for k, seq in enumerate(seqs)]
+        assert len({len(seq) for seq in seqs}) == 4
+        model, curve = train_sentiment(seqs, targets,
+                                       TrainConfig(epochs=2, batch_size=8),
+                                       hidden_size=3)
+        assert model.trained and len(curve) == 2
 
 
 
 def test_training_matrices_own_only_their_columns(polarity_table):
     # items cut at r=400 but at most 6 tokens long: the training stack runs
     # to the longest item and owns its memory, with no larger view base
-    mats, lengths = pad_sequences(
-        [item.matrix for item in marker_items(polarity_table, n=10, r=400).items])
+    mats, lengths = pad_sequences(marker_items(polarity_table, n=10, r=400)[0])
     assert mats.shape[1] == lengths.max() <= 6
     assert mats.base is None or mats.base.nbytes == mats.nbytes
 
@@ -380,14 +388,14 @@ def test_extracted_representations_linearly_separable_by_polarity(polarity_table
     # the model was trained on
     from sentprofile.nn import DenseLayer, binary_cross_entropy, make_optimizer
 
-    data = marker_items(polarity_table, n=100, seed=4)
+    seqs, targets = marker_items(polarity_table, n=100, seed=4)
     model, _ = train_sentiment(
-        data, SentimentConfig(hidden_size=8, dropout_rate=0.2),
-        TrainConfig(epochs=30, batch_size=8, learning_rate=5e-3, seed=2))
-    mats, lengths = pad_sequences([item.matrix for item in data.items])
+        seqs, targets,
+        TrainConfig(epochs=30, batch_size=8, learning_rate=5e-3, seed=2),
+        hidden_size=8, dropout_rate=0.2)
+    mats, lengths = pad_sequences(seqs)
     h = extract_representations(model, mats, lengths)
-    y = np.array([[1.0 if item.polarity == "positive" else 0.0]
-                  for item in data.items])
+    y = targets[:, None]
 
     probe = DenseLayer(h.shape[1], 1, activation="sigmoid",
                        rng=np.random.default_rng(0))
@@ -473,9 +481,9 @@ class TestFinetune:
         # composite trains a copy in a buffer of its own
         from sentprofile.sentiment import train_finetune
 
-        base, _ = train_sentiment(marker_items(polarity_table, n=30, r=5),
-                                  SentimentConfig(hidden_size=2),
-                                  TrainConfig(epochs=2, batch_size=8, seed=0))
+        base, _ = train_sentiment(*marker_items(polarity_table, n=30, r=5),
+                                  TrainConfig(epochs=2, batch_size=8, seed=0),
+                                  hidden_size=2)
         checksum = base.checksum()
         composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=2)
         vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
@@ -533,9 +541,9 @@ class TestFinetune:
         # model, a composite built from it and a trained composite drop it
         from sentprofile.sentiment import train_finetune
 
-        base, _ = train_sentiment(marker_items(polarity_table, n=30, r=5),
-                                  SentimentConfig(hidden_size=2),
-                                  TrainConfig(epochs=2, batch_size=8, seed=0))
+        base, _ = train_sentiment(*marker_items(polarity_table, n=30, r=5),
+                                  TrainConfig(epochs=2, batch_size=8, seed=0),
+                                  hidden_size=2)
         assert base.lstm._cache is None
         composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=2)
         assert composite.lstm._cache is None
@@ -583,13 +591,9 @@ class TestStacksMatchPaddedLayout:
         docs = self.token_docs(30, seed=1, oov=("zzz",))
         docs = [tokens for tokens in docs
                 if any(t in polarity_table for t in tokens)]
-        items = [LabeledItem(item_id=f"i{k}", matrix=doc_matrix(
-                     TokenDocument(f"i{k}", tokens), polarity_table, 6),
-                     vector=doc_vector(TokenDocument(f"i{k}", tokens),
-                                       polarity_table),
-                     polarity="positive")
-                 for k, tokens in enumerate(docs)]
-        mats, lengths = pad_sequences([item.matrix for item in items])
+        mats, lengths = pad_sequences([
+            doc_matrix(TokenDocument(f"i{k}", tokens), polarity_table, 6)
+            for k, tokens in enumerate(docs)])
         old_mats, old_lengths = old_layout_stack(docs, polarity_table, 6)
         assert_same_bytes(mats, old_mats)
         assert_same_bytes(lengths, old_lengths)
