@@ -263,8 +263,6 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_synth_data(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     config = SynthConfig(n_users=args.users, n_reviews=args.reviews,
                          seed=args.seed,
                          marker_correlation=args.marker_correlation)

@@ -443,8 +443,10 @@ def base_representations(config: ExperimentConfig, docs, table):
     else:
         vocabulary = gender_keywords(docs, config.keyword_top_n)
         if not vocabulary:
-            raise DataError("gender keyword set is empty; corpora are "
-                            "indistinguishable by frequency")
+            size = len({token for doc in docs for token in doc.tokens})
+            raise DataError(f"gender keyword set is empty: both genders' top "
+                            f"keyword_top_n={config.keyword_top_n} tokens are "
+                            f"the same, of a {size}-token vocabulary")
     return docs, tfidf_representation(docs, vocabulary)[0]
 
 

@@ -4,8 +4,8 @@ Features are an (n, F) float64 matrix, row i holding one user's base
 representation (averaged word vectors or tf-idf) optionally joined with a
 sentiment representation (or the two polarity features). The classifier is
 a fixed MLP: dense(in -> 50, relu), dropout(0.4), dense(50 -> 10, relu),
-dense(10 -> 2, softmax). Feature files hold such a matrix, one JSON line
-per row.
+dense(10 -> 2) and a softmax. Feature files hold such a matrix, one JSON
+line per row.
 """
 
 import json
@@ -27,6 +27,7 @@ from .nn import (
     header_field,
     load_parameters,
     register_model,
+    softmax,
 )
 
 logger = logging.getLogger(__name__)
@@ -43,7 +44,7 @@ def build_mlp(input_dim: int, hidden: tuple[int, int] = DEFAULT_HIDDEN,
     layers = [DenseLayer(input_dim, hidden[0], activation="relu", rng=rng),
               DropoutLayer(dropout_rate),
               DenseLayer(hidden[0], hidden[1], activation="relu", rng=rng),
-              DenseLayer(hidden[1], n_classes, activation="softmax", rng=rng)]
+              DenseLayer(hidden[1], n_classes, rng=rng)]
     return Network(layers)
 
 
@@ -64,10 +65,10 @@ class GenderModel(Model):
         return self.network.parts()
 
     def forward_batch(self, inputs: tuple, training: bool = False) -> np.ndarray:
-        return self.network.forward(inputs[0], training=training)
+        return softmax(self.network.forward(inputs[0], training=training))
 
-    def backward(self, d_probs: np.ndarray) -> None:
-        self.network.backward(d_probs)
+    def backward(self, d_logits: np.ndarray) -> None:
+        self.network.backward(d_logits)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)

@@ -13,24 +13,15 @@ from .checkpoint import (
     save_model,
     write_checkpoint,
 )
-from .layers import (
-    ACTIVATIONS,
-    DenseLayer,
-    DropoutLayer,
-    LSTMLayer,
-    sigmoid,
-    softmax,
-)
-from .losses import LOSSES, binary_cross_entropy, categorical_cross_entropy
+from .layers import DenseLayer, DropoutLayer, LSTMLayer, sigmoid, softmax
+from .losses import binary_cross_entropy, categorical_cross_entropy
 from .network import Model, Network, fit, stack
 from .optim import Adam, SGD, TrainConfig, make_optimizer
 
 __all__ = [
-    "ACTIVATIONS",
     "Adam",
     "DenseLayer",
     "DropoutLayer",
-    "LOSSES",
     "LSTMLayer",
     "Model",
     "Network",

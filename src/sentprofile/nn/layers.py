@@ -16,6 +16,9 @@ can skip that at inference); `backward` writes parameter gradients into
 and dropout layers return the gradient with respect to their input; the
 LSTM, always a model's first layer, returns None.
 
+Output heads are linear (`identity`) dense layers: the model applies
+`softmax` or `sigmoid` to their logits (see `nn.losses`).
+
 The dense and dropout layers also take a leading member axis, which is how
 `nn.fit` trains k same-shaped models in lockstep (see `nn.stack`): a
 stacked dense layer holds (k, in, out) weights and a (k, out) bias and maps
@@ -56,7 +59,7 @@ import numpy as np
 
 from ..errors import ConfigError, ShapeError
 
-ACTIVATIONS = ("sigmoid", "tanh", "relu", "softmax", "identity")
+ACTIVATIONS = ("sigmoid", "tanh", "relu", "identity")
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function, optionally written to `out`."""
@@ -96,8 +99,6 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
         return sigmoid(z)
     if name == "tanh":
         return np.tanh(z)
-    if name == "softmax":
-        return softmax(z)
     raise ConfigError(f"unknown activation {name!r}")
 
 
@@ -111,9 +112,6 @@ def _activation_input_grad(name: str, d_out: np.ndarray, z: np.ndarray, a: np.nd
         return d_out * a * (1.0 - a)
     if name == "tanh":
         return d_out * (1.0 - a * a)
-    if name == "softmax":
-        # Jacobian-vector product: dz_i = a_i * (d_i - sum_j d_j a_j)
-        return a * (d_out - (d_out * a).sum(axis=-1, keepdims=True))
     raise ConfigError(f"unknown activation {name!r}")
 
 

@@ -153,8 +153,8 @@ def stack(models: list[Model]) -> Model:
 def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
         loss, config: TrainConfig, rngs: list[np.random.Generator],
         after_epoch=None) -> list[list[dict]]:
-    """Mini-batch training of `loss(probs, targets)` for k models in
-    lockstep; a single model is a stack of one.
+    """Mini-batch training of `loss(probs, targets)` (see `nn.losses`) for
+    k models in lockstep; a single model is a stack of one.
 
     Member j trains on the arrays of `inputs[j]`, which share axis 0 with
     `targets[j]`; every member's arrays have the same shapes, so their
@@ -200,8 +200,8 @@ def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
             rows = (idx[0],) if len(models) == 1 else (members, idx)
             probs = model.forward_batch(tuple(a[rows] for a in data),
                                         training=True)
-            value, d_probs = loss(probs, labels[rows])
-            model.backward(d_probs)
+            value, d_logits = loss(probs, labels[rows])
+            model.backward(d_logits)
             try:
                 optimizer.step(params, grads)
             except TrainingError:

@@ -1,10 +1,11 @@
 """Sentiment model training, representation extraction and polarity features.
 
 The sentiment classifier is one LSTM layer, a dropout layer on its final
-hidden state and a single sigmoid unit. After training on the (selected or
-augmented) source domain it serves three purposes: predicting polarity,
-exposing its middle-layer activations as transferable representations, and
-scoring per-post polarity rates for the two-dimensional polarity features.
+hidden state and a linear unit whose sigmoid is the polarity. After
+training on the (selected or augmented) source domain it serves three
+purposes: predicting polarity, exposing its middle-layer activations as
+transferable representations, and scoring per-post polarity rates for the
+two-dimensional polarity features.
 """
 
 import copy
@@ -27,6 +28,8 @@ from .nn import (
     header_field,
     load_parameters,
     register_model,
+    sigmoid,
+    softmax,
 )
 
 
@@ -42,7 +45,7 @@ class SentimentModel(Model):
         self.seed = seed
         self.lstm = LSTMLayer(input_dim, hidden_size, rng=rng)
         self.dropout = DropoutLayer(dropout_rate)
-        self.head = DenseLayer(hidden_size, 1, activation="sigmoid", rng=rng)
+        self.head = DenseLayer(hidden_size, 1, rng=rng)
         self.trained = False
 
     def parts(self):
@@ -59,10 +62,10 @@ class SentimentModel(Model):
         mats, lengths = inputs
         h = self.lstm.forward(mats, lengths, cache=training)
         hd = self.dropout.forward(h, training=training)
-        return self.head.forward(hd, training=training)
+        return sigmoid(self.head.forward(hd, training=training))
 
-    def backward(self, d_probs: np.ndarray) -> None:
-        grad = self.head.backward(d_probs)
+    def backward(self, d_logits: np.ndarray) -> None:
+        grad = self.head.backward(d_logits)
         grad = self.dropout.backward(grad)
         self.lstm.backward(grad)
 
@@ -189,12 +192,11 @@ def extract_representations(model: SentimentModel, mats: np.ndarray,
 
 def head_activations(model: SentimentModel, states: np.ndarray,
                      batch_size: int = READOUT_BATCH) -> np.ndarray:
-    """The (n, 1) pre-sigmoid head activations of (n, H) final hidden
-    states, one GEMM per chunk of `batch_size` rows: the chunks
-    `extract_representations` forwards, so one read-out of the states
-    gives both layers their bytes."""
-    return np.concatenate([states[start:start + batch_size] @ model.head.weights
-                           + model.head.bias
+    """The (n, 1) head logits (pre-sigmoid activations) of (n, H) final
+    hidden states, one head forward per chunk of `batch_size` rows: the
+    chunks `extract_representations` forwards, so one read-out of the
+    states gives both layers their bytes."""
+    return np.concatenate([model.head.forward(states[start:start + batch_size])
                            for start in range(0, len(states), batch_size)])
 
 
@@ -302,10 +304,10 @@ class FinetuneModel(Model):
         vecs, mats, lengths = inputs
         h = self.lstm.forward(mats, lengths, cache=training)
         features = np.concatenate([vecs, h], axis=1)
-        return self.mlp.forward(features, training=training)
+        return softmax(self.mlp.forward(features, training=training))
 
-    def backward(self, d_probs: np.ndarray) -> None:
-        d_features = self.mlp.backward(d_probs)
+    def backward(self, d_logits: np.ndarray) -> None:
+        d_features = self.mlp.backward(d_logits)
         self.lstm.backward(d_features[:, self.vec_dim:])
 
     def predict_proba(self, vecs, mats, lengths) -> np.ndarray:

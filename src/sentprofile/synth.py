@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SourceReview, UserRecord
+from .errors import ConfigError
 
 OPENER_MARKERS = tuple(f"marka{i}" for i in range(2))
 CLOSER_MARKERS = tuple(f"markb{i}" for i in range(2))
@@ -50,6 +51,17 @@ class SynthConfig:
     link_rate: float = 0.02
     punct_rate: float = 0.02
     n_manual: int = 50
+
+    def validate(self) -> None:
+        if self.n_users < 2:
+            raise ConfigError(f"users must be >= 2, got {self.n_users}")
+        if self.n_reviews < 0:
+            raise ConfigError(f"reviews must be >= 0, got {self.n_reviews}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not -1.0 < self.marker_correlation < 1.0:
+            raise ConfigError(f"marker correlation must be in (-1, 1), got "
+                              f"{self.marker_correlation}")
 
     def topic_vocab(self) -> list[list[str]]:
         return [[f"topic{t:02d}tok{i:03d}" for i in range(self.tokens_per_topic)]
@@ -212,6 +224,7 @@ def _manual_polarity(user: UserRecord) -> str:
 
 def generate_dataset(config: SynthConfig | None = None) -> SynthDataset:
     config = config or SynthConfig()
+    config.validate()
     rng = np.random.default_rng(config.seed)
     reviews = generate_reviews(config, rng)
     users, marker_freq = generate_users(config, rng)

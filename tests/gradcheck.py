@@ -4,7 +4,16 @@ the tests check every layer's and model's backward pass against."""
 import numpy as np
 
 from sentprofile.errors import ConfigError
-from sentprofile.nn import LOSSES
+from sentprofile.nn import (
+    binary_cross_entropy,
+    categorical_cross_entropy,
+    sigmoid,
+    softmax,
+)
+
+# each loss with the output function whose logits its gradient is taken at
+OUTPUTS = {"binary_cross_entropy": (binary_cross_entropy, sigmoid),
+           "categorical_cross_entropy": (categorical_cross_entropy, softmax)}
 
 
 def max_relative_error(loss_fn, params, analytic, epsilon: float = 1e-5) -> float:
@@ -36,7 +45,10 @@ def max_relative_error(loss_fn, params, analytic, epsilon: float = 1e-5) -> floa
 
 def gradient_check(model, x, target, loss: str = "categorical_cross_entropy",
                    epsilon: float = 1e-5, lengths=None) -> float:
-    """Gradient check for any model exposing forward/backward/parameters.
+    """Gradient check for any model exposing forward/backward/parameters
+    whose forward returns logits: the loss reads the probabilities of its
+    output function (see OUTPUTS), and backward takes the loss's gradient
+    at the logits.
 
     Runs in inference mode (dropout is the identity), so the check covers
     exactly the deterministic computation graph. `lengths` is forwarded to
@@ -44,22 +56,21 @@ def gradient_check(model, x, target, loss: str = "categorical_cross_entropy",
     """
     if not 1e-6 <= epsilon <= 1e-4:
         raise ConfigError(f"epsilon must be in [1e-6, 1e-4], got {epsilon}")
-    loss_fn_pair = LOSSES.get(loss)
-    if loss_fn_pair is None:
+    if loss not in OUTPUTS:
         raise ConfigError(f"unknown loss {loss!r}")
+    loss_fn, output = OUTPUTS[loss]
 
     def run_forward():
         if lengths is None:
-            return model.forward(x, training=False)
-        return model.forward(x, lengths, training=False)
+            return output(model.forward(x, training=False))
+        return output(model.forward(x, lengths, training=False))
 
-    probs = run_forward()
-    _, d_probs = loss_fn_pair(probs, target)
-    model.backward(d_probs)
+    _, d_logits = loss_fn(run_forward(), target)
+    model.backward(d_logits)
     analytic = {name: grad.copy() for name, grad in model.gradients().items()}
 
     def loss_value():
-        value, _ = loss_fn_pair(run_forward(), target)
+        value, _ = loss_fn(run_forward(), target)
         return value
 
     return max_relative_error(loss_value, model.parameters(), analytic, epsilon)

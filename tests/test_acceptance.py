@@ -51,7 +51,7 @@ from test_sentiment import integrator_model
 
 
 # ----------------------------------------------------------------------
-# gradient correctness: dense, dropout (inference), softmax head and LSTM
+# gradient correctness: dense, dropout (inference), linear head and LSTM
 # against central finite differences, 50 random small instances
 # ----------------------------------------------------------------------
 def test_gradient_correctness_50_random_instances():
@@ -64,12 +64,13 @@ def test_gradient_correctness_50_random_instances():
         batch = int(rng.integers(1, 5))
         seed = int(rng.integers(10_000))
         if case % 2 == 0:
-            # feed-forward stack with dropout (inference) and softmax head
+            # feed-forward stack with dropout (inference) and a linear head
+            # whose logits the softmax cross-entropy reads
             act = ("tanh", "sigmoid", "relu")[case % 3]
             net = Network([
                 DenseLayer(d, h, act, rng=np.random.default_rng(seed)),
                 DropoutLayer(0.4),
-                DenseLayer(h, 3, "softmax", rng=np.random.default_rng(seed + 1)),
+                DenseLayer(h, 3, rng=np.random.default_rng(seed + 1)),
             ])
             x = rng.normal(size=(batch, d))
             y = np.eye(3)[rng.integers(0, 3, size=batch)]

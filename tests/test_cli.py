@@ -1,13 +1,13 @@
 import json
 import logging
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sentprofile import experiment
-from sentprofile.cli import main
+from sentprofile.cli import build_parser, main
 from sentprofile.embed import save_embeddings
 from sentprofile.experiment import ExperimentConfig, fit_embeddings, load_corpora
 from sentprofile.gender import read_features
@@ -155,6 +155,71 @@ def test_negative_seed_exits_2(small_dataset, tmp_path, capsys):
     assert code == 2
     assert "configuration error: seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+# one bad value per ExperimentConfig field, as config-file lines (z is only
+# read under a high_similarity source mode)
+BAD_EXPERIMENT_SETTINGS = {
+    "representation": {"representation": "bag_of_words"},
+    "sentiment_mode": {"sentiment_mode": "frozen_gru"},
+    "source_mode": {"source_mode": "all"},
+    "smote": {"smote": "maybe"},
+    "smote_k": {"smote_k": "0"},
+    "smote_ratio": {"smote_ratio": "0"},
+    "smote_variant": {"smote_variant": "adasyn"},
+    "z": {"source_mode": "high_similarity", "z": "1.5"},
+    "epochs": {"epochs": "0"},
+    "seed": {"seed": "-1"},
+    "folds": {"folds": "1"},
+    "dimension": {"dimension": "0"},
+    "window": {"window": "0"},
+    "negatives": {"negatives": "-1"},
+    "embed_epochs": {"embed_epochs": "0"},
+    "min_count": {"min_count": "0"},
+    "r": {"r": "0"},
+    "keyword_top_n": {"keyword_top_n": "0"},
+    "hidden_size": {"hidden_size": "0"},
+    "sentiment_dropout": {"sentiment_dropout": "1.0"},
+    "sentiment_epochs": {"sentiment_epochs": "0"},
+    "batch_size": {"batch_size": "0"},
+    "learning_rate": {"learning_rate": "0"},
+    "optimizer": {"optimizer": "rmsprop"},
+    "mlp_dropout": {"mlp_dropout": "1"},
+}
+
+# one bad value per synth-data flag that sets the generated data
+BAD_SYNTH_FLAGS = {
+    "users": ["--users", "1"],
+    "reviews": ["--reviews", "-1"],
+    "seed": ["--seed", "-1"],
+    "marker_correlation": ["--marker-correlation", "1.0"],
+}
+
+
+def test_every_setting_rejects_a_bad_value_with_exit_2(tmp_path, capsys):
+    # a setting without a row fails here, so none can skip its check
+    assert set(BAD_EXPERIMENT_SETTINGS) == {
+        f.name for f in fields(ExperimentConfig)}
+    synth_dests = vars(build_parser().parse_args(["synth-data", "--out-dir", "x"]))
+    assert set(BAD_SYNTH_FLAGS) == set(synth_dests) - {
+        "command", "func", "verbose", "out_dir"}
+    # the users file does not exist, so loading any data would exit 3
+    absent = str(tmp_path / "absent.jsonl")
+    failures = []
+    for name, lines in BAD_EXPERIMENT_SETTINGS.items():
+        config = tmp_path / f"{name}.conf"
+        config.write_text("".join(f"{key}={value}\n"
+                                  for key, value in lines.items()))
+        code = main(["evaluate", "--users", absent, "--config", str(config)])
+        if code != 2 or "configuration error" not in capsys.readouterr().err:
+            failures.append((name, code))
+    for name, flag in BAD_SYNTH_FLAGS.items():
+        out_dir = tmp_path / f"synth_{name}"
+        code = main(["synth-data", *flag, "--out-dir", str(out_dir)])
+        if (code != 2 or out_dir.exists()
+                or "configuration error" not in capsys.readouterr().err):
+            failures.append((name, code))
+    assert not failures
 
 
 def test_zero_dimension_embeddings_exit_3(small_dataset, tmp_path, capsys):

@@ -11,7 +11,13 @@ from sentprofile.gender import (
     train_gender,
     write_features,
 )
-from sentprofile.nn import LSTMLayer, TrainConfig, load_model, save_model
+from sentprofile.nn import (
+    LSTMLayer,
+    TrainConfig,
+    load_model,
+    save_model,
+    softmax,
+)
 from sentprofile.sentiment import (
     FinetuneModel,
     SentimentModel,
@@ -243,8 +249,8 @@ class TestPredictGender:
         model = GenderModel(input_dim=3, seed=0)
         probs = model.predict_proba(np.ones(3))
         assert seen == [(1, (1, 3), False)]
-        assert probs.tobytes() == model.network.forward(
-            np.ones((1, 3)), training=False).tobytes()
+        assert probs.tobytes() == softmax(model.network.forward(
+            np.ones((1, 3)), training=False)).tobytes()
 
 
 class TestFeatureFiles:

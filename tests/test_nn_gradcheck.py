@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sentprofile.gender import GenderModel
 from sentprofile.nn import (
     DenseLayer,
     DropoutLayer,
@@ -8,19 +9,21 @@ from sentprofile.nn import (
     Network,
     binary_cross_entropy,
     categorical_cross_entropy,
+    softmax,
 )
+from sentprofile.sentiment import SentimentModel
 
 from gradcheck import gradient_check
 
 
 class LstmStack:
-    """LSTM followed by a dense head, exposing the shared model protocol."""
+    """LSTM followed by a linear head of `outputs` logits, exposing the
+    shared model protocol."""
 
-    def __init__(self, input_dim, hidden, out_activation="sigmoid", seed=0):
+    def __init__(self, input_dim, hidden, outputs=1, seed=0):
         gen = np.random.default_rng(seed)
         self.lstm = LSTMLayer(input_dim, hidden, rng=gen)
-        self.head = DenseLayer(hidden, 1 if out_activation == "sigmoid" else 2,
-                               activation=out_activation, rng=gen)
+        self.head = DenseLayer(hidden, outputs, rng=gen)
 
     def forward(self, x, lengths, training=False):
         return self.head.forward(self.lstm.forward(x, lengths), training)
@@ -42,7 +45,7 @@ class LstmStack:
 def test_dense_sigmoid_small_init():
     gen = np.random.default_rng(1)
     net = Network([DenseLayer(5, 4, "sigmoid", rng=gen),
-                   DenseLayer(4, 1, "sigmoid", rng=gen)])
+                   DenseLayer(4, 1, rng=gen)])
     x = gen.normal(size=(6, 5)) * 0.5
     y = gen.integers(0, 2, size=(6, 1)).astype(float)
     assert gradient_check(net, x, y, loss="binary_cross_entropy") < 1e-5
@@ -63,9 +66,9 @@ def test_dropout_inference_matches_plain_model():
     w_rng = np.random.default_rng(7)
     with_dropout = Network([DenseLayer(4, 3, "tanh", rng=np.random.default_rng(7)),
                             DropoutLayer(0.5),
-                            DenseLayer(3, 2, "softmax", rng=np.random.default_rng(8))])
+                            DenseLayer(3, 2, rng=np.random.default_rng(8))])
     without = Network([DenseLayer(4, 3, "tanh", rng=np.random.default_rng(7)),
-                       DenseLayer(3, 2, "softmax", rng=np.random.default_rng(8))])
+                       DenseLayer(3, 2, rng=np.random.default_rng(8))])
     x = gen.normal(size=(5, 4))
     y = np.eye(2)[gen.integers(0, 2, size=5)]
     err_with = gradient_check(with_dropout, x, y)
@@ -74,30 +77,60 @@ def test_dropout_inference_matches_plain_model():
 
 
 def test_perfect_prediction_has_vanishing_gradient():
-    net = Network([DenseLayer(2, 2, "softmax")])
+    net = Network([DenseLayer(2, 2)])
     net.layers[0].weights[...] = np.array([[40.0, -40.0], [0.0, 0.0]])
     net.layers[0].bias[...] = 0.0
     x = np.array([[1.0, 0.0]])
-    probs = net.forward(x)
+    probs = softmax(net.forward(x))
     assert probs[0, 0] >= 1.0 - 1e-9
-    _, d_probs = categorical_cross_entropy(probs, np.array([[1.0, 0.0]]))
-    net.backward(d_probs)
+    _, d_logits = categorical_cross_entropy(probs, np.array([[1.0, 0.0]]))
+    net.backward(d_logits)
     norm = max(np.abs(g).max() for g in net.gradients().values())
     assert norm < 1e-6
+
+
+def saturated_sentiment_case(gen):
+    # sigmoid(40) rounds to 1 against target 0
+    model = SentimentModel(input_dim=3, hidden_size=4)
+    inputs = (gen.normal(size=(2, 3, 3)), np.array([3, 2]))
+    return model, model.head, 40.0, inputs, np.zeros((2, 1)), binary_cross_entropy
+
+
+def saturated_gender_case(gen):
+    # softmax(30, 0) puts 1 - 9e-14 on the first class against target class 2
+    model = GenderModel(input_dim=3, hidden=(4, 3))
+    inputs = (gen.normal(size=(2, 3)),)
+    return (model, model.network.layers[-1], [30.0, 0.0], inputs,
+            np.eye(2)[[1, 1]], categorical_cross_entropy)
+
+
+@pytest.mark.parametrize("case", [saturated_sentiment_case,
+                                  saturated_gender_case])
+def test_confidently_wrong_head_keeps_its_gradient(case):
+    # the head-bias gradient is sum(a - y)/B, about 1 per logit here, where
+    # chaining d(loss)/d(probs) through the output Jacobian gave 0 or 0.09
+    model, head, bias, inputs, targets, loss = case(np.random.default_rng(0))
+    head.weights[...] = 0.0
+    head.bias[...] = bias
+    probs = model.forward_batch(inputs, training=True)
+    _, d_logits = loss(probs, targets)
+    model.backward(d_logits)
+    want = (probs - targets).sum(axis=0) / len(targets)
+    assert np.abs(want).min() > 0.99
+    np.testing.assert_allclose(head.grads["bias"], want, rtol=1e-12)
 
 
 def test_backward_is_linear_in_output_gradient():
     gen = np.random.default_rng(4)
     net = Network([DenseLayer(3, 4, "tanh", rng=gen),
-                   DenseLayer(4, 2, "softmax", rng=gen)])
+                   DenseLayer(4, 2, rng=gen)])
     x = gen.normal(size=(5, 3))
     y = np.eye(2)[gen.integers(0, 2, size=5)]
-    probs = net.forward(x)
-    _, d_probs = categorical_cross_entropy(probs, y)
-    net.backward(d_probs)
+    _, d_logits = categorical_cross_entropy(softmax(net.forward(x)), y)
+    net.backward(d_logits)
     grads_once = {k: v.copy() for k, v in net.gradients().items()}
     net.forward(x)
-    net.backward(2.0 * d_probs)
+    net.backward(2.0 * d_logits)
     for name, grad in net.gradients().items():
         assert np.allclose(grad, 2.0 * grads_once[name], rtol=1e-12)
 
@@ -118,7 +151,7 @@ def test_random_small_networks_property():
         act = ("tanh", "sigmoid", "relu")[case % 3]
         net = Network([
             DenseLayer(d_in, hidden, act, rng=np.random.default_rng(100 + case)),
-            DenseLayer(hidden, 2, "softmax", rng=np.random.default_rng(200 + case)),
+            DenseLayer(hidden, 2, rng=np.random.default_rng(200 + case)),
         ])
         x = gen.normal(size=(4, d_in))
         y = np.eye(2)[gen.integers(0, 2, size=4)]
@@ -150,7 +183,7 @@ def test_random_lstm_property():
 ])
 def test_lstm_gradients_around_each_last_step(steps, lengths):
     gen = np.random.default_rng(steps * 10 + lengths[0])
-    stack = LstmStack(3, 4, out_activation="softmax", seed=7)
+    stack = LstmStack(3, 4, outputs=2, seed=7)
     lengths = np.array(lengths)
     x = gen.normal(size=(3, steps, 3))
     for b, ln in enumerate(lengths):

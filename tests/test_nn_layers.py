@@ -6,7 +6,6 @@ import pytest
 
 from sentprofile.errors import ConfigError, ShapeError
 from sentprofile.nn import (
-    LOSSES,
     DenseLayer,
     DropoutLayer,
     LSTMLayer,
@@ -15,6 +14,8 @@ from sentprofile.nn import (
     softmax,
     stack,
 )
+
+from gradcheck import OUTPUTS
 
 
 def rng():
@@ -30,8 +31,9 @@ class TestDense:
         assert np.array_equal(layer.forward(x), x)
 
     def test_softmax_rows_sum_to_one(self):
-        layer = DenseLayer(4, 3, activation="softmax", rng=rng())
-        out = layer.forward(rng().normal(size=(6, 4)))
+        # of a linear head's logits, as a classifier applies it
+        layer = DenseLayer(4, 3, rng=rng())
+        out = softmax(layer.forward(rng().normal(size=(6, 4))))
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shape_error_names_layer(self):
@@ -40,8 +42,10 @@ class TestDense:
             layer.forward(np.zeros((1, 5)))
 
     def test_unknown_activation(self):
-        with pytest.raises(ConfigError):
-            DenseLayer(2, 2, activation="gelu")
+        # softmax too: output heads are linear, and the model applies it
+        for name in ("gelu", "softmax"):
+            with pytest.raises(ConfigError):
+                DenseLayer(2, 2, activation=name)
 
     def test_glorot_bounds(self):
         layer = DenseLayer(10, 20, rng=rng())
@@ -424,7 +428,7 @@ class TestNetwork:
     def test_forward_chains_shapes(self):
         net = Network([DenseLayer(4, 6, "relu", rng=rng()),
                        DropoutLayer(0.2),
-                       DenseLayer(6, 2, "softmax", rng=rng())])
+                       DenseLayer(6, 2, rng=rng())])
         out = net.forward(rng().normal(size=(5, 4)))
         assert out.shape == (5, 2)
 
@@ -449,7 +453,7 @@ def gender_shaped_networks(members, seed=0):
     return [Network([DenseLayer(56, 50, "relu", rng=np.random.default_rng(seed + j)),
                      DropoutLayer(0.4),
                      DenseLayer(50, 10, "relu", rng=np.random.default_rng(seed + j)),
-                     DenseLayer(10, 2, "softmax", rng=np.random.default_rng(seed + j))])
+                     DenseLayer(10, 2, rng=np.random.default_rng(seed + j))])
             for j in range(members)]
 
 
@@ -499,7 +503,7 @@ class TestStackedNetwork:
                 g[j].sum(axis=0).tobytes()
             assert d_in[j].tobytes() == (g[j] @ w.T).tobytes()
 
-    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    @pytest.mark.parametrize("loss", sorted(OUTPUTS))
     @pytest.mark.parametrize("batch", [1, 7, 32])
     def test_losses_give_each_member_its_own_mean(self, loss, batch):
         # each member's mean is the sum over its whole (B, C) batch, as
@@ -515,13 +519,14 @@ class TestStackedNetwork:
         if width == 2:
             probs[..., 1] = 1.0 - probs[..., 0]
         targets = np.eye(2)[gen.integers(0, 2, size=(3, batch))][..., :width]
-        value, d_probs = LOSSES[loss](probs, targets)
+        loss_fn = OUTPUTS[loss][0]
+        value, d_logits = loss_fn(probs, targets)
         assert value.shape == (3,)
         for j in range(3):
-            alone, d_alone = LOSSES[loss](probs[j], targets[j])
+            alone, d_alone = loss_fn(probs[j], targets[j])
             assert np.float64(alone).tobytes() == value[j].tobytes() == \
                 np.float64(reference(probs[j], targets[j])).tobytes()
-            assert d_alone.tobytes() == d_probs[j].tobytes()
+            assert d_alone.tobytes() == d_logits[j].tobytes()
 
     def test_parameters_are_rows_of_one_buffer(self):
         nets = gender_shaped_networks(3)
@@ -596,7 +601,7 @@ def test_sigmoid_bytes_match_branch_per_sign_form():
 def test_forward_finite_with_parameters_bounded_by_ten():
     gen = rng()
     for trial in range(10):
-        act = ("sigmoid", "tanh", "relu", "softmax", "identity")[trial % 5]
+        act = ("sigmoid", "tanh", "relu", "identity")[trial % 4]
         net = Network([DenseLayer(4, 6, "tanh"),
                        DropoutLayer(0.4),
                        DenseLayer(6, 3, act)])

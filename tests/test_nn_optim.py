@@ -4,11 +4,12 @@ import pytest
 from sentprofile.errors import ConfigError, TrainingError
 from sentprofile.gender import GenderModel
 from sentprofile.nn import (
-    LOSSES,
     SGD,
     Adam,
     LSTMLayer,
     TrainConfig,
+    binary_cross_entropy,
+    categorical_cross_entropy,
     fit,
     make_optimizer,
 )
@@ -110,14 +111,14 @@ def poison_after_backward(layer, name, value):
 def gender_case():
     model = GenderModel(input_dim=3, hidden=(4, 3))
     inputs = (np.random.default_rng(0).normal(size=(10, 3)),)
-    return model, inputs, np.eye(2)[np.arange(10) % 2], "categorical_cross_entropy"
+    return model, inputs, np.eye(2)[np.arange(10) % 2], categorical_cross_entropy
 
 
 def sentiment_case():
     rng = np.random.default_rng(0)
     inputs = (rng.normal(size=(10, 4, 3)), rng.integers(1, 5, size=10))
     return (SentimentModel(input_dim=3, hidden_size=2), inputs,
-            (np.arange(10) % 2)[:, None] * 1.0, "binary_cross_entropy")
+            (np.arange(10) % 2)[:, None] * 1.0, binary_cross_entropy)
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -134,7 +135,7 @@ def test_fit_names_the_non_finite_parameter(optimizer, case, layer_of, grad,
     model, inputs, targets, loss = case()
     poison_after_backward(layer_of(model), grad, value)
     with pytest.raises(TrainingError, match=f"'{name}'"):
-        fit([model], [inputs], [targets], LOSSES[loss],
+        fit([model], [inputs], [targets], loss,
             TrainConfig(epochs=1, batch_size=4, optimizer=optimizer),
             [np.random.default_rng(0)])
 
@@ -144,11 +145,11 @@ def test_fit_trains_views_of_one_buffer_per_model():
     mats, lengths = rng.normal(size=(10, 4, 3)), rng.integers(1, 5, size=10)
     composite = (FinetuneModel(LSTMLayer(3, 2, rng=rng), vec_dim=2, hidden=(4, 3)),
                  (rng.normal(size=(10, 2)), mats, lengths),
-                 np.eye(2)[np.arange(10) % 2], "categorical_cross_entropy")
+                 np.eye(2)[np.arange(10) % 2], categorical_cross_entropy)
     for model, inputs, targets, loss in (gender_case(), sentiment_case(),
                                          composite):
         before = np.concatenate([v.ravel() for v in model.parameters().values()])
-        fit([model], [inputs], [targets], LOSSES[loss],
+        fit([model], [inputs], [targets], loss,
             TrainConfig(epochs=2, batch_size=4), [np.random.default_rng(0)])
         params, grads = model.buffers()
         assert model.buffers()[0] is params

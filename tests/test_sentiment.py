@@ -386,7 +386,12 @@ class TestPolarityFeatures:
 def test_extracted_representations_linearly_separable_by_polarity(polarity_table):
     # a logistic probe on the frozen hidden states recovers the polarity
     # the model was trained on
-    from sentprofile.nn import DenseLayer, binary_cross_entropy, make_optimizer
+    from sentprofile.nn import (
+        DenseLayer,
+        binary_cross_entropy,
+        make_optimizer,
+        sigmoid,
+    )
 
     seqs, targets = marker_items(polarity_table, n=100, seed=4)
     model, _ = train_sentiment(
@@ -397,15 +402,13 @@ def test_extracted_representations_linearly_separable_by_polarity(polarity_table
     h = extract_representations(model, mats, lengths)
     y = targets[:, None]
 
-    probe = DenseLayer(h.shape[1], 1, activation="sigmoid",
-                       rng=np.random.default_rng(0))
+    probe = DenseLayer(h.shape[1], 1, rng=np.random.default_rng(0))
     optimizer = make_optimizer(TrainConfig(epochs=1, learning_rate=5e-2))
     for _ in range(300):
-        probs = probe.forward(h)
-        _, d_probs = binary_cross_entropy(probs, y)
-        probe.backward(d_probs)
+        _, d_logits = binary_cross_entropy(sigmoid(probe.forward(h)), y)
+        probe.backward(d_logits)
         optimizer.step(probe.params(), probe.grads)
-    accuracy = ((probe.forward(h) > 0.5) == (y > 0.5)).mean()
+    accuracy = ((sigmoid(probe.forward(h)) > 0.5) == (y > 0.5)).mean()
     assert accuracy >= 0.95
 
 
