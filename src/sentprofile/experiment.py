@@ -55,7 +55,7 @@ from .errors import ConfigError, DataError, PipelineError, TrainingError
 from .folds import FoldPlan, stratified_kfold
 from .gender import CLASSES, train_gender
 from .nn import TrainConfig
-from .resample import ResampleConfig, _smote_core, smote
+from .resample import VARIANTS, ResampleConfig, _smote_core, smote
 from .sentiment import (
     PolaritySequences,
     SentimentModel,
@@ -129,11 +129,22 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if "high_similarity" in self.source_mode and not 0.0 < self.z < 1.0:
             raise ConfigError(f"z must be in (0, 1), got {self.z}")
-        # the rules TrainConfig, doc_matrix, gender_keywords, LSTMLayer and
-        # DropoutLayer apply, checked here so a bad value fails before any work
-        for name in ("sentiment_epochs", "r", "keyword_top_n", "hidden_size"):
+        # the rules the component configs, doc_matrix, gender_keywords,
+        # LSTMLayer and DropoutLayer apply, checked here so a bad value fails
+        # before any work, under the name the user set it by
+        for name in ("sentiment_epochs", "r", "keyword_top_n", "hidden_size",
+                     "dimension", "window", "embed_epochs", "min_count",
+                     "smote_k", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.negatives < 0:
+            raise ConfigError(f"negatives must be >= 0, got {self.negatives}")
+        for name in ("smote_ratio", "learning_rate"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.smote_variant not in VARIANTS:
+            raise ConfigError(f"smote_variant must be one of {VARIANTS}, "
+                              f"got {self.smote_variant!r}")
         for name in ("mlp_dropout", "sentiment_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got "

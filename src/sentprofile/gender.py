@@ -68,7 +68,7 @@ class GenderModel(Model):
         return softmax(self.network.forward(inputs[0], training=training))
 
     def backward(self, d_logits: np.ndarray) -> None:
-        self.network.backward(d_logits)
+        self.network.backward(d_logits, input_grad=False)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)

@@ -13,8 +13,20 @@ word-vector sequences are float32 (see `embed.doc_matrix`).
 A layer caches whatever its backward pass needs during forward (the LSTM
 can skip that at inference); `backward` writes parameter gradients into
 `self.grads` (overwriting, one forward/backward pair per step). The dense
-and dropout layers return the gradient with respect to their input; the
-LSTM, always a model's first layer, returns None.
+and dropout layers return the gradient with respect to their input, unless
+`backward(d_out, input_grad=False)` says nobody reads it: a model's first
+layer skips that product (see `Network.backward`). The LSTM, always a
+model's first layer, returns None.
+
+A training step allocates little besides the arrays it hands on, with
+the bits of the plain step that allocates each one. A dense layer adds
+the bias and applies its activation in place on its product and caches
+(input, activation), and its backward writes the gradients straight into
+the `grads` views. A dropout layer keeps one mask buffer per input shape
+(an epoch's short last batch is a second shape) and refills it at each
+training forward; an inference forward leaves it alone. No layer returns
+one of its buffers, so an output a caller keeps is never overwritten by a
+later step.
 
 Output heads are linear (`identity`) dense layers: the model applies
 `softmax` or `sigmoid` to their logits (see `nn.losses`).
@@ -27,8 +39,8 @@ generator per member and draws member j's mask from the j-th. Every
 operation keeps member j's bits as its own 2-D layer computes them:
 `np.matmul` runs one BLAS call per member on the same operand layouts, the
 backward products transpose with `swapaxes(-1, -2)` as the 2-D ones do
-with `.T`, and the bias gradient `sum(axis=-2)` is the same sequential sum
-over the batch rows.
+with `.T`, and the bias gradient, an add-reduce over axis -2, is the same
+sequential sum over the batch rows.
 
 The LSTM is deterministic on one BLAS build: the same inputs, parameters
 and thread count give the same bytes. It does not promise the bits of any
@@ -80,9 +92,10 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by the row max for stability."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -90,29 +103,27 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
+def _activate(name: str, z: np.ndarray) -> None:
+    """Apply the activation `name` to z in place."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "tanh":
-        return np.tanh(z)
-    raise ConfigError(f"unknown activation {name!r}")
+        np.maximum(z, 0.0, out=z)
+    elif name == "sigmoid":
+        sigmoid(z, out=z)
+    elif name == "tanh":
+        np.tanh(z, out=z)
 
 
-def _activation_input_grad(name: str, d_out: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gradient with respect to the pre-activation z given d(loss)/d(a)."""
+def _activation_input_grad(name: str, d_out: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gradient with respect to the pre-activation given d(loss)/d(a) and
+    the activation a. relu's a > 0 holds where its input z > 0 does, NaN
+    included."""
     if name == "identity":
         return d_out
     if name == "relu":
-        return d_out * (z > 0.0)
+        return d_out * (a > 0.0)
     if name == "sigmoid":
         return d_out * a * (1.0 - a)
-    if name == "tanh":
-        return d_out * (1.0 - a * a)
-    raise ConfigError(f"unknown activation {name!r}")
+    return d_out * (1.0 - a * a)
 
 
 class DenseLayer:
@@ -153,19 +164,21 @@ class DenseLayer:
             raise ShapeError(f"{self!r} expected input of shape "
                              f"({', '.join(map(str, members + ('B',)))}, "
                              f"{self.in_dim}), got array of shape {x.shape}")
-        z = x @ self.weights + self.bias[..., None, :]
-        a = _apply_activation(self.activation, z)
-        self._cache = (x, z, a)
+        a = np.matmul(x, self.weights)
+        a += self.bias[..., None, :]
+        _activate(self.activation, a)
+        self._cache = (x, a)
         return a
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, d_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
         if self._cache is None:
             raise ShapeError(f"{self!r}: backward before forward")
-        x, z, a = self._cache
-        dz = _activation_input_grad(self.activation, d_out, z, a)
-        self.grads["weights"][...] = x.swapaxes(-1, -2) @ dz
-        self.grads["bias"][...] = dz.sum(axis=-2)
-        return dz @ self.weights.swapaxes(-1, -2)
+        x, a = self._cache
+        dz = _activation_input_grad(self.activation, d_out, a)
+        np.matmul(x.swapaxes(-1, -2), dz, out=self.grads["weights"])
+        np.add.reduce(dz, axis=-2, out=self.grads["bias"])
+        return dz @ self.weights.swapaxes(-1, -2) if input_grad else None
 
 
 class DropoutLayer:
@@ -173,7 +186,9 @@ class DropoutLayer:
     time and scales survivors by 1/(1-rate), so inference is the identity.
 
     `rng` draws the masks; a layer stacked over k members holds a sequence
-    of k generators instead, and member j's mask comes from the j-th.
+    of k generators instead, and member j's mask comes from the j-th. Each
+    training forward fills member j's rows with `rng.random(out=...)`: the
+    generator calls and bits of a fresh `rng.random(shape)` draw.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator | None = None):
@@ -183,6 +198,7 @@ class DropoutLayer:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
+        self._masks: dict[tuple, np.ndarray] = {}
 
     def __repr__(self):
         return f"dropout({self.rate})"
@@ -195,15 +211,22 @@ class DropoutLayer:
         if not training or self.rate == 0.0:
             self._mask = None
             return x
-        if x.ndim == 2:
-            draws = self.rng.random(x.shape)
-        else:
-            draws = np.stack([rng.random(x.shape[1:]) for rng in self.rng])
-        keep = draws >= self.rate
-        self._mask = keep / (1.0 - self.rate)
-        return x * self._mask
+        mask = self._masks.get(x.shape)
+        if mask is None:
+            mask = self._masks[x.shape] = np.empty(x.shape)
+        rngs = self.rng if x.ndim > 2 else (self.rng,)
+        for rng, draws in zip(rngs, mask.reshape(-1, *x.shape[-2:])):
+            rng.random(out=draws)
+        # keep / (1 - rate), keep being 1.0 or 0.0, written over the draws
+        np.greater_equal(mask, self.rate, out=mask)
+        mask /= 1.0 - self.rate
+        self._mask = mask
+        return x * mask
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, d_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        if not input_grad:
+            return None
         if self._mask is None:
             return d_out
         return d_out * self._mask

@@ -93,11 +93,15 @@ class Network(Model):
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, d_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Gradients of every layer from d(loss)/d(output); returns the
+        gradient with respect to the input, or None with `input_grad`
+        False, where the first layer skips that product."""
         grad = d_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        return self.layers[0].backward(grad, input_grad)
 
 
 def _lay_out(models: list[Model]) -> tuple[np.ndarray, np.ndarray]:
@@ -165,6 +169,12 @@ def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
     on inputs with a leading member axis, and member j ends with the bytes
     it would have trained to alone.
 
+    A step's dense and dropout layers compute in place and reuse their
+    buffers, and the gender MLP skips its first layer's input gradient,
+    which nothing reads (see `nn.layers`); every parameter and loss keeps
+    the bytes of the plain step that allocates each array, which the tests
+    keep as a reference.
+
     The step updates the flat buffers (see `Model.buffers`) as a one-entry
     mapping, so the optimizer makes one pass and one finiteness check; a
     non-finite gradient raises TrainingError naming the parameter it
@@ -185,22 +195,23 @@ def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
     if len(models) == 1:
         model, data, labels = models[0], inputs[0], targets[0]
     else:
+        # member j's row i is row j * n + i, so one take gathers a batch
         model = stack(models)
-        data = tuple(np.stack(arrays) for arrays in zip(*inputs))
-        labels = np.stack(targets)
+        data = tuple(np.concatenate(arrays) for arrays in zip(*inputs))
+        labels = np.concatenate(targets)
     flat_params, flat_grads = model.buffers()
     params, grads = {"model": flat_params}, {"model": flat_grads}
-    members = np.arange(len(models))[:, None]
+    offsets = np.arange(len(models))[:, None] * n
     histories = [[] for _ in models]
     for epoch in range(config.epochs):
-        perm = np.stack([rng.permutation(n) for rng in rngs])
+        perm = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[:, start:start + config.batch_size]
-            rows = (idx[0],) if len(models) == 1 else (members, idx)
-            probs = model.forward_batch(tuple(a[rows] for a in data),
-                                        training=True)
-            value, d_logits = loss(probs, labels[rows])
+            rows = idx[0] if len(models) == 1 else idx
+            probs = model.forward_batch(
+                tuple(a.take(rows, axis=0) for a in data), training=True)
+            value, d_logits = loss(probs, labels.take(rows, axis=0))
             model.backward(d_logits)
             try:
                 optimizer.step(params, grads)

@@ -202,6 +202,83 @@ class TestTrainGenderStack:
                          TrainConfig(epochs=1), seeds=[0, 1])
 
 
+def reference_training(features, labels, config, dropout_rate):
+    """One gender MLP trained by a plain 2-D loop, the step written out as
+    `x @ w + b`, `np.maximum`, a fresh `rng.random(shape)` mask scaled by
+    `keep / (1 - rate)`, the whole backward (the first layer's input
+    gradient included) and Adam on each named array; the generators are
+    derived from `config.seed` as `fit_softmax_classifier` does. Returns
+    the flat parameters and the {epoch, train_loss} history."""
+    model = GenderModel(features.shape[1], dropout_rate=dropout_rate,
+                        seed=config.seed)
+    p = {name: value.copy() for name, value in model.parameters().items()}
+    m = {name: np.zeros_like(value) for name, value in p.items()}
+    v = {name: np.zeros_like(value) for name, value in p.items()}
+    batch_seed, dropout_seed = np.random.SeedSequence(config.seed).spawn(2)
+    order_rng = np.random.default_rng(batch_seed)
+    mask_rng = np.random.default_rng(dropout_seed.spawn(1)[0])
+    targets = np.eye(len(CLASSES))[[CLASSES.index(l) for l in labels]]
+    lr, n, t, history = config.learning_rate, len(labels), 0, []
+    for epoch in range(config.epochs):
+        perm = order_rng.permutation(n)
+        losses = []
+        for start in range(0, n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            x, y = features[idx], targets[idx]
+            z1 = x @ p["layer0.weights"] + p["layer0.bias"]
+            h1 = np.maximum(z1, 0.0)
+            mask = 1.0
+            if dropout_rate:
+                keep = mask_rng.random(h1.shape) >= dropout_rate
+                mask = keep / (1.0 - dropout_rate)
+            hd = h1 * mask
+            z2 = hd @ p["layer2.weights"] + p["layer2.bias"]
+            h2 = np.maximum(z2, 0.0)
+            logits = h2 @ p["layer3.weights"] + p["layer3.bias"]
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+            losses.append(-(y * np.log(np.clip(probs, 1e-12, 1.0))).sum()
+                          / len(idx))
+            d3 = (probs - y) / len(idx)
+            d2 = (d3 @ p["layer3.weights"].T) * (z2 > 0.0)
+            d_hd = d2 @ p["layer2.weights"].T
+            d1 = (d_hd * mask if dropout_rate else d_hd) * (z1 > 0.0)
+            d1 @ p["layer0.weights"].T  # the input gradient, which nothing reads
+            grads = {"layer0.weights": x.T @ d1, "layer0.bias": d1.sum(axis=0),
+                     "layer2.weights": hd.T @ d2, "layer2.bias": d2.sum(axis=0),
+                     "layer3.weights": h2.T @ d3, "layer3.bias": d3.sum(axis=0)}
+            t += 1
+            for name, g in grads.items():
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + ((1.0 - 0.999) * g) * g
+                p[name] -= (lr * (m[name] / (1.0 - 0.9 ** t))) / (
+                    np.sqrt(v[name] / (1.0 - 0.999 ** t)) + 1e-8)
+        history.append({"epoch": epoch + 1,
+                        "train_loss": float(np.mean(losses))})
+    return np.concatenate([value.ravel() for value in p.values()]), history
+
+
+class TestFitMatchesReference:
+    """`fit` of a gender stack keeps the bytes of the plain reference step,
+    whatever buffers its layers reuse and whatever products they skip."""
+
+    @pytest.mark.parametrize("members", [1, 5])
+    @pytest.mark.parametrize("dropout_rate", [0.4, 0.0])
+    def test_parameter_and_loss_bytes(self, members, dropout_rate):
+        # 35 rows in batches of 4: eight full batches and a short one of
+        # 3, so the epoch mean is a pairwise sum and the masks change shape
+        data = [noisy_features(35, width=6, seed=seed) for seed in range(members)]
+        seeds = [11, 4, 4, 90, 2][:members]
+        config = TrainConfig(epochs=3, batch_size=4, learning_rate=3e-3)
+        models = train_gender([x for x, _ in data], [y for _, y in data],
+                              config, dropout_rate=dropout_rate, seeds=seeds)
+        for model, (x, y), seed in zip(models, data, seeds):
+            params, history = reference_training(
+                x, y, replace(config, seed=seed), dropout_rate)
+            assert flat_parameters(model).tobytes() == params.tobytes()
+            assert model.history == history
+
+
 class TestPredictGender:
     """Predictions are `predict_proba` plus argmax over CLASSES, the rule
     the experiment scores each fold with."""

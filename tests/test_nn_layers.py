@@ -84,6 +84,58 @@ class TestDropout:
         with pytest.raises(ConfigError):
             DropoutLayer(1.0)
 
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_masks_after_a_shape_change_are_fresh_draws(self, members):
+        # an epoch's short last batch changes the shape; every mask still
+        # has the bits of rng.random(shape) >= rate, scaled by 1/(1 - rate)
+        gens = [np.random.default_rng(j) for j in range(members or 1)]
+        streams = [np.random.default_rng(j) for j in range(members or 1)]
+        layer = DropoutLayer(0.4, rng=streams[0] if members is None else streams)
+        data = np.random.default_rng(9)
+        for batch in (32, 8, 32):
+            shape = (batch, 50) if members is None else (members, batch, 50)
+            x, d_out = data.normal(size=shape), data.normal(size=shape)
+            draws = np.stack([gen.random((batch, 50)) for gen in gens])
+            mask = ((draws >= 0.4) / (1.0 - 0.4)).reshape(shape)
+            assert layer.forward(x, training=True).tobytes() == (x * mask).tobytes()
+            assert layer.backward(d_out).tobytes() == (d_out * mask).tobytes()
+
+    def test_inference_forward_between_steps_changes_nothing(self):
+        # as an after_epoch score between two training steps does
+        data = np.random.default_rng(4)
+        x, d_out = data.normal(size=(32, 50)), data.normal(size=(32, 50))
+        runs = []
+        for probe in (False, True):
+            layer = DropoutLayer(0.4, rng=rng())
+            steps = []
+            for _ in range(2):
+                steps.append(layer.forward(x, training=True).tobytes())
+                steps.append(layer.backward(d_out).tobytes())
+                if probe:
+                    for rows in (8, 32):
+                        assert layer.forward(x[:rows]).tobytes() == x[:rows].tobytes()
+            runs.append(steps)
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("make", [lambda: DropoutLayer(0.4, rng=rng()),
+                                  lambda: DenseLayer(50, 50, "relu", rng=rng())],
+                         ids=["dropout", "dense"])
+def test_outputs_a_caller_keeps_survive_the_next_step(make):
+    # the layers reuse buffers from step to step, but never the arrays
+    # they return
+    layer = make()
+    data = np.random.default_rng(2)
+    kept = []
+    for _ in range(2):
+        x, d_out = data.normal(size=(32, 50)), data.normal(size=(32, 50))
+        out = layer.forward(x, training=True)
+        grad = layer.backward(d_out)
+        kept.append((out, out.copy(), grad, grad.copy()))
+    for out, out_then, grad, grad_then in kept:
+        assert out.tobytes() == out_then.tobytes()
+        assert grad.tobytes() == grad_then.tobytes()
+
 
 class TestLSTM:
     def test_zero_parameters_give_zero_hidden(self):
@@ -474,6 +526,10 @@ class TestStackedNetwork:
         d_in = stacked.backward(d_out)
         stacked_grads = {name: grad.copy()
                          for name, grad in stacked.gradients().items()}
+        # without the input gradient the parameter gradients keep their bytes
+        assert stacked.backward(d_out, input_grad=False) is None
+        for name, grad in stacked.gradients().items():
+            assert grad.tobytes() == stacked_grads[name].tobytes(), name
         for j, net in enumerate(nets):
             assert net.forward(x[j]).tobytes() == out[j].tobytes()
             assert net.backward(d_out[j]).tobytes() == d_in[j].tobytes()

@@ -101,8 +101,8 @@ def poison_after_backward(layer, name, value):
     written through the layer's `grads` entry."""
     backward = layer.backward
 
-    def poisoned(d_out):
-        out = backward(d_out)
+    def poisoned(d_out, *args):
+        out = backward(d_out, *args)
         layer.grads[name].flat[0] = value
         return out
     layer.backward = poisoned
