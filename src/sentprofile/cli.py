@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .embed import load_embeddings, save_embeddings
+from .embed import save_embeddings
 from .errors import ConfigError, DataError, PipelineError
 from .experiment import (
     REPRESENTATIONS,
@@ -38,7 +38,6 @@ from .experiment import (
     run_grid,
     sentiment_features,
     sentiment_sources,
-    target_vectors,
     train_fold_sentiment,
     user_features,
 )
@@ -70,7 +69,8 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stopwords", default=None)
     parser.add_argument("--manual-labels", dest="manual", default=None)
     parser.add_argument("--embeddings", default=None,
-                        help="reuse a saved embedding table instead of training")
+                        help="reuse a saved embedding table instead of "
+                             "training; its dimension must match --dimension")
     parser.add_argument("--representation", choices=REPRESENTATIONS, default=None)
     parser.add_argument("--sentiment-mode", choices=SENTIMENT_MODES, default=None)
     parser.add_argument("--source-mode", choices=SOURCE_MODES, default=None)
@@ -137,14 +137,24 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-def _cmd_select_source(args) -> int:
-    config = replace(_experiment_config(args), source_mode="high_similarity")
-    paths = _data_paths(args)
+def _sentiment_source(config: ExperimentConfig, paths: DataPaths):
+    """(source, loaded reviews): the source `evaluate` trains the sentiment
+    model of `config.source_mode` on, whose selection reads the averaged
+    word vectors of the users `evaluate` keeps."""
     _, docs, reviews, stopwords = load_corpora(paths)
     table = embedding_table(config, paths, docs, reviews)
-    source = sentiment_sources(config, [config.source_mode], reviews,
-                               target_vectors(docs, table)[1], table,
-                               stopwords)[config.source_mode]
+    targets = None
+    if "high_similarity" in config.source_mode:
+        targets = user_features(replace(config, representation="avg_vector"),
+                                set(), [], docs, table)[1]
+    return sentiment_sources(config, [config.source_mode], reviews, targets,
+                             table, stopwords,
+                             paths.manual)[config.source_mode], reviews
+
+
+def _cmd_select_source(args) -> int:
+    config = replace(_experiment_config(args), source_mode="high_similarity")
+    source, reviews = _sentiment_source(config, _data_paths(args))
     kept_ids = {source.ids[row] for row in source.selected}
     with open(args.out, "w", encoding="utf-8") as fh:
         for review in reviews:
@@ -159,13 +169,7 @@ def _cmd_select_source(args) -> int:
 
 def _cmd_sentiment_train(args) -> int:
     config = _experiment_config(args)
-    paths = _data_paths(args)
-    _, docs, reviews, stopwords = load_corpora(paths)
-    table = embedding_table(config, paths, docs, reviews)
-    targets = (target_vectors(docs, table)[1]
-               if "high_similarity" in config.source_mode else None)
-    source = sentiment_sources(config, [config.source_mode], reviews, targets,
-                               table, stopwords, paths.manual)[config.source_mode]
+    source, _ = _sentiment_source(config, _data_paths(args))
     seqs, polarity = source.training_set()
     model, curve = train_fold_sentiment(config, seqs, polarity)
     save_model(model, args.out)
@@ -190,13 +194,18 @@ def _cmd_extract(args) -> int:
         raise ConfigError("extract needs --embeddings: the table the "
                           "sentiment model was trained on")
     # extract reads no review
-    users, docs, _, stopwords = load_corpora(replace(_data_paths(args),
-                                                     reviews=None))
-    table = load_embeddings(args.embeddings)
+    paths = replace(_data_paths(args), reviews=None)
+    users, docs, _, stopwords = load_corpora(paths)
+    table = embedding_table(config, paths, docs, [])
     model = load_model(args.model)
     if not isinstance(model, SentimentModel):
         raise DataError(f"checkpoint {args.model} holds a "
                         f"{model.checkpoint_kind} model, not a sentiment model")
+    if model.input_dim != table.dimension:
+        raise DataError(f"checkpoint {args.model} reads "
+                        f"{model.input_dim}-dimensional word vectors, but "
+                        f"{args.embeddings} holds {table.dimension}-dimensional "
+                        f"ones")
     docs, base, mats, lengths, polarity = user_features(
         config, {mode}, users, docs, table, stopwords)
     features = sentiment_features(model, {mode}, mats, lengths, polarity)

@@ -297,6 +297,8 @@ def load_embeddings(path) -> EmbeddingTable:
             if len(parts) != dim + 1:
                 raise FormatError(f"expected {dim} components for token "
                                   f"{parts[0]!r}, found {len(parts) - 1}", number)
+            if parts[0] in vectors:
+                raise FormatError(f"token {parts[0]!r} appears twice", number)
             try:
                 vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
             except ValueError:
@@ -309,6 +311,13 @@ def load_embeddings(path) -> EmbeddingTable:
 
 def _in_vocab_vectors(doc, table: EmbeddingTable) -> list[np.ndarray]:
     return [table[t] for t in _token_stream(doc) if t in table]
+
+
+def in_vocabulary(doc, table: EmbeddingTable) -> bool:
+    """Whether the document has a token in `table`: exactly when
+    `doc_vector` and `doc_matrix` embed it rather than raise
+    AllOovError."""
+    return any(t in table for t in _token_stream(doc))
 
 
 def doc_vector(doc, table: EmbeddingTable) -> np.ndarray:

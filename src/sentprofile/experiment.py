@@ -15,6 +15,11 @@ with equal-shaped training data in lockstep as one stacked model,
 finetuned composites one at a time. A grid of cells shares all of this but
 the gender training: one load, one embedding fit and, per source mode, the
 sentiment models.
+
+A document with no in-vocabulary token is dropped with one warning (see
+`_embeddable`): a source review or manual sample always, a target user
+under `avg_vector` or a sentiment mode. The tf-idf and keyword idf count
+every loaded user, dropped ones too.
 """
 
 import csv
@@ -42,11 +47,11 @@ from .corpus import (
 )
 from .domainsel import DEFAULT_SIMILARITY_THRESHOLD, select_source
 from .embed import (
-    AllOovError,
     EmbedConfig,
     doc_matrix,
     doc_vector,
     gender_keywords,
+    in_vocabulary,
     load_embeddings,
     tfidf_representation,
     train_skipgram,
@@ -363,32 +368,42 @@ def fit_embeddings(config: ExperimentConfig, docs, reviews):
 
 
 def embedding_table(config: ExperimentConfig, paths: DataPaths, docs, reviews):
-    """The saved table at `paths.embeddings`, or one fit on both corpora."""
-    if paths.embeddings:
-        return load_embeddings(paths.embeddings)
-    return fit_embeddings(config, docs, reviews)
+    """The saved table at `paths.embeddings`, which must hold vectors of
+    `config.dimension`, or one fit on both corpora."""
+    if not paths.embeddings:
+        return fit_embeddings(config, docs, reviews)
+    table = load_embeddings(paths.embeddings)
+    if table.dimension != config.dimension:
+        raise DataError(f"{paths.embeddings} holds {table.dimension}-dimensional "
+                        f"vectors, but dimension is {config.dimension}")
+    return table
 
 
-def _labeled_sequences(entries, table, r: int, dropping: str):
-    """(kept documents, their (length, d) float32 sequences, their 0/1
-    polarity targets) of the (document, polarity) `entries`, target 1
-    marking a positive one. A document with no in-vocabulary token is
-    dropped with the warning `dropping % id`."""
-    kept, seqs, targets = [], [], []
-    for doc, polarity in entries:
-        try:
-            seqs.append(doc_matrix(doc, table, r))
-        except AllOovError:
+def _embeddable(docs, table, dropping: str) -> list[int]:
+    """The ascending rows of the documents in `docs` that `table` can
+    embed (see `in_vocabulary`); each other one is dropped with the
+    warning `dropping % id`."""
+    rows = []
+    for row, doc in enumerate(docs):
+        if in_vocabulary(doc, table):
+            rows.append(row)
+        else:
             logger.warning(dropping, document_id(doc))
-            continue
-        kept.append(doc)
-        targets.append(polarity == "positive")
-    return kept, seqs, np.array(targets, dtype=np.float64)
+    return rows
+
+
+def _labeled_sequences(docs, polarities, table, r: int, dropping: str):
+    """(kept documents, their (length, d) float32 sequences, their 0/1
+    polarity targets, 1 for positive) of the `_embeddable` rows of `docs`
+    and their `polarities`."""
+    rows = _embeddable(docs, table, dropping)
+    return ([docs[i] for i in rows], [doc_matrix(docs[i], table, r) for i in rows],
+            np.array([polarities[i] == "positive" for i in rows], dtype=np.float64))
 
 
 def build_source_items(reviews, table, r: int):
     """The kept reviews, sequences and targets of `_labeled_sequences`."""
-    return _labeled_sequences(((review, review.polarity) for review in reviews),
+    return _labeled_sequences(reviews, [review.polarity for review in reviews],
                               table, r,
                               "dropping review %s: all tokens out of vocabulary")
 
@@ -397,100 +412,63 @@ def build_manual_items(manual_records, table, r: int, stopwords):
     """(user ids, sequences, targets) of the manually labelled users that
     `_labeled_sequences` keeps, each user's document being their cleaned
     posts."""
-    entries = []
-    for record, polarity in manual_records:
-        tokens = [token for post in record.posts
-                  for token in clean_tokens(post, stopwords)]
-        entries.append((TokenDocument(record.user_id, tuple(tokens)), polarity))
+    docs = [TokenDocument(record.user_id,
+                          tuple(token for post in record.posts
+                                for token in clean_tokens(post, stopwords)))
+            for record, _ in manual_records]
     docs, seqs, targets = _labeled_sequences(
-        entries, table, r, "dropping manual sample %s: out of vocabulary")
+        docs, [polarity for _, polarity in manual_records], table, r,
+        "dropping manual sample %s: out of vocabulary")
     return [doc.doc_id for doc in docs], seqs, targets
-
-
-def _in_vocabulary(docs, represent) -> tuple[list, list]:
-    """(kept docs, their `represent(doc)`), in document order. Users with
-    no in-vocabulary token are dropped with a warning; every stage that
-    needs an embedding of a target user applies this one rule."""
-    kept, reps = [], []
-    for doc in docs:
-        try:
-            reps.append(represent(doc))
-        except AllOovError:
-            logger.warning("dropping user %s: all tokens out of vocabulary",
-                           doc.user_id)
-            continue
-        kept.append(doc)
-    if not kept:
-        raise DataError("every user is out of the embedding vocabulary")
-    return kept, reps
-
-
-def target_vectors(docs, table):
-    """(kept docs, (n, d) averaged word vectors) of the users with an
-    in-vocabulary token, row i belonging to kept[i]."""
-    kept, vectors = _in_vocabulary(docs, lambda doc: doc_vector(doc, table))
-    return kept, np.stack(vectors)
-
-
-def target_matrices(docs, table, r: int):
-    """(kept docs, (n, T, d) zero-padded float32 word-vector sequences,
-    effective lengths) of the users with an in-vocabulary token, row i
-    belonging to kept[i]; T is the longest effective length."""
-    kept, seqs = _in_vocabulary(docs, lambda doc: doc_matrix(doc, table, r))
-    mats, lengths = pad_sequences(seqs)
-    return kept, mats, lengths
-
-
-def base_representations(config: ExperimentConfig, docs, table):
-    """(kept docs, (n, F) base feature matrix) for the chosen
-    representation, row i belonging to kept[i].
-
-    Averaged vectors drop the users whose every token is out of
-    vocabulary (logged); tf-idf keeps every user."""
-    if config.representation == "avg_vector":
-        return target_vectors(docs, table)
-    if config.representation == "tfidf":
-        vocabulary = None
-    else:
-        vocabulary = gender_keywords(docs, config.keyword_top_n)
-        if not vocabulary:
-            size = len({token for doc in docs for token in doc.tokens})
-            raise DataError(f"gender keyword set is empty: both genders' top "
-                            f"keyword_top_n={config.keyword_top_n} tokens are "
-                            f"the same, of a {size}-token vocabulary")
-    return docs, tfidf_representation(docs, vocabulary)[0]
 
 
 def user_features(config: ExperimentConfig, sentiment_modes: set[str], users,
                   docs, table, stopwords=frozenset()):
     """(kept docs, base, mats, lengths, polarity): what the sentiment modes
     in `sentiment_modes` read of each user, row i belonging to kept[i].
-    `base` is the (n, F) matrix of `base_representations`; `mats` and
-    `lengths` (see `target_matrices`) are None unless a mode that runs the
-    LSTM over the user documents (`frozen_lstm`, `frozen_dense`,
-    `finetuned_lstm`) is asked for, and `polarity` (see
-    `polarity_sequences`, built from `users`) unless `polarity_features`
-    is. `evaluate` and the staged `extract` build their features here, so
+    `evaluate` and the staged `extract` build their features here, so
     both keep the same users in the same rows.
 
-    Once a sentiment mode reads the users' word vectors, the users whose
-    every token is out of vocabulary are dropped (logged) under tf-idf
-    too."""
-    docs, base = base_representations(config, docs, table)
-    kept, mats, lengths, polarity = docs, None, None, None
+    Under `avg_vector` or a sentiment mode other than `none`, the users
+    that `table` cannot embed are dropped (see `_embeddable`); otherwise
+    `table` may be None. Each row is built once, of the kept users:
+    `base`, the (n, F) averaged word vectors or tf-idf rows, whose idf
+    counts every user in `docs`; `mats` and `lengths` (see
+    `pad_sequences`) when a mode that runs the LSTM over the user
+    documents (`frozen_lstm`, `frozen_dense`, `finetuned_lstm`) is asked
+    for, and `polarity` (see `polarity_sequences`, built from `users`)
+    when `polarity_features` is; each is None otherwise."""
+    kept, rows = docs, None
+    if config.representation == "avg_vector" or sentiment_modes - {"none"}:
+        rows = _embeddable(docs, table,
+                           "dropping user %s: all tokens out of vocabulary")
+        if not rows:
+            raise DataError("every user is out of the embedding vocabulary")
+        kept = [docs[i] for i in rows]
+    if config.representation == "avg_vector":
+        base = np.stack([doc_vector(doc, table) for doc in kept])
+    else:
+        vocabulary = None
+        if config.representation == "keyword_tfidf":
+            vocabulary = gender_keywords(docs, config.keyword_top_n)
+            if not vocabulary:
+                size = len({token for doc in docs for token in doc.tokens})
+                raise DataError(f"gender keyword set is empty: both genders' "
+                                f"top keyword_top_n={config.keyword_top_n} "
+                                f"tokens are the same, of a {size}-token "
+                                f"vocabulary")
+        base = tfidf_representation(docs, vocabulary)[0]
+        if len(kept) < len(docs):
+            base = base[rows]
+    mats = lengths = polarity = None
     if sentiment_modes & {"frozen_lstm", "frozen_dense", "finetuned_lstm"}:
-        kept, mats, lengths = target_matrices(docs, table, config.r)
-    elif sentiment_modes - {"none"}:
-        kept, _ = _in_vocabulary(docs, lambda doc: doc_vector(doc, table))
-    if len(kept) < len(docs):
-        kept_ids = {d.user_id for d in kept}
-        base = base[[i for i, d in enumerate(docs) if d.user_id in kept_ids]]
-        docs = kept
+        mats, lengths = pad_sequences([doc_matrix(doc, table, config.r)
+                                       for doc in kept])
     if "polarity_features" in sentiment_modes:
         users_by_id = {u.user_id: u for u in users}
-        polarity = polarity_sequences([users_by_id[d.user_id] for d in docs],
+        polarity = polarity_sequences([users_by_id[d.user_id] for d in kept],
                                       table, config.r, stopwords)
-    return docs, base, mats, lengths, polarity
+    return kept, base, mats, lengths, polarity
 
 
 @dataclass
@@ -688,7 +666,7 @@ def _prepare_runs(cells: list[ExperimentConfig],
         targets = None
         if any("high_similarity" in mode for mode in source_modes):
             targets = (base if config.representation == "avg_vector"
-                       else target_vectors(docs, table)[1])
+                       else np.stack([doc_vector(doc, table) for doc in docs]))
         sources = sentiment_sources(config, source_modes, reviews, targets,
                                     table, stopwords, paths.manual)
     shared = RunContext(

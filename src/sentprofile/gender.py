@@ -10,6 +10,7 @@ line per row.
 
 import json
 import logging
+import math
 from typing import Sequence
 
 import numpy as np
@@ -189,8 +190,8 @@ def write_features(path, ids: Sequence[str], labels: Sequence[str],
 
 def read_features(path) -> tuple[list[str], list[str], np.ndarray, tuple[str, ...]]:
     """(ids, labels, (n, F) matrix, layout) of a `write_features` file.
-    Every row must have the width and layout of the first; a file without
-    rows is an error."""
+    Every row must have the width and layout of the first and finite
+    values; a file without rows is an error."""
     ids, labels, rows = [], [], []
     layout = None
     for number, record in jsonl_records(path):
@@ -207,6 +208,8 @@ def read_features(path) -> tuple[list[str], list[str], np.ndarray, tuple[str, ..
         if not (isinstance(values, list)
                 and all(type(x) in (int, float) for x in values)):
             raise SchemaError("field 'values' must be a list of numbers", number)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in values):
+            raise SchemaError("field 'values' holds a non-finite number", number)
         if layout is None:
             first, layout = number, tuple(names)
         elif tuple(names) != layout:

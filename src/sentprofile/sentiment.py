@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TokenDocument, UserRecord, clean_tokens
-from .embed import EmbeddingTable, doc_matrix
+from .embed import EmbeddingTable, doc_matrix, in_vocabulary
 from .errors import AllOovError, DataError
 from .gender import build_mlp, fit_softmax_classifier
 from .nn import (
@@ -236,12 +236,9 @@ def polarity_sequences(users: list[UserRecord], table: EmbeddingTable, r: int,
         for j, post in enumerate(user.posts):
             tokens = clean_tokens(post, stopwords)
             all_tokens.extend(tokens)
-            try:
-                seqs.append(doc_matrix(TokenDocument(
-                    doc_id=f"{user.user_id}/post{j}", tokens=tuple(tokens)),
-                    table, r))
-            except AllOovError:
-                continue
+            post_doc = TokenDocument(f"{user.user_id}/post{j}", tuple(tokens))
+            if in_vocabulary(post_doc, table):
+                seqs.append(doc_matrix(post_doc, table, r))
         if len(seqs) == first:
             raise AllOovError(f"every post of user {user.user_id!r} is out of "
                               "vocabulary")

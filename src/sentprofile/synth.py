@@ -13,6 +13,12 @@ frequency correlates with gender at the configured point-biserial level.
 Posts also carry stopwords, links and punctuation tokens so the cleaning
 rules have something to do; the matching stopword list is part of the
 generated dataset.
+
+`SynthConfig` sets sizes, shapes, seed and marker correlation; the rates
+are module constants: the marker rates REVIEW_MARKER_RATE, USER_MARKER_RATE
+and USER_MARKER_RATE_SD, a user's positive-pair lean POSITIVE_SHARE_SHIFT
+and POSITIVE_SHARE_SD, and the noise rates STOPWORD_RATE, LINK_RATE and
+PUNCT_RATE.
 """
 
 import json
@@ -29,6 +35,14 @@ OPENER_MARKERS = tuple(f"marka{i}" for i in range(2))
 CLOSER_MARKERS = tuple(f"markb{i}" for i in range(2))
 STOPWORDS = tuple(f"filler{i}" for i in range(8))
 PUNCT_TOKENS = ("!!", "...", "??", "~~")
+REVIEW_MARKER_RATE = 0.25
+USER_MARKER_RATE = 0.14
+USER_MARKER_RATE_SD = 0.03
+POSITIVE_SHARE_SHIFT = 0.4
+POSITIVE_SHARE_SD = 0.06
+STOPWORD_RATE = 0.05
+LINK_RATE = 0.02
+PUNCT_RATE = 0.02
 
 
 @dataclass
@@ -42,14 +56,6 @@ class SynthConfig:
     posts_per_user: tuple[int, int] = (3, 7)
     tokens_per_post: tuple[int, int] = (8, 16)
     review_tokens: tuple[int, int] = (8, 30)
-    review_marker_rate: float = 0.25
-    user_marker_rate: float = 0.14
-    user_marker_rate_sd: float = 0.03
-    positive_share_shift: float = 0.4
-    positive_share_sd: float = 0.06
-    stopword_rate: float = 0.05
-    link_rate: float = 0.02
-    punct_rate: float = 0.02
     n_manual: int = 50
 
     def validate(self) -> None:
@@ -96,11 +102,11 @@ def _marker_rate_delta(config: SynthConfig) -> float:
     """
     rho = config.marker_correlation
     mean_tokens = (sum(config.posts_per_user) / 2) * (sum(config.tokens_per_post) / 2)
-    rate = config.user_marker_rate
+    rate = USER_MARKER_RATE
     # a pair toggles two tokens at once and document lengths vary, which
     # inflates the sampling variance beyond plain binomial; the 2.0 factor
     # is calibrated against realized correlations
-    within_var = config.user_marker_rate_sd ** 2 + 2.0 * rate * (1 - rate) / mean_tokens
+    within_var = USER_MARKER_RATE_SD ** 2 + 2.0 * rate * (1 - rate) / mean_tokens
     return 2 * rho / math.sqrt(1 - rho ** 2) * math.sqrt(within_var)
 
 
@@ -117,7 +123,7 @@ def generate_reviews(config: SynthConfig, rng: np.random.Generator) -> list[Sour
     reversed bigram can appear between adjacent pairs."""
     topics = config.topic_vocab()
     flat_vocab = [t for topic in topics for t in topic]
-    q = _pair_start_prob(config.review_marker_rate)
+    q = _pair_start_prob(REVIEW_MARKER_RATE)
     polarities = np.array(["positive", "negative"])[
         rng.permutation(np.arange(config.n_reviews) % 2)]
     reviews = []
@@ -160,12 +166,12 @@ def generate_users(config: SynthConfig, rng: np.random.Generator):
     for i in range(config.n_users):
         gender = str(genders[i])
         sign = 0.5 if gender == "female" else -0.5
-        rate = float(np.clip(config.user_marker_rate + sign * delta
-                             + rng.normal(0.0, config.user_marker_rate_sd),
+        rate = float(np.clip(USER_MARKER_RATE + sign * delta
+                             + rng.normal(0.0, USER_MARKER_RATE_SD),
                              0.01, 0.7))
         q = _pair_start_prob(rate)
-        positive_share = float(np.clip(0.5 + 2 * sign * config.positive_share_shift
-                                       + rng.normal(0.0, config.positive_share_sd),
+        positive_share = float(np.clip(0.5 + 2 * sign * POSITIVE_SHARE_SHIFT
+                                       + rng.normal(0.0, POSITIVE_SHARE_SD),
                                        0.02, 0.98))
         topic_weights = rng.dirichlet(np.full(config.n_topics, 0.4))
         n_posts = int(rng.integers(config.posts_per_user[0],
@@ -183,13 +189,13 @@ def generate_users(config: SynthConfig, rng: np.random.Generator):
             just_paired = True
             while len(tokens) < length:
                 u = rng.random()
-                if u < config.stopword_rate:
+                if u < STOPWORD_RATE:
                     tokens.append(STOPWORDS[rng.integers(0, len(STOPWORDS))])
                     continue
-                if u < config.stopword_rate + config.link_rate:
+                if u < STOPWORD_RATE + LINK_RATE:
                     tokens.append(f"http://s.example/{rng.integers(0, 999)}")
                     continue
-                if u < config.stopword_rate + config.link_rate + config.punct_rate:
+                if u < STOPWORD_RATE + LINK_RATE + PUNCT_RATE:
                     tokens.append(PUNCT_TOKENS[rng.integers(0, len(PUNCT_TOKENS))])
                     continue
                 if not just_paired and rng.random() < q:

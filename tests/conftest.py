@@ -1,9 +1,18 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sentprofile.embed import EmbeddingTable
+from sentprofile.embed import EmbeddingTable, save_embeddings
 from sentprofile.errors import ShapeError
-from sentprofile.experiment import DataPaths
+from sentprofile.experiment import (
+    DataPaths,
+    ExperimentConfig,
+    fit_embeddings,
+    load_corpora,
+)
 from sentprofile.synth import SynthConfig, generate_dataset, write_dataset
 
 
@@ -25,6 +34,36 @@ SMALL_CONFIG = dict(folds=3, dimension=8, window=2, negatives=2,
                     embed_epochs=2, min_count=2, r=16, hidden_size=6,
                     sentiment_epochs=2, batch_size=16, learning_rate=3e-3,
                     epochs=(3,), keyword_top_n=30)
+
+
+# the documents `with_unembeddable_documents` adds, one of each kind
+UNEMBEDDABLE = {"users": "oov-user", "reviews": "oov-review",
+                "manual": "oov-manual"}
+
+
+def with_unembeddable_documents(paths: DataPaths, tmp_path) -> DataPaths:
+    """`paths` with one more user, review and manual sample (the ids of
+    UNEMBEDDABLE), each of tokens unknown to the table fit on `paths`
+    under SMALL_CONFIG, which the returned paths name as embeddings."""
+    _, docs, reviews, _ = load_corpora(paths)
+    embeddings = tmp_path / "emb.txt"
+    save_embeddings(fit_embeddings(ExperimentConfig(**SMALL_CONFIG), docs,
+                                   reviews), embeddings)
+    extra = {
+        "users": {"user_id": UNEMBEDDABLE["users"], "gender": "male",
+                  "posts": [["qqunseenuser"]]},
+        "reviews": {"review_id": UNEMBEDDABLE["reviews"],
+                    "polarity": "positive", "tokens": ["qqunseenreview"]},
+        "manual": {"user_id": UNEMBEDDABLE["manual"], "polarity": "negative",
+                   "posts": [["qqunseenmanual"]]}}
+    files = {}
+    for kind, record in extra.items():
+        files[kind] = tmp_path / f"{kind}.jsonl"
+        files[kind].write_text(
+            Path(getattr(paths, kind)).read_text(encoding="utf-8")
+            + json.dumps(record) + "\n", encoding="utf-8")
+    return replace(paths, embeddings=str(embeddings),
+                   **{kind: str(path) for kind, path in files.items()})
 
 
 @pytest.fixture

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sentprofile import experiment
+from sentprofile import cli, experiment
 from sentprofile.cli import build_parser, main
 from sentprofile.embed import save_embeddings
 from sentprofile.experiment import ExperimentConfig, fit_embeddings, load_corpora
 from sentprofile.gender import read_features
-from sentprofile.nn import load_model
+from sentprofile.nn import load_model, save_model
+from sentprofile.sentiment import SentimentModel
 
 from conftest import SMALL_CONFIG
 
@@ -488,6 +489,61 @@ def test_extract_exit_2_on_what_it_cannot_write(small_dataset, tmp_path, capsys,
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_embeddings_of_another_dimension_exit_3(small_dataset, tmp_path,
+                                                capsys, monkeypatch):
+    # the report would record a dimension the run did not use
+    def never(*args, **kwargs):
+        raise AssertionError("trained on a table of the wrong dimension")
+
+    monkeypatch.setattr(experiment, "train_sentiment", never)
+    dimension = SMALL_CONFIG["dimension"]
+    code = main(["evaluate"] + flags(small_dataset, dimension=dimension + 2) +
+                ["--embeddings", str(_embeddings(small_dataset, tmp_path)),
+                 "--sentiment-mode", "frozen_lstm"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert (f"holds {dimension}-dimensional vectors, but dimension is "
+            f"{dimension + 2}") in err
+
+
+def test_extract_exit_3_on_a_model_of_another_dimension(small_dataset,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+    # the model reads vectors of another width than the table holds; no
+    # user's row is built before that is reported
+    def never(*args, **kwargs):
+        raise AssertionError("built the user rows")
+
+    monkeypatch.setattr(cli, "user_features", never)
+    dimension = SMALL_CONFIG["dimension"]
+    sent = tmp_path / "sent.bin"
+    save_model(SentimentModel(dimension - 2, hidden_size=4), sent)
+    code = main(["extract"] + flags(small_dataset) +
+                ["--model", str(sent), "--sentiment-mode", "frozen_lstm",
+                 "--embeddings", str(_embeddings(small_dataset, tmp_path)),
+                 "--out", str(tmp_path / "features.jsonl")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"reads {dimension - 2}-dimensional word vectors" in err
+    assert f"holds {dimension}-dimensional ones" in err
+
+
+@pytest.mark.parametrize("command", ["smote", "gender-train"])
+def test_non_finite_feature_value_exits_3(tmp_path, capsys, command):
+    features = tmp_path / "features.jsonl"
+    features.write_text(
+        "".join(json.dumps({"user_id": f"u{i}", "label": label,
+                            "layout": ["doc_vector"],
+                            "values": [float(i), 1.0]}) + "\n"
+                for i, label in enumerate(["male", "female"] * 4))
+        + '{"user_id": "u8", "label": "male", "layout": ["doc_vector"], '
+          '"values": [NaN, 1.0]}\n', encoding="utf-8")
+    code = main([command, "--in", str(features), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert ("line 9: field 'values' holds a non-finite number"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["smote", "gender-train"])

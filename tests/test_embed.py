@@ -12,6 +12,7 @@ from sentprofile.embed import (
     doc_matrix,
     doc_vector,
     gender_keywords,
+    in_vocabulary,
     load_embeddings,
     save_embeddings,
     tfidf_representation,
@@ -264,6 +265,14 @@ class TestEmbeddingIO:
         with pytest.raises(FormatError):
             EmbeddingTable(2, {"a": np.array([np.nan, 1.0])})
 
+    def test_repeated_token_named(self, tmp_path):
+        # the header count check used to report it as a missing token
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\na 1.0 2.0\nb 0.0 1.0\na 3.0 4.0\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 4: token 'a' appears twice"):
+            load_embeddings(path)
+
 
 class TestDocVector:
     def test_mean_of_two(self, tiny_table):
@@ -282,6 +291,22 @@ class TestDocVector:
     def test_all_oov(self, tiny_table):
         with pytest.raises(AllOovError):
             doc_vector(TokenDocument("d", ("x", "y")), tiny_table)
+
+
+@pytest.mark.parametrize("tokens", [(), ("x", "y"), ("x", "a"), ("b",)])
+def test_in_vocabulary_is_what_embeds(tiny_table, tokens):
+    # the predicate the pipeline drops documents by says exactly which
+    # ones the embedding functions embed
+    doc = TokenDocument("d", tokens)
+    embeds = []
+    for embed in (lambda: doc_vector(doc, tiny_table),
+                  lambda: doc_matrix(doc, tiny_table, r=3)):
+        try:
+            embed()
+            embeds.append(True)
+        except AllOovError:
+            embeds.append(False)
+    assert embeds == [in_vocabulary(doc, tiny_table)] * 2
 
 
 class TestDocMatrix:

@@ -27,7 +27,12 @@ from sentprofile.experiment import (
     run_grid,
 )
 
-from conftest import SMALL_CONFIG, make_table
+from conftest import (
+    SMALL_CONFIG,
+    UNEMBEDDABLE,
+    make_table,
+    with_unembeddable_documents,
+)
 
 
 def small_experiment(**overrides):
@@ -717,30 +722,58 @@ class TestSentimentReadout:
 
 def test_avg_vector_selection_targets_are_the_base_rows(monkeypatch,
                                                         small_dataset):
-    # every user's averaged vector is computed once: the selection reads
-    # the base rows instead of recomputing them
-    calls = Counter()
-    embed_vector = experiment.doc_vector
-
-    def counted(doc, table):
-        calls[getattr(doc, "user_id", None)] += 1
-        return embed_vector(doc, table)
-
-    monkeypatch.setattr(experiment, "doc_vector", counted)
-    config = small_experiment(sentiment_mode="frozen_lstm",
-                              source_mode="high_similarity", z=0.05)
-    run, = experiment._prepare_runs([config], small_dataset)
-    del calls[None]  # the reviews
-    assert set(calls.values()) == {1}
-    assert set(calls) == set(run.index_of)
-    monkeypatch.undo()
+    # every kept user's averaged vector is computed once: under avg_vector
+    # the selection reads the base rows instead of recomputing them, and
+    # under tfidf no pass besides the selection's embeds a user
     _, docs, reviews, _ = experiment.load_corpora(small_dataset)
-    table = experiment.embedding_table(config, small_dataset, docs, reviews)
-    kept = experiment.build_source_items(reviews, table, config.r)[0]
-    want = select_source([experiment.doc_vector(review, table)
-                          for review in kept],
-                         experiment.target_vectors(docs, table)[1], config.z)
-    assert run.source.selected.tolist() == want.tolist()
+    embed_vector = experiment.doc_vector
+    for representation, mode in (("avg_vector", "frozen_lstm"),
+                                 ("tfidf", "polarity_features")):
+        calls = Counter()
+
+        def counted(doc, table):
+            calls[getattr(doc, "user_id", None)] += 1
+            return embed_vector(doc, table)
+
+        monkeypatch.setattr(experiment, "doc_vector", counted)
+        config = small_experiment(representation=representation,
+                                  sentiment_mode=mode,
+                                  source_mode="high_similarity", z=0.05)
+        run, = experiment._prepare_runs([config], small_dataset)
+        monkeypatch.undo()
+        del calls[None]  # the reviews
+        assert set(calls.values()) == {1}
+        assert set(calls) == set(run.index_of)
+        table = experiment.embedding_table(config, small_dataset, docs,
+                                           reviews)
+        kept = experiment.build_source_items(reviews, table, config.r)[0]
+        want = select_source([embed_vector(review, table) for review in kept],
+                             [embed_vector(doc, table) for doc in docs],
+                             config.z)
+        assert run.source.selected.tolist() == want.tolist()
+
+
+def test_each_unembeddable_document_dropped_once(small_dataset, tmp_path,
+                                                 caplog):
+    # one user, one review and one manual sample the table cannot embed:
+    # each warns once and has no row
+    paths = with_unembeddable_documents(small_dataset, tmp_path)
+    config = small_experiment(sentiment_mode="frozen_lstm",
+                              source_mode="high_similarity_plus_manual",
+                              z=0.05)
+    with caplog.at_level("WARNING", logger="sentprofile"):
+        run, = experiment._prepare_runs([config], paths)
+    assert sorted(m for m in caplog.messages if m.startswith("dropping")) == [
+        "dropping manual sample oov-manual: out of vocabulary",
+        "dropping review oov-review: all tokens out of vocabulary",
+        "dropping user oov-user: all tokens out of vocabulary"]
+    assert UNEMBEDDABLE["users"] not in run.index_of
+    assert len(run.index_of) == len(run.base) == len(run.mats)
+    assert UNEMBEDDABLE["reviews"] not in run.source.ids
+    assert len(run.source.ids) == len(run.source.seqs)
+    manual_ids, manual_seqs, _ = run.source.manual
+    assert UNEMBEDDABLE["manual"] not in manual_ids
+    assert len(manual_ids) == len(manual_seqs)
 
 
 @pytest.mark.parametrize("source_mode", ["entire_plus_manual",
@@ -876,13 +909,13 @@ def test_target_matrices_own_only_their_columns():
     # documents of at most 3 tokens padded to r=300: the stacked matrices
     # must not keep the full padded stack alive as a view base
     from sentprofile.corpus import VirtualDocument
-    from sentprofile.experiment import target_matrices
 
     table = make_table(("a", "b", "c"), dimension=4)
     docs = [VirtualDocument(user_id=f"u{i}", gender="male",
                             tokens=("a", "b", "c")[:i % 3 + 1],
                             token_count=i % 3 + 1) for i in range(6)]
-    kept, mats, lengths = target_matrices(docs, table, r=300)
+    kept, _, mats, lengths, _ = experiment.user_features(
+        small_experiment(r=300), {"frozen_lstm"}, [], docs, table)
     assert len(kept) == 6 and mats.shape == (6, 3, 4)
     assert list(lengths) == [1, 2, 3, 1, 2, 3]
     assert mats.base is None or mats.base.nbytes == mats.nbytes

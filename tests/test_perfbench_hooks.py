@@ -7,6 +7,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import logging
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +109,27 @@ def test_adam_takes_the_kernel_call_form():
                for name, value in params.items())
 
 
-def test_drop_warnings_keep_their_prefixes():
-    # the tracer counts dropped inputs by these message prefixes
-    source = Path(sentprofile.experiment.__file__).read_text(encoding="utf-8")
-    for prefix in ("dropping user", "dropping review", "dropping manual"):
-        assert f'"{prefix}' in source
+def test_drop_warnings_keep_their_prefixes(small_dataset, tmp_path):
+    # the tracer counts dropped inputs by their warnings' prefixes: one
+    # unembeddable user, review and manual sample count once each
+    from sentprofile import experiment
+
+    from conftest import SMALL_CONFIG, with_unembeddable_documents
+
+    counts = Counter()
+    handler = load_tracer()._DropCounter(counts)
+    logger = logging.getLogger("sentprofile")
+    logger.addHandler(handler)
+    try:
+        experiment._prepare_runs(
+            [experiment.ExperimentConfig(**dict(
+                SMALL_CONFIG, sentiment_mode="frozen_lstm",
+                source_mode="high_similarity_plus_manual", z=0.05))],
+            with_unembeddable_documents(small_dataset, tmp_path))
+    finally:
+        logger.removeHandler(handler)
+    assert counts == {"corpus.users_dropped": 1, "corpus.reviews_dropped": 1,
+                      "corpus.manual_dropped": 1}
 
 
 def test_polarity_scoring_runs_under_traced_name(monkeypatch, small_dataset):

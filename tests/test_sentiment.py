@@ -9,7 +9,7 @@ from sentprofile.corpus import (
 )
 from sentprofile.embed import doc_matrix, doc_vector
 from sentprofile.errors import AllOovError, ConfigError, DataError, ShapeError
-from sentprofile.experiment import target_matrices
+from sentprofile.experiment import ExperimentConfig, user_features
 from sentprofile.gender import GenderModel
 from sentprofile.nn import TrainConfig, load_model, save_model
 from sentprofile.sentiment import (
@@ -608,7 +608,8 @@ class TestStacksMatchPaddedLayout:
                                                            oov=("zzz",)))]
         docs.append(VirtualDocument(user_id="lost", gender="male",
                                     tokens=("zzz",), token_count=1))
-        kept, mats, lengths = target_matrices(docs, polarity_table, r=6)
+        kept, _, mats, lengths, _ = user_features(
+            ExperimentConfig(r=6), {"frozen_lstm"}, [], docs, polarity_table)
         assert "lost" not in {doc.user_id for doc in kept}
         old_mats, old_lengths = old_layout_stack(
             [doc.tokens for doc in kept], polarity_table, 6)
