@@ -46,7 +46,6 @@ class VirtualDocument:
     user_id: str
     gender: str
     tokens: tuple[str, ...]
-    token_count: int
 
 
 class TokenDocument(NamedTuple):
@@ -220,7 +219,7 @@ def build_virtual_document(record: UserRecord,
     if not tokens:
         raise EmptyDocumentError(record.user_id)
     return VirtualDocument(user_id=record.user_id, gender=record.gender,
-                           tokens=tuple(tokens), token_count=len(tokens))
+                           tokens=tuple(tokens))
 
 
 def build_virtual_documents(records: Iterable[UserRecord],

@@ -6,15 +6,15 @@ embeddings and document representations are fit once on the whole corpus
 (they use no gender labels), the sentiment model is trained in advance on
 the configured source data (once per run, or once per fold when manual
 labels make its training set depend on the fold's training users) and
-read once per model over every user, minority oversampling touches only
-the training partition, and the gender classifier is trained once per
-fold and scored at every entry of the epoch grid. Each source mode runs in
-two passes: the first trains its sentiment models and reads their
-features, the second trains each cell's gender models over its folds, MLPs
-with equal-shaped training data in lockstep as one stacked model,
-finetuned composites one at a time. A grid of cells shares all of this but
-the gender training: one load, one embedding fit and, per source mode, the
-sentiment models.
+read once per model over every user. Each source mode runs in two passes:
+the first trains its sentiment models and reads their features, the
+second is one loop over each cell's folds (`_train_folds`). There a fold
+gathers its training and test rows, oversamples only its training
+minority, and trains its gender classifier once, scored at every entry
+of the epoch grid: MLPs with equal-shaped training data in lockstep as
+one stacked model, finetuned composites one at a time. A grid of cells
+shares all of this but the gender training: one load, one embedding fit
+and, per source mode, the sentiment models.
 
 A document with no in-vocabulary token is dropped with one warning (see
 `_embeddable`): a source review or manual sample always, a target user
@@ -145,8 +145,9 @@ class ExperimentConfig:
         if self.negatives < 0:
             raise ConfigError(f"negatives must be >= 0, got {self.negatives}")
         for name in ("smote_ratio", "learning_rate"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be finite and > 0, got "
+                                  f"{getattr(self, name)}")
         if self.smote_variant not in VARIANTS:
             raise ConfigError(f"smote_variant must be one of {VARIANTS}, "
                               f"got {self.smote_variant!r}")
@@ -559,44 +560,11 @@ def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
             np.concatenate([labels, np.full(len(synth), minority)]))
 
 
-class GridScore:
-    """`after_epoch` callback that scores a model on a test fold whenever
-    training reaches an entry of the epoch grid; `predict(model)` gives the
-    test-fold probabilities. A snapshot at epoch e scores what a run of
-    exactly e epochs would, so one run serves the whole grid."""
-
-    def __init__(self, grid, y_test: np.ndarray, predict):
-        self.grid = set(grid)
-        self.y_test = y_test
-        self.predict = predict
-        self.accuracy: dict[int, float] = {}
-
-    def __call__(self, model, epoch: int) -> None:
-        if epoch in self.grid:
-            probs = self.predict(model)
-            self.accuracy[epoch] = float((probs.argmax(axis=1)
-                                          == self.y_test).mean())
-
-
-@dataclass
-class FoldRecord:
-    """One fold of one cell while its gender model trains (see
-    `_train_folds`): its index and seed, its training and test rows into
-    the cell's `RunContext`, and what its gender model reads besides
-    `base`: the (n, k) features of a frozen or polarity cell (row i for
-    row i of `base`), the sentiment model a finetuned cell's composite
-    starts from, or None."""
-    index: int
-    seed: int
-    train: list[int]
-    test: list[int]
-    reads: np.ndarray | SentimentModel | None
-
-
 @dataclass
 class RunContext:
-    """What every fold of one cell uses. The cells of one call share every
-    field but `config` and `source` (one per source mode).
+    """What every fold of one cell reads (`_train_folds` takes each fold's
+    rows of it). The cells of one call share every field but `config` and
+    `source` (one per source mode).
 
     Every per-user array has one row per user, row i belonging to the user
     `index_of` maps to i: `base`, the (n, F) base feature matrix, `labels`,
@@ -617,28 +585,6 @@ class RunContext:
 
     def rows(self, ids) -> list[int]:
         return [self.index_of[uid] for uid in ids]
-
-    def inputs(self, fold: FoldRecord, rows) -> tuple:
-        """What `fold`'s gender model reads of the users at `rows`: a
-        composite's base rows, matrices and lengths, or, as a 1-tuple, an
-        MLP's base rows joined with the fold's features."""
-        if isinstance(fold.reads, SentimentModel):
-            return self.base[rows], self.mats[rows], self.lengths[rows]
-        if fold.reads is None:
-            return (self.base[rows],)
-        return (np.concatenate([self.base[rows], fold.reads[rows]], axis=1),)
-
-    def training_data(self, fold: FoldRecord) -> tuple:
-        """`fold`'s training inputs (see `inputs`) and class indices. Under
-        SMOTE the minority is oversampled with the fold's seed, a
-        composite's in the joint space of its inputs (see
-        `smote_sequences`)."""
-        inputs, labels = self.inputs(fold, fold.train), self.labels[fold.train]
-        if not self.config.smote:
-            return (*inputs, labels)
-        resample = (smote_sequences if isinstance(fold.reads, SentimentModel)
-                    else smote)
-        return resample(*inputs, labels, self.config.resample_config(fold.seed))
 
 
 def _prepare_runs(cells: list[ExperimentConfig],
@@ -815,58 +761,71 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
 
 
 def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
-    """Train the gender model of every fold of `run.plan` on the fold's
-    training data (see `RunContext.training_data`), score it at the grid
-    epochs on the fold's test users and return the cell's columns, with
-    the accuracies in fold order. Fold i reads entry i of `readouts` (see
-    `_fold_sentiment`) and trains with the seed of fold i.
+    """Train the gender model of every fold of `run.plan`, score it at the
+    grid epochs on the fold's test users and return the cell's columns,
+    with the accuracies in fold order. Fold i reads entry i of `readouts`
+    (see `_fold_sentiment`) and trains and oversamples with its own seed.
+
+    A fold takes its training and test users' rows, then joins them once
+    each: a composite reads base rows, matrices and lengths (and SMOTE
+    works in their joint space, see `smote_sequences`), an MLP the base
+    rows joined with the features of the cell's mode, if any. The model
+    is scored on the test inputs whenever training reaches a grid entry,
+    as a run of exactly that many epochs would score.
 
     A finetuned fold's composite starts from a copy of the LSTM of the
-    fold's own sentiment model. Each is built just before it trains, so
-    one is alive at a time. The other folds' MLPs train in lockstep, those
-    whose training matrices have one shape as one stack (one
-    `train_gender` call); each fold's model is scored from its own
-    snapshot and ends with the bytes it would have trained to alone. A
-    failure names the fold it happened in."""
+    fold's own sentiment model, built just before it trains, so one is
+    alive at a time. The MLPs train in lockstep, those whose training
+    matrices have one shape as one stack (one `train_gender` call); each
+    ends with the bytes it would have trained to alone. A failure names
+    the fold it happened in."""
     config = run.config
-    mode = config.sentiment_mode
-    scores, stacks = [], {}
+    finetuned = config.sentiment_mode == "finetuned_lstm"
+    grid, epochs = set(config.epochs), max(config.epochs)
+    accuracies, stacks = [], {}
     try:
         for index, (sentiment, features) in enumerate(readouts):
-            train_ids, test_ids = run.plan.split(index)
-            fold = FoldRecord(index, _fold_seed(config.seed, index, 1),
-                              run.rows(train_ids), run.rows(test_ids),
-                              sentiment if mode == "finetuned_lstm"
-                              else features.get(mode))
-            failing = [fold]
-            score = GridScore(config.epochs, run.labels[fold.test],
-                              lambda model, fold=fold: model.predict_proba(
-                                  *run.inputs(fold, fold.test)))
-            scores.append(score)
-            if isinstance(fold.reads, SentimentModel):
+            failing = [index]
+            seed = _fold_seed(config.seed, index, 1)
+            train, test = (run.rows(ids) for ids in run.plan.split(index))
+            reads = features.get(config.sentiment_mode)
+            x_train, x_test = (
+                (run.base[rows], run.mats[rows], run.lengths[rows]) if finetuned
+                else (run.base[rows],) if reads is None
+                else (np.concatenate([run.base[rows], reads[rows]], axis=1),)
+                for rows in (train, test))
+            labels = run.labels[train]
+            if config.smote:
+                *x_train, labels = (smote_sequences if finetuned else smote)(
+                    *x_train, labels, config.resample_config(seed))
+            accuracies.append({})
+
+            def score(model, epoch, x_test=x_test, y_test=run.labels[test],
+                      accuracy=accuracies[-1]):
+                if epoch in grid:
+                    predicted = model.predict_proba(*x_test).argmax(axis=1)
+                    accuracy[epoch] = float((predicted == y_test).mean())
+
+            if finetuned:
                 train_finetune(build_finetune_model(
-                                   fold.reads, vec_dim=run.base.shape[1],
-                                   dropout_rate=config.mlp_dropout,
-                                   seed=fold.seed),
-                               *run.training_data(fold),
-                               config.train_config(max(config.epochs), fold.seed),
+                                   sentiment, vec_dim=run.base.shape[1],
+                                   dropout_rate=config.mlp_dropout, seed=seed),
+                               *x_train, labels, config.train_config(epochs, seed),
                                after_epoch=score)
+                # the next fold's inputs are gathered without this one's
+                del x_train, x_test, score
             else:
-                x_train, labels = run.training_data(fold)
-                stacks.setdefault(x_train.shape, []).append(
-                    (fold, x_train, [CLASSES[i] for i in labels], score))
+                stacks.setdefault(x_train[0].shape, []).append(
+                    (index, seed, x_train[0], [CLASSES[i] for i in labels],
+                     score))
         for stack in stacks.values():
-            failing, features, labels, after_epoch = zip(*stack)
-            train_gender(features, labels,
-                         config.train_config(max(config.epochs)),
+            failing, seeds, features, labels, after_epoch = zip(*stack)
+            train_gender(features, labels, config.train_config(epochs),
                          dropout_rate=config.mlp_dropout,
-                         after_epoch=after_epoch,
-                         seeds=[fold.seed for fold in failing])
+                         after_epoch=after_epoch, seeds=seeds)
     except PipelineError as exc:
-        failed = failing[getattr(exc, "member", None) or 0]
-        raise _in_fold(exc, failed.index) from exc
-    return [EpochColumn(epochs=e,
-                        fold_accuracies=[score.accuracy[e] for score in scores])
+        raise _in_fold(exc, failing[getattr(exc, "member", None) or 0]) from exc
+    return [EpochColumn(e, [accuracy[e] for accuracy in accuracies])
             for e in config.epochs]
 
 

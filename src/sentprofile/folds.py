@@ -15,7 +15,6 @@ from .errors import ConfigError, DataError
 @dataclass(frozen=True)
 class FoldPlan:
     folds: tuple[tuple[str, ...], ...]
-    seed: int
 
     @property
     def k(self) -> int:
@@ -77,5 +76,5 @@ def stratified_kfold(records, k: int, seed: int = 0) -> FoldPlan:
         # the next class's leftovers start after this class's, keeping
         # total fold sizes within one of each other
         start = (start + extra) % k
-    return FoldPlan(folds=tuple(tuple(f) for f in folds), seed=seed)
+    return FoldPlan(folds=tuple(tuple(f) for f in folds))
 

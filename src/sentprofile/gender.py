@@ -10,7 +10,7 @@ line per row.
 
 import json
 import logging
-import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -208,7 +208,8 @@ def read_features(path) -> tuple[list[str], list[str], np.ndarray, tuple[str, ..
         if not (isinstance(values, list)
                 and all(type(x) in (int, float) for x in values)):
             raise SchemaError("field 'values' must be a list of numbers", number)
-        if any(isinstance(x, float) and not math.isfinite(x) for x in values):
+        # false for NaN, the infinities and integers beyond the float range
+        if not all(abs(x) <= sys.float_info.max for x in values):
             raise SchemaError("field 'values' holds a non-finite number", number)
         if layout is None:
             first, layout = number, tuple(names)

@@ -42,7 +42,6 @@ class SyntheticSample:
     values: np.ndarray
     old_index: int            # index into the minority subset
     neighbor_indices: tuple[int, ...]
-    sigma: float
 
 
 # rows of the distance table computed at once: the differences of a block
@@ -111,7 +110,7 @@ def _smote_core(samples: np.ndarray, labels: np.ndarray,
             used = tuple(int(j) for j in neighbors[old])
         synthetic.append(SyntheticSample(
             values=interpolate(minority[old], minority[list(used)], sigma),
-            old_index=old, neighbor_indices=used, sigma=sigma))
+            old_index=old, neighbor_indices=used))
     return synthetic
 
 

@@ -11,6 +11,7 @@ from sentprofile import cli, experiment
 from sentprofile.cli import build_parser, main
 from sentprofile.embed import save_embeddings
 from sentprofile.experiment import ExperimentConfig, fit_embeddings, load_corpora
+from sentprofile.folds import FoldPlan
 from sentprofile.gender import read_features
 from sentprofile.nn import load_model, save_model
 from sentprofile.sentiment import SentimentModel
@@ -189,6 +190,12 @@ BAD_EXPERIMENT_SETTINGS = {
     "mlp_dropout": {"mlp_dropout": "1"},
 }
 
+# further bad values of fields whose row above holds another kind of value
+MORE_BAD_EXPERIMENT_SETTINGS = [
+    ("smote_ratio", {"smote_ratio": "inf"}),
+    ("learning_rate", {"learning_rate": "inf"}),
+]
+
 # one bad value per synth-data flag that sets the generated data
 BAD_SYNTH_FLAGS = {
     "users": ["--users", "1"],
@@ -208,8 +215,9 @@ def test_every_setting_rejects_a_bad_value_with_exit_2(tmp_path, capsys):
     # the users file does not exist, so loading any data would exit 3
     absent = str(tmp_path / "absent.jsonl")
     failures = []
-    for name, lines in BAD_EXPERIMENT_SETTINGS.items():
-        config = tmp_path / f"{name}.conf"
+    for case, (name, lines) in enumerate([*BAD_EXPERIMENT_SETTINGS.items(),
+                                          *MORE_BAD_EXPERIMENT_SETTINGS]):
+        config = tmp_path / f"{case}.conf"
         config.write_text("".join(f"{key}={value}\n"
                                   for key, value in lines.items()))
         code = main(["evaluate", "--users", absent, "--config", str(config)])
@@ -448,24 +456,24 @@ def test_extract_writes_the_features_evaluate_trains_on(
                  "--out", str(out)]) == 0
     capsys.readouterr()
 
+    config = ExperimentConfig(**dict(SMALL_CONFIG, representation=representation,
+                                     sentiment_mode=mode))
     trained, train_ids = {}, {}
-    training_data = experiment.RunContext.training_data
-    train_gender = experiment.train_gender
+    split, train_gender = FoldPlan.split, experiment.train_gender
 
-    def recorded(run, fold):
-        users = {i: uid for uid, i in run.index_of.items()}
-        train_ids[fold.seed] = [users[i] for i in fold.train]
-        return training_data(run, fold)
+    def recorded(plan, index):
+        # each fold's training users, by the seed its gender model gets
+        train, test = split(plan, index)
+        train_ids[experiment._fold_seed(config.seed, index, 1)] = train
+        return train, test
 
     def recorded_gender(features, labels, *args, seeds, **kwargs):
         for seed, x_train in zip(seeds, features):
             trained.update(zip(train_ids[seed], x_train))
         return train_gender(features, labels, *args, seeds=seeds, **kwargs)
 
-    monkeypatch.setattr(experiment.RunContext, "training_data", recorded)
+    monkeypatch.setattr(FoldPlan, "split", recorded)
     monkeypatch.setattr(experiment, "train_gender", recorded_gender)
-    config = ExperimentConfig(**dict(SMALL_CONFIG, representation=representation,
-                                     sentiment_mode=mode))
     experiment._run_cells([config], replace(small_dataset, embeddings=str(emb)))
     ids, _, matrix, layout = read_features(out)
     assert layout == ("doc_vector", "sentiment")
@@ -530,8 +538,9 @@ def test_extract_exit_3_on_a_model_of_another_dimension(small_dataset,
     assert f"holds {dimension}-dimensional ones" in err
 
 
-@pytest.mark.parametrize("command", ["smote", "gender-train"])
-def test_non_finite_feature_value_exits_3(tmp_path, capsys, command):
+def feature_file_ending_in(tmp_path, values: str):
+    """A feature file of 8 good rows, then one whose 'values' field is the
+    JSON text `values`."""
     features = tmp_path / "features.jsonl"
     features.write_text(
         "".join(json.dumps({"user_id": f"u{i}", "label": label,
@@ -539,7 +548,23 @@ def test_non_finite_feature_value_exits_3(tmp_path, capsys, command):
                             "values": [float(i), 1.0]}) + "\n"
                 for i, label in enumerate(["male", "female"] * 4))
         + '{"user_id": "u8", "label": "male", "layout": ["doc_vector"], '
-          '"values": [NaN, 1.0]}\n', encoding="utf-8")
+          f'"values": {values}}}\n', encoding="utf-8")
+    return features
+
+
+@pytest.mark.parametrize("command", ["smote", "gender-train"])
+def test_non_finite_feature_value_exits_3(tmp_path, capsys, command):
+    features = feature_file_ending_in(tmp_path, "[NaN, 1.0]")
+    code = main([command, "--in", str(features), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert ("line 9: field 'values' holds a non-finite number"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["smote", "gender-train"])
+def test_integer_beyond_float_range_exits_3(tmp_path, capsys, command):
+    # JSON reads 10**400 as an exact integer; as a float it is infinite
+    features = feature_file_ending_in(tmp_path, f"[{10**400}, 1.0]")
     code = main([command, "--in", str(features), "--out", str(tmp_path / "out")])
     assert code == 3
     assert ("line 9: field 'values' holds a non-finite number"

@@ -185,13 +185,11 @@ class TestVirtualDocument:
         record = UserRecord("u1", "male", (("a", "b"), ("c",)))
         doc = build_virtual_document(record)
         assert doc.tokens == ("a", "b", "c")
-        assert doc.token_count == 3
 
     def test_cleaning_applied_per_post(self):
         record = UserRecord("u1", "male", (("x", "http://y"),))
         doc = build_virtual_document(record)
         assert doc.tokens == ("x",)
-        assert doc.token_count == 1
 
     def test_all_stopwords_raises(self):
         record = UserRecord("u1", "male", (("of", "the"),))
@@ -224,7 +222,7 @@ class TestVirtualDocument:
             except EmptyDocumentError:
                 continue
             total = sum(len(clean_tokens(p, {"of"})) for p in posts)
-            assert doc.token_count == total == len(doc.tokens)
+            assert total == len(doc.tokens)
 
 
 def test_stopword_file(tmp_path):

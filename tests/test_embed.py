@@ -26,8 +26,7 @@ def cosine(u, v):
 
 
 def vdoc(user_id, tokens, gender="male"):
-    return VirtualDocument(user_id=user_id, gender=gender, tokens=tuple(tokens),
-                           token_count=len(tokens))
+    return VirtualDocument(user_id=user_id, gender=gender, tokens=tuple(tokens))
 
 
 class TestTrainSkipgram:

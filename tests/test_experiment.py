@@ -196,10 +196,12 @@ class TestRunExperiment:
                                 small_dataset)
         assert len(report.columns[0].fold_accuracies) == 3
 
-    @pytest.mark.parametrize("mode", ["frozen_lstm", "finetuned_lstm"])
+    @pytest.mark.parametrize("mode", ["none", "polarity_features",
+                                      "frozen_lstm", "finetuned_lstm"])
     def test_epoch_grid_scores_as_separate_runs(self, small_dataset, mode):
         # each fold trains once; unsorted and repeated grid entries score
-        # as runs of exactly that many epochs, in config order
+        # as runs of exactly that many epochs, in config order, whether a
+        # fold reads base rows alone, joined with features, or a composite
         grid = run_experiment(small_experiment(sentiment_mode=mode,
                                                epochs=(3, 2, 3)), small_dataset)
         single = {e: run_experiment(small_experiment(sentiment_mode=mode,
@@ -280,38 +282,38 @@ class TestRunExperiment:
         # fold: the MLPs of the three folds as one stack, the composites
         # one at a time; a non-finite gradient in the second still fails
         # with the category and message a fold-by-fold run gives
+        config = small_experiment(sentiment_mode=mode)
         fold_sentiment, stacks = experiment._fold_sentiment, []
-        inputs = experiment.RunContext.inputs
+        # fold 2's training inputs, told apart by the seed its model gets:
+        # the MLP features, or the composite's base rows, turn to NaN
+        fold_2 = experiment._fold_seed(config.seed, 1, 1)
 
         def recorded(runs):
             readouts = fold_sentiment(runs)
             stacks.extend([None] * len(readouts))
             return readouts
 
-        def poisoned(run, fold, rows):
-            arrays = inputs(run, fold, rows)
-            if fold.index == 1 and rows is fold.train:
-                # the MLP features, or the composite's base rows
-                return (np.full_like(arrays[0], np.nan), *arrays[1:])
-            return arrays
-
         train, finetune = experiment.train_gender, experiment.train_finetune
 
-        def counted(*args, seeds, **kwargs):
+        def counted(features, *args, seeds, **kwargs):
             stacks.append(len(seeds))
-            return train(*args, seeds=seeds, **kwargs)
+            features = [np.full_like(x, np.nan) if seed == fold_2 else x
+                        for x, seed in zip(features, seeds)]
+            return train(features, *args, seeds=seeds, **kwargs)
 
-        def counted_finetune(*args, **kwargs):
+        def counted_finetune(model, vecs, mats, lengths, labels, train_config,
+                             **kwargs):
             stacks.append("composite")
-            return finetune(*args, **kwargs)
+            if train_config.seed == fold_2:
+                vecs = np.full_like(vecs, np.nan)
+            return finetune(model, vecs, mats, lengths, labels, train_config,
+                            **kwargs)
 
         monkeypatch.setattr(experiment, "_fold_sentiment", recorded)
-        monkeypatch.setattr(experiment.RunContext, "inputs", poisoned)
         monkeypatch.setattr(experiment, "train_gender", counted)
         monkeypatch.setattr(experiment, "train_finetune", counted_finetune)
         with pytest.raises(TrainingError) as caught:
-            run_experiment(small_experiment(sentiment_mode=mode),
-                           small_dataset)
+            run_experiment(config, small_dataset)
         assert str(caught.value) == (f"fold 2: non-finite gradient for "
                                      f"parameter '{parameter}'; training "
                                      f"aborted")
@@ -333,27 +335,26 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
     config = small_experiment(epochs=(7, 3), batch_size=32)
     folds = [gender_fold(index, rows)
              for index, rows in enumerate((65, 66, 65, 66, 65))]
-    trained, scores = [], []
-    train, grid_score = experiment.train_gender, experiment.GridScore
+    trained, probs = [], {}
+    train = experiment.train_gender
 
-    def recorded(*args, seeds, **kwargs):
-        models = train(*args, seeds=seeds, **kwargs)
+    def recording(score, seed):
+        # the test probabilities each fold's score computes, in epoch order
+        def scored(model, epoch):
+            def predict_proba(*inputs):
+                probs.setdefault(seed, []).append(model.predict_proba(*inputs))
+                return probs[seed][-1]
+            score(SimpleNamespace(predict_proba=predict_proba), epoch)
+        return scored
+
+    def recorded(*args, seeds, after_epoch, **kwargs):
+        models = train(*args, seeds=seeds, **kwargs,
+                       after_epoch=[recording(score, seed)
+                                    for score, seed in zip(after_epoch, seeds)])
         trained.extend(zip(seeds, models))
         return models
 
-    def recorded_score(grid, y_test, predict):
-        # the test probabilities each fold's score computes, in epoch order
-        probs = []
-
-        def recorded_predict(model):
-            probs.append(predict(model))
-            return probs[-1]
-
-        scores.append((grid_score(grid, y_test, recorded_predict), probs))
-        return scores[-1][0]
-
     monkeypatch.setattr(experiment, "train_gender", recorded)
-    monkeypatch.setattr(experiment, "GridScore", recorded_score)
     # each fold's training rows, then its test rows, in one base matrix
     # whose row i is user i; fold i of the plan splits off these two blocks
     splits, start = [], 0
@@ -373,8 +374,7 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
              for index in range(len(folds))]
     assert [seed for seed, _ in trained] == [seeds[i] for i in (0, 2, 4, 1, 3)]
     members = dict(trained)
-    for j, ((x, labels, test, _), seed, (score, probs)) in enumerate(
-            zip(folds, seeds, scores)):
+    for j, ((x, labels, test, y_test), seed) in enumerate(zip(folds, seeds)):
         alone_probs = []
 
         def after_epoch(model, epoch):
@@ -388,10 +388,12 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
         member = members[seed]
         assert member.checksum() == alone.checksum()
         assert member.history == alone.history
-        assert [p.tobytes() for p in probs] == alone_probs
+        assert [p.tobytes() for p in probs[seed]] == alone_probs
         # the columns take the accuracies in fold order
+        accuracy = {e: float((p.argmax(axis=1) == y_test).mean())
+                    for e, p in zip((3, 7), probs[seed])}
         assert [col.fold_accuracies[j] for col in columns] == \
-            [score.accuracy[7], score.accuracy[3]]
+            [accuracy[7], accuracy[3]]
     assert [col.epochs for col in columns] == [7, 3]
 
 
@@ -445,14 +447,16 @@ class TestRunGrid:
 
 
 def record_sentiment_training(monkeypatch):
-    """Wrap `experiment.train_sentiment`, `experiment.sentiment_features`
-    and `RunContext.training_data`; returns the (training sequences, model)
-    of every sentiment training call and, for every fold whose gender model
-    gathers its training data, in call order, the fold's (index, the model
-    its features were read from, test user ids)."""
+    """Wrap `experiment.train_sentiment`, `experiment.sentiment_features`,
+    `experiment.train_gender` and the plan `experiment._train_folds`
+    splits; returns the (training sequences, model) of every sentiment
+    training call and, for every fold whose gender model gathers its
+    training data, in call order, the fold's [index, the model its
+    features were read from, test user ids]."""
     trained, read_outs, folds = [], [], []
     train, read = experiment.train_sentiment, experiment.sentiment_features
-    training_data = experiment.RunContext.training_data
+    train_folds, train_gender = experiment._train_folds, experiment.train_gender
+    gathered = {}   # by seed: the fold's entry of `folds`, its training rows
 
     def recorded(seqs, *args, **kwargs):
         model, curve = train(seqs, *args, **kwargs)
@@ -464,17 +468,31 @@ def record_sentiment_training(monkeypatch):
         read_outs.extend((array, model) for array in features.values())
         return features
 
-    def fold_recorded(run, fold):
-        users = {i: uid for uid, i in run.index_of.items()}
-        folds.append((fold.index,
-                      next(model for array, model in read_outs
-                           if array is fold.reads),
-                      [users[i] for i in fold.test]))
-        return training_data(run, fold)
+    def recorded_folds(run, readouts):
+        def split(index):
+            train_ids, test_ids = run.plan.split(index)
+            folds.append([index, None, list(test_ids)])
+            gathered[experiment._fold_seed(run.config.seed, index, 1)] = (
+                folds[-1], run.rows(train_ids))
+            return train_ids, test_ids
+        return train_folds(replace(run, plan=SimpleNamespace(k=run.plan.k,
+                                                             split=split)),
+                           readouts)
+
+    def recorded_gender(features, *args, seeds, **kwargs):
+        # a fold's features were read from the model whose read-out rows
+        # of the fold's training users end its feature rows
+        for x, seed in zip(features, seeds):
+            fold, rows = gathered[seed]
+            fold[1] = next((model for array, model in read_outs
+                            if np.array_equal(x[:, -array.shape[1]:],
+                                              array[rows])), None)
+        return train_gender(features, *args, seeds=seeds, **kwargs)
 
     monkeypatch.setattr(experiment, "train_sentiment", recorded)
     monkeypatch.setattr(experiment, "sentiment_features", recorded_read)
-    monkeypatch.setattr(experiment.RunContext, "training_data", fold_recorded)
+    monkeypatch.setattr(experiment, "_train_folds", recorded_folds)
+    monkeypatch.setattr(experiment, "train_gender", recorded_gender)
     return trained, folds
 
 
@@ -912,8 +930,8 @@ def test_target_matrices_own_only_their_columns():
 
     table = make_table(("a", "b", "c"), dimension=4)
     docs = [VirtualDocument(user_id=f"u{i}", gender="male",
-                            tokens=("a", "b", "c")[:i % 3 + 1],
-                            token_count=i % 3 + 1) for i in range(6)]
+                            tokens=("a", "b", "c")[:i % 3 + 1])
+            for i in range(6)]
     kept, _, mats, lengths, _ = experiment.user_features(
         small_experiment(r=300), {"frozen_lstm"}, [], docs, table)
     assert len(kept) == 6 and mats.shape == (6, 3, 4)

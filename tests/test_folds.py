@@ -51,7 +51,7 @@ class TestStratifiedKfold:
     def test_accepts_objects_with_user_id_and_gender(self):
         from sentprofile.corpus import VirtualDocument
         docs = [VirtualDocument(f"u{i}", "male" if i % 2 else "female",
-                                ("t",), 1) for i in range(10)]
+                                ("t",)) for i in range(10)]
         plan = stratified_kfold(docs, k=2, seed=0)
         assert sorted(uid for fold in plan.folds for uid in fold) == \
             sorted(d.user_id for d in docs)

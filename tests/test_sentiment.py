@@ -602,12 +602,11 @@ class TestStacksMatchPaddedLayout:
         assert_same_bytes(lengths, old_lengths)
 
     def test_target_stack(self, polarity_table):
-        docs = [VirtualDocument(user_id=f"u{k}", gender="male", tokens=tokens,
-                                token_count=len(tokens))
+        docs = [VirtualDocument(user_id=f"u{k}", gender="male", tokens=tokens)
                 for k, tokens in enumerate(self.token_docs(30, seed=2,
                                                            oov=("zzz",)))]
         docs.append(VirtualDocument(user_id="lost", gender="male",
-                                    tokens=("zzz",), token_count=1))
+                                    tokens=("zzz",)))
         kept, _, mats, lengths, _ = user_features(
             ExperimentConfig(r=6), {"frozen_lstm"}, [], docs, polarity_table)
         assert "lost" not in {doc.user_id for doc in kept}
