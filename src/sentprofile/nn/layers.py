@@ -10,23 +10,27 @@ the optimizer and checkpoints keep float64 master weights (mixed
 precision as in Micikevicius et al., arXiv:1710.03740). The pipeline's
 word-vector sequences are float32 (see `embed.doc_matrix`).
 
-A layer caches whatever its backward pass needs during forward (the LSTM
-can skip that at inference); `backward` writes parameter gradients into
-`self.grads` (overwriting, one forward/backward pair per step). The dense
-and dropout layers return the gradient with respect to their input, unless
-`backward(d_out, input_grad=False)` says nobody reads it: a model's first
-layer skips that product (see `Network.backward`). The LSTM, always a
-model's first layer, returns None.
+A layer caches whatever its backward pass needs during a training forward
+(the LSTM's `cache=True`). An inference forward caches nothing: a dense
+layer drops its cache (a dense backward after it raises ShapeError), a
+dropout layer its current mask, and the LSTM writes nothing to the layer,
+so a scored model keeps none of its caller's inputs alive. `backward`
+writes parameter gradients into `self.grads` (overwriting, one
+forward/backward pair per step). The dense and dropout layers return the
+gradient with respect to their input, unless `backward(d_out,
+input_grad=False)` says nobody reads it: a model's first layer skips that
+product (see `Network.backward`). The LSTM, always a model's first layer,
+returns None.
 
 A training step allocates little besides the arrays it hands on, with
 the bits of the plain step that allocates each one. A dense layer adds
-the bias and applies its activation in place on its product and caches
-(input, activation), and its backward writes the gradients straight into
-the `grads` views. A dropout layer keeps one mask buffer per input shape
-(an epoch's short last batch is a second shape) and refills it at each
-training forward; an inference forward leaves it alone. No layer returns
-one of its buffers, so an output a caller keeps is never overwritten by a
-later step.
+the bias and applies its activation in place on its product, caches
+(input, activation) on a training forward, and its backward writes the
+gradients straight into the `grads` views. A dropout layer keeps one
+mask buffer per input shape (an epoch's short last batch is a second
+shape) and refills it at each training forward; an inference forward
+leaves the buffers alone. No layer returns one of its buffers, so an
+output a caller keeps is never overwritten by a later step.
 
 Output heads are linear (`identity`) dense layers: the model applies
 `softmax` or `sigmoid` to their logits (see `nn.losses`).
@@ -63,9 +67,21 @@ reference in the tests). Its layout, per step t:
   operand transposed, computes d h_{t-1} = w_h @ dz_t in the (H, B) state
   layout, and splits the stacked gradient into w_h, w_x and bias at the
   end.
+
+The three step loops (the caching forward, the cache-free ring and the
+backward) walk per-step views made before the loop starts: they zip over
+the (steps, ...) planes, whose per-step views numpy makes in C as it
+iterates, and take the ring's planes and the backward's state-gradient
+halves from two tuples, one per step parity. Indexing a step's view inside
+the loop (`acts[t, :4 * hd]`, `planes[cur, hd:]`, ...) costs 0.3-0.6 us a
+view, and a step needs about 15 of them forward and 25 backward: about a
+fifth of a step at desk shapes ((B, T, D, H) = (32, 30, 24, 32) in
+float32). Each step runs the same ufuncs and GEMMs on the same operands in
+the same order as the indexed loops did, so it keeps their bytes.
 """
 
 import math
+from itertools import cycle, repeat
 
 import numpy as np
 
@@ -167,7 +183,7 @@ class DenseLayer:
         a = np.matmul(x, self.weights)
         a += self.bias[..., None, :]
         _activate(self.activation, a)
-        self._cache = (x, a)
+        self._cache = (x, a) if training else None
         return a
 
     def backward(self, d_out: np.ndarray,
@@ -314,33 +330,49 @@ class LSTMLayer:
         # every step's plane; else a ring of two
         planes = np.zeros((t_max + 1 if cache else 2, 2 * hd + d + 1, n), dtype)
         planes[:, 2 * hd + d] = 1.0
-        if cache:
-            planes[:t_max, 2 * hd:2 * hd + d] = x[:, :t_max].transpose(1, 2, 0)
+        # step t's x_t, a (D, B) slab
+        x_steps = x[:, :t_max].transpose(1, 2, 0)
         acts = np.empty((t_max if cache else 1, 5 * hd, n), dtype)
-        i, f, o, g, tanh_c = _gate_planes(acts, hd)
+        gates = _gate_planes(acts, hd)
         scratch = np.empty((hd, n), dtype)
-        if not cache:
+        # each step's views: the gate rows, their sigmoid rows, the GEMM
+        # operand, c_{t-1}, c_t, h_t and the five gate planes; and the
+        # (plane rows, x_t) copy it makes first, if any
+        if cache:
+            planes[:t_max, 2 * hd:2 * hd + d] = x_steps
+            steps = zip(acts[:, :4 * hd], acts[:, :3 * hd], planes[:-1, hd:],
+                        planes[:-1, :hd], planes[1:, :hd],
+                        planes[1:, hd:2 * hd], *gates)
+            copies = repeat(None)
+            ends = {}
+        else:
+            # step t copies x_t into ring plane t % 2, reads that plane and
+            # writes the other
+            steps = cycle([(acts[0, :4 * hd], acts[0, :3 * hd], planes[p, hd:],
+                            planes[p, :hd], planes[1 - p, :hd],
+                            planes[1 - p, hd:2 * hd],
+                            *(gate[0] for gate in gates)) for p in (0, 1)])
+            copies = zip(cycle([planes[p, 2 * hd:2 * hd + d] for p in (0, 1)]),
+                         x_steps)
             final = np.empty((n, hd), dtype)
             ends = _last_steps(lengths)
-        for t in range(t_max):
-            s = t if cache else 0
-            cur, nxt = (t, t + 1) if cache else (t % 2, 1 - t % 2)
-            if not cache:
-                np.copyto(planes[cur, 2 * hd:2 * hd + d], x[:, t].T)
+        matmul, tanh, multiply, add = np.matmul, np.tanh, np.multiply, np.add
+        for t, copy, (z, sig, operand, c_prev, c_new, h_new,
+                      i, f, o, g, tanh_c) in zip(range(t_max), copies, steps):
+            if copy is not None:
+                np.copyto(*copy)
             # rows: tanh(z/2) for i, f and o, then tanh(z) = g
-            z = acts[s, :4 * hd]
-            np.matmul(weight, planes[cur, hd:], out=z)
-            np.tanh(z, out=z)
-            np.multiply(z[:3 * hd], 0.5, out=z[:3 * hd])
-            np.add(z[:3 * hd], 0.5, out=z[:3 * hd])
-            c_new = planes[nxt, :hd]
-            np.multiply(f[s], planes[cur, :hd], out=c_new)
-            np.multiply(i[s], g[s], out=scratch)
-            np.add(c_new, scratch, out=c_new)
-            np.tanh(c_new, out=tanh_c[s])
-            np.multiply(o[s], tanh_c[s], out=planes[nxt, hd:2 * hd])
-            if not cache and t in ends:
-                final[ends[t]] = planes[nxt, hd:2 * hd][:, ends[t]].T
+            matmul(weight, operand, out=z)
+            tanh(z, out=z)
+            multiply(sig, 0.5, out=sig)
+            add(sig, 0.5, out=sig)
+            multiply(f, c_prev, out=c_new)
+            multiply(i, g, out=scratch)
+            add(c_new, scratch, out=c_new)
+            tanh(c_new, out=tanh_c)
+            multiply(o, tanh_c, out=h_new)
+            if t in ends:
+                final[ends[t]] = h_new[:, ends[t]].T
         if not cache:
             return final
         self._cache = {"planes": planes, "acts": acts, "lengths": lengths}
@@ -370,40 +402,52 @@ class LSTMLayer:
         d_weight = np.zeros((4 * hd, hd + d + 1), dtype)
         step_grad = np.empty_like(d_weight)
         # d(loss)/d(c) over d(loss)/d(h), stacked as the forward's state
-        # (a ring of two, indexed by the step's parity). A sample's column
-        # stays zero until its last step, where d_final enters
+        # (a ring of two: step t reads its gradient from half t % 2 and
+        # writes step t-1's into the other). A sample's column stays zero
+        # until its last step, where d_final enters
         d_state = np.zeros((2, 2 * hd, n), dtype)
+        halves = [(d_state[p, :hd], d_state[p, hd:], d_state[1 - p, :hd],
+                   d_state[1 - p, hd:]) for p in (0, 1)]
         dc_raw = np.empty((hd, n), dtype)
+        # rows: 1 - g*g, then 1 - tanh_c*tanh_c
         slope = np.empty((2 * hd, n), dtype)
+        slope_g, slope_c = slope[:hd], slope[hd:]
         one_minus = np.empty((3 * hd, n), dtype)
         dz = np.empty((4 * hd, n), dtype)
-        w_h = self.w_h.astype(dtype, copy=False)
+        dz_sig = dz[:3 * hd]
         dz_i, dz_f, dz_o, dz_g = (dz[k * hd:(k + 1) * hd] for k in range(4))
-        i, f, o, g, tanh_c = _gate_planes(acts, hd)
-        for t in range(t_max - 1, -1, -1):
-            d_in, d_out = d_state[t % 2], d_state[1 - t % 2]
-            dc, dh = d_in[:hd], d_in[hd:]
+        w_h = self.w_h.astype(dtype, copy=False)
+        # each step's views, last step first (planes[-2::-1] are planes
+        # t_max - 1 down to 0): the g and tanh(c) rows, the sigmoid rows,
+        # c_{t-1}, the GEMM operand transposed and the five gate planes
+        steps = zip(range(t_max - 1, -1, -1), acts[::-1, 3 * hd:],
+                    acts[::-1, :3 * hd], planes[-2::-1, :hd],
+                    planes[-2::-1, hd:].transpose(0, 2, 1),
+                    *(gate[::-1] for gate in _gate_planes(acts, hd)))
+        matmul, multiply, add, subtract = (np.matmul, np.multiply, np.add,
+                                           np.subtract)
+        for t, g_and_c, sig, c_prev, operand_t, i, f, o, g, tanh_c in steps:
+            dc, dh, dc_prev, dh_prev = halves[t % 2]
             if t in ends:
                 dh[:, ends[t]] = d_final[ends[t]].T
-            # rows: 1 - g*g, then 1 - tanh_c*tanh_c
-            np.multiply(acts[t, 3 * hd:], acts[t, 3 * hd:], out=slope)
-            np.subtract(1.0, slope, out=slope)
-            np.multiply(dh, tanh_c[t], out=dz_o)
-            np.multiply(dh, o[t], out=dc_raw)
-            np.multiply(dc_raw, slope[hd:], out=dc_raw)
-            np.add(dc, dc_raw, out=dc_raw)
-            np.multiply(dc_raw, g[t], out=dz_i)
-            np.multiply(dc_raw, planes[t, :hd], out=dz_f)
-            np.multiply(dc_raw, i[t], out=dz_g)
+            multiply(g_and_c, g_and_c, out=slope)
+            subtract(1.0, slope, out=slope)
+            multiply(dh, tanh_c, out=dz_o)
+            multiply(dh, o, out=dc_raw)
+            multiply(dc_raw, slope_c, out=dc_raw)
+            add(dc, dc_raw, out=dc_raw)
+            multiply(dc_raw, g, out=dz_i)
+            multiply(dc_raw, c_prev, out=dz_f)
+            multiply(dc_raw, i, out=dz_g)
             # s * (1 - s) on the sigmoid rows, 1 - g*g on g
-            np.multiply(dz[:3 * hd], acts[t, :3 * hd], out=dz[:3 * hd])
-            np.subtract(1.0, acts[t, :3 * hd], out=one_minus)
-            np.multiply(dz[:3 * hd], one_minus, out=dz[:3 * hd])
-            np.multiply(dz_g, slope[:hd], out=dz_g)
-            np.matmul(dz, planes[t, hd:].T, out=step_grad)
-            np.add(d_weight, step_grad, out=d_weight)
-            np.multiply(dc_raw, f[t], out=d_out[:hd])
-            np.matmul(w_h, dz, out=d_out[hd:])
+            multiply(dz_sig, sig, out=dz_sig)
+            subtract(1.0, sig, out=one_minus)
+            multiply(dz_sig, one_minus, out=dz_sig)
+            multiply(dz_g, slope_g, out=dz_g)
+            matmul(dz, operand_t, out=step_grad)
+            add(d_weight, step_grad, out=d_weight)
+            multiply(dc_raw, f, out=dc_prev)
+            matmul(w_h, dz, out=dh_prev)
         self.grads["w_h"][...] = d_weight[:, :hd].T
         self.grads["w_x"][...] = d_weight[:, hd:hd + d].T
         self.grads["bias"][...] = d_weight[:, hd + d]

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 
 from ..errors import ShapeError, TrainingError
-from .layers import DropoutLayer, LSTMLayer
+from .layers import DenseLayer, DropoutLayer, LSTMLayer
 from .optim import TrainConfig, make_optimizer, non_finite
 
 
@@ -178,8 +178,8 @@ def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
     The step updates the flat buffers (see `Model.buffers`) as a one-entry
     mapping, so the optimizer makes one pass and one finiteness check; a
     non-finite gradient raises TrainingError naming the parameter it
-    reached and, as `member`, the first member it reached. The LSTM's
-    backward cache is dropped when training ends. `after_epoch[j](model,
+    reached and, as `member`, the first member it reached. The dense and
+    LSTM layers' backward caches are dropped when training ends. `after_epoch[j](model,
     epoch)` runs for member j after each epoch. Returns, per member, one
     {epoch, train_loss} record per epoch.
     """
@@ -230,6 +230,6 @@ def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
             if after_epoch is not None:
                 after_epoch[j](models[j], epoch + 1)
     for _, layer in model.parts():
-        if isinstance(layer, LSTMLayer):
+        if isinstance(layer, (DenseLayer, LSTMLayer)):
             layer._cache = None
     return histories

@@ -50,9 +50,11 @@ def gradient_check(model, x, target, loss: str = "categorical_cross_entropy",
     output function (see OUTPUTS), and backward takes the loss's gradient
     at the logits.
 
-    Runs in inference mode (dropout is the identity), so the check covers
-    exactly the deterministic computation graph. `lengths` is forwarded to
-    models whose forward pass needs per-sample sequence lengths.
+    Runs training forwards with every dropout layer of the model (its
+    `dropout_layers()`, where it has them) at rate 0, restored afterwards:
+    the deterministic computation graph, with the backward caches a
+    training forward keeps. `lengths` is forwarded to models whose forward
+    pass needs per-sample sequence lengths.
     """
     if not 1e-6 <= epsilon <= 1e-4:
         raise ConfigError(f"epsilon must be in [1e-6, 1e-4], got {epsilon}")
@@ -62,15 +64,24 @@ def gradient_check(model, x, target, loss: str = "categorical_cross_entropy",
 
     def run_forward():
         if lengths is None:
-            return output(model.forward(x, training=False))
-        return output(model.forward(x, lengths, training=False))
-
-    _, d_logits = loss_fn(run_forward(), target)
-    model.backward(d_logits)
-    analytic = {name: grad.copy() for name, grad in model.gradients().items()}
+            return output(model.forward(x, training=True))
+        return output(model.forward(x, lengths, training=True))
 
     def loss_value():
         value, _ = loss_fn(run_forward(), target)
         return value
 
-    return max_relative_error(loss_value, model.parameters(), analytic, epsilon)
+    dropouts = model.dropout_layers() if hasattr(model, "dropout_layers") else []
+    rates = [layer.rate for layer in dropouts]
+    for layer in dropouts:
+        layer.rate = 0.0
+    try:
+        _, d_logits = loss_fn(run_forward(), target)
+        model.backward(d_logits)
+        analytic = {name: grad.copy()
+                    for name, grad in model.gradients().items()}
+        return max_relative_error(loss_value, model.parameters(), analytic,
+                                  epsilon)
+    finally:
+        for layer, rate in zip(dropouts, rates):
+            layer.rate = rate

@@ -51,7 +51,7 @@ from test_sentiment import integrator_model
 
 
 # ----------------------------------------------------------------------
-# gradient correctness: dense, dropout (inference), linear head and LSTM
+# gradient correctness: dense, dropout (at rate 0), linear head and LSTM
 # against central finite differences, 50 random small instances
 # ----------------------------------------------------------------------
 def test_gradient_correctness_50_random_instances():
@@ -64,7 +64,7 @@ def test_gradient_correctness_50_random_instances():
         batch = int(rng.integers(1, 5))
         seed = int(rng.integers(10_000))
         if case % 2 == 0:
-            # feed-forward stack with dropout (inference) and a linear head
+            # feed-forward stack with dropout (at rate 0) and a linear head
             # whose logits the softmax cross-entropy reads
             act = ("tanh", "sigmoid", "relu")[case % 3]
             net = Network([

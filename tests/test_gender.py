@@ -12,6 +12,7 @@ from sentprofile.gender import (
     write_features,
 )
 from sentprofile.nn import (
+    DenseLayer,
     LSTMLayer,
     TrainConfig,
     load_model,
@@ -307,6 +308,23 @@ class TestPredictGender:
         probs = model.predict_proba(np.ones(3))
         assert np.allclose(probs, [[0.5, 0.5]])
         assert CLASSES[int(probs.argmax(axis=1)[0])] == "male"
+
+    def test_scoring_keeps_no_backward_cache(self):
+        # an inference forward caches nothing, so a scored model does not
+        # keep its caller's test matrix alive, and no backward can pair
+        # with it
+        features, labels = separable_features(n=20)
+        model = train_gender(features, labels, TrainConfig(epochs=2, seed=0))
+        dense = [layer for layer in model.network.layers
+                 if isinstance(layer, DenseLayer)]
+        assert len(dense) == 3
+        # training drops the last batch's caches when it ends
+        assert all(layer._cache is None for layer in dense)
+        test = np.random.default_rng(1).normal(size=(500, 2))
+        model.predict_proba(test)
+        assert all(layer._cache is None for layer in dense)
+        with pytest.raises(ShapeError, match="backward before forward"):
+            model.network.backward(np.ones((500, len(CLASSES))))
 
     def test_wrong_length_rejected(self):
         model = GenderModel(input_dim=4, seed=0)

@@ -74,6 +74,8 @@ def test_dropout_inference_matches_plain_model():
     err_with = gradient_check(with_dropout, x, y)
     err_without = gradient_check(without, x, y)
     assert err_with == pytest.approx(err_without, rel=1e-9)
+    # the check runs the dropout layer at rate 0 and gives it its rate back
+    assert with_dropout.layers[1].rate == 0.5
 
 
 def test_perfect_prediction_has_vanishing_gradient():
@@ -81,7 +83,7 @@ def test_perfect_prediction_has_vanishing_gradient():
     net.layers[0].weights[...] = np.array([[40.0, -40.0], [0.0, 0.0]])
     net.layers[0].bias[...] = 0.0
     x = np.array([[1.0, 0.0]])
-    probs = softmax(net.forward(x))
+    probs = softmax(net.forward(x, training=True))
     assert probs[0, 0] >= 1.0 - 1e-9
     _, d_logits = categorical_cross_entropy(probs, np.array([[1.0, 0.0]]))
     net.backward(d_logits)
@@ -126,10 +128,11 @@ def test_backward_is_linear_in_output_gradient():
                    DenseLayer(4, 2, rng=gen)])
     x = gen.normal(size=(5, 3))
     y = np.eye(2)[gen.integers(0, 2, size=5)]
-    _, d_logits = categorical_cross_entropy(softmax(net.forward(x)), y)
+    _, d_logits = categorical_cross_entropy(
+        softmax(net.forward(x, training=True)), y)
     net.backward(d_logits)
     grads_once = {k: v.copy() for k, v in net.gradients().items()}
-    net.forward(x)
+    net.forward(x, training=True)
     net.backward(2.0 * d_logits)
     for name, grad in net.gradients().items():
         assert np.allclose(grad, 2.0 * grads_once[name], rtol=1e-12)

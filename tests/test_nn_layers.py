@@ -367,6 +367,42 @@ class TestLstmForward:
         assert peak - held < 0.25 * cache_bytes
 
 
+class TestLstmMatchesIndexedKernel:
+    """The step loops keep the bytes of the kernel that indexed each
+    step's views inside the loop (`indexed_lstm_forward` and
+    `indexed_lstm_backward`, kept below as the reference): the same ufuncs
+    and GEMMs on the same operands in the same order."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 6, 32])
+    @pytest.mark.parametrize("steps", [7, 8])
+    def test_outputs_and_gradients_keep_their_bytes(self, dtype, batch, steps):
+        # ragged, all-equal and length-1 rows, at an odd and an even T for
+        # the ring's parity, then a forward of another shape on the same
+        # layer; each caching forward replaces the last one's cache
+        layer = LSTMLayer(5, 6, rng=rng())
+        gen = np.random.default_rng(batch * 10 + steps)
+        ragged = gen.integers(1, steps + 1, size=batch)
+        ragged[0] = steps
+        for lengths in (ragged, np.full(batch, steps), np.ones(batch, int),
+                        np.full(batch, steps - 1),
+                        gen.integers(1, steps + 4, size=batch + 2)):
+            x = gen.normal(size=(len(lengths), steps + 3, 5)).astype(dtype)
+            for b, length in enumerate(lengths):
+                x[b, length:] = 0.0
+            d_final = gen.normal(size=(len(lengths), 6))
+            want_h, want_free, want_grads = indexed_lstm(layer, x, lengths,
+                                                         d_final)
+            got_h = layer.forward(x, lengths)
+            layer.backward(d_final)
+            assert got_h.dtype == dtype
+            assert got_h.tobytes() == want_h.tobytes()
+            for name, value in want_grads.items():
+                assert layer.grads[name].tobytes() == value.tobytes(), name
+            free = layer.forward(x, lengths, cache=False)
+            assert free.tobytes() == want_free.tobytes()
+
+
 class TestFloat32Kernel:
     # float32 rounds each operation to u = 2**-24 (about 6e-8). A step's
     # GEMM has depth K = H+D+1, at most 66 here, so its entries can lose up
@@ -476,6 +512,124 @@ def per_step_lstm(layer, x, lengths, d_final):
     return h, {"w_x": dwx, "w_h": dwh, "bias": db}
 
 
+def indexed_lstm(layer, x, lengths, d_final):
+    """(cached h, cache-free h, gradients) of the indexed kernel."""
+    cached, cache = indexed_lstm_forward(layer, x, lengths, cache=True)
+    free, _ = indexed_lstm_forward(layer, x, lengths, cache=False)
+    return cached, free, indexed_lstm_backward(layer, cache, d_final)
+
+
+def indexed_stacked_weight(layer, dtype):
+    hd, d = layer.hidden_dim, layer.input_dim
+    weight = np.empty((4 * hd, hd + d + 1), dtype)
+    weight[:, :hd] = layer.w_h.T
+    weight[:, hd:hd + d] = layer.w_x.T
+    weight[:, hd + d] = layer.bias
+    weight[:3 * hd] *= 0.5
+    return weight
+
+
+def indexed_last_steps(lengths):
+    ends = {}
+    for b, length in enumerate(lengths.tolist()):
+        ends.setdefault(length - 1, []).append(b)
+    return ends
+
+
+def indexed_gate_planes(acts, hd):
+    return tuple(acts[:, k * hd:(k + 1) * hd] for k in range(5))
+
+
+def indexed_lstm_forward(layer, x, lengths, cache):
+    """`LSTMLayer.forward` as it indexed each step's views in the loop;
+    returns (h, the backward's cache or None)."""
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    x = x.astype(dtype, copy=False)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n, _, d = x.shape
+    t_max = int(lengths.max())
+    hd = layer.hidden_dim
+    weight = indexed_stacked_weight(layer, dtype)
+    planes = np.zeros((t_max + 1 if cache else 2, 2 * hd + d + 1, n), dtype)
+    planes[:, 2 * hd + d] = 1.0
+    if cache:
+        planes[:t_max, 2 * hd:2 * hd + d] = x[:, :t_max].transpose(1, 2, 0)
+    acts = np.empty((t_max if cache else 1, 5 * hd, n), dtype)
+    i, f, o, g, tanh_c = indexed_gate_planes(acts, hd)
+    scratch = np.empty((hd, n), dtype)
+    if not cache:
+        final = np.empty((n, hd), dtype)
+        ends = indexed_last_steps(lengths)
+    for t in range(t_max):
+        s = t if cache else 0
+        cur, nxt = (t, t + 1) if cache else (t % 2, 1 - t % 2)
+        if not cache:
+            np.copyto(planes[cur, 2 * hd:2 * hd + d], x[:, t].T)
+        z = acts[s, :4 * hd]
+        np.matmul(weight, planes[cur, hd:], out=z)
+        np.tanh(z, out=z)
+        np.multiply(z[:3 * hd], 0.5, out=z[:3 * hd])
+        np.add(z[:3 * hd], 0.5, out=z[:3 * hd])
+        c_new = planes[nxt, :hd]
+        np.multiply(f[s], planes[cur, :hd], out=c_new)
+        np.multiply(i[s], g[s], out=scratch)
+        np.add(c_new, scratch, out=c_new)
+        np.tanh(c_new, out=tanh_c[s])
+        np.multiply(o[s], tanh_c[s], out=planes[nxt, hd:2 * hd])
+        if not cache and t in ends:
+            final[ends[t]] = planes[nxt, hd:2 * hd][:, ends[t]].T
+    if not cache:
+        return final, None
+    return (planes[lengths, hd:2 * hd, np.arange(n)],
+            {"planes": planes, "acts": acts, "lengths": lengths})
+
+
+def indexed_lstm_backward(layer, cache, d_final):
+    """`LSTMLayer.backward` as it indexed each step's views in the loop;
+    returns the w_x, w_h and bias gradients."""
+    planes, acts, lengths = cache["planes"], cache["acts"], cache["lengths"]
+    t_max, _, n = acts.shape
+    hd, d = layer.hidden_dim, layer.input_dim
+    dtype = planes.dtype
+    d_final = np.asarray(d_final, dtype=dtype)
+    ends = indexed_last_steps(lengths)
+    d_weight = np.zeros((4 * hd, hd + d + 1), dtype)
+    step_grad = np.empty_like(d_weight)
+    d_state = np.zeros((2, 2 * hd, n), dtype)
+    dc_raw = np.empty((hd, n), dtype)
+    slope = np.empty((2 * hd, n), dtype)
+    one_minus = np.empty((3 * hd, n), dtype)
+    dz = np.empty((4 * hd, n), dtype)
+    w_h = layer.w_h.astype(dtype, copy=False)
+    dz_i, dz_f, dz_o, dz_g = (dz[k * hd:(k + 1) * hd] for k in range(4))
+    i, f, o, g, tanh_c = indexed_gate_planes(acts, hd)
+    for t in range(t_max - 1, -1, -1):
+        d_in, d_out = d_state[t % 2], d_state[1 - t % 2]
+        dc, dh = d_in[:hd], d_in[hd:]
+        if t in ends:
+            dh[:, ends[t]] = d_final[ends[t]].T
+        np.multiply(acts[t, 3 * hd:], acts[t, 3 * hd:], out=slope)
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(dh, tanh_c[t], out=dz_o)
+        np.multiply(dh, o[t], out=dc_raw)
+        np.multiply(dc_raw, slope[hd:], out=dc_raw)
+        np.add(dc, dc_raw, out=dc_raw)
+        np.multiply(dc_raw, g[t], out=dz_i)
+        np.multiply(dc_raw, planes[t, :hd], out=dz_f)
+        np.multiply(dc_raw, i[t], out=dz_g)
+        np.multiply(dz[:3 * hd], acts[t, :3 * hd], out=dz[:3 * hd])
+        np.subtract(1.0, acts[t, :3 * hd], out=one_minus)
+        np.multiply(dz[:3 * hd], one_minus, out=dz[:3 * hd])
+        np.multiply(dz_g, slope[:hd], out=dz_g)
+        np.matmul(dz, planes[t, hd:].T, out=step_grad)
+        np.add(d_weight, step_grad, out=d_weight)
+        np.multiply(dc_raw, f[t], out=d_out[:hd])
+        np.matmul(w_h, dz, out=d_out[hd:])
+    return {"w_h": d_weight[:, :hd].T.astype(np.float64),
+            "w_x": d_weight[:, hd:hd + d].T.astype(np.float64),
+            "bias": d_weight[:, hd + d].astype(np.float64)}
+
+
 class TestNetwork:
     def test_forward_chains_shapes(self):
         net = Network([DenseLayer(4, 6, "relu", rng=rng()),
@@ -500,10 +654,10 @@ class TestNetwork:
                                           "layer2.weights", "layer2.bias"]
 
 
-def gender_shaped_networks(members, seed=0):
+def gender_shaped_networks(members, seed=0, dropout_rate=0.4):
     """`members` networks of the gender MLP's shape, each its own init."""
     return [Network([DenseLayer(56, 50, "relu", rng=np.random.default_rng(seed + j)),
-                     DropoutLayer(0.4),
+                     DropoutLayer(dropout_rate),
                      DenseLayer(50, 10, "relu", rng=np.random.default_rng(seed + j)),
                      DenseLayer(10, 2, rng=np.random.default_rng(seed + j))])
             for j in range(members)]
@@ -517,12 +671,14 @@ class TestStackedNetwork:
     @pytest.mark.parametrize("members", [2, 3, 5, 10])
     @pytest.mark.parametrize("batch", [1, 2, 3, 7, 8, 32])
     def test_bytes_match_each_member(self, members, batch):
+        # training forwards, which keep the backward caches; dropout at
+        # rate 0 is the identity, so stack and members see one graph
         gen = np.random.default_rng(members * 100 + batch)
-        nets = gender_shaped_networks(members)
+        nets = gender_shaped_networks(members, dropout_rate=0.0)
         stacked = stack(nets)
         x = gen.normal(size=(members, batch, 56))
         d_out = gen.normal(size=(members, batch, 2))
-        out = stacked.forward(x)
+        out = stacked.forward(x, training=True)
         d_in = stacked.backward(d_out)
         stacked_grads = {name: grad.copy()
                          for name, grad in stacked.gradients().items()}
@@ -531,7 +687,8 @@ class TestStackedNetwork:
         for name, grad in stacked.gradients().items():
             assert grad.tobytes() == stacked_grads[name].tobytes(), name
         for j, net in enumerate(nets):
-            assert net.forward(x[j]).tobytes() == out[j].tobytes()
+            assert net.forward(x[j], training=True).tobytes() == \
+                out[j].tobytes()
             assert net.backward(d_out[j]).tobytes() == d_in[j].tobytes()
             for name, grad in net.gradients().items():
                 assert grad.tobytes() == stacked_grads[name][j].tobytes(), name
@@ -547,7 +704,7 @@ class TestStackedNetwork:
         stacked = stack(nets)
         x = gen.normal(size=(members, batch, 56))
         g = gen.normal(size=(members, batch, 50))
-        out = stacked.forward(x)
+        out = stacked.forward(x, training=True)
         d_in = stacked.backward(g)
         grads = stacked.gradients()
         for j, net in enumerate(nets):

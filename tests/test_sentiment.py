@@ -234,10 +234,10 @@ class TestExtractRepresentation:
                                 np.array([len(doc)]))
         assert composite.lstm._cache is None
 
-    def test_frozen_dense_is_head_preactivation_across_chunks(self):
+    def test_frozen_dense_is_head_preactivation_across_chunks(self, monkeypatch):
         # 300 rows span two 256-row chunks; each chunk's rows equal, byte
         # for byte, the pre-sigmoid head activation a `forward_batch` over
-        # that chunk caches, cut to its longest sequence
+        # that chunk computes, cut to its longest sequence
         rng = np.random.default_rng(11)
         model = SentimentModel(input_dim=3, hidden_size=5, seed=4)
         model.trained = True
@@ -246,9 +246,14 @@ class TestExtractRepresentation:
         reps = head_activations(model,
                                 extract_representations(model, mats, lengths))
         expected = []
+        head_forward = model.head.forward
+
+        def recorded(x, training=False):
+            expected.append(head_forward(x, training=training))
+            return expected[-1]
+        monkeypatch.setattr(model.head, "forward", recorded)
         for rows in (slice(0, 256), slice(256, 300)):
             model.forward_batch((mats[rows, :lengths[rows].max()], lengths[rows]))
-            expected.append(model.head._cache[1])
         assert reps.shape == (300, 1)
         assert reps.tobytes() == np.concatenate(expected).tobytes()
 
@@ -405,7 +410,8 @@ def test_extracted_representations_linearly_separable_by_polarity(polarity_table
     probe = DenseLayer(h.shape[1], 1, rng=np.random.default_rng(0))
     optimizer = make_optimizer(TrainConfig(epochs=1, learning_rate=5e-2))
     for _ in range(300):
-        _, d_logits = binary_cross_entropy(sigmoid(probe.forward(h)), y)
+        _, d_logits = binary_cross_entropy(
+            sigmoid(probe.forward(h, training=True)), y)
         probe.backward(d_logits)
         optimizer.step(probe.params(), probe.grads)
     accuracy = ((sigmoid(probe.forward(h)) > 0.5) == (y > 0.5)).mean()
