@@ -4,9 +4,20 @@ The CLI maps ConfigError to exit code 2 and DataError (with all its
 subclasses) to exit code 3.
 """
 
+import copyreg
+
 
 class PipelineError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every one pickles to its own class, message and attributes, so an
+    error raised in a forked worker reaches the parent unchanged."""
+
+    def __reduce__(self):
+        # the finished message and attributes, set without calling
+        # __init__ again: several subclasses format their arguments into
+        # the message there
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(PipelineError):

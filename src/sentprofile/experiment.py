@@ -12,9 +12,17 @@ second is one loop over each cell's folds (`_train_folds`). There a fold
 gathers its training and test rows, oversamples only its training
 minority, and trains its gender classifier once, scored at every entry
 of the epoch grid: MLPs with equal-shaped training data in lockstep as
-one stacked model, finetuned composites one at a time. A grid of cells
+one stacked model, each finetuned composite on its own. A grid of cells
 shares all of this but the gender training: one load, one embedding fit
 and, per source mode, the sentiment models.
+
+The folds that train independently, the finetuned composites and the
+per-fold sentiment models of manual sources, train in up to `jobs`
+processes at once: forked children beside this one, which gathers and
+oversamples every fold and trains one whenever no child is free (see
+`_map_folds`). Every fold has its own seed, so the report bytes do not
+depend on `jobs`; it is not part of `ExperimentConfig`, whose fields
+the report holds.
 
 A document with no in-vocabulary token is dropped with one warning (see
 `_embeddable`): a source review or manual sample always, a target user
@@ -27,6 +35,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
@@ -626,15 +635,20 @@ def _prepare_runs(cells: list[ExperimentConfig],
             for cell in cells]
 
 
-def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalReport]:
+def _run_cells(cells: list[ExperimentConfig], paths: DataPaths,
+               jobs: int | None = None) -> list[EvalReport]:
     """Cross-validate every cell over one shared prefix (see
-    `_prepare_runs`); one report per cell, in order.
+    `_prepare_runs`); one report per cell, in order. Independent folds
+    train in up to `jobs` processes at once, by default one per core this
+    process may run on and at most one per fold; the reports' bytes do
+    not depend on it.
 
     The cells of a source mode run in two passes. The first trains the
     source mode's sentiment models and reads their features for all of
     its cells (see `_fold_sentiment`). A fold's model is kept only when a
     finetuned cell's composite starts from it; otherwise it is dropped
-    once its features are read, so at most one is alive at a time. The
+    once its features are read, so at most one per process is alive at a
+    time. The
     second pass trains each cell's gender models over its folds (see
     `_train_folds`), and the cell's report is made as soon as they are
     scored. Each mode's features, and the models, are dropped after the
@@ -647,14 +661,18 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths) -> list[EvalRepo
         if cell.sentiment_mode == "none" and cell.source_mode != "entire":
             logger.info("sentiment_mode is 'none'; source_mode %r is ignored",
                         cell.source_mode)
+    if jobs is None:
+        jobs = min(len(os.sched_getaffinity(0)), cells[0].folds)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     runs = _prepare_runs(cells, paths)
     reports = []
     for _, group in groupby(runs, key=lambda run: run.config.source_mode):
         group = list(group)
-        readouts = _fold_sentiment(group)
+        readouts = _fold_sentiment(group, jobs)
         for position, run in enumerate(group):
             config = run.config
-            columns = _train_folds(run, readouts)
+            columns = _train_folds(run, readouts, jobs)
             later = {other.config.sentiment_mode for other in group[position + 1:]}
             readouts = [(model if "finetuned_lstm" in later else None,
                          {mode: value for mode, value in features.items()
@@ -683,6 +701,87 @@ def _in_fold(exc: PipelineError, index: int) -> PipelineError:
         if isinstance(exc, category):
             return category(f"fold {index + 1}: {exc}")
     return PipelineError(f"fold {index + 1}: {exc}")
+
+
+def _map_folds(prepare, count: int, jobs: int) -> list:
+    """[prepare(i)() for i in range(count)], in order. prepare(i) runs
+    here; the call it returns, which must not touch the parent's state,
+    runs in a forked child while fewer than `jobs` - 1 children are busy,
+    and here otherwise. The last always runs here, so at most `jobs`
+    processes work at once and this one trains folds too instead of
+    only waiting.
+    A PipelineError names the fold it happened in (see `_in_fold`), a
+    child's its own; on any error every child still running is stopped."""
+    results, busy = [None] * count, {}
+    try:
+        for index in range(count):
+            for done in [i for i, (_, reader) in busy.items() if reader.poll()]:
+                results[done] = _collect(done, *busy.pop(done))
+            try:
+                task = prepare(index)
+                if index < count - 1 and len(busy) < jobs - 1:
+                    busy[index] = _fork(task, index)
+                else:
+                    results[index] = task()
+            except PipelineError as exc:
+                raise _in_fold(exc, index) from exc
+            del task
+        for index in list(busy):
+            results[index] = _collect(index, *busy.pop(index))
+    finally:
+        for process, reader in busy.values():
+            process.kill()
+            process.join()
+            reader.close()
+    return results
+
+
+def _fork(task, index: int):
+    """(process, reader): a forked child that sends ("ok", task()), or
+    ("error", the error naming fold `index`), down the pipe it returns.
+
+    Forked, not spawned, so the child reads the run's arrays and models
+    copy-on-write instead of receiving them pickled; the program starts
+    no thread of its own. multiprocessing is imported only here, so a run
+    that forks nothing does not pay for it."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+
+    def run():
+        try:
+            outcome = ("ok", task())
+        except PipelineError as exc:
+            outcome = ("error", _in_fold(exc, index))
+        except Exception as exc:
+            # a defect, not a pipeline error: its traceback stays here
+            logger.exception("fold %d failed", index + 1)
+            outcome = ("error", exc)
+        writer.send(outcome)
+
+    process = context.Process(target=run, name=f"fold {index + 1}")
+    process.start()
+    writer.close()
+    return process, reader
+
+
+def _collect(index: int, process, reader):
+    """The result of fold `index`'s child, once it has sent it; raises the
+    error the child sent instead."""
+    try:
+        kind, value = reader.recv()
+    except EOFError:
+        kind, value = "error", None
+    finally:
+        reader.close()
+        process.join()
+    if kind == "ok":
+        return value
+    if value is None:
+        value = PipelineError(f"fold {index + 1}: its process exited with "
+                              f"code {process.exitcode} and no result")
+    raise value
 
 
 def train_fold_sentiment(config: ExperimentConfig, seqs, targets,
@@ -723,7 +822,7 @@ def sentiment_features(model: SentimentModel, sentiment_modes: set[str], mats,
     return features
 
 
-def _fold_sentiment(runs: list[RunContext]) -> list[tuple]:
+def _fold_sentiment(runs: list[RunContext], jobs: int = 1) -> list[tuple]:
     """One (model, features) entry per fold for the cells in `runs`, which
     share a source mode: the fold's sentiment model, which saw no label of
     the fold's test users, kept only when a finetuned cell's composite
@@ -732,8 +831,9 @@ def _fold_sentiment(runs: list[RunContext]) -> list[tuple]:
 
     Only manual labels make the sentiment training set depend on the fold
     (a fold trains on its training users' labels alone), so those sources
-    train one model per fold. The others train on the same set in every
-    fold: one model, trained with fold 1's seed, serves every fold."""
+    train one model per fold, in up to `jobs` processes at once (see
+    `_map_folds`). The others train on the same set in every fold: one
+    model, trained with fold 1's seed, serves every fold."""
     modes = {run.config.sentiment_mode for run in runs}
     first = next((run for run in runs if run.source is not None), runs[0])
     source, k = first.source, first.plan.k
@@ -741,26 +841,27 @@ def _fold_sentiment(runs: list[RunContext]) -> list[tuple]:
         return [(None, {})] * k
 
     def read(index):
-        try:
+        def train():
             model, _ = train_fold_sentiment(
                 first.config, *source.training_set(first.plan.split(index)[0]),
                 index)
             return (model if "finetuned_lstm" in modes else None,
                     sentiment_features(model, modes, first.mats, first.lengths,
                                        first.polarity))
-        except PipelineError as exc:
-            raise _in_fold(exc, index) from exc
+        return train
 
     if source.manual is None:
-        return [read(0)] * k
-    return [read(index) for index in range(k)]
+        return _map_folds(read, 1, jobs) * k
+    return _map_folds(read, k, jobs)
 
 
-def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
-    return _run_cells([config], paths)[0]
+def run_experiment(config: ExperimentConfig, paths: DataPaths,
+                   jobs: int | None = None) -> EvalReport:
+    return _run_cells([config], paths, jobs)[0]
 
 
-def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
+def _train_folds(run: RunContext, readouts: list[tuple],
+                 jobs: int = 1) -> list[EpochColumn]:
     """Train the gender model of every fold of `run.plan`, score it at the
     grid epochs on the fold's test users and return the cell's columns,
     with the accuracies in fold order. Fold i reads entry i of `readouts`
@@ -774,57 +875,75 @@ def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
     as a run of exactly that many epochs would score.
 
     A finetuned fold's composite starts from a copy of the LSTM of the
-    fold's own sentiment model, built just before it trains, so one is
-    alive at a time. The MLPs train in lockstep, those whose training
-    matrices have one shape as one stack (one `train_gender` call); each
-    ends with the bytes it would have trained to alone. A failure names
-    the fold it happened in."""
+    fold's own sentiment model. This process gathers, oversamples and
+    builds the folds one after another; each composite then trains in up
+    to `jobs` processes at once (see `_map_folds`), so no more are alive
+    at a time. The MLPs train in lockstep, those whose training matrices
+    have one shape as one stack (one `train_gender` call); each ends with
+    the bytes it would have trained to alone. A failure names the fold it
+    happened in."""
     config = run.config
     finetuned = config.sentiment_mode == "finetuned_lstm"
     grid, epochs = set(config.epochs), max(config.epochs)
-    accuracies, stacks = [], {}
-    try:
-        for index, (sentiment, features) in enumerate(readouts):
-            failing = [index]
-            seed = _fold_seed(config.seed, index, 1)
-            train, test = (run.rows(ids) for ids in run.plan.split(index))
-            reads = features.get(config.sentiment_mode)
-            x_train, x_test = (
-                (run.base[rows], run.mats[rows], run.lengths[rows]) if finetuned
-                else (run.base[rows],) if reads is None
-                else (np.concatenate([run.base[rows], reads[rows]], axis=1),)
-                for rows in (train, test))
-            labels = run.labels[train]
-            if config.smote:
-                *x_train, labels = (smote_sequences if finetuned else smote)(
-                    *x_train, labels, config.resample_config(seed))
-            accuracies.append({})
 
-            def score(model, epoch, x_test=x_test, y_test=run.labels[test],
-                      accuracy=accuracies[-1]):
-                if epoch in grid:
-                    predicted = model.predict_proba(*x_test).argmax(axis=1)
-                    accuracy[epoch] = float((predicted == y_test).mean())
+    def gather(index):
+        """(seed, training inputs, their labels, test inputs, test labels)
+        of fold `index`, oversampled under `config.smote`."""
+        seed = _fold_seed(config.seed, index, 1)
+        train, test = (run.rows(ids) for ids in run.plan.split(index))
+        reads = readouts[index][1].get(config.sentiment_mode)
+        x_train, x_test = (
+            (run.base[rows], run.mats[rows], run.lengths[rows]) if finetuned
+            else (run.base[rows],) if reads is None
+            else (np.concatenate([run.base[rows], reads[rows]], axis=1),)
+            for rows in (train, test))
+        labels = run.labels[train]
+        if config.smote:
+            *x_train, labels = (smote_sequences if finetuned else smote)(
+                *x_train, labels, config.resample_config(seed))
+        return seed, x_train, labels, x_test, run.labels[test]
 
-            if finetuned:
-                train_finetune(build_finetune_model(
-                                   sentiment, vec_dim=run.base.shape[1],
-                                   dropout_rate=config.mlp_dropout, seed=seed),
-                               *x_train, labels, config.train_config(epochs, seed),
-                               after_epoch=score)
-                # the next fold's inputs are gathered without this one's
-                del x_train, x_test, score
-            else:
+    def scorer(x_test, y_test, accuracy):
+        def score(model, epoch):
+            if epoch in grid:
+                predicted = model.predict_proba(*x_test).argmax(axis=1)
+                accuracy[epoch] = float((predicted == y_test).mean())
+        return score
+
+    if finetuned:
+        def composite(index):
+            seed, x_train, labels, x_test, y_test = gather(index)
+            model = build_finetune_model(readouts[index][0],
+                                         vec_dim=run.base.shape[1],
+                                         dropout_rate=config.mlp_dropout,
+                                         seed=seed)
+
+            def train():
+                accuracy = {}
+                train_finetune(model, *x_train, labels,
+                               config.train_config(epochs, seed),
+                               after_epoch=scorer(x_test, y_test, accuracy))
+                return accuracy
+            return train
+
+        accuracies = _map_folds(composite, len(readouts), jobs)
+    else:
+        accuracies, stacks = [], {}
+        try:
+            for index in range(len(readouts)):
+                failing = [index]
+                seed, x_train, labels, x_test, y_test = gather(index)
+                accuracies.append({})
                 stacks.setdefault(x_train[0].shape, []).append(
                     (index, seed, x_train[0], [CLASSES[i] for i in labels],
-                     score))
-        for stack in stacks.values():
-            failing, seeds, features, labels, after_epoch = zip(*stack)
-            train_gender(features, labels, config.train_config(epochs),
-                         dropout_rate=config.mlp_dropout,
-                         after_epoch=after_epoch, seeds=seeds)
-    except PipelineError as exc:
-        raise _in_fold(exc, failing[getattr(exc, "member", None) or 0]) from exc
+                     scorer(x_test, y_test, accuracies[-1])))
+            for stack in stacks.values():
+                failing, seeds, features, labels, after_epoch = zip(*stack)
+                train_gender(features, labels, config.train_config(epochs),
+                             dropout_rate=config.mlp_dropout,
+                             after_epoch=after_epoch, seeds=seeds)
+        except PipelineError as exc:
+            raise _in_fold(exc, failing[getattr(exc, "member", None) or 0]) from exc
     return [EpochColumn(e, [accuracy[e] for accuracy in accuracies])
             for e in config.epochs]
 
@@ -832,11 +951,12 @@ def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")
 
 
-def run_grid(config: ExperimentConfig, paths: DataPaths):
+def run_grid(config: ExperimentConfig, paths: DataPaths,
+             jobs: int | None = None):
     """Sweep source modes against extraction layers (the 4 x 3 grid). The
     cells share the corpora, the embeddings and, within a source mode, its
     sentiment models; every report has the bytes `run_experiment` gives
-    for its cell."""
+    for its cell. `jobs` is that of `_run_cells`."""
     cells = []
     for source_mode in SOURCE_MODES:
         if source_mode.endswith("plus_manual") and not paths.manual:
@@ -845,6 +965,6 @@ def run_grid(config: ExperimentConfig, paths: DataPaths):
         for layer in GRID_LAYERS:
             cells.append(replace(config, sentiment_mode=layer,
                                  source_mode=source_mode))
-    reports = _run_cells(cells, paths)
+    reports = _run_cells(cells, paths, jobs)
     return [((cell.source_mode, cell.sentiment_mode), report)
             for cell, report in zip(cells, reports)]

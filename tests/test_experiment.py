@@ -288,8 +288,8 @@ class TestRunExperiment:
         # the MLP features, or the composite's base rows, turn to NaN
         fold_2 = experiment._fold_seed(config.seed, 1, 1)
 
-        def recorded(runs):
-            readouts = fold_sentiment(runs)
+        def recorded(runs, *args):
+            readouts = fold_sentiment(runs, *args)
             stacks.extend([None] * len(readouts))
             return readouts
 
@@ -312,8 +312,10 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "_fold_sentiment", recorded)
         monkeypatch.setattr(experiment, "train_gender", counted)
         monkeypatch.setattr(experiment, "train_finetune", counted_finetune)
+        # one process: the calls are recorded in this one, and a forked
+        # fold's would be lost
         with pytest.raises(TrainingError) as caught:
-            run_experiment(config, small_dataset)
+            run_experiment(config, small_dataset, jobs=1)
         assert str(caught.value) == (f"fold 2: non-finite gradient for "
                                      f"parameter '{parameter}'; training "
                                      f"aborted")
@@ -415,7 +417,8 @@ class TestRunGrid:
         config = small_experiment(z=0.05, smote=True, smote_k=2)
         calls = count_calls(monkeypatch, ("load_corpora", "train_skipgram",
                                           "train_sentiment"))
-        results = run_grid(config, small_dataset)
+        # one process, so every fold's sentiment training is counted here
+        results = run_grid(config, small_dataset, jobs=1)
         # one model for each source mode without manual labels, one per fold
         # for each with them
         assert calls == {"load_corpora": 1, "train_skipgram": 1,
@@ -468,7 +471,7 @@ def record_sentiment_training(monkeypatch):
         read_outs.extend((array, model) for array in features.values())
         return features
 
-    def recorded_folds(run, readouts):
+    def recorded_folds(run, readouts, *args):
         def split(index):
             train_ids, test_ids = run.plan.split(index)
             folds.append([index, None, list(test_ids)])
@@ -477,7 +480,7 @@ def record_sentiment_training(monkeypatch):
             return train_ids, test_ids
         return train_folds(replace(run, plan=SimpleNamespace(k=run.plan.k,
                                                              split=split)),
-                           readouts)
+                           readouts, *args)
 
     def recorded_gender(features, *args, seeds, **kwargs):
         # a fold's features were read from the model whose read-out rows
@@ -537,8 +540,10 @@ class TestSentimentTraining:
         monkeypatch.setattr(experiment, "sentiment_sources", recorded_sources)
         config = small_experiment(sentiment_mode="frozen_lstm",
                                   source_mode=source_mode, z=0.05)
+        # one process: each fold's model is trained, read and logged here,
+        # where the wrappers record it
         with caplog.at_level("INFO", logger="sentprofile.experiment"):
-            run_experiment(config, small_dataset)
+            run_experiment(config, small_dataset, jobs=1)
         assert len(trained) == len(folds) == config.folds
         assert logged_models(caplog, source_mode) == config.folds
         (source,) = [by_mode[source_mode] for by_mode in sources]
@@ -583,7 +588,9 @@ def test_composites_start_from_their_own_folds_lstm(monkeypatch,
     monkeypatch.setattr(experiment, "build_finetune_model", recorded_build)
     config = small_experiment(sentiment_mode="finetuned_lstm",
                               source_mode="entire_plus_manual")
-    run_experiment(config, small_dataset)
+    # one process, so every model trained and every composite built is
+    # recorded here
+    run_experiment(config, small_dataset, jobs=1)
     assert len(set(trained)) == config.folds
     assert built == trained
 
@@ -600,16 +607,17 @@ def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch,
         models.append(weakref.ref(model))
         return model, curve
 
-    def checked(run, readouts):
+    def checked(run, readouts, *args):
         gc.collect()
         alive.append([ref() is not None for ref in models])
-        return train_folds(run, readouts)
+        return train_folds(run, readouts, *args)
 
     monkeypatch.setattr(experiment, "train_sentiment", recorded)
     monkeypatch.setattr(experiment, "_train_folds", checked)
     config = small_experiment(sentiment_mode="frozen_lstm",
                               source_mode="entire_plus_manual")
-    run_experiment(config, small_dataset)
+    # one process: a forked fold's model is never alive here
+    run_experiment(config, small_dataset, jobs=1)
     assert alive == [[False] * config.folds]
 
 
@@ -621,14 +629,14 @@ def test_frozen_features_freed_before_the_finetuned_cell_trains(
     features, alive = [], {}
     train_folds = experiment._train_folds
 
-    def checked(run, readouts):
+    def checked(run, readouts, *args):
         if not features:
             features.extend(weakref.ref(value) for _, by_mode in readouts
                             for value in by_mode.values())
         gc.collect()
         alive[run.config.sentiment_mode] = sum(ref() is not None
                                                for ref in features)
-        return train_folds(run, readouts)
+        return train_folds(run, readouts, *args)
 
     monkeypatch.setattr(experiment, "_train_folds", checked)
     cells = [small_experiment(sentiment_mode=mode,
@@ -733,7 +741,8 @@ class TestSentimentReadout:
         # each of the two manual sources' fold models
         config = small_experiment(z=0.05)
         forwards = read_out_forwards(monkeypatch)
-        run_grid(config, small_dataset)
+        # one process, so every fold's read-out is counted here
+        run_grid(config, small_dataset, jobs=1)
         assert forwards["extract_representations"] == [1] * (2 + 2 * config.folds)
         assert forwards["polarity_features"] == []
 

@@ -239,7 +239,9 @@ def test_only_gender_training_counts_epochs(monkeypatch, small_dataset, mode):
         lambda *args, seeds, **kwargs: stacks.append(len(seeds))))
     config = experiment.ExperimentConfig(
         **dict(SMALL_CONFIG, sentiment_mode=mode, epochs=(2, 3)))
-    experiment.run_experiment(config, small_dataset)
+    # one process: a composite trained in a forked fold counts its epochs
+    # there, not here
+    experiment.run_experiment(config, small_dataset, jobs=1)
     if mode == "finetuned_lstm":
         assert stacks == [] and seen == [max(config.epochs)] * config.folds
     else:
