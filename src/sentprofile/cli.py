@@ -14,7 +14,6 @@ matrix from a feature file. Exit codes: 0 success, 2 configuration error,
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -93,13 +92,6 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sentiment-dropout", type=float, default=None)
     parser.add_argument("--sentiment-epochs", type=int, default=None)
     _training_flags(parser)
-
-
-def _jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="processes that train independent folds at "
-                             "once (default: one per core, at most one per "
-                             "fold); the report bytes do not depend on it")
 
 
 def _smote_flags(parser: argparse.ArgumentParser) -> None:
@@ -250,18 +242,9 @@ def _cmd_gender_train(args) -> int:
     return 0
 
 
-def _jobs(args) -> int | None:
-    """--jobs, checked before any work; None leaves the run's default."""
-    cores = len(os.sched_getaffinity(0))
-    if args.jobs is not None and not 1 <= args.jobs <= cores:
-        raise ConfigError(f"--jobs must be in 1..{cores} (the cores this "
-                          f"process may run on), got {args.jobs}")
-    return args.jobs
-
-
 def _cmd_evaluate(args) -> int:
     config = _experiment_config(args)
-    report = run_experiment(config, _data_paths(args), _jobs(args))
+    report = run_experiment(config, _data_paths(args))
     text = emit_report(report, fmt=args.format, out=args.out)
     if args.out:
         print(f"report written to {args.out}")
@@ -272,10 +255,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _experiment_config(args)
-    jobs = _jobs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_grid(config, _data_paths(args), jobs)
+    results = run_grid(config, _data_paths(args))
     summary = []
     for (source_mode, layer), report in results:
         name = f"{source_mode}__{layer}.json"
@@ -372,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run one cross-validated experiment")
     _add_common(p)
     _experiment_flags(p)
-    _jobs_flag(p)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_evaluate)
@@ -381,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep source modes against extraction layers")
     _add_common(p)
     _experiment_flags(p)
-    _jobs_flag(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_grid)
 

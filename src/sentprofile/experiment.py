@@ -19,10 +19,10 @@ and, per source mode, the sentiment models.
 The folds that train independently, the finetuned composites and the
 per-fold sentiment models of manual sources, train in up to `jobs`
 processes at once: forked children beside this one, which gathers and
-oversamples every fold and trains one whenever no child is free (see
-`_map_folds`). Every fold has its own seed, so the report bytes do not
-depend on `jobs`; it is not part of `ExperimentConfig`, whose fields
-the report holds.
+oversamples every fold and trains every `jobs`-th fold and the last
+itself (see `_map_folds`). Every fold has its own seed, so the report
+bytes do not depend on `jobs`; it is not part of `ExperimentConfig`,
+whose fields the report holds.
 
 A document with no in-vocabulary token is dropped with one warning (see
 `_embeddable`): a source review or manual sample always, a target user
@@ -648,10 +648,9 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths,
     its cells (see `_fold_sentiment`). A fold's model is kept only when a
     finetuned cell's composite starts from it; otherwise it is dropped
     once its features are read, so at most one per process is alive at a
-    time. The
-    second pass trains each cell's gender models over its folds (see
-    `_train_folds`), and the cell's report is made as soon as they are
-    scored. Each mode's features, and the models, are dropped after the
+    time. The second pass trains each cell's gender models over its folds
+    (see `_train_folds`), and the cell's report is made as soon as they
+    are scored. Each mode's features, and the models, are dropped after the
     last cell of the group that reads them, so a finetuned cell's
     composites do not train beside the frozen features of the cells
     before it."""
@@ -705,29 +704,36 @@ def _in_fold(exc: PipelineError, index: int) -> PipelineError:
 
 def _map_folds(prepare, count: int, jobs: int) -> list:
     """[prepare(i)() for i in range(count)], in order. prepare(i) runs
-    here; the call it returns, which must not touch the parent's state,
-    runs in a forked child while fewer than `jobs` - 1 children are busy,
-    and here otherwise. The last always runs here, so at most `jobs`
-    processes work at once and this one trains folds too instead of
-    only waiting.
-    A PipelineError names the fold it happened in (see `_in_fold`), a
-    child's its own; on any error every child still running is stopped."""
+    here. The call it returns, which must not touch this process's state,
+    runs here for every `jobs`-th fold and the last, and in a forked child
+    for the others, so at most `jobs` processes work at once and this one
+    trains folds too instead of only waiting. Which fold trains where
+    depends on `count` and `jobs` alone; before it forks a fold while
+    `jobs` - 1 children are busy, this process waits for the oldest.
+
+    A PipelineError names the fold it happened in (see `_in_fold`). Of
+    several failing folds the first is named, as in one process: an error
+    here is raised only after the children of the folds before it. On any
+    error every child still running is stopped."""
     results, busy = [None] * count, {}
     try:
         for index in range(count):
-            for done in [i for i, (_, reader) in busy.items() if reader.poll()]:
-                results[done] = _collect(done, *busy.pop(done))
+            here = index % jobs == jobs - 1 or index == count - 1
+            if not here and len(busy) == jobs - 1:
+                _collect(results, busy)
             try:
                 task = prepare(index)
-                if index < count - 1 and len(busy) < jobs - 1:
-                    busy[index] = _fork(task, index)
-                else:
+                if here:
                     results[index] = task()
+                else:
+                    busy[index] = _fork(task, index)
             except PipelineError as exc:
+                while busy:
+                    _collect(results, busy)
                 raise _in_fold(exc, index) from exc
             del task
-        for index in list(busy):
-            results[index] = _collect(index, *busy.pop(index))
+        while busy:
+            _collect(results, busy)
     finally:
         for process, reader in busy.values():
             process.kill()
@@ -737,8 +743,9 @@ def _map_folds(prepare, count: int, jobs: int) -> list:
 
 
 def _fork(task, index: int):
-    """(process, reader): a forked child that sends ("ok", task()), or
-    ("error", the error naming fold `index`), down the pipe it returns.
+    """(process, reader): a forked child, named after fold `index`, that
+    sends ("ok", task()), or ("error", the error task() raised), down the
+    pipe it returns.
 
     Forked, not spawned, so the child reads the run's arrays and models
     copy-on-write instead of receiving them pickled; the program starts
@@ -752,11 +759,10 @@ def _fork(task, index: int):
     def run():
         try:
             outcome = ("ok", task())
-        except PipelineError as exc:
-            outcome = ("error", _in_fold(exc, index))
         except Exception as exc:
-            # a defect, not a pipeline error: its traceback stays here
-            logger.exception("fold %d failed", index + 1)
+            if not isinstance(exc, PipelineError):
+                # a defect, not a pipeline error: its traceback stays here
+                logger.exception("fold %d failed", index + 1)
             outcome = ("error", exc)
         writer.send(outcome)
 
@@ -766,21 +772,27 @@ def _fork(task, index: int):
     return process, reader
 
 
-def _collect(index: int, process, reader):
-    """The result of fold `index`'s child, once it has sent it; raises the
-    error the child sent instead."""
+def _collect(results: list, busy: dict) -> None:
+    """Wait for the oldest child in `busy`, which maps fold indices to
+    (process, reader), and store its result in `results`; raises the error
+    it sent instead, a PipelineError naming its fold."""
+    index = min(busy)
+    process, reader = busy[index]
     try:
         kind, value = reader.recv()
     except EOFError:
         kind, value = "error", None
-    finally:
-        reader.close()
-        process.join()
+    del busy[index]
+    reader.close()
+    process.join()
     if kind == "ok":
-        return value
+        results[index] = value
+        return
     if value is None:
-        value = PipelineError(f"fold {index + 1}: its process exited with "
-                              f"code {process.exitcode} and no result")
+        value = PipelineError(f"its process exited with code "
+                              f"{process.exitcode} and no result")
+    if isinstance(value, PipelineError):
+        raise _in_fold(value, index) from value
     raise value
 
 

@@ -426,12 +426,6 @@ class LSTMLayer:
                     *(gate[::-1] for gate in _gate_planes(acts, hd)))
         matmul, multiply, add, subtract = (np.matmul, np.multiply, np.add,
                                            np.subtract)
-        # the step's weight gradient dz @ operand_t: at B = 1 an outer
-        # product, each element one product, which broadcasting computes
-        # at a fraction of matmul's cost. Only a zero's sign can differ
-        # (matmul writes +0 for a -0 product), and d_weight, which starts
-        # at +0, sums to the same bytes either way
-        outer = multiply if n == 1 else matmul
         for t, g_and_c, sig, c_prev, operand_t, i, f, o, g, tanh_c in steps:
             dc, dh, dc_prev, dh_prev = halves[t % 2]
             if t in ends:
@@ -450,7 +444,7 @@ class LSTMLayer:
             subtract(1.0, sig, out=one_minus)
             multiply(dz_sig, one_minus, out=dz_sig)
             multiply(dz_g, slope_g, out=dz_g)
-            outer(dz, operand_t, out=step_grad)
+            matmul(dz, operand_t, out=step_grad)
             add(d_weight, step_grad, out=d_weight)
             multiply(dc_raw, f, out=dc_prev)
             matmul(w_h, dz, out=dh_prev)

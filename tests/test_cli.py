@@ -1,6 +1,5 @@
 import json
 import logging
-import os
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -197,13 +196,6 @@ MORE_BAD_EXPERIMENT_SETTINGS = [
     ("learning_rate", {"learning_rate": "inf"}),
 ]
 
-# bad values of the run flags evaluate and grid take besides the settings:
-# no core, and one more than this process may run on
-BAD_RUN_FLAGS = [
-    ("jobs", ["--jobs", "0"]),
-    ("jobs", ["--jobs", str(len(os.sched_getaffinity(0)) + 1)]),
-]
-
 # one bad value per synth-data flag that sets the generated data
 BAD_SYNTH_FLAGS = {
     "users": ["--users", "1"],
@@ -234,15 +226,6 @@ def test_every_setting_rejects_a_bad_value_with_exit_2(tmp_path, capsys):
         if (code != 2 or "configuration error" not in err
                 or not re.search(rf"\b{name}\b", err)):
             failures.append((name, code, err))
-    # both are checked before any work, so no fold process starts either
-    for name, flag in BAD_RUN_FLAGS:
-        out_dir = tmp_path / "grid"
-        for command in (["evaluate"], ["grid", "--out-dir", str(out_dir)]):
-            code = main([*command, "--users", absent, *flag])
-            err = capsys.readouterr().err
-            if (code != 2 or out_dir.exists() or "configuration error" not in err
-                    or not re.search(rf"\b{name}\b", err)):
-                failures.append((name, flag, command[0], code, err))
     for name, flag in BAD_SYNTH_FLAGS.items():
         out_dir = tmp_path / f"synth_{name}"
         code = main(["synth-data", *flag, "--out-dir", str(out_dir)])

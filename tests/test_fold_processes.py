@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from sentprofile import experiment
-from sentprofile.errors import ConfigError, DataError, TrainingError
+from sentprofile.errors import (ConfigError, DataError, PipelineError,
+                                TrainingError)
 from sentprofile.experiment import SENTIMENT_MODES, run_experiment, run_grid
 
 from conftest import SMALL_CONFIG
@@ -43,11 +44,10 @@ def test_report_bytes_do_not_depend_on_jobs(monkeypatch, small_dataset, mode,
     forks = count_forks(monkeypatch)
     assert run_experiment(config, small_dataset, jobs=2).to_json() == alone
     # the composites, and the fold models of a manual source, are the
-    # independent folds; the first always goes to a child, the last never
-    forked = mode == "finetuned_lstm" or (source_mode == "entire_plus_manual"
-                                          and mode != "none")
-    assert (forks[0] > 0) == forked
-    assert set(forks) <= set(range(config.folds - 1))
+    # independent folds; at jobs=2 of 3 folds only the first goes to a child
+    forked = (mode == "finetuned_lstm") + (source_mode == "entire_plus_manual"
+                                           and mode != "none")
+    assert forks == ({0: forked} if forked else {})
     assert multiprocessing.active_children() == []
 
 
@@ -96,15 +96,74 @@ def test_child_error_names_its_own_fold(monkeypatch, small_dataset):
     assert multiprocessing.active_children() == []
 
 
-def test_parent_error_stops_the_running_child(monkeypatch, small_dataset):
-    # fold 1's child is still training when fold 2, trained here because
-    # no child slot is free, fails; the child is stopped, not waited for
+def test_parent_error_waits_for_the_earlier_child(monkeypatch, small_dataset):
+    # fold 2, trained here, fails while fold 1's child still trains; the
+    # child's fold comes first, so its result is read before fold 2's
+    # error is raised, and no child is left behind
     config = small_experiment(sentiment_mode="finetuned_lstm")
-    poisoned_finetune(monkeypatch, config, fold=1, delay=60.0, delayed=0)
-    started = time.monotonic()
+    poisoned_finetune(monkeypatch, config, fold=1, delay=2.0, delayed=0)
+    forks = count_forks(monkeypatch)
     with pytest.raises(TrainingError, match="^fold 2: non-finite gradient"):
         run_experiment(config, small_dataset, jobs=2)
+    assert forks == {0: 1}
+    assert multiprocessing.active_children() == []
+
+
+def test_first_failing_fold_is_named_whatever_the_jobs(monkeypatch,
+                                                        small_dataset):
+    # fold 1 (a child at jobs=2) fails after fold 2 (trained here) has
+    # failed; as in one process, the error names fold 1
+    config = small_experiment(sentiment_mode="finetuned_lstm")
+    finetune = experiment.train_finetune
+    seeds = [experiment._fold_seed(config.seed, index, 1) for index in (0, 1)]
+
+    def failing(model, vecs, mats, lengths, labels, train_config, **kwargs):
+        if train_config.seed == seeds[0]:
+            time.sleep(1.0)
+            raise TrainingError("fold model diverged")
+        if train_config.seed == seeds[1]:
+            raise DataError("no usable row")
+        return finetune(model, vecs, mats, lengths, labels, train_config,
+                        **kwargs)
+
+    monkeypatch.setattr(experiment, "train_finetune", failing)
+    for jobs in (1, 2):
+        with pytest.raises(TrainingError, match="^fold 1: fold model diverged$"):
+            run_experiment(config, small_dataset, jobs=jobs)
+    assert multiprocessing.active_children() == []
+
+
+def test_child_error_stops_the_children_after_it():
+    # fold 1's child fails while fold 2's sleeps; fold 2 is stopped, not
+    # waited for
+    def prepare(index):
+        def task():
+            if index == 0:
+                raise DataError("no usable item")
+            time.sleep(60.0 if index == 1 else 0.0)
+            return index
+        return task
+
+    started = time.monotonic()
+    with pytest.raises(DataError, match="^fold 1: no usable item$"):
+        experiment._map_folds(prepare, 5, 3)
     assert time.monotonic() - started < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_child_that_exits_without_a_result_names_its_fold():
+    parent = os.getpid()
+
+    def prepare(index):
+        def task():
+            if os.getpid() != parent:
+                os._exit(3)
+            return index
+        return task
+
+    with pytest.raises(PipelineError, match="^fold 1: its process exited "
+                                            "with code 3 and no result$"):
+        experiment._map_folds(prepare, 2, 2)
     assert multiprocessing.active_children() == []
 
 
@@ -146,18 +205,20 @@ def test_jobs_below_one_rejected(small_dataset):
 def test_map_folds_keeps_fold_order(jobs):
     # folds prepared in order here, finishing out of order in up to
     # jobs - 1 children (more than the cores at 4) and here; the results
-    # come in fold order
-    prepared = []
+    # come in fold order, and every jobs-th fold and the last trained here
+    prepared, parent = [], os.getpid()
 
     def prepare(index):
         prepared.append(index)
 
         def task():
             time.sleep(0.01 * ((index * 7) % 4))
-            return index * index
+            return index * index, os.getpid() == parent
         return task
 
-    assert experiment._map_folds(prepare, 7, jobs) == [i * i for i in range(7)]
+    results = experiment._map_folds(prepare, 7, jobs)
+    assert results == [(i * i, i % jobs == jobs - 1 or i == 6)
+                       for i in range(7)]
     assert prepared == list(range(7))
     assert multiprocessing.active_children() == []
 

@@ -403,58 +403,6 @@ class TestLstmMatchesIndexedKernel:
             assert free.tobytes() == want_free.tobytes()
 
 
-class TestBatchOfOneWeightGradient:
-    """At B = 1 the backward's per-step weight gradient dz @ operand_t is a
-    (4H, 1) by (1, H+D+1) outer product, which the layer computes by
-    broadcasting; it must keep the bits matmul gives."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("rows, cols", [(4, 3), (24, 31), (128, 57),
-                                            (256, 165)])
-    def test_summed_products_match_matmul(self, dtype, rows, cols):
-        # each element is one product, so only a zero's sign can differ:
-        # matmul writes +0 where the product is -0. The layer adds every
-        # step's product into a gradient that starts at +0, and such a sum
-        # is -0 only if both its terms are, so the sums keep their bytes.
-        # Wide magnitudes reach overflow and underflow; some rows are zero
-        gen = np.random.default_rng(rows * cols)
-        want = np.zeros((rows, cols), dtype)
-        got = np.zeros_like(want)
-        step = np.empty_like(want)
-        signed_zeros = 0
-        for _ in range(3):
-            dz = (gen.normal(size=(rows, 1))
-                  * 10.0 ** gen.integers(-20, 20, (rows, 1))).astype(dtype)
-            operand_t = (gen.normal(size=(1, cols))
-                         * 10.0 ** gen.integers(-20, 20, (1, cols))).astype(dtype)
-            dz[::5] = 0.0
-            np.matmul(dz, operand_t, out=step)
-            np.add(want, step, out=want)
-            product = np.multiply(dz, operand_t)
-            np.testing.assert_array_equal(product, step)
-            signed_zeros += int(np.signbit(product[product == 0]).sum())
-            np.add(got, product, out=got)
-        assert signed_zeros > 0, "the case must hold a -0 product"
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gradients_match_the_matmul_kernel(self, dtype):
-        # the desk shape (D = 24, H = 32) at B = 1, against the reference
-        # backward, which takes every step's product with matmul
-        layer = LSTMLayer(24, 32, rng=rng())
-        gen = np.random.default_rng(7)
-        for length in (1, 9, 30):
-            x = gen.normal(size=(1, 30, 24)).astype(dtype)
-            x[0, length:] = 0.0
-            d_final = gen.normal(size=(1, 32))
-            _, cache = indexed_lstm_forward(layer, x, [length], cache=True)
-            want = indexed_lstm_backward(layer, cache, d_final)
-            layer.forward(x, np.array([length]))
-            layer.backward(d_final)
-            for name, value in want.items():
-                assert layer.grads[name].tobytes() == value.tobytes(), name
-
-
 class TestFloat32Kernel:
     # float32 rounds each operation to u = 2**-24 (about 6e-8). A step's
     # GEMM has depth K = H+D+1, at most 66 here, so its entries can lose up
