@@ -17,12 +17,12 @@ shares all of this but the gender training: one load, one embedding fit
 and, per source mode, the sentiment models.
 
 The folds that train independently, the finetuned composites and the
-per-fold sentiment models of manual sources, train in up to `jobs`
-processes at once: forked children beside this one, which gathers and
-oversamples every fold and trains every `jobs`-th fold and the last
-itself (see `_map_folds`). Every fold has its own seed, so the report
-bytes do not depend on `jobs`; it is not part of `ExperimentConfig`,
-whose fields the report holds.
+per-fold sentiment models of manual sources, train in as many processes
+at once as this one has cores in its affinity mask, at most one per fold
+(one process on a platform without `os.sched_getaffinity`): forked
+children beside this one, which gathers and oversamples every fold and
+trains some of them itself (see `_map_folds`). Every fold has its own
+seed, so the report bytes do not depend on the process count.
 
 A document with no in-vocabulary token is dropped with one warning (see
 `_embeddable`): a source review or manual sample always, a target user
@@ -625,7 +625,8 @@ def _prepare_runs(cells: list[ExperimentConfig],
         sources = sentiment_sources(config, source_modes, reviews, targets,
                                     table, stopwords, paths.manual)
     shared = RunContext(
-        config=config, plan=stratified_kfold(docs, config.folds, config.seed),
+        config=config, plan=stratified_kfold(
+            [(d.user_id, d.gender) for d in docs], config.folds, config.seed),
         base=base, labels=np.array([CLASSES.index(d.gender) for d in docs]),
         index_of={d.user_id: i for i, d in enumerate(docs)},
         mats=mats, lengths=lengths, source=None, polarity=polarity)
@@ -635,13 +636,12 @@ def _prepare_runs(cells: list[ExperimentConfig],
             for cell in cells]
 
 
-def _run_cells(cells: list[ExperimentConfig], paths: DataPaths,
-               jobs: int | None = None) -> list[EvalReport]:
+def _run_cells(cells: list[ExperimentConfig],
+               paths: DataPaths) -> list[EvalReport]:
     """Cross-validate every cell over one shared prefix (see
     `_prepare_runs`); one report per cell, in order. Independent folds
-    train in up to `jobs` processes at once, by default one per core this
-    process may run on and at most one per fold; the reports' bytes do
-    not depend on it.
+    train in several processes at once (see `_map_folds`); the reports'
+    bytes do not depend on how many.
 
     The cells of a source mode run in two passes. The first trains the
     source mode's sentiment models and reads their features for all of
@@ -660,18 +660,14 @@ def _run_cells(cells: list[ExperimentConfig], paths: DataPaths,
         if cell.sentiment_mode == "none" and cell.source_mode != "entire":
             logger.info("sentiment_mode is 'none'; source_mode %r is ignored",
                         cell.source_mode)
-    if jobs is None:
-        jobs = min(len(os.sched_getaffinity(0)), cells[0].folds)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     runs = _prepare_runs(cells, paths)
     reports = []
     for _, group in groupby(runs, key=lambda run: run.config.source_mode):
         group = list(group)
-        readouts = _fold_sentiment(group, jobs)
+        readouts = _fold_sentiment(group)
         for position, run in enumerate(group):
             config = run.config
-            columns = _train_folds(run, readouts, jobs)
+            columns = _train_folds(run, readouts)
             later = {other.config.sentiment_mode for other in group[position + 1:]}
             readouts = [(model if "finetuned_lstm" in later else None,
                          {mode: value for mode, value in features.items()
@@ -702,11 +698,13 @@ def _in_fold(exc: PipelineError, index: int) -> PipelineError:
     return PipelineError(f"fold {index + 1}: {exc}")
 
 
-def _map_folds(prepare, count: int, jobs: int) -> list:
+def _map_folds(prepare, count: int) -> list:
     """[prepare(i)() for i in range(count)], in order. prepare(i) runs
     here. The call it returns, which must not touch this process's state,
-    runs here for every `jobs`-th fold and the last, and in a forked child
-    for the others, so at most `jobs` processes work at once and this one
+    runs in up to `jobs` processes at once: one per core of this process's
+    affinity mask and at most one per fold, or only this one on a platform
+    without `os.sched_getaffinity`. It runs here for every `jobs`-th fold
+    and the last, and in a forked child for the others, so this process
     trains folds too instead of only waiting. Which fold trains where
     depends on `count` and `jobs` alone; before it forks a fold while
     `jobs` - 1 children are busy, this process waits for the oldest.
@@ -715,6 +713,8 @@ def _map_folds(prepare, count: int, jobs: int) -> list:
     several failing folds the first is named, as in one process: an error
     here is raised only after the children of the folds before it. On any
     error every child still running is stopped."""
+    jobs = (min(len(os.sched_getaffinity(0)), count)
+            if hasattr(os, "sched_getaffinity") else 1)
     results, busy = [None] * count, {}
     try:
         for index in range(count):
@@ -834,7 +834,7 @@ def sentiment_features(model: SentimentModel, sentiment_modes: set[str], mats,
     return features
 
 
-def _fold_sentiment(runs: list[RunContext], jobs: int = 1) -> list[tuple]:
+def _fold_sentiment(runs: list[RunContext]) -> list[tuple]:
     """One (model, features) entry per fold for the cells in `runs`, which
     share a source mode: the fold's sentiment model, which saw no label of
     the fold's test users, kept only when a finetuned cell's composite
@@ -843,9 +843,9 @@ def _fold_sentiment(runs: list[RunContext], jobs: int = 1) -> list[tuple]:
 
     Only manual labels make the sentiment training set depend on the fold
     (a fold trains on its training users' labels alone), so those sources
-    train one model per fold, in up to `jobs` processes at once (see
-    `_map_folds`). The others train on the same set in every fold: one
-    model, trained with fold 1's seed, serves every fold."""
+    train one model per fold, several at once (see `_map_folds`). The
+    others train on the same set in every fold: one model, trained with
+    fold 1's seed, serves every fold."""
     modes = {run.config.sentiment_mode for run in runs}
     first = next((run for run in runs if run.source is not None), runs[0])
     source, k = first.source, first.plan.k
@@ -863,17 +863,15 @@ def _fold_sentiment(runs: list[RunContext], jobs: int = 1) -> list[tuple]:
         return train
 
     if source.manual is None:
-        return _map_folds(read, 1, jobs) * k
-    return _map_folds(read, k, jobs)
+        return _map_folds(read, 1) * k
+    return _map_folds(read, k)
 
 
-def run_experiment(config: ExperimentConfig, paths: DataPaths,
-                   jobs: int | None = None) -> EvalReport:
-    return _run_cells([config], paths, jobs)[0]
+def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
+    return _run_cells([config], paths)[0]
 
 
-def _train_folds(run: RunContext, readouts: list[tuple],
-                 jobs: int = 1) -> list[EpochColumn]:
+def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
     """Train the gender model of every fold of `run.plan`, score it at the
     grid epochs on the fold's test users and return the cell's columns,
     with the accuracies in fold order. Fold i reads entry i of `readouts`
@@ -888,12 +886,12 @@ def _train_folds(run: RunContext, readouts: list[tuple],
 
     A finetuned fold's composite starts from a copy of the LSTM of the
     fold's own sentiment model. This process gathers, oversamples and
-    builds the folds one after another; each composite then trains in up
-    to `jobs` processes at once (see `_map_folds`), so no more are alive
-    at a time. The MLPs train in lockstep, those whose training matrices
-    have one shape as one stack (one `train_gender` call); each ends with
-    the bytes it would have trained to alone. A failure names the fold it
-    happened in."""
+    builds the folds one after another; each composite then trains in one
+    of the processes of `_map_folds`, so no more are alive at a time. The
+    MLPs train in lockstep, those whose training matrices have one shape
+    as one stack (one `train_gender` call); each ends with the bytes it
+    would have trained to alone. A failure names the fold it happened
+    in."""
     config = run.config
     finetuned = config.sentiment_mode == "finetuned_lstm"
     grid, epochs = set(config.epochs), max(config.epochs)
@@ -938,7 +936,7 @@ def _train_folds(run: RunContext, readouts: list[tuple],
                 return accuracy
             return train
 
-        accuracies = _map_folds(composite, len(readouts), jobs)
+        accuracies = _map_folds(composite, len(readouts))
     else:
         accuracies, stacks = [], {}
         try:
@@ -963,12 +961,11 @@ def _train_folds(run: RunContext, readouts: list[tuple],
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")
 
 
-def run_grid(config: ExperimentConfig, paths: DataPaths,
-             jobs: int | None = None):
+def run_grid(config: ExperimentConfig, paths: DataPaths):
     """Sweep source modes against extraction layers (the 4 x 3 grid). The
     cells share the corpora, the embeddings and, within a source mode, its
     sentiment models; every report has the bytes `run_experiment` gives
-    for its cell. `jobs` is that of `_run_cells`."""
+    for its cell, whatever the process count (see `_map_folds`)."""
     cells = []
     for source_mode in SOURCE_MODES:
         if source_mode.endswith("plus_manual") and not paths.manual:
@@ -977,6 +974,6 @@ def run_grid(config: ExperimentConfig, paths: DataPaths,
         for layer in GRID_LAYERS:
             cells.append(replace(config, sentiment_mode=layer,
                                  source_mode=source_mode))
-    reports = _run_cells(cells, paths, jobs)
+    reports = _run_cells(cells, paths)
     return [((cell.source_mode, cell.sentiment_mode), report)
             for cell, report in zip(cells, reports)]

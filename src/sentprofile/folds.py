@@ -33,17 +33,11 @@ class FoldPlan:
 def stratified_kfold(records, k: int, seed: int = 0) -> FoldPlan:
     """Plan k disjoint, exhaustive, class-stratified folds.
 
-    records: (id, class_label) pairs, or objects with user_id and gender.
-    Fold sizes differ by at most one; each class is spread so per-fold
-    class proportions track the global ones. Deterministic for a given
-    seed and input order.
+    records: (id, class_label) pairs. Fold sizes differ by at most one;
+    each class is spread so per-fold class proportions track the global
+    ones. Deterministic for a given seed and input order.
     """
-    pairs = []
-    for record in records:
-        if isinstance(record, tuple):
-            pairs.append(record)
-        else:
-            pairs.append((record.user_id, record.gender))
+    pairs = list(records)
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     ids = [p[0] for p in pairs]

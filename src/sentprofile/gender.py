@@ -39,13 +39,12 @@ DEFAULT_DROPOUT = 0.4
 
 
 def build_mlp(input_dim: int, hidden: tuple[int, int] = DEFAULT_HIDDEN,
-              dropout_rate: float = DEFAULT_DROPOUT, n_classes: int = 2,
-              seed: int = 0) -> Network:
+              dropout_rate: float = DEFAULT_DROPOUT, seed: int = 0) -> Network:
     rng = np.random.default_rng(seed)
     layers = [DenseLayer(input_dim, hidden[0], activation="relu", rng=rng),
               DropoutLayer(dropout_rate),
               DenseLayer(hidden[0], hidden[1], activation="relu", rng=rng),
-              DenseLayer(hidden[1], n_classes, rng=rng)]
+              DenseLayer(hidden[1], len(CLASSES), rng=rng)]
     return Network(layers)
 
 
@@ -58,8 +57,7 @@ class GenderModel(Model):
         self.hidden = tuple(hidden)
         self.dropout_rate = dropout_rate
         self.seed = seed
-        self.network = build_mlp(input_dim, self.hidden, dropout_rate,
-                                 len(CLASSES), seed)
+        self.network = build_mlp(input_dim, self.hidden, dropout_rate, seed)
         self.history: list[dict] = []
 
     def parts(self):
@@ -147,12 +145,11 @@ def _training_matrix(features, labels: Sequence[str]):
 
 
 def train_gender(features, labels: Sequence[str], config: TrainConfig,
-                 hidden: tuple[int, int] = DEFAULT_HIDDEN,
                  dropout_rate: float = DEFAULT_DROPOUT,
                  after_epoch=None, seeds: Sequence[int] | None = None):
-    """Train the MLP on an (n, F) feature matrix whose row i has the class
-    name `labels[i]`; `after_epoch` as in `fit_softmax_classifier`, for
-    the one model.
+    """Train the MLP, of DEFAULT_HIDDEN widths, on an (n, F) feature
+    matrix whose row i has the class name `labels[i]`; `after_epoch` as in
+    `fit_softmax_classifier`, for the one model.
 
     With `seeds`, trains one model per seed in lockstep and returns the
     list of them: `features`, `labels` and `after_epoch` then hold one
@@ -166,7 +163,7 @@ def train_gender(features, labels: Sequence[str], config: TrainConfig,
     models, inputs, targets = [], [], []
     for member_features, member_labels, seed in zip(features, labels, seeds):
         matrix, label_idx = _training_matrix(member_features, member_labels)
-        models.append(GenderModel(matrix.shape[1], hidden, dropout_rate,
+        models.append(GenderModel(matrix.shape[1], dropout_rate=dropout_rate,
                                   seed=seed))
         inputs.append((matrix,))
         targets.append(label_idx)
@@ -208,6 +205,8 @@ def read_features(path) -> tuple[list[str], list[str], np.ndarray, tuple[str, ..
         if not (isinstance(values, list)
                 and all(type(x) in (int, float) for x in values)):
             raise SchemaError("field 'values' must be a list of numbers", number)
+        if not values:
+            raise SchemaError("field 'values' is empty", number)
         # false for NaN, the infinities and integers beyond the float range
         if not all(abs(x) <= sys.float_info.max for x in values):
             raise SchemaError("field 'values' holds a non-finite number", number)

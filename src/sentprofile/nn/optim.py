@@ -57,27 +57,28 @@ class SGD:
             value -= self.learning_rate * grad
 
 
+# Adam's moment decay rates and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+    """Adam with bias correction.
 
     Per parameter name it keeps the moments m and v and two scratch arrays,
     so a step allocates nothing. The update is, in this operation order,
+    with b1, b2 and eps being BETA1, BETA2 and EPS,
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._state: dict[str, tuple[np.ndarray, ...]] = {}
         self._t = 0
 
     def step(self, params, grads) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         correct1, correct2 = 1.0 - b1 ** self._t, 1.0 - b2 ** self._t
         for name, value in params.items():
             grad = grads[name]
@@ -98,7 +99,7 @@ class Adam:
             step *= self.learning_rate
             np.divide(v, correct2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             step /= denom
             value -= step
 

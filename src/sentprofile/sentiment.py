@@ -110,14 +110,16 @@ def pad_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
     return mats, lengths
 
 
-def _heldout_split(labels: np.ndarray, rng: np.random.Generator,
-                   fraction: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class split so both partitions keep both classes."""
+def _heldout_split(labels: np.ndarray,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class split, holding out a tenth of each class (at least one
+    item of a class of two or more), so both partitions keep both
+    classes."""
     train_idx, held_idx = [], []
     for cls in (0.0, 1.0):
         members = np.flatnonzero(labels[:, 0] == cls)
         members = members[rng.permutation(len(members))]
-        n_held = max(1, int(fraction * len(members))) if len(members) > 1 else 0
+        n_held = max(1, int(0.1 * len(members))) if len(members) > 1 else 0
         held_idx.extend(members[:n_held])
         train_idx.extend(members[n_held:])
     return np.sort(np.array(train_idx)), np.sort(np.array(held_idx))
@@ -173,31 +175,29 @@ READOUT_BATCH = 256
 
 
 def extract_representations(model: SentimentModel, mats: np.ndarray,
-                            lengths: np.ndarray,
-                            batch_size: int = READOUT_BATCH) -> np.ndarray:
+                            lengths: np.ndarray) -> np.ndarray:
     """The (n, H) final LSTM hidden states (the `frozen_lstm` features) of
     the (n, T, d) sequences, row i belonging to mats[i]; dropout is off.
     `head_activations` of them gives the `frozen_dense` features.
 
-    Runs cache-free forwards over consecutive chunks of `batch_size` rows;
-    the LSTM runs each only up to its longest sequence."""
+    Runs cache-free forwards over consecutive chunks of READOUT_BATCH
+    rows; the LSTM runs each only up to its longest sequence."""
     if not model.trained:
         raise DataError("cannot extract representations from an untrained model")
     lengths = np.asarray(lengths)
     return np.concatenate([
-        model.lstm.forward(mats[start:start + batch_size],
-                           lengths[start:start + batch_size], cache=False)
-        for start in range(0, len(lengths), batch_size)])
+        model.lstm.forward(mats[start:start + READOUT_BATCH],
+                           lengths[start:start + READOUT_BATCH], cache=False)
+        for start in range(0, len(lengths), READOUT_BATCH)])
 
 
-def head_activations(model: SentimentModel, states: np.ndarray,
-                     batch_size: int = READOUT_BATCH) -> np.ndarray:
+def head_activations(model: SentimentModel, states: np.ndarray) -> np.ndarray:
     """The (n, 1) head logits (pre-sigmoid activations) of (n, H) final
-    hidden states, one head forward per chunk of `batch_size` rows: the
+    hidden states, one head forward per chunk of READOUT_BATCH rows: the
     chunks `extract_representations` forwards, so one read-out of the
     states gives both layers their bytes."""
-    return np.concatenate([model.head.forward(states[start:start + batch_size])
-                           for start in range(0, len(states), batch_size)])
+    return np.concatenate([model.head.forward(states[start:start + READOUT_BATCH])
+                           for start in range(0, len(states), READOUT_BATCH)])
 
 
 # sequences per polarity forward. Inference forwards keep no backward
@@ -290,7 +290,7 @@ class FinetuneModel(Model):
         self.lstm = lstm
         self.vec_dim = vec_dim
         self.mlp = build_mlp(vec_dim + lstm.hidden_dim, tuple(hidden),
-                             dropout_rate, n_classes=2, seed=seed)
+                             dropout_rate, seed)
         self.history: list[dict] = []
 
     def parts(self):

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +68,17 @@ def with_unembeddable_documents(paths: DataPaths, tmp_path) -> DataPaths:
 
 
 @pytest.fixture
+def cores(monkeypatch):
+    """cores(n) gives this process n cores in its affinity mask, so the
+    runs after it train their folds in up to n processes (see
+    `experiment._map_folds`)."""
+    def set_cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+    return set_cores
+
+
+@pytest.fixture
 def tiny_table():
     """Hand-built 2-dimensional embedding table."""
     return EmbeddingTable(2, {
@@ -94,11 +106,9 @@ def polarity_table():
     return EmbeddingTable(2, vectors)
 
 
-def validate_plan(plan, records) -> dict:
-    """Measure a fold plan's invariants over `records` ((id, class) pairs or
-    objects with user_id and gender); returns the observed extremes."""
-    pairs = [(r if isinstance(r, tuple) else (r.user_id, r.gender))
-             for r in records]
+def validate_plan(plan, pairs) -> dict:
+    """Measure a fold plan's invariants over the (id, class) `pairs`;
+    returns the observed extremes."""
     all_ids = [uid for uid, _ in pairs]
     flat = [uid for fold in plan.folds for uid in fold]
     disjoint = len(flat) == len(set(flat))

@@ -572,6 +572,21 @@ def test_integer_beyond_float_range_exits_3(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["smote", "gender-train"])
+def test_feature_rows_without_values_exit_3(tmp_path, capsys, command):
+    # a data fault, not a configuration one: the classifier would have no
+    # input
+    features = tmp_path / "features.jsonl"
+    features.write_text(
+        "".join(json.dumps({"user_id": f"u{i}", "label": label, "layout": [],
+                            "values": []}) + "\n"
+                for i, label in enumerate(["male", "female"] * 4)),
+        encoding="utf-8")
+    code = main([command, "--in", str(features), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "line 1: field 'values' is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["smote", "gender-train"])
 def test_feature_file_without_rows_exits_3(tmp_path, capsys, command):
     empty = tmp_path / "features.jsonl"
     empty.write_text("", encoding="utf-8")

@@ -275,7 +275,7 @@ class TestRunExperiment:
         ("frozen_lstm", "layer0.weights", [3]),
         ("finetuned_lstm", "mlp.layer0.weights", ["composite", "composite"]),
     ], ids=["frozen_lstm", "finetuned_lstm"])
-    def test_non_finite_gradient_names_its_fold(self, monkeypatch,
+    def test_non_finite_gradient_names_its_fold(self, monkeypatch, cores,
                                                 small_dataset, mode,
                                                 parameter, trained):
         # the gender models train after the sentiment pass has served every
@@ -288,8 +288,8 @@ class TestRunExperiment:
         # the MLP features, or the composite's base rows, turn to NaN
         fold_2 = experiment._fold_seed(config.seed, 1, 1)
 
-        def recorded(runs, *args):
-            readouts = fold_sentiment(runs, *args)
+        def recorded(runs):
+            readouts = fold_sentiment(runs)
             stacks.extend([None] * len(readouts))
             return readouts
 
@@ -314,8 +314,9 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "train_finetune", counted_finetune)
         # one process: the calls are recorded in this one, and a forked
         # fold's would be lost
+        cores(1)
         with pytest.raises(TrainingError) as caught:
-            run_experiment(config, small_dataset, jobs=1)
+            run_experiment(config, small_dataset)
         assert str(caught.value) == (f"fold 2: non-finite gradient for "
                                      f"parameter '{parameter}'; training "
                                      f"aborted")
@@ -413,12 +414,13 @@ def count_calls(monkeypatch, names):
 
 class TestRunGrid:
     def test_cells_share_the_prefix_and_match_single_runs(self, monkeypatch,
-                                                          small_dataset):
+                                                          cores, small_dataset):
         config = small_experiment(z=0.05, smote=True, smote_k=2)
         calls = count_calls(monkeypatch, ("load_corpora", "train_skipgram",
                                           "train_sentiment"))
         # one process, so every fold's sentiment training is counted here
-        results = run_grid(config, small_dataset, jobs=1)
+        cores(1)
+        results = run_grid(config, small_dataset)
         # one model for each source mode without manual labels, one per fold
         # for each with them
         assert calls == {"load_corpora": 1, "train_skipgram": 1,
@@ -471,7 +473,7 @@ def record_sentiment_training(monkeypatch):
         read_outs.extend((array, model) for array in features.values())
         return features
 
-    def recorded_folds(run, readouts, *args):
+    def recorded_folds(run, readouts):
         def split(index):
             train_ids, test_ids = run.plan.split(index)
             folds.append([index, None, list(test_ids)])
@@ -480,7 +482,7 @@ def record_sentiment_training(monkeypatch):
             return train_ids, test_ids
         return train_folds(replace(run, plan=SimpleNamespace(k=run.plan.k,
                                                              split=split)),
-                           readouts, *args)
+                           readouts)
 
     def recorded_gender(features, *args, seeds, **kwargs):
         # a fold's features were read from the model whose read-out rows
@@ -528,7 +530,7 @@ class TestSentimentTraining:
     @pytest.mark.parametrize("source_mode", ["entire_plus_manual",
                                              "high_similarity_plus_manual"])
     def test_manual_source_trains_per_fold_without_test_labels(
-            self, monkeypatch, caplog, small_dataset, source_mode):
+            self, monkeypatch, cores, caplog, small_dataset, source_mode):
         trained, folds = record_sentiment_training(monkeypatch)
         sources = []
         build = experiment.sentiment_sources
@@ -542,8 +544,9 @@ class TestSentimentTraining:
                                   source_mode=source_mode, z=0.05)
         # one process: each fold's model is trained, read and logged here,
         # where the wrappers record it
+        cores(1)
         with caplog.at_level("INFO", logger="sentprofile.experiment"):
-            run_experiment(config, small_dataset, jobs=1)
+            run_experiment(config, small_dataset)
         assert len(trained) == len(folds) == config.folds
         assert logged_models(caplog, source_mode) == config.folds
         (source,) = [by_mode[source_mode] for by_mode in sources]
@@ -567,7 +570,7 @@ def lstm_checksum(lstm) -> str:
     return digest.hexdigest()
 
 
-def test_composites_start_from_their_own_folds_lstm(monkeypatch,
+def test_composites_start_from_their_own_folds_lstm(monkeypatch, cores,
                                                     small_dataset):
     # the composites train after the last fold, when every fold's model is
     # trained; fold j's must still start from fold j's own LSTM
@@ -590,12 +593,13 @@ def test_composites_start_from_their_own_folds_lstm(monkeypatch,
                               source_mode="entire_plus_manual")
     # one process, so every model trained and every composite built is
     # recorded here
-    run_experiment(config, small_dataset, jobs=1)
+    cores(1)
+    run_experiment(config, small_dataset)
     assert len(set(trained)) == config.folds
     assert built == trained
 
 
-def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch,
+def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch, cores,
                                                      small_dataset):
     # outside finetuned cells a fold's sentiment model is dropped once its
     # features are read, so none is alive when the gender models train
@@ -607,17 +611,18 @@ def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch,
         models.append(weakref.ref(model))
         return model, curve
 
-    def checked(run, readouts, *args):
+    def checked(run, readouts):
         gc.collect()
         alive.append([ref() is not None for ref in models])
-        return train_folds(run, readouts, *args)
+        return train_folds(run, readouts)
 
     monkeypatch.setattr(experiment, "train_sentiment", recorded)
     monkeypatch.setattr(experiment, "_train_folds", checked)
     config = small_experiment(sentiment_mode="frozen_lstm",
                               source_mode="entire_plus_manual")
     # one process: a forked fold's model is never alive here
-    run_experiment(config, small_dataset, jobs=1)
+    cores(1)
+    run_experiment(config, small_dataset)
     assert alive == [[False] * config.folds]
 
 
@@ -629,14 +634,14 @@ def test_frozen_features_freed_before_the_finetuned_cell_trains(
     features, alive = [], {}
     train_folds = experiment._train_folds
 
-    def checked(run, readouts, *args):
+    def checked(run, readouts):
         if not features:
             features.extend(weakref.ref(value) for _, by_mode in readouts
                             for value in by_mode.values())
         gc.collect()
         alive[run.config.sentiment_mode] = sum(ref() is not None
                                                for ref in features)
-        return train_folds(run, readouts, *args)
+        return train_folds(run, readouts)
 
     monkeypatch.setattr(experiment, "_train_folds", checked)
     cells = [small_experiment(sentiment_mode=mode,
@@ -736,13 +741,15 @@ class TestSentimentReadout:
         assert len(forwards["polarity_features"]) == 1
         assert forwards["polarity_features"][0] >= 1
 
-    def test_grid_reads_each_model_once(self, monkeypatch, small_dataset):
+    def test_grid_reads_each_model_once(self, monkeypatch, cores,
+                                        small_dataset):
         # one read-out for each of the two shared models, one per fold for
         # each of the two manual sources' fold models
         config = small_experiment(z=0.05)
         forwards = read_out_forwards(monkeypatch)
         # one process, so every fold's read-out is counted here
-        run_grid(config, small_dataset, jobs=1)
+        cores(1)
+        run_grid(config, small_dataset)
         assert forwards["extract_representations"] == [1] * (2 + 2 * config.folds)
         assert forwards["polarity_features"] == []
 

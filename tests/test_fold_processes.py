@@ -1,5 +1,6 @@
-"""Folds trained in forked processes (`jobs` > 1) give the reports, errors
-and process table of a run in one process."""
+"""Folds trained in forked processes (more than one core in the affinity
+mask) give the reports, errors and process table of a run in one
+process."""
 
 import multiprocessing
 import os
@@ -13,8 +14,7 @@ import numpy as np
 import pytest
 
 from sentprofile import experiment
-from sentprofile.errors import (ConfigError, DataError, PipelineError,
-                                TrainingError)
+from sentprofile.errors import DataError, PipelineError, TrainingError
 from sentprofile.experiment import SENTIMENT_MODES, run_experiment, run_grid
 
 from conftest import SMALL_CONFIG
@@ -36,28 +36,32 @@ def count_forks(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("source_mode", ["entire", "entire_plus_manual"])
 @pytest.mark.parametrize("mode", SENTIMENT_MODES)
-def test_report_bytes_do_not_depend_on_jobs(monkeypatch, small_dataset, mode,
-                                            source_mode):
+def test_report_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset,
+                                            mode, source_mode):
     config = small_experiment(sentiment_mode=mode, source_mode=source_mode,
                               smote=True, smote_k=2, epochs=(2, 3))
-    alone = run_experiment(config, small_dataset, jobs=1).to_json()
+    cores(1)
+    alone = run_experiment(config, small_dataset).to_json()
     forks = count_forks(monkeypatch)
-    assert run_experiment(config, small_dataset, jobs=2).to_json() == alone
+    cores(2)
+    assert run_experiment(config, small_dataset).to_json() == alone
     # the composites, and the fold models of a manual source, are the
-    # independent folds; at jobs=2 of 3 folds only the first goes to a child
+    # independent folds; at 2 cores of 3 folds only the first goes to a child
     forked = (mode == "finetuned_lstm") + (source_mode == "entire_plus_manual"
                                            and mode != "none")
     assert forks == ({0: forked} if forked else {})
     assert multiprocessing.active_children() == []
 
 
-def test_grid_bytes_do_not_depend_on_jobs(monkeypatch, small_dataset):
+def test_grid_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset):
     config = small_experiment(z=0.05, smote=True, smote_k=2)
+    cores(1)
     alone = [(cell, report.to_json())
-             for cell, report in run_grid(config, small_dataset, jobs=1)]
+             for cell, report in run_grid(config, small_dataset)]
     forks = count_forks(monkeypatch)
+    cores(2)
     assert [(cell, report.to_json()) for cell, report
-            in run_grid(config, small_dataset, jobs=2)] == alone
+            in run_grid(config, small_dataset)] == alone
     assert forks[0] >= 1
 
 
@@ -79,39 +83,43 @@ def poisoned_finetune(monkeypatch, config, fold, delay=0.0, delayed=None):
     monkeypatch.setattr(experiment, "train_finetune", poisoned)
 
 
-def test_child_error_names_its_own_fold(monkeypatch, small_dataset):
-    # fold 1's composite always trains in a child; its error reaches this
-    # process under the category and message of a run in one process,
-    # naming fold 1 although this process has moved on to later folds
+def test_child_error_names_its_own_fold(monkeypatch, cores, small_dataset):
+    # at 2 cores fold 1's composite trains in a child; its error reaches
+    # this process under the category and message of a run in one
+    # process, naming fold 1 although this process has moved on to later
+    # folds
     config = small_experiment(sentiment_mode="finetuned_lstm")
     poisoned_finetune(monkeypatch, config, fold=0)
     errors = {}
-    for jobs in (1, 2):
+    for count in (1, 2):
+        cores(count)
         with pytest.raises(TrainingError) as caught:
-            run_experiment(config, small_dataset, jobs=jobs)
-        errors[jobs] = (type(caught.value), str(caught.value))
+            run_experiment(config, small_dataset)
+        errors[count] = (type(caught.value), str(caught.value))
     assert errors[2] == errors[1] == (
         TrainingError, "fold 1: non-finite gradient for parameter "
                        "'mlp.layer0.weights'; training aborted")
     assert multiprocessing.active_children() == []
 
 
-def test_parent_error_waits_for_the_earlier_child(monkeypatch, small_dataset):
+def test_parent_error_waits_for_the_earlier_child(monkeypatch, cores,
+                                                   small_dataset):
     # fold 2, trained here, fails while fold 1's child still trains; the
     # child's fold comes first, so its result is read before fold 2's
     # error is raised, and no child is left behind
     config = small_experiment(sentiment_mode="finetuned_lstm")
     poisoned_finetune(monkeypatch, config, fold=1, delay=2.0, delayed=0)
     forks = count_forks(monkeypatch)
+    cores(2)
     with pytest.raises(TrainingError, match="^fold 2: non-finite gradient"):
-        run_experiment(config, small_dataset, jobs=2)
+        run_experiment(config, small_dataset)
     assert forks == {0: 1}
     assert multiprocessing.active_children() == []
 
 
-def test_first_failing_fold_is_named_whatever_the_jobs(monkeypatch,
+def test_first_failing_fold_is_named_whatever_the_jobs(monkeypatch, cores,
                                                         small_dataset):
-    # fold 1 (a child at jobs=2) fails after fold 2 (trained here) has
+    # fold 1 (a child at 2 cores) fails after fold 2 (trained here) has
     # failed; as in one process, the error names fold 1
     config = small_experiment(sentiment_mode="finetuned_lstm")
     finetune = experiment.train_finetune
@@ -127,13 +135,14 @@ def test_first_failing_fold_is_named_whatever_the_jobs(monkeypatch,
                         **kwargs)
 
     monkeypatch.setattr(experiment, "train_finetune", failing)
-    for jobs in (1, 2):
+    for count in (1, 2):
+        cores(count)
         with pytest.raises(TrainingError, match="^fold 1: fold model diverged$"):
-            run_experiment(config, small_dataset, jobs=jobs)
+            run_experiment(config, small_dataset)
     assert multiprocessing.active_children() == []
 
 
-def test_child_error_stops_the_children_after_it():
+def test_child_error_stops_the_children_after_it(cores):
     # fold 1's child fails while fold 2's sleeps; fold 2 is stopped, not
     # waited for
     def prepare(index):
@@ -144,14 +153,15 @@ def test_child_error_stops_the_children_after_it():
             return index
         return task
 
+    cores(3)
     started = time.monotonic()
     with pytest.raises(DataError, match="^fold 1: no usable item$"):
-        experiment._map_folds(prepare, 5, 3)
+        experiment._map_folds(prepare, 5)
     assert time.monotonic() - started < 30.0
     assert multiprocessing.active_children() == []
 
 
-def test_child_that_exits_without_a_result_names_its_fold():
+def test_child_that_exits_without_a_result_names_its_fold(cores):
     parent = os.getpid()
 
     def prepare(index):
@@ -161,14 +171,16 @@ def test_child_that_exits_without_a_result_names_its_fold():
             return index
         return task
 
+    cores(2)
     with pytest.raises(PipelineError, match="^fold 1: its process exited "
                                             "with code 3 and no result$"):
-        experiment._map_folds(prepare, 2, 2)
+        experiment._map_folds(prepare, 2)
     assert multiprocessing.active_children() == []
 
 
-def test_sentiment_error_in_a_child_names_its_fold(monkeypatch, small_dataset):
-    # a manual source trains fold 1's sentiment model in a child
+def test_sentiment_error_in_a_child_names_its_fold(monkeypatch, cores,
+                                                    small_dataset):
+    # at 2 cores a manual source trains fold 1's sentiment model in a child
     config = small_experiment(sentiment_mode="frozen_lstm",
                               source_mode="entire_plus_manual")
     train = experiment.train_sentiment
@@ -181,31 +193,47 @@ def test_sentiment_error_in_a_child_names_its_fold(monkeypatch, small_dataset):
 
     monkeypatch.setattr(experiment, "train_sentiment", failing)
     forks = count_forks(monkeypatch)
+    cores(2)
     with pytest.raises(DataError) as caught:
-        run_experiment(config, small_dataset, jobs=2)
+        run_experiment(config, small_dataset)
     assert str(caught.value) == "fold 1: no usable item"
     assert forks[0] == 1
     assert multiprocessing.active_children() == []
 
 
-def test_one_job_forks_nothing(monkeypatch, small_dataset):
+def test_one_job_forks_nothing(monkeypatch, cores, small_dataset):
     forks = count_forks(monkeypatch)
+    cores(1)
     run_experiment(small_experiment(sentiment_mode="finetuned_lstm",
                                     source_mode="entire_plus_manual"),
-                   small_dataset, jobs=1)
+                   small_dataset)
     assert forks == {}
 
 
-def test_jobs_below_one_rejected(small_dataset):
-    with pytest.raises(ConfigError, match="jobs must be >= 1"):
-        run_experiment(small_experiment(), small_dataset, jobs=0)
+def test_platform_without_affinity_runs_in_one_process(monkeypatch, cores,
+                                                       small_dataset):
+    # without os.sched_getaffinity (macOS, Windows) every fold trains here,
+    # to the bytes of a one-core run, even where folds could be forked
+    config = small_experiment(sentiment_mode="finetuned_lstm",
+                              source_mode="entire_plus_manual")
+    cores(1)
+    one_core = run_experiment(config, small_dataset).to_json()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    forks = count_forks(monkeypatch)
+    assert run_experiment(config, small_dataset).to_json() == one_core
+    assert forks == {}
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_map_folds_keeps_fold_order(jobs):
+@pytest.mark.parametrize("n_cores, folds, jobs", [(2, 7, 2), (4, 7, 4),
+                                                  (8, 3, 3)],
+                         ids=["2", "4", "8"])
+def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
     # folds prepared in order here, finishing out of order in up to
-    # jobs - 1 children (more than the cores at 4) and here; the results
-    # come in fold order, and every jobs-th fold and the last trained here
+    # jobs - 1 children (perhaps more than the host's cores) and here,
+    # jobs being the core count but at most one per fold; the results come
+    # in fold order, and every jobs-th fold and the last trained here: at
+    # 8 cores and 3 folds, folds 1 and 2 fork and fold 3 trains here
+    cores(n_cores)
     prepared, parent = [], os.getpid()
 
     def prepare(index):
@@ -216,24 +244,26 @@ def test_map_folds_keeps_fold_order(jobs):
             return index * index, os.getpid() == parent
         return task
 
-    results = experiment._map_folds(prepare, 7, jobs)
-    assert results == [(i * i, i % jobs == jobs - 1 or i == 6)
-                       for i in range(7)]
-    assert prepared == list(range(7))
+    results = experiment._map_folds(prepare, folds)
+    assert results == [(i * i, i % jobs == jobs - 1 or i == folds - 1)
+                       for i in range(folds)]
+    assert prepared == list(range(folds))
     assert multiprocessing.active_children() == []
 
 
 def test_run_without_independent_folds_imports_no_multiprocessing(
         small_dataset):
     # a shared sentiment model and stacked MLPs leave nothing to fork, so
-    # such a run neither forks nor pays for importing multiprocessing
+    # such a run neither forks nor pays for importing multiprocessing,
+    # though it sees two cores
     script = (
-        "import sys\n"
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from sentprofile.experiment import DataPaths, ExperimentConfig, "
         "run_experiment\n"
         f"config = ExperimentConfig(**{dict(SMALL_CONFIG)!r}, "
         "sentiment_mode='frozen_lstm', smote=True, smote_k=2)\n"
-        f"run_experiment(config, DataPaths(**{vars(small_dataset)!r}), jobs=2)\n"
+        f"run_experiment(config, DataPaths(**{vars(small_dataset)!r}))\n"
         "assert 'multiprocessing' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(Path(experiment.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env,

@@ -48,11 +48,12 @@ class TestStratifiedKfold:
         with pytest.raises(DataError, match="duplicate"):
             stratified_kfold([("u", "male"), ("u", "female")], k=2, seed=0)
 
-    def test_accepts_objects_with_user_id_and_gender(self):
+    def test_accepts_pairs_from_a_generator(self):
         from sentprofile.corpus import VirtualDocument
         docs = [VirtualDocument(f"u{i}", "male" if i % 2 else "female",
                                 ("t",)) for i in range(10)]
-        plan = stratified_kfold(docs, k=2, seed=0)
+        plan = stratified_kfold(((d.user_id, d.gender) for d in docs), k=2,
+                                seed=0)
         assert sorted(uid for fold in plan.folds for uid in fold) == \
             sorted(d.user_id for d in docs)
 

@@ -400,6 +400,17 @@ class TestFeatureFiles:
         with pytest.raises(SchemaError, match=f"line 2: field '{field}'"):
             read_features(path)
 
+    def test_empty_first_row_rejected_with_line(self, tmp_path):
+        # a later empty row is caught as mixed width; the first one would
+        # set the width of every row to zero
+        path = tmp_path / "features.jsonl"
+        path.write_text("".join(
+            f'{{"user_id": "u{i}", "label": "{label}", "layout": [], '
+            '"values": []}\n' for i, label in enumerate(["male", "female"])),
+            encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 1: field 'values' is empty"):
+            read_features(path)
+
 
 def test_gender_model_checkpoint_round_trip(tmp_path):
     features, labels = separable_features(n=20)

@@ -216,7 +216,8 @@ def test_document_embedding_runs_under_traced_names(monkeypatch,
 
 
 @pytest.mark.parametrize("mode", ["frozen_lstm", "finetuned_lstm"])
-def test_only_gender_training_counts_epochs(monkeypatch, small_dataset, mode):
+def test_only_gender_training_counts_epochs(monkeypatch, cores, small_dataset,
+                                            mode):
     # the tracer reads gender.epochs_trained off these two names; sentiment
     # training shares their loop (`nn.fit`) but must not pass through them.
     # The gender MLPs of a cell's folds train as stacks (one
@@ -241,7 +242,8 @@ def test_only_gender_training_counts_epochs(monkeypatch, small_dataset, mode):
         **dict(SMALL_CONFIG, sentiment_mode=mode, epochs=(2, 3)))
     # one process: a composite trained in a forked fold counts its epochs
     # there, not here
-    experiment.run_experiment(config, small_dataset, jobs=1)
+    cores(1)
+    experiment.run_experiment(config, small_dataset)
     if mode == "finetuned_lstm":
         assert stacks == [] and seen == [max(config.epochs)] * config.folds
     else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sentprofile import sentiment
 from sentprofile.corpus import (
     TokenDocument,
     UserRecord,
@@ -257,12 +258,13 @@ class TestExtractRepresentation:
         assert reps.shape == (300, 1)
         assert reps.tobytes() == np.concatenate(expected).tobytes()
 
-    def test_batched_matches_single(self, polarity_table):
+    def test_batched_matches_single(self, monkeypatch, polarity_table):
         model = integrator_model()
         docs = [doc_matrix(TokenDocument(f"d{i}", ("pos0",) * (i + 1)),
                            polarity_table, 5) for i in range(4)]
         mats, lengths = pad_sequences(docs)
-        batch = extract_representations(model, mats, lengths, batch_size=2)
+        monkeypatch.setattr(sentiment, "READOUT_BATCH", 2)
+        batch = extract_representations(model, mats, lengths)
         for i, doc in enumerate(docs):
             single = extract_one(model, doc)
             assert np.allclose(batch[i], single, atol=1e-12)
