@@ -16,13 +16,16 @@ one stacked model, each finetuned composite on its own. A grid of cells
 shares all of this but the gender training: one load, one embedding fit
 and, per source mode, the sentiment models.
 
-The folds that train independently, the finetuned composites and the
-per-fold sentiment models of manual sources, train in as many processes
-at once as this one has cores in its affinity mask, at most one per fold
-(one process on a platform without `os.sched_getaffinity`): forked
-children beside this one, which gathers and oversamples every fold and
-trains some of them itself (see `_map_folds`). Every fold has its own
-seed, so the report bytes do not depend on the process count.
+The folds train in as many processes at once as this one has cores in
+its affinity mask, at most one per fold (one process on a platform
+without `os.sched_getaffinity`): forked children beside this one, which
+gathers and oversamples every fold and trains some of them itself (see
+`_map_folds`). The finetuned composites and the per-fold sentiment
+models of manual sources train one fold per process at a time; the MLP
+folds are split into one contiguous part per process, each part's MLPs
+stacked. Every fold has its own seed, and a stacked MLP ends with the
+bytes it would reach alone, so the report bytes do not depend on the
+process count.
 
 A document with no in-vocabulary token is dropped with one warning (see
 `_embeddable`): a source review or manual sample always, a target user
@@ -38,6 +41,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 
@@ -639,9 +643,11 @@ def _prepare_runs(cells: list[ExperimentConfig],
 def _run_cells(cells: list[ExperimentConfig],
                paths: DataPaths) -> list[EvalReport]:
     """Cross-validate every cell over one shared prefix (see
-    `_prepare_runs`); one report per cell, in order. Independent folds
-    train in several processes at once (see `_map_folds`); the reports'
-    bytes do not depend on how many.
+    `_prepare_runs`); one report per cell, in order. The folds train in
+    several processes at once (see `_map_folds`): the sentiment models of
+    a manual source and the finetuned composites one fold per process,
+    the MLPs one stack per process; the reports' bytes do not depend on
+    how many.
 
     The cells of a source mode run in two passes. The first trains the
     source mode's sentiment models and reads their features for all of
@@ -698,54 +704,78 @@ def _in_fold(exc: PipelineError, index: int) -> PipelineError:
     return PipelineError(f"fold {index + 1}: {exc}")
 
 
-def _map_folds(prepare, count: int) -> list:
-    """[prepare(i)() for i in range(count)], in order. prepare(i) runs
-    here. The call it returns, which must not touch this process's state,
-    runs in up to `jobs` processes at once: one per core of this process's
-    affinity mask and at most one per fold, or only this one on a platform
-    without `os.sched_getaffinity`. It runs here for every `jobs`-th fold
-    and the last, and in a forked child for the others, so this process
-    trains folds too instead of only waiting. Which fold trains where
-    depends on `count` and `jobs` alone; before it forks a fold while
-    `jobs` - 1 children are busy, this process waits for the oldest.
-
-    A PipelineError names the fold it happened in (see `_in_fold`). Of
-    several failing folds the first is named, as in one process: an error
-    here is raised only after the children of the folds before it. On any
-    error every child still running is stopped."""
-    jobs = (min(len(os.sched_getaffinity(0)), count)
+def _jobs(count: int) -> int:
+    """How many processes train `count` independent parts at once: one
+    per core of this process's affinity mask and at most one per part, or
+    only this one on a platform without `os.sched_getaffinity`."""
+    return (min(len(os.sched_getaffinity(0)), count)
             if hasattr(os, "sched_getaffinity") else 1)
-    results, busy = [None] * count, {}
+
+
+def _call_each(calls: list) -> list:
+    return [call() for call in calls]
+
+
+def _map_folds(prepare, parts: list, train=_call_each) -> list:
+    """Train the folds of `parts`, lists of contiguous fold indices in
+    fold order, and return one result per fold, in fold order.
+
+    For each part, prepare(i) runs here for each of its folds i in turn;
+    then train(the part's prepared values), which must not touch this
+    process's state, returns the part's results. By default train calls
+    each prepared value. Up to `jobs` = `_jobs(len(parts))` parts train at
+    once: every `jobs`-th part and the last here, the others in forked
+    children, so this process trains parts too instead of only waiting.
+    Which part trains where depends on the part count and `jobs` alone;
+    before it forks a part while `jobs` - 1 children are busy, this
+    process waits for the oldest.
+
+    A PipelineError names the fold it happened in (see `_in_fold`): the
+    fold being prepared, or, from train, `part[exc.member or 0]`, `member`
+    being the failing fold's position in its part. Of several failing
+    parts the first is named, as in one process: an error here is raised
+    only after the children of the parts before it. Within a part the
+    first error train raises decides; for stacked MLPs that is the part's
+    first failing stack and step. On any error every child still running
+    is stopped."""
+    jobs = _jobs(len(parts))
+    results, busy = [None] * len(parts), {}
     try:
-        for index in range(count):
-            here = index % jobs == jobs - 1 or index == count - 1
+        for number, part in enumerate(parts):
+            here = number % jobs == jobs - 1 or number == len(parts) - 1
             if not here and len(busy) == jobs - 1:
                 _collect(results, busy)
+            prepared = []
             try:
-                task = prepare(index)
+                for index in part:
+                    prepared.append(prepare(index))
+                index = None
                 if here:
-                    results[index] = task()
+                    results[number] = train(prepared)
                 else:
-                    busy[index] = _fork(task, index)
+                    busy[number] = (*_fork(partial(train, prepared), part),
+                                    part)
             except PipelineError as exc:
                 while busy:
                     _collect(results, busy)
+                if index is None:
+                    index = part[getattr(exc, "member", None) or 0]
                 raise _in_fold(exc, index) from exc
-            del task
+            del prepared
         while busy:
             _collect(results, busy)
     finally:
-        for process, reader in busy.values():
+        for process, reader, _ in busy.values():
             process.kill()
             process.join()
             reader.close()
-    return results
+    return [result for part in results for result in part]
 
 
-def _fork(task, index: int):
-    """(process, reader): a forked child, named after fold `index`, that
-    sends ("ok", task()), or ("error", the error task() raised), down the
-    pipe it returns.
+def _fork(task, part: list):
+    """(process, reader): a forked child, named after the folds of `part`,
+    that sends ("ok", task()), or ("error", the error task() raised), down
+    the pipe it returns.
 
     Forked, not spawned, so the child reads the run's arrays and models
     copy-on-write instead of receiving them pickled; the program starts
@@ -755,6 +785,8 @@ def _fork(task, index: int):
 
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
+    name = (f"fold {part[0] + 1}" if len(part) == 1
+            else f"folds {part[0] + 1}-{part[-1] + 1}")
 
     def run():
         try:
@@ -762,36 +794,38 @@ def _fork(task, index: int):
         except Exception as exc:
             if not isinstance(exc, PipelineError):
                 # a defect, not a pipeline error: its traceback stays here
-                logger.exception("fold %d failed", index + 1)
+                logger.exception("%s failed", name)
             outcome = ("error", exc)
         writer.send(outcome)
 
-    process = context.Process(target=run, name=f"fold {index + 1}")
+    process = context.Process(target=run, name=name)
     process.start()
     writer.close()
     return process, reader
 
 
 def _collect(results: list, busy: dict) -> None:
-    """Wait for the oldest child in `busy`, which maps fold indices to
-    (process, reader), and store its result in `results`; raises the error
-    it sent instead, a PipelineError naming its fold."""
-    index = min(busy)
-    process, reader = busy[index]
+    """Wait for the oldest child in `busy`, which maps part numbers to
+    (process, reader, part), and store its result in `results`; raises
+    the error it sent instead, a PipelineError naming its fold (see
+    `_map_folds`)."""
+    number = min(busy)
+    process, reader, part = busy[number]
     try:
         kind, value = reader.recv()
     except EOFError:
         kind, value = "error", None
-    del busy[index]
+    del busy[number]
     reader.close()
     process.join()
     if kind == "ok":
-        results[index] = value
+        results[number] = value
         return
     if value is None:
         value = PipelineError(f"its process exited with code "
                               f"{process.exitcode} and no result")
     if isinstance(value, PipelineError):
+        index = part[getattr(value, "member", None) or 0]
         raise _in_fold(value, index) from value
     raise value
 
@@ -863,8 +897,8 @@ def _fold_sentiment(runs: list[RunContext]) -> list[tuple]:
         return train
 
     if source.manual is None:
-        return _map_folds(read, 1) * k
-    return _map_folds(read, k)
+        return _map_folds(read, [[0]]) * k
+    return _map_folds(read, [[index] for index in range(k)])
 
 
 def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
@@ -888,10 +922,13 @@ def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
     fold's own sentiment model. This process gathers, oversamples and
     builds the folds one after another; each composite then trains in one
     of the processes of `_map_folds`, so no more are alive at a time. The
-    MLPs train in lockstep, those whose training matrices have one shape
-    as one stack (one `train_gender` call); each ends with the bytes it
-    would have trained to alone. A failure names the fold it happened
-    in."""
+    MLP folds are split into one contiguous part per process (the larger
+    parts first: folds 1-3 and 4-5 on two cores), and each part's MLPs
+    train in that part's process in lockstep, those whose training
+    matrices have one shape as one stack (one `train_gender` call); each
+    ends with the bytes it would have trained to alone. On one core there
+    is one part, whose stacks are those of a run in one process. A
+    failure names the fold it happened in."""
     config = run.config
     finetuned = config.sentiment_mode == "finetuned_lstm"
     grid, epochs = set(config.epochs), max(config.epochs)
@@ -936,24 +973,39 @@ def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
                 return accuracy
             return train
 
-        accuracies = _map_folds(composite, len(readouts))
+        accuracies = _map_folds(composite, [[index]
+                                            for index in range(len(readouts))])
     else:
-        accuracies, stacks = [], {}
-        try:
-            for index in range(len(readouts)):
-                failing = [index]
-                seed, x_train, labels, x_test, y_test = gather(index)
-                accuracies.append({})
-                stacks.setdefault(x_train[0].shape, []).append(
-                    (index, seed, x_train[0], [CLASSES[i] for i in labels],
-                     scorer(x_test, y_test, accuracies[-1])))
+        def member(index):
+            """Fold `index`'s member of a stack: its seed, training matrix,
+            class names, score and the accuracies the score fills."""
+            seed, x_train, labels, x_test, y_test = gather(index)
+            accuracy = {}
+            return (seed, x_train[0], [CLASSES[i] for i in labels],
+                    scorer(x_test, y_test, accuracy), accuracy)
+
+        def train_stacks(members):
+            """The accuracies of one part's `members`, trained as one stack
+            per training-matrix shape."""
+            stacks = {}
+            for position, fold in enumerate(members):
+                stacks.setdefault(fold[1].shape, []).append((position, *fold))
             for stack in stacks.values():
-                failing, seeds, features, labels, after_epoch = zip(*stack)
-                train_gender(features, labels, config.train_config(epochs),
-                             dropout_rate=config.mlp_dropout,
-                             after_epoch=after_epoch, seeds=seeds)
-        except PipelineError as exc:
-            raise _in_fold(exc, failing[getattr(exc, "member", None) or 0]) from exc
+                positions, seeds, features, labels, after_epoch, _ = zip(*stack)
+                try:
+                    train_gender(features, labels, config.train_config(epochs),
+                                 dropout_rate=config.mlp_dropout,
+                                 after_epoch=after_epoch, seeds=seeds)
+                except PipelineError as exc:
+                    # the failing member's position in the part
+                    exc.member = positions[getattr(exc, "member", None) or 0]
+                    raise
+            return [accuracy for *_, accuracy in members]
+
+        k = len(readouts)
+        parts = np.array_split(np.arange(k), _jobs(k))
+        accuracies = _map_folds(member, [part.tolist() for part in parts],
+                                train_stacks)
     return [EpochColumn(e, [accuracy[e] for accuracy in accuracies])
             for e in config.epochs]
 

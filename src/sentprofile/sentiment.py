@@ -281,16 +281,17 @@ class FinetuneModel(Model):
 
     Input A is the document vector, input B the document matrix run through
     a trainable copy of the sentiment LSTM (the sentiment head is
-    discarded); the concatenation feeds the gender MLP. The gender loss
+    discarded); the concatenation feeds the gender MLP, of the
+    `gender.DEFAULT_HIDDEN` widths `train_gender` trains. The gender loss
     backpropagates into the LSTM.
     """
 
     def __init__(self, lstm: LSTMLayer, vec_dim: int,
-                 hidden=(50, 10), dropout_rate: float = 0.4, seed: int = 0):
+                 dropout_rate: float = 0.4, seed: int = 0):
         self.lstm = lstm
         self.vec_dim = vec_dim
-        self.mlp = build_mlp(vec_dim + lstm.hidden_dim, tuple(hidden),
-                             dropout_rate, seed)
+        self.mlp = build_mlp(vec_dim + lstm.hidden_dim,
+                             dropout_rate=dropout_rate, seed=seed)
         self.history: list[dict] = []
 
     def parts(self):
@@ -312,7 +313,7 @@ class FinetuneModel(Model):
 
 
 def build_finetune_model(model: SentimentModel, vec_dim: int,
-                         hidden=(50, 10), dropout_rate: float = 0.4,
+                         dropout_rate: float = 0.4,
                          seed: int = 0) -> FinetuneModel:
     """Composite of a trainable copy of the trained LSTM and a fresh MLP.
 
@@ -323,7 +324,7 @@ def build_finetune_model(model: SentimentModel, vec_dim: int,
     if not model.trained:
         raise DataError("finetuning needs a trained sentiment model")
     return FinetuneModel(lstm=copy.deepcopy(model.lstm), vec_dim=vec_dim,
-                         hidden=hidden, dropout_rate=dropout_rate, seed=seed)
+                         dropout_rate=dropout_rate, seed=seed)
 
 
 def train_finetune(model: FinetuneModel, vecs: np.ndarray, mats: np.ndarray,

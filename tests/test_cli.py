@@ -441,7 +441,8 @@ def test_out_of_vocabulary_user_dropped_by_staged_commands(small_dataset,
     ("keyword_tfidf", "frozen_dense"),
 ])
 def test_extract_writes_the_features_evaluate_trains_on(
-        small_dataset, tmp_path, capsys, monkeypatch, representation, mode):
+        small_dataset, tmp_path, capsys, monkeypatch, cores, representation,
+        mode):
     # embed -> sentiment-train -> extract gives, byte for byte, the feature
     # rows evaluate trains its gender MLPs on for the same config
     emb, sent, out = (tmp_path / "emb.txt", tmp_path / "sent.bin",
@@ -474,6 +475,9 @@ def test_extract_writes_the_features_evaluate_trains_on(
 
     monkeypatch.setattr(FoldPlan, "split", recorded)
     monkeypatch.setattr(experiment, "train_gender", recorded_gender)
+    # one process: every fold's MLP trains here, where its feature rows are
+    # recorded; a forked part's would be lost
+    cores(1)
     experiment._run_cells([config], replace(small_dataset, embeddings=str(emb)))
     ids, _, matrix, layout = read_features(out)
     assert layout == ("doc_vector", "sentiment")

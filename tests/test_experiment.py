@@ -271,22 +271,34 @@ class TestRunExperiment:
                                             sentiment_mode=mode),
                            small_dataset)
 
-    @pytest.mark.parametrize("mode, parameter, trained", [
-        ("frozen_lstm", "layer0.weights", [3]),
-        ("finetuned_lstm", "mlp.layer0.weights", ["composite", "composite"]),
-    ], ids=["frozen_lstm", "finetuned_lstm"])
+    @pytest.mark.parametrize("mode, parameter, n_cores, fold, trained", [
+        ("frozen_lstm", "layer0.weights", 1, 1, [3]),
+        ("frozen_lstm", "layer0.weights", 2, 1, [1]),
+        ("frozen_lstm", "layer0.weights", 2, 2, [1]),
+        ("frozen_lstm", "layer0.weights", 3, 1, [1]),
+        ("frozen_lstm", "layer0.weights", 3, 2, [1]),
+        ("finetuned_lstm", "mlp.layer0.weights", 1, 1,
+         ["composite", "composite"]),
+    ], ids=["frozen_lstm", "frozen_lstm-2-cores-forked",
+            "frozen_lstm-2-cores-here", "frozen_lstm-3-cores-forked",
+            "frozen_lstm-3-cores-here", "finetuned_lstm"])
     def test_non_finite_gradient_names_its_fold(self, monkeypatch, cores,
                                                 small_dataset, mode,
-                                                parameter, trained):
+                                                parameter, n_cores, fold,
+                                                trained):
         # the gender models train after the sentiment pass has served every
-        # fold: the MLPs of the three folds as one stack, the composites
-        # one at a time; a non-finite gradient in the second still fails
-        # with the category and message a fold-by-fold run gives
+        # fold: the MLPs of each part of the folds as one stack, the
+        # composites one at a time; a non-finite gradient in fold `fold`
+        # (0-based) still fails with the category and message a
+        # fold-by-fold run gives, naming the fold once, whether its part
+        # trains here or in a child. At 2 cores of 3 folds the parts are
+        # folds 1-2 (forked) and 3 (here), at 3 cores one fold each, the
+        # last one here
         config = small_experiment(sentiment_mode=mode)
         fold_sentiment, stacks = experiment._fold_sentiment, []
-        # fold 2's training inputs, told apart by the seed its model gets:
+        # the fold's training inputs, told apart by the seed its model gets:
         # the MLP features, or the composite's base rows, turn to NaN
-        fold_2 = experiment._fold_seed(config.seed, 1, 1)
+        failing = experiment._fold_seed(config.seed, fold, 1)
 
         def recorded(runs):
             readouts = fold_sentiment(runs)
@@ -297,14 +309,14 @@ class TestRunExperiment:
 
         def counted(features, *args, seeds, **kwargs):
             stacks.append(len(seeds))
-            features = [np.full_like(x, np.nan) if seed == fold_2 else x
+            features = [np.full_like(x, np.nan) if seed == failing else x
                         for x, seed in zip(features, seeds)]
             return train(features, *args, seeds=seeds, **kwargs)
 
         def counted_finetune(model, vecs, mats, lengths, labels, train_config,
                              **kwargs):
             stacks.append("composite")
-            if train_config.seed == fold_2:
+            if train_config.seed == failing:
                 vecs = np.full_like(vecs, np.nan)
             return finetune(model, vecs, mats, lengths, labels, train_config,
                             **kwargs)
@@ -312,14 +324,13 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "_fold_sentiment", recorded)
         monkeypatch.setattr(experiment, "train_gender", counted)
         monkeypatch.setattr(experiment, "train_finetune", counted_finetune)
-        # one process: the calls are recorded in this one, and a forked
-        # fold's would be lost
-        cores(1)
+        # the calls are recorded in this process; a forked part's are lost
+        cores(n_cores)
         with pytest.raises(TrainingError) as caught:
             run_experiment(config, small_dataset)
-        assert str(caught.value) == (f"fold 2: non-finite gradient for "
-                                     f"parameter '{parameter}'; training "
-                                     f"aborted")
+        assert str(caught.value) == (f"fold {fold + 1}: non-finite gradient "
+                                     f"for parameter '{parameter}'; "
+                                     f"training aborted")
         assert stacks == [None, None, None] + trained
 
 
@@ -332,7 +343,26 @@ def gender_fold(index, rows, width=6):
     return x, labels, rng.normal(size=(9, width)), rng.integers(0, 2, size=9)
 
 
-def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
+def gender_run(config, folds):
+    """The RunContext of a cell without a sentiment mode whose fold i
+    trains and tests on the rows of `folds[i]` (see `gender_fold`): each
+    fold's training rows, then its test rows, in one base matrix whose row
+    i is user i; fold i of the plan splits off these two blocks."""
+    splits, start = [], 0
+    for x, _, test, _ in folds:
+        middle, end = start + len(x), start + len(x) + len(test)
+        splits.append((range(start, middle), range(middle, end)))
+        start = end
+    return experiment.RunContext(
+        config=config, plan=SimpleNamespace(k=len(folds), split=splits.__getitem__),
+        base=np.concatenate([a for x, _, test, _ in folds for a in (x, test)]),
+        labels=np.concatenate([a for _, y, _, y_test in folds
+                               for a in (y, y_test)]),
+        index_of={i: i for i in range(start)}, mats=None, lengths=None,
+        source=None, polarity=None)
+
+
+def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch, cores):
     # 65 and 66 rows in batches of 32 leave last batches of 1 and 2; each
     # shape is its own stack, and every fold ends as a lone run would
     config = small_experiment(epochs=(7, 3), batch_size=32)
@@ -358,21 +388,11 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
         return models
 
     monkeypatch.setattr(experiment, "train_gender", recorded)
-    # each fold's training rows, then its test rows, in one base matrix
-    # whose row i is user i; fold i of the plan splits off these two blocks
-    splits, start = [], 0
-    for x, _, test, _ in folds:
-        middle, end = start + len(x), start + len(x) + len(test)
-        splits.append((range(start, middle), range(middle, end)))
-        start = end
-    run = experiment.RunContext(
-        config=config, plan=SimpleNamespace(k=len(folds), split=splits.__getitem__),
-        base=np.concatenate([a for x, _, test, _ in folds for a in (x, test)]),
-        labels=np.concatenate([a for _, y, _, y_test in folds
-                               for a in (y, y_test)]),
-        index_of={i: i for i in range(start)}, mats=None, lengths=None,
-        source=None, polarity=None)
-    columns = experiment._train_folds(run, [(None, {})] * len(folds))
+    # one process, so all five folds form one part whose stacks train here,
+    # where the calls are recorded; a forked part's would be lost
+    cores(1)
+    columns = experiment._train_folds(gender_run(config, folds),
+                                      [(None, {})] * len(folds))
     seeds = [experiment._fold_seed(config.seed, index, 1)
              for index in range(len(folds))]
     assert [seed for seed, _ in trained] == [seeds[i] for i in (0, 2, 4, 1, 3)]
@@ -398,6 +418,30 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch):
         assert [col.fold_accuracies[j] for col in columns] == \
             [accuracy[7], accuracy[3]]
     assert [col.epochs for col in columns] == [7, 3]
+
+
+@pytest.mark.parametrize("n_cores, fold", [(1, 3), (2, 2), (2, 4), (3, 3)])
+def test_non_finite_gradient_in_a_later_stack_names_its_fold(cores, n_cores,
+                                                             fold):
+    # folds of 65 and 66 training rows make two stacks in a part; a failing
+    # fold that is not its stack's first member, or whose stack is not its
+    # part's first, is named as itself. At 1 core fold 4 is the second
+    # member of the one part's 66-row stack; at 2 cores (parts 1-3, forked,
+    # and 4-5, here) fold 3 is the second member of the forked part's
+    # 65-row stack and fold 5 the second stack of the part trained here; at
+    # 3 cores (parts 1-2, 3-4, 5) fold 4 is the second stack of a forked part
+    config = small_experiment(epochs=(2,), batch_size=32)
+    folds = [gender_fold(index, rows)
+             for index, rows in enumerate((65, 66, 65, 66, 65))]
+    x, *rest = folds[fold]
+    folds[fold] = (np.full_like(x, np.nan), *rest)
+    cores(n_cores)
+    with pytest.raises(TrainingError) as caught:
+        experiment._train_folds(gender_run(config, folds),
+                                [(None, {})] * len(folds))
+    assert str(caught.value) == (f"fold {fold + 1}: non-finite gradient for "
+                                 f"parameter 'layer0.weights'; training "
+                                 f"aborted")
 
 
 def count_calls(monkeypatch, names):
@@ -511,11 +555,16 @@ def logged_models(caplog, source_mode) -> int:
 
 class TestSentimentTraining:
     @pytest.mark.parametrize("source_mode", ["entire", "high_similarity"])
-    def test_fold_independent_source_trains_once(self, monkeypatch, caplog,
-                                                 small_dataset, source_mode):
+    def test_fold_independent_source_trains_once(self, monkeypatch, cores,
+                                                 caplog, small_dataset,
+                                                 source_mode):
         trained, folds = record_sentiment_training(monkeypatch)
         config = small_experiment(sentiment_mode="frozen_lstm",
                                   source_mode=source_mode, z=0.05)
+        # one process: every fold's gender MLP gathers and trains here,
+        # where the wrappers record its inputs; a forked part's would be
+        # lost
+        cores(1)
         with caplog.at_level("INFO", logger="sentprofile.experiment"):
             report = run_experiment(config, small_dataset)
         assert len(trained) == 1

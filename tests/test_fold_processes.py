@@ -22,13 +22,14 @@ from test_experiment import small_experiment
 
 
 def count_forks(monkeypatch) -> Counter:
-    """The folds `_map_folds` hands to a forked child, counted here."""
+    """The parts `_map_folds` hands to a forked child, counted here by
+    their first fold."""
     forks = Counter()
     fork = experiment._fork
 
-    def counted(task, index):
-        forks[index] += 1
-        return fork(task, index)
+    def counted(task, part):
+        forks[part[0]] += 1
+        return fork(task, part)
 
     monkeypatch.setattr(experiment, "_fork", counted)
     return forks
@@ -45,11 +46,11 @@ def test_report_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset,
     forks = count_forks(monkeypatch)
     cores(2)
     assert run_experiment(config, small_dataset).to_json() == alone
-    # the composites, and the fold models of a manual source, are the
-    # independent folds; at 2 cores of 3 folds only the first goes to a child
-    forked = (mode == "finetuned_lstm") + (source_mode == "entire_plus_manual"
-                                           and mode != "none")
-    assert forks == ({0: forked} if forked else {})
+    # the gender models of every mode (the MLP stack of folds 1 and 2, or
+    # fold 1's composite) and the fold models of a manual source fork their
+    # first part; at 2 cores of 3 folds that part is the only forked one
+    forked = 1 + (source_mode == "entire_plus_manual" and mode != "none")
+    assert forks == {0: forked}
     assert multiprocessing.active_children() == []
 
 
@@ -63,6 +64,34 @@ def test_grid_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset):
     assert [(cell, report.to_json()) for cell, report
             in run_grid(config, small_dataset)] == alone
     assert forks[0] >= 1
+
+
+def test_mlp_report_bytes_at_three_cores(monkeypatch, cores, small_dataset):
+    # 5 folds at 3 cores split the MLP folds into parts 1-2 and 3-4, each a
+    # stack in a child, and 5, trained here
+    config = small_experiment(sentiment_mode="frozen_dense", folds=5,
+                              smote=True, smote_k=2, epochs=(2, 3))
+    cores(1)
+    alone = run_experiment(config, small_dataset).to_json()
+    forks = count_forks(monkeypatch)
+    cores(3)
+    assert run_experiment(config, small_dataset).to_json() == alone
+    assert forks == {0: 1, 2: 1}
+    assert multiprocessing.active_children() == []
+
+
+def test_grid_bytes_at_three_cores(monkeypatch, cores, small_dataset):
+    config = small_experiment(z=0.05, smote=True, smote_k=2)
+    cores(1)
+    alone = [(cell, report.to_json())
+             for cell, report in run_grid(config, small_dataset)]
+    forks = count_forks(monkeypatch)
+    cores(3)
+    assert [(cell, report.to_json()) for cell, report
+            in run_grid(config, small_dataset)] == alone
+    # 3 folds at 3 cores: folds 1 and 2 fork, in every cell
+    assert set(forks) == {0, 1}
+    assert multiprocessing.active_children() == []
 
 
 def poisoned_finetune(monkeypatch, config, fold, delay=0.0, delayed=None):
@@ -156,7 +185,7 @@ def test_child_error_stops_the_children_after_it(cores):
     cores(3)
     started = time.monotonic()
     with pytest.raises(DataError, match="^fold 1: no usable item$"):
-        experiment._map_folds(prepare, 5)
+        experiment._map_folds(prepare, [[index] for index in range(5)])
     assert time.monotonic() - started < 30.0
     assert multiprocessing.active_children() == []
 
@@ -174,7 +203,7 @@ def test_child_that_exits_without_a_result_names_its_fold(cores):
     cores(2)
     with pytest.raises(PipelineError, match="^fold 1: its process exited "
                                             "with code 3 and no result$"):
-        experiment._map_folds(prepare, 2)
+        experiment._map_folds(prepare, [[0], [1]])
     assert multiprocessing.active_children() == []
 
 
@@ -228,10 +257,10 @@ def test_platform_without_affinity_runs_in_one_process(monkeypatch, cores,
                                                   (8, 3, 3)],
                          ids=["2", "4", "8"])
 def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
-    # folds prepared in order here, finishing out of order in up to
-    # jobs - 1 children (perhaps more than the host's cores) and here,
-    # jobs being the core count but at most one per fold; the results come
-    # in fold order, and every jobs-th fold and the last trained here: at
+    # one-fold parts prepared in order here, finishing out of order in up
+    # to jobs - 1 children (perhaps more than the host's cores) and here,
+    # jobs being the core count but at most one per part; the results come
+    # in fold order, and every jobs-th part and the last trained here: at
     # 8 cores and 3 folds, folds 1 and 2 fork and fold 3 trains here
     cores(n_cores)
     prepared, parent = [], os.getpid()
@@ -244,7 +273,7 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
             return index * index, os.getpid() == parent
         return task
 
-    results = experiment._map_folds(prepare, folds)
+    results = experiment._map_folds(prepare, [[i] for i in range(folds)])
     assert results == [(i * i, i % jobs == jobs - 1 or i == folds - 1)
                        for i in range(folds)]
     assert prepared == list(range(folds))
@@ -253,12 +282,12 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
 
 def test_run_without_independent_folds_imports_no_multiprocessing(
         small_dataset):
-    # a shared sentiment model and stacked MLPs leave nothing to fork, so
-    # such a run neither forks nor pays for importing multiprocessing,
-    # though it sees two cores
+    # on one core every part, here the MLP stack of all three folds, trains
+    # in this process, so the run neither forks nor pays for importing
+    # multiprocessing
     script = (
         "import os, sys\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
         "from sentprofile.experiment import DataPaths, ExperimentConfig, "
         "run_experiment\n"
         f"config = ExperimentConfig(**{dict(SMALL_CONFIG)!r}, "
@@ -269,3 +298,53 @@ def test_run_without_independent_folds_imports_no_multiprocessing(
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_map_folds_trains_each_part_in_one_process(cores):
+    # at 2 cores of parts (1, 2, 3) and (4, 5), every fold is prepared in
+    # order here; the first part's values go to one child, the second's
+    # train here, and the results come in fold order
+    cores(2)
+    prepared, parent = [], os.getpid()
+
+    def prepare(index):
+        prepared.append(index)
+        return index
+
+    def train(values):
+        return [(value, os.getpid() == parent, len(values)) for value in values]
+
+    results = experiment._map_folds(prepare, [[0, 1, 2], [3, 4]], train)
+    assert results == [(i, i > 2, 3 if i < 3 else 2) for i in range(5)]
+    assert prepared == list(range(5))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_cores", [1, 2])
+@pytest.mark.parametrize("failing", [(1, None), (None, 1), (None, 4)],
+                         ids=["prepare-2", "train-2", "train-5"])
+def test_error_in_a_part_names_its_own_fold(cores, n_cores, failing):
+    # a fold that fails while being prepared is named as itself, a fold
+    # that fails in its part's train by its position in the part
+    # (`member`), whether the part trains here or in a child, and never
+    # twice or by the part's number
+    prepare_fails, member_fails = failing
+
+    def prepare(index):
+        if index == prepare_fails:
+            raise DataError("no usable row")
+        return index
+
+    def train(values):
+        if member_fails in values:
+            raise TrainingError("diverged", member=values.index(member_fails))
+        return values
+
+    cores(n_cores)
+    with pytest.raises(PipelineError) as caught:
+        experiment._map_folds(prepare, [[0, 1, 2], [3, 4]], train)
+    fold = (prepare_fails if member_fails is None else member_fails) + 1
+    assert (type(caught.value), str(caught.value)) == (
+        (DataError, f"fold {fold}: no usable row") if member_fails is None
+        else (TrainingError, f"fold {fold}: diverged"))
+    assert multiprocessing.active_children() == []

@@ -67,7 +67,7 @@ class TestTrainGender:
         rng = np.random.default_rng(1)
         sentiment = SentimentModel(input_dim=3, hidden_size=2)
         sentiment.trained = True
-        composite = build_finetune_model(sentiment, vec_dim=4, hidden=(5, 3))
+        composite = build_finetune_model(sentiment, vec_dim=4)
         train_finetune(composite, rng.normal(size=(12, 4)),
                        rng.normal(size=(12, 5, 3)), rng.integers(1, 6, size=12),
                        np.arange(12) % 2, config)

@@ -202,8 +202,7 @@ def test_parameter_names_and_order_are_pinned():
                     "layer2.bias", "layer3.weights", "layer3.bias"]
     sentiment_names = ["lstm.w_x", "lstm.w_h", "lstm.bias",
                        "head.weights", "head.bias"]
-    composite = FinetuneModel(small_sentiment_model().lstm, vec_dim=2,
-                              hidden=(4, 3))
+    composite = FinetuneModel(small_sentiment_model().lstm, vec_dim=2)
     for model, names in ((small_model(), gender_names),
                          (small_sentiment_model(), sentiment_names),
                          (composite, [f"mlp.{name}" for name in gender_names]

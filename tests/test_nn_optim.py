@@ -143,7 +143,7 @@ def test_fit_names_the_non_finite_parameter(optimizer, case, layer_of, grad,
 def test_fit_trains_views_of_one_buffer_per_model():
     rng = np.random.default_rng(1)
     mats, lengths = rng.normal(size=(10, 4, 3)), rng.integers(1, 5, size=10)
-    composite = (FinetuneModel(LSTMLayer(3, 2, rng=rng), vec_dim=2, hidden=(4, 3)),
+    composite = (FinetuneModel(LSTMLayer(3, 2, rng=rng), vec_dim=2),
                  (rng.normal(size=(10, 2)), mats, lengths),
                  np.eye(2)[np.arange(10) % 2], categorical_cross_entropy)
     for model, inputs, targets, loss in (gender_case(), sentiment_case(),

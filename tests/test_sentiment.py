@@ -453,7 +453,7 @@ class TestFinetune:
 
     def test_parameter_count_additivity(self, polarity_table):
         base = integrator_model(hidden=3)
-        composite = build_finetune_model(base, vec_dim=2, hidden=(5, 3))
+        composite = build_finetune_model(base, vec_dim=2)
         lstm_params = sum(v.size for v in base.lstm.params().values())
         mlp_params = sum(v.size for k, v in composite.parameters().items()
                          if k.startswith("mlp."))
@@ -464,7 +464,7 @@ class TestFinetune:
         from sentprofile.sentiment import train_finetune
 
         base = integrator_model(hidden=2)
-        composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=1)
+        composite = build_finetune_model(base, vec_dim=2, seed=1)
         vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
         before = {k: v.copy() for k, v in composite.parameters().items()
                   if k.startswith("lstm.")}
@@ -496,7 +496,7 @@ class TestFinetune:
                                   TrainConfig(epochs=2, batch_size=8, seed=0),
                                   hidden_size=2)
         checksum = base.checksum()
-        composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=2)
+        composite = build_finetune_model(base, vec_dim=2, seed=2)
         vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
         train_finetune(composite, vecs, mats, lengths, labels,
                        TrainConfig(epochs=2, batch_size=8, seed=0))
@@ -518,13 +518,13 @@ class TestFinetune:
             snapshots[epoch] = (model.predict_proba(vecs, mats, lengths).tobytes(),
                                 {k: v.copy() for k, v in model.parameters().items()})
 
-        composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=3)
+        composite = build_finetune_model(base, vec_dim=2, seed=3)
         train_finetune(composite, vecs, mats, lengths, labels,
                        TrainConfig(epochs=4, batch_size=8, seed=1),
                        after_epoch=after_epoch)
         assert sorted(snapshots) == [1, 2, 3, 4]
         for epoch in (1, 2, 4):
-            fresh = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=3)
+            fresh = build_finetune_model(base, vec_dim=2, seed=3)
             train_finetune(fresh, vecs, mats, lengths, labels,
                            TrainConfig(epochs=epoch, batch_size=8, seed=1))
             probs, params = snapshots[epoch]
@@ -541,7 +541,7 @@ class TestFinetune:
         features = np.concatenate([vecs, h], axis=1)
         frozen = GenderModel(features.shape[1], hidden=(50, 10),
                              dropout_rate=0.4, seed=5)
-        composite = build_finetune_model(base, vec_dim=2, hidden=(50, 10),
+        composite = build_finetune_model(base, vec_dim=2,
                                          dropout_rate=0.4, seed=5)
         assert np.allclose(frozen.predict_proba(features),
                            composite.predict_proba(vecs, mats, lengths),
@@ -556,7 +556,7 @@ class TestFinetune:
                                   TrainConfig(epochs=2, batch_size=8, seed=0),
                                   hidden_size=2)
         assert base.lstm._cache is None
-        composite = build_finetune_model(base, vec_dim=2, hidden=(4, 3), seed=2)
+        composite = build_finetune_model(base, vec_dim=2, seed=2)
         assert composite.lstm._cache is None
         vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
         train_finetune(composite, vecs, mats, lengths, labels,
