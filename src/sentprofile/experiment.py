@@ -6,23 +6,25 @@ embeddings and document representations are fit once on the whole corpus
 (they use no gender labels), the sentiment model is trained in advance on
 the configured source data (once per run, or once per fold when manual
 labels make its training set depend on the fold's training users) and
-read once per model over every user. Each source mode runs in two passes:
-the first trains its sentiment models and reads their features, the
-second is one loop over each cell's folds (`_train_folds`). There a fold
-gathers its training and test rows, oversamples only its training
-minority, and trains its gender classifier once, scored at every entry
-of the epoch grid: MLPs with equal-shaped training data in lockstep as
-one stacked model, each finetuned composite on its own. A grid of cells
-shares all of this but the gender training: one load, one embedding fit
-and, per source mode, the sentiment models.
+read once per model over every user. A run of one cell or a grid of
+several trains in two passes (see `_run_cells`): the first trains the
+sentiment models of every source mode and reads their features, the
+second trains the gender classifiers of every cell's folds
+(`_train_folds`). There a fold gathers its training and test rows,
+oversamples only its training minority, and trains its gender classifier
+once, scored at every entry of the epoch grid: MLPs with equal-shaped
+training data in lockstep as one stacked model, each finetuned composite
+on its own. A grid of cells shares all of this but the gender training:
+one load, one embedding fit and, per source mode, the sentiment models.
 
-The folds train in as many processes at once as this one has cores in
-its affinity mask, at most one per fold (one process on a platform
-without `os.sched_getaffinity`): forked children beside this one, which
-gathers and oversamples every fold and trains some of them itself (see
+Each pass is one schedule of parts, each part a few folds of one cell,
+that train in as many processes at once as this one has cores in its
+affinity mask, at most one per part (one process on a platform without
+`os.sched_getaffinity`): forked children beside this one, which gathers
+and oversamples every fold and trains some parts itself (see
 `_map_folds`). The finetuned composites and the per-fold sentiment
-models of manual sources train one fold per process at a time; the MLP
-folds are split into one contiguous part per process, each part's MLPs
+models of manual sources are one fold per part; each MLP cell's folds
+are split into one contiguous part per process, each part's MLPs
 stacked. Every fold has its own seed, and a stacked MLP ends with the
 bytes it would reach alone, so the report bytes do not depend on the
 process count.
@@ -40,9 +42,10 @@ import json
 import logging
 import os
 import time
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -644,22 +647,24 @@ def _run_cells(cells: list[ExperimentConfig],
                paths: DataPaths) -> list[EvalReport]:
     """Cross-validate every cell over one shared prefix (see
     `_prepare_runs`); one report per cell, in order. The folds train in
-    several processes at once (see `_map_folds`): the sentiment models of
-    a manual source and the finetuned composites one fold per process,
-    the MLPs one stack per process; the reports' bytes do not depend on
-    how many.
+    several processes at once (see `_map_folds`); the reports' bytes do
+    not depend on how many.
 
-    The cells of a source mode run in two passes. The first trains the
-    source mode's sentiment models and reads their features for all of
-    its cells (see `_fold_sentiment`). A fold's model is kept only when a
-    finetuned cell's composite starts from it; otherwise it is dropped
-    once its features are read, so at most one per process is alive at a
-    time. The second pass trains each cell's gender models over its folds
-    (see `_train_folds`), and the cell's report is made as soon as they
-    are scored. Each mode's features, and the models, are dropped after the
-    last cell of the group that reads them, so a finetuned cell's
-    composites do not train beside the frozen features of the cells
-    before it."""
+    Whatever the number of cells, the folds train in two `_map_folds`
+    calls. The first trains the sentiment models of every source mode
+    that a cell reads, in the order of each mode's first cell, and reads
+    their features (see `_fold_sentiment`). The second trains the gender
+    models of every cell (see `_train_folds`): first the composites of
+    the finetuned cells, one fold per part, in cell order, then the MLP
+    parts of the other cells, in cell order. A source mode's fold models
+    and features are each dropped once the last part that reads them has
+    been prepared (see `_Readouts`). The reports are made when the second
+    call has returned, so each report's `timing_seconds` is the time
+    elapsed in this call until then.
+
+    When there are several cells, a fold's error names the cell it
+    happened in (`entire/frozen_lstm, fold 2: ...`), or, in a sentiment
+    model that every cell of a source mode reads, the source mode."""
     started = time.perf_counter()
     for cell in cells:
         cell.validate()
@@ -667,41 +672,79 @@ def _run_cells(cells: list[ExperimentConfig],
             logger.info("sentiment_mode is 'none'; source_mode %r is ignored",
                         cell.source_mode)
     runs = _prepare_runs(cells, paths)
+    named = len(runs) > 1
+    readouts = _sentiment_readouts(runs, named)
+    # the composites, the longest parts, first, so that the processes
+    # share them out evenly and the MLP parts fill in after them
+    order = sorted(range(len(runs)), key=lambda i: (
+        runs[i].config.sentiment_mode != "finetuned_lstm"))
+    parts = []
+    for i in order:
+        config = runs[i].config
+        parts += _train_folds(runs[i], readouts.get(config.source_mode),
+                              f"{config.source_mode}/{config.sentiment_mode}"
+                              if named else None)
+    results = iter(_map_folds(parts))
+    accuracies = {i: [next(results) for _ in range(runs[i].plan.k)]
+                  for i in order}
+    elapsed = time.perf_counter() - started
     reports = []
-    for _, group in groupby(runs, key=lambda run: run.config.source_mode):
-        group = list(group)
-        readouts = _fold_sentiment(group)
-        for position, run in enumerate(group):
-            config = run.config
-            columns = _train_folds(run, readouts)
-            later = {other.config.sentiment_mode for other in group[position + 1:]}
-            readouts = [(model if "finetuned_lstm" in later else None,
-                         {mode: value for mode, value in features.items()
-                          if mode in later})
-                        for model, features in readouts]
-            selection_info = None
-            if run.source is not None and run.source.selected is not None:
-                selection_info = {"kept": len(run.source.selected),
-                                  "total": len(run.source.seqs), "z": config.z}
-            report = EvalReport(config=config.to_dict(),
-                                config_hash=config.config_hash(),
-                                seed=config.seed, columns=columns,
-                                timing_seconds=time.perf_counter() - started,
-                                selection=selection_info)
-            logger.info("experiment %s finished in %.1fs (best mean accuracy "
-                        "%.4f)", report.config_hash, report.timing_seconds,
-                        report.best_mean())
-            reports.append(report)
+    for i, run in enumerate(runs):
+        config = run.config
+        selection_info = None
+        if run.source is not None and run.source.selected is not None:
+            selection_info = {"kept": len(run.source.selected),
+                              "total": len(run.source.seqs), "z": config.z}
+        report = EvalReport(config=config.to_dict(),
+                            config_hash=config.config_hash(),
+                            seed=config.seed,
+                            columns=_columns(config, accuracies[i]),
+                            timing_seconds=elapsed, selection=selection_info)
+        logger.info("experiment %s finished in %.1fs (best mean accuracy "
+                    "%.4f)", report.config_hash, report.timing_seconds,
+                    report.best_mean())
+        reports.append(report)
     return reports
 
 
-def _in_fold(exc: PipelineError, index: int) -> PipelineError:
-    """`exc` pointing at fold `index`, under its error category (and hence
-    its exit code)."""
+def _columns(config: ExperimentConfig, accuracies: list[dict]) -> list[EpochColumn]:
+    """The report columns of one cell's folds' {epoch: accuracy} dicts,
+    given in fold order."""
+    return [EpochColumn(e, [accuracy[e] for accuracy in accuracies])
+            for e in config.epochs]
+
+
+def _call_each(calls: list) -> list:
+    return [call() for call in calls]
+
+
+@dataclass
+class _Part:
+    """Folds that train in one process (see `_map_folds`): prepare(i)
+    gives fold i's prepared value, and train(the part's prepared values,
+    in fold order) the part's results; by default train calls each
+    prepared value. `cell`, when set, names the cell in the part's
+    errors."""
+    folds: list[int]
+    prepare: Callable
+    train: Callable = _call_each
+    cell: str | None = None
+
+
+def _in_fold(exc: PipelineError, part: _Part,
+             index: int | None = None) -> PipelineError:
+    """`exc` pointing at fold `index` of `part`'s cell, under its error
+    category (and hence its exit code). Without `index`, the fold is the
+    one at position `exc.member` of the part (its first by default)."""
+    if index is None:
+        index = part.folds[getattr(exc, "member", None) or 0]
+    where = f"fold {index + 1}"
+    if part.cell is not None:
+        where = f"{part.cell}, {where}"
     for category in (ConfigError, TrainingError, DataError):
         if isinstance(exc, category):
-            return category(f"fold {index + 1}: {exc}")
-    return PipelineError(f"fold {index + 1}: {exc}")
+            return category(f"{where}: {exc}")
+    return PipelineError(f"{where}: {exc}")
 
 
 def _jobs(count: int) -> int:
@@ -712,56 +755,50 @@ def _jobs(count: int) -> int:
             if hasattr(os, "sched_getaffinity") else 1)
 
 
-def _call_each(calls: list) -> list:
-    return [call() for call in calls]
+def _map_folds(parts: list[_Part]) -> list:
+    """Train `parts`, each a `_Part` of contiguous folds in fold order,
+    and return their results, part after part.
 
-
-def _map_folds(prepare, parts: list, train=_call_each) -> list:
-    """Train the folds of `parts`, lists of contiguous fold indices in
-    fold order, and return one result per fold, in fold order.
-
-    For each part, prepare(i) runs here for each of its folds i in turn;
-    then train(the part's prepared values), which must not touch this
-    process's state, returns the part's results. By default train calls
-    each prepared value. Up to `jobs` = `_jobs(len(parts))` parts train at
+    For each part in turn, its prepare runs here for each of its folds;
+    then its train, which must not touch this process's state, returns
+    the part's results. Up to `jobs` = `_jobs(len(parts))` parts train at
     once: every `jobs`-th part and the last here, the others in forked
     children, so this process trains parts too instead of only waiting.
-    Which part trains where depends on the part count and `jobs` alone;
-    before it forks a part while `jobs` - 1 children are busy, this
-    process waits for the oldest.
+    Which part trains where depends on the part count and `jobs` alone.
+    Once it has forked a part while `jobs` - 1 children were busy, this
+    process waits for the oldest, so it prepares each part while the
+    children train and no core idles while it waits.
 
-    A PipelineError names the fold it happened in (see `_in_fold`): the
-    fold being prepared, or, from train, `part[exc.member or 0]`, `member`
-    being the failing fold's position in its part. Of several failing
-    parts the first is named, as in one process: an error here is raised
-    only after the children of the parts before it. Within a part the
-    first error train raises decides; for stacked MLPs that is the part's
-    first failing stack and step. On any error every child still running
-    is stopped."""
+    A PipelineError names the fold, and the cell, it happened in (see
+    `_in_fold`): the fold being prepared, or, from train, the fold at
+    position `exc.member` of its part. Of several failing parts the first
+    in `parts` is named, as in one process: an error here is raised only
+    after the children of the parts before it. Within a part the first
+    error train raises decides; for stacked MLPs that is the part's first
+    failing stack and step. On any error every child still running is
+    stopped."""
     jobs = _jobs(len(parts))
     results, busy = [None] * len(parts), {}
     try:
         for number, part in enumerate(parts):
             here = number % jobs == jobs - 1 or number == len(parts) - 1
-            if not here and len(busy) == jobs - 1:
-                _collect(results, busy)
             prepared = []
             try:
-                for index in part:
-                    prepared.append(prepare(index))
+                for index in part.folds:
+                    prepared.append(part.prepare(index))
                 index = None
                 if here:
-                    results[number] = train(prepared)
+                    results[number] = part.train(prepared)
                 else:
-                    busy[number] = (*_fork(partial(train, prepared), part),
-                                    part)
+                    busy[number] = (*_fork(partial(part.train, prepared),
+                                           part), part)
             except PipelineError as exc:
                 while busy:
                     _collect(results, busy)
-                if index is None:
-                    index = part[getattr(exc, "member", None) or 0]
-                raise _in_fold(exc, index) from exc
+                raise _in_fold(exc, part, index) from exc
             del prepared
+            if len(busy) == jobs:
+                _collect(results, busy)
         while busy:
             _collect(results, busy)
     finally:
@@ -772,10 +809,10 @@ def _map_folds(prepare, parts: list, train=_call_each) -> list:
     return [result for part in results for result in part]
 
 
-def _fork(task, part: list):
-    """(process, reader): a forked child, named after the folds of `part`,
-    that sends ("ok", task()), or ("error", the error task() raised), down
-    the pipe it returns.
+def _fork(task, part: _Part):
+    """(process, reader): a forked child, named after the cell and folds
+    of `part`, that sends ("ok", task()), or ("error", the error task()
+    raised), down the pipe it returns.
 
     Forked, not spawned, so the child reads the run's arrays and models
     copy-on-write instead of receiving them pickled; the program starts
@@ -785,8 +822,11 @@ def _fork(task, part: list):
 
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
-    name = (f"fold {part[0] + 1}" if len(part) == 1
-            else f"folds {part[0] + 1}-{part[-1] + 1}")
+    folds = part.folds
+    name = (f"fold {folds[0] + 1}" if len(folds) == 1
+            else f"folds {folds[0] + 1}-{folds[-1] + 1}")
+    if part.cell is not None:
+        name = f"{part.cell}, {name}"
 
     def run():
         try:
@@ -825,8 +865,7 @@ def _collect(results: list, busy: dict) -> None:
         value = PipelineError(f"its process exited with code "
                               f"{process.exitcode} and no result")
     if isinstance(value, PipelineError):
-        index = part[getattr(value, "member", None) or 0]
-        raise _in_fold(value, index) from value
+        raise _in_fold(value, part) from value
     raise value
 
 
@@ -868,48 +907,98 @@ def sentiment_features(model: SentimentModel, sentiment_modes: set[str], mats,
     return features
 
 
-def _fold_sentiment(runs: list[RunContext]) -> list[tuple]:
-    """One (model, features) entry per fold for the cells in `runs`, which
-    share a source mode: the fold's sentiment model, which saw no label of
-    the fold's test users, kept only when a finetuned cell's composite
-    starts from it (None otherwise), and the features `sentiment_features`
-    reads from it for the other cells' modes.
+def _fold_sentiment(runs: list[RunContext], cell: str | None) -> list[_Part]:
+    """The `_map_folds` parts that give one (model, features) entry per
+    fold for the cells in `runs`, which share a source mode, named `cell`
+    in errors: the fold's sentiment model, which saw no label of the
+    fold's test users, kept only when a finetuned cell's composite starts
+    from it (None otherwise) and then without its gradients, and the
+    features `sentiment_features` reads from it for the other cells'
+    modes.
 
     Only manual labels make the sentiment training set depend on the fold
     (a fold trains on its training users' labels alone), so those sources
-    train one model per fold, several at once (see `_map_folds`). The
-    others train on the same set in every fold: one model, trained with
-    fold 1's seed, serves every fold."""
+    train one model per fold, in one part each. The others train on the
+    same set in every fold: one part trains one model, with fold 1's seed,
+    and its entry serves every fold."""
     modes = {run.config.sentiment_mode for run in runs}
-    first = next((run for run in runs if run.source is not None), runs[0])
+    first = runs[0]
     source, k = first.source, first.plan.k
-    if source is None:
-        return [(None, {})] * k
 
     def read(index):
         def train():
             model, _ = train_fold_sentiment(
                 first.config, *source.training_set(first.plan.split(index)[0]),
                 index)
-            return (model if "finetuned_lstm" in modes else None,
-                    sentiment_features(model, modes, first.mats, first.lengths,
-                                       first.polarity))
+            features = sentiment_features(model, modes, first.mats,
+                                          first.lengths, first.polarity)
+            if "finetuned_lstm" not in modes:
+                return None, features
+            # a composite copies only the parameters
+            model.release_gradients()
+            return model, features
         return train
 
     if source.manual is None:
-        return _map_folds(read, [[0]]) * k
-    return _map_folds(read, [[index] for index in range(k)])
+        return [_Part([0], read, lambda trains: [trains[0]()] * k, cell)]
+    return [_Part([index], read, cell=cell) for index in range(k)]
+
+
+class _Readouts:
+    """What the cells in `runs`, which share a source mode, read of each
+    fold's (model, features) entry of `entries` (see `_fold_sentiment`):
+    a finetuned cell the fold's model, any other cell the fold's features
+    of its mode. Each is held until the last cell that reads it has taken
+    it (see `take`), so a fold's model is dropped once the last composite
+    that copies it has been prepared, and its features once the last MLP
+    part that reads them has."""
+
+    def __init__(self, entries: list[tuple], runs: list[RunContext]):
+        readers = Counter(run.config.sentiment_mode for run in runs)
+        self._held = [{mode: model if mode == "finetuned_lstm" else features[mode]
+                       for mode in readers} for model, features in entries]
+        self._left = [Counter(readers) for _ in entries]
+
+    def take(self, index: int, mode: str):
+        """Fold `index`'s model under `finetuned_lstm`, otherwise its
+        features of `mode`, for one reader."""
+        left = self._left[index]
+        left[mode] -= 1
+        held = self._held[index]
+        return held[mode] if left[mode] else held.pop(mode)
+
+
+def _sentiment_readouts(runs: list[RunContext],
+                        named: bool) -> dict[str, _Readouts]:
+    """The `_Readouts` of every source mode that a cell in `runs` reads a
+    sentiment model of, by source mode. One `_map_folds` call trains the
+    parts of all of them (see `_fold_sentiment`), in the order of each
+    mode's first cell, each named by its mode when `named`."""
+    groups = {}
+    for run in runs:
+        if run.source is not None:
+            groups.setdefault(run.config.source_mode, []).append(run)
+    results = iter(_map_folds([
+        part for mode, group in groups.items()
+        for part in _fold_sentiment(group, mode if named else None)]))
+    return {mode: _Readouts([next(results) for _ in range(group[0].plan.k)],
+                            group)
+            for mode, group in groups.items()}
 
 
 def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
     return _run_cells([config], paths)[0]
 
 
-def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
-    """Train the gender model of every fold of `run.plan`, score it at the
-    grid epochs on the fold's test users and return the cell's columns,
-    with the accuracies in fold order. Fold i reads entry i of `readouts`
-    (see `_fold_sentiment`) and trains and oversamples with its own seed.
+def _train_folds(run: RunContext, readouts: _Readouts | None,
+                 cell: str | None) -> list[_Part]:
+    """The `_map_folds` parts, named `cell` in errors, that train the
+    gender model of every fold of `run.plan`, score it at the grid epochs
+    on the fold's test users and give the fold's {epoch: accuracy} dict,
+    in fold order (see `_columns`). Fold i reads its entry of `readouts`,
+    the `_Readouts` of the cell's source mode (a cell without a sentiment
+    mode reads none, and may pass None), and trains and oversamples with
+    its own seed.
 
     A fold takes its training and test users' rows, then joins them once
     each: a composite reads base rows, matrices and lengths (and SMOTE
@@ -919,16 +1008,14 @@ def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
     as a run of exactly that many epochs would score.
 
     A finetuned fold's composite starts from a copy of the LSTM of the
-    fold's own sentiment model. This process gathers, oversamples and
-    builds the folds one after another; each composite then trains in one
-    of the processes of `_map_folds`, so no more are alive at a time. The
+    fold's own sentiment model. The prepares gather, oversample and build
+    the folds in `_map_folds`' process; each composite is one part. The
     MLP folds are split into one contiguous part per process (the larger
     parts first: folds 1-3 and 4-5 on two cores), and each part's MLPs
     train in that part's process in lockstep, those whose training
     matrices have one shape as one stack (one `train_gender` call); each
     ends with the bytes it would have trained to alone. On one core there
-    is one part, whose stacks are those of a run in one process. A
-    failure names the fold it happened in."""
+    is one part, whose stacks are those of a run in one process."""
     config = run.config
     finetuned = config.sentiment_mode == "finetuned_lstm"
     grid, epochs = set(config.epochs), max(config.epochs)
@@ -938,7 +1025,9 @@ def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
         of fold `index`, oversampled under `config.smote`."""
         seed = _fold_seed(config.seed, index, 1)
         train, test = (run.rows(ids) for ids in run.plan.split(index))
-        reads = readouts[index][1].get(config.sentiment_mode)
+        reads = None
+        if config.sentiment_mode not in ("none", "finetuned_lstm"):
+            reads = readouts.take(index, config.sentiment_mode)
         x_train, x_test = (
             (run.base[rows], run.mats[rows], run.lengths[rows]) if finetuned
             else (run.base[rows],) if reads is None
@@ -957,10 +1046,11 @@ def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
                 accuracy[epoch] = float((predicted == y_test).mean())
         return score
 
+    k = run.plan.k
     if finetuned:
         def composite(index):
             seed, x_train, labels, x_test, y_test = gather(index)
-            model = build_finetune_model(readouts[index][0],
+            model = build_finetune_model(readouts.take(index, "finetuned_lstm"),
                                          vec_dim=run.base.shape[1],
                                          dropout_rate=config.mlp_dropout,
                                          seed=seed)
@@ -973,41 +1063,36 @@ def _train_folds(run: RunContext, readouts: list[tuple]) -> list[EpochColumn]:
                 return accuracy
             return train
 
-        accuracies = _map_folds(composite, [[index]
-                                            for index in range(len(readouts))])
-    else:
-        def member(index):
-            """Fold `index`'s member of a stack: its seed, training matrix,
-            class names, score and the accuracies the score fills."""
-            seed, x_train, labels, x_test, y_test = gather(index)
-            accuracy = {}
-            return (seed, x_train[0], [CLASSES[i] for i in labels],
-                    scorer(x_test, y_test, accuracy), accuracy)
+        return [_Part([index], composite, cell=cell) for index in range(k)]
 
-        def train_stacks(members):
-            """The accuracies of one part's `members`, trained as one stack
-            per training-matrix shape."""
-            stacks = {}
-            for position, fold in enumerate(members):
-                stacks.setdefault(fold[1].shape, []).append((position, *fold))
-            for stack in stacks.values():
-                positions, seeds, features, labels, after_epoch, _ = zip(*stack)
-                try:
-                    train_gender(features, labels, config.train_config(epochs),
-                                 dropout_rate=config.mlp_dropout,
-                                 after_epoch=after_epoch, seeds=seeds)
-                except PipelineError as exc:
-                    # the failing member's position in the part
-                    exc.member = positions[getattr(exc, "member", None) or 0]
-                    raise
-            return [accuracy for *_, accuracy in members]
+    def member(index):
+        """Fold `index`'s member of a stack: its seed, training matrix,
+        class names, score and the accuracies the score fills."""
+        seed, x_train, labels, x_test, y_test = gather(index)
+        accuracy = {}
+        return (seed, x_train[0], [CLASSES[i] for i in labels],
+                scorer(x_test, y_test, accuracy), accuracy)
 
-        k = len(readouts)
-        parts = np.array_split(np.arange(k), _jobs(k))
-        accuracies = _map_folds(member, [part.tolist() for part in parts],
-                                train_stacks)
-    return [EpochColumn(e, [accuracy[e] for accuracy in accuracies])
-            for e in config.epochs]
+    def train_stacks(members):
+        """The accuracies of one part's `members`, trained as one stack
+        per training-matrix shape."""
+        stacks = {}
+        for position, fold in enumerate(members):
+            stacks.setdefault(fold[1].shape, []).append((position, *fold))
+        for stack in stacks.values():
+            positions, seeds, features, labels, after_epoch, _ = zip(*stack)
+            try:
+                train_gender(features, labels, config.train_config(epochs),
+                             dropout_rate=config.mlp_dropout,
+                             after_epoch=after_epoch, seeds=seeds)
+            except PipelineError as exc:
+                # the failing member's position in the part
+                exc.member = positions[getattr(exc, "member", None) or 0]
+                raise
+        return [accuracy for *_, accuracy in members]
+
+    return [_Part(part.tolist(), member, train_stacks, cell)
+            for part in np.array_split(np.arange(k), _jobs(k))]
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")

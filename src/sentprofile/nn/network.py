@@ -64,6 +64,15 @@ class Model:
             _lay_out([self])
         return self._buffers
 
+    def release_gradients(self) -> None:
+        """Free the gradient arrays, and the buffers, of a trained model
+        that is only read from now on. If it trains again, `buffers()`
+        lays out zeroed gradients, which every backward pass overwrites
+        before a step reads them."""
+        for _, layer in self.parts():
+            layer.grads = {}
+        self._buffers = None
+
     def dropout_layers(self) -> list[DropoutLayer]:
         return [layer for _, layer in self.parts()
                 if isinstance(layer, DropoutLayer)]
@@ -121,7 +130,7 @@ def _lay_out(models: list[Model]) -> tuple[np.ndarray, np.ndarray]:
             view[...] = value
             setattr(layer, name, view)
             grad = grads[row, offset:end].reshape(value.shape)
-            grad[...] = layer.grads[name]
+            grad[...] = layer.grads.get(name, 0.0)
             layer.grads[name] = grad
             offset = end
         model._buffers = (params[row], grads[row])

@@ -300,10 +300,15 @@ class TestRunExperiment:
         # the MLP features, or the composite's base rows, turn to NaN
         failing = experiment._fold_seed(config.seed, fold, 1)
 
-        def recorded(runs):
-            readouts = fold_sentiment(runs)
-            stacks.extend([None] * len(readouts))
-            return readouts
+        def recorded(runs, cell):
+            def counted(train):
+                def trained(prepared):
+                    readouts = train(prepared)
+                    stacks.extend([None] * len(readouts))
+                    return readouts
+                return trained
+            return [replace(part, train=counted(part.train))
+                    for part in fold_sentiment(runs, cell)]
 
         train, finetune = experiment.train_gender, experiment.train_finetune
 
@@ -391,8 +396,8 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch, cores):
     # one process, so all five folds form one part whose stacks train here,
     # where the calls are recorded; a forked part's would be lost
     cores(1)
-    columns = experiment._train_folds(gender_run(config, folds),
-                                      [(None, {})] * len(folds))
+    columns = experiment._columns(config, experiment._map_folds(
+        experiment._train_folds(gender_run(config, folds), None, None)))
     seeds = [experiment._fold_seed(config.seed, index, 1)
              for index in range(len(folds))]
     assert [seed for seed, _ in trained] == [seeds[i] for i in (0, 2, 4, 1, 3)]
@@ -437,8 +442,8 @@ def test_non_finite_gradient_in_a_later_stack_names_its_fold(cores, n_cores,
     folds[fold] = (np.full_like(x, np.nan), *rest)
     cores(n_cores)
     with pytest.raises(TrainingError) as caught:
-        experiment._train_folds(gender_run(config, folds),
-                                [(None, {})] * len(folds))
+        experiment._map_folds(experiment._train_folds(
+            gender_run(config, folds), None, None))
     assert str(caught.value) == (f"fold {fold + 1}: non-finite gradient for "
                                  f"parameter 'layer0.weights'; training "
                                  f"aborted")
@@ -486,6 +491,25 @@ class TestRunGrid:
         for cell, report in zip(cells, reports):
             assert report.to_json() == run_experiment(cell, small_dataset).to_json()
 
+    def test_cells_of_a_source_mode_share_its_model_wherever_they_are(
+            self, monkeypatch, cores, small_dataset):
+        # the cells are grouped by source mode, not by adjacency: the two
+        # `entire` cells, apart in the list, read one sentiment model, and
+        # the reports come back in the order of the cells
+        cells = [small_experiment(source_mode=source_mode,
+                                  sentiment_mode=mode, z=0.05)
+                 for source_mode, mode in (("entire", "frozen_lstm"),
+                                           ("high_similarity", "frozen_lstm"),
+                                           ("entire", "finetuned_lstm"))]
+        alone = [run_experiment(cell, small_dataset).to_json()
+                 for cell in cells]
+        calls = count_calls(monkeypatch, ("train_sentiment",))
+        # one process, so every sentiment training is counted here
+        cores(1)
+        reports = experiment._run_cells(cells, small_dataset)
+        assert calls == {"train_sentiment": 2}
+        assert [report.to_json() for report in reports] == alone
+
     def test_bad_cell_fails_before_any_work(self, monkeypatch, small_dataset):
         # only the selection cells see z; the first cell would run fine
         calls = count_calls(monkeypatch, ("load_corpora", "train_skipgram",
@@ -517,7 +541,7 @@ def record_sentiment_training(monkeypatch):
         read_outs.extend((array, model) for array in features.values())
         return features
 
-    def recorded_folds(run, readouts):
+    def recorded_folds(run, readouts, cell):
         def split(index):
             train_ids, test_ids = run.plan.split(index)
             folds.append([index, None, list(test_ids)])
@@ -526,7 +550,7 @@ def record_sentiment_training(monkeypatch):
             return train_ids, test_ids
         return train_folds(replace(run, plan=SimpleNamespace(k=run.plan.k,
                                                              split=split)),
-                           readouts)
+                           readouts, cell)
 
     def recorded_gender(features, *args, seeds, **kwargs):
         # a fold's features were read from the model whose read-out rows
@@ -660,10 +684,10 @@ def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch, cores,
         models.append(weakref.ref(model))
         return model, curve
 
-    def checked(run, readouts):
+    def checked(run, readouts, cell):
         gc.collect()
         alive.append([ref() is not None for ref in models])
-        return train_folds(run, readouts)
+        return train_folds(run, readouts, cell)
 
     monkeypatch.setattr(experiment, "train_sentiment", recorded)
     monkeypatch.setattr(experiment, "_train_folds", checked)
@@ -675,32 +699,95 @@ def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch, cores,
     assert alive == [[False] * config.folds]
 
 
-def test_frozen_features_freed_before_the_finetuned_cell_trains(
-        monkeypatch, small_dataset):
-    # a manual source reads per-fold frozen features; once the last frozen
-    # cell of the group has trained, they are dropped, so none is alive
-    # while the group's finetuned composites train
-    features, alive = [], {}
-    train_folds = experiment._train_folds
+def check_after_prepares(monkeypatch, check):
+    """Wrap `experiment._map_folds` so that, after every fold a part of a
+    gender cell prepares, the garbage is collected and check(the part's
+    cell) is recorded; returns the records, in order."""
+    records = []
+    map_folds = experiment._map_folds
 
-    def checked(run, readouts):
-        if not features:
-            features.extend(weakref.ref(value) for _, by_mode in readouts
-                            for value in by_mode.values())
-        gc.collect()
-        alive[run.config.sentiment_mode] = sum(ref() is not None
-                                               for ref in features)
-        return train_folds(run, readouts)
+    def checked(part):
+        def prepare(index):
+            value = part.prepare(index)
+            gc.collect()
+            records.append(check(part.cell))
+            return value
+        return prepare
 
-    monkeypatch.setattr(experiment, "_train_folds", checked)
+    def recorded(parts):
+        return map_folds([replace(part, prepare=checked(part))
+                          if part.cell and "/" in part.cell else part
+                          for part in parts])
+
+    monkeypatch.setattr(experiment, "_map_folds", recorded)
+    return records
+
+
+def test_grid_drops_each_folds_model_after_its_last_composite(
+        monkeypatch, cores, small_dataset):
+    # all of a grid's composites are prepared first, in cell order, each
+    # source mode's after the previous mode's; a fold's model is dropped
+    # as soon as the last composite that copies it is built, so every
+    # model is gone before the first MLP part is prepared
+    models = []
+    train = experiment.train_sentiment
+
+    def recorded(*args, **kwargs):
+        model, curve = train(*args, **kwargs)
+        models.append(weakref.ref(model))
+        return model, curve
+
+    monkeypatch.setattr(experiment, "train_sentiment", recorded)
+    records = check_after_prepares(monkeypatch, lambda cell: (
+        cell, [i for i, ref in enumerate(models) if ref() is not None]))
+    config = small_experiment(z=0.05)
+    k = config.folds
+    # one process, so every model is trained, and kept alive, here
+    cores(1)
+    run_grid(config, small_dataset)
+    # the models in training order: one each for `entire` and
+    # `high_similarity`, then one per fold for each manual source
+    assert len(models) == 2 + 2 * k
+    model_of = ([0] * k + [1] * k + [2 + i for i in range(k)]
+                + [2 + k + i for i in range(k)])
+    composites = [f"{mode}/finetuned_lstm" for mode in SOURCE_MODES]
+    expected = [(composites[j // k], sorted(set(model_of[j + 1:])))
+                for j in range(len(model_of))]
+    assert records[:len(expected)] == expected
+    assert all(alive == [] for _, alive in records[len(expected):])
+    # then the MLP folds of the other 8 cells
+    assert len(records) == len(expected) + 8 * k
+
+
+def test_frozen_features_freed_once_their_last_mlp_part_is_prepared(
+        monkeypatch, cores, small_dataset):
+    # a manual source reads per-fold frozen features; the composites are
+    # prepared first, beside all of them, then each fold's states are
+    # dropped once the frozen_lstm cell has prepared that fold, and its
+    # head activations once the frozen_dense cell has
+    features = []
+    read = experiment.sentiment_features
+
+    def recorded(*args, **kwargs):
+        by_mode = read(*args, **kwargs)
+        features.extend(weakref.ref(value) for value in by_mode.values())
+        return by_mode
+
+    monkeypatch.setattr(experiment, "sentiment_features", recorded)
+    records = check_after_prepares(monkeypatch, lambda cell: (
+        cell.split("/")[1], sum(ref() is not None for ref in features)))
     cells = [small_experiment(sentiment_mode=mode,
                               source_mode="entire_plus_manual")
              for mode in GRID_LAYERS]
+    k = cells[0].folds
+    # one process, so every fold's features are read here
+    cores(1)
     experiment._run_cells(cells, small_dataset)
     # one (n, H) state array and one (n, 1) head array per fold
-    assert len(features) == 2 * cells[0].folds
-    assert alive == {"frozen_lstm": 2 * cells[0].folds,
-                     "frozen_dense": cells[0].folds, "finetuned_lstm": 0}
+    assert len(features) == 2 * k
+    assert records == ([("finetuned_lstm", 2 * k)] * k
+                       + [("frozen_lstm", 2 * k - i) for i in range(1, k + 1)]
+                       + [("frozen_dense", k - i) for i in range(1, k + 1)])
 
 
 @pytest.mark.parametrize("overrides", [

@@ -15,20 +15,27 @@ import pytest
 
 from sentprofile import experiment
 from sentprofile.errors import DataError, PipelineError, TrainingError
-from sentprofile.experiment import SENTIMENT_MODES, run_experiment, run_grid
+from sentprofile.experiment import (
+    GRID_LAYERS,
+    SENTIMENT_MODES,
+    SOURCE_MODES,
+    _Part,
+    run_experiment,
+    run_grid,
+)
 
 from conftest import SMALL_CONFIG
 from test_experiment import small_experiment
 
 
-def count_forks(monkeypatch) -> Counter:
+def count_forks(monkeypatch, key=lambda part: part.folds[0]) -> Counter:
     """The parts `_map_folds` hands to a forked child, counted here by
-    their first fold."""
+    key(part), by default their first fold."""
     forks = Counter()
     fork = experiment._fork
 
     def counted(task, part):
-        forks[part[0]] += 1
+        forks[key(part)] += 1
         return fork(task, part)
 
     monkeypatch.setattr(experiment, "_fork", counted)
@@ -59,11 +66,25 @@ def test_grid_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset):
     cores(1)
     alone = [(cell, report.to_json())
              for cell, report in run_grid(config, small_dataset)]
-    forks = count_forks(monkeypatch)
+    forks = count_forks(monkeypatch, key=lambda part: part.cell)
     cores(2)
     assert [(cell, report.to_json()) for cell, report
             in run_grid(config, small_dataset)] == alone
-    assert forks[0] >= 1
+    # two calls, every other part forked. The sentiment call: one part for
+    # each of `entire` and `high_similarity`, then one per fold for each
+    # manual source (8 parts, 4 forked). The gender call: the 12
+    # composites of the four finetuned cells, one after another (6
+    # forked), then each MLP cell's parts of folds 1-2 (forked) and 3
+    finetuned = {"entire/finetuned_lstm": 2,
+                 "high_similarity/finetuned_lstm": 1,
+                 "entire_plus_manual/finetuned_lstm": 2,
+                 "high_similarity_plus_manual/finetuned_lstm": 1}
+    assert forks == {"entire": 1, "entire_plus_manual": 2,
+                     "high_similarity_plus_manual": 1, **finetuned,
+                     **{f"{mode}/{layer}": 1 for mode in SOURCE_MODES
+                        for layer in ("frozen_lstm", "frozen_dense")}}
+    assert sum(finetuned.values()) == 6
+    assert multiprocessing.active_children() == []
 
 
 def test_mlp_report_bytes_at_three_cores(monkeypatch, cores, small_dataset):
@@ -85,12 +106,16 @@ def test_grid_bytes_at_three_cores(monkeypatch, cores, small_dataset):
     cores(1)
     alone = [(cell, report.to_json())
              for cell, report in run_grid(config, small_dataset)]
-    forks = count_forks(monkeypatch)
+    forks = count_forks(monkeypatch,
+                        key=lambda part: (part.cell, part.folds[0]))
     cores(3)
     assert [(cell, report.to_json()) for cell, report
             in run_grid(config, small_dataset)] == alone
-    # 3 folds at 3 cores: folds 1 and 2 fork, in every cell
-    assert set(forks) == {0, 1}
+    # 3 folds at 3 cores: the gender call's parts are one fold each, in
+    # whole cells, so folds 1 and 2 fork in every cell
+    assert {(cell, fold) for cell, fold in forks if "/" in cell} == {
+        (f"{mode}/{layer}", fold) for mode in SOURCE_MODES
+        for layer in GRID_LAYERS for fold in (0, 1)}
     assert multiprocessing.active_children() == []
 
 
@@ -171,6 +196,96 @@ def test_first_failing_fold_is_named_whatever_the_jobs(monkeypatch, cores,
     assert multiprocessing.active_children() == []
 
 
+def poisoned_composites(monkeypatch, poisoned, delayed=None, delay=0.0):
+    """Make the composites that `build_finetune_model` builds in the
+    calls numbered `poisoned` (0-based, in the order their parts are
+    prepared) train on NaN base rows, and the one of call `delayed` sleep
+    `delay` seconds first; returns the numbers so far, which a new run
+    clears. A grid prepares its composites in cell order, then fold
+    order."""
+    build, finetune = experiment.build_finetune_model, experiment.train_finetune
+    built = []
+
+    def counted(*args, **kwargs):
+        model = build(*args, **kwargs)
+        model.test_call = len(built)
+        built.append(model.test_call)
+        return model
+
+    def poisoned_finetune(model, vecs, *args, **kwargs):
+        if model.test_call == delayed:
+            time.sleep(delay)
+        if model.test_call in poisoned:
+            vecs = np.full_like(vecs, np.nan)
+        return finetune(model, vecs, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_finetune_model", counted)
+    monkeypatch.setattr(experiment, "train_finetune", poisoned_finetune)
+    return built
+
+
+NON_FINITE = ("non-finite gradient for parameter 'mlp.layer0.weights'; "
+              "training aborted")
+
+
+def test_grid_error_names_its_cell(monkeypatch, cores, small_dataset):
+    # fold 2 of the last finetuned cell, the 11th of the grid's 12
+    # composites (a child at 2 cores), fails; the error names the cell and
+    # the fold, under the category of a run in one process
+    config = small_experiment(z=0.05)
+    built = poisoned_composites(monkeypatch, poisoned={10})
+    errors = {}
+    for count in (1, 2):
+        built.clear()
+        cores(count)
+        with pytest.raises(PipelineError) as caught:
+            run_grid(config, small_dataset)
+        errors[count] = (type(caught.value), str(caught.value))
+    assert errors[2] == errors[1] == (
+        TrainingError, f"high_similarity_plus_manual/finetuned_lstm, fold 2: "
+                       f"{NON_FINITE}")
+    assert multiprocessing.active_children() == []
+
+
+def test_grid_names_the_first_failing_part_of_its_schedule(
+        monkeypatch, cores, small_dataset):
+    # fold 3 of the first finetuned cell (a child at 2 cores) fails after
+    # fold 1 of the next cell (trained here) has failed; as in one
+    # process, the error names the earlier part of the schedule
+    config = small_experiment(z=0.05)
+    built = poisoned_composites(monkeypatch, poisoned={2, 3}, delayed=2,
+                                delay=1.0)
+    for count in (1, 2):
+        built.clear()
+        cores(count)
+        with pytest.raises(TrainingError) as caught:
+            run_grid(config, small_dataset)
+        assert str(caught.value) == f"entire/finetuned_lstm, fold 3: {NON_FINITE}"
+    assert multiprocessing.active_children() == []
+
+
+def test_grid_sentiment_error_names_its_source_mode(monkeypatch, cores,
+                                                    small_dataset):
+    # a sentiment model serves every cell of its source mode, so a grid's
+    # error in one names the source mode; `entire` trains the first model
+    # with fold 1's seed
+    config = small_experiment(z=0.05)
+    train = experiment.train_sentiment
+    first = experiment._fold_seed(config.seed, 0, 1)
+
+    def failing(seqs, targets, train_config, *args, **kwargs):
+        if train_config.seed == first:
+            raise DataError("no usable item")
+        return train(seqs, targets, train_config, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "train_sentiment", failing)
+    for count in (1, 2):
+        cores(count)
+        with pytest.raises(DataError, match="^entire, fold 1: no usable item$"):
+            run_grid(config, small_dataset)
+    assert multiprocessing.active_children() == []
+
+
 def test_child_error_stops_the_children_after_it(cores):
     # fold 1's child fails while fold 2's sleeps; fold 2 is stopped, not
     # waited for
@@ -185,7 +300,7 @@ def test_child_error_stops_the_children_after_it(cores):
     cores(3)
     started = time.monotonic()
     with pytest.raises(DataError, match="^fold 1: no usable item$"):
-        experiment._map_folds(prepare, [[index] for index in range(5)])
+        experiment._map_folds([_Part([index], prepare) for index in range(5)])
     assert time.monotonic() - started < 30.0
     assert multiprocessing.active_children() == []
 
@@ -203,7 +318,7 @@ def test_child_that_exits_without_a_result_names_its_fold(cores):
     cores(2)
     with pytest.raises(PipelineError, match="^fold 1: its process exited "
                                             "with code 3 and no result$"):
-        experiment._map_folds(prepare, [[0], [1]])
+        experiment._map_folds([_Part([0], prepare), _Part([1], prepare)])
     assert multiprocessing.active_children() == []
 
 
@@ -257,26 +372,32 @@ def test_platform_without_affinity_runs_in_one_process(monkeypatch, cores,
                                                   (8, 3, 3)],
                          ids=["2", "4", "8"])
 def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
-    # one-fold parts prepared in order here, finishing out of order in up
-    # to jobs - 1 children (perhaps more than the host's cores) and here,
-    # jobs being the core count but at most one per part; the results come
-    # in fold order, and every jobs-th part and the last trained here: at
-    # 8 cores and 3 folds, folds 1 and 2 fork and fold 3 trains here
+    # one-fold parts prepared in order here, finishing out of order in
+    # children (perhaps more than the host's cores) and here, jobs being
+    # the core count but at most one per part; this process prepares and
+    # trains beside at most jobs - 1 children. The results come in fold
+    # order, and every jobs-th part and the last trained here: at 8 cores
+    # and 3 folds, folds 1 and 2 fork and fold 3 trains here
     cores(n_cores)
-    prepared, parent = [], os.getpid()
+    prepared, children, parent = [], [], os.getpid()
 
     def prepare(index):
         prepared.append(index)
+        children.append(len(multiprocessing.active_children()))
 
         def task():
+            if os.getpid() == parent:
+                children.append(len(multiprocessing.active_children()))
             time.sleep(0.01 * ((index * 7) % 4))
             return index * index, os.getpid() == parent
         return task
 
-    results = experiment._map_folds(prepare, [[i] for i in range(folds)])
+    results = experiment._map_folds([_Part([i], prepare)
+                                     for i in range(folds)])
     assert results == [(i * i, i % jobs == jobs - 1 or i == folds - 1)
                        for i in range(folds)]
     assert prepared == list(range(folds))
+    assert max(children) == jobs - 1
     assert multiprocessing.active_children() == []
 
 
@@ -314,7 +435,8 @@ def test_map_folds_trains_each_part_in_one_process(cores):
     def train(values):
         return [(value, os.getpid() == parent, len(values)) for value in values]
 
-    results = experiment._map_folds(prepare, [[0, 1, 2], [3, 4]], train)
+    results = experiment._map_folds([_Part([0, 1, 2], prepare, train),
+                                     _Part([3, 4], prepare, train)])
     assert results == [(i, i > 2, 3 if i < 3 else 2) for i in range(5)]
     assert prepared == list(range(5))
     assert multiprocessing.active_children() == []
@@ -342,7 +464,8 @@ def test_error_in_a_part_names_its_own_fold(cores, n_cores, failing):
 
     cores(n_cores)
     with pytest.raises(PipelineError) as caught:
-        experiment._map_folds(prepare, [[0, 1, 2], [3, 4]], train)
+        experiment._map_folds([_Part([0, 1, 2], prepare, train),
+                               _Part([3, 4], prepare, train)])
     fold = (prepare_fails if member_fails is None else member_fails) + 1
     assert (type(caught.value), str(caught.value)) == (
         (DataError, f"fold {fold}: no usable row") if member_fails is None

@@ -506,6 +506,31 @@ class TestFinetune:
         assert not any(np.shares_memory(value, base.buffers()[0])
                        for value in composite.parameters().values())
 
+    def test_model_without_gradients_reads_and_finetunes_alike(
+            self, polarity_table):
+        # a trained model that released its gradients reads the same
+        # representations, and a composite of it trains to the same bytes:
+        # every backward pass overwrites the gradients before a step
+        from sentprofile.sentiment import train_finetune
+
+        items = marker_items(polarity_table, n=30, r=5)
+        config = TrainConfig(epochs=2, batch_size=8, seed=0)
+        kept, _ = train_sentiment(*items, config, hidden_size=2)
+        released, _ = train_sentiment(*items, config, hidden_size=2)
+        released.release_gradients()
+        assert released.lstm.grads == {} and released._buffers is None
+        assert released.checksum() == kept.checksum()
+        vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
+        assert (extract_representations(released, mats, lengths).tobytes()
+                == extract_representations(kept, mats, lengths).tobytes())
+        composites = [build_finetune_model(model, vec_dim=2, seed=2)
+                      for model in (kept, released)]
+        for composite in composites:
+            train_finetune(composite, vecs, mats, lengths, labels,
+                           TrainConfig(epochs=2, batch_size=8, seed=1))
+        assert composites[0].checksum() == composites[1].checksum()
+        assert composites[0].history == composites[1].history
+
     def test_snapshot_matches_fresh_run(self, polarity_table):
         # the composite seen after epoch e equals one trained for exactly e
         from sentprofile.sentiment import train_finetune
