@@ -1,10 +1,15 @@
 """Gender classification head.
 
-Features are an (n, F) float64 matrix, row i holding one user's base
+Features are an (n, F) matrix, row i holding one user's base
 representation (averaged word vectors or tf-idf) optionally joined with a
 sentiment representation (or the two polarity features). The classifier is
 a fixed MLP: dense(in -> 50, relu), dropout(0.4), dense(50 -> 10, relu),
-dense(10 -> 2) and a softmax. Feature files hold such a matrix, one JSON
+dense(10 -> 2) and a softmax. Its parameters are float32 (DTYPE), so it
+computes, and its gradients and Adam moments are held, in float32: the
+features enter it as float32, and a training step's softmax and loss are
+float32. `predict_proba` takes its softmax in float64 over the float32
+logits. Checkpoints hold the parameters as float64, which they widen to
+and load back from exactly. Feature files hold such a matrix, one JSON
 line per row.
 """
 
@@ -36,16 +41,25 @@ logger = logging.getLogger(__name__)
 CLASSES = ("male", "female")
 DEFAULT_HIDDEN = (50, 10)
 DEFAULT_DROPOUT = 0.4
+# the parameter dtype of every gender classifier, the MLP's and the
+# finetuned composite's (see `sentiment.build_finetune_model`)
+DTYPE = np.float32
 
 
 def build_mlp(input_dim: int, hidden: tuple[int, int] = DEFAULT_HIDDEN,
               dropout_rate: float = DEFAULT_DROPOUT, seed: int = 0) -> Network:
     rng = np.random.default_rng(seed)
-    layers = [DenseLayer(input_dim, hidden[0], activation="relu", rng=rng),
+    layers = [DenseLayer(input_dim, hidden[0], "relu", rng, DTYPE),
               DropoutLayer(dropout_rate),
-              DenseLayer(hidden[0], hidden[1], activation="relu", rng=rng),
-              DenseLayer(hidden[1], len(CLASSES), rng=rng)]
+              DenseLayer(hidden[0], hidden[1], "relu", rng, DTYPE),
+              DenseLayer(hidden[1], len(CLASSES), rng=rng, dtype=DTYPE)]
     return Network(layers)
+
+
+def class_probabilities(logits: np.ndarray, training: bool) -> np.ndarray:
+    """softmax of a gender classifier's logits: in their float32 for a
+    training step, whose loss reads them, and in float64 for a score."""
+    return softmax(logits if training else logits.astype(np.float64))
 
 
 class GenderModel(Model):
@@ -64,13 +78,14 @@ class GenderModel(Model):
         return self.network.parts()
 
     def forward_batch(self, inputs: tuple, training: bool = False) -> np.ndarray:
-        return softmax(self.network.forward(inputs[0], training=training))
+        return class_probabilities(
+            self.network.forward(inputs[0], training=training), training)
 
     def backward(self, d_logits: np.ndarray) -> None:
         self.network.backward(d_logits, input_grad=False)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features, dtype=DTYPE)
         if features.ndim == 1:
             features = features[None, :]
         if features.shape[1] != self.input_dim:
@@ -131,8 +146,8 @@ def fit_softmax_classifier(models: list, inputs: list[tuple],
 
 
 def _training_matrix(features, labels: Sequence[str]):
-    """(matrix, class indices) of one model's training data."""
-    matrix = np.asarray(features, dtype=np.float64)
+    """(DTYPE matrix, class indices) of one model's training data."""
+    matrix = np.asarray(features, dtype=DTYPE)
     unknown = set(labels) - set(CLASSES)
     if unknown:
         raise DataError(f"unknown class labels: {sorted(unknown)}")

@@ -1,8 +1,11 @@
 """Minimal neural toolkit: layers, losses, optimizers, the training loop
-and checkpoint serialization. Parameters, gradients, optimizer state,
-checkpoints and the dense layers are float64; the LSTM computes in the
-dtype of its input sequences, float32 for every sequence the pipeline
-makes, over those float64 parameters."""
+and checkpoint serialization. A model computes in its parameters' dtype:
+its gradients and optimizer state have it, and its dense layers cast
+their inputs to it. The sentiment model's parameters are float64 and the
+gender classifiers' float32. The LSTM computes in the dtype of its input
+sequences, float32 for every sequence the pipeline makes, whatever its
+parameters' dtype. Checkpoints are float64 on disk, which float32
+parameters widen to and load back from exactly."""
 
 from .checkpoint import (
     header_field,

@@ -1,14 +1,19 @@
 """Dense, dropout and LSTM layers with exact analytic gradients.
 
-Parameters, their gradients and every dense and dropout layer are
-float64. The LSTM computes in the dtype of its input sequences: float32
-sequences run the whole kernel (its stacked weight, the gate and state
-planes and the backward's working arrays) in float32, and any other input
-runs it in float64. Either way it reads the float64 parameters, casting
-them once per call, and writes its gradients into the float64 `grads`, so
-the optimizer and checkpoints keep float64 master weights (mixed
-precision as in Micikevicius et al., arXiv:1710.03740). The pipeline's
-word-vector sequences are float32 (see `embed.doc_matrix`).
+A layer's gradients have its parameters' dtype, float64 unless it was
+built otherwise (`DenseLayer(..., dtype=np.float32)`). A dense layer
+computes in its parameters' dtype, casting its input to it; a float64
+layer runs the float64 path the gradient checks verify. A dropout layer
+keeps a float32 input float32 and computes any other in float64, and
+`softmax` does the same. The LSTM computes in the dtype of its input
+sequences: float32 sequences run the whole kernel (its stacked weight,
+the gate and state planes and the backward's working arrays) in float32,
+and any other input runs it in float64. Either way it reads its
+parameters, casting them once per call, and writes its gradients into
+`grads`, in the parameters' dtype. The pipeline's word-vector sequences
+are float32 (see `embed.doc_matrix`); the sentiment model keeps float64
+parameters (mixed precision as in Micikevicius et al., arXiv:1710.03740)
+and the gender classifiers float32 ones (see `gender`).
 
 A layer caches whatever its backward pass needs during a training forward
 (the LSTM's `cache=True`). An inference forward caches nothing: a dense
@@ -27,10 +32,12 @@ the bits of the plain step that allocates each one. A dense layer adds
 the bias and applies its activation in place on its product, caches
 (input, activation) on a training forward, and its backward writes the
 gradients straight into the `grads` views. A dropout layer keeps one
-mask buffer per input shape (an epoch's short last batch is a second
-shape) and refills it at each training forward; an inference forward
-leaves the buffers alone. No layer returns one of its buffers, so an
-output a caller keeps is never overwritten by a later step.
+float64 buffer of uniform draws per input shape (an epoch's short last
+batch is a second shape), and for a float32 input one float32 mask buffer
+per shape beside it, and refills them at each training forward; an
+inference forward leaves the buffers alone. `nn.fit` drops them when
+training ends. No layer returns one of its buffers, so an output a caller
+keeps is never overwritten by a later step.
 
 Output heads are linear (`identity`) dense layers: the model applies
 `softmax` or `sigmoid` to their logits (see `nn.losses`).
@@ -105,9 +112,16 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(numerator, e, out=out)
 
 
+def _float_input(x) -> np.ndarray:
+    """`x` as an array: float32 stays float32, anything else is float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max for stability."""
-    x = np.asarray(x, dtype=np.float64)
+    """Row-wise softmax, shifted by the row max for stability; float32
+    logits give float32 probabilities, any others float64."""
+    x = _float_input(x)
     out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
@@ -147,11 +161,11 @@ class DenseLayer:
 
     weights has shape (in_dim, out_dim), bias shape (out_dim,), or (k, ...)
     of each when stacked over k members. Parameters are Glorot-uniform
-    initialized, biases zero.
+    initialized (drawn in float64 and rounded to `dtype`), biases zero.
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, dtype=np.float64):
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
         if in_dim < 1 or out_dim < 1:
@@ -160,8 +174,9 @@ class DenseLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.weights = _glorot(rng, in_dim, out_dim, (in_dim, out_dim))
-        self.bias = np.zeros(out_dim)
+        self.weights = _glorot(rng, in_dim, out_dim,
+                               (in_dim, out_dim)).astype(dtype, copy=False)
+        self.bias = np.zeros(out_dim, dtype)
         self.grads = {"weights": np.zeros_like(self.weights),
                       "bias": np.zeros_like(self.bias)}
         self._cache = None
@@ -173,7 +188,7 @@ class DenseLayer:
         return {"weights": self.weights, "bias": self.bias}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.weights.dtype)
         members = self.weights.shape[:-2]
         if (x.ndim != self.weights.ndim or x.shape[:-2] != members
                 or x.shape[-1] != self.in_dim):
@@ -203,8 +218,12 @@ class DropoutLayer:
 
     `rng` draws the masks; a layer stacked over k members holds a sequence
     of k generators instead, and member j's mask comes from the j-th. Each
-    training forward fills member j's rows with `rng.random(out=...)`: the
-    generator calls and bits of a fresh `rng.random(shape)` draw.
+    training forward fills member j's rows of a float64 buffer with
+    `rng.random(out=...)`: the generator calls and bits of a fresh
+    `rng.random(shape)` draw, whatever the input's dtype, so a float32
+    input drops the units a float64 one does. The scaled mask has the
+    input's dtype: a float64 one is written over the draws, a float32 one
+    into a buffer of its own.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator | None = None):
@@ -214,6 +233,7 @@ class DropoutLayer:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.grads: dict[str, np.ndarray] = {}
         self._mask = None
+        # (shape, dtype) -> buffer: the float64 draws, and float32 masks
         self._masks: dict[tuple, np.ndarray] = {}
 
     def __repr__(self):
@@ -223,21 +243,27 @@ class DropoutLayer:
         return {}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _float_input(x)
         if not training or self.rate == 0.0:
             self._mask = None
             return x
-        mask = self._masks.get(x.shape)
-        if mask is None:
-            mask = self._masks[x.shape] = np.empty(x.shape)
+        draws = self._buffer(x.shape, np.float64)
         rngs = self.rng if x.ndim > 2 else (self.rng,)
-        for rng, draws in zip(rngs, mask.reshape(-1, *x.shape[-2:])):
-            rng.random(out=draws)
-        # keep / (1 - rate), keep being 1.0 or 0.0, written over the draws
-        np.greater_equal(mask, self.rate, out=mask)
+        for rng, member in zip(rngs, draws.reshape(-1, *x.shape[-2:])):
+            rng.random(out=member)
+        # keep / (1 - rate), keep being 1.0 or 0.0 (over the draws if float64)
+        mask = self._buffer(x.shape, x.dtype)
+        np.greater_equal(draws, self.rate, out=mask)
         mask /= 1.0 - self.rate
         self._mask = mask
         return x * mask
+
+    def _buffer(self, shape: tuple, dtype) -> np.ndarray:
+        key = (shape, np.dtype(dtype))
+        buffer = self._masks.get(key)
+        if buffer is None:
+            buffer = self._masks[key] = np.empty(shape, dtype)
+        return buffer
 
     def backward(self, d_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:

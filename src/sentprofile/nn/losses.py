@@ -8,19 +8,21 @@ mean with respect to the logits). For both pairs that gradient is
 §6.2.2), which holds where the output saturates. Only the loss value
 clips probabilities away from 0 and 1, so its logs stay finite.
 Batches stacked over k members, (k, B, C), give one mean per member, with
-the bits each member's own (B, C) batch gives.
+the bits each member's own (B, C) batch gives. Float32 probabilities give
+a float32 loss and gradient, any others float64.
 """
 
 import numpy as np
 
 from ..errors import ShapeError
+from .layers import _float_input
 
 _EPS = 1e-12
 
 
 def _batch(probs, targets) -> tuple[np.ndarray, np.ndarray]:
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    probs = _float_input(probs)
+    targets = np.asarray(targets, dtype=probs.dtype)
     if probs.shape != targets.shape:
         raise ShapeError(f"target shape {targets.shape} does not match "
                          f"prediction shape {probs.shape}")
@@ -29,14 +31,19 @@ def _batch(probs, targets) -> tuple[np.ndarray, np.ndarray]:
 
 def _batch_mean(terms: np.ndarray) -> np.ndarray:
     """Each member's (B, C) block summed as one contiguous run, as `.sum()`
-    sums a lone 2-D batch, and divided by B."""
-    return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / terms.shape[-2]
+    sums a lone 2-D batch, and divided by B in the terms' dtype (numpy 1.x
+    would widen a lone batch's float32 scalar sum over the int B)."""
+    return np.divide(terms.reshape(*terms.shape[:-2], -1).sum(axis=-1),
+                     terms.shape[-2], dtype=terms.dtype)
 
 
 def binary_cross_entropy(probs: np.ndarray, targets: np.ndarray):
     """probs, targets: (..., B, 1) arrays; targets in {0, 1}."""
     probs, targets = _batch(probs, targets)
-    p = np.clip(probs, _EPS, 1.0 - _EPS)
+    # 1 - _EPS rounds to 1 in float32, whose largest value below 1 is
+    # 1 - epsneg
+    upper = 1.0 - max(_EPS, float(np.finfo(probs.dtype).epsneg))
+    p = np.clip(probs, _EPS, upper)
     loss = -_batch_mean(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p))
     return loss, (probs - targets) / probs.shape[-2]
 

@@ -2,11 +2,16 @@
 every one of them.
 
 A model that `fit` trains keeps all its parameters in one contiguous
-float64 buffer and all its gradients in a second one; its layers' parameter
-attributes and `grads` entries are views into them. The optimizer then
-updates the whole model in one elementwise pass per step. Models of one
-architecture can train in lockstep as one stacked model (`stack`), whose
-buffers hold one member per row."""
+buffer and all its gradients in a second one, of its parameters' dtype;
+its layers' parameter attributes and `grads` entries are views into them.
+The optimizer then updates the whole model in one elementwise pass per
+step, in that dtype. Models of one architecture can train in lockstep as
+one stacked model (`stack`), whose buffers hold one member per row.
+
+A model computes in its parameters' dtype (see `nn.layers`): the
+sentiment model's are float64, the gender classifiers' float32.
+Checkpoints and `Model.checksum` read every parameter as float64, which
+float32 values widen to exactly."""
 
 import copy
 import hashlib
@@ -50,8 +55,9 @@ class Model:
         return out
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(parameters, gradients): the model's two flat float64 buffers,
-        in the order of `parameters()`.
+        """(parameters, gradients): the model's two flat buffers, in the
+        order of `parameters()`, of its parameters' dtype (the widest, if
+        they mix).
 
         Built on the first call: each layer's parameter arrays and `grads`
         entries are copied in and rebound to views of the buffers, so the
@@ -78,7 +84,8 @@ class Model:
                 if isinstance(layer, DropoutLayer)]
 
     def checksum(self) -> str:
-        """SHA-256 over the parameter names and values, in order."""
+        """SHA-256 over the parameter names and values, in order, each
+        value as float64."""
         digest = hashlib.sha256()
         for name, value in self.parameters().items():
             digest.update(name.encode())
@@ -116,12 +123,16 @@ class Network(Model):
 def _lay_out(models: list[Model]) -> tuple[np.ndarray, np.ndarray]:
     """Copy the parameters and gradients of `models`, which share one
     architecture, into the rows of a (k, P) parameter buffer and a (k, P)
-    gradient buffer, and rebind each model's arrays to views of its row
-    (see `Model.buffers`); returns the two buffers."""
+    gradient buffer of the parameters' dtype, and rebind each model's
+    arrays to views of its row (see `Model.buffers`); returns the two
+    buffers."""
     entries = [[(layer, name, value) for _, layer in model.parts()
                 for name, value in layer.params().items()] for model in models]
-    size = sum(value.size for _, _, value in entries[0])
-    params, grads = np.empty((len(models), size)), np.empty((len(models), size))
+    values = [value for _, _, value in entries[0]]
+    size = sum(value.size for value in values)
+    dtype = np.result_type(*values) if values else np.float64
+    params = np.empty((len(models), size), dtype)
+    grads = np.empty((len(models), size), dtype)
     for row, (model, model_entries) in enumerate(zip(models, entries)):
         offset = 0
         for layer, name, value in model_entries:
@@ -188,9 +199,10 @@ def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
     mapping, so the optimizer makes one pass and one finiteness check; a
     non-finite gradient raises TrainingError naming the parameter it
     reached and, as `member`, the first member it reached. The dense and
-    LSTM layers' backward caches are dropped when training ends. `after_epoch[j](model,
-    epoch)` runs for member j after each epoch. Returns, per member, one
-    {epoch, train_loss} record per epoch.
+    LSTM layers' backward caches and the dropout layers' buffers are
+    dropped when training ends. `after_epoch[j](model, epoch)` runs for
+    member j after each epoch. Returns, per member, one {epoch,
+    train_loss} record per epoch.
     """
     n = targets[0].shape[0]
     shapes = [a.shape for a in inputs[0]]
@@ -241,4 +253,6 @@ def fit(models: list[Model], inputs: list[tuple], targets: list[np.ndarray],
     for _, layer in model.parts():
         if isinstance(layer, (DenseLayer, LSTMLayer)):
             layer._cache = None
+        elif isinstance(layer, DropoutLayer):
+            layer._mask, layer._masks = None, {}
     return histories

@@ -4,7 +4,10 @@
 updates each parameter array in place. Every update is elementwise, so a
 model's parameters may come as many named arrays or, as `nn.fit` passes
 them, as one flat buffer under a single name (a (k, P) buffer for k
-models trained in lockstep): all give the same bits.
+models trained in lockstep): all give the same bits. A step computes in
+each parameter's dtype: its scalars are Python floats, which numpy's
+value-based casting (numpy 1.x) and NEP 50 (numpy 2) both cast to a
+float32 array's dtype, so float32 parameters step alike under both.
 """
 
 from dataclasses import dataclass
@@ -48,7 +51,7 @@ def _check_finite(name: str, grad: np.ndarray) -> None:
 
 class SGD:
     def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
+        self.learning_rate = float(learning_rate)
 
     def step(self, params, grads) -> None:
         for name, value in params.items():
@@ -64,15 +67,17 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam with bias correction.
 
-    Per parameter name it keeps the moments m and v and two scratch arrays,
-    so a step allocates nothing. The update is, in this operation order,
+    Per parameter name it keeps the moments m and v and two scratch arrays
+    of the parameter's dtype (float32 for the gender classifiers, float64
+    for the sentiment model), so a step allocates nothing and makes one
+    pass in that dtype. The update is, in this operation order,
     with b1, b2 and eps being BETA1, BETA2 and EPS,
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
     """
 
     def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
+        self.learning_rate = float(learning_rate)
         self._state: dict[str, tuple[np.ndarray, ...]] = {}
         self._t = 0
 

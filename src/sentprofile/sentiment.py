@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import TokenDocument, UserRecord, clean_tokens
 from .embed import EmbeddingTable, doc_matrix, in_vocabulary
 from .errors import AllOovError, DataError
-from .gender import build_mlp, fit_softmax_classifier
+from .gender import DTYPE, build_mlp, class_probabilities, fit_softmax_classifier
 from .nn import (
     DenseLayer,
     DropoutLayer,
@@ -29,7 +29,6 @@ from .nn import (
     load_parameters,
     register_model,
     sigmoid,
-    softmax,
 )
 
 
@@ -60,8 +59,10 @@ class SentimentModel(Model):
         `backward` follows one of those.
         """
         mats, lengths = inputs
+        # the head, and the dropout before it, compute in float64 over the
+        # state, whatever dtype the LSTM ran in
         h = self.lstm.forward(mats, lengths, cache=training)
-        hd = self.dropout.forward(h, training=training)
+        hd = self.dropout.forward(h.astype(np.float64), training=training)
         return sigmoid(self.head.forward(hd, training=training))
 
     def backward(self, d_logits: np.ndarray) -> None:
@@ -283,7 +284,10 @@ class FinetuneModel(Model):
     a trainable copy of the sentiment LSTM (the sentiment head is
     discarded); the concatenation feeds the gender MLP, of the
     `gender.DEFAULT_HIDDEN` widths `train_gender` trains. The gender loss
-    backpropagates into the LSTM.
+    backpropagates into the LSTM. The MLP's parameters are float32
+    (`gender.DTYPE`), and so are the LSTM's that `build_finetune_model`
+    copies; the composite then computes in float32 on the float32 document
+    vectors `train_finetune` and `predict_proba` pass it.
     """
 
     def __init__(self, lstm: LSTMLayer, vec_dim: int,
@@ -302,20 +306,23 @@ class FinetuneModel(Model):
         vecs, mats, lengths = inputs
         h = self.lstm.forward(mats, lengths, cache=training)
         features = np.concatenate([vecs, h], axis=1)
-        return softmax(self.mlp.forward(features, training=training))
+        return class_probabilities(
+            self.mlp.forward(features, training=training), training)
 
     def backward(self, d_logits: np.ndarray) -> None:
         d_features = self.mlp.backward(d_logits)
         self.lstm.backward(d_features[:, self.vec_dim:])
 
     def predict_proba(self, vecs, mats, lengths) -> np.ndarray:
-        return self.forward_batch((vecs, mats, lengths), training=False)
+        return self.forward_batch((np.asarray(vecs, dtype=DTYPE), mats, lengths),
+                                  training=False)
 
 
 def build_finetune_model(model: SentimentModel, vec_dim: int,
                          dropout_rate: float = 0.4,
                          seed: int = 0) -> FinetuneModel:
-    """Composite of a trainable copy of the trained LSTM and a fresh MLP.
+    """Composite of a trainable copy of the trained LSTM, its parameters
+    rounded to float32 (`gender.DTYPE`), and a fresh MLP.
 
     The copy owns its arrays: the trained model's LSTM parameters are views
     of that model's flat buffer, and the composite lays the copy into a
@@ -323,7 +330,12 @@ def build_finetune_model(model: SentimentModel, vec_dim: int,
     for the other cells that share it."""
     if not model.trained:
         raise DataError("finetuning needs a trained sentiment model")
-    return FinetuneModel(lstm=copy.deepcopy(model.lstm), vec_dim=vec_dim,
+    lstm = copy.copy(model.lstm)
+    for name, value in model.lstm.params().items():
+        setattr(lstm, name, value.astype(DTYPE))
+    lstm.grads = {name: np.zeros_like(value)
+                  for name, value in lstm.params().items()}
+    return FinetuneModel(lstm=lstm, vec_dim=vec_dim,
                          dropout_rate=dropout_rate, seed=seed)
 
 
@@ -333,6 +345,7 @@ def train_finetune(model: FinetuneModel, vecs: np.ndarray, mats: np.ndarray,
     """Train the composite with the same loop as the plain gender MLP;
     `after_epoch` as in `fit_softmax_classifier`, for the one model."""
     model.history, = fit_softmax_classifier(
-        [model], [(vecs, mats, lengths)], [labels], config,
+        [model], [(np.asarray(vecs, dtype=DTYPE), mats, lengths)], [labels],
+        config,
         after_epoch=None if after_epoch is None else [after_epoch])
     return model

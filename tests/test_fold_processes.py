@@ -380,6 +380,11 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
     # and 3 folds, folds 1 and 2 fork and fold 3 trains here
     cores(n_cores)
     prepared, children, parent = [], [], os.getpid()
+    # a forked task waits for one byte of this pipe; the task trained here
+    # writes one per part forked since the last such task, after counting
+    # the children, so the first round's jobs - 1 children are all alive
+    # when it counts them, however fast they would finish
+    waiting, release = os.pipe()
 
     def prepare(index):
         prepared.append(index)
@@ -388,12 +393,19 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
         def task():
             if os.getpid() == parent:
                 children.append(len(multiprocessing.active_children()))
+                os.write(release, bytes(index % jobs))
+            else:
+                os.read(waiting, 1)
             time.sleep(0.01 * ((index * 7) % 4))
             return index * index, os.getpid() == parent
         return task
 
-    results = experiment._map_folds([_Part([i], prepare)
-                                     for i in range(folds)])
+    try:
+        results = experiment._map_folds([_Part([i], prepare)
+                                         for i in range(folds)])
+    finally:
+        os.close(waiting)
+        os.close(release)
     assert results == [(i * i, i % jobs == jobs - 1 or i == folds - 1)
                        for i in range(folds)]
     assert prepared == list(range(folds))

@@ -7,10 +7,12 @@ from sentprofile.errors import DataError, SchemaError, ShapeError
 from sentprofile.gender import (
     CLASSES,
     GenderModel,
+    fit_softmax_classifier,
     read_features,
     train_gender,
     write_features,
 )
+from sentprofile.nn import network
 from sentprofile.nn import (
     DenseLayer,
     LSTMLayer,
@@ -203,22 +205,27 @@ class TestTrainGenderStack:
                          TrainConfig(epochs=1), seeds=[0, 1])
 
 
-def reference_training(features, labels, config, dropout_rate):
-    """One gender MLP trained by a plain 2-D loop, the step written out as
-    `x @ w + b`, `np.maximum`, a fresh `rng.random(shape)` mask scaled by
-    `keep / (1 - rate)`, the whole backward (the first layer's input
-    gradient included) and Adam on each named array; the generators are
-    derived from `config.seed` as `fit_softmax_classifier` does. Returns
-    the flat parameters and the {epoch, train_loss} history."""
+def reference_training(features, labels, config, dropout_rate,
+                       dtype=np.float32):
+    """One gender MLP trained by a plain 2-D loop in `dtype`, the step
+    written out as `x @ w + b`, `np.maximum`, a fresh `rng.random(shape)`
+    mask whose keep flags, in `dtype`, are scaled by `keep / (1 - rate)`,
+    the whole backward (the first layer's input gradient included) and
+    Adam on each named array; the generators are derived from `config.seed`
+    as `fit_softmax_classifier` does, and the parameters start from those
+    of a `GenderModel` of that seed. Returns the flat parameters and the
+    {epoch, train_loss} history."""
     model = GenderModel(features.shape[1], dropout_rate=dropout_rate,
                         seed=config.seed)
-    p = {name: value.copy() for name, value in model.parameters().items()}
+    p = {name: value.astype(dtype) for name, value in model.parameters().items()}
     m = {name: np.zeros_like(value) for name, value in p.items()}
     v = {name: np.zeros_like(value) for name, value in p.items()}
     batch_seed, dropout_seed = np.random.SeedSequence(config.seed).spawn(2)
     order_rng = np.random.default_rng(batch_seed)
     mask_rng = np.random.default_rng(dropout_seed.spawn(1)[0])
-    targets = np.eye(len(CLASSES))[[CLASSES.index(l) for l in labels]]
+    features = features.astype(dtype)
+    targets = np.eye(len(CLASSES), dtype=dtype)[
+        [CLASSES.index(l) for l in labels]]
     lr, n, t, history = config.learning_rate, len(labels), 0, []
     for epoch in range(config.epochs):
         perm = order_rng.permutation(n)
@@ -231,15 +238,18 @@ def reference_training(features, labels, config, dropout_rate):
             mask = 1.0
             if dropout_rate:
                 keep = mask_rng.random(h1.shape) >= dropout_rate
-                mask = keep / (1.0 - dropout_rate)
+                mask = keep.astype(dtype) / (1.0 - dropout_rate)
             hd = h1 * mask
             z2 = hd @ p["layer2.weights"] + p["layer2.bias"]
             h2 = np.maximum(z2, 0.0)
             logits = h2 @ p["layer3.weights"] + p["layer3.bias"]
             shifted = logits - logits.max(axis=1, keepdims=True)
             probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-            losses.append(-(y * np.log(np.clip(probs, 1e-12, 1.0))).sum()
-                          / len(idx))
+            # divided in `dtype`, as numpy 2 divides a float32 scalar by
+            # an int (numpy 1.x would widen it to float64)
+            losses.append(np.divide(
+                -(y * np.log(np.clip(probs, 1e-12, 1.0))).sum(), len(idx),
+                dtype=dtype))
             d3 = (probs - y) / len(idx)
             d2 = (d3 @ p["layer3.weights"].T) * (z2 > 0.0)
             d_hd = d2 @ p["layer2.weights"].T
@@ -259,9 +269,21 @@ def reference_training(features, labels, config, dropout_rate):
     return np.concatenate([value.ravel() for value in p.values()]), history
 
 
+def float64_gender_model(input_dim, dropout_rate, seed):
+    """A `GenderModel` whose parameters and gradients are widened to
+    float64, so it computes in float64."""
+    model = GenderModel(input_dim, dropout_rate=dropout_rate, seed=seed)
+    for _, layer in model.parts():
+        for name, value in layer.params().items():
+            setattr(layer, name, value.astype(np.float64))
+            layer.grads[name] = np.zeros(value.shape)
+    return model
+
+
 class TestFitMatchesReference:
     """`fit` of a gender stack keeps the bytes of the plain reference step,
-    whatever buffers its layers reuse and whatever products they skip."""
+    whatever buffers its layers reuse and whatever products they skip: in
+    float32, the gender classifiers' dtype, and in float64."""
 
     @pytest.mark.parametrize("members", [1, 5])
     @pytest.mark.parametrize("dropout_rate", [0.4, 0.0])
@@ -276,8 +298,26 @@ class TestFitMatchesReference:
         for model, (x, y), seed in zip(models, data, seeds):
             params, history = reference_training(
                 x, y, replace(config, seed=seed), dropout_rate)
+            assert params.dtype == np.float32
             assert flat_parameters(model).tobytes() == params.tobytes()
             assert model.history == history
+
+    @pytest.mark.parametrize("members", [1, 5])
+    def test_float64_parameter_and_loss_bytes(self, members):
+        data = [noisy_features(35, width=6, seed=seed) for seed in range(members)]
+        seeds = [11, 4, 4, 90, 2][:members]
+        config = TrainConfig(epochs=3, batch_size=4, learning_rate=3e-3)
+        models = [float64_gender_model(6, 0.4, seed) for seed in seeds]
+        histories = fit_softmax_classifier(
+            models, [(x,) for x, _ in data],
+            [np.array([CLASSES.index(l) for l in y]) for _, y in data],
+            config, seeds)
+        for model, history, (x, y), seed in zip(models, histories, data, seeds):
+            params, reference = reference_training(
+                x, y, replace(config, seed=seed), 0.4, np.float64)
+            assert flat_parameters(model).dtype == np.float64
+            assert flat_parameters(model).tobytes() == params.tobytes()
+            assert history == reference
 
 
 class TestPredictGender:
@@ -333,7 +373,8 @@ class TestPredictGender:
 
     def test_scores_through_forward_batch(self, monkeypatch):
         # one inference `forward_batch` per call, like the composite's
-        # `predict_proba`, so both heads' scoring forwards can be counted
+        # `predict_proba`, so both heads' scoring forwards can be counted;
+        # it takes the softmax in float64 over the float32 logits
         seen = []
         original = GenderModel.forward_batch
 
@@ -344,8 +385,99 @@ class TestPredictGender:
         model = GenderModel(input_dim=3, seed=0)
         probs = model.predict_proba(np.ones(3))
         assert seen == [(1, (1, 3), False)]
-        assert probs.tobytes() == softmax(model.network.forward(
-            np.ones((1, 3)), training=False)).tobytes()
+        logits = model.network.forward(np.ones((1, 3)), training=False)
+        assert logits.dtype == np.float32
+        assert probs.tobytes() == softmax(logits.astype(np.float64)).tobytes()
+
+
+def recorded_optimizers(monkeypatch) -> list:
+    """The optimizers `nn.fit` makes from now on, in order."""
+    made, make = [], network.make_optimizer
+
+    def recorded(config):
+        made.append(make(config))
+        return made[-1]
+    monkeypatch.setattr(network, "make_optimizer", recorded)
+    return made
+
+
+def assert_float32_training(model, optimizer):
+    """Every parameter, gradient, flat buffer and Adam moment of a trained
+    model is float32."""
+    arrays = [*model.parameters().values(), *model.gradients().values(),
+              *model.buffers(), *optimizer._state["model"]]
+    assert {array.dtype for array in arrays} == {np.dtype(np.float32)}
+
+
+class TestFloat32Classifiers:
+    """The gender classifiers, the MLP and the finetuned composite, train
+    in float32; the sentiment model, a float64 network and checkpoints keep
+    float64."""
+
+    def test_mlp_and_stack_train_in_float32(self, monkeypatch):
+        made = recorded_optimizers(monkeypatch)
+        features, labels = separable_features(n=20)
+        config = TrainConfig(epochs=2, batch_size=8, seed=0)
+        single = train_gender(features, labels, config)
+        stacked = train_gender([features] * 3, [labels] * 3, config,
+                               seeds=[0, 1, 2])
+        assert len(made) == 2
+        assert_float32_training(single, made[0])
+        for model in stacked:
+            assert_float32_training(model, made[1])
+        assert made[1]._state["model"][0].shape == (3, single.buffers()[0].size)
+        probs = single.predict_proba(features)
+        assert probs.dtype == np.float64
+
+    def test_composite_trains_in_float32(self, monkeypatch):
+        made = recorded_optimizers(monkeypatch)
+        rng = np.random.default_rng(1)
+        sentiment = SentimentModel(input_dim=3, hidden_size=2)
+        sentiment.trained = True
+        composite = build_finetune_model(sentiment, vec_dim=4)
+        vecs, mats = rng.normal(size=(12, 4)), rng.normal(size=(12, 5, 3))
+        lengths = rng.integers(1, 6, size=12)
+        train_finetune(composite, vecs, mats.astype(np.float32), lengths,
+                       np.arange(12) % 2, TrainConfig(epochs=2, batch_size=4))
+        assert_float32_training(composite, made[0])
+        # the copy the composite trains is rounded; the source stays float64
+        assert {value.dtype for value in sentiment.parameters().values()} == \
+            {np.dtype(np.float64)}
+        assert composite.predict_proba(vecs, mats, lengths).dtype == np.float64
+
+    def test_float64_learning_rate_steps_as_a_python_float(self):
+        # under NEP 50 a numpy float64 scalar would widen a float32 step;
+        # the optimizers take the rate as a Python float
+        features, labels = separable_features(n=20)
+        models = [train_gender(features, labels,
+                               TrainConfig(epochs=2, batch_size=8, seed=0,
+                                           learning_rate=rate))
+                  for rate in (3e-3, np.float64(3e-3))]
+        assert models[0].checksum() == models[1].checksum()
+
+    def test_checkpoint_round_trip_keeps_bytes(self, tmp_path):
+        features, labels = separable_features(n=20)
+        model = train_gender(features, labels, TrainConfig(epochs=3, seed=1))
+        path = tmp_path / "gender.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert {value.dtype for value in loaded.parameters().values()} == \
+            {np.dtype(np.float32)}
+        assert loaded.checksum() == model.checksum()
+        assert (loaded.predict_proba(features).tobytes()
+                == model.predict_proba(features).tobytes())
+
+
+def test_trained_models_hold_no_dropout_buffers():
+    # the draw and mask buffers are scratch of a training step; a trained
+    # model, alone or a member of a stack, keeps none
+    features, labels = separable_features(n=20)
+    config = TrainConfig(epochs=2, batch_size=8, seed=0)
+    single = train_gender(features, labels, config)
+    stacked = train_gender([features] * 2, [labels] * 2, config, seeds=[0, 1])
+    for model in (single, *stacked):
+        for layer in model.dropout_layers():
+            assert layer._masks == {} and layer._mask is None
 
 
 class TestFeatureFiles:

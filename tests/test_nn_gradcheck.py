@@ -3,6 +3,7 @@ import pytest
 
 from sentprofile.gender import GenderModel
 from sentprofile.nn import (
+    Adam,
     DenseLayer,
     DropoutLayer,
     LSTMLayer,
@@ -194,3 +195,25 @@ def test_lstm_gradients_around_each_last_step(steps, lengths):
     y = np.eye(2)[gen.integers(0, 2, size=3)]
     err = gradient_check(stack, x, y, lengths=lengths)
     assert err < 1e-4
+
+
+def test_float64_network_trains_in_float64():
+    # a network of float64 dense layers computes, steps and gradient-checks
+    # in float64, a float32 input included: a layer casts its input to its
+    # weights' dtype
+    gen = np.random.default_rng(8)
+    net = Network([DenseLayer(3, 5, "relu", rng=gen), DropoutLayer(0.3, rng=gen),
+                   DenseLayer(5, 2, rng=gen)])
+    x = gen.normal(size=(8, 3)).astype(np.float32)
+    y = np.eye(2)[np.arange(8) % 2]
+    optimizer = Adam(1e-2)
+    params, grads = net.buffers()
+    for _ in range(3):
+        probs = softmax(net.forward(x, training=True))
+        _, d_logits = categorical_cross_entropy(probs, y)
+        net.backward(d_logits)
+        optimizer.step({"model": params}, {"model": grads})
+    arrays = [probs, d_logits, params, grads, *optimizer._state["model"],
+              *net.parameters().values(), *net.gradients().values()]
+    assert {array.dtype for array in arrays} == {np.dtype(np.float64)}
+    assert gradient_check(net, x, y) < 1e-6

@@ -741,6 +741,17 @@ class TestStackedNetwork:
                 np.float64(reference(probs[j], targets[j])).tobytes()
             assert d_alone.tobytes() == d_logits[j].tobytes()
 
+    @pytest.mark.parametrize("loss", sorted(OUTPUTS))
+    def test_float32_losses_stay_float32_and_finite(self, loss):
+        # confidently wrong float32 probabilities: the loss value's clip
+        # keeps every log finite in float32 too
+        width = 1 if loss == "binary_cross_entropy" else 2
+        probs = np.array([[1.0, 0.0]], np.float32)[:, :width]
+        targets = np.array([[0.0, 1.0]])[:, :width]
+        value, d_logits = OUTPUTS[loss][0](probs, targets)
+        assert value.dtype == d_logits.dtype == np.float32
+        assert np.isfinite(value)
+
     def test_parameters_are_rows_of_one_buffer(self):
         nets = gender_shaped_networks(3)
         before = [net.checksum() for net in nets]

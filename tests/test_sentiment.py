@@ -588,6 +588,23 @@ class TestFinetune:
                        TrainConfig(epochs=1, batch_size=8, seed=0))
         assert composite.lstm._cache is None
 
+    def test_trained_models_hold_no_dropout_buffers(self, polarity_table):
+        # the dropout layers' draw and mask buffers are scratch of a
+        # training step: neither a trained sentiment model, which a fold
+        # may pickle back from its child, nor a trained composite keeps them
+        from sentprofile.sentiment import train_finetune
+
+        base, _ = train_sentiment(*marker_items(polarity_table, n=30, r=5),
+                                  TrainConfig(epochs=2, batch_size=8, seed=0),
+                                  hidden_size=2)
+        composite = build_finetune_model(base, vec_dim=2, seed=2)
+        vecs, mats, lengths, labels = self.make_training_rows(polarity_table)
+        train_finetune(composite, vecs, mats, lengths, labels,
+                       TrainConfig(epochs=1, batch_size=8, seed=0))
+        for model in (base, composite):
+            for layer in model.dropout_layers():
+                assert layer._masks == {} and layer._mask is None
+
 
 def old_layout_stack(token_docs, table, r):
     """The stack the padded document layout gave: each document's first r
