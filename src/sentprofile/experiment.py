@@ -21,13 +21,13 @@ Each pass is one schedule of parts, each part a few folds of one cell,
 that train in as many processes at once as this one has cores in its
 affinity mask, at most one per part (one process on a platform without
 `os.sched_getaffinity`): forked children beside this one, which gathers
-and oversamples every fold and trains some parts itself (see
-`_map_folds`). The finetuned composites and the per-fold sentiment
-models of manual sources are one fold per part; each MLP cell's folds
-are split into one contiguous part per process, each part's MLPs
-stacked. Every fold has its own seed, and a stacked MLP ends with the
-bytes it would reach alone, so the report bytes do not depend on the
-process count.
+and oversamples every fold and trains some parts itself. `_map_folds`
+alone reads the core count. The finetuned composites and the per-fold
+sentiment models of manual sources are one fold per part; each MLP cell
+is one part, its MLPs stacked. A schedule of one part, a single MLP
+cell's gender call, is cut into one contiguous part per core. Every
+fold has its own seed, and a stacked MLP ends with the bytes it would
+reach alone, so the report bytes do not depend on the process count.
 
 A document with no in-vocabulary token is dropped with one warning (see
 `_embeddable`): a source review or manual sample always, a target user
@@ -655,8 +655,8 @@ def _run_cells(cells: list[ExperimentConfig],
     that a cell reads, in the order of each mode's first cell, and reads
     their features (see `_fold_sentiment`). The second trains the gender
     models of every cell (see `_train_folds`): first the composites of
-    the finetuned cells, one fold per part, in cell order, then the MLP
-    parts of the other cells, in cell order. A source mode's fold models
+    the finetuned cells, one fold per part, in cell order, then the other
+    cells, one part per cell, in cell order. A source mode's fold models
     and features are each dropped once the last part that reads them has
     been prepared (see `_Readouts`). The reports are made when the second
     call has returned, so each report's `timing_seconds` is the time
@@ -747,26 +747,22 @@ def _in_fold(exc: PipelineError, part: _Part,
     return PipelineError(f"{where}: {exc}")
 
 
-def _jobs(count: int) -> int:
-    """How many processes train `count` independent parts at once: one
-    per core of this process's affinity mask and at most one per part, or
-    only this one on a platform without `os.sched_getaffinity`."""
-    return (min(len(os.sched_getaffinity(0)), count)
-            if hasattr(os, "sched_getaffinity") else 1)
-
-
 def _map_folds(parts: list[_Part]) -> list:
     """Train `parts`, each a `_Part` of contiguous folds in fold order,
     and return their results, part after part.
 
     For each part in turn, its prepare runs here for each of its folds;
     then its train, which must not touch this process's state, returns
-    the part's results. Up to `jobs` = `_jobs(len(parts))` parts train at
-    once: every `jobs`-th part and the last here, the others in forked
-    children, so this process trains parts too instead of only waiting.
-    Which part trains where depends on the part count and `jobs` alone.
-    Once it has forked a part while `jobs` - 1 children were busy, this
-    process waits for the oldest, so it prepares each part while the
+    the part's results. No other code reads the core count. A lone part
+    (a single MLP cell's gender call) is cut into one contiguous part per
+    core, larger first (folds 1-3 and 4-5 on two cores), each trained by
+    its train. Up to `jobs` parts train at once, one per core of the
+    affinity mask (one on a platform without `os.sched_getaffinity`) and
+    at most one per part: every `jobs`-th part and the last here, the
+    others in forked children, so this process trains too instead of only
+    waiting. Which part trains where depends on the part count and `jobs`
+    alone. Once it has forked a part while `jobs` - 1 children were busy,
+    this process waits for the oldest, so it prepares each part while the
     children train and no core idles while it waits.
 
     A PipelineError names the fold, and the cell, it happened in (see
@@ -777,7 +773,13 @@ def _map_folds(parts: list[_Part]) -> list:
     error train raises decides; for stacked MLPs that is the part's first
     failing stack and step. On any error every child still running is
     stopped."""
-    jobs = _jobs(len(parts))
+    jobs = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    if len(parts) == 1:
+        (part,) = parts
+        parts = [replace(part, folds=chunk.tolist()) for chunk
+                 in np.array_split(part.folds, min(jobs, len(part.folds)))]
+    jobs = min(jobs, len(parts))
     results, busy = [None] * len(parts), {}
     try:
         for number, part in enumerate(parts):
@@ -1009,13 +1011,12 @@ def _train_folds(run: RunContext, readouts: _Readouts | None,
 
     A finetuned fold's composite starts from a copy of the LSTM of the
     fold's own sentiment model. The prepares gather, oversample and build
-    the folds in `_map_folds`' process; each composite is one part. The
-    MLP folds are split into one contiguous part per process (the larger
-    parts first: folds 1-3 and 4-5 on two cores), and each part's MLPs
-    train in that part's process in lockstep, those whose training
-    matrices have one shape as one stack (one `train_gender` call); each
-    ends with the bytes it would have trained to alone. On one core there
-    is one part, whose stacks are those of a run in one process."""
+    the folds in `_map_folds`' process; each composite is one part. An
+    MLP cell is one part, whatever the core count (a cell that trains
+    alone is cut by `_map_folds`), and a part's MLPs train in its process
+    in lockstep, those whose training matrices have one shape as one
+    stack (one `train_gender` call); each ends with the bytes it would
+    have trained to alone."""
     config = run.config
     finetuned = config.sentiment_mode == "finetuned_lstm"
     grid, epochs = set(config.epochs), max(config.epochs)
@@ -1091,8 +1092,7 @@ def _train_folds(run: RunContext, readouts: _Readouts | None,
                 raise
         return [accuracy for *_, accuracy in members]
 
-    return [_Part(part.tolist(), member, train_stacks, cell)
-            for part in np.array_split(np.arange(k), _jobs(k))]
+    return [_Part(list(range(k)), member, train_stacks, cell)]
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")

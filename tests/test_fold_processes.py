@@ -16,7 +16,6 @@ import pytest
 from sentprofile import experiment
 from sentprofile.errors import DataError, PipelineError, TrainingError
 from sentprofile.experiment import (
-    GRID_LAYERS,
     SENTIMENT_MODES,
     SOURCE_MODES,
     _Part,
@@ -74,15 +73,15 @@ def test_grid_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset):
     # each of `entire` and `high_similarity`, then one per fold for each
     # manual source (8 parts, 4 forked). The gender call: the 12
     # composites of the four finetuned cells, one after another (6
-    # forked), then each MLP cell's parts of folds 1-2 (forked) and 3
+    # forked), then the 8 MLP cells, each one part, frozen_lstm then
+    # frozen_dense for each source mode (4 forked)
     finetuned = {"entire/finetuned_lstm": 2,
                  "high_similarity/finetuned_lstm": 1,
                  "entire_plus_manual/finetuned_lstm": 2,
                  "high_similarity_plus_manual/finetuned_lstm": 1}
     assert forks == {"entire": 1, "entire_plus_manual": 2,
                      "high_similarity_plus_manual": 1, **finetuned,
-                     **{f"{mode}/{layer}": 1 for mode in SOURCE_MODES
-                        for layer in ("frozen_lstm", "frozen_dense")}}
+                     **{f"{mode}/frozen_lstm": 1 for mode in SOURCE_MODES}}
     assert sum(finetuned.values()) == 6
     assert multiprocessing.active_children() == []
 
@@ -111,11 +110,18 @@ def test_grid_bytes_at_three_cores(monkeypatch, cores, small_dataset):
     cores(3)
     assert [(cell, report.to_json()) for cell, report
             in run_grid(config, small_dataset)] == alone
-    # 3 folds at 3 cores: the gender call's parts are one fold each, in
-    # whole cells, so folds 1 and 2 fork in every cell
-    assert {(cell, fold) for cell, fold in forks if "/" in cell} == {
-        (f"{mode}/{layer}", fold) for mode in SOURCE_MODES
-        for layer in GRID_LAYERS for fold in (0, 1)}
+    # the gender call at 3 cores: the 12 composites, one fold each, in
+    # whole cells, so folds 1 and 2 fork in every finetuned cell; then the
+    # 8 MLP cells, each one part of folds 1-3, of which the 13th, 14th,
+    # 16th, 17th and 19th of the call's 20 parts fork
+    assert Counter({key: count for key, count in forks.items()
+                    if "/" in key[0]}) == Counter(
+        [(f"{mode}/finetuned_lstm", fold) for mode in SOURCE_MODES
+         for fold in (0, 1)]
+        + [(cell, 0) for cell in ("entire/frozen_lstm", "entire/frozen_dense",
+                                  "high_similarity/frozen_dense",
+                                  "entire_plus_manual/frozen_lstm",
+                                  "high_similarity_plus_manual/frozen_lstm")])
     assert multiprocessing.active_children() == []
 
 
@@ -244,6 +250,42 @@ def test_grid_error_names_its_cell(monkeypatch, cores, small_dataset):
     assert errors[2] == errors[1] == (
         TrainingError, f"high_similarity_plus_manual/finetuned_lstm, fold 2: "
                        f"{NON_FINITE}")
+    assert multiprocessing.active_children() == []
+
+
+def test_grid_mlp_error_names_its_cell(monkeypatch, cores, small_dataset):
+    # fold 2 of `high_similarity/frozen_lstm`, an MLP cell that is one part
+    # (forked at 2 cores), reads NaN features; the error names the cell and
+    # the fold at its position in the part, under the category of a run in
+    # one process
+    config = small_experiment(z=0.05)
+    readouts = experiment._sentiment_readouts
+
+    def poisoned(runs, named):
+        by_mode = readouts(runs, named)
+        take = by_mode["high_similarity"].take
+
+        def poisoned_take(index, mode):
+            reads = take(index, mode)
+            return (np.full_like(reads, np.nan)
+                    if (index, mode) == (1, "frozen_lstm") else reads)
+
+        by_mode["high_similarity"].take = poisoned_take
+        return by_mode
+
+    monkeypatch.setattr(experiment, "_sentiment_readouts", poisoned)
+    forks = count_forks(monkeypatch, key=lambda part: part.cell)
+    errors = {}
+    for count in (1, 2):
+        cores(count)
+        with pytest.raises(PipelineError) as caught:
+            run_grid(config, small_dataset)
+        errors[count] = (type(caught.value), str(caught.value))
+    assert errors[2] == errors[1] == (
+        TrainingError, "high_similarity/frozen_lstm, fold 2: non-finite "
+                       "gradient for parameter 'layer0.weights'; training "
+                       "aborted")
+    assert forks["high_similarity/frozen_lstm"] == 1
     assert multiprocessing.active_children() == []
 
 
@@ -434,10 +476,10 @@ def test_run_without_independent_folds_imports_no_multiprocessing(
 
 
 def test_map_folds_trains_each_part_in_one_process(cores):
-    # at 2 cores of parts (1, 2, 3) and (4, 5), every fold is prepared in
-    # order here; the first part's values go to one child, the second's
-    # train here, and the results come in fold order
-    cores(2)
+    # every fold is prepared in order here; each trained group of folds,
+    # a given part or, from a lone part, one contiguous cut per core (the
+    # larger first), goes to one process: the last here, the others each
+    # to a child. The results come in fold order
     prepared, parent = [], os.getpid()
 
     def prepare(index):
@@ -445,13 +487,42 @@ def test_map_folds_trains_each_part_in_one_process(cores):
         return index
 
     def train(values):
-        return [(value, os.getpid() == parent, len(values)) for value in values]
+        return [(value, tuple(values), os.getpid()) for value in values]
 
-    results = experiment._map_folds([_Part([0, 1, 2], prepare, train),
-                                     _Part([3, 4], prepare, train)])
-    assert results == [(i, i > 2, 3 if i < 3 else 2) for i in range(5)]
-    assert prepared == list(range(5))
-    assert multiprocessing.active_children() == []
+    for n_cores, parts, trained in [
+            (2, [[0, 1, 2], [3, 4]], [(0, 1, 2), (3, 4)]),
+            (2, [[0, 1, 2, 3, 4]], [(0, 1, 2), (3, 4)]),
+            (3, [[0, 1, 2, 3, 4]], [(0, 1), (2, 3), (4,)])]:
+        cores(n_cores)
+        prepared.clear()
+        results = experiment._map_folds([_Part(folds, prepare, train)
+                                         for folds in parts])
+        assert [value for value, _, _ in results] == list(range(5))
+        assert prepared == list(range(5))
+        where = {group: pid for _, group, pid in results}
+        assert list(where) == trained
+        assert where[trained[-1]] == parent
+        assert len(set(where.values())) == len(trained)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
+def test_train_folds_gives_one_part_per_mlp_cell(monkeypatch, cores,
+                                                 small_dataset, n_cores):
+    # whatever the core count, a cell's MLP folds are one part; only
+    # `_map_folds` cuts a lone part across cores
+    train_folds, given = experiment._train_folds, []
+
+    def recorded(*args):
+        parts = train_folds(*args)
+        given.append([part.folds for part in parts])
+        return parts
+
+    monkeypatch.setattr(experiment, "_train_folds", recorded)
+    cores(n_cores)
+    run_experiment(small_experiment(sentiment_mode="frozen_dense", folds=5),
+                   small_dataset)
+    assert given == [[[0, 1, 2, 3, 4]]]
 
 
 @pytest.mark.parametrize("n_cores", [1, 2])
