@@ -20,8 +20,10 @@ one load, one embedding fit and, per source mode, the sentiment models.
 Each pass is one schedule of parts, each part a few folds of one cell,
 that train in as many processes at once as this one has cores in its
 affinity mask, at most one per part (one process on a platform without
-`os.sched_getaffinity`): forked children beside this one, which gathers
-and oversamples every fold and trains some parts itself. `_map_folds`
+`os.sched_getaffinity`): forked children beside this one, which trains
+some parts itself. Every part is one protocol (see `_Part`): its
+prepare, which runs here, gathers and oversamples the part's folds and
+returns the call that trains them, here or in a child. `_map_folds`
 alone reads the core count. The finetuned composites and the per-fold
 sentiment models of manual sources are one fold per part; each MLP cell
 is one part, its MLPs stacked. A schedule of one part, a single MLP
@@ -42,7 +44,6 @@ import json
 import logging
 import os
 import time
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -650,17 +651,21 @@ def _run_cells(cells: list[ExperimentConfig],
     several processes at once (see `_map_folds`); the reports' bytes do
     not depend on how many.
 
+    The cells differ pairwise in (source mode, sentiment mode), as
+    `run_experiment`'s one cell and `run_grid`'s cells do, so each fold's
+    read-out of a (source mode, sentiment mode) has exactly one reader.
+
     Whatever the number of cells, the folds train in two `_map_folds`
     calls. The first trains the sentiment models of every source mode
     that a cell reads, in the order of each mode's first cell, and reads
-    their features (see `_fold_sentiment`). The second trains the gender
-    models of every cell (see `_train_folds`): first the composites of
-    the finetuned cells, one fold per part, in cell order, then the other
-    cells, one part per cell, in cell order. A source mode's fold models
-    and features are each dropped once the last part that reads them has
-    been prepared (see `_Readouts`). The reports are made when the second
-    call has returned, so each report's `timing_seconds` is the time
-    elapsed in this call until then.
+    their features (see `_sentiment_readouts`). The second trains the
+    gender models of every cell (see `_train_folds`): first the
+    composites of the finetuned cells, one fold per part, in cell order,
+    then the other cells, one part per cell, in cell order. Each part's
+    prepare pops its folds' read-outs, so a fold's model and features are
+    each dropped once the part of its one reader has been prepared. The
+    reports are made when the second call has returned, so each report's
+    `timing_seconds` is the time elapsed in this call until then.
 
     When there are several cells, a fold's error names the cell it
     happened in (`entire/frozen_lstm, fold 2: ...`), or, in a sentiment
@@ -714,31 +719,23 @@ def _columns(config: ExperimentConfig, accuracies: list[dict]) -> list[EpochColu
             for e in config.epochs]
 
 
-def _call_each(calls: list) -> list:
-    return [call() for call in calls]
-
-
 @dataclass
 class _Part:
-    """Folds that train in one process (see `_map_folds`): prepare(i)
-    gives fold i's prepared value, and train(the part's prepared values,
-    in fold order) the part's results; by default train calls each
-    prepared value. `cell`, when set, names the cell in the part's
-    errors."""
+    """Folds that train in one process (see `_map_folds`).
+    prepare(folds) runs in `_map_folds`' process and returns the
+    zero-argument call that trains `folds`, here or in a forked child,
+    and gives their results in fold order. `cell`, when set, names the
+    cell in the part's errors."""
     folds: list[int]
     prepare: Callable
-    train: Callable = _call_each
     cell: str | None = None
 
 
-def _in_fold(exc: PipelineError, part: _Part,
-             index: int | None = None) -> PipelineError:
-    """`exc` pointing at fold `index` of `part`'s cell, under its error
-    category (and hence its exit code). Without `index`, the fold is the
-    one at position `exc.member` of the part (its first by default)."""
-    if index is None:
-        index = part.folds[getattr(exc, "member", None) or 0]
-    where = f"fold {index + 1}"
+def _in_fold(exc: PipelineError, part: _Part) -> PipelineError:
+    """`exc` pointing at the fold at position `exc.member` of `part` (its
+    first by default), and at its cell, under its error category (and
+    hence its exit code)."""
+    where = f"fold {part.folds[getattr(exc, 'member', None) or 0] + 1}"
     if part.cell is not None:
         where = f"{part.cell}, {where}"
     for category in (ConfigError, TrainingError, DataError):
@@ -751,28 +748,28 @@ def _map_folds(parts: list[_Part]) -> list:
     """Train `parts`, each a `_Part` of contiguous folds in fold order,
     and return their results, part after part.
 
-    For each part in turn, its prepare runs here for each of its folds;
-    then its train, which must not touch this process's state, returns
-    the part's results. No other code reads the core count. A lone part
-    (a single MLP cell's gender call) is cut into one contiguous part per
-    core, larger first (folds 1-3 and 4-5 on two cores), each trained by
-    its train. Up to `jobs` parts train at once, one per core of the
-    affinity mask (one on a platform without `os.sched_getaffinity`) and
-    at most one per part: every `jobs`-th part and the last here, the
-    others in forked children, so this process trains too instead of only
-    waiting. Which part trains where depends on the part count and `jobs`
-    alone. Once it has forked a part while `jobs` - 1 children were busy,
-    this process waits for the oldest, so it prepares each part while the
-    children train and no core idles while it waits.
+    For each part in turn, its prepare runs here, once, on the part's
+    folds; the call it returns, which must not touch this process's
+    state, gives the part's results. No other code reads the core count.
+    A lone part (a single MLP cell's gender call) is cut into one
+    contiguous part per core, larger first (folds 1-3 and 4-5 on two
+    cores), each prepared on its own folds. Up to `jobs` parts train at
+    once, one per core of the affinity mask (one on a platform without
+    `os.sched_getaffinity`) and at most one per part: every `jobs`-th
+    part and the last here, the others in forked children, so this
+    process trains too instead of only waiting. Which part trains where
+    depends on the part count and `jobs` alone. Once it has forked a part
+    while `jobs` - 1 children were busy, this process waits for the
+    oldest, so it prepares each part while the children train and no
+    core idles while it waits.
 
-    A PipelineError names the fold, and the cell, it happened in (see
-    `_in_fold`): the fold being prepared, or, from train, the fold at
-    position `exc.member` of its part. Of several failing parts the first
-    in `parts` is named, as in one process: an error here is raised only
-    after the children of the parts before it. Within a part the first
-    error train raises decides; for stacked MLPs that is the part's first
-    failing stack and step. On any error every child still running is
-    stopped."""
+    A PipelineError, from a prepare or from the call it returned, names
+    the fold at position `exc.member` of its part, and the part's cell
+    (see `_in_fold`). Of several failing parts the first in `parts` is
+    named, as in one process: an error here is raised only after the
+    children of the parts before it. Within a part the first error
+    decides; for stacked MLPs that is the part's first failing stack and
+    step. On any error every child still running is stopped."""
     jobs = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     if len(parts) == 1:
@@ -784,21 +781,17 @@ def _map_folds(parts: list[_Part]) -> list:
     try:
         for number, part in enumerate(parts):
             here = number % jobs == jobs - 1 or number == len(parts) - 1
-            prepared = []
             try:
-                for index in part.folds:
-                    prepared.append(part.prepare(index))
-                index = None
+                train = part.prepare(part.folds)
                 if here:
-                    results[number] = part.train(prepared)
+                    results[number] = train()
                 else:
-                    busy[number] = (*_fork(partial(part.train, prepared),
-                                           part), part)
+                    busy[number] = (*_fork(train, part), part)
             except PipelineError as exc:
                 while busy:
                     _collect(results, busy)
-                raise _in_fold(exc, part, index) from exc
-            del prepared
+                raise _in_fold(exc, part) from exc
+            del train
             if len(busy) == jobs:
                 _collect(results, busy)
         while busy:
@@ -910,72 +903,52 @@ def sentiment_features(model: SentimentModel, sentiment_modes: set[str], mats,
 
 
 def _fold_sentiment(runs: list[RunContext], cell: str | None) -> list[_Part]:
-    """The `_map_folds` parts that give one (model, features) entry per
-    fold for the cells in `runs`, which share a source mode, named `cell`
-    in errors: the fold's sentiment model, which saw no label of the
-    fold's test users, kept only when a finetuned cell's composite starts
-    from it (None otherwise) and then without its gradients, and the
-    features `sentiment_features` reads from it for the other cells'
-    modes.
+    """The `_map_folds` parts, named `cell` in errors, that give one entry
+    per fold for the cells in `runs`, which share a source mode: the
+    fold's {sentiment mode: read-out} dict, the read-out of
+    `finetuned_lstm` being the fold's sentiment model, which saw no label
+    of the fold's test users, without its gradients, and of any other
+    mode the features `sentiment_features` reads from that model. A
+    model no finetuned cell reads is dropped once read.
 
     Only manual labels make the sentiment training set depend on the fold
     (a fold trains on its training users' labels alone), so those sources
     train one model per fold, in one part each. The others train on the
     same set in every fold: one part trains one model, with fold 1's seed,
-    and its entry serves every fold."""
+    and gives its entry once per fold."""
     modes = {run.config.sentiment_mode for run in runs}
     first = runs[0]
     source, k = first.source, first.plan.k
+    copies = k if source.manual is None else 1
 
-    def read(index):
+    def prepare(folds):
+        (index,) = folds
+
         def train():
             model, _ = train_fold_sentiment(
                 first.config, *source.training_set(first.plan.split(index)[0]),
                 index)
             features = sentiment_features(model, modes, first.mats,
                                           first.lengths, first.polarity)
-            if "finetuned_lstm" not in modes:
-                return None, features
-            # a composite copies only the parameters
-            model.release_gradients()
-            return model, features
+            if "finetuned_lstm" in modes:
+                # a composite copies only the parameters
+                model.release_gradients()
+            return [{mode: model if mode == "finetuned_lstm" else features[mode]
+                     for mode in modes}] * copies
         return train
 
-    if source.manual is None:
-        return [_Part([0], read, lambda trains: [trains[0]()] * k, cell)]
-    return [_Part([index], read, cell=cell) for index in range(k)]
-
-
-class _Readouts:
-    """What the cells in `runs`, which share a source mode, read of each
-    fold's (model, features) entry of `entries` (see `_fold_sentiment`):
-    a finetuned cell the fold's model, any other cell the fold's features
-    of its mode. Each is held until the last cell that reads it has taken
-    it (see `take`), so a fold's model is dropped once the last composite
-    that copies it has been prepared, and its features once the last MLP
-    part that reads them has."""
-
-    def __init__(self, entries: list[tuple], runs: list[RunContext]):
-        readers = Counter(run.config.sentiment_mode for run in runs)
-        self._held = [{mode: model if mode == "finetuned_lstm" else features[mode]
-                       for mode in readers} for model, features in entries]
-        self._left = [Counter(readers) for _ in entries]
-
-    def take(self, index: int, mode: str):
-        """Fold `index`'s model under `finetuned_lstm`, otherwise its
-        features of `mode`, for one reader."""
-        left = self._left[index]
-        left[mode] -= 1
-        held = self._held[index]
-        return held[mode] if left[mode] else held.pop(mode)
+    # a fold-independent model is one part, fold 1's
+    return [_Part([index], prepare, cell) for index in range(k // copies)]
 
 
 def _sentiment_readouts(runs: list[RunContext],
-                        named: bool) -> dict[str, _Readouts]:
-    """The `_Readouts` of every source mode that a cell in `runs` reads a
-    sentiment model of, by source mode. One `_map_folds` call trains the
-    parts of all of them (see `_fold_sentiment`), in the order of each
-    mode's first cell, each named by its mode when `named`."""
+                        named: bool) -> dict[str, list[dict]]:
+    """The read-outs of every source mode that a cell in `runs` reads a
+    sentiment model of, by source mode: one {sentiment mode: read-out}
+    dict per fold (see `_fold_sentiment`), each its own copy, from which
+    each cell pops its read-out (see `_train_folds`). One `_map_folds`
+    call trains the parts of all of them, in the order of each mode's
+    first cell, each named by its mode when `named`."""
     groups = {}
     for run in runs:
         if run.source is not None:
@@ -983,8 +956,7 @@ def _sentiment_readouts(runs: list[RunContext],
     results = iter(_map_folds([
         part for mode, group in groups.items()
         for part in _fold_sentiment(group, mode if named else None)]))
-    return {mode: _Readouts([next(results) for _ in range(group[0].plan.k)],
-                            group)
+    return {mode: [dict(next(results)) for _ in range(group[0].plan.k)]
             for mode, group in groups.items()}
 
 
@@ -992,15 +964,16 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
     return _run_cells([config], paths)[0]
 
 
-def _train_folds(run: RunContext, readouts: _Readouts | None,
+def _train_folds(run: RunContext, readouts: list[dict] | None,
                  cell: str | None) -> list[_Part]:
     """The `_map_folds` parts, named `cell` in errors, that train the
     gender model of every fold of `run.plan`, score it at the grid epochs
     on the fold's test users and give the fold's {epoch: accuracy} dict,
-    in fold order (see `_columns`). Fold i reads its entry of `readouts`,
-    the `_Readouts` of the cell's source mode (a cell without a sentiment
-    mode reads none, and may pass None), and trains and oversamples with
-    its own seed.
+    in fold order (see `_columns`). Fold i pops the read-out of the cell's
+    sentiment mode from `readouts[i]`, its source mode's dict of fold i
+    (see `_sentiment_readouts`; a cell without a sentiment mode reads
+    none, and may pass None), and trains and oversamples with its own
+    seed.
 
     A fold takes its training and test users' rows, then joins them once
     each: a composite reads base rows, matrices and lengths (and SMOTE
@@ -1010,13 +983,16 @@ def _train_folds(run: RunContext, readouts: _Readouts | None,
     as a run of exactly that many epochs would score.
 
     A finetuned fold's composite starts from a copy of the LSTM of the
-    fold's own sentiment model. The prepares gather, oversample and build
-    the folds in `_map_folds`' process; each composite is one part. An
-    MLP cell is one part, whatever the core count (a cell that trains
-    alone is cut by `_map_folds`), and a part's MLPs train in its process
-    in lockstep, those whose training matrices have one shape as one
-    stack (one `train_gender` call); each ends with the bytes it would
-    have trained to alone."""
+    fold's own sentiment model. A part's prepare gathers, oversamples and
+    builds its folds in `_map_folds`' process, popping each read-out, so
+    a fold's model and features are dropped once the last part that
+    reads them has been prepared. Each composite is one part. An MLP cell
+    is one part, whatever the core count (a cell that trains alone is cut
+    by `_map_folds`), and a part's MLPs train in its process in lockstep,
+    those whose training matrices have one shape as one stack (one
+    `train_gender` call); each ends with the bytes it would have trained
+    to alone. A fold that fails is named by its position in the part
+    (`exc.member`, see `_in_fold`)."""
     config = run.config
     finetuned = config.sentiment_mode == "finetuned_lstm"
     grid, epochs = set(config.epochs), max(config.epochs)
@@ -1028,7 +1004,7 @@ def _train_folds(run: RunContext, readouts: _Readouts | None,
         train, test = (run.rows(ids) for ids in run.plan.split(index))
         reads = None
         if config.sentiment_mode not in ("none", "finetuned_lstm"):
-            reads = readouts.take(index, config.sentiment_mode)
+            reads = readouts[index].pop(config.sentiment_mode)
         x_train, x_test = (
             (run.base[rows], run.mats[rows], run.lengths[rows]) if finetuned
             else (run.base[rows],) if reads is None
@@ -1049,9 +1025,10 @@ def _train_folds(run: RunContext, readouts: _Readouts | None,
 
     k = run.plan.k
     if finetuned:
-        def composite(index):
+        def composite(folds):
+            (index,) = folds
             seed, x_train, labels, x_test, y_test = gather(index)
-            model = build_finetune_model(readouts.take(index, "finetuned_lstm"),
+            model = build_finetune_model(readouts[index].pop("finetuned_lstm"),
                                          vec_dim=run.base.shape[1],
                                          dropout_rate=config.mlp_dropout,
                                          seed=seed)
@@ -1061,22 +1038,28 @@ def _train_folds(run: RunContext, readouts: _Readouts | None,
                 train_finetune(model, *x_train, labels,
                                config.train_config(epochs, seed),
                                after_epoch=scorer(x_test, y_test, accuracy))
-                return accuracy
+                return [accuracy]
             return train
 
-        return [_Part([index], composite, cell=cell) for index in range(k)]
+        return [_Part([index], composite, cell) for index in range(k)]
 
-    def member(index):
-        """Fold `index`'s member of a stack: its seed, training matrix,
-        class names, score and the accuracies the score fills."""
-        seed, x_train, labels, x_test, y_test = gather(index)
-        accuracy = {}
-        return (seed, x_train[0], [CLASSES[i] for i in labels],
-                scorer(x_test, y_test, accuracy), accuracy)
+    def stacked(folds):
+        """The call that trains the MLPs of `folds`, each a member (seed,
+        training matrix, class names, score, the accuracies the score
+        fills), as one stack per training-matrix shape."""
+        members = []
+        for position, index in enumerate(folds):
+            try:
+                seed, x_train, labels, x_test, y_test = gather(index)
+            except PipelineError as exc:
+                exc.member = position
+                raise
+            accuracy = {}
+            members.append((seed, x_train[0], [CLASSES[i] for i in labels],
+                            scorer(x_test, y_test, accuracy), accuracy))
+        return partial(train_stacks, members)
 
     def train_stacks(members):
-        """The accuracies of one part's `members`, trained as one stack
-        per training-matrix shape."""
         stacks = {}
         for position, fold in enumerate(members):
             stacks.setdefault(fold[1].shape, []).append((position, *fold))
@@ -1092,7 +1075,7 @@ def _train_folds(run: RunContext, readouts: _Readouts | None,
                 raise
         return [accuracy for *_, accuracy in members]
 
-    return [_Part(list(range(k)), member, train_stacks, cell)]
+    return [_Part(list(range(k)), stacked, cell)]
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")

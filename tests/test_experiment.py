@@ -301,13 +301,17 @@ class TestRunExperiment:
         failing = experiment._fold_seed(config.seed, fold, 1)
 
         def recorded(runs, cell):
-            def counted(train):
-                def trained(prepared):
-                    readouts = train(prepared)
-                    stacks.extend([None] * len(readouts))
-                    return readouts
-                return trained
-            return [replace(part, train=counted(part.train))
+            def counted(prepare):
+                def prepared(folds):
+                    train = prepare(folds)
+
+                    def trained():
+                        readouts = train()
+                        stacks.extend([None] * len(readouts))
+                        return readouts
+                    return trained
+                return prepared
+            return [replace(part, prepare=counted(part.prepare))
                     for part in fold_sentiment(runs, cell)]
 
         train, finetune = experiment.train_gender, experiment.train_finetune
@@ -703,18 +707,18 @@ def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch, cores,
 
 
 def check_after_prepares(monkeypatch, check):
-    """Wrap `experiment._map_folds` so that, after every fold a part of a
-    gender cell prepares, the garbage is collected and check(the part's
-    cell) is recorded; returns the records, in order."""
+    """Wrap `experiment._map_folds` so that, after every prepare of a part
+    of a gender cell, the garbage is collected and check(the part's cell)
+    is recorded; returns the records, in order."""
     records = []
     map_folds = experiment._map_folds
 
     def checked(part):
-        def prepare(index):
-            value = part.prepare(index)
+        def prepare(folds):
+            train = part.prepare(folds)
             gc.collect()
             records.append(check(part.cell))
-            return value
+            return train
         return prepare
 
     def recorded(parts):
@@ -758,16 +762,17 @@ def test_grid_drops_each_folds_model_after_its_last_composite(
                 for j in range(len(model_of))]
     assert records[:len(expected)] == expected
     assert all(alive == [] for _, alive in records[len(expected):])
-    # then the MLP folds of the other 8 cells
-    assert len(records) == len(expected) + 8 * k
+    # then the other 8 cells, one MLP part each
+    assert len(records) == len(expected) + 8
 
 
 def test_frozen_features_freed_once_their_last_mlp_part_is_prepared(
         monkeypatch, cores, small_dataset):
     # a manual source reads per-fold frozen features; the composites are
-    # prepared first, beside all of them, then each fold's states are
-    # dropped once the frozen_lstm cell has prepared that fold, and its
-    # head activations once the frozen_dense cell has
+    # prepared first, one part per fold, beside all of them, then every
+    # fold's states are dropped once the frozen_lstm cell's one part has
+    # been prepared, and every fold's head activations once the
+    # frozen_dense cell's has
     features = []
     read = experiment.sentiment_features
 
@@ -789,8 +794,7 @@ def test_frozen_features_freed_once_their_last_mlp_part_is_prepared(
     # one (n, H) state array and one (n, 1) head array per fold
     assert len(features) == 2 * k
     assert records == ([("finetuned_lstm", 2 * k)] * k
-                       + [("frozen_lstm", 2 * k - i) for i in range(1, k + 1)]
-                       + [("frozen_dense", k - i) for i in range(1, k + 1)])
+                       + [("frozen_lstm", k), ("frozen_dense", 0)])
 
 
 @pytest.mark.parametrize("overrides", [

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -263,14 +264,8 @@ def test_grid_mlp_error_names_its_cell(monkeypatch, cores, small_dataset):
 
     def poisoned(runs, named):
         by_mode = readouts(runs, named)
-        take = by_mode["high_similarity"].take
-
-        def poisoned_take(index, mode):
-            reads = take(index, mode)
-            return (np.full_like(reads, np.nan)
-                    if (index, mode) == (1, "frozen_lstm") else reads)
-
-        by_mode["high_similarity"].take = poisoned_take
+        fold = by_mode["high_similarity"][1]
+        fold["frozen_lstm"] = np.full_like(fold["frozen_lstm"], np.nan)
         return by_mode
 
     monkeypatch.setattr(experiment, "_sentiment_readouts", poisoned)
@@ -331,12 +326,14 @@ def test_grid_sentiment_error_names_its_source_mode(monkeypatch, cores,
 def test_child_error_stops_the_children_after_it(cores):
     # fold 1's child fails while fold 2's sleeps; fold 2 is stopped, not
     # waited for
-    def prepare(index):
+    def prepare(folds):
+        (index,) = folds
+
         def task():
             if index == 0:
                 raise DataError("no usable item")
             time.sleep(60.0 if index == 1 else 0.0)
-            return index
+            return [index]
         return task
 
     cores(3)
@@ -350,11 +347,11 @@ def test_child_error_stops_the_children_after_it(cores):
 def test_child_that_exits_without_a_result_names_its_fold(cores):
     parent = os.getpid()
 
-    def prepare(index):
+    def prepare(folds):
         def task():
             if os.getpid() != parent:
                 os._exit(3)
-            return index
+            return folds
         return task
 
     cores(2)
@@ -428,7 +425,8 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
     # when it counts them, however fast they would finish
     waiting, release = os.pipe()
 
-    def prepare(index):
+    def prepare(folds):
+        (index,) = folds
         prepared.append(index)
         children.append(len(multiprocessing.active_children()))
 
@@ -439,7 +437,7 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
             else:
                 os.read(waiting, 1)
             time.sleep(0.01 * ((index * 7) % 4))
-            return index * index, os.getpid() == parent
+            return [(index * index, os.getpid() == parent)]
         return task
 
     try:
@@ -476,15 +474,15 @@ def test_run_without_independent_folds_imports_no_multiprocessing(
 
 
 def test_map_folds_trains_each_part_in_one_process(cores):
-    # every fold is prepared in order here; each trained group of folds,
-    # a given part or, from a lone part, one contiguous cut per core (the
-    # larger first), goes to one process: the last here, the others each
-    # to a child. The results come in fold order
+    # every part is prepared once, in order, here; each trained group of
+    # folds, a given part or, from a lone part, one contiguous cut per
+    # core (the larger first), goes to one process: the last here, the
+    # others each to a child. The results come in fold order
     prepared, parent = [], os.getpid()
 
-    def prepare(index):
-        prepared.append(index)
-        return index
+    def prepare(folds):
+        prepared.append(tuple(folds))
+        return partial(train, folds)
 
     def train(values):
         return [(value, tuple(values), os.getpid()) for value in values]
@@ -495,10 +493,10 @@ def test_map_folds_trains_each_part_in_one_process(cores):
             (3, [[0, 1, 2, 3, 4]], [(0, 1), (2, 3), (4,)])]:
         cores(n_cores)
         prepared.clear()
-        results = experiment._map_folds([_Part(folds, prepare, train)
+        results = experiment._map_folds([_Part(folds, prepare)
                                          for folds in parts])
         assert [value for value, _, _ in results] == list(range(5))
-        assert prepared == list(range(5))
+        assert prepared == trained
         where = {group: pid for _, group, pid in results}
         assert list(where) == trained
         assert where[trained[-1]] == parent
@@ -529,16 +527,19 @@ def test_train_folds_gives_one_part_per_mlp_cell(monkeypatch, cores,
 @pytest.mark.parametrize("failing", [(1, None), (None, 1), (None, 4)],
                          ids=["prepare-2", "train-2", "train-5"])
 def test_error_in_a_part_names_its_own_fold(cores, n_cores, failing):
-    # a fold that fails while being prepared is named as itself, a fold
-    # that fails in its part's train by its position in the part
-    # (`member`), whether the part trains here or in a child, and never
-    # twice or by the part's number
+    # a fold that fails while its part is prepared, or in the call the
+    # prepare returned, is named by its position in the part (`member`),
+    # whether the part trains here or in a child, and never twice or by
+    # the part's number
     prepare_fails, member_fails = failing
 
-    def prepare(index):
-        if index == prepare_fails:
-            raise DataError("no usable row")
-        return index
+    def prepare(folds):
+        for position, index in enumerate(folds):
+            if index == prepare_fails:
+                exc = DataError("no usable row")
+                exc.member = position
+                raise exc
+        return partial(train, folds)
 
     def train(values):
         if member_fails in values:
@@ -547,10 +548,38 @@ def test_error_in_a_part_names_its_own_fold(cores, n_cores, failing):
 
     cores(n_cores)
     with pytest.raises(PipelineError) as caught:
-        experiment._map_folds([_Part([0, 1, 2], prepare, train),
-                               _Part([3, 4], prepare, train)])
+        experiment._map_folds([_Part([0, 1, 2], prepare),
+                               _Part([3, 4], prepare)])
     fold = (prepare_fails if member_fails is None else member_fails) + 1
     assert (type(caught.value), str(caught.value)) == (
         (DataError, f"fold {fold}: no usable row") if member_fails is None
         else (TrainingError, f"fold {fold}: diverged"))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
+@pytest.mark.parametrize("fold", [2, 4], ids=["fold-3", "fold-5"])
+def test_oversampling_error_in_a_later_fold_names_its_fold(
+        monkeypatch, cores, small_dataset, n_cores, fold):
+    # a lone MLP cell's prepare oversamples its folds here; a failure in a
+    # later fold is named as that fold, by its position in its part: at 2
+    # cores fold 3 is the third of the forked part (folds 1-3) and fold 5
+    # the second of the part trained here (folds 4-5), at 3 cores each is
+    # the first of its part
+    config = small_experiment(sentiment_mode="frozen_lstm", folds=5,
+                              smote=True)
+    oversample = experiment.smote
+    failing = experiment._fold_seed(config.seed, fold, 1)
+
+    def checked(*args):
+        if args[-1].seed == failing:
+            raise DataError("no minority row to oversample")
+        return oversample(*args)
+
+    monkeypatch.setattr(experiment, "smote", checked)
+    cores(n_cores)
+    with pytest.raises(PipelineError) as caught:
+        run_experiment(config, small_dataset)
+    assert (type(caught.value), str(caught.value)) == (
+        DataError, f"fold {fold + 1}: no minority row to oversample")
     assert multiprocessing.active_children() == []
