@@ -1,28 +1,38 @@
 """Word embeddings and document representations.
 
 Trains skip-gram vectors with negative sampling on the token streams of
-both corpora, then turns each document into a (d,) averaged vector (mean
-of its in-vocabulary word vectors) and a (length, d) sequence (its first r
-in-vocabulary word vectors as rows, so length is at most r). The TF-IDF
-baselines, dense (n, V) matrices whose row i belongs to document i, and
-the gender-keyword vocabulary live here too.
+both corpora, in two fixed shards of documents whose deltas are summed
+after every epoch (the first shard in a forked child when there is a
+second core, see `train_skipgram`). Then turns each document into a (d,)
+averaged vector (mean of its in-vocabulary word vectors) and a (length,
+d) sequence (its first r in-vocabulary word vectors as rows, so length
+is at most r). The TF-IDF baselines, dense (n, V) matrices whose row i
+belongs to document i, and the gender-keyword vocabulary live here too.
 """
 
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import procs
 from .corpus import VirtualDocument, document_id
-from .errors import AllOovError, ConfigError, DataError, FormatError
+from .errors import (
+    AllOovError,
+    ConfigError,
+    DataError,
+    FormatError,
+    PipelineError,
+)
 
 logger = logging.getLogger(__name__)
 
 # skip-gram learning rate: decays linearly from INITIAL_LR over all centre
-# tokens of the run, never below MIN_LR
+# tokens of a shard's passes, never below MIN_LR
 INITIAL_LR = 0.025
 MIN_LR = 1e-4
 # centres whose targets `train_skipgram` builds in one go; bounds the
@@ -169,24 +179,116 @@ def _blocks(encoded: list[np.ndarray]) -> list[list[np.ndarray]]:
     return blocks
 
 
+def _shards(docs: list[np.ndarray]) -> tuple[list, list]:
+    """The documents `docs`, none empty, cut into two runs of whole
+    documents at the boundary nearest half their tokens (the first such
+    boundary on a tie). The second is empty only when one document holds
+    every token."""
+    ends = np.cumsum([len(doc) for doc in docs])
+    cut = int(np.argmin(np.abs(2 * ends - ends[-1]))) + 1
+    return docs[:cut], docs[cut:]
+
+
+def _train_shard(vecs: np.ndarray, ctx: np.ndarray, blocks: list,
+                 rng: np.random.Generator, config: EmbedConfig,
+                 noise_cdf: np.ndarray, processed: int, total: int) -> None:
+    """One epoch of plain sequential SGD over the consecutive documents of
+    `blocks` (see `_blocks`), in place on the word and context tables:
+    each centre token, in document order, updates its own vector and its
+    targets' context vectors before the next centre reads them. The
+    learning rate decays linearly from INITIAL_LR over `total` centres,
+    never below MIN_LR, this pass's first centre being number `processed`.
+
+    A centre's targets are its context words within a dynamic window
+    (positives) and `config.negatives` noise words drawn per context word
+    from the noise distribution `noise_cdf` (a draw equal to that context
+    word is dropped); `rng` makes every draw. They are built in bulk per
+    block (see `_block_targets`); the per-centre loop keeps only the
+    arithmetic that reads the tables. It adds the update rows to the
+    context vectors one occurrence at a time, in position order, as
+    `np.add.at` does, so the tables have the bits of a loop that builds
+    each centre's targets in turn (tests keep one)."""
+    d, k = vecs.shape[1], config.negatives
+    # per-centre buffers: a centre has at most min(2 * window, n - 1)
+    # context words and k negatives for each; views[n] are the first n rows
+    longest = max(1, min(2 * config.window, max(
+        len(doc) for block in blocks for doc in block) - 1) * (1 + k))
+    rows_buf, outer_buf = np.empty((longest, d)), np.empty((longest, d))
+    score_buf, grad_center = np.empty(longest), np.empty(d)
+    views = [(rows_buf[:n], score_buf[:n], outer_buf[:n])
+             for n in range(longest + 1)]
+    for block in blocks:
+        centres, bounds, n_pos, targets, repeats = _block_targets(
+            block, rng, config.window, k, noise_cdf, len(vecs))
+        # the linear decay over the shard's centres, one rate per centre
+        lrs = np.maximum(MIN_LR, INITIAL_LR * (
+            1.0 - np.arange(processed, processed + len(centres)) / total))
+        processed += len(centres)
+        for c, a, b, m, lr, repeat in zip(
+                centres.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
+                n_pos.tolist(), lrs.tolist(), repeats):
+            if a == b:
+                continue
+            t = targets[a:b]
+            out, g, u = views[b - a]
+            ctx.take(t, axis=0, out=out, mode="clip")
+            center_vec = vecs[c]
+            np.matmul(out, center_vec, out=g)
+            # 1 / (1 + exp(-s)) rounds to 1.0 for every s > 36.7, so the
+            # upper clip at 60 would change no bit
+            np.maximum(g, -60.0, out=g)
+            np.negative(g, out=g)
+            np.exp(g, out=g)
+            np.add(g, 1.0, out=g)
+            np.divide(1.0, g, out=g)
+            # label 1 for the positives, 0 (an exact no-op) for the rest
+            g[:m] -= 1.0
+            g *= lr
+            np.matmul(g, out, out=grad_center)
+            np.multiply(g[:, None], center_vec, out=u)
+            # the additions np.add.at(ctx, t, u) makes, in its order:
+            # each word's row takes its occurrences' rows in turn
+            out += u
+            for p, q in repeat:
+                out[p] += u[q]
+            for p, q in repeat:
+                out[q] = out[p]
+            ctx[t] = out
+            center_vec -= grad_center
+
+
+def _delta(train, vecs: np.ndarray, ctx: np.ndarray) -> tuple:
+    """What train(word table, context table), a pass in place, adds to
+    copies of the tables (vecs, ctx), which it leaves as they are."""
+    trained = vecs.copy(), ctx.copy()
+    train(*trained)
+    return trained[0] - vecs, trained[1] - ctx
+
+
 def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> EmbeddingTable:
     """Skip-gram with negative sampling over pre-tokenized documents.
 
-    Plain sequential SGD: each centre token, in document order, updates
-    its own vector and its targets' context vectors before the next centre
-    reads them. Its targets are its context words within a dynamic window
-    (positives) and `negatives` noise words drawn per context word from
-    the unigram distribution raised to 3/4 (a draw equal to that context
-    word is dropped). Every target segment is built in bulk per block of
-    consecutive documents (see `_block_targets`); the per-centre loop
-    keeps only the arithmetic that reads the tables. It adds the update
-    rows to the context vectors one occurrence at a time, in position
-    order, as `np.add.at` does, so the vectors have the bits of a loop
-    that builds each centre's targets in turn (tests keep one).
+    The documents are cut into two shards of whole documents at half
+    their in-vocabulary tokens (see `_shards`). In each epoch both shards
+    train from the same tables, each by plain sequential SGD over its own
+    documents in order (see `_train_shard`), with its own generator,
+    seeded from (seed, epoch, shard), and its own learning rate, decaying
+    over its centres times the epochs. The tables then take the sum of
+    the two shards' deltas: the second shard trains on them in place and
+    the first shard's delta (its tables minus the start) is added. This
+    is iterative parameter mixing (McDonald et al., NAACL 2010) with the
+    deltas summed, not averaged, as the reference implementation's
+    asynchronous updates add up.
 
-    Deterministic for a given seed and document order: the dynamic window
-    width and the negative samples are the only random draws and they come
-    from one seeded generator in a fixed iteration order.
+    With more than one core in the affinity mask (see
+    `procs.core_count`), the first shard trains in a forked child while
+    this process trains the second; otherwise one after the other. The
+    bytes are the same either way: the shard count is fixed, not the core
+    count, and every random draw comes from a shard's own generator in a
+    fixed iteration order. When one document holds every in-vocabulary
+    token, the second shard is empty and the first trains here alone.
+    A child that fails or exits without a result raises a PipelineError
+    naming the skip-gram shard.
     """
     config = config or EmbedConfig()
     token_docs = [list(_token_stream(d)) for d in documents]
@@ -201,7 +303,6 @@ def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> Em
     index = {t: i for i, t in enumerate(vocab)}
     encoded = [np.array([index[t] for t in doc if t in index], dtype=np.int64)
                for doc in token_docs]
-    blocks = _blocks([doc for doc in encoded if len(doc)])
 
     rng = np.random.default_rng(config.seed)
     d = config.dimension
@@ -212,56 +313,40 @@ def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> Em
     noise_cdf = np.cumsum(freqs / freqs.sum())
     noise_cdf[-1] = 1.0
 
-    total_centers = max(1, sum(len(doc) for doc in encoded) * config.epochs)
-    processed = 0
-    k = config.negatives
-    # per-centre buffers: a centre has at most min(2 * window, n - 1)
-    # context words and k negatives for each; views[n] are the first n rows
-    longest = max(1, min(2 * config.window,
-                         max(len(doc) for doc in encoded) - 1) * (1 + k))
-    rows_buf, outer_buf = np.empty((longest, d)), np.empty((longest, d))
-    score_buf, grad_center = np.empty(longest), np.empty(d)
-    views = [(rows_buf[:n], score_buf[:n], outer_buf[:n])
-             for n in range(longest + 1)]
-    for _ in range(config.epochs):
-        for block in blocks:
-            centres, bounds, n_pos, targets, repeats = _block_targets(
-                block, rng, config.window, k, noise_cdf, len(vocab))
-            # the linear decay over the run's centres, one rate per centre
-            lrs = np.maximum(MIN_LR, INITIAL_LR * (
-                1.0 - np.arange(processed, processed + len(centres)) / total_centers))
-            processed += len(centres)
-            for c, a, b, m, lr, repeat in zip(
-                    centres.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
-                    n_pos.tolist(), lrs.tolist(), repeats):
-                if a == b:
-                    continue
-                t = targets[a:b]
-                out, g, u = views[b - a]
-                ctx.take(t, axis=0, out=out, mode="clip")
-                center_vec = vecs[c]
-                np.matmul(out, center_vec, out=g)
-                # 1 / (1 + exp(-s)) rounds to 1.0 for every s > 36.7, so the
-                # upper clip at 60 would change no bit
-                np.maximum(g, -60.0, out=g)
-                np.negative(g, out=g)
-                np.exp(g, out=g)
-                np.add(g, 1.0, out=g)
-                np.divide(1.0, g, out=g)
-                # label 1 for the positives, 0 (an exact no-op) for the rest
-                g[:m] -= 1.0
-                g *= lr
-                np.matmul(g, out, out=grad_center)
-                np.multiply(g[:, None], center_vec, out=u)
-                # the additions np.add.at(ctx, t, u) makes, in its order:
-                # each word's row takes its occurrences' rows in turn
-                out += u
-                for p, q in repeat:
-                    out[p] += u[q]
-                for p, q in repeat:
-                    out[q] = out[p]
-                ctx[t] = out
-                center_vec -= grad_center
+    shards = _shards([doc for doc in encoded if len(doc)])
+    sizes = [sum(len(doc) for doc in shard) for shard in shards]
+    blocks = [_blocks(shard) for shard in shards]
+
+    def shard_pass(number, epoch):
+        return partial(
+            _train_shard, blocks=blocks[number], config=config,
+            rng=np.random.default_rng(
+                np.random.SeedSequence((config.seed, epoch, number))),
+            noise_cdf=noise_cdf, processed=epoch * sizes[number],
+            total=sizes[number] * config.epochs)
+
+    forking = procs.core_count() > 1
+    for epoch in range(config.epochs):
+        first = shard_pass(0, epoch)
+        if not sizes[1]:
+            first(vecs, ctx)
+            continue
+        if forking:
+            child = procs.fork(partial(_delta, first, vecs, ctx),
+                               "skip-gram shard 1")
+            try:
+                shard_pass(1, epoch)(vecs, ctx)
+                try:
+                    delta = procs.receive(*child)
+                except PipelineError as exc:
+                    raise procs.renamed(exc, "skip-gram shard 1") from exc
+            finally:
+                procs.stop(*child)
+        else:
+            delta = _delta(first, vecs, ctx)
+            shard_pass(1, epoch)(vecs, ctx)
+        vecs += delta[0]
+        ctx += delta[1]
 
     return EmbeddingTable(d, {t: vecs[i].copy() for t, i in index.items()})
 

@@ -23,13 +23,15 @@ affinity mask, at most one per part (one process on a platform without
 `os.sched_getaffinity`): forked children beside this one, which trains
 some parts itself. Every part is one protocol (see `_Part`): its
 prepare, which runs here, gathers and oversamples the part's folds and
-returns the call that trains them, here or in a child. `_map_folds`
-alone reads the core count. The finetuned composites and the per-fold
-sentiment models of manual sources are one fold per part; each MLP cell
-is one part, its MLPs stacked. A schedule of one part, a single MLP
-cell's gender call, is cut into one contiguous part per core. Every
-fold has its own seed, and a stacked MLP ends with the bytes it would
-reach alone, so the report bytes do not depend on the process count.
+returns the call that trains them, here or in a child. Of this module
+only `_map_folds` reads the core count (`procs.core_count`, which the
+embedding fit's skip-gram shards read too); both fork through `procs`.
+The finetuned composites and the per-fold sentiment models of manual
+sources are one fold per part; each MLP cell is one part, its MLPs
+stacked. A schedule of one part, a single MLP cell's gender call, is
+cut into one contiguous part per core. Every fold has its own seed, and
+a stacked MLP ends with the bytes it would reach alone, so the report
+bytes do not depend on the process count.
 
 A document with no in-vocabulary token is dropped with one warning (see
 `_embeddable`): a source review or manual sample always, a target user
@@ -42,7 +44,6 @@ import hashlib
 import io
 import json
 import logging
-import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
@@ -73,7 +74,8 @@ from .embed import (
     tfidf_representation,
     train_skipgram,
 )
-from .errors import ConfigError, DataError, PipelineError, TrainingError
+from . import procs
+from .errors import ConfigError, DataError, PipelineError
 from .folds import FoldPlan, stratified_kfold
 from .gender import CLASSES, train_gender
 from .nn import TrainConfig
@@ -738,10 +740,7 @@ def _in_fold(exc: PipelineError, part: _Part) -> PipelineError:
     where = f"fold {part.folds[getattr(exc, 'member', None) or 0] + 1}"
     if part.cell is not None:
         where = f"{part.cell}, {where}"
-    for category in (ConfigError, TrainingError, DataError):
-        if isinstance(exc, category):
-            return category(f"{where}: {exc}")
-    return PipelineError(f"{where}: {exc}")
+    return procs.renamed(exc, where)
 
 
 def _map_folds(parts: list[_Part]) -> list:
@@ -750,7 +749,8 @@ def _map_folds(parts: list[_Part]) -> list:
 
     For each part in turn, its prepare runs here, once, on the part's
     folds; the call it returns, which must not touch this process's
-    state, gives the part's results. No other code reads the core count.
+    state, gives the part's results. It is the only code of this module
+    that reads the core count (`procs.core_count`).
     A lone part (a single MLP cell's gender call) is cut into one
     contiguous part per core, larger first (folds 1-3 and 4-5 on two
     cores), each prepared on its own folds. Up to `jobs` parts train at
@@ -770,8 +770,7 @@ def _map_folds(parts: list[_Part]) -> list:
     children of the parts before it. Within a part the first error
     decides; for stacked MLPs that is the part's first failing stack and
     step. On any error every child still running is stopped."""
-    jobs = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
+    jobs = procs.core_count()
     if len(parts) == 1:
         (part,) = parts
         parts = [replace(part, folds=chunk.tolist()) for chunk
@@ -798,45 +797,19 @@ def _map_folds(parts: list[_Part]) -> list:
             _collect(results, busy)
     finally:
         for process, reader, _ in busy.values():
-            process.kill()
-            process.join()
-            reader.close()
+            procs.stop(process, reader)
     return [result for part in results for result in part]
 
 
 def _fork(task, part: _Part):
-    """(process, reader): a forked child, named after the cell and folds
-    of `part`, that sends ("ok", task()), or ("error", the error task()
-    raised), down the pipe it returns.
-
-    Forked, not spawned, so the child reads the run's arrays and models
-    copy-on-write instead of receiving them pickled; the program starts
-    no thread of its own. multiprocessing is imported only here, so a run
-    that forks nothing does not pay for it."""
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    reader, writer = context.Pipe(duplex=False)
+    """`procs.fork` of `task` in a child named after the cell and folds
+    of `part`."""
     folds = part.folds
     name = (f"fold {folds[0] + 1}" if len(folds) == 1
             else f"folds {folds[0] + 1}-{folds[-1] + 1}")
     if part.cell is not None:
         name = f"{part.cell}, {name}"
-
-    def run():
-        try:
-            outcome = ("ok", task())
-        except Exception as exc:
-            if not isinstance(exc, PipelineError):
-                # a defect, not a pipeline error: its traceback stays here
-                logger.exception("%s failed", name)
-            outcome = ("error", exc)
-        writer.send(outcome)
-
-    process = context.Process(target=run, name=name)
-    process.start()
-    writer.close()
-    return process, reader
+    return procs.fork(task, name)
 
 
 def _collect(results: list, busy: dict) -> None:
@@ -845,23 +818,11 @@ def _collect(results: list, busy: dict) -> None:
     the error it sent instead, a PipelineError naming its fold (see
     `_map_folds`)."""
     number = min(busy)
-    process, reader, part = busy[number]
+    process, reader, part = busy.pop(number)
     try:
-        kind, value = reader.recv()
-    except EOFError:
-        kind, value = "error", None
-    del busy[number]
-    reader.close()
-    process.join()
-    if kind == "ok":
-        results[number] = value
-        return
-    if value is None:
-        value = PipelineError(f"its process exited with code "
-                              f"{process.exitcode} and no result")
-    if isinstance(value, PipelineError):
-        raise _in_fold(value, part) from value
-    raise value
+        results[number] = procs.receive(process, reader)
+    except PipelineError as exc:
+        raise _in_fold(exc, part) from exc
 
 
 def train_fold_sentiment(config: ExperimentConfig, seqs, targets,

@@ -64,10 +64,10 @@ class TestTrainSkipgram:
             assert np.array_equal(vector, t2[token])
 
 
-def reference_skipgram(documents, config):
-    """The per-centre loop `train_skipgram` computes in bulk: for each
-    centre, in document order, build its context and negatives, then take
-    one SGD step on the tables. Returns {token: vector}."""
+def reference_start(documents, config):
+    """What `train_skipgram` starts from: the vocabulary {token: row}, the
+    documents as rows of in-vocabulary tokens (the empty ones dropped),
+    the noise distribution's cdf and the word and context tables."""
     token_docs = [list(doc) for doc in documents]
     counts = Counter(t for doc in token_docs for t in doc)
     vocab = [t for t, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -75,57 +75,65 @@ def reference_skipgram(documents, config):
     index = {t: i for i, t in enumerate(vocab)}
     encoded = [[index[t] for t in doc if t in index] for doc in token_docs]
     encoded = [doc for doc in encoded if doc]
-
-    rng = np.random.default_rng(config.seed)
-    d = config.dimension
-    vecs = (rng.random((len(vocab), d)) - 0.5) / d
-    ctx = np.zeros((len(vocab), d))
     freqs = np.array([counts[t] for t in vocab], dtype=np.float64) ** 0.75
     noise_cdf = np.cumsum(freqs / freqs.sum())
     noise_cdf[-1] = 1.0
+    rng = np.random.default_rng(config.seed)
+    d = config.dimension
+    vecs = (rng.random((len(vocab), d)) - 0.5) / d
+    return index, encoded, noise_cdf, vecs, np.zeros((len(vocab), d))
 
-    total_centers = max(1, sum(len(doc) for doc in encoded) * config.epochs)
-    processed = 0
+
+def reference_skipgram(encoded, vecs, ctx, rng, noise_cdf, config,
+                       processed, total):
+    """One shard's pass, the per-centre loop `embed._train_shard` computes
+    in bulk, in place on the tables: for each centre of the documents
+    `encoded`, in order, build its context and negatives from `rng`, then
+    take one SGD step, the learning rate decaying from centre `processed`
+    over `total`."""
     k = config.negatives
-    for _ in range(config.epochs):
-        for doc in encoded:
-            doc_arr = np.asarray(doc, dtype=np.int64)
-            n = len(doc_arr)
-            widths = rng.integers(1, config.window + 1, size=n)
-            lefts = np.maximum(0, np.arange(n) - widths)
-            rights = np.minimum(n, np.arange(n) + 1 + widths)
-            sizes = rights - lefts - 1
+    for doc in encoded:
+        doc_arr = np.asarray(doc, dtype=np.int64)
+        n = len(doc_arr)
+        widths = rng.integers(1, config.window + 1, size=n)
+        lefts = np.maximum(0, np.arange(n) - widths)
+        rights = np.minimum(n, np.arange(n) + 1 + widths)
+        sizes = rights - lefts - 1
+        if k > 0:
+            negs_all = np.searchsorted(noise_cdf,
+                                       rng.random((int(sizes.sum()), k)))
+        offset = 0
+        for i in range(n):
+            lr = max(embed.MIN_LR,
+                     embed.INITIAL_LR * (1.0 - processed / total))
+            processed += 1
+            m = int(sizes[i])
+            if m == 0:
+                continue
+            context = np.concatenate([doc_arr[lefts[i]:i],
+                                      doc_arr[i + 1:rights[i]]])
             if k > 0:
-                negs_all = np.searchsorted(noise_cdf,
-                                           rng.random((int(sizes.sum()), k)))
-            offset = 0
-            for i in range(n):
-                lr = max(embed.MIN_LR,
-                         embed.INITIAL_LR * (1.0 - processed / total_centers))
-                processed += 1
-                m = int(sizes[i])
-                if m == 0:
-                    continue
-                context = np.concatenate([doc_arr[lefts[i]:i],
-                                          doc_arr[i + 1:rights[i]]])
-                if k > 0:
-                    negs = negs_all[offset:offset + m]
-                    offset += m
-                    keep = (negs != context[:, None]).reshape(-1)
-                    targets = np.concatenate([context, negs.reshape(-1)[keep]])
-                    labels = np.zeros(targets.size)
-                    labels[:m] = 1.0
-                else:
-                    targets = context
-                    labels = np.ones(m)
-                center_vec = vecs[doc_arr[i]]
-                out = ctx[targets]
-                scores = np.clip(out @ center_vec, -60.0, 60.0)
-                gvec = (1.0 / (1.0 + np.exp(-scores)) - labels) * lr
-                grad_center = gvec @ out
-                np.add.at(ctx, targets, gvec[:, None] * center_vec[None, :])
-                vecs[doc_arr[i]] -= grad_center
-    return {t: vecs[i] for t, i in index.items()}
+                negs = negs_all[offset:offset + m]
+                offset += m
+                keep = (negs != context[:, None]).reshape(-1)
+                targets = np.concatenate([context, negs.reshape(-1)[keep]])
+                labels = np.zeros(targets.size)
+                labels[:m] = 1.0
+            else:
+                targets = context
+                labels = np.ones(m)
+            center_vec = vecs[doc_arr[i]]
+            out = ctx[targets]
+            scores = np.clip(out @ center_vec, -60.0, 60.0)
+            gvec = (1.0 / (1.0 + np.exp(-scores)) - labels) * lr
+            grad_center = gvec @ out
+            np.add.at(ctx, targets, gvec[:, None] * center_vec[None, :])
+            vecs[doc_arr[i]] -= grad_center
+
+
+def shard_rng(config, epoch, shard):
+    return np.random.default_rng(
+        np.random.SeedSequence((config.seed, epoch, shard)))
 
 
 def random_docs(seed, n_docs, vocab_size, lengths):
@@ -177,26 +185,75 @@ SKIPGRAM_CASES = {
 }
 
 
-def assert_same_bytes(table, expected):
-    assert len(table) == len(expected)
-    for token, vector in expected.items():
-        assert table[token].tobytes() == vector.tobytes(), token
+def assert_same_bytes(table, index, vecs):
+    assert len(table) == len(index)
+    for token, row in index.items():
+        assert table[token].tobytes() == vecs[row].tobytes(), token
+
+
+def both_passes(docs, config):
+    """Every epoch of one shard of all of `docs` through `embed._train_shard`
+    and through the per-centre reference, each from the start tables:
+    (word table, context table) of each."""
+    _, encoded, noise_cdf, vecs, ctx = reference_start(docs, config)
+    bulk = vecs.copy(), ctx.copy()
+    blocks = embed._blocks([np.array(doc) for doc in encoded])
+    size = sum(len(doc) for doc in encoded)
+    for epoch in range(config.epochs):
+        reference_skipgram(encoded, vecs, ctx, shard_rng(config, epoch, 0),
+                           noise_cdf, config, epoch * size,
+                           size * config.epochs)
+        embed._train_shard(*bulk, blocks, shard_rng(config, epoch, 0), config,
+                           noise_cdf, epoch * size, size * config.epochs)
+    return bulk, (vecs, ctx)
 
 
 class TestSkipgramReference:
     @pytest.mark.parametrize("case", sorted(SKIPGRAM_CASES))
     def test_bytes_of_the_per_centre_loop(self, case):
-        docs, config = SKIPGRAM_CASES[case]
-        assert_same_bytes(train_skipgram(docs, config),
-                          reference_skipgram(docs, config))
+        # from the same tables and generator, a shard's pass keeps the
+        # bits of the per-centre loop, in both tables
+        bulk, reference = both_passes(*SKIPGRAM_CASES[case])
+        for table, expected in zip(bulk, reference):
+            assert table.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("block", [1, 5, 37])
     def test_block_size_changes_no_bit(self, monkeypatch, block):
         # blocks smaller than a document, and boundaries inside epochs
-        docs, config = SKIPGRAM_CASES["several_epochs"]
         monkeypatch.setattr(embed, "BLOCK_CENTRES", block)
-        assert_same_bytes(train_skipgram(docs, config),
-                          reference_skipgram(docs, config))
+        bulk, reference = both_passes(*SKIPGRAM_CASES["several_epochs"])
+        for table, expected in zip(bulk, reference):
+            assert table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    @pytest.mark.parametrize("case", ["several_epochs", "many_blocks",
+                                      "repeated_tokens", "no_negatives"])
+    def test_table_is_the_start_plus_both_shards_deltas(self, cores, n_cores,
+                                                        case):
+        # each epoch both shards' passes start from the same tables, with
+        # generators seeded from (seed, epoch, shard) and learning rates
+        # decaying over their own centres; the tables then take the
+        # second's pass plus the first's delta, the start plus the sum of
+        # both deltas, on one core and on two
+        docs, config = SKIPGRAM_CASES[case]
+        index, encoded, noise_cdf, vecs, ctx = reference_start(docs, config)
+        ends = np.cumsum([len(doc) for doc in encoded])
+        cut = int(np.argmin(np.abs(2 * ends - ends[-1]))) + 1
+        shards = encoded[:cut], encoded[cut:]
+        assert all(shards)
+        sizes = [sum(len(doc) for doc in shard) for shard in shards]
+        for epoch in range(config.epochs):
+            start, first = (vecs.copy(), ctx.copy()), (vecs.copy(), ctx.copy())
+            reference_skipgram(shards[0], *first, shard_rng(config, epoch, 0),
+                               noise_cdf, config, epoch * sizes[0],
+                               sizes[0] * config.epochs)
+            reference_skipgram(shards[1], vecs, ctx,
+                               shard_rng(config, epoch, 1), noise_cdf, config,
+                               epoch * sizes[1], sizes[1] * config.epochs)
+            vecs += first[0] - start[0]
+            ctx += first[1] - start[1]
+        cores(n_cores)
+        assert_same_bytes(train_skipgram(docs, config), index, vecs)
 
     def test_repeated_targets_pair_with_their_first_occurrence(self):
         # the update adds every later occurrence of a word to the row of
@@ -225,6 +282,51 @@ class TestSkipgramReference:
                 assert got == expected
             if case == "repeated_tokens":
                 assert any(repeats) and not all(repeats)
+
+
+class TestShards:
+    @pytest.mark.parametrize("lengths, cut", [
+        # long user documents first, then short reviews: half the
+        # documents would give the first shard 170 tokens of 240, half the
+        # tokens gives each 120
+        ([12] * 10 + [2] * 60, 10),
+        ([1, 5], 1), ([5, 1], 1), ([3, 3, 4], 2), ([7], 1), ([1], 1),
+        # on a tie the first shard is the shorter
+        ([2, 2], 1), ([1, 2, 1], 1)])
+    def test_cut_falls_at_half_the_tokens(self, lengths, cut):
+        # whole documents, at the boundary nearest half the tokens
+        docs = [np.zeros(n, dtype=np.int64) for n in lengths]
+        first, second = embed._shards(docs)
+        assert (len(first), len(second)) == (cut, len(lengths) - cut)
+
+    @pytest.mark.parametrize("docs, min_count", [
+        ([["x"]], 1),
+        ([["a", "b", "a", "c", "b"]], 1),
+        # the other documents hold only tokens below min_count
+        ([["u"], ["a", "b", "a", "b"], ["v", "w"]], 2)],
+        ids=["one-token", "one-document", "one-in-vocabulary-document"])
+    def test_one_document_corpus_trains_one_shard_here(
+            self, monkeypatch, cores, docs, min_count):
+        # every in-vocabulary token in one document leaves the second
+        # shard empty: even on two cores nothing forks, and the table is
+        # the first shard's passes alone
+        config = EmbedConfig(dimension=4, window=2, negatives=2, epochs=3,
+                             min_count=min_count, seed=12)
+
+        def no_fork(*args):
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(embed.procs, "fork", no_fork)
+        cores(2)
+        table = train_skipgram(docs, config)
+        index, encoded, noise_cdf, vecs, ctx = reference_start(docs, config)
+        assert len(encoded) == 1
+        size = len(encoded[0])
+        for epoch in range(config.epochs):
+            reference_skipgram(encoded, vecs, ctx, shard_rng(config, epoch, 0),
+                               noise_cdf, config, epoch * size,
+                               size * config.epochs)
+        assert_same_bytes(table, index, vecs)
 
 
 class TestEmbeddingIO:

@@ -1,6 +1,6 @@
-"""Folds trained in forked processes (more than one core in the affinity
-mask) give the reports, errors and process table of a run in one
-process."""
+"""Folds and skip-gram shards trained in forked processes (more than one
+core in the affinity mask) give the tables, reports, errors and process
+table of a run in one process."""
 
 import multiprocessing
 import os
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sentprofile import experiment
+from sentprofile import embed, experiment, procs
 from sentprofile.errors import DataError, PipelineError, TrainingError
 from sentprofile.experiment import (
     SENTIMENT_MODES,
@@ -582,4 +582,82 @@ def test_oversampling_error_in_a_later_fold_names_its_fold(
         run_experiment(config, small_dataset)
     assert (type(caught.value), str(caught.value)) == (
         DataError, f"fold {fold + 1}: no minority row to oversample")
+    assert multiprocessing.active_children() == []
+
+
+def test_skipgram_bytes_do_not_depend_on_cores(monkeypatch, cores,
+                                               small_dataset):
+    # the skip-gram's two shards train side by side from two cores on, one
+    # after the other on one core or without os.sched_getaffinity; the
+    # table, and so the report, keeps its bytes
+    config = small_experiment(sentiment_mode="frozen_lstm")
+    _, docs, reviews, _ = experiment.load_corpora(small_dataset)
+    fork, names = procs.fork, Counter()
+
+    def counted(task, name):
+        names[name] += 1
+        return fork(task, name)
+
+    monkeypatch.setattr(procs, "fork", counted)
+    outputs, shard_forks = set(), []
+    for n_cores in (1, 2, 3, None):
+        if n_cores is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            cores(n_cores)
+        names.clear()
+        table = experiment.fit_embeddings(config, docs, reviews)
+        outputs.add((b"".join(vector.tobytes() for _, vector in table.items()),
+                     run_experiment(config, small_dataset).to_json()))
+        shard_forks.append(names["skip-gram shard 1"])
+    assert len(outputs) == 1
+    # one child per epoch of each of the two fits, from two cores on
+    assert shard_forks == [0, 2 * config.embed_epochs,
+                           2 * config.embed_epochs, 0]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_skipgram_shard_child_error_names_the_shard(monkeypatch, cores,
+                                                    small_dataset, failure):
+    # the first shard's child fails, by an error or by exiting without a
+    # result; the run's error names that shard, not a fold
+    parent, train_shard = os.getpid(), embed._train_shard
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            if failure == "exits":
+                os._exit(3)
+            raise TrainingError("diverged")
+        return train_shard(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "_train_shard", failing)
+    cores(2)
+    with pytest.raises(PipelineError) as caught:
+        run_experiment(small_experiment(sentiment_mode="frozen_lstm"),
+                       small_dataset)
+    assert (type(caught.value), str(caught.value)) == (
+        (TrainingError, "skip-gram shard 1: diverged") if failure == "raises"
+        else (PipelineError, "skip-gram shard 1: its process exited with "
+                             "code 3 and no result"))
+    assert multiprocessing.active_children() == []
+
+
+def test_skipgram_error_here_stops_the_shard_child(monkeypatch, cores):
+    # the second shard fails in this process while the first one's child
+    # sleeps; the child is stopped, not waited for
+    parent = os.getpid()
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        raise TrainingError("diverged")
+
+    monkeypatch.setattr(embed, "_train_shard", failing)
+    cores(2)
+    started = time.monotonic()
+    with pytest.raises(TrainingError, match="^diverged$"):
+        embed.train_skipgram([["a", "b"], ["b", "a"]],
+                             embed.EmbedConfig(dimension=2, min_count=1))
+    assert time.monotonic() - started < 30.0
     assert multiprocessing.active_children() == []
