@@ -5,12 +5,13 @@ source-selection mode, then runs stratified k-fold cross validation: word
 embeddings and document representations are fit once on the whole corpus
 (they use no gender labels), the sentiment model is trained in advance on
 the configured source data (once per run, or once per fold when manual
-labels make its training set depend on the fold's training users) and
-read once per model over every user. A run of one cell or a grid of
-several trains in two passes (see `_run_cells`): the first trains the
-sentiment models of every source mode and reads their features, the
-second trains the gender classifiers of every cell's folds
-(`_train_folds`). There a fold gathers its training and test rows,
+labels make its training set depend on the fold's training users; each
+fold's model then continues from one shared by every fold, see
+`_fold_sentiment`) and read once per model over every user. A run of one
+cell or a grid of several trains in two passes (see `_run_cells`): the
+first trains the sentiment models of every source mode and reads their
+features, the second trains the gender classifiers of every cell's
+folds (`_train_folds`). There a fold gathers its training and test rows,
 oversamples only its training minority, and trains its gender classifier
 once, scored at every entry of the epoch grid: MLPs with equal-shaped
 training data in lockstep as one stacked model, each finetuned composite
@@ -825,24 +826,68 @@ def _collect(results: list, busy: dict) -> None:
         raise _in_fold(exc, part) from exc
 
 
+# the epochs each fold's sentiment model of a manual source trains on its
+# own training set, continuing from the source's shared model (see
+# `_fold_sentiment`)
+FOLD_EPOCHS = 2
+
+
+def _log_sentiment(config: ExperimentConfig, which: str, items: int,
+                   curve: list) -> None:
+    last = curve[-1]
+    logger.info("sentiment model for %s, %s: %d items, held-out loss %.4f, "
+                "accuracy %.4f after %d epochs", config.source_mode, which,
+                items, last.heldout_loss, last.heldout_accuracy, last.epoch)
+
+
 def train_fold_sentiment(config: ExperimentConfig, seqs, targets,
-                         index: int = 0) -> tuple[SentimentModel, list]:
+                         index: int = 0,
+                         start: SentimentModel | None = None
+                         ) -> tuple[SentimentModel, list]:
     """Train fold `index`'s sentiment model on the sequences `seqs` and
     their polarity `targets` (see `SentimentSource.training_set`) with
     that fold's seed and log its held-out loss and accuracy; returns
     (model, curve). The one model of `entire` and `high_similarity` is
-    fold 1's (index 0)."""
+    fold 1's (index 0).
+
+    From scratch it trains `config.sentiment_epochs` epochs; from `start`,
+    the shared model of a manual source (see `shared_sentiment`), it
+    trains the last FOLD_EPOCHS of them. Its held-out tenth is then drawn
+    from rows `start` trained on, so its curve reads better than a
+    from-scratch model's would."""
     model, curve = train_sentiment(
         seqs, targets,
-        config.train_config(config.sentiment_epochs,
-                            _fold_seed(config.seed, index, 1)),
-        config.hidden_size, config.sentiment_dropout)
-    last = curve[-1]
-    logger.info("sentiment model for %s, fold %d: %d items, held-out "
-                "loss %.4f, accuracy %.4f after %d epochs",
-                config.source_mode, index + 1, len(seqs),
-                last.heldout_loss, last.heldout_accuracy, last.epoch)
+        config.train_config(
+            config.sentiment_epochs if start is None else FOLD_EPOCHS,
+            _fold_seed(config.seed, index, 1)),
+        config.hidden_size, config.sentiment_dropout, start=start)
+    _log_sentiment(config, f"fold {index + 1}", len(seqs), curve)
     return model, curve
+
+
+def shared_sentiment(config: ExperimentConfig,
+                     source: SentimentSource) -> SentimentModel | None:
+    """The model every fold of the manual source `source` continues from:
+    trained on its fold-independent rows (`source.training_set([])`, the
+    source rows after selection) with fold 1's seed, for all but the last
+    FOLD_EPOCHS of `config.sentiment_epochs`, and logged. None, so that
+    every fold trains from scratch, when no epoch is left for it or those
+    rows hold fewer than 2 items of a polarity (the fold's manual rows
+    may still make up the count). It is only read, so its gradients are
+    freed."""
+    seqs, targets = source.training_set([])
+    positives = int(targets.sum())
+    if (config.sentiment_epochs <= FOLD_EPOCHS
+            or min(positives, len(targets) - positives) < 2):
+        return None
+    model, curve = train_sentiment(
+        seqs, targets,
+        config.train_config(config.sentiment_epochs - FOLD_EPOCHS,
+                            _fold_seed(config.seed, 0, 1)),
+        config.hidden_size, config.sentiment_dropout)
+    _log_sentiment(config, "shared by every fold", len(seqs), curve)
+    model.release_gradients()
+    return model
 
 
 def sentiment_features(model: SentimentModel, sentiment_modes: set[str], mats,
@@ -874,21 +919,35 @@ def _fold_sentiment(runs: list[RunContext], cell: str | None) -> list[_Part]:
 
     Only manual labels make the sentiment training set depend on the fold
     (a fold trains on its training users' labels alone), so those sources
-    train one model per fold, in one part each. The others train on the
-    same set in every fold: one part trains one model, with fold 1's seed,
-    and gives its entry once per fold."""
+    train one model per fold, in one part each. First the prepare of
+    fold 1's part trains the source's shared model (see
+    `shared_sentiment`) here, in `_map_folds`' process, so the parts
+    forked after it read it copy-on-write; each fold's model then
+    continues from it on the fold's own training set (see
+    `train_fold_sentiment`), and it is dropped here once the last part
+    is prepared. Without a shared model each fold trains from scratch.
+    The other sources train on the same set in every fold: one part
+    trains one model, with fold 1's seed, and gives its entry once per
+    fold."""
     modes = {run.config.sentiment_mode for run in runs}
     first = runs[0]
     source, k = first.source, first.plan.k
     copies = k if source.manual is None else 1
+    shared = None
 
     def prepare(folds):
+        nonlocal shared
         (index,) = folds
+        if source.manual is not None and index == 0:
+            shared = shared_sentiment(first.config, source)
+        start = shared
+        if index == k - 1:
+            shared = None
 
         def train():
             model, _ = train_fold_sentiment(
                 first.config, *source.training_set(first.plan.split(index)[0]),
-                index)
+                index, start)
             features = sentiment_features(model, modes, first.mats,
                                           first.lengths, first.polarity)
             if "finetuned_lstm" in modes:

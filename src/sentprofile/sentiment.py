@@ -127,12 +127,19 @@ def _heldout_split(labels: np.ndarray,
 
 
 def train_sentiment(seqs, targets, train_config: TrainConfig,
-                    hidden_size: int = 64, dropout_rate: float = 0.4):
+                    hidden_size: int = 64, dropout_rate: float = 0.4,
+                    start: SentimentModel | None = None):
     """Train the polarity classifier on the (length, d) sequences `seqs`,
     target 1 marking a positive one and 0 a negative one.
 
     Returns (model, per-epoch curve) where the curve tracks the loss and
     accuracy on a held-out tenth of the data.
+
+    The model starts from fresh weights drawn from `train_config.seed`,
+    or, given `start`, a trained model of the same sizes, from a copy of
+    its parameters; `start` itself is never modified. Either way the seed
+    alone decides the held-out split, the batch order and the dropout
+    masks, and the optimizer starts with fresh moments.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
     positives = int(targets.sum())
@@ -153,6 +160,8 @@ def train_sentiment(seqs, targets, train_config: TrainConfig,
     held_inputs, held_targets = (mats[n:], lengths[n:]), targets[n:]
     model = SentimentModel(input_dim=mats.shape[2], hidden_size=hidden_size,
                            dropout_rate=dropout_rate, seed=train_config.seed)
+    if start is not None:
+        load_parameters(model.parameters(), start.parameters())
     model.dropout.rng = np.random.default_rng(dropout_seed)
 
     heldout = []  # (loss, accuracy) after each epoch

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import pickle
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
@@ -637,6 +638,151 @@ class TestSentimentTraining:
             assert manual, "the fold trains on some manual labels"
             assert manual == [uid for uid in ids if uid not in test_ids]
         assert len({id(model) for _, model in trained}) == config.folds
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    @pytest.mark.parametrize("source_mode", ["entire_plus_manual",
+                                             "high_similarity_plus_manual"])
+    def test_manual_source_folds_continue_from_one_shared_model(
+            self, monkeypatch, cores, caplog, tmp_path, small_dataset,
+            source_mode, n_cores):
+        # past FOLD_EPOCHS sentiment epochs a manual source trains one
+        # model on its source rows alone, here; every fold's model, here or
+        # in a forked child, continues from it on the source rows and its
+        # own training users' manual rows, and leaves it as it was
+        log = tmp_path / "calls.pickle"
+        runs, made = record_sentiment_calls(monkeypatch, log)
+        config = small_experiment(sentiment_mode="frozen_lstm",
+                                  source_mode=source_mode, z=0.05,
+                                  sentiment_epochs=4)
+        cores(n_cores)
+        with caplog.at_level("INFO", logger="sentprofile.experiment"):
+            run_experiment(config, small_dataset)
+        (run,) = runs
+        k = run.plan.k
+        source_rows = [id(seq) for seq in run.source.training_set([])[0]]
+        ids, manual_seqs, _ = run.source.manual
+        user_of = {id(seq): uid for uid, seq in zip(ids, manual_seqs)}
+        fold_of = {experiment._fold_seed(config.seed, index, 1): index
+                   for index in range(k)}
+        calls = read_calls(log)
+
+        (shared,) = [call for call in calls if call["start"] is None]
+        assert fold_of[shared["seed"]] == 0
+        assert shared["epochs"] == 4 - experiment.FOLD_EPOCHS
+        assert shared["rows"] == source_rows
+        assert not set(shared["rows"]) & set(user_of)
+        # the shared model, kept here, and its bytes when it was trained
+        (model, trained_bytes), = made
+        assert model.checksum() == trained_bytes
+
+        folds = sorted((call for call in calls if call["start"] is not None),
+                       key=lambda call: fold_of[call["seed"]])
+        assert [fold_of[call["seed"]] for call in folds] == list(range(k))
+        for index, call in enumerate(folds):
+            test_ids = set(run.plan.split(index)[1])
+            assert call["epochs"] == experiment.FOLD_EPOCHS
+            assert call["rows"][:len(source_rows)] == source_rows
+            assert [user_of[row] for row in call["rows"][len(source_rows):]] == [
+                uid for uid in ids if uid not in test_ids]
+            assert call["start"] == id(model)
+            assert call["start_bytes"] == (trained_bytes, trained_bytes)
+        assert sum(message.startswith(f"sentiment model for {source_mode}, "
+                                      "shared by every fold: ")
+                   for message in caplog.messages) == 1
+        if n_cores == 1:
+            assert logged_models(caplog, source_mode) == k
+
+    def test_source_rows_short_of_a_polarity_train_every_fold_from_scratch(
+            self, monkeypatch, tmp_path, small_dataset):
+        # a selection that keeps one negative review leaves too few for a
+        # shared model, but each fold's manual rows make up the count: every
+        # fold trains all its epochs from scratch, to the bytes of a run
+        # that trains no shared model at all
+        mode = "high_similarity_plus_manual"
+        build = experiment.sentiment_sources
+
+        def one_negative(*args, **kwargs):
+            sources = build(*args, **kwargs)
+            source = sources[mode]
+            negatives = [row for row in source.selected
+                         if source.targets[row] == 0.0]
+            source.selected = np.array([row for row in source.selected
+                                        if source.targets[row] == 1.0
+                                        or row == negatives[0]])
+            return sources
+
+        monkeypatch.setattr(experiment, "sentiment_sources", one_negative)
+        log = tmp_path / "calls.pickle"
+        runs, made = record_sentiment_calls(monkeypatch, log)
+        config = small_experiment(sentiment_mode="polarity_features",
+                                  source_mode=mode, z=0.05,
+                                  sentiment_epochs=4)
+        report = run_experiment(config, small_dataset).to_json()
+        (run,) = runs
+        targets = run.source.training_set([])[1]
+        assert (targets == 0.0).sum() == 1 and (targets == 1.0).sum() >= 2
+        calls = read_calls(log)
+        assert made == []
+        assert len(calls) == config.folds
+        assert all(call["start"] is None and call["epochs"] == 4
+                   for call in calls)
+        monkeypatch.setattr(experiment, "FOLD_EPOCHS", 4)
+        assert run_experiment(config, small_dataset).to_json() == report
+
+
+def record_sentiment_calls(monkeypatch, log):
+    """Wrap `experiment.train_sentiment` so that every call, in this
+    process or in a forked child, appends to the file `log` its seed, its
+    epochs, the ids of its sequences ("rows") and of its `start` (None
+    without one) and the checksums of `start` before and after it; a
+    forked child sees the objects it inherited under their ids here.
+    Wraps `experiment._prepare_runs` and `experiment.shared_sentiment`
+    too; returns the runs prepared and the (model, checksum when trained)
+    of every shared model trained here."""
+    train, shared = experiment.train_sentiment, experiment.shared_sentiment
+    prepare = experiment._prepare_runs
+    runs, made = [], []
+
+    def recorded(seqs, targets, train_config, *args, start=None, **kwargs):
+        before = None if start is None else start.checksum()
+        model, curve = train(seqs, targets, train_config, *args, start=start,
+                             **kwargs)
+        call = {"seed": train_config.seed, "epochs": train_config.epochs,
+                "rows": [id(seq) for seq in seqs],
+                "start": None if start is None else id(start),
+                "start_bytes": None if start is None else (before,
+                                                           start.checksum())}
+        # unbuffered, so each record is one append however processes mix
+        with open(log, "ab", buffering=0) as fh:
+            fh.write(pickle.dumps(call))
+        return model, curve
+
+    def recorded_shared(config, source):
+        model = shared(config, source)
+        if model is not None:
+            made.append((model, model.checksum()))
+        return model
+
+    def recorded_prepare(*args, **kwargs):
+        prepared = prepare(*args, **kwargs)
+        runs.extend(prepared)
+        return prepared
+
+    monkeypatch.setattr(experiment, "train_sentiment", recorded)
+    monkeypatch.setattr(experiment, "shared_sentiment", recorded_shared)
+    monkeypatch.setattr(experiment, "_prepare_runs", recorded_prepare)
+    return runs, made
+
+
+def read_calls(log) -> list[dict]:
+    """The records `record_sentiment_calls` appended to `log`."""
+    calls = []
+    with open(log, "rb") as fh:
+        while True:
+            try:
+                calls.append(pickle.load(fh))
+            except EOFError:
+                return calls
 
 
 def lstm_checksum(lstm, dtype=None) -> str:

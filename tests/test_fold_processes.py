@@ -384,6 +384,30 @@ def test_sentiment_error_in_a_child_names_its_fold(monkeypatch, cores,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("source_mode, mode", [
+    ("entire_plus_manual", "finetuned_lstm"),
+    ("high_similarity_plus_manual", "polarity_features")])
+def test_shared_sentiment_bytes_do_not_depend_on_cores(
+        monkeypatch, cores, small_dataset, source_mode, mode):
+    # past FOLD_EPOCHS sentiment epochs a manual source trains its shared
+    # model in this process, in fold 1's prepare, before that part forks;
+    # the fold models continue from it wherever they train
+    config = small_experiment(sentiment_mode=mode, source_mode=source_mode,
+                              z=0.05, sentiment_epochs=4)
+    forks = count_forks(monkeypatch, key=lambda part: part.cell)
+    reports = {}
+    for count in (1, 2, 3):
+        cores(count)
+        reports[count] = run_experiment(config, small_dataset).to_json()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    reports["no affinity"] = run_experiment(config, small_dataset).to_json()
+    assert len(set(reports.values())) == 1
+    # each of the two schedules forks one part at 2 cores and two at 3:
+    # of the fold models, then of the composites or the cut MLP cell
+    assert forks == {None: 6}
+    assert multiprocessing.active_children() == []
+
+
 def test_one_job_forks_nothing(monkeypatch, cores, small_dataset):
     forks = count_forks(monkeypatch)
     cores(1)
