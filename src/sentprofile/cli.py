@@ -7,8 +7,9 @@ subcommand that reads experiment settings merges a flat key=value config
 file (--config) with explicit flags, which win, and runs the same stage
 functions as `evaluate`: `extract` writes the feature matrix `evaluate`
 trains its gender MLPs on, and `smote` and `gender-train` read one such
-matrix from a feature file. Exit codes: 0 success, 2 configuration error,
-3 data error.
+matrix from a feature file. Exit codes: 0 success, 1 any other pipeline
+error (a training or shape error, or a fold process that exited without a
+result), 2 configuration error, 3 data error.
 """
 
 import argparse
@@ -44,7 +45,7 @@ from .experiment import (
 from .gender import CLASSES, read_features, train_gender, write_features
 from .nn import load_model, save_model
 from .nn.optim import OPTIMIZERS
-from .resample import VARIANTS, smote
+from .resample import smote
 from .sentiment import SentimentModel
 from .synth import SynthConfig, generate_dataset, marker_frequency_correlation, write_dataset
 
@@ -76,7 +77,7 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--source-mode", choices=SOURCE_MODES, default=None)
     parser.add_argument("--similarity-threshold", dest="z", type=float, default=None)
     parser.add_argument("--smote", action="store_true", default=None)
-    _smote_flags(parser)
+    parser.add_argument("--smote-k", type=int, default=None)
     parser.add_argument("--epochs", default=None,
                         help="comma-separated epoch grid, e.g. 60,80,100")
     parser.add_argument("--folds", type=int, default=None)
@@ -92,12 +93,6 @@ def _experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sentiment-dropout", type=float, default=None)
     parser.add_argument("--sentiment-epochs", type=int, default=None)
     _training_flags(parser)
-
-
-def _smote_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--smote-k", type=int, default=None)
-    parser.add_argument("--smote-ratio", type=float, default=None)
-    parser.add_argument("--smote-variant", choices=VARIANTS, default=None)
 
 
 def _training_flags(parser: argparse.ArgumentParser) -> None:
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smote", help="oversample a feature file")
     _add_common(p)
     p.add_argument("--in", dest="infile", required=True)
-    _smote_flags(p)
+    p.add_argument("--smote-k", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_smote)
 

@@ -30,12 +30,12 @@ def _mean_cosine(source_vec: np.ndarray, targets: np.ndarray) -> float:
     """Mean cosine of one source vector to the rows of `targets`, which
     `_normalized_rows` made unit length (or left zero)."""
     values = np.asarray(source_vec, dtype=np.float64)
-    norm = np.linalg.norm(values)
-    if norm == 0.0:
-        return 0.0
     if targets.shape[1] != values.shape[0]:
         raise ShapeError(f"source vector length {values.shape[0]} does not match "
                          f"target vector length {targets.shape[1]}")
+    norm = np.linalg.norm(values)
+    if norm == 0.0:
+        return 0.0
     return float((targets @ (values / norm)).sum() / len(targets))
 
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps ConfigError to exit code 2 and DataError (with all its
-subclasses) to exit code 3.
+The CLI maps ConfigError to exit code 2, DataError (with all its
+subclasses) to exit code 3 and every other PipelineError (a TrainingError,
+a ShapeError, or a child process that exited without a result) to exit
+code 1.
 """
 
 import copyreg

@@ -80,7 +80,7 @@ from .errors import ConfigError, DataError, PipelineError
 from .folds import FoldPlan, stratified_kfold
 from .gender import CLASSES, train_gender
 from .nn import TrainConfig
-from .resample import VARIANTS, ResampleConfig, _smote_core, smote
+from .resample import ResampleConfig, _minority, _smote_core, smote
 from .sentiment import (
     PolaritySequences,
     SentimentModel,
@@ -110,8 +110,6 @@ class ExperimentConfig:
     source_mode: str = "entire"
     smote: bool = False
     smote_k: int = 5
-    smote_ratio: float = 1.0
-    smote_variant: str = "paper"
     z: float = DEFAULT_SIMILARITY_THRESHOLD
     epochs: tuple[int, ...] = (100,)
     seed: int = 0
@@ -164,13 +162,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.negatives < 0:
             raise ConfigError(f"negatives must be >= 0, got {self.negatives}")
-        for name in ("smote_ratio", "learning_rate"):
-            if not 0 < getattr(self, name) < float("inf"):
-                raise ConfigError(f"{name} must be finite and > 0, got "
-                                  f"{getattr(self, name)}")
-        if self.smote_variant not in VARIANTS:
-            raise ConfigError(f"smote_variant must be one of {VARIANTS}, "
-                              f"got {self.smote_variant!r}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ConfigError(f"learning_rate must be finite and > 0, got "
+                              f"{self.learning_rate}")
         for name in ("mlp_dropout", "sentiment_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got "
@@ -188,9 +182,8 @@ class ExperimentConfig:
                            seed=self.seed if seed is None else seed)
 
     def resample_config(self, seed: int | None = None) -> ResampleConfig:
-        return ResampleConfig(k=self.smote_k, target_ratio=self.smote_ratio,
-                              seed=self.seed if seed is None else seed,
-                              variant=self.smote_variant)
+        return ResampleConfig(k=self.smote_k,
+                              seed=self.seed if seed is None else seed)
 
     def embed_config(self) -> EmbedConfig:
         return EmbedConfig(dimension=self.dimension, window=self.window,
@@ -562,13 +555,12 @@ def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
     leave any of their steps nonzero. The synthetic matrices are cast to
     the dtype of `mats`, so the oversampled stack keeps it.
     """
-    flat = np.concatenate([vecs, mats.reshape(len(labels), -1)], axis=1)
-    synth = _smote_core(flat, labels, config)
+    minority, rows, needed = _minority(labels, config.k)
+    flat = np.concatenate([vecs[rows], mats[rows].reshape(len(rows), -1)], axis=1)
+    synth = _smote_core(flat, needed, config)
     if not synth:
         return vecs, mats, lengths, labels
-    classes, counts = np.unique(labels, return_counts=True)
-    minority = classes[np.argmin(counts)]
-    eff = lengths[labels == minority]
+    eff = lengths[rows]
     new_flat = np.stack([s.values for s in synth])
     vec_dim = vecs.shape[1]
     new_lens = np.array([int(eff[list((s.old_index,) + s.neighbor_indices)].max())
@@ -577,7 +569,7 @@ def smote_sequences(vecs, mats, lengths, labels, config: ResampleConfig):
             np.concatenate([mats, new_flat[:, vec_dim:].reshape(
                 -1, *mats.shape[1:]).astype(mats.dtype)]),
             np.concatenate([lengths, new_lens]),
-            np.concatenate([labels, np.full(len(synth), minority)]))
+            np.concatenate([labels, np.full(needed, minority)]))
 
 
 @dataclass

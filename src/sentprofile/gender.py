@@ -147,6 +147,14 @@ def fit_softmax_classifier(models: list, inputs: list[tuple],
 
 def _training_matrix(features, labels: Sequence[str]):
     """(DTYPE matrix, class indices) of one model's training data."""
+    features = np.asarray(features)
+    # checked before the cast, which would turn such values into
+    # infinities; a NaN fails neither comparison and is left to the
+    # non-finite gradient check
+    limit = np.finfo(DTYPE).max
+    if features.size and (features.max() > limit or features.min() < -limit):
+        raise DataError(f"feature values must lie within +-{limit:.6g}, the "
+                        f"range of {np.dtype(DTYPE).name}")
     matrix = np.asarray(features, dtype=DTYPE)
     unknown = set(labels) - set(CLASSES)
     if unknown:

@@ -1,14 +1,14 @@
 """Minority oversampling.
 
-The default "paper" variant averages the k nearest minority neighbors
-before scaling by one random factor:
+Each synthetic sample averages the k nearest minority neighbors of a
+minority sample x_old before scaling by one random factor:
 
     x_new = x_old + sigma * (1/k) * sum_i (x_i - x_old),  sigma ~ U[0, 1)
 
 which places x_new on the segment from x_old toward the neighbor centroid.
-The "classic" variant interpolates toward a single randomly chosen
-neighbor among the k instead. Originals are preserved unchanged and come
-first in the output.
+Synthetic samples are added until both classes are the same size, taking
+the minority samples as x_old in turn. Originals are preserved unchanged
+and come first in the output.
 """
 
 from dataclasses import dataclass
@@ -17,24 +17,15 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 
-VARIANTS = ("paper", "classic")
-
 
 @dataclass
 class ResampleConfig:
     k: int = 5
-    target_ratio: float = 1.0
     seed: int = 0
-    variant: str = "paper"
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.target_ratio <= 0:
-            raise ConfigError(f"target_ratio must be > 0, got {self.target_ratio}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, "
-                              f"got {self.variant!r}")
 
 
 @dataclass
@@ -44,73 +35,51 @@ class SyntheticSample:
     neighbor_indices: tuple[int, ...]
 
 
-# rows of the distance table computed at once: the differences of a block
-# take NEIGHBOR_BLOCK * n * d floats instead of the full table's n * n * d
-NEIGHBOR_BLOCK = 8
+def _minority(labels: np.ndarray, k: int):
+    """(minority class, its row indices in `labels`, the number of
+    synthetic rows that bring it level with the majority)."""
+    classes, counts = np.unique(labels, return_counts=True)
+    if len(classes) != 2:
+        raise DataError(f"oversampling needs exactly two classes, got "
+                        f"{len(classes)}")
+    minority_class = classes[np.argmin(counts)]
+    minority_count = int(counts.min())
+    if k >= minority_count:
+        raise DataError(f"k={k} must be smaller than the minority class "
+                        f"size {minority_count}")
+    return (minority_class, np.flatnonzero(labels == minority_class),
+            int(counts.max()) - minority_count)
 
 
 def _neighbor_table(minority: np.ndarray, k: int) -> np.ndarray:
     """k nearest minority neighbors of each minority sample by Euclidean
-    distance, self excluded, distance ties broken by lowest index."""
+    distance, self excluded, distance ties broken by lowest index. One
+    row's distances at a time, so the differences held never exceed one
+    (n, d) array."""
     n = len(minority)
     dists = np.empty((n, n))
-    for start in range(0, n, NEIGHBOR_BLOCK):
-        rows = slice(start, start + NEIGHBOR_BLOCK)
-        diffs = minority[rows, None, :] - minority[None, :, :]
-        dists[rows] = np.einsum("ijk,ijk->ij", diffs, diffs)
+    for i in range(n):
+        diffs = minority[i] - minority
+        dists[i] = np.einsum("jk,jk->j", diffs, diffs)
     np.fill_diagonal(dists, np.inf)
     order = np.argsort(dists, axis=1, kind="stable")
     return order[:, :k]
 
 
-def interpolate(x_old: np.ndarray, neighbors: np.ndarray, sigma: float) -> np.ndarray:
-    """One synthetic point: x_old stepped by sigma toward the mean offset
-    of its neighbors, i.e. (1 - sigma) * x_old + sigma * centroid."""
-    x_old = np.asarray(x_old, dtype=np.float64)
-    neighbors = np.atleast_2d(np.asarray(neighbors, dtype=np.float64))
-    if neighbors.shape[1:] != x_old.shape:
-        raise ShapeError(f"neighbors of shape {neighbors.shape} do not match "
-                         f"sample of shape {x_old.shape}")
-    return x_old + sigma * (neighbors - x_old).mean(axis=0)
-
-
-def _smote_core(samples: np.ndarray, labels: np.ndarray,
+def _smote_core(minority: np.ndarray, needed: int,
                 config: ResampleConfig) -> list[SyntheticSample]:
-    classes, counts = np.unique(labels, return_counts=True)
-    if len(classes) != 2:
-        raise DataError(f"oversampling needs exactly two classes, got "
-                        f"{len(classes)}")
-    if counts.min() == 0:
-        raise DataError("one class is empty")
-    minority_class = classes[np.argmin(counts)]
-    minority_idx = np.flatnonzero(labels == minority_class)
-    majority_count = int(counts.max())
-    minority_count = int(counts.min())
-    if config.k >= minority_count:
-        raise DataError(f"k={config.k} must be smaller than the minority class "
-                        f"size {minority_count}")
-    current_ratio = minority_count / majority_count
-    if config.target_ratio < current_ratio - 1e-12:
-        raise ConfigError(f"target_ratio {config.target_ratio} is below the "
-                          f"current minority/majority ratio {current_ratio:.4f}")
-    needed = int(round(config.target_ratio * majority_count)) - minority_count
-    if needed <= 0:
+    """`needed` synthetic samples from the (n, d) minority rows."""
+    if not needed:
         return []
-
-    minority = samples[minority_idx]
     neighbors = _neighbor_table(minority, config.k)
-    rng = np.random.default_rng(config.seed)
+    sigmas = np.random.default_rng(config.seed).random(needed)
     synthetic = []
-    for n in range(needed):
-        old = n % minority_count
-        sigma = float(rng.random())
-        if config.variant == "classic":
-            used = (int(neighbors[old, rng.integers(0, config.k)]),)
-        else:
-            used = tuple(int(j) for j in neighbors[old])
+    for n, sigma in enumerate(sigmas):
+        old = n % len(minority)
+        x_old = minority[old]
         synthetic.append(SyntheticSample(
-            values=interpolate(minority[old], minority[list(used)], sigma),
-            old_index=old, neighbor_indices=used))
+            values=x_old + sigma * (minority[neighbors[old]] - x_old).mean(axis=0),
+            old_index=old, neighbor_indices=tuple(neighbors[old].tolist())))
     return synthetic
 
 
@@ -118,8 +87,7 @@ def smote(samples, labels, config: ResampleConfig | None = None):
     """Oversample the minority class of a two-class vector set.
 
     Returns (samples, labels) with the originals first, followed by the
-    synthesized minority samples, until minority/majority reaches
-    config.target_ratio.
+    synthesized minority samples that bring both classes to the same size.
     """
     config = config or ResampleConfig()
     samples = np.asarray(samples, dtype=np.float64)
@@ -128,13 +96,11 @@ def smote(samples, labels, config: ResampleConfig | None = None):
     labels = np.asarray(labels)
     if labels.shape != (samples.shape[0],):
         raise ShapeError("labels must align with samples")
-    synthetic = _smote_core(samples, labels, config)
+    minority_class, rows, needed = _minority(labels, config.k)
+    synthetic = _smote_core(samples[rows], needed, config)
     if not synthetic:
         return samples.copy(), labels.copy()
-    classes, counts = np.unique(labels, return_counts=True)
-    minority_class = classes[np.argmin(counts)]
-    new_rows = np.stack([s.values for s in synthetic])
-    out_samples = np.concatenate([samples, new_rows])
-    out_labels = np.concatenate([labels, np.full(len(synthetic), minority_class,
+    out_samples = np.concatenate([samples, np.stack([s.values for s in synthetic])])
+    out_labels = np.concatenate([labels, np.full(needed, minority_class,
                                                  dtype=labels.dtype)])
     return out_samples, out_labels

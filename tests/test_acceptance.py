@@ -106,8 +106,7 @@ def test_smote_geometry_200_random_sets():
         samples = np.concatenate([minority, majority])
         labels = np.array([0] * n_min + [1] * n_maj)
         out_x, out_y = smote(samples, labels,
-                             ResampleConfig(k=k, target_ratio=1.0,
-                                            seed=trial))
+                             ResampleConfig(k=k, seed=trial))
         # classes exactly balanced, originals untouched and first
         assert (out_y == 0).sum() == (out_y == 1).sum() == n_maj
         assert np.array_equal(out_x[:len(samples)], samples)

@@ -10,6 +10,7 @@ import pytest
 from sentprofile import cli, experiment
 from sentprofile.cli import build_parser, main
 from sentprofile.embed import save_embeddings
+from sentprofile.errors import TrainingError
 from sentprofile.experiment import ExperimentConfig, fit_embeddings, load_corpora
 from sentprofile.folds import FoldPlan
 from sentprofile.gender import read_features
@@ -168,8 +169,6 @@ BAD_EXPERIMENT_SETTINGS = {
     "source_mode": {"source_mode": "all"},
     "smote": {"smote": "maybe"},
     "smote_k": {"smote_k": "0"},
-    "smote_ratio": {"smote_ratio": "0"},
-    "smote_variant": {"smote_variant": "adasyn"},
     "z": {"source_mode": "high_similarity", "z": "1.5"},
     "epochs": {"epochs": "0"},
     "seed": {"seed": "-1"},
@@ -192,7 +191,6 @@ BAD_EXPERIMENT_SETTINGS = {
 
 # further bad values of fields whose row above holds another kind of value
 MORE_BAD_EXPERIMENT_SETTINGS = [
-    ("smote_ratio", {"smote_ratio": "inf"}),
     ("learning_rate", {"learning_rate": "inf"}),
 ]
 
@@ -573,6 +571,41 @@ def test_integer_beyond_float_range_exits_3(tmp_path, capsys, command):
     assert code == 3
     assert ("line 9: field 'values' holds a non-finite number"
             in capsys.readouterr().err)
+
+
+def test_value_beyond_float32_range_exits_3(tmp_path, capsys):
+    # finite as a float64, infinite once cast to the MLP's float32: the
+    # check runs before the cast, whose overflow warning the suite makes
+    # an error
+    features = feature_file_ending_in(tmp_path, "[1e39, 1.0]")
+    code = main(["gender-train", "--in", str(features), "--epochs", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "float32" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_other_pipeline_error_exits_1(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise TrainingError("non-finite gradient")
+
+    monkeypatch.setattr(cli, "train_gender", failing)
+    features = feature_file_ending_in(tmp_path, "[8.0, 1.0]")
+    code = main(["gender-train", "--in", str(features), "--epochs", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: non-finite gradient")
+
+
+@pytest.mark.parametrize("key", ["smote_ratio", "smote_variant"])
+def test_removed_smote_keys_are_unknown(tmp_path, capsys, key):
+    features = feature_file_ending_in(tmp_path, "[8.0, 1.0]")
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key}=1\n", encoding="utf-8")
+    code = main(["smote", "--in", str(features), "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["smote", "gender-train"])

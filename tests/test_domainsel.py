@@ -57,6 +57,9 @@ class TestCosine:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             kept(np.ones(2), [np.ones(3)], 0.5)
+        # a zero source vector scores 0 only once its length matches
+        with pytest.raises(ShapeError):
+            kept(np.zeros(2), [np.ones(3)], 0.5)
 
     def test_range(self):
         # one-target selection keeps an item exactly when the cosine, which

@@ -54,7 +54,6 @@ class TestExperimentConfig:
         {"epochs": (0,)},
         {"folds": 1},
         {"source_mode": "high_similarity", "z": 1.5},
-        {"smote_variant": "adasyn"},
         {"hidden_size": 0},
         {"sentiment_dropout": 1.0},
         {"sentiment_dropout": -0.1},

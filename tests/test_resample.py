@@ -1,15 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sentprofile.errors import ConfigError, DataError
 from sentprofile.experiment import smote_sequences
-from sentprofile.resample import (
-    NEIGHBOR_BLOCK,
-    ResampleConfig,
-    _neighbor_table,
-    interpolate,
-    smote,
-)
+from sentprofile.resample import ResampleConfig, _neighbor_table, smote
 
 
 def two_class_set(rng, n_minority=8, n_majority=20, dim=3):
@@ -18,28 +14,6 @@ def two_class_set(rng, n_minority=8, n_majority=20, dim=3):
     samples = np.concatenate([minority, majority])
     labels = np.array([0] * n_minority + [1] * n_majority)
     return samples, labels
-
-
-class TestInterpolate:
-    def test_sigma_zero_reproduces_original(self):
-        x = np.array([1.0, -2.0, 3.0])
-        neighbors = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
-        assert np.array_equal(interpolate(x, neighbors, 0.0), x)
-
-    def test_two_neighbor_half_step(self):
-        # x_old=(0,0), neighbors {(2,0),(0,2)}, sigma=0.5 -> (0.5, 0.5)
-        out = interpolate(np.zeros(2), np.array([[2.0, 0.0], [0.0, 2.0]]), 0.5)
-        assert np.allclose(out, [0.5, 0.5], atol=1e-15)
-
-    def test_equals_segment_form(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.normal(size=4)
-            nbrs = rng.normal(size=(3, 4))
-            sigma = rng.random()
-            direct = interpolate(x, nbrs, sigma)
-            segment = (1 - sigma) * x + sigma * nbrs.mean(axis=0)
-            assert np.allclose(direct, segment, atol=1e-12)
 
 
 class TestSmote:
@@ -81,6 +55,27 @@ class TestSmote:
         with pytest.raises(DataError):
             smote(np.zeros((4, 2)), np.zeros(4), ResampleConfig(k=1))
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            ResampleConfig(k=0)
+
+    def test_sigmas_are_the_seeded_stream_in_order(self):
+        # synthetic row n steps minority row n % n_min by the n-th draw of
+        # the seed's generator toward the centroid of its k neighbors
+        rng = np.random.default_rng(13)
+        samples, labels = two_class_set(rng, n_minority=4, n_majority=11)
+        k, seed = 2, 21
+        out_x, _ = smote(samples, labels, ResampleConfig(k=k, seed=seed))
+        minority = samples[labels == 0]
+        table = _neighbor_table(minority, k)
+        draws = np.random.default_rng(seed)
+        for n, point in enumerate(out_x[len(samples):]):
+            old = n % len(minority)
+            sigma = draws.random()
+            expected = minority[old] + sigma * (
+                minority[table[old]] - minority[old]).mean(axis=0)
+            assert point.tobytes() == expected.tobytes()
+
     def test_synthetic_points_in_convex_hull_segment(self):
         # every synthetic point must sit on a segment from some minority
         # point toward the centroid of its k nearest minority neighbors
@@ -112,46 +107,10 @@ class TestSmote:
                     break
             assert found
 
-    def test_classic_variant_interpolates_single_neighbor(self):
-        rng = np.random.default_rng(7)
-        samples, labels = two_class_set(rng, n_minority=6, n_majority=12, dim=2)
-        k = 3
-        out_x, _ = smote(samples, labels,
-                         ResampleConfig(k=k, seed=5, variant="classic"))
-        minority = samples[labels == 0]
-        diffs = minority[:, None, :] - minority[None, :, :]
-        dists = np.einsum("ijk,ijk->ij", diffs, diffs)
-        np.fill_diagonal(dists, np.inf)
-        neighbor_sets = [minority[np.argsort(row, kind="stable")[:k]]
-                         for row in dists]
-        for point in out_x[len(samples):]:
-            on_some_segment = False
-            for x_old, nbrs in zip(minority, neighbor_sets):
-                for nbr in nbrs:
-                    direction = nbr - x_old
-                    denom = direction @ direction
-                    if denom == 0.0:
-                        continue
-                    sigma = (point - x_old) @ direction / denom
-                    if -1e-12 <= sigma < 1.0 and np.allclose(
-                            point, x_old + sigma * direction, atol=1e-12):
-                        on_some_segment = True
-            assert on_some_segment
-
-    def test_target_ratio_below_current_rejected(self):
-        rng = np.random.default_rng(8)
-        samples, labels = two_class_set(rng, n_minority=10, n_majority=12)
-        with pytest.raises(ConfigError):
-            smote(samples, labels, ResampleConfig(k=3, target_ratio=0.5))
-
-    def test_invalid_variant(self):
-        with pytest.raises(ConfigError):
-            ResampleConfig(variant="other")
-
 
 def full_neighbor_order(minority):
     """Neighbor order from the whole (n, n, d) difference tensor at once:
-    the reference the blocked table must match."""
+    the reference the row-at-a-time table must match."""
     diffs = minority[:, None, :] - minority[None, :, :]
     dists = np.einsum("ijk,ijk->ij", diffs, diffs)
     np.fill_diagonal(dists, np.inf)
@@ -166,18 +125,30 @@ class TestNeighborTable:
         assert table.tobytes() == full_neighbor_order(minority)[:, :n - 1].tobytes()
 
     def test_ties_break_by_lowest_index(self):
-        # integer lattice points, each twice: many equal distances within
-        # and across row blocks
+        # integer lattice points, each twice: many equal distances in every
+        # row
         lattice = np.array([[x, y] for x in range(3) for y in range(3)],
                            dtype=float)
         minority = np.concatenate([lattice, lattice])
         n = len(minority)
-        assert n % NEIGHBOR_BLOCK != 0
         table = _neighbor_table(minority, n - 1)
         assert table.tobytes() == full_neighbor_order(minority)[:, :n - 1].tobytes()
         # the centre's duplicate is its unique nearest neighbor; its eight
         # axis neighbors (four points, two copies each) follow in index order
         assert list(table[4, :9]) == [13, 1, 3, 5, 7, 10, 12, 14, 16]
+
+    def test_memory_bounded_by_a_few_rows_of_differences(self):
+        # the (n, n) distances plus one (n, d) row of differences at a time,
+        # far below the (n, n, d) tensor of all pairwise differences
+        n, d = 60, 9400
+        minority = np.random.default_rng(0).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            _neighbor_table(minority, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * d * 8
 
 
 def make_sequences(rng, n, vec_dim=2, steps=4, dim=2, lengths=None):
