@@ -102,7 +102,9 @@ def _training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mlp-dropout", type=float, default=None)
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args, **fixed) -> ExperimentConfig:
+    """The validated config of the config file and flags of `args`, with
+    the fields `fixed` set whatever those say."""
     raw = {}
     if args.config:
         raw.update(load_config_file(args.config))
@@ -110,6 +112,7 @@ def _experiment_config(args) -> ExperimentConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             raw[f.name] = value
+    raw.update(fixed)
     # from_dict parses the --epochs string
     config = ExperimentConfig.from_dict(raw)
     config.validate()
@@ -148,7 +151,7 @@ def _sentiment_source(config: ExperimentConfig, paths: DataPaths):
 
 
 def _cmd_select_source(args) -> int:
-    config = replace(_experiment_config(args), source_mode="high_similarity")
+    config = _experiment_config(args, source_mode="high_similarity")
     source, reviews = _sentiment_source(config, _data_paths(args))
     kept_ids = {source.ids[row] for row in source.selected}
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -2,12 +2,12 @@
 
 Trains skip-gram vectors with negative sampling on the token streams of
 both corpora, in two fixed shards of documents whose deltas are summed
-after every epoch (the first shard in a forked child when there is a
-second core, see `train_skipgram`). Then turns each document into a (d,)
-averaged vector (mean of its in-vocabulary word vectors) and a (length,
-d) sequence (its first r in-vocabulary word vectors as rows, so length
-is at most r). The TF-IDF baselines, dense (n, V) matrices whose row i
-belongs to document i, and the gender-keyword vocabulary live here too.
+after every epoch (side by side when there is a second core, see
+`train_skipgram`). Then turns each document into a (d,) averaged vector
+(mean of its in-vocabulary word vectors) and a (length, d) sequence (its
+first r in-vocabulary word vectors as rows, so length is at most r).
+The TF-IDF baselines, dense (n, V) matrices whose row i belongs to
+document i, and the gender-keyword vocabulary live here too.
 """
 
 import logging
@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     DataError,
     FormatError,
-    PipelineError,
 )
 
 logger = logging.getLogger(__name__)
@@ -280,15 +279,17 @@ def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> Em
     deltas summed, not averaged, as the reference implementation's
     asynchronous updates add up.
 
-    With more than one core in the affinity mask (see
-    `procs.core_count`), the first shard trains in a forked child while
-    this process trains the second; otherwise one after the other. The
-    bytes are the same either way: the shard count is fixed, not the core
-    count, and every random draw comes from a shard's own generator in a
-    fixed iteration order. When one document holds every in-vocabulary
-    token, the second shard is empty and the first trains here alone.
-    A child that fails or exits without a result raises a PipelineError
-    naming the skip-gram shard.
+    Each epoch's two shards are two parts of one `procs.map_parts`
+    schedule: with more than one core in the affinity mask the first
+    shard trains in a forked child while this process trains the second;
+    otherwise one after the other. The bytes are the same either way:
+    the shard count is fixed, not the core count, and every random draw
+    comes from a shard's own generator in a fixed iteration order. When
+    one document holds every in-vocabulary token, the second shard is
+    empty and the first trains here alone, in place. A shard that fails,
+    or whose child exits without a result, raises a PipelineError named
+    after it (`skip-gram shard 2: ...`) on every core count; if both
+    fail, the first shard's error is raised.
     """
     config = config or EmbedConfig()
     token_docs = [list(_token_stream(d)) for d in documents]
@@ -325,26 +326,23 @@ def train_skipgram(documents: Sequence, config: EmbedConfig | None = None) -> Em
             noise_cdf=noise_cdf, processed=epoch * sizes[number],
             total=sizes[number] * config.epochs)
 
-    forking = procs.core_count() > 1
+    def shard(epoch, folds):
+        """The call that trains shard folds[0] in `epoch`: the first gives
+        its delta, the second trains the tables in place and gives none."""
+        (number,) = folds
+        train = shard_pass(number, epoch)
+        if number == 0:
+            return lambda: [_delta(train, vecs, ctx)]
+        # _train_shard returns None
+        return lambda: train(vecs, ctx) or []
+
     for epoch in range(config.epochs):
-        first = shard_pass(0, epoch)
         if not sizes[1]:
-            first(vecs, ctx)
+            shard_pass(0, epoch)(vecs, ctx)
             continue
-        if forking:
-            child = procs.fork(partial(_delta, first, vecs, ctx),
-                               "skip-gram shard 1")
-            try:
-                shard_pass(1, epoch)(vecs, ctx)
-                try:
-                    delta = procs.receive(*child)
-                except PipelineError as exc:
-                    raise procs.renamed(exc, "skip-gram shard 1") from exc
-            finally:
-                procs.stop(*child)
-        else:
-            delta = _delta(first, vecs, ctx)
-            shard_pass(1, epoch)(vecs, ctx)
+        (delta,) = procs.map_parts([
+            procs.Part([number], partial(shard, epoch), unit="skip-gram shard")
+            for number in (0, 1)])
         vecs += delta[0]
         ctx += delta[1]
 

@@ -13,7 +13,14 @@ class PipelineError(Exception):
     """Base class for all errors raised by this package.
 
     Every one pickles to its own class, message and attributes, so an
-    error raised in a forked worker reaches the parent unchanged."""
+    error raised in a forked worker reaches the parent unchanged.
+
+    `member` is the position of the failing fold in its part of a fork
+    schedule (see `procs.map_parts`), or of the failing model among those
+    trained in lockstep (see `nn.fit`); None when the error does not
+    concern one of several."""
+
+    member: int | None = None
 
     def __reduce__(self):
         # the finished message and attributes, set without calling
@@ -89,9 +96,8 @@ class ShapeError(PipelineError):
 
 
 class TrainingError(PipelineError):
-    """Training aborted (non-finite gradients or similar). `member` is the
-    position of the failing model among those trained in lockstep (see
-    `nn.fit`), or None when the error does not concern one model."""
+    """Training aborted (non-finite gradients or similar), in the model at
+    position `member` among those trained in lockstep, if given."""
 
     def __init__(self, message: str, member: int | None = None):
         super().__init__(message)

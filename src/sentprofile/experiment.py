@@ -19,14 +19,14 @@ on its own. A grid of cells shares all of this but the gender training:
 one load, one embedding fit and, per source mode, the sentiment models.
 
 Each pass is one schedule of parts, each part a few folds of one cell,
-that train in as many processes at once as this one has cores in its
-affinity mask, at most one per part (one process on a platform without
-`os.sched_getaffinity`): forked children beside this one, which trains
-some parts itself. Every part is one protocol (see `_Part`): its
-prepare, which runs here, gathers and oversamples the part's folds and
-returns the call that trains them, here or in a child. Of this module
-only `_map_folds` reads the core count (`procs.core_count`, which the
-embedding fit's skip-gram shards read too); both fork through `procs`.
+run by the fork scheduler `procs.map_parts`, which the embedding fit's
+skip-gram shards run through too: the parts train in as many processes
+at once as this one has cores in its affinity mask, at most one per part
+(one process on a platform without `os.sched_getaffinity`), forked
+children beside this one, which trains some parts itself. Every part is
+one protocol (see `procs.Part`): its prepare, which runs here, gathers
+and oversamples the part's folds and returns the call that trains them,
+here or in a child. This module neither forks nor reads the core count.
 The finetuned composites and the per-fold sentiment models of manual
 sources are one fold per part; each MLP cell is one part, its MLPs
 stacked. A schedule of one part, a single MLP cell's gender call, is
@@ -46,7 +46,6 @@ import io
 import json
 import logging
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -643,15 +642,15 @@ def _run_cells(cells: list[ExperimentConfig],
                paths: DataPaths) -> list[EvalReport]:
     """Cross-validate every cell over one shared prefix (see
     `_prepare_runs`); one report per cell, in order. The folds train in
-    several processes at once (see `_map_folds`); the reports' bytes do
-    not depend on how many.
+    several processes at once (see `procs.map_parts`); the reports' bytes
+    do not depend on how many.
 
     The cells differ pairwise in (source mode, sentiment mode), as
     `run_experiment`'s one cell and `run_grid`'s cells do, so each fold's
     read-out of a (source mode, sentiment mode) has exactly one reader.
 
-    Whatever the number of cells, the folds train in two `_map_folds`
-    calls. The first trains the sentiment models of every source mode
+    Whatever the number of cells, the folds train in two
+    `procs.map_parts` calls. The first trains the sentiment models of every source mode
     that a cell reads, in the order of each mode's first cell, and reads
     their features (see `_sentiment_readouts`). The second trains the
     gender models of every cell (see `_train_folds`): first the
@@ -684,7 +683,7 @@ def _run_cells(cells: list[ExperimentConfig],
         parts += _train_folds(runs[i], readouts.get(config.source_mode),
                               f"{config.source_mode}/{config.sentiment_mode}"
                               if named else None)
-    results = iter(_map_folds(parts))
+    results = iter(procs.map_parts(parts))
     accuracies = {i: [next(results) for _ in range(runs[i].plan.k)]
                   for i in order}
     elapsed = time.perf_counter() - started
@@ -712,110 +711,6 @@ def _columns(config: ExperimentConfig, accuracies: list[dict]) -> list[EpochColu
     given in fold order."""
     return [EpochColumn(e, [accuracy[e] for accuracy in accuracies])
             for e in config.epochs]
-
-
-@dataclass
-class _Part:
-    """Folds that train in one process (see `_map_folds`).
-    prepare(folds) runs in `_map_folds`' process and returns the
-    zero-argument call that trains `folds`, here or in a forked child,
-    and gives their results in fold order. `cell`, when set, names the
-    cell in the part's errors."""
-    folds: list[int]
-    prepare: Callable
-    cell: str | None = None
-
-
-def _in_fold(exc: PipelineError, part: _Part) -> PipelineError:
-    """`exc` pointing at the fold at position `exc.member` of `part` (its
-    first by default), and at its cell, under its error category (and
-    hence its exit code)."""
-    where = f"fold {part.folds[getattr(exc, 'member', None) or 0] + 1}"
-    if part.cell is not None:
-        where = f"{part.cell}, {where}"
-    return procs.renamed(exc, where)
-
-
-def _map_folds(parts: list[_Part]) -> list:
-    """Train `parts`, each a `_Part` of contiguous folds in fold order,
-    and return their results, part after part.
-
-    For each part in turn, its prepare runs here, once, on the part's
-    folds; the call it returns, which must not touch this process's
-    state, gives the part's results. It is the only code of this module
-    that reads the core count (`procs.core_count`).
-    A lone part (a single MLP cell's gender call) is cut into one
-    contiguous part per core, larger first (folds 1-3 and 4-5 on two
-    cores), each prepared on its own folds. Up to `jobs` parts train at
-    once, one per core of the affinity mask (one on a platform without
-    `os.sched_getaffinity`) and at most one per part: every `jobs`-th
-    part and the last here, the others in forked children, so this
-    process trains too instead of only waiting. Which part trains where
-    depends on the part count and `jobs` alone. Once it has forked a part
-    while `jobs` - 1 children were busy, this process waits for the
-    oldest, so it prepares each part while the children train and no
-    core idles while it waits.
-
-    A PipelineError, from a prepare or from the call it returned, names
-    the fold at position `exc.member` of its part, and the part's cell
-    (see `_in_fold`). Of several failing parts the first in `parts` is
-    named, as in one process: an error here is raised only after the
-    children of the parts before it. Within a part the first error
-    decides; for stacked MLPs that is the part's first failing stack and
-    step. On any error every child still running is stopped."""
-    jobs = procs.core_count()
-    if len(parts) == 1:
-        (part,) = parts
-        parts = [replace(part, folds=chunk.tolist()) for chunk
-                 in np.array_split(part.folds, min(jobs, len(part.folds)))]
-    jobs = min(jobs, len(parts))
-    results, busy = [None] * len(parts), {}
-    try:
-        for number, part in enumerate(parts):
-            here = number % jobs == jobs - 1 or number == len(parts) - 1
-            try:
-                train = part.prepare(part.folds)
-                if here:
-                    results[number] = train()
-                else:
-                    busy[number] = (*_fork(train, part), part)
-            except PipelineError as exc:
-                while busy:
-                    _collect(results, busy)
-                raise _in_fold(exc, part) from exc
-            del train
-            if len(busy) == jobs:
-                _collect(results, busy)
-        while busy:
-            _collect(results, busy)
-    finally:
-        for process, reader, _ in busy.values():
-            procs.stop(process, reader)
-    return [result for part in results for result in part]
-
-
-def _fork(task, part: _Part):
-    """`procs.fork` of `task` in a child named after the cell and folds
-    of `part`."""
-    folds = part.folds
-    name = (f"fold {folds[0] + 1}" if len(folds) == 1
-            else f"folds {folds[0] + 1}-{folds[-1] + 1}")
-    if part.cell is not None:
-        name = f"{part.cell}, {name}"
-    return procs.fork(task, name)
-
-
-def _collect(results: list, busy: dict) -> None:
-    """Wait for the oldest child in `busy`, which maps part numbers to
-    (process, reader, part), and store its result in `results`; raises
-    the error it sent instead, a PipelineError naming its fold (see
-    `_map_folds`)."""
-    number = min(busy)
-    process, reader, part = busy.pop(number)
-    try:
-        results[number] = procs.receive(process, reader)
-    except PipelineError as exc:
-        raise _in_fold(exc, part) from exc
 
 
 # the epochs each fold's sentiment model of a manual source trains on its
@@ -900,9 +795,10 @@ def sentiment_features(model: SentimentModel, sentiment_modes: set[str], mats,
     return features
 
 
-def _fold_sentiment(runs: list[RunContext], cell: str | None) -> list[_Part]:
-    """The `_map_folds` parts, named `cell` in errors, that give one entry
-    per fold for the cells in `runs`, which share a source mode: the
+def _fold_sentiment(runs: list[RunContext],
+                    cell: str | None) -> list[procs.Part]:
+    """The `procs.map_parts` parts, named `cell` in errors, that give one
+    entry per fold for the cells in `runs`, which share a source mode: the
     fold's {sentiment mode: read-out} dict, the read-out of
     `finetuned_lstm` being the fold's sentiment model, which saw no label
     of the fold's test users, without its gradients, and of any other
@@ -913,7 +809,7 @@ def _fold_sentiment(runs: list[RunContext], cell: str | None) -> list[_Part]:
     (a fold trains on its training users' labels alone), so those sources
     train one model per fold, in one part each. First the prepare of
     fold 1's part trains the source's shared model (see
-    `shared_sentiment`) here, in `_map_folds`' process, so the parts
+    `shared_sentiment`) here, in `procs.map_parts`' process, so the parts
     forked after it read it copy-on-write; each fold's model then
     continues from it on the fold's own training set (see
     `train_fold_sentiment`), and it is dropped here once the last part
@@ -950,7 +846,7 @@ def _fold_sentiment(runs: list[RunContext], cell: str | None) -> list[_Part]:
         return train
 
     # a fold-independent model is one part, fold 1's
-    return [_Part([index], prepare, cell) for index in range(k // copies)]
+    return [procs.Part([index], prepare, cell) for index in range(k // copies)]
 
 
 def _sentiment_readouts(runs: list[RunContext],
@@ -958,14 +854,14 @@ def _sentiment_readouts(runs: list[RunContext],
     """The read-outs of every source mode that a cell in `runs` reads a
     sentiment model of, by source mode: one {sentiment mode: read-out}
     dict per fold (see `_fold_sentiment`), each its own copy, from which
-    each cell pops its read-out (see `_train_folds`). One `_map_folds`
-    call trains the parts of all of them, in the order of each mode's
-    first cell, each named by its mode when `named`."""
+    each cell pops its read-out (see `_train_folds`). One
+    `procs.map_parts` call trains the parts of all of them, in the order
+    of each mode's first cell, each named by its mode when `named`."""
     groups = {}
     for run in runs:
         if run.source is not None:
             groups.setdefault(run.config.source_mode, []).append(run)
-    results = iter(_map_folds([
+    results = iter(procs.map_parts([
         part for mode, group in groups.items()
         for part in _fold_sentiment(group, mode if named else None)]))
     return {mode: [dict(next(results)) for _ in range(group[0].plan.k)]
@@ -977,8 +873,8 @@ def run_experiment(config: ExperimentConfig, paths: DataPaths) -> EvalReport:
 
 
 def _train_folds(run: RunContext, readouts: list[dict] | None,
-                 cell: str | None) -> list[_Part]:
-    """The `_map_folds` parts, named `cell` in errors, that train the
+                 cell: str | None) -> list[procs.Part]:
+    """The `procs.map_parts` parts, named `cell` in errors, that train the
     gender model of every fold of `run.plan`, score it at the grid epochs
     on the fold's test users and give the fold's {epoch: accuracy} dict,
     in fold order (see `_columns`). Fold i pops the read-out of the cell's
@@ -996,15 +892,15 @@ def _train_folds(run: RunContext, readouts: list[dict] | None,
 
     A finetuned fold's composite starts from a copy of the LSTM of the
     fold's own sentiment model. A part's prepare gathers, oversamples and
-    builds its folds in `_map_folds`' process, popping each read-out, so
-    a fold's model and features are dropped once the last part that
-    reads them has been prepared. Each composite is one part. An MLP cell
-    is one part, whatever the core count (a cell that trains alone is cut
-    by `_map_folds`), and a part's MLPs train in its process in lockstep,
-    those whose training matrices have one shape as one stack (one
-    `train_gender` call); each ends with the bytes it would have trained
-    to alone. A fold that fails is named by its position in the part
-    (`exc.member`, see `_in_fold`)."""
+    builds its folds in `procs.map_parts`' process, popping each
+    read-out, so a fold's model and features are dropped once the last
+    part that reads them has been prepared. Each composite is one part.
+    An MLP cell is one part, whatever the core count (a cell that trains
+    alone is cut by `procs.map_parts`), and a part's MLPs train in its
+    process in lockstep, those whose training matrices have one shape as
+    one stack (one `train_gender` call); each ends with the bytes it
+    would have trained to alone. A fold that fails is named by its
+    position in the part (`exc.member`, see `procs.map_parts`)."""
     config = run.config
     finetuned = config.sentiment_mode == "finetuned_lstm"
     grid, epochs = set(config.epochs), max(config.epochs)
@@ -1053,7 +949,7 @@ def _train_folds(run: RunContext, readouts: list[dict] | None,
                 return [accuracy]
             return train
 
-        return [_Part([index], composite, cell) for index in range(k)]
+        return [procs.Part([index], composite, cell) for index in range(k)]
 
     def stacked(folds):
         """The call that trains the MLPs of `folds`, each a member (seed,
@@ -1083,11 +979,11 @@ def _train_folds(run: RunContext, readouts: list[dict] | None,
                              after_epoch=after_epoch, seeds=seeds)
             except PipelineError as exc:
                 # the failing member's position in the part
-                exc.member = positions[getattr(exc, "member", None) or 0]
+                exc.member = positions[exc.member or 0]
                 raise
         return [accuracy for *_, accuracy in members]
 
-    return [_Part(list(range(k)), stacked, cell)]
+    return [procs.Part(list(range(k)), stacked, cell)]
 
 
 GRID_LAYERS = ("frozen_lstm", "frozen_dense", "finetuned_lstm")
@@ -1097,7 +993,7 @@ def run_grid(config: ExperimentConfig, paths: DataPaths):
     """Sweep source modes against extraction layers (the 4 x 3 grid). The
     cells share the corpora, the embeddings and, within a source mode, its
     sentiment models; every report has the bytes `run_experiment` gives
-    for its cell, whatever the process count (see `_map_folds`)."""
+    for its cell, whatever the process count (see `procs.map_parts`)."""
     cells = []
     for source_mode in SOURCE_MODES:
         if source_mode.endswith("plus_manual") and not paths.manual:

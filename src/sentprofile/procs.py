@@ -1,37 +1,130 @@
-"""Forked child processes, and the core count that decides whether to
-fork at all. The skip-gram shards (`embed.train_skipgram`) and the fold
-schedule (`experiment._map_folds`) both fork through here.
+"""The one fork scheduler, `map_parts`: the only code of the package that
+forks, reads the core count or names a part's process and errors. The
+experiment's fold schedules (see `experiment._run_cells`) and the
+skip-gram's two shards (see `embed.train_skipgram`) both run through it.
 
 Forked, not spawned, so a child reads the parent's arrays and models
 copy-on-write instead of receiving them pickled; the program starts no
-thread of its own. multiprocessing is imported only by `fork`, so a run
+thread of its own. multiprocessing is imported only by `_fork`, so a run
 that forks nothing does not pay for it.
 """
 
 import logging
 import os
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, DataError, PipelineError, TrainingError
 
 logger = logging.getLogger(__name__)
 
 
-def core_count() -> int:
-    """The number of cores in this process's affinity mask; 1 on a
-    platform without `os.sched_getaffinity`."""
-    return (len(os.sched_getaffinity(0))
+@dataclass
+class Part:
+    """Folds that train in one process (see `map_parts`); `unit` names
+    them (`fold`, or `skip-gram shard`), numbered from 1. prepare(folds)
+    runs in `map_parts`' process and returns the zero-argument call that
+    trains `folds`, here or in a forked child, and gives their results in
+    fold order. `cell`, when set, names the cell in the part's errors."""
+    folds: list[int]
+    prepare: Callable
+    cell: str | None = None
+    unit: str = "fold"
+
+
+def _name(part: Part, folds: list[int]) -> str:
+    """`folds` of `part` as its errors and children name them: `fold 2`,
+    `folds 1-3`, after `part.cell` and a comma when it is set."""
+    name = (f"{part.unit} {folds[0] + 1}" if len(folds) == 1
+            else f"{part.unit}s {folds[0] + 1}-{folds[-1] + 1}")
+    return name if part.cell is None else f"{part.cell}, {name}"
+
+
+def _in_part(exc: PipelineError, part: Part) -> PipelineError:
+    """`exc` pointing at the fold at position `exc.member` of `part` (its
+    first by default), and at its cell, under its error category (and
+    hence its exit code)."""
+    where = _name(part, [part.folds[exc.member or 0]])
+    for category in (ConfigError, TrainingError, DataError):
+        if isinstance(exc, category):
+            return category(f"{where}: {exc}")
+    return PipelineError(f"{where}: {exc}")
+
+
+def map_parts(parts: list[Part]) -> list:
+    """Train `parts`, each a `Part` of contiguous folds in fold order,
+    and return their results, part after part.
+
+    For each part in turn, its prepare runs here, once, on the part's
+    folds; the call it returns gives the part's results. It must leave
+    this process's state as it is, unless it is the last part's, which
+    always trains here (the skip-gram's second shard trains its tables
+    in place).
+    A lone part (a single MLP cell's gender call) is cut into one
+    contiguous part per core, larger first (folds 1-3 and 4-5 on two
+    cores), each prepared on its own folds. Up to `jobs` parts train at
+    once, one per core of the affinity mask (one on a platform without
+    `os.sched_getaffinity`) and at most one per part: every `jobs`-th
+    part and the last here, the others in forked children, so this
+    process trains too instead of only waiting. Which part trains where
+    depends on the part count and `jobs` alone. Once it has forked a part
+    while `jobs` - 1 children were busy, this process waits for the
+    oldest, so it prepares each part while the children train and no
+    core idles while it waits.
+
+    A PipelineError, from a prepare or from the call it returned, or a
+    child that exits without a result, names the fold at position
+    `exc.member` of its part, and the part's cell (see `_in_part`). Of
+    several failing parts the first in `parts` is named, as in one
+    process: an error here is raised only after the children of the
+    parts before it. Within a part the first error decides; for stacked
+    MLPs that is the part's first failing stack and step. On any error
+    every child still running is stopped."""
+    jobs = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
+    if len(parts) == 1:
+        (part,) = parts
+        parts = [replace(part, folds=chunk.tolist()) for chunk
+                 in np.array_split(part.folds, min(jobs, len(part.folds)))]
+    jobs = min(jobs, len(parts))
+    results, busy = [None] * len(parts), {}
+    try:
+        for number, part in enumerate(parts):
+            here = number % jobs == jobs - 1 or number == len(parts) - 1
+            try:
+                train = part.prepare(part.folds)
+                if here:
+                    results[number] = train()
+                else:
+                    busy[number] = (*_fork(train, part), part)
+            except PipelineError as exc:
+                while busy:
+                    _collect(results, busy)
+                raise _in_part(exc, part) from exc
+            del train
+            if len(busy) == jobs:
+                _collect(results, busy)
+        while busy:
+            _collect(results, busy)
+    finally:
+        for process, reader, _ in busy.values():
+            process.kill()
+            process.join()
+            reader.close()
+    return [result for part in results for result in part]
 
 
-def fork(task, name: str):
-    """(process, reader): a forked child named `name` that sends ("ok",
-    task()), or ("error", the error task() raised), down the pipe it
-    returns. Hand both to `receive`, or to `stop` if the result is no
-    longer wanted."""
+def _fork(task, part: Part):
+    """(process, reader): a forked child named after the cell and folds
+    of `part` that sends ("ok", task()), or ("error", the error task()
+    raised), down the pipe it returns (see `_collect`)."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
+    name = _name(part, part.folds)
 
     def run():
         try:
@@ -49,38 +142,28 @@ def fork(task, name: str):
     return process, reader
 
 
-def receive(process, reader):
-    """What the child of `fork` sent, once it has exited; raises the error
-    it sent instead, or a PipelineError if it exited without a result. If
-    the wait itself is interrupted, the child is stopped."""
+def _collect(results: list, busy: dict) -> None:
+    """Wait for the oldest child in `busy`, which maps part numbers to
+    (process, reader, part), and store its result in `results`. Raises
+    instead the error it sent, a PipelineError named after its fold (see
+    `_in_part`), or such a PipelineError if it exited without a result.
+    The child stays in `busy`, for `map_parts` to stop, until it has sent
+    or exited."""
+    number = min(busy)
+    process, reader, part = busy[number]
     try:
         kind, value = reader.recv()
     except EOFError:
         kind, value = "error", None
-    except BaseException:
-        stop(process, reader)
-        raise
+    del busy[number]
     reader.close()
     process.join()
     if kind == "ok":
-        return value
+        results[number] = value
+        return
     if value is None:
-        raise PipelineError(f"its process exited with code "
-                            f"{process.exitcode} and no result")
+        value = PipelineError(f"its process exited with code "
+                              f"{process.exitcode} and no result")
+    if isinstance(value, PipelineError):
+        raise _in_part(value, part) from value
     raise value
-
-
-def stop(process, reader) -> None:
-    """Kill the child of `fork`, unless it has been joined, and join it."""
-    process.kill()
-    process.join()
-    reader.close()
-
-
-def renamed(exc: PipelineError, where: str) -> PipelineError:
-    """`exc` prefixed with `where`, under its error category (and hence
-    its exit code)."""
-    for category in (ConfigError, TrainingError, DataError):
-        if isinstance(exc, category):
-            return category(f"{where}: {exc}")
-    return PipelineError(f"{where}: {exc}")

@@ -70,8 +70,8 @@ def with_unembeddable_documents(paths: DataPaths, tmp_path) -> DataPaths:
 @pytest.fixture
 def cores(monkeypatch):
     """cores(n) gives this process n cores in its affinity mask, so the
-    runs after it train their folds in up to n processes (see
-    `experiment._map_folds`)."""
+    runs after it train their folds, and the skip-gram its two shards, in
+    up to n processes (see `procs.map_parts`)."""
     def set_cores(n):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(n)), raising=False)

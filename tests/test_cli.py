@@ -259,6 +259,23 @@ def test_select_source_fits_embeddings_when_none_given(small_dataset, tmp_path,
     assert len(out.read_text().splitlines()) == n_kept >= 1
 
 
+def test_select_source_checks_the_threshold_before_any_work(
+        monkeypatch, small_dataset, tmp_path, capsys):
+    # select-source validates its config under high_similarity, the mode
+    # it selects by, so a threshold out of range fails with validate's
+    # message before the corpora are loaded
+    def load_corpora(paths):
+        raise AssertionError("loaded the corpora")
+
+    monkeypatch.setattr(cli, "load_corpora", load_corpora)
+    code = main(["select-source"] + flags(small_dataset) +
+                ["--similarity-threshold", "5",
+                 "--out", str(tmp_path / "selected.jsonl")])
+    assert code == 2
+    assert ("configuration error: z must be in (0, 1), got 5.0"
+            in capsys.readouterr().err)
+
+
 def test_staged_pipeline(small_dataset, tmp_path, capsys):
     work = tmp_path
 

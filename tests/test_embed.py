@@ -316,7 +316,7 @@ class TestShards:
         def no_fork(*args):
             raise AssertionError("forked")
 
-        monkeypatch.setattr(embed.procs, "fork", no_fork)
+        monkeypatch.setattr(embed.procs, "_fork", no_fork)
         cores(2)
         table = train_skipgram(docs, config)
         index, encoded, noise_cdf, vecs, ctx = reference_start(docs, config)

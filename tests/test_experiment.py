@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sentprofile import experiment
+from sentprofile import experiment, procs
 from sentprofile.domainsel import select_source
 from sentprofile.errors import ConfigError, DataError, TrainingError
 from sentprofile.gender import CLASSES, train_gender
@@ -400,7 +400,7 @@ def test_gender_folds_of_one_shape_train_as_one_stack(monkeypatch, cores):
     # one process, so all five folds form one part whose stacks train here,
     # where the calls are recorded; a forked part's would be lost
     cores(1)
-    columns = experiment._columns(config, experiment._map_folds(
+    columns = experiment._columns(config, procs.map_parts(
         experiment._train_folds(gender_run(config, folds), None, None)))
     seeds = [experiment._fold_seed(config.seed, index, 1)
              for index in range(len(folds))]
@@ -446,7 +446,7 @@ def test_non_finite_gradient_in_a_later_stack_names_its_fold(cores, n_cores,
     folds[fold] = (np.full_like(x, np.nan), *rest)
     cores(n_cores)
     with pytest.raises(TrainingError) as caught:
-        experiment._map_folds(experiment._train_folds(
+        procs.map_parts(experiment._train_folds(
             gender_run(config, folds), None, None))
     assert str(caught.value) == (f"fold {fold + 1}: non-finite gradient for "
                                  f"parameter 'layer0.weights'; training "
@@ -852,11 +852,11 @@ def test_frozen_cells_drop_each_folds_model_once_read(monkeypatch, cores,
 
 
 def check_after_prepares(monkeypatch, check):
-    """Wrap `experiment._map_folds` so that, after every prepare of a part
-    of a gender cell, the garbage is collected and check(the part's cell)
-    is recorded; returns the records, in order."""
+    """Wrap `procs.map_parts` so that, after every prepare of a part of a
+    gender cell, the garbage is collected and check(the part's cell) is
+    recorded; returns the records, in order."""
     records = []
-    map_folds = experiment._map_folds
+    map_parts = procs.map_parts
 
     def checked(part):
         def prepare(folds):
@@ -867,11 +867,11 @@ def check_after_prepares(monkeypatch, check):
         return prepare
 
     def recorded(parts):
-        return map_folds([replace(part, prepare=checked(part))
+        return map_parts([replace(part, prepare=checked(part))
                           if part.cell and "/" in part.cell else part
                           for part in parts])
 
-    monkeypatch.setattr(experiment, "_map_folds", recorded)
+    monkeypatch.setattr(procs, "map_parts", recorded)
     return records
 
 

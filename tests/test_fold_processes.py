@@ -2,6 +2,7 @@
 core in the affinity mask) give the tables, reports, errors and process
 table of a run in one process."""
 
+import ast
 import multiprocessing
 import os
 import subprocess
@@ -19,7 +20,6 @@ from sentprofile.errors import DataError, PipelineError, TrainingError
 from sentprofile.experiment import (
     SENTIMENT_MODES,
     SOURCE_MODES,
-    _Part,
     run_experiment,
     run_grid,
 )
@@ -28,17 +28,20 @@ from conftest import SMALL_CONFIG
 from test_experiment import small_experiment
 
 
-def count_forks(monkeypatch, key=lambda part: part.folds[0]) -> Counter:
-    """The parts `_map_folds` hands to a forked child, counted here by
-    key(part), by default their first fold."""
+def count_forks(monkeypatch, key=lambda part: part.folds[0],
+                unit="fold") -> Counter:
+    """The parts of `unit`s (folds, not skip-gram shards, by default) that
+    `procs.map_parts` hands to a forked child, counted here by key(part),
+    by default their first fold."""
     forks = Counter()
-    fork = experiment._fork
+    fork = procs._fork
 
     def counted(task, part):
-        forks[key(part)] += 1
+        if part.unit == unit:
+            forks[key(part)] += 1
         return fork(task, part)
 
-    monkeypatch.setattr(experiment, "_fork", counted)
+    monkeypatch.setattr(procs, "_fork", counted)
     return forks
 
 
@@ -339,7 +342,7 @@ def test_child_error_stops_the_children_after_it(cores):
     cores(3)
     started = time.monotonic()
     with pytest.raises(DataError, match="^fold 1: no usable item$"):
-        experiment._map_folds([_Part([index], prepare) for index in range(5)])
+        procs.map_parts([procs.Part([index], prepare) for index in range(5)])
     assert time.monotonic() - started < 30.0
     assert multiprocessing.active_children() == []
 
@@ -357,7 +360,7 @@ def test_child_that_exits_without_a_result_names_its_fold(cores):
     cores(2)
     with pytest.raises(PipelineError, match="^fold 1: its process exited "
                                             "with code 3 and no result$"):
-        experiment._map_folds([_Part([0], prepare), _Part([1], prepare)])
+        procs.map_parts([procs.Part([0], prepare), procs.Part([1], prepare)])
     assert multiprocessing.active_children() == []
 
 
@@ -465,8 +468,8 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
         return task
 
     try:
-        results = experiment._map_folds([_Part([i], prepare)
-                                         for i in range(folds)])
+        results = procs.map_parts([procs.Part([i], prepare)
+                                   for i in range(folds)])
     finally:
         os.close(waiting)
         os.close(release)
@@ -517,8 +520,8 @@ def test_map_folds_trains_each_part_in_one_process(cores):
             (3, [[0, 1, 2, 3, 4]], [(0, 1), (2, 3), (4,)])]:
         cores(n_cores)
         prepared.clear()
-        results = experiment._map_folds([_Part(folds, prepare)
-                                         for folds in parts])
+        results = procs.map_parts([procs.Part(folds, prepare)
+                                   for folds in parts])
         assert [value for value, _, _ in results] == list(range(5))
         assert prepared == trained
         where = {group: pid for _, group, pid in results}
@@ -532,7 +535,7 @@ def test_map_folds_trains_each_part_in_one_process(cores):
 def test_train_folds_gives_one_part_per_mlp_cell(monkeypatch, cores,
                                                  small_dataset, n_cores):
     # whatever the core count, a cell's MLP folds are one part; only
-    # `_map_folds` cuts a lone part across cores
+    # `procs.map_parts` cuts a lone part across cores
     train_folds, given = experiment._train_folds, []
 
     def recorded(*args):
@@ -572,8 +575,8 @@ def test_error_in_a_part_names_its_own_fold(cores, n_cores, failing):
 
     cores(n_cores)
     with pytest.raises(PipelineError) as caught:
-        experiment._map_folds([_Part([0, 1, 2], prepare),
-                               _Part([3, 4], prepare)])
+        procs.map_parts([procs.Part([0, 1, 2], prepare),
+                         procs.Part([3, 4], prepare)])
     fold = (prepare_fails if member_fails is None else member_fails) + 1
     assert (type(caught.value), str(caught.value)) == (
         (DataError, f"fold {fold}: no usable row") if member_fails is None
@@ -616,24 +619,18 @@ def test_skipgram_bytes_do_not_depend_on_cores(monkeypatch, cores,
     # table, and so the report, keeps its bytes
     config = small_experiment(sentiment_mode="frozen_lstm")
     _, docs, reviews, _ = experiment.load_corpora(small_dataset)
-    fork, names = procs.fork, Counter()
-
-    def counted(task, name):
-        names[name] += 1
-        return fork(task, name)
-
-    monkeypatch.setattr(procs, "fork", counted)
+    forks = count_forks(monkeypatch, unit="skip-gram shard")
     outputs, shard_forks = set(), []
     for n_cores in (1, 2, 3, None):
         if n_cores is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             cores(n_cores)
-        names.clear()
+        forks.clear()
         table = experiment.fit_embeddings(config, docs, reviews)
         outputs.add((b"".join(vector.tobytes() for _, vector in table.items()),
                      run_experiment(config, small_dataset).to_json()))
-        shard_forks.append(names["skip-gram shard 1"])
+        shard_forks.append(forks[0])
     assert len(outputs) == 1
     # one child per epoch of each of the two fits, from two cores on
     assert shard_forks == [0, 2 * config.embed_epochs,
@@ -667,21 +664,55 @@ def test_skipgram_shard_child_error_names_the_shard(monkeypatch, cores,
     assert multiprocessing.active_children() == []
 
 
-def test_skipgram_error_here_stops_the_shard_child(monkeypatch, cores):
-    # the second shard fails in this process while the first one's child
-    # sleeps; the child is stopped, not waited for
-    parent = os.getpid()
+@pytest.mark.parametrize("n_cores", [1, 2, 3, None],
+                         ids=["1", "2", "3", "no-affinity"])
+def test_skipgram_error_names_the_first_failing_shard(monkeypatch, cores,
+                                                      n_cores):
+    # a shard that fails, in this process or in the first shard's child,
+    # is named on every core count; of two failing shards the first one's
+    # error is raised, as in one process, once its child has been waited for
+    train_shard, failing = embed._train_shard, set()
 
-    def failing(*args, **kwargs):
-        if os.getpid() != parent:
-            time.sleep(60.0)
-        raise TrainingError("diverged")
+    def checked(*args, rng, **kwargs):
+        # the shard's generator is seeded from (seed, epoch, shard index)
+        if rng.bit_generator.seed_seq.entropy[2] + 1 in failing:
+            raise TrainingError("diverged")
+        return train_shard(*args, rng=rng, **kwargs)
 
-    monkeypatch.setattr(embed, "_train_shard", failing)
-    cores(2)
-    started = time.monotonic()
-    with pytest.raises(TrainingError, match="^diverged$"):
-        embed.train_skipgram([["a", "b"], ["b", "a"]],
-                             embed.EmbedConfig(dimension=2, min_count=1))
-    assert time.monotonic() - started < 30.0
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(embed, "_train_shard", checked)
+    if n_cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        cores(n_cores)
+    for failing_shards, named in [({1}, 1), ({2}, 2), ({1, 2}, 1)]:
+        failing.clear()
+        failing.update(failing_shards)
+        with pytest.raises(TrainingError) as caught:
+            embed.train_skipgram([["a", "b"], ["b", "a"]],
+                                 embed.EmbedConfig(dimension=2, min_count=1))
+        assert str(caught.value) == f"skip-gram shard {named}: diverged"
+        assert multiprocessing.active_children() == []
+
+
+def test_only_procs_forks_or_reads_the_core_count():
+    # the fork scheduler is the one place that imports multiprocessing,
+    # forks or reads the affinity mask; every other module schedules
+    # through `procs.map_parts`
+    package = Path(procs.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "procs.py" and path.parent == package:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "multiprocessing" for name in names):
+                offenders.append((path.name, node.lineno, "multiprocessing"))
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                    and node.attr in ("fork", "sched_getaffinity")):
+                offenders.append((path.name, node.lineno, f"os.{node.attr}"))
+    assert offenders == []
