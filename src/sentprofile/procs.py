@@ -5,12 +5,17 @@ skip-gram's two shards (see `embed.train_skipgram`) both run through it.
 
 Forked, not spawned, so a child reads the parent's arrays and models
 copy-on-write instead of receiving them pickled; the program starts no
-thread of its own. multiprocessing is imported only by `_fork`, so a run
-that forks nothing does not pay for it.
+thread of its own, nor imports multiprocessing. A child is made by
+`os.fork`, answers down its own pipe with one pickled outcome, ends in
+`os._exit` and is reaped by `os.waitpid`, after SIGKILL to stop it.
 """
 
 import logging
 import os
+import pickle
+import signal
+import sys
+import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -67,12 +72,11 @@ def map_parts(parts: list[Part]) -> list:
     cores), each prepared on its own folds. Up to `jobs` parts train at
     once, one per core of the affinity mask (one on a platform without
     `os.sched_getaffinity`) and at most one per part: every `jobs`-th
-    part and the last here, the others in forked children, so this
-    process trains too instead of only waiting. Which part trains where
-    depends on the part count and `jobs` alone. Once it has forked a part
-    while `jobs` - 1 children were busy, this process waits for the
-    oldest, so it prepares each part while the children train and no
-    core idles while it waits.
+    part and the last here, so this process trains too, the others in
+    forked children. Which part trains where depends on the part count
+    and `jobs` alone. Once it has forked a part while `jobs` - 1 children
+    were busy, this process waits for the oldest, so it prepares each
+    part while the children train and no core idles while it waits.
 
     A PipelineError, from a prepare or from the call it returned, or a
     child that exits without a result, names the fold at position
@@ -109,61 +113,72 @@ def map_parts(parts: list[Part]) -> list:
         while busy:
             _collect(results, busy)
     finally:
-        for process, reader, _ in busy.values():
-            process.kill()
-            process.join()
-            reader.close()
+        for pid, reader, _ in busy.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(reader)
     return [result for part in results for result in part]
 
 
 def _fork(task, part: Part):
-    """(process, reader): a forked child named after the cell and folds
-    of `part` that sends ("ok", task()), or ("error", the error task()
-    raised), down the pipe it returns (see `_collect`)."""
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    reader, writer = context.Pipe(duplex=False)
-    name = _name(part, part.folds)
-
-    def run():
+    """(pid, reader): a child that writes ("ok", task()), or ("error", the
+    error task() raised), down the pipe it returns (see `_collect`) and
+    exits with 0; or else writes nothing and exits with SystemExit's code,
+    or with 1 after `Process <name of part>:` and the traceback."""
+    reader, writer = os.pipe()
+    sys.stdout.flush()  # else the child prints this process's buffer too
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        os.close(writer)
+        return pid, reader
+    code = 1
+    try:
+        os.close(reader)
         try:
             outcome = ("ok", task())
         except Exception as exc:
             if not isinstance(exc, PipelineError):
                 # a defect, not a pipeline error: its traceback stays here
-                logger.exception("%s failed", name)
+                logger.exception("%s failed", _name(part, part.folds))
             outcome = ("error", exc)
-        writer.send(outcome)
-
-    process = context.Process(target=run, name=name)
-    process.start()
-    writer.close()
-    return process, reader
+        with open(writer, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))  # all the bytes or none
+        code = 0
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else int(bool(exc.code))
+    except BaseException:
+        sys.stderr.write(f"Process {_name(part, part.folds)}:\n")
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def _collect(results: list, busy: dict) -> None:
-    """Wait for the oldest child in `busy`, which maps part numbers to
-    (process, reader, part), and store its result in `results`. Raises
-    instead the error it sent, a PipelineError named after its fold (see
-    `_in_part`), or such a PipelineError if it exited without a result.
-    The child stays in `busy`, for `map_parts` to stop, until it has sent
-    or exited."""
+    """Read to its end the pipe of the oldest child in `busy` (part
+    numbers to (pid, reader, part)); only then drop and reap it. Store its
+    result in `results`, or raise the error it sent, or a PipelineError
+    if it sent no whole result, named after its fold (see `_in_part`)."""
     number = min(busy)
-    process, reader, part = busy[number]
-    try:
-        kind, value = reader.recv()
-    except EOFError:
-        kind, value = "error", None
+    pid, reader, part = busy[number]
+    data = open(reader, "rb", closefd=False).read()
     del busy[number]
-    reader.close()
-    process.join()
+    os.close(reader)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        kind, value = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        kind, value = "error", None
     if kind == "ok":
         results[number] = value
         return
     if value is None:
-        value = PipelineError(f"its process exited with code "
-                              f"{process.exitcode} and no result")
+        value = PipelineError(f"its process exited with code {code} "
+                              f"and no result")
     if isinstance(value, PipelineError):
         raise _in_part(value, part) from value
     raise value

@@ -78,6 +78,13 @@ def cores(monkeypatch):
     return set_cores
 
 
+def assert_no_children():
+    """Fail if this process has a child, running or exited and not yet
+    reaped: `procs.map_parts` must have waited for every child it forked."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def tiny_table():
     """Hand-built 2-dimensional embedding table."""

@@ -3,7 +3,6 @@ core in the affinity mask) give the tables, reports, errors and process
 table of a run in one process."""
 
 import ast
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from sentprofile.experiment import (
     run_grid,
 )
 
-from conftest import SMALL_CONFIG
+from conftest import SMALL_CONFIG, assert_no_children
 from test_experiment import small_experiment
 
 
@@ -61,7 +60,7 @@ def test_report_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset,
     # first part; at 2 cores of 3 folds that part is the only forked one
     forked = 1 + (source_mode == "entire_plus_manual" and mode != "none")
     assert forks == {0: forked}
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_grid_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset):
@@ -87,7 +86,7 @@ def test_grid_bytes_do_not_depend_on_jobs(monkeypatch, cores, small_dataset):
                      "high_similarity_plus_manual": 1, **finetuned,
                      **{f"{mode}/frozen_lstm": 1 for mode in SOURCE_MODES}}
     assert sum(finetuned.values()) == 6
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_mlp_report_bytes_at_three_cores(monkeypatch, cores, small_dataset):
@@ -101,7 +100,7 @@ def test_mlp_report_bytes_at_three_cores(monkeypatch, cores, small_dataset):
     cores(3)
     assert run_experiment(config, small_dataset).to_json() == alone
     assert forks == {0: 1, 2: 1}
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_grid_bytes_at_three_cores(monkeypatch, cores, small_dataset):
@@ -126,7 +125,7 @@ def test_grid_bytes_at_three_cores(monkeypatch, cores, small_dataset):
                                   "high_similarity/frozen_dense",
                                   "entire_plus_manual/frozen_lstm",
                                   "high_similarity_plus_manual/frozen_lstm")])
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def poisoned_finetune(monkeypatch, config, fold, delay=0.0, delayed=None):
@@ -163,7 +162,7 @@ def test_child_error_names_its_own_fold(monkeypatch, cores, small_dataset):
     assert errors[2] == errors[1] == (
         TrainingError, "fold 1: non-finite gradient for parameter "
                        "'mlp.layer0.weights'; training aborted")
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_parent_error_waits_for_the_earlier_child(monkeypatch, cores,
@@ -178,7 +177,7 @@ def test_parent_error_waits_for_the_earlier_child(monkeypatch, cores,
     with pytest.raises(TrainingError, match="^fold 2: non-finite gradient"):
         run_experiment(config, small_dataset)
     assert forks == {0: 1}
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_first_failing_fold_is_named_whatever_the_jobs(monkeypatch, cores,
@@ -203,7 +202,7 @@ def test_first_failing_fold_is_named_whatever_the_jobs(monkeypatch, cores,
         cores(count)
         with pytest.raises(TrainingError, match="^fold 1: fold model diverged$"):
             run_experiment(config, small_dataset)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def poisoned_composites(monkeypatch, poisoned, delayed=None, delay=0.0):
@@ -254,7 +253,7 @@ def test_grid_error_names_its_cell(monkeypatch, cores, small_dataset):
     assert errors[2] == errors[1] == (
         TrainingError, f"high_similarity_plus_manual/finetuned_lstm, fold 2: "
                        f"{NON_FINITE}")
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_grid_mlp_error_names_its_cell(monkeypatch, cores, small_dataset):
@@ -284,7 +283,7 @@ def test_grid_mlp_error_names_its_cell(monkeypatch, cores, small_dataset):
                        "gradient for parameter 'layer0.weights'; training "
                        "aborted")
     assert forks["high_similarity/frozen_lstm"] == 1
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_grid_names_the_first_failing_part_of_its_schedule(
@@ -301,7 +300,7 @@ def test_grid_names_the_first_failing_part_of_its_schedule(
         with pytest.raises(TrainingError) as caught:
             run_grid(config, small_dataset)
         assert str(caught.value) == f"entire/finetuned_lstm, fold 3: {NON_FINITE}"
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_grid_sentiment_error_names_its_source_mode(monkeypatch, cores,
@@ -323,7 +322,7 @@ def test_grid_sentiment_error_names_its_source_mode(monkeypatch, cores,
         cores(count)
         with pytest.raises(DataError, match="^entire, fold 1: no usable item$"):
             run_grid(config, small_dataset)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_child_error_stops_the_children_after_it(cores):
@@ -344,7 +343,7 @@ def test_child_error_stops_the_children_after_it(cores):
     with pytest.raises(DataError, match="^fold 1: no usable item$"):
         procs.map_parts([procs.Part([index], prepare) for index in range(5)])
     assert time.monotonic() - started < 30.0
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_child_that_exits_without_a_result_names_its_fold(cores):
@@ -361,7 +360,97 @@ def test_child_that_exits_without_a_result_names_its_fold(cores):
     with pytest.raises(PipelineError, match="^fold 1: its process exited "
                                             "with code 3 and no result$"):
         procs.map_parts([procs.Part([0], prepare), procs.Part([1], prepare)])
-    assert multiprocessing.active_children() == []
+    assert_no_children()
+
+
+@pytest.mark.parametrize("failure, code", [("unpicklable", 1),
+                                           ("SystemExit", 5),
+                                           ("KeyboardInterrupt", 1)])
+def test_child_that_cannot_answer_exits_with_its_code(cores, capfd, failure,
+                                                      code):
+    # fold 1's child returns what pickle cannot write, or raises past
+    # Exception; it writes no result and exits with SystemExit's code, or
+    # with 1 after its name and the traceback on stderr. Nothing it raises
+    # unwinds into this process's frames
+    parent = os.getpid()
+
+    def prepare(folds):
+        def task():
+            if os.getpid() != parent:
+                if failure == "unpicklable":
+                    return [lambda: None]
+                raise (SystemExit(5) if failure == "SystemExit"
+                       else KeyboardInterrupt())
+            return folds
+        return task
+
+    cores(2)
+    with pytest.raises(PipelineError, match=f"^fold 1: its process exited "
+                                            f"with code {code} and no "
+                                            f"result$"):
+        procs.map_parts([procs.Part([0], prepare), procs.Part([1], prepare)])
+    assert os.getpid() == parent
+    assert_no_children()
+    err = capfd.readouterr().err
+    if code == 5:
+        assert err == ""
+    else:
+        assert err.startswith("Process fold 1:\nTraceback (most recent call "
+                              "last):\n")
+        assert ("pickle" if failure == "unpicklable"
+                else "KeyboardInterrupt") in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("failure", [None, "child", "here"])
+def test_map_parts_leaves_no_file_descriptor(cores, failure):
+    # on success, on an error in fold 1's child, and on a defect here while
+    # that child still trains (stopped, not waited for), every pipe of the
+    # run is closed and every child reaped
+    parent = os.getpid()
+
+    def prepare(folds):
+        def task():
+            if os.getpid() != parent:
+                if failure == "child":
+                    raise DataError("no usable item")
+                time.sleep(60.0 if failure == "here" else 0.0)
+            elif failure == "here":
+                raise RuntimeError("a defect")
+            return folds
+        return task
+
+    cores(2)
+    before, started = os.listdir("/proc/self/fd"), time.monotonic()
+    parts = [procs.Part([index], prepare) for index in range(3)]
+    if failure is None:
+        assert procs.map_parts(parts) == [0, 1, 2]
+    else:
+        with pytest.raises((DataError, RuntimeError),
+                           match="^(fold 1: no usable item|a defect)$"):
+            procs.map_parts(parts)
+    assert time.monotonic() - started < 30.0
+    assert os.listdir("/proc/self/fd") == before
+    assert_no_children()
+
+
+def test_text_printed_before_a_fork_appears_once():
+    # stdout to a pipe is block-buffered (PYTHONUNBUFFERED unset); this
+    # process's buffer is flushed before each fork, so no child prints it
+    # again when it exits
+    script = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from sentprofile import procs\n"
+        "print('before the run')\n"
+        "procs.map_parts([procs.Part([index], lambda folds: lambda: folds)\n"
+        "                 for index in range(4)])\n")
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(procs.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "before the run\n"), (
+        done.stderr)
 
 
 def test_sentiment_error_in_a_child_names_its_fold(monkeypatch, cores,
@@ -384,7 +473,7 @@ def test_sentiment_error_in_a_child_names_its_fold(monkeypatch, cores,
         run_experiment(config, small_dataset)
     assert str(caught.value) == "fold 1: no usable item"
     assert forks[0] == 1
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("source_mode, mode", [
@@ -408,7 +497,7 @@ def test_shared_sentiment_bytes_do_not_depend_on_cores(
     # each of the two schedules forks one part at 2 cores and two at 3:
     # of the fold models, then of the composites or the cut MLP cell
     assert forks == {None: 6}
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_one_job_forks_nothing(monkeypatch, cores, small_dataset):
@@ -446,6 +535,8 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
     # and 3 folds, folds 1 and 2 fork and fold 3 trains here
     cores(n_cores)
     prepared, children, parent = [], [], os.getpid()
+    # this process's children, exited ones included until they are reaped
+    listed = Path(f"/proc/self/task/{parent}/children")
     # a forked task waits for one byte of this pipe; the task trained here
     # writes one per part forked since the last such task, after counting
     # the children, so the first round's jobs - 1 children are all alive
@@ -455,11 +546,11 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
     def prepare(folds):
         (index,) = folds
         prepared.append(index)
-        children.append(len(multiprocessing.active_children()))
+        children.append(len(listed.read_text().split()))
 
         def task():
             if os.getpid() == parent:
-                children.append(len(multiprocessing.active_children()))
+                children.append(len(listed.read_text().split()))
                 os.write(release, bytes(index % jobs))
             else:
                 os.read(waiting, 1)
@@ -477,27 +568,33 @@ def test_map_folds_keeps_fold_order(cores, n_cores, folds, jobs):
                        for i in range(folds)]
     assert prepared == list(range(folds))
     assert max(children) == jobs - 1
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_run_without_independent_folds_imports_no_multiprocessing(
         small_dataset):
     # on one core every part, here the MLP stack of all three folds, trains
-    # in this process, so the run neither forks nor pays for importing
-    # multiprocessing
+    # in this process, so the run forks nothing. On two cores it forks
+    # three children, the first skip-gram shard of each of the 2 epochs and
+    # the stack of folds 1-2, and still imports no multiprocessing
     script = (
         "import os, sys\n"
-        "os.sched_getaffinity = lambda pid: {0}\n"
         "from sentprofile.experiment import DataPaths, ExperimentConfig, "
         "run_experiment\n"
         f"config = ExperimentConfig(**{dict(SMALL_CONFIG)!r}, "
         "sentiment_mode='frozen_lstm', smote=True, smote_k=2)\n"
-        f"run_experiment(config, DataPaths(**{vars(small_dataset)!r}))\n"
-        "assert 'multiprocessing' not in sys.modules\n")
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "for cores in ({0}, {0, 1}):\n"
+        "    os.sched_getaffinity = lambda pid: cores\n"
+        f"    run_experiment(config, DataPaths(**{vars(small_dataset)!r}))\n"
+        "    assert 'multiprocessing' not in sys.modules, cores\n"
+        "    print(len(forks))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(experiment.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "3"]
 
 
 def test_map_folds_trains_each_part_in_one_process(cores):
@@ -528,7 +625,7 @@ def test_map_folds_trains_each_part_in_one_process(cores):
         assert list(where) == trained
         assert where[trained[-1]] == parent
         assert len(set(where.values())) == len(trained)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
 
 @pytest.mark.parametrize("n_cores", [1, 2, 3])
@@ -581,7 +678,7 @@ def test_error_in_a_part_names_its_own_fold(cores, n_cores, failing):
     assert (type(caught.value), str(caught.value)) == (
         (DataError, f"fold {fold}: no usable row") if member_fails is None
         else (TrainingError, f"fold {fold}: diverged"))
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("n_cores", [1, 2, 3])
@@ -609,7 +706,7 @@ def test_oversampling_error_in_a_later_fold_names_its_fold(
         run_experiment(config, small_dataset)
     assert (type(caught.value), str(caught.value)) == (
         DataError, f"fold {fold + 1}: no minority row to oversample")
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_skipgram_bytes_do_not_depend_on_cores(monkeypatch, cores,
@@ -635,7 +732,7 @@ def test_skipgram_bytes_do_not_depend_on_cores(monkeypatch, cores,
     # one child per epoch of each of the two fits, from two cores on
     assert shard_forks == [0, 2 * config.embed_epochs,
                            2 * config.embed_epochs, 0]
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("failure", ["raises", "exits"])
@@ -661,7 +758,7 @@ def test_skipgram_shard_child_error_names_the_shard(monkeypatch, cores,
         (TrainingError, "skip-gram shard 1: diverged") if failure == "raises"
         else (PipelineError, "skip-gram shard 1: its process exited with "
                              "code 3 and no result"))
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("n_cores", [1, 2, 3, None],
@@ -691,18 +788,17 @@ def test_skipgram_error_names_the_first_failing_shard(monkeypatch, cores,
             embed.train_skipgram([["a", "b"], ["b", "a"]],
                                  embed.EmbedConfig(dimension=2, min_count=1))
         assert str(caught.value) == f"skip-gram shard {named}: diverged"
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
 
 def test_only_procs_forks_or_reads_the_core_count():
-    # the fork scheduler is the one place that imports multiprocessing,
-    # forks or reads the affinity mask; every other module schedules
-    # through `procs.map_parts`
+    # the fork scheduler is the one place that forks or reads the affinity
+    # mask; every other module schedules through `procs.map_parts`. No
+    # module, `procs` included, imports multiprocessing
     package = Path(procs.__file__).parent
     offenders = []
     for path in sorted(package.rglob("*.py")):
-        if path.name == "procs.py" and path.parent == package:
-            continue
+        scheduler = path.name == "procs.py" and path.parent == package
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([alias.name for alias in node.names]
                      if isinstance(node, ast.Import)
@@ -710,7 +806,7 @@ def test_only_procs_forks_or_reads_the_core_count():
                      if isinstance(node, ast.ImportFrom) else [])
             if any(name.split(".")[0] == "multiprocessing" for name in names):
                 offenders.append((path.name, node.lineno, "multiprocessing"))
-            if (isinstance(node, ast.Attribute)
+            if (not scheduler and isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "os"
                     and node.attr in ("fork", "sched_getaffinity")):
